@@ -1,0 +1,170 @@
+"""Write a golden fixture of every subcommand's records and every demo's stdout.
+
+    python3 scripts/records_fixture.py DIR
+
+draws small datasets from fixed seeds with NumPy alone, runs `fit`, `infer`
+(known noise, missing at random, a design too wide for stacked nodewise
+solves, and two workers), `bands`, `graph` and `simulate` (both presets)
+with `--format records`, and captures the stdout of each script in
+`demos/`.  Two checkouts that compute the same numbers give trees that
+`diff -r` finds identical, so a refactor is checked with
+
+    python3 scripts/records_fixture.py /tmp/before   # on the old commit
+    python3 scripts/records_fixture.py /tmp/after    # on the new commit
+    diff -r /tmp/before /tmp/after
+
+The package is imported from the `src/` directory next to this script.
+"""
+
+from __future__ import annotations
+
+import os
+import re
+import subprocess
+import sys
+from contextlib import redirect_stdout
+from pathlib import Path
+
+import numpy as np
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "src"))
+
+from eivbands.cli import main  # noqa: E402
+
+# demos/05 prints its own wall time, the only run-dependent text in a demo
+_WALL_TIME = re.compile(r"\d+\.\d+s\]")
+
+
+def _ar_design(rng, n: int, p: int, rho: float = 0.5) -> np.ndarray:
+    x = np.empty((n, p))
+    x[:, 0] = rng.normal(size=n)
+    for k in range(1, p):
+        x[:, k] = rho * x[:, k - 1] + np.sqrt(1.0 - rho ** 2) * rng.normal(size=n)
+    return x
+
+
+def _write_csv(path: Path, columns: dict[str, np.ndarray],
+               mask: np.ndarray | None = None) -> None:
+    names = list(columns)
+    table = np.column_stack([columns[c] for c in names])
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(",".join(names) + "\n")
+        for i, row in enumerate(table):
+            cells = [repr(float(v)) for v in row]
+            if mask is not None:
+                # column 0 is the response, which is never missing
+                cells = [c if k == 0 or mask[i, k - 1] else "NA"
+                         for k, c in enumerate(cells)]
+            fh.write(",".join(cells) + "\n")
+
+
+def _write_gamma(path: Path, gamma: np.ndarray) -> None:
+    path.write_text("".join(f"{float(g)!r}\n" for g in gamma), encoding="utf-8")
+
+
+def _regression(rng, n: int, p: int, sigma_w: float):
+    x = _ar_design(rng, n, p)
+    beta = np.zeros(p)
+    beta[[1, p // 3, p // 2]] = [1.0, -0.8, 0.6]
+    y = x @ beta + 0.5 * rng.normal(size=n)
+    Z = x + sigma_w * rng.normal(size=(n, p))
+    return y, Z
+
+
+def write_inputs(inputs: Path) -> None:
+    """Draw every dataset the runs read; seeds are fixed."""
+    sigma_w = 0.5
+    y, Z = _regression(np.random.default_rng(11), 120, 40, sigma_w)
+    cols = {"y": y} | {f"z{k + 1}": Z[:, k] for k in range(Z.shape[1])}
+    _write_csv(inputs / "reg.csv", cols)
+    _write_gamma(inputs / "reg_gamma.txt", np.full(Z.shape[1], sigma_w ** 2))
+
+    rng = np.random.default_rng(12)
+    y, Z = _regression(rng, 150, 30, 0.0)
+    mask = rng.uniform(size=Z.shape) >= 0.1
+    cols = {"y": y} | {f"z{k + 1}": Z[:, k] for k in range(Z.shape[1])}
+    _write_csv(inputs / "mar.csv", cols, mask)
+
+    # wide enough that each nodewise Gram exceeds the stacking budget share
+    y, Z = _regression(np.random.default_rng(13), 150, 140, sigma_w)
+    cols = {"y": y} | {f"z{k + 1}": Z[:, k] for k in range(Z.shape[1])}
+    _write_csv(inputs / "wide.csv", cols)
+    _write_gamma(inputs / "wide_gamma.txt", np.full(Z.shape[1], sigma_w ** 2))
+
+    Z = _ar_design(np.random.default_rng(14), 100, 12)
+    Z += sigma_w * np.random.default_rng(15).normal(size=Z.shape)
+    _write_csv(inputs / "nodes.csv", {f"z{k + 1}": Z[:, k] for k in range(12)})
+    _write_gamma(inputs / "nodes_gamma.txt", np.full(12, sigma_w ** 2))
+
+
+def _runs(inputs: Path) -> dict[str, list[str]]:
+    reg = ["--input", str(inputs / "reg.csv"),
+           "--gamma", str(inputs / "reg_gamma.txt")]
+    wide = ["--input", str(inputs / "wide.csv"),
+            "--gamma", str(inputs / "wide_gamma.txt")]
+    nodes = ["--input", str(inputs / "nodes.csv"),
+             "--gamma", str(inputs / "nodes_gamma.txt")]
+    mar = ["--input", str(inputs / "mar.csv"), "--mar"]
+    small_boot = ["--boot", "300", "--seed", "5"]
+    return {
+        "fit": ["fit", *reg],
+        "infer": ["infer", *reg, *small_boot],
+        "infer_pilot_variance": ["infer", *reg, "--targets", "z1,z2,z14",
+                                 "--variance-at", "pilot", *small_boot],
+        "infer_workers2": ["infer", *reg, "--workers", "2", *small_boot],
+        "infer_mar": ["infer", *mar, "--targets", "1,2,3,10", *small_boot],
+        "infer_wide": ["infer", *wide, "--targets", "1,2,50,140",
+                       *small_boot],
+        "infer_max_iter": ["infer", *reg, "--targets", "1,2,3",
+                           "--max-iter", "7", *small_boot],
+        "bands": ["bands", *reg, "--targets", "z2", *small_boot],
+        "graph": ["graph", *nodes, *small_boot],
+        "simulate_single": ["simulate", "--n", "100", "--p", "30",
+                            "--replications", "4", "--boot", "200",
+                            "--seed", "3"],
+        "simulate_multi_mar": ["simulate", "--preset", "multi",
+                               "--noise-mode", "mar", "--n", "100",
+                               "--p", "30", "--replications", "3",
+                               "--boot", "200", "--seed", "4"],
+    }
+
+
+def run_records(inputs: Path, out: Path) -> None:
+    for name, argv in _runs(inputs).items():
+        dest = out / f"{name}.jsonl"
+        code = main([*argv, "--format", "records", "--out", str(dest)])
+        if code != 0:
+            raise SystemExit(f"{name}: exit code {code}")
+
+
+def run_demos(out: Path) -> None:
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    for script in sorted((ROOT / "demos").glob("*.py")):
+        done = subprocess.run([sys.executable, str(script)], env=env,
+                              capture_output=True, text=True, check=True)
+        text = _WALL_TIME.sub("<wall>s]", done.stdout)
+        (out / f"demo_{script.stem}.txt").write_text(text, encoding="utf-8")
+
+
+def main_fixture(argv: list[str]) -> int:
+    if len(argv) != 1:
+        print(__doc__, file=sys.stderr)
+        return 2
+    out = Path(argv[0])
+    out.mkdir(parents=True, exist_ok=True)
+    # records echo the input paths, so they are kept relative to DIR
+    os.chdir(out)
+    inputs = Path("inputs")
+    inputs.mkdir(exist_ok=True)
+    write_inputs(inputs)
+    with redirect_stdout(sys.stderr):
+        run_records(inputs, Path("."))
+    run_demos(Path("."))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main_fixture(sys.argv[1:]))

@@ -24,7 +24,7 @@ from .debias import (
     prepare_pilot,
     run_inference,
 )
-from .errors import DegeneracyError, InputError, NumericalError
+from .errors import DegeneracyError, EivbandsError, InputError, NumericalError
 from .lasso import (
     Dataset,
     FitResult,
@@ -56,6 +56,7 @@ __all__ = [
     "DebiasTable",
     "Dataset",
     "DegeneracyError",
+    "EivbandsError",
     "FitResult",
     "InputError",
     "MarEstimate",

@@ -27,7 +27,7 @@ from .debias import (
     prepare_pilot,
     run_inference,
 )
-from .errors import DegeneracyError, InputError, NumericalError
+from .errors import EivbandsError, InputError
 from .lasso import Dataset, NoiseSpec, SolverConfig
 
 
@@ -456,13 +456,7 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.func(args)
-    except InputError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return exc.exit_code
-    except NumericalError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return exc.exit_code
-    except DegeneracyError as exc:
+    except EivbandsError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.exit_code
     except OSError as exc:

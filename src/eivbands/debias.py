@@ -44,7 +44,7 @@ from .lasso import (
     fit_corrected_lasso,
     resolve_config,
 )
-from .nodewise import fit_nodewise
+from .nodewise import fit_nodewise, fit_nodewise_stack, stack_size
 
 # |slope| below this is treated as a statistical degeneracy.
 DEGENERACY_TOL = 1e-10
@@ -188,29 +188,37 @@ def pointwise_ci(estimate: float, sd: float, n: int,
     return estimate - half, estimate + half
 
 
-def _target_cell(y, Z, noise_var, pilot_beta, j, cfg, alpha,
+def _target_cell(y, Z, noise_var, pilot_beta, nw, alpha,
                  variance_at) -> DebiasCell:
-    n = Z.shape[0]
-    nw = fit_nodewise(Z, noise_var, j, cfg)
+    n, j = Z.shape[0], nw.j
     slope = score_slope(Z, noise_var, nw.mu, j)
-    if abs(slope) < DEGENERACY_TOL:
-        raise DegeneracyError(
-            f"score slope {slope:.3e} is numerically zero for column {j}",
-            coordinate=j)
     theta = debias_coordinate(y, Z, noise_var, pilot_beta, nw.mu, j)
-    center = theta if variance_at == "debiased" else float(pilot_beta[j])
-    var = plugin_variance(
-        score_values(y, Z, noise_var, pilot_beta, nw.mu, j, center), slope)
-    sd = math.sqrt(var)
     raw = score_values(y, Z, noise_var, pilot_beta, nw.mu, j, theta)
+    if variance_at == "debiased":
+        centred = raw
+    else:
+        centred = score_values(y, Z, noise_var, pilot_beta, nw.mu, j,
+                               float(pilot_beta[j]))
+    sd = math.sqrt(plugin_variance(centred, slope))
     scores = -raw / (sd * slope)
     lo, hi = pointwise_ci(theta, sd, n, alpha)
     return DebiasCell(j=j, estimate=theta, slope=slope, sd=sd,
                       ci_low=lo, ci_high=hi, scores=scores, mu=nw.mu)
 
 
-def _target_cell_payload(args):
-    return _target_cell(*args)
+def _target_cells(y, Z, noise_var, pilot_beta, targets, cfg, alpha,
+                  variance_at) -> list[DebiasCell]:
+    """Cells for a batch of targets, in order; more than one is stacked."""
+    if len(targets) == 1:
+        fits = [fit_nodewise(Z, noise_var, targets[0], cfg)]
+    else:
+        fits = fit_nodewise_stack(Z, noise_var, targets, cfg)
+    return [_target_cell(y, Z, noise_var, pilot_beta, nw, alpha, variance_at)
+            for nw in fits]
+
+
+def _target_cells_payload(args):
+    return _target_cells(*args)
 
 
 def run_inference(data: Dataset, noise: NoiseSpec, targets,
@@ -237,8 +245,15 @@ def run_inference(data: Dataset, noise: NoiseSpec, targets,
     variance_at : {"debiased", "pilot"}
         Where the plug-in variance evaluates the scores.
     workers : int
-        Target coordinates are processed in parallel when > 1.  Results are
-        identical for any worker count.
+        Batches of target coordinates are processed in parallel when > 1.
+        Results are identical for any worker count.
+
+    Notes
+    -----
+    When `nodewise.stack_size` allows it for this design, the nodewise fits
+    of up to that many targets are solved as one stack; the results are
+    bit-identical to fitting them one at a time.  Each batch (one stack, or
+    one target when stacking is off) is one unit of work for the workers.
     """
     if not 0.0 < alpha < 1.0:
         raise InputError(f"alpha must lie strictly between 0 and 1, got {alpha}")
@@ -258,13 +273,16 @@ def run_inference(data: Dataset, noise: NoiseSpec, targets,
     Z_eff, noise_var, pilot = prepared.design, prepared.noise_var, prepared.fit
     n = data.n
 
-    payloads = [(data.y, Z_eff, noise_var, pilot.beta, j, cfg, alpha,
-                 variance_at) for j in targets]
+    size = stack_size(p)
+    payloads = [(data.y, Z_eff, noise_var, pilot.beta, targets[i:i + size],
+                 cfg, alpha, variance_at)
+                for i in range(0, len(targets), size)]
     if workers > 1 and len(payloads) > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            cells = tuple(pool.map(_target_cell_payload, payloads))
+            batches = list(pool.map(_target_cells_payload, payloads))
     else:
-        cells = tuple(_target_cell_payload(q) for q in payloads)
+        batches = [_target_cells_payload(q) for q in payloads]
+    cells = tuple(cell for batch in batches for cell in batch)
 
     return DebiasTable(cells=cells, alpha=alpha, n=n, noise_kind=noise.kind,
                        noise_var=noise_var, pilot=pilot,

@@ -7,19 +7,25 @@ degeneracies (zero score slope, zero variance) exit 4.
 """
 
 
-class InputError(ValueError):
+class EivbandsError(Exception):
+    """Base of the package's errors; each subclass sets its CLI `exit_code`."""
+
+    exit_code: int
+
+
+class InputError(EivbandsError, ValueError):
     """Malformed input: data files, configuration values, or argument shapes."""
 
     exit_code = 2
 
 
-class NumericalError(ArithmeticError):
+class NumericalError(EivbandsError, ArithmeticError):
     """Numerical failure: non-finite values or a linear solve that broke down."""
 
     exit_code = 3
 
 
-class DegeneracyError(RuntimeError):
+class DegeneracyError(EivbandsError, RuntimeError):
     """Statistical degeneracy: a denominator or variance is numerically zero."""
 
     exit_code = 4

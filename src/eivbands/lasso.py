@@ -413,3 +413,229 @@ def fit_corrected_lasso(b: np.ndarray, G: np.ndarray,
         radius=radius,
         objective_trace=np.asarray(trace),
     )
+
+
+# ---------------------------------------------------------------------------
+# stacked solves
+#
+# The functions below run k same-size problems in lockstep on (k, p) and
+# (k, p, p) arrays.  Each row gets exactly the floating-point operations the
+# single-problem code above gives it: a stacked np.matmul calls the same BLAS
+# gemv or ddot once per row, reductions run along the contiguous last axis,
+# and everything else is elementwise.  `fit_corrected_lasso` stays the
+# reference the stacked results are tested against bit for bit.
+
+
+def _rowdot(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """u[i] @ v[i] for every row of two (k, p) stacks."""
+    return np.matmul(u[:, None, :], v[:, :, None])[:, 0, 0]
+
+
+def _rowmatvec(G: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """G[i] @ v[i] for a (k, p, p) stack and a (k, p) stack."""
+    return np.matmul(G, v[:, :, None])[:, :, 0]
+
+
+def _spectral_bound_stack(G: np.ndarray) -> np.ndarray:
+    k, p = G.shape[:2]
+    v = np.full((k, p), p ** -0.5)
+    lam = np.ones(k)
+    live = np.ones(k, dtype=bool)
+    for _ in range(_POWER_ITERATIONS):
+        w = _rowmatvec(G, v)
+        nw = np.sqrt(_rowdot(w, w))
+        stop = live & ((nw == 0.0) | ~np.isfinite(nw))
+        lam[stop] = 1.0
+        live &= ~stop
+        lam[live] = nw[live]
+        v[live] = w[live] / nw[live, None]
+    return lam
+
+
+def _project_l1_ball_stack(v: np.ndarray, a: np.ndarray,
+                           radius: np.ndarray) -> np.ndarray:
+    """`project_l1_ball` of every row of v, in place; a is np.abs(v).
+
+    Rows already inside their ball are left unchanged; radii are > 0.
+    """
+    over = ~(a.sum(axis=1) <= radius)
+    if over.any():
+        a, r = a[over], radius[over]
+        u = np.sort(a, axis=1)[:, ::-1]
+        css = np.cumsum(u, axis=1) - r[:, None]
+        idx = np.arange(1, u.shape[1] + 1)
+        last = u > css / idx
+        rho = idx[-1] - np.argmax(last[:, ::-1], axis=1)
+        theta = css[np.arange(rho.shape[0]), rho - 1] / rho
+        v[over] = np.sign(v[over]) * np.maximum(a - theta[:, None], 0.0)
+    return v
+
+
+def _kkt_residual_stack(beta: np.ndarray, grad: np.ndarray,
+                        penalty: np.ndarray, radius: np.ndarray) -> np.ndarray:
+    """`_kkt_residual` for every row; the golden-section scan runs only on
+    rows whose l1-ball constraint is active."""
+
+    def residual(rows):
+        g, pen = grad[rows], penalty[rows]
+        nonzero, sign = beta[rows] != 0.0, np.sign(beta[rows])
+
+        def resid(theta):
+            lam = (pen + theta)[:, None]
+            shrunk = g - np.clip(g, -lam, lam)
+            full = np.where(nonzero, g + lam * sign, shrunk)
+            return np.abs(full).max(axis=1)
+        return resid
+
+    out = residual(slice(None))(np.zeros(beta.shape[0]))
+    l1 = np.abs(beta).sum(axis=1)
+    ball = np.flatnonzero(np.isfinite(radius)
+                          & ~(l1 < radius * (1.0 - 1e-9)))
+    if ball.size == 0:
+        return out
+    lo = np.zeros(ball.size)
+    hi = np.abs(grad[ball]).max(axis=1) + 1.0
+    invphi = (math.sqrt(5.0) - 1.0) / 2.0
+    x1 = hi - invphi * (hi - lo)
+    x2 = lo + invphi * (hi - lo)
+    resid = residual(ball)
+    f1, f2 = resid(x1), resid(x2)
+    for _ in range(100):
+        left = f1 <= f2
+        hi = np.where(left, x2, hi)
+        lo = np.where(left, lo, x1)
+        x_new = np.where(left, hi - invphi * (hi - lo),
+                         lo + invphi * (hi - lo))
+        f_new = resid(x_new)
+        x1, x2 = np.where(left, x_new, x2), np.where(left, x1, x_new)
+        f1, f2 = np.where(left, f_new, f2), np.where(left, f1, f_new)
+    out[ball] = np.minimum(np.minimum(out[ball], f1), f2)
+    return out
+
+
+def fit_corrected_lasso_stack(b: np.ndarray, G: np.ndarray,
+                              cfgs) -> list[FitResult | NumericalError]:
+    """Solve k corrected-lasso problems of one size as a single stack.
+
+    Parameters
+    ----------
+    b : ndarray, shape (k, p)
+        Linear terms, one row per problem.
+    G : ndarray, shape (k, p, p)
+        Corrected Gram matrices, one per problem.
+    cfgs : sequence of k SolverConfig
+        Resolved configurations, one per problem (see `resolve_config`).
+
+    Returns
+    -------
+    list of FitResult or NumericalError
+        Entry i equals ``fit_corrected_lasso(b[i], G[i], cfgs[i])`` bit for
+        bit in every field.  Where that call would raise NumericalError, the
+        exception is returned in place, so the caller decides in which order
+        failures surface; the other problems are unaffected.
+
+    Notes
+    -----
+    Every problem keeps its own step size, backtracking, l1-ball projection,
+    KKT checks, stopping rule and objective trace.  A problem that has
+    stopped stays in the stack and is recomputed with the others, but its
+    state is never written again, so no Gram is copied as problems finish.
+    """
+    b = np.ascontiguousarray(b, dtype=np.float64)
+    G = np.ascontiguousarray(G, dtype=np.float64)
+    if b.ndim != 2 or G.shape != (b.shape[0], b.shape[1], b.shape[1]):
+        raise InputError("b must be (k, p) and G a matching (k, p, p) stack")
+    k = b.shape[0]
+    if len(cfgs) != k:
+        raise InputError(f"got {len(cfgs)} configs for {k} problems")
+    if not (np.all(np.isfinite(b)) and np.all(np.isfinite(G))):
+        raise InputError("b and G must be finite")
+    if any(c.penalty is None or c.radius is None for c in cfgs):
+        raise InputError("penalty and radius must be resolved before fitting")
+    penalty = np.array([float(c.penalty) for c in cfgs])
+    radius = np.array([float(c.radius) for c in cfgs])
+    tol = np.array([c.tol for c in cfgs], dtype=np.float64)
+    tol_scaled = 0.1 * tol
+    max_iter = np.array([c.max_iter for c in cfgs])
+
+    beta = np.zeros_like(b)
+    f_beta = np.zeros(k)
+    grad = -b
+    step = 1.0 / np.maximum(_spectral_bound_stack(G), 1e-12)
+    kkt = _kkt_residual_stack(beta, grad, penalty, radius)
+    converged = kkt <= tol
+    iterations = np.zeros(k, dtype=np.int64)
+    errors: list[NumericalError | None] = [None] * k
+    live = ~converged
+    accepted, objectives = [], []
+
+    while live.any():
+        v = beta - step[:, None] * grad
+        # |soft_threshold(v, t)| is exactly max(|v| - t, 0)
+        mag = np.maximum(np.abs(v) - (step * penalty)[:, None], 0.0)
+        cand = _project_l1_ball_stack(np.sign(v) * mag, mag, radius)
+        delta = cand - beta
+        sq = _rowdot(delta, delta)
+        Gc = _rowmatvec(G, cand)
+        f_cand = 0.5 * _rowdot(cand, Gc) - _rowdot(b, cand)
+        bound = f_beta + _rowdot(grad, delta) + sq / (2.0 * step)
+        zero = sq == 0.0
+        accept = live & (zero | (
+            f_cand <= bound + _BACKTRACK_SLACK * (1.0 + np.abs(f_beta))))
+
+        retry = live & ~accept
+        if retry.any():
+            step[retry] *= 0.5
+            for i in np.flatnonzero(retry & (step < _MIN_STEP)):
+                errors[i] = NumericalError("backtracking step size underflow")
+                live[i] = False
+        finite = np.isfinite(f_cand)
+        if not finite.all():
+            for i in np.flatnonzero(accept & ~finite):
+                errors[i] = NumericalError("non-finite objective in solver")
+                live[i] = False
+            accept &= finite
+
+        rows = accept[:, None]
+        np.copyto(beta, cand, where=rows)
+        np.copyto(f_beta, f_cand, where=accept)
+        np.copyto(grad, Gc - b, where=rows)
+        iterations += accept
+        accepted.append(accept)
+        objectives.append(f_beta + penalty * np.abs(beta).sum(axis=1))
+
+        check = accept & (zero | (iterations % 25 == 0)
+                          | (np.sqrt(sq) <= tol_scaled * step))
+        if check.any():
+            kkt[check] = _kkt_residual_stack(beta[check], grad[check],
+                                             penalty[check], radius[check])
+            converged[check] = kkt[check] <= tol[check]
+            live &= ~converged
+        live &= ~(accept & (zero | (iterations >= max_iter)))
+
+    redo = ~converged
+    if redo.any():
+        kkt[redo] = _kkt_residual_stack(beta[redo], grad[redo],
+                                        penalty[redo], radius[redo])
+        converged = kkt <= tol
+    objective = f_beta + penalty * np.abs(beta).sum(axis=1)
+    accepted = np.array(accepted, dtype=bool).reshape(len(accepted), k)
+    objectives = np.array(objectives).reshape(len(objectives), k)
+
+    results: list[FitResult | NumericalError] = []
+    for i, cfg in enumerate(cfgs):
+        if errors[i] is not None:
+            results.append(errors[i])
+            continue
+        results.append(FitResult(
+            beta=hard_threshold(beta[i], cfg.truncation),
+            objective=float(objective[i]),
+            iterations=int(iterations[i]),
+            converged=bool(converged[i]),
+            kkt_residual=float(kkt[i]),
+            penalty=float(penalty[i]),
+            radius=float(radius[i]),
+            objective_trace=np.concatenate(
+                ([0.0], objectives[accepted[:, i], i])),
+        ))
+    return results

@@ -9,23 +9,39 @@ first-order pilot error.
 Only the noise variances of the regressor columns enter the subproblem; the
 target column's own noise variance cancels from the moment condition and is
 never used here.
+
+Several targets of one design can be fitted as a stack (`fit_nodewise_stack`),
+which solves their same-size subproblems in lockstep and returns exactly what
+`fit_nodewise` returns one target at a time.  Stacking pays off only while
+the subproblems are small enough for per-call overhead to dominate, so
+`stack_size` allows it only when at least `STACK_MIN` subproblem Grams fit in
+`STACK_BUDGET_BYTES`.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InputError
+from .errors import InputError, NumericalError
 from .lasso import (
     FitResult,
     SolverConfig,
     corrected_gram,
     default_penalty,
     fit_corrected_lasso,
+    fit_corrected_lasso_stack,
     resolve_config,
 )
+
+# Bytes of subproblem Grams one stack may hold, and the fewest subproblems
+# worth stacking.  At 1 MiB a stack holds 8 or more Grams up to p = 129
+# columns; wider designs solve one target at a time, where stacking measured
+# slower per problem.
+STACK_BUDGET_BYTES = 1 << 20
+STACK_MIN = 8
 
 
 @dataclass(frozen=True)
@@ -41,6 +57,46 @@ class NodewiseResult:
     fit: FitResult
 
 
+def stack_size(p: int) -> int:
+    """Targets of a p-column design to fit per stack; 1 means one at a time."""
+    if p < 2:
+        return 1
+    fits = STACK_BUDGET_BYTES // (8 * (p - 1) ** 2)
+    return fits if fits >= STACK_MIN else 1
+
+
+def _checked(Z, noise_var, targets):
+    Z = np.asarray(Z, dtype=np.float64)
+    noise_var = np.asarray(noise_var, dtype=np.float64)
+    if Z.ndim != 2:
+        raise InputError("Z must be a matrix")
+    p = Z.shape[1]
+    if p < 1:
+        raise InputError("nodewise regression needs at least 1 column")
+    if noise_var.shape != (p,):
+        raise InputError(f"noise_var has shape {noise_var.shape}, expected ({p},)")
+    for j in targets:
+        if not 0 <= j < p:
+            raise InputError(f"target column {j} out of range for p={p}")
+    return Z, noise_var
+
+
+def _subproblem(Z, noise_var, j, cfg):
+    """Column mask, b, corrected Gram and resolved config for target j."""
+    n, p = Z.shape
+    keep = np.arange(p) != j
+    Zm = Z[:, keep]
+    b = Zm.T @ Z[:, j] / n
+    G = corrected_gram(Zm, noise_var[keep])
+    return keep, b, G, resolve_config(cfg, n, p, G, b)
+
+
+def _direction(j, keep, fit):
+    mu = np.zeros(keep.shape[0])
+    mu[keep] = fit.beta
+    return NodewiseResult(j=j, mu=mu, fit=fit)
+
+
 def fit_nodewise(Z: np.ndarray, noise_var: np.ndarray, j: int,
                  cfg: SolverConfig = SolverConfig()) -> NodewiseResult:
     """Corrected-lasso regression of column j on the remaining columns.
@@ -50,17 +106,8 @@ def fit_nodewise(Z: np.ndarray, noise_var: np.ndarray, j: int,
     problem size, not the subproblem's p - 1); the radius default is the
     subproblem's own ridge rule.
     """
-    Z = np.asarray(Z, dtype=np.float64)
-    noise_var = np.asarray(noise_var, dtype=np.float64)
-    if Z.ndim != 2:
-        raise InputError("Z must be a matrix")
+    Z, noise_var = _checked(Z, noise_var, [j])
     n, p = Z.shape
-    if p < 1:
-        raise InputError("nodewise regression needs at least 1 column")
-    if noise_var.shape != (p,):
-        raise InputError(f"noise_var has shape {noise_var.shape}, expected ({p},)")
-    if not 0 <= j < p:
-        raise InputError(f"target column {j} out of range for p={p}")
     if p == 1:
         # nothing to regress on; the projection direction is empty
         empty = FitResult(beta=np.zeros(0), objective=0.0, iterations=0,
@@ -69,18 +116,32 @@ def fit_nodewise(Z: np.ndarray, noise_var: np.ndarray, j: int,
                           radius=0.0, objective_trace=np.zeros(1))
         return NodewiseResult(j=j, mu=np.zeros(1), fit=empty)
 
-    keep = np.arange(p) != j
-    Zm = Z[:, keep]
-    b = Zm.T @ Z[:, j] / n
-    G = corrected_gram(Zm, noise_var[keep])
-    if cfg.penalty is None:
-        cfg = SolverConfig(
-            penalty=default_penalty(n, p) * cfg.penalty_scale,
-            penalty_scale=cfg.penalty_scale, radius=cfg.radius,
-            tol=cfg.tol, max_iter=cfg.max_iter, truncation=cfg.truncation)
-    cfg = resolve_config(cfg, n, p, G, b)
-    fit = fit_corrected_lasso(b, G, cfg)
+    keep, b, G, cfg = _subproblem(Z, noise_var, j, cfg)
+    return _direction(j, keep, fit_corrected_lasso(b, G, cfg))
 
-    mu = np.zeros(p)
-    mu[keep] = fit.beta
-    return NodewiseResult(j=j, mu=mu, fit=fit)
+
+def fit_nodewise_stack(Z: np.ndarray, noise_var: np.ndarray, targets,
+                       cfg: SolverConfig = SolverConfig()
+                       ) -> Iterator[NodewiseResult]:
+    """Yield ``fit_nodewise(Z, noise_var, j, cfg)`` for each target in order.
+
+    All subproblems are built first and solved as one stack with
+    `fit_corrected_lasso_stack`; results are bit-identical to fitting the
+    targets one at a time.  A target whose solve fails raises its error
+    when the iteration reaches it, after every earlier target was yielded,
+    just as a loop over `fit_nodewise` would; invalid input raises before
+    the first result.
+    """
+    targets = [int(j) for j in targets]
+    Z, noise_var = _checked(Z, noise_var, targets)
+    if Z.shape[1] == 1 or not targets:
+        yield from (fit_nodewise(Z, noise_var, j, cfg) for j in targets)
+        return
+    subs = [_subproblem(Z, noise_var, j, cfg) for j in targets]
+    fits = fit_corrected_lasso_stack(np.array([s[1] for s in subs]),
+                                     np.array([s[2] for s in subs]),
+                                     [s[3] for s in subs])
+    for j, (keep, *_), fit in zip(targets, subs, fits):
+        if isinstance(fit, NumericalError):
+            raise fit
+        yield _direction(j, keep, fit)

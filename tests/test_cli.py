@@ -12,9 +12,15 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from eivbands import dataio, simstudy
+from eivbands import cli, dataio, nodewise, simstudy
 from eivbands.bootstrap import simultaneous_bands
 from eivbands.cli import main
+from eivbands.errors import (
+    DegeneracyError,
+    EivbandsError,
+    InputError,
+    NumericalError,
+)
 from eivbands.debias import run_inference
 from eivbands.lasso import Dataset, NoiseSpec, SolverConfig
 
@@ -194,6 +200,23 @@ def test_bad_alpha_names_flag(tmp_path, capsys):
     assert "--alpha" in err and "1.5" in err
 
 
+@pytest.mark.parametrize("exc, expected", [
+    (InputError("bad input"), 2),
+    (NumericalError("non-finite objective"), 3),
+    (DegeneracyError("zero slope", coordinate=1), 4),
+])
+def test_error_classes_share_one_handler(tmp_path, capsys, monkeypatch, exc,
+                                         expected):
+    def fail(args):
+        raise exc
+
+    assert isinstance(exc, EivbandsError)
+    monkeypatch.setattr(cli, "cmd_fit", fail)
+    data, gamma = write_regression(tmp_path)
+    code, out, err = run_cli(capsys, "fit", "--input", data, "--gamma", gamma)
+    assert (code, out, err) == (expected, "", f"error: {exc}\n")
+
+
 def test_degenerate_column_names_coordinate(tmp_path, capsys):
     # an all-zero column has zero projection residual, so the score slope
     # vanishes exactly when gamma = 0
@@ -349,6 +372,33 @@ def test_graph_null_design_bands_cover_zero(tmp_path, capsys):
         edges = [rec for rec in parse_records(out) if rec["record"] == "edge"]
         hits += all(e["zero_in_band"] for e in edges)
     assert hits >= 0.9 * reps
+
+
+def test_stacked_nodewise_solves_leave_records_unchanged(tmp_path, capsys,
+                                                        monkeypatch):
+    # graph (p = 9, so 8-column subproblems) and a multi-target study at
+    # p = 24 both stack their nodewise solves by default; with the budget at
+    # zero every target is solved alone, and the reports must not change
+    path, gamma = write_nodes(tmp_path, n=80, p=9)
+    runs = {
+        "graph": ("graph", "--input", path, "--gamma", gamma, "--boot", "200",
+                  "--seed", "4"),
+        "simulate": ("simulate", "--preset", "multi", "--noise-mode", "mar",
+                     "--n", "80", "--p", "24", "--replications", "2",
+                     "--boot", "100", "--seed", "6", "--lambda-scale", "0.2"),
+    }
+    assert nodewise.stack_size(8) > 1 and nodewise.stack_size(24) > 1
+    for name, argv in runs.items():
+        stacked = str(tmp_path / f"{name}_stacked.ndjson")
+        assert run_cli(capsys, *argv, "--format", "records",
+                       "--out", stacked)[0] == 0
+        with monkeypatch.context() as m:
+            m.setattr(nodewise, "STACK_BUDGET_BYTES", 0)
+            assert nodewise.stack_size(24) == 1
+            alone = str(tmp_path / f"{name}_alone.ndjson")
+            assert run_cli(capsys, *argv, "--format", "records",
+                           "--out", alone)[0] == 0
+        assert filecmp.cmp(stacked, alone, shallow=False), name
 
 
 # ---------------------------------------------------------------------------

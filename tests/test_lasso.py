@@ -5,15 +5,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from eivbands.errors import InputError
+from eivbands.errors import InputError, NumericalError
 from eivbands.lasso import (
     Dataset,
+    FitResult,
     NoiseSpec,
     SolverConfig,
     corrected_gram,
     default_penalty,
     default_radius,
     fit_corrected_lasso,
+    fit_corrected_lasso_stack,
     hard_threshold,
     project_l1_ball,
     resolve_config,
@@ -284,6 +286,106 @@ class TestSolver:
         cfg = SolverConfig(penalty=0.1, radius=1.0)
         with pytest.raises(InputError):
             fit_corrected_lasso(np.array([np.nan, 0.0]), np.eye(2), cfg)
+
+
+def solve_one_at_a_time(bs, Gs, cfgs):
+    # the reference: fit_corrected_lasso per problem, errors kept in place
+    out = []
+    for b, G, cfg in zip(bs, Gs, cfgs):
+        try:
+            out.append(fit_corrected_lasso(b, G, cfg))
+        except NumericalError as exc:
+            out.append(exc)
+    return out
+
+
+def assert_same_bits(stacked, single):
+    assert len(stacked) == len(single)
+    for got, want in zip(stacked, single):
+        if isinstance(want, NumericalError):
+            assert type(got) is type(want) and str(got) == str(want)
+            continue
+        assert isinstance(got, FitResult)
+        for field in ("iterations", "converged"):
+            assert type(getattr(got, field)) is type(getattr(want, field))
+            assert getattr(got, field) == getattr(want, field)
+        for field in ("beta", "objective", "kkt_residual", "penalty",
+                      "radius", "objective_trace"):
+            g, w = np.asarray(getattr(got, field)), np.asarray(getattr(want, field))
+            assert g.dtype == w.dtype and g.shape == w.shape, field
+            assert g.tobytes() == w.tobytes(), field
+
+
+def random_stack(gen, k, p):
+    # k same-size problems mixing positive definite and indefinite Grams,
+    # b = 0, tight and infinite radii, and small iteration caps
+    bs, Gs, cfgs = [], [], []
+    for _ in range(k):
+        n = int(gen.integers(max(2, p // 2), 3 * p + 5))
+        Z = gen.normal(size=(n, p))
+        G = corrected_gram(Z, np.full(p, gen.uniform(0.0, 1.5)))
+        b = Z.T @ gen.normal(size=n) / n * gen.choice([0.0, 1.0, 3.0])
+        cfg = SolverConfig(penalty_scale=gen.uniform(0.05, 2.0),
+                           radius=gen.choice([None, np.inf, 0.3]),
+                           max_iter=int(gen.choice([1, 4, 60, 20000])),
+                           tol=float(gen.choice([1e-8, 1e-5])))
+        bs.append(b)
+        Gs.append(G)
+        cfgs.append(resolve_config(cfg, n, p, G, b))
+    return np.array(bs), np.array(Gs), cfgs
+
+
+class TestStackedSolver:
+    @given(st.integers(0, 2 ** 32 - 1), st.integers(1, 9), st.integers(1, 16))
+    @settings(max_examples=60, deadline=None)
+    def test_matches_one_at_a_time_bitwise(self, seed, k, p):
+        bs, Gs, cfgs = random_stack(np.random.default_rng(seed), k, p)
+        with np.errstate(over="ignore", invalid="ignore"):  # divergent ones
+            assert_same_bits(fit_corrected_lasso_stack(bs, Gs, cfgs),
+                             solve_one_at_a_time(bs, Gs, cfgs))
+
+    def test_covers_ball_cap_zero_b_indefinite_and_divergence(self):
+        gen = np.random.default_rng(8)
+        p = 6
+        b_pd, G_pd = pd_instance(gen, p)
+        G_indef = np.diag([-1.0, 1.0, 2.0, 0.5, 1.5, 3.0])
+        cases = [
+            (b_pd, G_pd, SolverConfig(penalty=0.0, radius=0.05)),  # ball
+            (b_pd, G_pd, SolverConfig(penalty=0.01, radius=np.inf,
+                                      max_iter=3)),  # capped
+            (np.zeros(p), G_pd, SolverConfig(penalty=0.1, radius=1.0)),
+            (b_pd, G_indef, SolverConfig(penalty=0.05, radius=2.0)),
+            (np.eye(p)[0], G_indef, SolverConfig(penalty=1e-3,
+                                                 radius=np.inf)),
+        ]
+        bs, Gs, cfgs = (np.array([c[0] for c in cases]),
+                        np.array([c[1] for c in cases]),
+                        [c[2] for c in cases])
+        with np.errstate(over="ignore", invalid="ignore"):
+            single = solve_one_at_a_time(bs, Gs, cfgs)
+            stacked = fit_corrected_lasso_stack(bs, Gs, cfgs)
+        ball, capped, zero_b, indefinite, diverged = single
+        assert np.abs(ball.beta).sum() >= 0.05 * (1 - 1e-6)
+        assert capped.iterations == 3 and not capped.converged
+        assert zero_b.iterations == 0 and not zero_b.beta.any()
+        assert indefinite.converged and indefinite.iterations > 0
+        assert isinstance(diverged, NumericalError)
+        assert_same_bits(stacked, single)
+
+    def test_validates_like_the_single_solver(self):
+        cfg = SolverConfig(penalty=0.1, radius=1.0)
+        with pytest.raises(InputError):
+            fit_corrected_lasso_stack(np.ones((2, 3)), np.ones((2, 3, 2)),
+                                      [cfg, cfg])
+        with pytest.raises(InputError):
+            fit_corrected_lasso_stack(np.ones((2, 2)), np.ones((2, 2, 2)),
+                                      [cfg])
+        with pytest.raises(InputError):
+            fit_corrected_lasso_stack(np.array([[np.nan, 0.0]]),
+                                      np.eye(2)[None], [cfg])
+        with pytest.raises(InputError):
+            fit_corrected_lasso_stack(np.ones((1, 2)), np.eye(2)[None],
+                                      [SolverConfig()])
 
 
 class TestTypes:

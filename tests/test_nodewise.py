@@ -2,10 +2,11 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from eivbands.errors import InputError
+from eivbands import nodewise
+from eivbands.errors import InputError, NumericalError
 from eivbands.lasso import SolverConfig, corrected_gram, fit_corrected_lasso, \
     resolve_config
-from eivbands.nodewise import fit_nodewise
+from eivbands.nodewise import fit_nodewise, fit_nodewise_stack, stack_size
 
 TIGHT = SolverConfig(penalty=0.0, radius=np.inf, tol=1e-12, max_iter=100000,
                      truncation=0.0)
@@ -102,3 +103,56 @@ def test_single_column_direction_is_empty():
     npt.assert_array_equal(res.mu, np.zeros(1))
     assert res.fit.beta.shape == (0,)
     assert res.fit.converged
+
+
+def assert_same_direction(got, want):
+    assert got.j == want.j
+    assert got.mu.tobytes() == want.mu.tobytes()
+    assert got.fit.beta.tobytes() == want.fit.beta.tobytes()
+    assert got.fit.objective_trace.tobytes() == \
+        want.fit.objective_trace.tobytes()
+    for field in ("objective", "iterations", "converged", "kkt_residual",
+                  "penalty", "radius"):
+        assert getattr(got.fit, field) == getattr(want.fit, field), field
+
+
+@pytest.mark.parametrize("cfg", [SolverConfig(), SolverConfig(max_iter=5),
+                                 SolverConfig(penalty_scale=5.0, tol=1e-6)])
+def test_stack_matches_one_target_at_a_time(cfg):
+    rng = np.random.default_rng(17)
+    n, p = 40, 12
+    Z = rng.normal(size=(n, p))
+    Z[:, 1:] += 0.6 * Z[:, :-1]
+    noise_var = rng.uniform(0.0, 0.5, size=p)
+    targets = [5, 0, 11, 3, 7]
+    stacked = list(fit_nodewise_stack(Z, noise_var, targets, cfg))
+    for got, j in zip(stacked, targets, strict=True):
+        assert_same_direction(got, fit_nodewise(Z, noise_var, j, cfg))
+
+
+def test_stack_raises_at_the_failing_target():
+    # the huge noise variance of column 4 makes every subproblem that keeps
+    # column 4 indefinite, so with no ball those solves diverge; target 4's
+    # own subproblem drops the column and converges
+    rng = np.random.default_rng(5)
+    Z = rng.normal(size=(60, 5))
+    noise_var = np.array([0.0, 0.0, 0.0, 0.0, 5.0])
+    cfg = SolverConfig(radius=np.inf, penalty_scale=0.01)
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(NumericalError) as single:
+            fit_nodewise(Z, noise_var, 0, cfg)
+        results = fit_nodewise_stack(Z, noise_var, [4, 0, 1], cfg)
+        assert_same_direction(next(results),
+                              fit_nodewise(Z, noise_var, 4, cfg))
+        with pytest.raises(NumericalError) as stacked:
+            next(results)
+    assert str(stacked.value) == str(single.value)
+
+
+def test_stack_size_follows_the_gram_budget(monkeypatch):
+    assert stack_size(1) == 1
+    assert stack_size(30) >= nodewise.STACK_MIN
+    assert stack_size(120) >= nodewise.STACK_MIN
+    assert stack_size(300) == 1
+    monkeypatch.setattr(nodewise, "STACK_BUDGET_BYTES", 0)
+    assert stack_size(30) == 1

@@ -1,12 +1,12 @@
-"""Write a golden fixture of every subcommand's records and every demo's stdout.
+"""Write a golden fixture of every subcommand's reports and every demo's stdout.
 
     python3 scripts/records_fixture.py DIR
 
 draws small datasets from fixed seeds with NumPy alone, runs `fit`, `infer`
 (known noise, missing at random, a design too wide for stacked nodewise
 solves, and two workers), `bands`, `graph` and `simulate` (both presets)
-with `--format records`, and captures the stdout of each script in
-`demos/`.  Two checkouts that compute the same numbers give trees that
+once with `--format records` and once with `--format table`, and captures
+the stdout of each script in `demos/`.  Two checkouts that compute the same numbers give trees that
 `diff -r` finds identical, so a refactor is checked with
 
     python3 scripts/records_fixture.py /tmp/before   # on the old commit
@@ -130,12 +130,13 @@ def _runs(inputs: Path) -> dict[str, list[str]]:
     }
 
 
-def run_records(inputs: Path, out: Path) -> None:
+def run_reports(inputs: Path, out: Path) -> None:
     for name, argv in _runs(inputs).items():
-        dest = out / f"{name}.jsonl"
-        code = main([*argv, "--format", "records", "--out", str(dest)])
-        if code != 0:
-            raise SystemExit(f"{name}: exit code {code}")
+        for fmt, suffix in (("records", "jsonl"), ("table", "txt")):
+            dest = out / f"{name}.{suffix}"
+            code = main([*argv, "--format", fmt, "--out", str(dest)])
+            if code != 0:
+                raise SystemExit(f"{name} ({fmt}): exit code {code}")
 
 
 def run_demos(out: Path) -> None:
@@ -161,7 +162,7 @@ def main_fixture(argv: list[str]) -> int:
     inputs.mkdir(exist_ok=True)
     write_inputs(inputs)
     with redirect_stdout(sys.stderr):
-        run_records(inputs, Path("."))
+        run_reports(inputs, Path("."))
     run_demos(Path("."))
     return 0
 

@@ -11,7 +11,10 @@ ascending order statistic over B draws.
 Multipliers come from a counter-based stream keyed by (seed, draw index,
 observation index): draw b occupies positions [b*n, (b+1)*n) of the stream
 keyed (seed, multiplier-domain), so every multiplier is a pure function of
-(seed, b, i) and results never depend on execution schedule or chunking.
+(seed, b, i), whatever the chunking.  The maxima are not: the product
+g @ scores of a chunk of draws can round differently for another chunk size,
+so draws are taken in chunks of the fixed `_CHUNK_DRAWS`, which keeps the
+maxima deterministic for a given (scores, draws, seed).
 
 When the noise variances were estimated from missingness, each score column
 first gets a correction for the sampling error of those estimates (see
@@ -139,6 +142,25 @@ def adjust_scores_for_estimated_noise(scores, influence, targets, mus,
     return adjusted
 
 
+def band_over(cells, scores: np.ndarray, alpha: float, n: int, draws: int,
+              seed: int) -> BandResult:
+    """Simultaneous band around the cells' estimates, one score column each.
+
+    The half-width of cell k is c* sd_k / sqrt(n), with c* the critical
+    value of the multiplier maxima of `scores` at level alpha.
+    """
+    if not cells or np.shape(scores)[1:] != (len(cells),):
+        raise InputError("need one score column per cell")
+    c_star = critical_value(multiplier_maxima(scores, draws, seed), alpha)
+    est = np.array([c.estimate for c in cells])
+    sds = np.array([c.sd for c in cells])
+    half = c_star * sds / math.sqrt(n)
+    return BandResult(targets=tuple(c.j for c in cells), estimates=est,
+                      lower=est - half, upper=est + half,
+                      critical_value=c_star, alpha=alpha,
+                      draws=int(draws), seed=int(seed))
+
+
 def simultaneous_bands(table: DebiasTable, draws: int, seed: int) -> BandResult:
     """Simultaneous band over the table's targets at the table's alpha."""
     if not table.cells:
@@ -150,12 +172,4 @@ def simultaneous_bands(table: DebiasTable, draws: int, seed: int) -> BandResult:
             [c.j for c in table.cells], [c.mu for c in table.cells],
             table.pilot.beta,
             [c.slope for c in table.cells], [c.sd for c in table.cells])
-    md = multiplier_maxima(scores, draws, seed)
-    c_star = critical_value(md, table.alpha)
-    est = np.array([c.estimate for c in table.cells])
-    sds = np.array([c.sd for c in table.cells])
-    half = c_star * sds / math.sqrt(table.n)
-    return BandResult(targets=table.targets, estimates=est,
-                      lower=est - half, upper=est + half,
-                      critical_value=c_star, alpha=table.alpha,
-                      draws=int(draws), seed=int(seed))
+    return band_over(table.cells, scores, table.alpha, table.n, draws, seed)

@@ -15,13 +15,12 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
-import math
 import sys
 
 import numpy as np
 
 from . import dataio, reports, simstudy
-from .bootstrap import critical_value, multiplier_maxima, simultaneous_bands
+from .bootstrap import band_over, simultaneous_bands
 from .debias import (
     VARIANCE_CONVENTIONS,
     prepare_pilot,
@@ -56,6 +55,14 @@ def _check_seed(seed: int) -> int:
     return seed
 
 
+def _check_solver_flags(args) -> None:
+    _positive(args.lambda_scale, "--lambda-scale")
+    if args.tol is not None:
+        _positive(args.tol, "--tol")
+    if args.max_iter is not None and args.max_iter < 1:
+        raise InputError(f"--max-iter must be at least 1 (got {args.max_iter})")
+
+
 def _check_common(args) -> None:
     _check_alpha(args.alpha)
     _check_seed(args.seed)
@@ -63,11 +70,7 @@ def _check_common(args) -> None:
         raise InputError(f"--boot must be at least 1 (got {args.boot})")
     if args.workers < 1:
         raise InputError(f"--workers must be at least 1 (got {args.workers})")
-    _positive(args.lambda_scale, "--lambda-scale")
-    if args.tol is not None:
-        _positive(args.tol, "--tol")
-    if args.max_iter is not None and args.max_iter < 1:
-        raise InputError(f"--max-iter must be at least 1 (got {args.max_iter})")
+    _check_solver_flags(args)
 
 
 def _solver_from(args, base: SolverConfig = SolverConfig()) -> SolverConfig:
@@ -143,7 +146,7 @@ def cmd_fit(args) -> int:
     return 0
 
 
-def _cmd_infer(args, force_bands: bool) -> int:
+def cmd_infer(args) -> int:
     _check_common(args)
     data, names, noise, gamma_source = _load_regression(args)
     targets = _resolve_targets(args.targets, names)
@@ -151,7 +154,7 @@ def _cmd_infer(args, force_bands: bool) -> int:
     table = run_inference(data, noise, targets, args.alpha, cfg,
                           args.variance_at, workers=args.workers)
     band = None
-    if force_bands or args.bands or len(targets) >= 2:
+    if args.bands or len(targets) >= 2:
         band = simultaneous_bands(table, args.boot, args.seed)
     if args.format == "records":
         text = reports.render_records(
@@ -160,14 +163,6 @@ def _cmd_infer(args, force_bands: bool) -> int:
         text = reports.inference_table(table, band, names, gamma_source)
     _emit(args, text)
     return 0
-
-
-def cmd_infer(args) -> int:
-    return _cmd_infer(args, force_bands=False)
-
-
-def cmd_bands(args) -> int:
-    return _cmd_infer(args, force_bands=True)
 
 
 def cmd_graph(args) -> int:
@@ -183,11 +178,10 @@ def cmd_graph(args) -> int:
     sources = _resolve_targets(args.targets, names)
     cfg = _solver_from(args)
 
-    nodes, edge_cells = [], []
+    nodes, pairs, cells = [], [], []
     for j in sources:
         keep = np.arange(p) != j
         sub = Dataset(y=data.Z[:, j], Z=data.Z[:, keep])
-        partners = [k for k in range(p) if k != j]
         table = run_inference(sub, NoiseSpec.known(gamma[keep]),
                               list(range(p - 1)), args.alpha, cfg,
                               args.variance_at, workers=args.workers)
@@ -197,17 +191,13 @@ def cmd_graph(args) -> int:
                       "iterations": table.pilot.iterations,
                       "converged": bool(table.pilot.converged),
                       "kkt_residual": table.pilot.kkt_residual})
-        for cell, k in zip(table.cells, partners):
-            edge_cells.append((j, k, cell))
+        pairs += [(j, k) for k in range(p) if k != j]
+        cells += table.cells
 
-    scores = np.column_stack([cell.scores for _, _, cell in edge_cells])
-    draws = multiplier_maxima(scores, args.boot, args.seed)
-    crit = critical_value(draws, args.alpha)
-    root_n = math.sqrt(data.n)
+    band = band_over(cells, np.column_stack([c.scores for c in cells]),
+                     args.alpha, data.n, args.boot, args.seed)
     edges = []
-    for j, k, cell in edge_cells:
-        half = crit * cell.sd / root_n
-        lo, hi = cell.estimate - half, cell.estimate + half
+    for (j, k), cell, lo, hi in zip(pairs, cells, band.lower, band.upper):
         edges.append({"source": names[j], "source_index": j + 1,
                       "partner": names[k], "partner_index": k + 1,
                       "estimate": cell.estimate, "sd": cell.sd,
@@ -216,7 +206,7 @@ def cmd_graph(args) -> int:
 
     settings = {"n": data.n, "p": p, "alpha": args.alpha,
                 "gamma_source": args.gamma, "draws": args.boot,
-                "seed": args.seed, "critical_value": crit,
+                "seed": args.seed, "critical_value": band.critical_value,
                 "variance_at": args.variance_at, "edges": len(edges)}
     if args.format == "records":
         text = reports.render_records(
@@ -237,6 +227,7 @@ def _study_config(args) -> simstudy.SimConfig:
             f"--replications must be at least 1 (got {args.replications})")
     if args.seed is not None:
         _check_seed(args.seed)
+    _check_solver_flags(args)
 
     # precedence: preset defaults < config file < explicit flags
     file_over = {}
@@ -253,6 +244,12 @@ def _study_config(args) -> simstudy.SimConfig:
         if bad:
             raise InputError(f"{args.config}: unknown study fields {bad}")
     solver_over = file_over.pop("solver", {})
+    if not isinstance(solver_over, dict):
+        raise InputError(f"{args.config}: 'solver' must be a JSON object")
+    known = {f.name for f in dataclasses.fields(SolverConfig)}
+    bad = sorted(set(solver_over) - known)
+    if bad:
+        raise InputError(f"{args.config}: unknown solver fields {bad}")
     # the truth vector and target set override the preset layout afterwards;
     # everything else feeds the preset builder so dimensions stay consistent
     structural = {key: file_over.pop(key)
@@ -290,26 +287,8 @@ def _study_config(args) -> simstudy.SimConfig:
         if "null_values" in structural:
             structural["null_values"] = tuple(structural["null_values"])
         cfg = dataclasses.replace(cfg, **structural)
-    if solver_over:
-        cfg = dataclasses.replace(
-            cfg, solver=dataclasses.replace(cfg.solver, **solver_over))
-    if args.lambda_scale != 1.0:
-        _positive(args.lambda_scale, "--lambda-scale")
-        cfg = dataclasses.replace(cfg, solver=dataclasses.replace(
-            cfg.solver,
-            penalty_scale=cfg.solver.penalty_scale * args.lambda_scale))
-    if args.tol is not None or args.max_iter is not None:
-        changes = {}
-        if args.tol is not None:
-            changes["tol"] = _positive(args.tol, "--tol")
-        if args.max_iter is not None:
-            if args.max_iter < 1:
-                raise InputError(
-                    f"--max-iter must be at least 1 (got {args.max_iter})")
-            changes["max_iter"] = args.max_iter
-        cfg = dataclasses.replace(
-            cfg, solver=dataclasses.replace(cfg.solver, **changes))
-    return cfg
+    solver = dataclasses.replace(cfg.solver, **solver_over)
+    return dataclasses.replace(cfg, solver=_solver_from(args, solver))
 
 
 def cmd_simulate(args) -> int:
@@ -395,7 +374,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_io_flags(bands)
     bands.add_argument("--targets", default="all")
     _add_shared_flags(bands)
-    bands.set_defaults(func=cmd_bands, bands=True)
+    bands.set_defaults(func=cmd_infer, bands=True)
 
     graph = subs.add_parser("graph",
                             help="conditional-association edges among all "

@@ -44,7 +44,7 @@ from .lasso import (
     fit_corrected_lasso,
     resolve_config,
 )
-from .nodewise import fit_nodewise, fit_nodewise_stack, stack_size
+from .nodewise import fit_nodewise_stack, stack_size
 
 # |slope| below this is treated as a statistical degeneracy.
 DEGENERACY_TOL = 1e-10
@@ -93,73 +93,72 @@ class DebiasTable:
         return np.column_stack([c.scores for c in self.cells])
 
 
-def _design_args(Z, noise_var, mu, j):
-    Z = np.asarray(Z, dtype=np.float64)
-    noise_var = np.asarray(noise_var, dtype=np.float64)
-    mu = np.asarray(mu, dtype=np.float64)
-    if Z.ndim != 2:
-        raise InputError("Z must be a matrix")
-    p = Z.shape[1]
-    if noise_var.shape != (p,):
-        raise InputError(f"noise_var has shape {noise_var.shape}, expected ({p},)")
-    if mu.shape != (p,):
-        raise InputError(f"mu has shape {mu.shape}, expected ({p},)")
-    if not 0 <= j < p:
-        raise InputError(f"target column {j} out of range for p={p}")
-    return Z, noise_var, mu
+class _Score:
+    """The theta-free terms of the column-j score, validated and formed once.
 
+    `resid_dir` is z_j - Z mu and `slope` the debias denominator.  Given y
+    and the pilot, `resid_out` is y - Z beta and `const` is
+    mu'(noise_var * beta), with beta the pilot whose j-th entry is zeroed.
+    """
 
-def _response_args(y, Z, pilot_beta):
-    y = np.asarray(y, dtype=np.float64)
-    pilot_beta = np.asarray(pilot_beta, dtype=np.float64)
-    if y.shape != (Z.shape[0],):
-        raise InputError("y and Z have mismatched shapes")
-    if pilot_beta.shape != (Z.shape[1],):
-        raise InputError("pilot_beta length must match the column count of Z")
-    return y, pilot_beta
+    def __init__(self, Z, noise_var, mu, j, y=None, pilot_beta=None):
+        Z = np.asarray(Z, dtype=np.float64)
+        noise_var = np.asarray(noise_var, dtype=np.float64)
+        mu = np.asarray(mu, dtype=np.float64)
+        if Z.ndim != 2:
+            raise InputError("Z must be a matrix")
+        n, p = Z.shape
+        if noise_var.shape != (p,):
+            raise InputError(f"noise_var has shape {noise_var.shape}, expected ({p},)")
+        if mu.shape != (p,):
+            raise InputError(f"mu has shape {mu.shape}, expected ({p},)")
+        if not 0 <= j < p:
+            raise InputError(f"target column {j} out of range for p={p}")
+        self.j = j
+        self.z_j = Z[:, j]
+        self.noise_var_j = noise_var[j]
+        self.resid_dir = self.z_j - Z @ mu
+        self.slope = float(self.resid_dir @ self.z_j / n - noise_var[j])
+        if y is None:
+            return
+        y = np.asarray(y, dtype=np.float64)
+        beta = np.array(pilot_beta, dtype=np.float64)
+        if y.shape != (n,):
+            raise InputError("y and Z have mismatched shapes")
+        if beta.shape != (p,):
+            raise InputError("pilot_beta length must match the column count of Z")
+        beta[j] = 0.0
+        self.resid_out = y - Z @ beta
+        self.const = float(mu @ (noise_var * beta))
+
+    def root(self) -> float:
+        if abs(self.slope) < DEGENERACY_TOL:
+            raise DegeneracyError(
+                f"score slope {self.slope:.3e} is numerically zero for "
+                f"column {self.j}", coordinate=self.j)
+        n = self.z_j.shape[0]
+        num = float(self.resid_dir @ self.resid_out) / n - self.const
+        return num / self.slope
+
+    def values(self, theta) -> np.ndarray:
+        return (self.resid_dir * (self.resid_out - theta * self.z_j)
+                + self.noise_var_j * theta - self.const)
 
 
 def score_slope(Z: np.ndarray, noise_var: np.ndarray, mu: np.ndarray,
                 j: int) -> float:
     """Negative derivative of the mean score in theta (the debias denominator)."""
-    Z, noise_var, mu = _design_args(Z, noise_var, mu, j)
-    n = Z.shape[0]
-    resid = Z[:, j] - Z @ mu
-    return float(resid @ Z[:, j] / n - noise_var[j])
-
-
-def _nuisance(pilot_beta: np.ndarray, j: int) -> np.ndarray:
-    beta = np.asarray(pilot_beta, dtype=np.float64).copy()
-    beta[j] = 0.0
-    return beta
+    return _Score(Z, noise_var, mu, j).slope
 
 
 def score_values(y, Z, noise_var, pilot_beta, mu, j, theta) -> np.ndarray:
     """Per-observation scores psi_i(theta) for target column j."""
-    Z, noise_var, mu = _design_args(Z, noise_var, mu, j)
-    y, pilot_beta = _response_args(y, Z, pilot_beta)
-    beta = _nuisance(pilot_beta, j)
-    resid_dir = Z[:, j] - Z @ mu
-    resid_out = y - Z @ beta
-    const = float(mu @ (noise_var * beta))
-    return (resid_dir * (resid_out - theta * Z[:, j])
-            + noise_var[j] * theta - const)
+    return _Score(Z, noise_var, mu, j, y, pilot_beta).values(theta)
 
 
 def debias_coordinate(y, Z, noise_var, pilot_beta, mu, j) -> float:
     """Exact root of the mean orthogonalized score for column j."""
-    Z, noise_var, mu = _design_args(Z, noise_var, mu, j)
-    y, pilot_beta = _response_args(y, Z, pilot_beta)
-    n = Z.shape[0]
-    slope = score_slope(Z, noise_var, mu, j)
-    if abs(slope) < DEGENERACY_TOL:
-        raise DegeneracyError(
-            f"score slope {slope:.3e} is numerically zero for column {j}",
-            coordinate=j)
-    beta = _nuisance(pilot_beta, j)
-    resid_dir = Z[:, j] - Z @ mu
-    num = float(resid_dir @ (y - Z @ beta)) / n - float(mu @ (noise_var * beta))
-    return num / slope
+    return _Score(Z, noise_var, mu, j, y, pilot_beta).root()
 
 
 def plugin_variance(raw_scores: np.ndarray, slope: float) -> float:
@@ -190,35 +189,25 @@ def pointwise_ci(estimate: float, sd: float, n: int,
 
 def _target_cell(y, Z, noise_var, pilot_beta, nw, alpha,
                  variance_at) -> DebiasCell:
-    n, j = Z.shape[0], nw.j
-    slope = score_slope(Z, noise_var, nw.mu, j)
-    theta = debias_coordinate(y, Z, noise_var, pilot_beta, nw.mu, j)
-    raw = score_values(y, Z, noise_var, pilot_beta, nw.mu, j, theta)
+    score = _Score(Z, noise_var, nw.mu, nw.j, y, pilot_beta)
+    theta = score.root()
+    raw = score.values(theta)
     if variance_at == "debiased":
         centred = raw
     else:
-        centred = score_values(y, Z, noise_var, pilot_beta, nw.mu, j,
-                               float(pilot_beta[j]))
-    sd = math.sqrt(plugin_variance(centred, slope))
-    scores = -raw / (sd * slope)
-    lo, hi = pointwise_ci(theta, sd, n, alpha)
-    return DebiasCell(j=j, estimate=theta, slope=slope, sd=sd,
+        centred = score.values(float(pilot_beta[nw.j]))
+    sd = math.sqrt(plugin_variance(centred, score.slope))
+    scores = -raw / (sd * score.slope)
+    lo, hi = pointwise_ci(theta, sd, Z.shape[0], alpha)
+    return DebiasCell(j=nw.j, estimate=theta, slope=score.slope, sd=sd,
                       ci_low=lo, ci_high=hi, scores=scores, mu=nw.mu)
 
 
 def _target_cells(y, Z, noise_var, pilot_beta, targets, cfg, alpha,
                   variance_at) -> list[DebiasCell]:
     """Cells for a batch of targets, in order; more than one is stacked."""
-    if len(targets) == 1:
-        fits = [fit_nodewise(Z, noise_var, targets[0], cfg)]
-    else:
-        fits = fit_nodewise_stack(Z, noise_var, targets, cfg)
     return [_target_cell(y, Z, noise_var, pilot_beta, nw, alpha, variance_at)
-            for nw in fits]
-
-
-def _target_cells_payload(args):
-    return _target_cells(*args)
+            for nw in fit_nodewise_stack(Z, noise_var, targets, cfg)]
 
 
 def run_inference(data: Dataset, noise: NoiseSpec, targets,
@@ -279,9 +268,9 @@ def run_inference(data: Dataset, noise: NoiseSpec, targets,
                 for i in range(0, len(targets), size)]
     if workers > 1 and len(payloads) > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            batches = list(pool.map(_target_cells_payload, payloads))
+            batches = list(pool.map(_target_cells, *zip(*payloads)))
     else:
-        batches = [_target_cells_payload(q) for q in payloads]
+        batches = [_target_cells(*q) for q in payloads]
     cells = tuple(cell for batch in batches for cell in batch)
 
     return DebiasTable(cells=cells, alpha=alpha, n=n, noise_kind=noise.kind,

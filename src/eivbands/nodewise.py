@@ -134,7 +134,7 @@ def fit_nodewise_stack(Z: np.ndarray, noise_var: np.ndarray, targets,
     """
     targets = [int(j) for j in targets]
     Z, noise_var = _checked(Z, noise_var, targets)
-    if Z.shape[1] == 1 or not targets:
+    if Z.shape[1] == 1 or len(targets) < 2:
         yield from (fit_nodewise(Z, noise_var, j, cfg) for j in targets)
         return
     subs = [_subproblem(Z, noise_var, j, cfg) for j in targets]

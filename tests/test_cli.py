@@ -13,7 +13,7 @@ import numpy.testing as npt
 import pytest
 
 from eivbands import cli, dataio, nodewise, simstudy
-from eivbands.bootstrap import simultaneous_bands
+from eivbands.bootstrap import band_over, simultaneous_bands
 from eivbands.cli import main
 from eivbands.errors import (
     DegeneracyError,
@@ -136,6 +136,16 @@ def test_bands_subcommand_forces_band(tmp_path, capsys):
                            "--targets", "z1", "--format", "records")
     assert code == 0
     assert any(r["record"] == "band" for r in parse_records(out))
+
+
+def test_bands_subcommand_equals_infer_with_bands_flag(tmp_path, capsys):
+    data, gamma = write_regression(tmp_path, seed=4)
+    base = ("--input", data, "--gamma", gamma, "--targets", "z1", "--boot",
+            "150", "--seed", "3", "--format", "records")
+    a, b = str(tmp_path / "bands.ndjson"), str(tmp_path / "infer.ndjson")
+    assert run_cli(capsys, "bands", *base, "--out", a)[0] == 0
+    assert run_cli(capsys, "infer", *base, "--bands", "--out", b)[0] == 0
+    assert filecmp.cmp(a, b, shallow=False)
 
 
 def test_targets_accept_positions_and_names(tmp_path, capsys):
@@ -357,6 +367,34 @@ def test_graph_single_source_matches_library_inference(tmp_path, capsys):
     assert edge["band_high"] == band.upper[0]
 
 
+def test_graph_band_is_the_shared_band_over_all_edges(tmp_path, capsys):
+    # p = 4, every source: the 12 edge cells, taken source by source in
+    # partner order, go through the one band routine bit for bit
+    path, gamma = write_nodes(tmp_path, n=60, p=4, seed=8)
+    code, out, _ = run_cli(capsys, "graph", "--input", path, "--gamma", gamma,
+                           "--alpha", "0.1", "--boot", "300", "--seed", "5",
+                           "--format", "records")
+    assert code == 0
+    records = parse_records(out)
+    edges = [r for r in records if r["record"] == "edge"]
+    data, _ = dataio.read_dataset_csv(path, require_response=False)
+    cells = []
+    for j in range(4):
+        keep = np.arange(4) != j
+        table = run_inference(Dataset(y=data.Z[:, j], Z=data.Z[:, keep]),
+                              NoiseSpec.known(np.zeros(3)), [0, 1, 2], 0.1)
+        cells += table.cells
+    band = band_over(cells, np.column_stack([c.scores for c in cells]), 0.1,
+                     60, 300, 5)
+    assert len(edges) == 12
+    assert records[0]["critical_value"] == band.critical_value
+    assert [e["estimate"] for e in edges] == list(band.estimates)
+    assert [e["band_low"] for e in edges] == list(band.lower)
+    assert [e["band_high"] for e in edges] == list(band.upper)
+    assert [(e["source_index"], e["partner_index"]) for e in edges] == [
+        (j + 1, k + 1) for j in range(4) for k in range(4) if k != j]
+
+
 def test_graph_null_design_bands_cover_zero(tmp_path, capsys):
     # independent nodes: every conditional association is zero, so with
     # alpha = 0.05 the joint band should cover zero everywhere in well over
@@ -499,6 +537,17 @@ def test_simulate_unknown_config_key_exit_2(tmp_path, capsys):
     code, _, err = run_cli(capsys, "simulate", "--config", cfg_path)
     assert code == 2
     assert "sample_size" in err
+
+
+@pytest.mark.parametrize("solver, named", [({"bogus": 1}, "bogus"),
+                                           (5, "solver")])
+def test_simulate_bad_solver_config_exit_2(tmp_path, capsys, solver, named):
+    cfg_path = str(tmp_path / "bad_solver.json")
+    with open(cfg_path, "w") as fh:
+        json.dump({"solver": solver}, fh)
+    code, _, err = run_cli(capsys, "simulate", "--config", cfg_path)
+    assert code == 2
+    assert named in err
 
 
 def test_simulate_naive_method_flag(capsys):

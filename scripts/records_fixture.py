@@ -2,9 +2,11 @@
 
     python3 scripts/records_fixture.py DIR
 
-draws small datasets from fixed seeds with NumPy alone, runs `fit`, `infer`
-(known noise, missing at random, a design too wide for stacked nodewise
-solves, and two workers), `bands`, `graph` and `simulate` (both presets)
+draws small datasets from fixed seeds with NumPy alone, runs `fit` (also
+with a penalty that leaves no coefficient), `infer` (known noise, missing at
+random, a design too wide for stacked nodewise solves, two workers, and one
+target without a band), `bands`, `graph` (all sources and two of them) and
+`simulate` (both presets)
 once with `--format records` and once with `--format table`, and captures
 the stdout of each script in `demos/`.  Two checkouts that compute the same numbers give trees that
 `diff -r` finds identical, so a refactor is checked with
@@ -109,7 +111,9 @@ def _runs(inputs: Path) -> dict[str, list[str]]:
     small_boot = ["--boot", "300", "--seed", "5"]
     return {
         "fit": ["fit", *reg],
+        "fit_empty": ["fit", *reg, "--lambda-scale", "500"],
         "infer": ["infer", *reg, *small_boot],
+        "infer_single": ["infer", *reg, "--targets", "z3", *small_boot],
         "infer_pilot_variance": ["infer", *reg, "--targets", "z1,z2,z14",
                                  "--variance-at", "pilot", *small_boot],
         "infer_workers2": ["infer", *reg, "--workers", "2", *small_boot],
@@ -120,6 +124,7 @@ def _runs(inputs: Path) -> dict[str, list[str]]:
                            "--max-iter", "7", *small_boot],
         "bands": ["bands", *reg, "--targets", "z2", *small_boot],
         "graph": ["graph", *nodes, *small_boot],
+        "graph_subset": ["graph", *nodes, "--targets", "z1,z4", *small_boot],
         "simulate_single": ["simulate", "--n", "100", "--p", "30",
                             "--replications", "4", "--boot", "200",
                             "--seed", "3"],

@@ -118,12 +118,17 @@ def _load_regression(args) -> tuple[Dataset, list[str], NoiseSpec, str]:
     return data, names, NoiseSpec.known(gamma), args.gamma
 
 
-def _emit(args, text: str) -> None:
+def _emit(args, records: list[dict]) -> int:
+    if args.format == "records":
+        text = reports.render_records(records)
+    else:
+        text = reports.render_table(records)
     if args.out:
         with open(args.out, "w", encoding="utf-8", newline="") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
+    return 0
 
 
 # ---------------------------------------------------------------------------
@@ -135,15 +140,8 @@ def cmd_fit(args) -> int:
     data, names, noise, gamma_source = _load_regression(args)
     cfg = _solver_from(args)
     prepared = prepare_pilot(data, noise, cfg)
-    settings = {"n": data.n, "p": data.p, "gamma_source": gamma_source,
-                **reports.fit_settings(prepared.fit, cfg.truncation)}
-    if args.format == "records":
-        text = reports.render_records(
-            reports.fit_records(prepared.fit, names, settings))
-    else:
-        text = reports.fit_table(prepared.fit, names, settings)
-    _emit(args, text)
-    return 0
+    return _emit(args, reports.fit_records(prepared.fit, names, data.n,
+                                           gamma_source, cfg.truncation))
 
 
 def cmd_infer(args) -> int:
@@ -156,13 +154,8 @@ def cmd_infer(args) -> int:
     band = None
     if args.bands or len(targets) >= 2:
         band = simultaneous_bands(table, args.boot, args.seed)
-    if args.format == "records":
-        text = reports.render_records(
-            reports.inference_records(table, band, names, gamma_source))
-    else:
-        text = reports.inference_table(table, band, names, gamma_source)
-    _emit(args, text)
-    return 0
+    return _emit(args, reports.inference_records(table, band, names,
+                                                 gamma_source))
 
 
 def cmd_graph(args) -> int:
@@ -208,13 +201,7 @@ def cmd_graph(args) -> int:
                 "gamma_source": args.gamma, "draws": args.boot,
                 "seed": args.seed, "critical_value": band.critical_value,
                 "variance_at": args.variance_at, "edges": len(edges)}
-    if args.format == "records":
-        text = reports.render_records(
-            reports.graph_records(settings, nodes, edges))
-    else:
-        text = reports.graph_table(settings, edges)
-    _emit(args, text)
-    return 0
+    return _emit(args, reports.graph_records(settings, nodes, edges))
 
 
 def _study_config(args) -> simstudy.SimConfig:
@@ -276,19 +263,20 @@ def _study_config(args) -> simstudy.SimConfig:
         builder = simstudy.single_target_study
         if args.target_value is not None:
             kwargs["target_value"] = args.target_value
-    cfg = builder(solver=simstudy.STUDY_SOLVER, **kwargs)
-
-    if structural:
-        if "beta0" in structural:
-            structural["beta0"] = np.asarray(structural["beta0"], dtype=float)
+    try:
+        cfg = builder(solver=simstudy.STUDY_SOLVER, **kwargs)
+        # file targets are 1-based; SimConfig converts beta0 and null_values
         if "targets" in structural:
-            structural["targets"] = tuple(
-                int(t) - 1 for t in structural["targets"])
-        if "null_values" in structural:
-            structural["null_values"] = tuple(structural["null_values"])
+            structural["targets"] = [int(t) - 1 for t in structural["targets"]]
         cfg = dataclasses.replace(cfg, **structural)
-    solver = dataclasses.replace(cfg.solver, **solver_over)
-    return dataclasses.replace(cfg, solver=_solver_from(args, solver))
+        solver = dataclasses.replace(cfg.solver, **solver_over)
+        return dataclasses.replace(cfg, solver=_solver_from(args, solver))
+    except InputError:
+        raise
+    except (TypeError, ValueError) as exc:
+        # a value of the wrong type fails inside NumPy or a comparison
+        raise InputError(
+            f"{args.config or 'simulate'}: invalid value ({exc})") from None
 
 
 def cmd_simulate(args) -> int:
@@ -300,12 +288,7 @@ def cmd_simulate(args) -> int:
         dataio.write_dataset_csv(args.dump_data, first,
                                  reports.default_names(cfg.p))
     report = simstudy.run_study(cfg, workers=args.workers)
-    if args.format == "records":
-        text = reports.render_records(reports.study_records(cfg, report))
-    else:
-        text = reports.study_table(cfg, report)
-    _emit(args, text)
-    return 0
+    return _emit(args, reports.study_records(cfg, report))
 
 
 # ---------------------------------------------------------------------------

@@ -1,10 +1,12 @@
-"""Report rendering: aligned text tables and line-delimited JSON records.
+"""Report rendering: line-delimited JSON records and an aligned text table.
 
-The machine format is one JSON object per line with sorted keys and a
-schema_version field on the run header; identical inputs render to identical
-bytes (floats go through repr, so values survive a parse round trip).  The
-human format shows the same numbers; nothing in either format depends on
-wall clock, host, or worker count.
+The records are the one report model.  The machine format is one JSON object
+per line with sorted keys and a schema_version field on the run header;
+identical inputs render to identical bytes (floats go through repr, so values
+survive a parse round trip).  The table is a view of the same records: a
+settings preamble (the run header, then the fields of the band or aggregate
+record that the header lacks) and one row per item record.  Nothing in either
+format depends on wall clock, host, or worker count.
 """
 
 from __future__ import annotations
@@ -41,11 +43,9 @@ def render_records(records: list[dict]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def run_header(command: str, settings: dict) -> dict:
-    header = {"record": "run", "schema_version": SCHEMA_VERSION,
-              "command": command}
-    header.update(settings)
-    return header
+def run_header(command: str, **settings) -> dict:
+    return {"record": "run", "schema_version": SCHEMA_VERSION,
+            "command": command, **settings}
 
 
 def _fmt(value) -> str:
@@ -56,18 +56,54 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def render_table(title: str, settings: dict, columns: list[str],
-                 rows: list[list]) -> str:
-    """Aligned text block: a settings preamble then one row per entry."""
+def _study_mean_bias(rec: dict):
+    return "" if rec.get("failed") else float(np.mean(rec["biases"]))
+
+
+# command -> (title, row record kind, columns).  A column is a record key,
+# shown under its own name and dropped when no row has it, or a
+# (label, function of the row record) pair.
+_TABLES = {
+    "fit": ("corrected lasso fit", "coefficient",
+            ["name", "index", ("coefficient", lambda r: r["value"])]),
+    "infer": ("debiased inference", "target",
+              ["name", "estimate", "sd", "ci_low", "ci_high", "band_low",
+               "band_high"]),
+    "graph": ("conditional-association graph", "edge",
+              ["source", "partner", "estimate", "band_low", "band_high",
+               "zero_in_band"]),
+    "simulate": ("simulation study", "replication", [
+        "rep", ("status", lambda r: "failed" if r.get("failed") else "ok"),
+        ("error", lambda r: r.get("error_kind", "")), "reject",
+        ("mean_bias", _study_mean_bias)]),
+}
+# records whose fields join the run header in the table preamble
+_SUMMARY_KINDS = ("band", "aggregate")
+
+
+def render_table(records: list[dict]) -> str:
+    """Aligned text block: a settings preamble then one row per item record."""
+    header = records[0]
+    title, kind, spec = _TABLES[header["command"]]
+    settings = {k: v for k, v in header.items()
+                if k not in ("record", "schema_version", "command")}
+    for rec in records:
+        if rec["record"] in _SUMMARY_KINDS:
+            settings.update((k, v) for k, v in rec.items() if k not in header)
+    rows = [r for r in records if r["record"] == kind]
+    columns = [c for c in spec
+               if not isinstance(c, str) or any(c in r for r in rows)]
     out = [title]
     for key, value in settings.items():
         out.append(f"  {key} = {_fmt(value)}")
     if rows:
-        cells = [[_fmt(v) for v in row] for row in rows]
-        widths = [max(len(columns[k]), *(len(r[k]) for r in cells))
-                  for k in range(len(columns))]
+        labels = [c if isinstance(c, str) else c[0] for c in columns]
+        cells = [[_fmt(r.get(c, "") if isinstance(c, str) else c[1](r))
+                  for c in columns] for r in rows]
+        widths = [max(len(labels[k]), *(len(r[k]) for r in cells))
+                  for k in range(len(labels))]
         out.append("")
-        out.append("  ".join(c.ljust(w) for c, w in zip(columns, widths)))
+        out.append("  ".join(c.ljust(w) for c, w in zip(labels, widths)))
         out.append("  ".join("-" * w for w in widths))
         for r in cells:
             out.append("  ".join(c.ljust(w) for c, w in zip(r, widths)))
@@ -75,51 +111,33 @@ def render_table(title: str, settings: dict, columns: list[str],
 
 
 # ---------------------------------------------------------------------------
-# fit reports
+# record builders
 
 
-def fit_settings(fit, truncation: float) -> dict:
-    return {"penalty": fit.penalty, "radius": fit.radius,
-            "truncation": truncation, "iterations": fit.iterations,
-            "converged": bool(fit.converged),
-            "kkt_residual": fit.kkt_residual, "objective": fit.objective}
-
-
-def fit_records(fit, names: list[str], settings: dict) -> list[dict]:
-    records = [run_header("fit", settings)]
+def fit_records(fit, names: list[str], n: int, gamma_source: str,
+                truncation: float) -> list[dict]:
+    records = [run_header(
+        "fit", n=n, p=len(fit.beta), gamma_source=gamma_source,
+        penalty=fit.penalty, radius=fit.radius, truncation=truncation,
+        iterations=fit.iterations, converged=bool(fit.converged),
+        kkt_residual=fit.kkt_residual, objective=fit.objective)]
     for j in np.flatnonzero(fit.beta):
         records.append({"record": "coefficient", "index": int(j) + 1,
                         "name": names[j], "value": float(fit.beta[j])})
     return records
 
 
-def fit_table(fit, names: list[str], settings: dict) -> str:
-    rows = [[names[j], int(j) + 1, float(fit.beta[j])]
-            for j in np.flatnonzero(fit.beta)]
-    return render_table("corrected lasso fit", settings,
-                        ["name", "index", "coefficient"], rows)
-
-
-# ---------------------------------------------------------------------------
-# inference reports
-
-
-def inference_settings(table, gamma_source: str) -> dict:
-    return {"n": table.n, "p": len(table.pilot.beta), "alpha": table.alpha,
-            "noise": table.noise_kind, "gamma_source": gamma_source,
-            "variance_at": table.variance_at,
-            "penalty": table.pilot.penalty, "radius": table.pilot.radius,
-            "pilot_iterations": table.pilot.iterations,
-            "pilot_converged": bool(table.pilot.converged)}
-
-
 def inference_records(table, band, names: list[str],
                       gamma_source: str) -> list[dict]:
-    settings = inference_settings(table, gamma_source)
+    settings = {"n": table.n, "p": len(table.pilot.beta),
+                "alpha": table.alpha, "noise": table.noise_kind,
+                "gamma_source": gamma_source, "variance_at": table.variance_at,
+                "penalty": table.pilot.penalty, "radius": table.pilot.radius,
+                "pilot_iterations": table.pilot.iterations,
+                "pilot_converged": bool(table.pilot.converged)}
     if band is not None:
-        settings["draws"] = band.draws
-        settings["seed"] = band.seed
-    records = [run_header("infer", settings)]
+        settings.update(draws=band.draws, seed=band.seed)
+    records = [run_header("infer", **settings)]
     if band is not None:
         records.append({"record": "band", "critical_value": band.critical_value,
                         "alpha": band.alpha, "draws": band.draws,
@@ -135,30 +153,9 @@ def inference_records(table, band, names: list[str],
     return records
 
 
-def inference_table(table, band, names: list[str], gamma_source: str) -> str:
-    settings = inference_settings(table, gamma_source)
-    columns = ["name", "estimate", "sd", "ci_low", "ci_high"]
-    if band is not None:
-        settings["draws"] = band.draws
-        settings["seed"] = band.seed
-        settings["critical_value"] = band.critical_value
-        columns += ["band_low", "band_high"]
-    rows = []
-    for k, cell in enumerate(table.cells):
-        row = [names[cell.j], cell.estimate, cell.sd, cell.ci_low, cell.ci_high]
-        if band is not None:
-            row += [float(band.lower[k]), float(band.upper[k])]
-        rows.append(row)
-    return render_table("debiased inference", settings, columns, rows)
-
-
-# ---------------------------------------------------------------------------
-# graph reports
-
-
 def graph_records(settings: dict, nodes: list[dict],
                   edges: list[dict]) -> list[dict]:
-    records = [run_header("graph", settings)]
+    records = [run_header("graph", **settings)]
     for node in nodes:
         records.append({"record": "node", **node})
     for edge in edges:
@@ -166,36 +163,20 @@ def graph_records(settings: dict, nodes: list[dict],
     return records
 
 
-def graph_table(settings: dict, edges: list[dict]) -> str:
-    rows = [[e["source"], e["partner"], e["estimate"], e["band_low"],
-             e["band_high"], e["zero_in_band"]] for e in edges]
-    return render_table("conditional-association graph", settings,
-                        ["source", "partner", "estimate", "band_low",
-                         "band_high", "zero_in_band"], rows)
-
-
-# ---------------------------------------------------------------------------
-# study reports
-
-
-def study_settings(cfg) -> dict:
-    support = np.flatnonzero(cfg.beta0)
-    return {"n": cfg.n, "p": cfg.p, "measurement_sd": cfg.measurement_sd,
-            "model_sd": cfg.model_sd, "ar_rho": cfg.ar_rho,
-            "method": cfg.method, "noise_mode": cfg.noise_mode,
-            "miss_prob": cfg.miss_prob, "replications": cfg.replications,
-            "alpha": cfg.alpha, "boot_draws": cfg.boot_draws,
-            "seed": cfg.seed, "variance_at": cfg.variance_at,
-            "targets": [int(j) + 1 for j in cfg.targets],
-            "null_values": list(cfg.null_values),
-            "beta_support": [int(j) + 1 for j in support],
-            "beta_values": [float(cfg.beta0[j]) for j in support],
-            "penalty_scale": cfg.solver.penalty_scale,
-            "tol": cfg.solver.tol, "max_iter": cfg.solver.max_iter}
-
-
 def study_records(cfg, report) -> list[dict]:
-    records = [run_header("simulate", study_settings(cfg))]
+    support = np.flatnonzero(cfg.beta0)
+    records = [run_header(
+        "simulate", n=cfg.n, p=cfg.p, measurement_sd=cfg.measurement_sd,
+        model_sd=cfg.model_sd, ar_rho=cfg.ar_rho, method=cfg.method,
+        noise_mode=cfg.noise_mode, miss_prob=cfg.miss_prob,
+        replications=cfg.replications, alpha=cfg.alpha,
+        boot_draws=cfg.boot_draws, seed=cfg.seed, variance_at=cfg.variance_at,
+        targets=[int(j) + 1 for j in cfg.targets],
+        null_values=list(cfg.null_values),
+        beta_support=[int(j) + 1 for j in support],
+        beta_values=[float(cfg.beta0[j]) for j in support],
+        penalty_scale=cfg.solver.penalty_scale, tol=cfg.solver.tol,
+        max_iter=cfg.solver.max_iter)]
     records.append({"record": "aggregate",
                     "rejection_rate": report.rejection_rate,
                     "mean_bias": report.mean_bias,
@@ -206,22 +187,3 @@ def study_records(cfg, report) -> list[dict]:
     for r in report.records:
         records.append({"record": "replication", **r})
     return records
-
-
-def study_table(cfg, report) -> str:
-    settings = study_settings(cfg)
-    settings.update({"rejection_rate": report.rejection_rate,
-                     "mean_bias": report.mean_bias,
-                     "rejection_se": report.rejection_se,
-                     "completed": report.completed,
-                     "failures": report.failures})
-    rows = []
-    for r in report.records:
-        if r.get("failed"):
-            rows.append([r["rep"], "failed", r["error_kind"], "", ""])
-        else:
-            rows.append([r["rep"], "ok", "", r["reject"],
-                         float(np.mean(r["biases"]))])
-    return render_table("simulation study", settings,
-                        ["rep", "status", "error", "reject", "mean_bias"],
-                        rows)

@@ -539,15 +539,58 @@ def test_simulate_unknown_config_key_exit_2(tmp_path, capsys):
     assert "sample_size" in err
 
 
-@pytest.mark.parametrize("solver, named", [({"bogus": 1}, "bogus"),
-                                           (5, "solver")])
-def test_simulate_bad_solver_config_exit_2(tmp_path, capsys, solver, named):
-    cfg_path = str(tmp_path / "bad_solver.json")
+@pytest.mark.parametrize("config, named", [
+    pytest.param({"solver": {"bogus": 1}}, "bogus", id="solver0-bogus"),
+    pytest.param({"solver": 5}, "solver", id="5-solver"),
+    # values of the wrong type fail inside NumPy or a comparison
+    pytest.param({"solver": {"tol": "x"}}, "invalid value", id="tol-str"),
+    pytest.param({"alpha": "0.1"}, "invalid value", id="alpha-str"),
+    pytest.param({"targets": 5}, "invalid value", id="targets-int"),
+    pytest.param({"beta0": "x"}, "invalid value", id="beta0-str"),
+    pytest.param({"n": "abc"}, "invalid value", id="n-str"),
+])
+def test_simulate_bad_solver_config_exit_2(tmp_path, capsys, config, named):
+    cfg_path = str(tmp_path / "bad_config.json")
     with open(cfg_path, "w") as fh:
-        json.dump({"solver": solver}, fh)
+        json.dump(config, fh)
     code, _, err = run_cli(capsys, "simulate", "--config", cfg_path)
     assert code == 2
+    assert cfg_path in err
     assert named in err
+    assert "Traceback" not in err
+
+
+def test_simulate_failed_replication_in_table_and_records(capsys,
+                                                          monkeypatch):
+    replicate = simstudy._replicate
+
+    def fail_rep_3(cfg, rep):
+        if rep == 3:
+            raise NumericalError("forced failure")
+        return replicate(cfg, rep)
+
+    monkeypatch.setattr(simstudy, "_replicate", fail_rep_3)
+    argv = ("simulate", "--n", "40", "--p", "6", "--replications", "20",
+            "--seed", "2")
+    code, table, _ = run_cli(capsys, *argv, "--format", "table")
+    assert code == 0
+    lines = table.splitlines()
+    head = next(line for line in lines if line.startswith("rep "))
+    row = next(line for line in lines if line.startswith("3 "))
+    assert row.split() == ["3", "failed", "NumericalError"]
+    # the reject and mean_bias cells are blank
+    assert row[head.index("reject"):].strip() == ""
+    assert "  failures = 1" in lines and "  completed = 19" in lines
+
+    code, out, _ = run_cli(capsys, *argv, "--format", "records")
+    assert code == 0
+    records = parse_records(out)
+    reps = [r for r in records if r["record"] == "replication"]
+    assert reps[3] == {"record": "replication", "rep": 3, "failed": True,
+                       "error_kind": "NumericalError",
+                       "error": "forced failure"}
+    agg = next(r for r in records if r["record"] == "aggregate")
+    assert (agg["failures"], agg["completed"]) == (1, 19)
 
 
 def test_simulate_naive_method_flag(capsys):

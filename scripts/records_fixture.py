@@ -6,9 +6,12 @@ draws small datasets from fixed seeds with NumPy alone, runs `fit` (also
 with a penalty that leaves no coefficient), `infer` (known noise, missing at
 random, a design too wide for stacked nodewise solves, two workers, and one
 target without a band), `bands`, `graph` (all sources and two of them) and
-`simulate` (both presets)
-once with `--format records` and once with `--format table`, and captures
-the stdout of each script in `demos/`.  Two checkouts that compute the same numbers give trees that
+`simulate` (both presets, a config file under flags, the naive method with
+the solver flags, and the study defaults) once with `--format records` and
+once with `--format table`, and captures the stdout of each script in
+`demos/`.  Each invalid `simulate` call in `_error_runs` leaves
+`err_<name>.txt`: its exit code and stderr, or the type of an exception that
+escapes `main`.  Two checkouts that compute the same numbers give trees that
 `diff -r` finds identical, so a refactor is checked with
 
     python3 scripts/records_fixture.py /tmp/before   # on the old commit
@@ -20,11 +23,13 @@ The package is imported from the `src/` directory next to this script.
 
 from __future__ import annotations
 
+import io
+import json
 import os
 import re
 import subprocess
 import sys
-from contextlib import redirect_stdout
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import numpy as np
@@ -99,6 +104,19 @@ def write_inputs(inputs: Path) -> None:
     _write_csv(inputs / "nodes.csv", {f"z{k + 1}": Z[:, k] for k in range(12)})
     _write_gamma(inputs / "nodes_gamma.txt", np.full(12, sigma_w ** 2))
 
+    beta0 = np.zeros(20)
+    beta0[[0, 3, 7]] = [0.5, 1.0, -0.7]
+    study = {"n": 80, "p": 20, "replications": 3, "seed": 8, "model_sd": 0.8,
+             "ar_rho": 0.3, "boot_draws": 150,
+             "solver": {"tol": 1e-5, "max_iter": 800},
+             "beta0": beta0.tolist(), "targets": [1, 2, 4, 8],
+             "null_values": [0.5, 0.0, 1.0, -0.7]}
+    configs = {"study": study, "unknown_key": {"sample_size": 50},
+               "solver_int": {"solver": 5}}
+    for name, config in configs.items():
+        (inputs / f"{name}.json").write_text(json.dumps(config),
+                                             encoding="utf-8")
+
 
 def _runs(inputs: Path) -> dict[str, list[str]]:
     reg = ["--input", str(inputs / "reg.csv"),
@@ -109,6 +127,7 @@ def _runs(inputs: Path) -> dict[str, list[str]]:
              "--gamma", str(inputs / "nodes_gamma.txt")]
     mar = ["--input", str(inputs / "mar.csv"), "--mar"]
     small_boot = ["--boot", "300", "--seed", "5"]
+    small_study = ["--n", "80", "--p", "20", "--replications", "3"]
     return {
         "fit": ["fit", *reg],
         "fit_empty": ["fit", *reg, "--lambda-scale", "500"],
@@ -132,7 +151,30 @@ def _runs(inputs: Path) -> dict[str, list[str]]:
                                "--noise-mode", "mar", "--n", "100",
                                "--p", "30", "--replications", "3",
                                "--boot", "200", "--seed", "4"],
+        "simulate_config": ["simulate", "--preset", "multi", "--config",
+                            str(inputs / "study.json"), "--alpha", "0.1"],
+        "simulate_flags": ["simulate", *small_study, "--seed", "9",
+                           "--method", "naive", "--variance-at", "pilot",
+                           "--target-value", "0.5", "--sigma-w", "0.7",
+                           "--lambda-scale", "1.5", "--tol", "1e-5",
+                           "--max-iter", "500"],
+        "simulate_multi_defaults": ["simulate", "--preset", "multi",
+                                    *small_study],
     }
+
+
+def _error_runs(inputs: Path) -> dict[str, list[str]]:
+    # every call is small, so a check that stops firing still ends quickly
+    base = ["simulate", "--n", "40", "--p", "6", "--replications", "1"]
+    flags = {"alpha": ["--alpha", "2"], "boot": ["--boot", "0"],
+             "seed": ["--seed", "-1"], "replications": ["--replications", "0"],
+             "workers": ["--workers", "0"],
+             "lambda_scale": ["--lambda-scale", "0"], "tol": ["--tol", "0"],
+             "max_iter": ["--max-iter", "0"], "p0": ["--p", "0"],
+             "p1": ["--p", "1"],
+             "unknown_key": ["--config", str(inputs / "unknown_key.json")],
+             "solver_int": ["--config", str(inputs / "solver_int.json")]}
+    return {name: [*base, *extra] for name, extra in flags.items()}
 
 
 def run_reports(inputs: Path, out: Path) -> None:
@@ -142,6 +184,17 @@ def run_reports(inputs: Path, out: Path) -> None:
             code = main([*argv, "--format", fmt, "--out", str(dest)])
             if code != 0:
                 raise SystemExit(f"{name} ({fmt}): exit code {code}")
+
+
+def run_errors(inputs: Path, out: Path) -> None:
+    for name, argv in _error_runs(inputs).items():
+        err = io.StringIO()
+        try:
+            with redirect_stderr(err):
+                text = f"exit {main(argv)}\n{err.getvalue()}"
+        except Exception as exc:  # noqa: BLE001 - the escape is the finding
+            text = f"escaped {type(exc).__name__}\n"
+        (out / f"err_{name}.txt").write_text(text, encoding="utf-8")
 
 
 def run_demos(out: Path) -> None:
@@ -168,6 +221,7 @@ def main_fixture(argv: list[str]) -> int:
     write_inputs(inputs)
     with redirect_stdout(sys.stderr):
         run_reports(inputs, Path("."))
+    run_errors(inputs, Path("."))
     run_demos(Path("."))
     return 0
 

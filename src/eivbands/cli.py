@@ -42,35 +42,23 @@ def _positive(value: float, flag: str) -> float:
     return value
 
 
-def _check_alpha(alpha: float) -> float:
-    if not 0.0 < alpha < 1.0:
+def _check_common(args) -> None:
+    # simulate leaves --alpha, --boot and --seed at None for the study to fill
+    if args.alpha is not None and not 0.0 < args.alpha < 1.0:
         raise InputError(
-            f"--alpha must lie strictly between 0 and 1 (got {alpha})")
-    return alpha
-
-
-def _check_seed(seed: int) -> int:
-    if not 0 <= seed < 2 ** 64:
-        raise InputError(f"--seed must be an unsigned 64-bit integer (got {seed})")
-    return seed
-
-
-def _check_solver_flags(args) -> None:
+            f"--alpha must lie strictly between 0 and 1 (got {args.alpha})")
+    if args.seed is not None and not 0 <= args.seed < 2 ** 64:
+        raise InputError(
+            f"--seed must be an unsigned 64-bit integer (got {args.seed})")
+    if args.boot is not None and args.boot < 1:
+        raise InputError(f"--boot must be at least 1 (got {args.boot})")
+    if args.workers < 1:
+        raise InputError(f"--workers must be at least 1 (got {args.workers})")
     _positive(args.lambda_scale, "--lambda-scale")
     if args.tol is not None:
         _positive(args.tol, "--tol")
     if args.max_iter is not None and args.max_iter < 1:
         raise InputError(f"--max-iter must be at least 1 (got {args.max_iter})")
-
-
-def _check_common(args) -> None:
-    _check_alpha(args.alpha)
-    _check_seed(args.seed)
-    if args.boot < 1:
-        raise InputError(f"--boot must be at least 1 (got {args.boot})")
-    if args.workers < 1:
-        raise InputError(f"--workers must be at least 1 (got {args.workers})")
-    _check_solver_flags(args)
 
 
 def _solver_from(args, base: SolverConfig = SolverConfig()) -> SolverConfig:
@@ -205,47 +193,35 @@ def cmd_graph(args) -> int:
 
 
 def _study_config(args) -> simstudy.SimConfig:
-    if args.alpha is not None:
-        _check_alpha(args.alpha)
-    if args.boot is not None and args.boot < 1:
-        raise InputError(f"--boot must be at least 1 (got {args.boot})")
+    _check_common(args)
     if args.replications is not None and args.replications < 1:
         raise InputError(
             f"--replications must be at least 1 (got {args.replications})")
-    if args.seed is not None:
-        _check_seed(args.seed)
-    _check_solver_flags(args)
 
     # precedence: preset defaults < config file < explicit flags
-    file_over = {}
+    fields = {}
     if args.config:
         with open(args.config, encoding="utf-8") as fh:
             try:
-                file_over = json.load(fh)
+                fields = json.load(fh)
             except json.JSONDecodeError as exc:
                 raise InputError(f"{args.config}: invalid JSON ({exc})") from None
-        if not isinstance(file_over, dict):
+        if not isinstance(fields, dict):
             raise InputError(f"{args.config}: expected a JSON object")
         known = {f.name for f in dataclasses.fields(simstudy.SimConfig)}
-        bad = sorted(set(file_over) - known - {"solver"})
+        bad = sorted(set(fields) - known - {"solver"})
         if bad:
             raise InputError(f"{args.config}: unknown study fields {bad}")
-    solver_over = file_over.pop("solver", {})
+    solver_over = fields.pop("solver", {})
     if not isinstance(solver_over, dict):
         raise InputError(f"{args.config}: 'solver' must be a JSON object")
     known = {f.name for f in dataclasses.fields(SolverConfig)}
     bad = sorted(set(solver_over) - known)
     if bad:
         raise InputError(f"{args.config}: unknown solver fields {bad}")
-    # the truth vector and target set override the preset layout afterwards;
-    # everything else feeds the preset builder so dimensions stay consistent
-    structural = {key: file_over.pop(key)
-                  for key in ("beta0", "targets", "null_values")
-                  if key in file_over}
 
-    kwargs = dict(file_over)
     if args.full:
-        kwargs.update(n=350, p=300, replications=500)
+        fields.update(n=350, p=300, replications=500)
     for flag, field in (("n", "n"), ("p", "p"), ("seed", "seed"),
                         ("method", "method"),
                         ("replications", "replications"),
@@ -256,19 +232,18 @@ def _study_config(args) -> simstudy.SimConfig:
                         ("noise_mode", "noise_mode")):
         value = getattr(args, flag)
         if value is not None:
-            kwargs[field] = value
+            fields[field] = value
     if args.preset == "multi":
         builder = simstudy.multi_target_study
     else:
         builder = simstudy.single_target_study
         if args.target_value is not None:
-            kwargs["target_value"] = args.target_value
+            fields["target_value"] = args.target_value
     try:
-        cfg = builder(solver=simstudy.STUDY_SOLVER, **kwargs)
         # file targets are 1-based; SimConfig converts beta0 and null_values
-        if "targets" in structural:
-            structural["targets"] = [int(t) - 1 for t in structural["targets"]]
-        cfg = dataclasses.replace(cfg, **structural)
+        if "targets" in fields:
+            fields["targets"] = [int(t) - 1 for t in fields["targets"]]
+        cfg = builder(**fields)
         solver = dataclasses.replace(cfg.solver, **solver_over)
         return dataclasses.replace(cfg, solver=_solver_from(args, solver))
     except InputError:
@@ -280,8 +255,6 @@ def _study_config(args) -> simstudy.SimConfig:
 
 
 def cmd_simulate(args) -> int:
-    if args.workers < 1:
-        raise InputError(f"--workers must be at least 1 (got {args.workers})")
     cfg = _study_config(args)
     if args.dump_data:
         first = simstudy.generate(cfg, 0)
@@ -295,9 +268,9 @@ def cmd_simulate(args) -> int:
 # parser
 
 
-def _add_io_flags(sub, gamma_required: bool = True) -> None:
+def _add_io_flags(sub) -> None:
     sub.add_argument("--input", required=True, help="dataset CSV path")
-    group = sub.add_mutually_exclusive_group(required=gamma_required)
+    group = sub.add_mutually_exclusive_group(required=True)
     group.add_argument("--gamma", help="noise-variance file, one value per line")
     group.add_argument("--mar", action="store_true",
                        help="treat NA/empty cells as missing at random and "
@@ -308,12 +281,15 @@ def _add_shared_flags(sub) -> None:
     sub.add_argument("--alpha", type=float, default=0.05,
                      help="level: intervals cover at 1 - alpha (default 0.05)")
     sub.add_argument("--boot", type=int, default=1000,
-                     help="bootstrap draws (default 1000)")
+                     help="bootstrap draws (default 1000; simulate: 500 per "
+                          "replication)")
     sub.add_argument("--seed", type=int, default=0,
-                     help="bootstrap seed (default 0)")
+                     help="bootstrap seed (default 0); simulate seeds both "
+                          "the data and the bootstrap with it")
     sub.add_argument("--lambda-scale", type=float, default=1.0,
                      dest="lambda_scale",
-                     help="multiplier on the default l1 penalty (default 1.0)")
+                     help="multiplier on the default l1 penalty, in simulate "
+                          "on the study's (default 1.0)")
     sub.add_argument("--variance-at", choices=VARIANCE_CONVENTIONS,
                      default="debiased", dest="variance_at",
                      help="where the plug-in variance evaluates the scores")
@@ -394,22 +370,10 @@ def build_parser() -> argparse.ArgumentParser:
                      help="JSON file of study-config field overrides")
     sim.add_argument("--dump-data",
                      help="also write replication 0 as a dataset CSV here")
-    sim.add_argument("--alpha", type=float, default=None)
-    sim.add_argument("--boot", type=int, default=None,
-                     help="bootstrap draws per replication")
-    sim.add_argument("--seed", type=int, default=None)
-    sim.add_argument("--lambda-scale", type=float, default=1.0,
-                     dest="lambda_scale",
-                     help="multiplier on the study penalty scale")
-    sim.add_argument("--variance-at", choices=VARIANCE_CONVENTIONS,
-                     default=None, dest="variance_at")
-    sim.add_argument("--tol", type=float, default=None)
-    sim.add_argument("--max-iter", type=int, default=None, dest="max_iter")
-    sim.add_argument("--workers", type=int, default=1)
-    sim.add_argument("--out", help="write the report here instead of stdout")
-    sim.add_argument("--format", choices=("table", "records"),
-                     default="table")
-    sim.set_defaults(func=cmd_simulate)
+    _add_shared_flags(sim)
+    # an unset flag leaves the value to the preset or the config file
+    sim.set_defaults(func=cmd_simulate, alpha=None, boot=None, seed=None,
+                     variance_at=None)
     return parser
 
 

@@ -231,39 +231,33 @@ def run_study(cfg: SimConfig, workers: int = 1) -> SimReport:
 
 
 def single_target_study(*, n: int = 200, p: int = 120,
-                        measurement_sd: float = 1.0,
-                        target_value: float = 1.0,
-                        replications: int = 250, seed: int = 0,
-                        method: str = "eiv", **overrides) -> SimConfig:
+                        target_value: float = 1.0, **fields) -> SimConfig:
     """Size study for one target coordinate.
 
     The truth puts `target_value` on coordinate 0 and unit signals on
     coordinates 5..9, and tests the true null H0: beta_1 = target_value.
-    Defaults are desk scale; pass n=350, p=300, replications=500 for the
-    full-scale design.
+    Any other `SimConfig` field goes in `fields`; `beta0`, `targets` and
+    `null_values` given there replace this layout.  Defaults are desk scale;
+    pass n=350, p=300, replications=500 for the full-scale design.
     """
+    # slices, not beta0[0], so that SimConfig is the one to reject p < 2
     beta0 = np.zeros(p)
-    beta0[0] = target_value
+    beta0[:1] = target_value
     beta0[5:10] = 1.0
-    return SimConfig(n=n, p=p, beta0=beta0, targets=(0,),
-                     null_values=(float(target_value),),
-                     measurement_sd=measurement_sd, replications=replications,
-                     seed=seed, method=method, **overrides)
+    layout = {"beta0": beta0, "targets": (0,), "null_values": (target_value,)}
+    return SimConfig(n=n, p=p, **(layout | fields))
 
 
-def multi_target_study(*, n: int = 200, p: int = 120,
-                       measurement_sd: float = 1.0,
-                       replications: int = 250, boot_draws: int = 500,
-                       seed: int = 0, method: str = "eiv",
-                       **overrides) -> SimConfig:
+def multi_target_study(*, n: int = 200, p: int = 120, **fields) -> SimConfig:
     """Family-wise error study over ten true nulls.
 
     Coordinates 0..9 are zero and tested jointly at zero through the
     simultaneous band; unit signals sit well away on coordinates 15..19.
+    Any other `SimConfig` field goes in `fields`; `beta0`, `targets` and
+    `null_values` given there replace this layout.
     """
     beta0 = np.zeros(p)
     beta0[15:20] = 1.0
-    return SimConfig(n=n, p=p, beta0=beta0, targets=tuple(range(10)),
-                     null_values=(0.0,) * 10, measurement_sd=measurement_sd,
-                     replications=replications, boot_draws=boot_draws,
-                     seed=seed, method=method, **overrides)
+    layout = {"beta0": beta0, "targets": tuple(range(10)),
+              "null_values": (0.0,) * 10}
+    return SimConfig(n=n, p=p, **(layout | fields))

@@ -519,15 +519,62 @@ def test_simulate_dumped_data_reingests_identically(tmp_path, capsys):
 def test_simulate_config_file_overrides(tmp_path, capsys):
     cfg_path = str(tmp_path / "study.json")
     with open(cfg_path, "w") as fh:
-        json.dump({"replications": 2, "n": 40, "p": 6,
+        json.dump({"replications": 2, "n": 40, "p": 6, "boot_draws": 150,
                    "solver": {"max_iter": 500}}, fh)
     code, out, _ = run_cli(capsys, "simulate", "--config", cfg_path,
                            "--format", "records")
     assert code == 0
     header = parse_records(out)[0]
+    # the file beats the preset
     assert header["replications"] == 2
     assert header["n"] == 40
     assert header["max_iter"] == 500
+    assert header["boot_draws"] == 150
+
+    # an explicit flag beats the file
+    code, out, _ = run_cli(capsys, "simulate", "--config", cfg_path,
+                           "--boot", "120", "--format", "records")
+    assert code == 0
+    assert parse_records(out)[0]["boot_draws"] == 120
+
+    # unset --alpha, --boot, --seed and --variance-at keep the study's values
+    code, out, _ = run_cli(capsys, "simulate", "--preset", "multi", "--n",
+                           "40", "--p", "12", "--replications", "1",
+                           "--format", "records")
+    assert code == 0
+    header = parse_records(out)[0]
+    assert (header["alpha"], header["boot_draws"], header["seed"],
+            header["variance_at"]) == (0.05, 500, 0, "debiased")
+
+
+def test_simulate_config_layout_replaces_preset_layout(tmp_path, capsys):
+    # the multi preset's ten targets do not fit p = 5, the file's own do
+    cfg_path = str(tmp_path / "study.json")
+    with open(cfg_path, "w") as fh:
+        json.dump({"n": 40, "p": 5, "replications": 1, "boot_draws": 50,
+                   "targets": [1, 2], "null_values": [0, 0]}, fh)
+    code, out, _ = run_cli(capsys, "simulate", "--preset", "multi",
+                           "--config", cfg_path, "--format", "records")
+    assert code == 0
+    header = parse_records(out)[0]
+    assert (header["p"], header["targets"]) == (5, [1, 2])
+
+
+@pytest.mark.parametrize("argv, config", [
+    pytest.param(("--p", "0"), None, id="p0"),
+    pytest.param(("--p", "1"), None, id="p1"),
+    pytest.param((), {"p": 0}, id="config-p0"),
+])
+def test_simulate_too_few_columns_exit_2(tmp_path, capsys, argv, config):
+    if config is not None:
+        cfg_path = str(tmp_path / "study.json")
+        with open(cfg_path, "w") as fh:
+            json.dump(config, fh)
+        argv = ("--config", cfg_path)
+    code, _, err = run_cli(capsys, "simulate", *argv, "--replications", "1")
+    assert code == 2
+    assert "need n >= 2 and p >= 2" in err
+    assert "Traceback" not in err
 
 
 def test_simulate_unknown_config_key_exit_2(tmp_path, capsys):

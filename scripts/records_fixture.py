@@ -4,12 +4,13 @@
 
 draws small datasets from fixed seeds with NumPy alone, runs `fit` (also
 with a penalty that leaves no coefficient), `infer` (known noise, missing at
-random, a design too wide for stacked nodewise solves, two workers, and one
-target without a band), `bands`, `graph` (all sources and two of them) and
-`simulate` (both presets, a config file under flags, the naive method with
-the solver flags, and the study defaults) once with `--format records` and
-once with `--format table`, and captures the stdout of each script in
-`demos/`.  Each invalid `simulate` call in `_error_runs` leaves
+random, a design too wide for stacked nodewise solves, and one target
+without a band), `bands`, `graph` (all sources and two of them) and
+`simulate` (both presets, the multi one also on two workers, a config file
+under flags, the naive method with the solver flags, and the study
+defaults) once with `--format records` and once with `--format table`, and
+captures the stdout of each script in `demos/`.  The two-worker run must
+equal its one-worker twin `simulate_multi_mar` byte for byte.  Each invalid `simulate` call in `_error_runs` leaves
 `err_<name>.txt`: its exit code and stderr, or the type of an exception that
 escapes `main`.  Two checkouts that compute the same numbers give trees that
 `diff -r` finds identical, so a refactor is checked with
@@ -128,6 +129,9 @@ def _runs(inputs: Path) -> dict[str, list[str]]:
     mar = ["--input", str(inputs / "mar.csv"), "--mar"]
     small_boot = ["--boot", "300", "--seed", "5"]
     small_study = ["--n", "80", "--p", "20", "--replications", "3"]
+    multi_mar = ["simulate", "--preset", "multi", "--noise-mode", "mar",
+                 "--n", "100", "--p", "30", "--replications", "3",
+                 "--boot", "200", "--seed", "4"]
     return {
         "fit": ["fit", *reg],
         "fit_empty": ["fit", *reg, "--lambda-scale", "500"],
@@ -135,7 +139,6 @@ def _runs(inputs: Path) -> dict[str, list[str]]:
         "infer_single": ["infer", *reg, "--targets", "z3", *small_boot],
         "infer_pilot_variance": ["infer", *reg, "--targets", "z1,z2,z14",
                                  "--variance-at", "pilot", *small_boot],
-        "infer_workers2": ["infer", *reg, "--workers", "2", *small_boot],
         "infer_mar": ["infer", *mar, "--targets", "1,2,3,10", *small_boot],
         "infer_wide": ["infer", *wide, "--targets", "1,2,50,140",
                        *small_boot],
@@ -147,10 +150,8 @@ def _runs(inputs: Path) -> dict[str, list[str]]:
         "simulate_single": ["simulate", "--n", "100", "--p", "30",
                             "--replications", "4", "--boot", "200",
                             "--seed", "3"],
-        "simulate_multi_mar": ["simulate", "--preset", "multi",
-                               "--noise-mode", "mar", "--n", "100",
-                               "--p", "30", "--replications", "3",
-                               "--boot", "200", "--seed", "4"],
+        "simulate_multi_mar": multi_mar,
+        "simulate_workers2": [*multi_mar, "--workers", "2"],
         "simulate_config": ["simulate", "--preset", "multi", "--config",
                             str(inputs / "study.json"), "--alpha", "0.1"],
         "simulate_flags": ["simulate", *small_study, "--seed", "9",

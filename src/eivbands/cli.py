@@ -6,8 +6,9 @@ intervals), bands (infer with the simultaneous band always on), graph
 studies).  Exit codes: 0 success, 2 input error, 3 numerical error,
 4 degeneracy.
 
-Reports never include wall-clock data or the worker count, so a rerun with
-the same seed is byte-identical regardless of parallelism.
+Each subcommand declares only the flags it reads.  Reports never include
+wall-clock data or the worker count (simulate's `--workers`), so a rerun
+with the same seed is byte-identical regardless of parallelism.
 """
 
 from __future__ import annotations
@@ -52,8 +53,10 @@ def _check_common(args) -> None:
             f"--seed must be an unsigned 64-bit integer (got {args.seed})")
     if args.boot is not None and args.boot < 1:
         raise InputError(f"--boot must be at least 1 (got {args.boot})")
-    if args.workers < 1:
-        raise InputError(f"--workers must be at least 1 (got {args.workers})")
+    _check_solver_flags(args)
+
+
+def _check_solver_flags(args) -> None:
     _positive(args.lambda_scale, "--lambda-scale")
     if args.tol is not None:
         _positive(args.tol, "--tol")
@@ -124,7 +127,7 @@ def _emit(args, records: list[dict]) -> int:
 
 
 def cmd_fit(args) -> int:
-    _check_common(args)
+    _check_solver_flags(args)
     data, names, noise, gamma_source = _load_regression(args)
     cfg = _solver_from(args)
     prepared = prepare_pilot(data, noise, cfg)
@@ -138,7 +141,7 @@ def cmd_infer(args) -> int:
     targets = _resolve_targets(args.targets, names)
     cfg = _solver_from(args)
     table = run_inference(data, noise, targets, args.alpha, cfg,
-                          args.variance_at, workers=args.workers)
+                          args.variance_at)
     band = None
     if args.bands or len(targets) >= 2:
         band = simultaneous_bands(table, args.boot, args.seed)
@@ -165,7 +168,7 @@ def cmd_graph(args) -> int:
         sub = Dataset(y=data.Z[:, j], Z=data.Z[:, keep])
         table = run_inference(sub, NoiseSpec.known(gamma[keep]),
                               list(range(p - 1)), args.alpha, cfg,
-                              args.variance_at, workers=args.workers)
+                              args.variance_at)
         nodes.append({"name": names[j], "index": j + 1,
                       "penalty": table.pilot.penalty,
                       "radius": table.pilot.radius,
@@ -194,6 +197,8 @@ def cmd_graph(args) -> int:
 
 def _study_config(args) -> simstudy.SimConfig:
     _check_common(args)
+    if args.workers < 1:
+        raise InputError(f"--workers must be at least 1 (got {args.workers})")
     if args.replications is not None and args.replications < 1:
         raise InputError(
             f"--replications must be at least 1 (got {args.replications})")
@@ -234,6 +239,8 @@ def _study_config(args) -> simstudy.SimConfig:
         if value is not None:
             fields[field] = value
     if args.preset == "multi":
+        if args.target_value is not None:
+            raise InputError("--target-value applies to --preset single only")
         builder = simstudy.multi_target_study
     else:
         builder = simstudy.single_target_study
@@ -277,7 +284,7 @@ def _add_io_flags(sub) -> None:
                             "estimate the noise variances")
 
 
-def _add_shared_flags(sub) -> None:
+def _add_inference_flags(sub) -> None:
     sub.add_argument("--alpha", type=float, default=0.05,
                      help="level: intervals cover at 1 - alpha (default 0.05)")
     sub.add_argument("--boot", type=int, default=1000,
@@ -286,19 +293,20 @@ def _add_shared_flags(sub) -> None:
     sub.add_argument("--seed", type=int, default=0,
                      help="bootstrap seed (default 0); simulate seeds both "
                           "the data and the bootstrap with it")
+    sub.add_argument("--variance-at", choices=VARIANCE_CONVENTIONS,
+                     default="debiased", dest="variance_at",
+                     help="where the plug-in variance evaluates the scores")
+
+
+def _add_shared_flags(sub) -> None:
     sub.add_argument("--lambda-scale", type=float, default=1.0,
                      dest="lambda_scale",
                      help="multiplier on the default l1 penalty, in simulate "
                           "on the study's (default 1.0)")
-    sub.add_argument("--variance-at", choices=VARIANCE_CONVENTIONS,
-                     default="debiased", dest="variance_at",
-                     help="where the plug-in variance evaluates the scores")
     sub.add_argument("--tol", type=float, default=None,
                      help="solver stationarity tolerance")
     sub.add_argument("--max-iter", type=int, default=None, dest="max_iter",
                      help="solver iteration cap")
-    sub.add_argument("--workers", type=int, default=1,
-                     help="parallel workers; never changes results")
     sub.add_argument("--out", help="write the report here instead of stdout")
     sub.add_argument("--format", choices=("table", "records"),
                      default="table",
@@ -324,6 +332,7 @@ def build_parser() -> argparse.ArgumentParser:
                             "or 'all' (default)")
     infer.add_argument("--bands", action="store_true",
                        help="add the simultaneous band even for one target")
+    _add_inference_flags(infer)
     _add_shared_flags(infer)
     infer.set_defaults(func=cmd_infer)
 
@@ -332,6 +341,7 @@ def build_parser() -> argparse.ArgumentParser:
                                  "always on")
     _add_io_flags(bands)
     bands.add_argument("--targets", default="all")
+    _add_inference_flags(bands)
     _add_shared_flags(bands)
     bands.set_defaults(func=cmd_infer, bands=True)
 
@@ -341,6 +351,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_io_flags(graph)
     graph.add_argument("--targets", default="all",
                        help="source nodes to scan (default all)")
+    _add_inference_flags(graph)
     _add_shared_flags(graph)
     graph.set_defaults(func=cmd_graph)
 
@@ -353,7 +364,8 @@ def build_parser() -> argparse.ArgumentParser:
                      help="noise-corrected pipeline or the naive baseline")
     sim.add_argument("--target-value", type=float, default=None,
                      dest="target_value",
-                     help="true target coefficient for the single preset")
+                     help="true target coefficient; applies to --preset "
+                          "single only")
     sim.add_argument("--noise-mode", choices=("known", "mar"), default=None,
                      dest="noise_mode")
     sim.add_argument("--miss-prob", type=float, default=None,
@@ -370,6 +382,10 @@ def build_parser() -> argparse.ArgumentParser:
                      help="JSON file of study-config field overrides")
     sim.add_argument("--dump-data",
                      help="also write replication 0 as a dataset CSV here")
+    sim.add_argument("--workers", type=int, default=1,
+                     help="worker processes over replications; never changes "
+                          "results")
+    _add_inference_flags(sim)
     _add_shared_flags(sim)
     # an unset flag leaves the value to the preset or the config file
     sim.set_defaults(func=cmd_simulate, alpha=None, boot=None, seed=None,

@@ -27,7 +27,6 @@ scores then have empirical variance exactly 1) or at the pilot estimate
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -44,7 +43,7 @@ from .lasso import (
     fit_corrected_lasso,
     resolve_config,
 )
-from .nodewise import fit_nodewise_stack, stack_size
+from .nodewise import fit_nodewise_stack
 
 # |slope| below this is treated as a statistical degeneracy.
 DEGENERACY_TOL = 1e-10
@@ -203,18 +202,10 @@ def _target_cell(y, Z, noise_var, pilot_beta, nw, alpha,
                       ci_low=lo, ci_high=hi, scores=scores, mu=nw.mu)
 
 
-def _target_cells(y, Z, noise_var, pilot_beta, targets, cfg, alpha,
-                  variance_at) -> list[DebiasCell]:
-    """Cells for a batch of targets, in order; more than one is stacked."""
-    return [_target_cell(y, Z, noise_var, pilot_beta, nw, alpha, variance_at)
-            for nw in fit_nodewise_stack(Z, noise_var, targets, cfg)]
-
-
 def run_inference(data: Dataset, noise: NoiseSpec, targets,
                   alpha: float = 0.05,
                   cfg: SolverConfig = SolverConfig(),
-                  variance_at: str = "debiased",
-                  workers: int = 1) -> DebiasTable:
+                  variance_at: str = "debiased") -> DebiasTable:
     """Full pipeline: pilot fit, nodewise directions, debiased cells.
 
     Parameters
@@ -233,16 +224,12 @@ def run_inference(data: Dataset, noise: NoiseSpec, targets,
         and radius resolve from the data.
     variance_at : {"debiased", "pilot"}
         Where the plug-in variance evaluates the scores.
-    workers : int
-        Batches of target coordinates are processed in parallel when > 1.
-        Results are identical for any worker count.
 
     Notes
     -----
-    When `nodewise.stack_size` allows it for this design, the nodewise fits
-    of up to that many targets are solved as one stack; the results are
-    bit-identical to fitting them one at a time.  Each batch (one stack, or
-    one target when stacking is off) is one unit of work for the workers.
+    The nodewise fits come from `nodewise.fit_nodewise_stack`, which solves
+    as many targets per stack as its memory budget allows for this design;
+    the results are bit-identical to fitting them one at a time.
     """
     if not 0.0 < alpha < 1.0:
         raise InputError(f"alpha must lie strictly between 0 and 1, got {alpha}")
@@ -260,22 +247,14 @@ def run_inference(data: Dataset, noise: NoiseSpec, targets,
 
     prepared = prepare_pilot(data, noise, cfg)
     Z_eff, noise_var, pilot = prepared.design, prepared.noise_var, prepared.fit
-    n = data.n
+    cells = tuple(
+        _target_cell(data.y, Z_eff, noise_var, pilot.beta, nw, alpha,
+                     variance_at)
+        for nw in fit_nodewise_stack(Z_eff, noise_var, targets, cfg))
 
-    size = stack_size(p)
-    payloads = [(data.y, Z_eff, noise_var, pilot.beta, targets[i:i + size],
-                 cfg, alpha, variance_at)
-                for i in range(0, len(targets), size)]
-    if workers > 1 and len(payloads) > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            batches = list(pool.map(_target_cells, *zip(*payloads)))
-    else:
-        batches = [_target_cells(*q) for q in payloads]
-    cells = tuple(cell for batch in batches for cell in batch)
-
-    return DebiasTable(cells=cells, alpha=alpha, n=n, noise_kind=noise.kind,
-                       noise_var=noise_var, pilot=pilot,
-                       variance_at=variance_at, mar=prepared.mar)
+    return DebiasTable(cells=cells, alpha=alpha, n=data.n,
+                       noise_kind=noise.kind, noise_var=noise_var,
+                       pilot=pilot, variance_at=variance_at, mar=prepared.mar)
 
 
 @dataclass(frozen=True)

@@ -14,8 +14,8 @@ Several targets of one design can be fitted as a stack (`fit_nodewise_stack`),
 which solves their same-size subproblems in lockstep and returns exactly what
 `fit_nodewise` returns one target at a time.  Stacking pays off only while
 the subproblems are small enough for per-call overhead to dominate, so
-`stack_size` allows it only when at least `STACK_MIN` subproblem Grams fit in
-`STACK_BUDGET_BYTES`.
+`fit_nodewise_stack` batches its targets by `stack_size`, which stacks only
+when at least `STACK_MIN` subproblem Grams fit in `STACK_BUDGET_BYTES`.
 """
 
 from __future__ import annotations
@@ -125,23 +125,27 @@ def fit_nodewise_stack(Z: np.ndarray, noise_var: np.ndarray, targets,
                        ) -> Iterator[NodewiseResult]:
     """Yield ``fit_nodewise(Z, noise_var, j, cfg)`` for each target in order.
 
-    All subproblems are built first and solved as one stack with
-    `fit_corrected_lasso_stack`; results are bit-identical to fitting the
-    targets one at a time.  A target whose solve fails raises its error
-    when the iteration reaches it, after every earlier target was yielded,
-    just as a loop over `fit_nodewise` would; invalid input raises before
-    the first result.
+    The targets go in batches of `stack_size(p)`.  A batch builds all its
+    subproblems first and solves them as one stack with
+    `fit_corrected_lasso_stack`; a batch of one is `fit_nodewise` itself.
+    Results are bit-identical to fitting the targets one at a time.  A
+    target whose solve fails raises its error when the iteration reaches
+    it, after every earlier target was yielded, just as a loop over
+    `fit_nodewise` would; invalid input raises before the first result.
     """
     targets = [int(j) for j in targets]
     Z, noise_var = _checked(Z, noise_var, targets)
-    if Z.shape[1] == 1 or len(targets) < 2:
-        yield from (fit_nodewise(Z, noise_var, j, cfg) for j in targets)
-        return
-    subs = [_subproblem(Z, noise_var, j, cfg) for j in targets]
-    fits = fit_corrected_lasso_stack(np.array([s[1] for s in subs]),
-                                     np.array([s[2] for s in subs]),
-                                     [s[3] for s in subs])
-    for j, (keep, *_), fit in zip(targets, subs, fits):
-        if isinstance(fit, NumericalError):
-            raise fit
-        yield _direction(j, keep, fit)
+    size = stack_size(Z.shape[1])
+    for i in range(0, len(targets), size):
+        batch = targets[i:i + size]
+        if len(batch) == 1:
+            yield fit_nodewise(Z, noise_var, batch[0], cfg)
+            continue
+        subs = [_subproblem(Z, noise_var, j, cfg) for j in batch]
+        fits = fit_corrected_lasso_stack(np.array([s[1] for s in subs]),
+                                         np.array([s[2] for s in subs]),
+                                         [s[3] for s in subs])
+        for j, (keep, *_), fit in zip(batch, subs, fits):
+            if isinstance(fit, NumericalError):
+                raise fit
+            yield _direction(j, keep, fit)

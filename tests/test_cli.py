@@ -301,6 +301,25 @@ def test_gamma_and_mar_conflict_exit_2(tmp_path, capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("command, flag", [
+    pytest.param(command, flag, id=f"{command}{flag[0]}")
+    for command, flag in [
+        ("infer", ("--workers", "2")), ("bands", ("--workers", "2")),
+        ("graph", ("--workers", "2")), ("fit", ("--alpha", "0.1")),
+        ("fit", ("--boot", "200")), ("fit", ("--seed", "3")),
+        ("fit", ("--variance-at", "pilot")),
+    ]
+])
+def test_flag_the_command_does_not_read_exit_2(tmp_path, capsys, command,
+                                               flag):
+    # each subcommand declares only the flags it reads
+    data, gamma = write_regression(tmp_path)
+    code, out, err = run_cli(capsys, command, "--input", data, "--gamma",
+                             gamma, *flag)
+    assert (code, out) == (2, "")
+    assert flag[0] in err
+
+
 # ---------------------------------------------------------------------------
 # graph
 
@@ -475,14 +494,12 @@ def test_simulate_worker_count_invisible_in_report(tmp_path, capsys):
     assert filecmp.cmp(a, b, shallow=False)
 
 
-def test_infer_worker_count_invisible_in_report(tmp_path, capsys):
-    data, gamma = write_regression(tmp_path)
-    base = ("infer", "--input", data, "--gamma", gamma, "--targets", "all",
-            "--boot", "100", "--format", "records")
-    a, b = str(tmp_path / "i1.ndjson"), str(tmp_path / "i2.ndjson")
-    assert run_cli(capsys, *base, "--workers", "1", "--out", a)[0] == 0
-    assert run_cli(capsys, *base, "--workers", "2", "--out", b)[0] == 0
-    assert filecmp.cmp(a, b, shallow=False)
+def test_simulate_target_value_with_multi_preset_exit_2(capsys):
+    code, out, err = run_cli(capsys, "simulate", "--preset", "multi",
+                             "--target-value", "3", "--n", "40", "--p", "12",
+                             "--replications", "1", "--boot", "50")
+    assert (code, out) == (2, "")
+    assert "--target-value" in err
 
 
 def test_simulate_zero_replications_exit_2(capsys):

@@ -253,15 +253,6 @@ class TestRunInference:
             assert c2.sd == pytest.approx(2 * c1.sd, rel=1e-9)
             npt.assert_allclose(c2.scores, c1.scores, rtol=0, atol=1e-10)
 
-    def test_parallel_workers_identical(self):
-        data, noise = small_instance(17)
-        t1 = run_inference(data, noise, [0, 1, 2], cfg=TIGHT, workers=1)
-        t2 = run_inference(data, noise, [0, 1, 2], cfg=TIGHT, workers=3)
-        for c1, c2 in zip(t1.cells, t2.cells):
-            assert c1.estimate == c2.estimate
-            assert c1.sd == c2.sd
-            npt.assert_array_equal(c1.scores, c2.scores)
-
     def test_degenerate_design_raises_with_coordinate(self):
         # orthogonal design whose second moment equals the claimed noise
         Z = np.array([[1.0, 1.0], [1.0, -1.0], [-1.0, 1.0], [-1.0, -1.0]])

@@ -116,9 +116,18 @@ def assert_same_direction(got, want):
         assert getattr(got.fit, field) == getattr(want.fit, field), field
 
 
-@pytest.mark.parametrize("cfg", [SolverConfig(), SolverConfig(max_iter=5),
-                                 SolverConfig(penalty_scale=5.0, tol=1e-6)])
-def test_stack_matches_one_target_at_a_time(cfg):
+@pytest.mark.parametrize("cfg, budget", [
+    pytest.param(SolverConfig(), None, id="cfg0"),
+    pytest.param(SolverConfig(max_iter=5), None, id="cfg1"),
+    pytest.param(SolverConfig(penalty_scale=5.0, tol=1e-6), None, id="cfg2"),
+    # two 11-column Grams per stack: the 5 targets go in batches of 2, 2, 1
+    pytest.param(SolverConfig(), 2 * 8 * 11 ** 2, id="budget"),
+])
+def test_stack_matches_one_target_at_a_time(monkeypatch, cfg, budget):
+    if budget is not None:
+        monkeypatch.setattr(nodewise, "STACK_MIN", 2)
+        monkeypatch.setattr(nodewise, "STACK_BUDGET_BYTES", budget)
+        assert stack_size(12) == 2
     rng = np.random.default_rng(17)
     n, p = 40, 12
     Z = rng.normal(size=(n, p))

@@ -4,8 +4,10 @@
 
 draws small datasets from fixed seeds with NumPy alone, runs `fit` (also
 with a penalty that leaves no coefficient), `infer` (known noise, missing at
-random, a design too wide for stacked nodewise solves, and one target
-without a band), `bands`, `graph` (all sources and two of them) and
+random, a design too wide for stacked nodewise solves, more targets than one
+bootstrap column block, and one target without a band), `bands`, `graph`
+(all sources, two of them, and enough nodes that the edges span several
+bootstrap column blocks) and
 `simulate` (both presets, the multi one also on two workers, a config file
 under flags, the naive method with the solver flags, and the study
 defaults) once with `--format records` and once with `--format table`, and
@@ -100,10 +102,19 @@ def write_inputs(inputs: Path) -> None:
     _write_csv(inputs / "wide.csv", cols)
     _write_gamma(inputs / "wide_gamma.txt", np.full(Z.shape[1], sigma_w ** 2))
 
-    Z = _ar_design(np.random.default_rng(14), 100, 12)
-    Z += sigma_w * np.random.default_rng(15).normal(size=Z.shape)
-    _write_csv(inputs / "nodes.csv", {f"z{k + 1}": Z[:, k] for k in range(12)})
-    _write_gamma(inputs / "nodes_gamma.txt", np.full(12, sigma_w ** 2))
+    # 260 targets: wider than one bootstrap column block
+    y, Z = _regression(np.random.default_rng(16), 100, 260, sigma_w)
+    cols = {"y": y} | {f"z{k + 1}": Z[:, k] for k in range(Z.shape[1])}
+    _write_csv(inputs / "many.csv", cols)
+    _write_gamma(inputs / "many_gamma.txt", np.full(Z.shape[1], sigma_w ** 2))
+
+    for name, p, seeds in (("nodes", 12, (14, 15)),
+                           ("nodes_wide", 20, (17, 18))):
+        Z = _ar_design(np.random.default_rng(seeds[0]), 100, p)
+        Z += sigma_w * np.random.default_rng(seeds[1]).normal(size=Z.shape)
+        _write_csv(inputs / f"{name}.csv",
+                   {f"z{k + 1}": Z[:, k] for k in range(p)})
+        _write_gamma(inputs / f"{name}_gamma.txt", np.full(p, sigma_w ** 2))
 
     beta0 = np.zeros(20)
     beta0[[0, 3, 7]] = [0.5, 1.0, -0.7]
@@ -124,8 +135,12 @@ def _runs(inputs: Path) -> dict[str, list[str]]:
            "--gamma", str(inputs / "reg_gamma.txt")]
     wide = ["--input", str(inputs / "wide.csv"),
             "--gamma", str(inputs / "wide_gamma.txt")]
+    many = ["--input", str(inputs / "many.csv"),
+            "--gamma", str(inputs / "many_gamma.txt")]
     nodes = ["--input", str(inputs / "nodes.csv"),
              "--gamma", str(inputs / "nodes_gamma.txt")]
+    nodes_wide = ["--input", str(inputs / "nodes_wide.csv"),
+                  "--gamma", str(inputs / "nodes_wide_gamma.txt")]
     mar = ["--input", str(inputs / "mar.csv"), "--mar"]
     small_boot = ["--boot", "300", "--seed", "5"]
     small_study = ["--n", "80", "--p", "20", "--replications", "3"]
@@ -142,11 +157,13 @@ def _runs(inputs: Path) -> dict[str, list[str]]:
         "infer_mar": ["infer", *mar, "--targets", "1,2,3,10", *small_boot],
         "infer_wide": ["infer", *wide, "--targets", "1,2,50,140",
                        *small_boot],
+        "infer_many": ["infer", *many, *small_boot],
         "infer_max_iter": ["infer", *reg, "--targets", "1,2,3",
                            "--max-iter", "7", *small_boot],
         "bands": ["bands", *reg, "--targets", "z2", *small_boot],
         "graph": ["graph", *nodes, *small_boot],
         "graph_subset": ["graph", *nodes, "--targets", "z1,z4", *small_boot],
+        "graph_wide": ["graph", *nodes_wide, *small_boot],
         "simulate_single": ["simulate", "--n", "100", "--p", "30",
                             "--replications", "4", "--boot", "200",
                             "--seed", "3"],

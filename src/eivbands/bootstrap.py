@@ -11,10 +11,26 @@ ascending order statistic over B draws.
 Multipliers come from a counter-based stream keyed by (seed, draw index,
 observation index): draw b occupies positions [b*n, (b+1)*n) of the stream
 keyed (seed, multiplier-domain), so every multiplier is a pure function of
-(seed, b, i), whatever the chunking.  The maxima are not: the product
-g @ scores of a chunk of draws can round differently for another chunk size,
-so draws are taken in chunks of the fixed `_CHUNK_DRAWS`, which keeps the
-maxima deterministic for a given (scores, draws, seed).
+(seed, b, i), whatever the chunking.  They are drawn once per
+(n, draws, seed), in row chunks of the fixed `_CHUNK_DRAWS` draws.
+
+`MaximaStream` takes the score columns in any number of feeds, so a target
+set far wider than n (every edge of `graph`) never has to be held at once.
+It buffers the columns into blocks of the fixed `_BLOCK_COLUMNS`; for each
+block and draw chunk it forms g @ block, takes |.| in place and keeps a
+running maximum per draw, and it divides by sqrt(n) once, at the end.  That
+division is exact: dividing by a positive constant is monotone under
+correct rounding, so max_j |x_j| / sqrt(n) equals max_j (|x_j| / sqrt(n))
+bit for bit.  Memory is O(draws*n + n*block + chunk*block) whatever the
+number of columns.
+
+The product g @ block can round differently for another chunk or block
+shape, so both widths are fixed, and block boundaries fall every
+`_BLOCK_COLUMNS` columns of the whole sequence, however the caller splits
+its feeds.  The maxima are therefore a pure function of (scores, draws,
+seed) for one BLAS build and thread count.  Up to `_BLOCK_COLUMNS` columns
+make one block, so the product is exactly the unblocked g @ scores; with
+more, a maximum can differ from the unblocked product in the last bit.
 
 When the noise variances were estimated from missingness, each score column
 first gets a correction for the sampling error of those estimates (see
@@ -34,6 +50,7 @@ from .debias import DebiasTable
 from .errors import InputError
 
 _CHUNK_DRAWS = 4096
+_BLOCK_COLUMNS = 256
 
 
 @dataclass(frozen=True)
@@ -59,28 +76,84 @@ class BandResult:
     seed: int
 
 
+class MaximaStream:
+    """Running max_j |G_j| per draw over score columns fed in pieces.
+
+    Feed n-row score matrices in column order with `feed`; `maxima` returns
+    the draws over every column fed so far.  The result does not depend on
+    how the columns were split into feeds.
+    """
+
+    def __init__(self, n: int, draws: int, seed: int):
+        if n < 1:
+            raise InputError("scores must be a nonempty n x m matrix")
+        if draws < 1:
+            raise InputError("need at least one bootstrap draw")
+        self.n, self.draws, self.seed = int(n), int(draws), int(seed)
+        bits = rng.stream(seed, rng.DOMAIN_MULTIPLIER)
+        self._chunks = []
+        for done in range(0, draws, _CHUNK_DRAWS):
+            take = min(_CHUNK_DRAWS, draws - done)
+            self._chunks.append(rng.normals(bits, take * n).reshape(take, n))
+        self._block = np.empty((n, _BLOCK_COLUMNS))
+        self._filled = 0
+        self._columns = 0
+        # running max_j |g @ s_j| per draw, divided by sqrt(n) only at the end
+        self._top = np.zeros(draws)
+
+    def feed(self, scores: np.ndarray) -> None:
+        """Add the columns of an n x k score matrix (k may be 0)."""
+        scores = np.asarray(scores, dtype=np.float64)
+        if scores.ndim != 2 or scores.shape[0] != self.n:
+            raise InputError(f"scores must be a matrix with {self.n} rows")
+        if not np.all(np.isfinite(scores)):
+            raise InputError("scores contain non-finite entries")
+        m = scores.shape[1]
+        start = 0
+        while start < m:
+            take = min(_BLOCK_COLUMNS - self._filled, m - start)
+            self._block[:, self._filled:self._filled + take] = \
+                scores[:, start:start + take]
+            self._filled += take
+            start += take
+            if self._filled == _BLOCK_COLUMNS:
+                self._flush()
+        self._columns += m
+
+    def _flush(self) -> None:
+        block = self._block
+        if self._filled < _BLOCK_COLUMNS:
+            # the layout of a caller's own n x k matrix, so that up to one
+            # block the product is the unblocked one bit for bit
+            block = np.ascontiguousarray(block[:, :self._filled])
+        done = 0
+        for g in self._chunks:
+            prod = g @ block
+            np.abs(prod, out=prod)
+            top = self._top[done:done + g.shape[0]]
+            np.maximum(top, prod.max(axis=1), out=top)
+            done += g.shape[0]
+        self._filled = 0
+
+    def maxima(self) -> MultiplierDraws:
+        """The draws max_j |G_j| over every column fed so far."""
+        if self._filled:
+            self._flush()
+        if not self._columns:
+            raise InputError("scores must be a nonempty n x m matrix")
+        return MultiplierDraws(maxima=self._top / math.sqrt(self.n),
+                               seed=self.seed, draws=self.draws)
+
+
 def multiplier_maxima(scores: np.ndarray, draws: int,
                       seed: int) -> MultiplierDraws:
     """Max-statistic draws of the multiplier process over the score columns."""
     scores = np.asarray(scores, dtype=np.float64)
     if scores.ndim != 2 or scores.shape[0] < 1 or scores.shape[1] < 1:
         raise InputError("scores must be a nonempty n x m matrix")
-    if not np.all(np.isfinite(scores)):
-        raise InputError("scores contain non-finite entries")
-    if draws < 1:
-        raise InputError("need at least one bootstrap draw")
-    n = scores.shape[0]
-    root_n = math.sqrt(n)
-    bits = rng.stream(seed, rng.DOMAIN_MULTIPLIER)
-    out = np.empty(draws)
-    done = 0
-    while done < draws:
-        take = min(_CHUNK_DRAWS, draws - done)
-        g = rng.normals(bits, take * n).reshape(take, n)
-        stat = np.abs(g @ scores) / root_n
-        out[done:done + take] = stat.max(axis=1)
-        done += take
-    return MultiplierDraws(maxima=out, seed=int(seed), draws=int(draws))
+    stream = MaximaStream(scores.shape[0], draws, seed)
+    stream.feed(scores)
+    return stream.maxima()
 
 
 def critical_value(draws: MultiplierDraws, alpha: float) -> float:
@@ -142,23 +215,29 @@ def adjust_scores_for_estimated_noise(scores, influence, targets, mus,
     return adjusted
 
 
-def band_over(cells, scores: np.ndarray, alpha: float, n: int, draws: int,
-              seed: int) -> BandResult:
-    """Simultaneous band around the cells' estimates, one score column each.
+def band_around(targets, estimates, sds, maxima: MultiplierDraws,
+                alpha: float, n: int) -> BandResult:
+    """Simultaneous band estimate_k -+ c* sd_k / sqrt(n) over the targets.
 
-    The half-width of cell k is c* sd_k / sqrt(n), with c* the critical
-    value of the multiplier maxima of `scores` at level alpha.
+    c* is the critical value of the multiplier `maxima` at level alpha.
     """
-    if not cells or np.shape(scores)[1:] != (len(cells),):
-        raise InputError("need one score column per cell")
-    c_star = critical_value(multiplier_maxima(scores, draws, seed), alpha)
-    est = np.array([c.estimate for c in cells])
-    sds = np.array([c.sd for c in cells])
-    half = c_star * sds / math.sqrt(n)
-    return BandResult(targets=tuple(c.j for c in cells), estimates=est,
+    c_star = critical_value(maxima, alpha)
+    est = np.asarray(estimates, dtype=np.float64)
+    half = c_star * np.asarray(sds, dtype=np.float64) / math.sqrt(n)
+    return BandResult(targets=tuple(targets), estimates=est,
                       lower=est - half, upper=est + half,
                       critical_value=c_star, alpha=alpha,
-                      draws=int(draws), seed=int(seed))
+                      draws=maxima.draws, seed=maxima.seed)
+
+
+def band_over(cells, scores: np.ndarray, alpha: float, n: int, draws: int,
+              seed: int) -> BandResult:
+    """Simultaneous band around the cells' estimates, one score column each."""
+    if not cells or np.shape(scores)[1:] != (len(cells),):
+        raise InputError("need one score column per cell")
+    return band_around([c.j for c in cells], [c.estimate for c in cells],
+                       [c.sd for c in cells],
+                       multiplier_maxima(scores, draws, seed), alpha, n)
 
 
 def simultaneous_bands(table: DebiasTable, draws: int, seed: int) -> BandResult:

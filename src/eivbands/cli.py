@@ -21,13 +21,13 @@ import sys
 import numpy as np
 
 from . import dataio, reports, simstudy
-from .bootstrap import band_over, simultaneous_bands
+from .bootstrap import MaximaStream, band_around, simultaneous_bands
 from .debias import (
     VARIANCE_CONVENTIONS,
     prepare_pilot,
     run_inference,
 )
-from .errors import EivbandsError, InputError
+from .errors import DegeneracyError, EivbandsError, InputError
 from .lasso import Dataset, NoiseSpec, SolverConfig
 
 
@@ -162,31 +162,46 @@ def cmd_graph(args) -> int:
     sources = _resolve_targets(args.targets, names)
     cfg = _solver_from(args)
 
-    nodes, pairs, cells = [], [], []
+    # the band's maxima stream over the edges' score columns, so only the
+    # estimate and sd of an edge outlive its source's table
+    stream = MaximaStream(data.n, args.boot, args.seed)
+    nodes, edges = [], []
     for j in sources:
         keep = np.arange(p) != j
+        partners = np.flatnonzero(keep)
         sub = Dataset(y=data.Z[:, j], Z=data.Z[:, keep])
-        table = run_inference(sub, NoiseSpec.known(gamma[keep]),
-                              list(range(p - 1)), args.alpha, cfg,
-                              args.variance_at)
+        try:
+            table = run_inference(sub, NoiseSpec.known(gamma[keep]),
+                                  list(range(p - 1)), args.alpha, cfg,
+                                  args.variance_at)
+        except DegeneracyError as exc:
+            if exc.coordinate is None:
+                raise
+            # the coordinate indexes the source's design of partners
+            k = int(partners[exc.coordinate])
+            reason = str(exc).removesuffix(f" for column {exc.coordinate}")
+            raise DegeneracyError(
+                f"{reason} for source {names[j]}, partner {names[k]}",
+                coordinate=k) from None
         nodes.append({"name": names[j], "index": j + 1,
                       "penalty": table.pilot.penalty,
                       "radius": table.pilot.radius,
                       "iterations": table.pilot.iterations,
                       "converged": bool(table.pilot.converged),
                       "kkt_residual": table.pilot.kkt_residual})
-        pairs += [(j, k) for k in range(p) if k != j]
-        cells += table.cells
+        stream.feed(table.score_matrix())
+        edges += [{"source": names[j], "source_index": j + 1,
+                   "partner": names[k], "partner_index": int(k) + 1,
+                   "estimate": cell.estimate, "sd": cell.sd}
+                  for k, cell in zip(partners, table.cells)]
 
-    band = band_over(cells, np.column_stack([c.scores for c in cells]),
-                     args.alpha, data.n, args.boot, args.seed)
-    edges = []
-    for (j, k), cell, lo, hi in zip(pairs, cells, band.lower, band.upper):
-        edges.append({"source": names[j], "source_index": j + 1,
-                      "partner": names[k], "partner_index": k + 1,
-                      "estimate": cell.estimate, "sd": cell.sd,
-                      "band_low": lo, "band_high": hi,
-                      "zero_in_band": bool(lo <= 0.0 <= hi)})
+    band = band_around([e["partner_index"] - 1 for e in edges],
+                       [e["estimate"] for e in edges],
+                       [e["sd"] for e in edges], stream.maxima(), args.alpha,
+                       data.n)
+    for edge, lo, hi in zip(edges, band.lower, band.upper):
+        edge.update(band_low=lo, band_high=hi,
+                    zero_in_band=bool(lo <= 0.0 <= hi))
 
     settings = {"n": data.n, "p": p, "alpha": args.alpha,
                 "gamma_source": args.gamma, "draws": args.boot,

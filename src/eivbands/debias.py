@@ -160,8 +160,12 @@ def debias_coordinate(y, Z, noise_var, pilot_beta, mu, j) -> float:
     return _Score(Z, noise_var, mu, j, y, pilot_beta).root()
 
 
-def plugin_variance(raw_scores: np.ndarray, slope: float) -> float:
-    """Plug-in variance slope^{-2} * mean(psi^2) of the debiased estimate."""
+def plugin_variance(raw_scores: np.ndarray, slope: float,
+                    coordinate: int | None = None) -> float:
+    """Plug-in variance slope^{-2} * mean(psi^2) of the debiased estimate.
+
+    `coordinate`, the target column if known, is named by a zero variance.
+    """
     raw_scores = np.asarray(raw_scores, dtype=np.float64)
     if raw_scores.ndim != 1 or raw_scores.size == 0:
         raise InputError("raw_scores must be a nonempty vector")
@@ -169,7 +173,9 @@ def plugin_variance(raw_scores: np.ndarray, slope: float) -> float:
     if not math.isfinite(var):
         raise NumericalError("non-finite plug-in variance")
     if var == 0.0:
-        raise DegeneracyError("plug-in variance is exactly zero")
+        where = "" if coordinate is None else f" for column {coordinate}"
+        raise DegeneracyError(f"plug-in variance is exactly zero{where}",
+                              coordinate=coordinate)
     return var
 
 
@@ -195,7 +201,7 @@ def _target_cell(y, Z, noise_var, pilot_beta, nw, alpha,
         centred = raw
     else:
         centred = score.values(float(pilot_beta[nw.j]))
-    sd = math.sqrt(plugin_variance(centred, score.slope))
+    sd = math.sqrt(plugin_variance(centred, score.slope, coordinate=nw.j))
     scores = -raw / (sd * score.slope)
     lo, hi = pointwise_ci(theta, sd, Z.shape[0], alpha)
     return DebiasCell(j=nw.j, estimate=theta, slope=score.slope, sd=sd,

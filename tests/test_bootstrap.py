@@ -1,10 +1,17 @@
+import math
+import tracemalloc
+
 import numpy as np
 import numpy.testing as npt
 import pytest
 from scipy.special import ndtri
 
+from eivbands import rng
 from eivbands.bootstrap import (
+    _BLOCK_COLUMNS,
+    _CHUNK_DRAWS,
     BandResult,
+    MaximaStream,
     MultiplierDraws,
     adjust_scores_for_estimated_noise,
     band_over,
@@ -83,6 +90,93 @@ class TestMultiplierMaxima:
             multiplier_maxima(np.zeros((5, 2)), 0, 0)
         with pytest.raises(InputError):
             multiplier_maxima(np.full((5, 2), np.nan), 10, 0)
+
+
+def unblocked_maxima(scores, draws, seed):
+    # the product over all columns at once, in draw chunks of _CHUNK_DRAWS
+    n = scores.shape[0]
+    bits = rng.stream(seed, rng.DOMAIN_MULTIPLIER)
+    out = np.empty(draws)
+    for done in range(0, draws, _CHUNK_DRAWS):
+        take = min(_CHUNK_DRAWS, draws - done)
+        g = rng.normals(bits, take * n).reshape(take, n)
+        out[done:done + take] = (np.abs(g @ scores) / math.sqrt(n)).max(axis=1)
+    return out
+
+
+def fed_in_pieces(scores, width, draws, seed):
+    stream = MaximaStream(scores.shape[0], draws, seed)
+    for start in range(0, scores.shape[1], width):
+        stream.feed(scores[:, start:start + width])
+    return stream.maxima()
+
+
+class TestMaximaStream:
+    @pytest.mark.parametrize("m", [1, 10, _BLOCK_COLUMNS])
+    def test_one_block_is_the_unblocked_product(self, m):
+        # 5000 draws cross the draw chunk; up to one block of columns, the
+        # running maximum and the final division change no bit
+        s = unit_scores(40, m, seed=m)
+        got = multiplier_maxima(s, 5000, seed=3).maxima
+        npt.assert_array_equal(got, unblocked_maxima(s, 5000, 3))
+
+    @pytest.mark.parametrize("m", [5, _BLOCK_COLUMNS + 1,
+                                   3 * _BLOCK_COLUMNS + 5])
+    def test_feed_split_changes_no_bit(self, m):
+        s = unit_scores(30, m, seed=m)
+        whole = multiplier_maxima(s, 700, seed=4)
+        for width in (1, 7, 29, _BLOCK_COLUMNS + 3):
+            pieces = fed_in_pieces(s, width, 700, 4)
+            npt.assert_array_equal(pieces.maxima, whole.maxima)
+            assert (pieces.seed, pieces.draws) == (4, 700)
+
+    def test_blocks_agree_with_unblocked_product_to_rounding(self):
+        s = unit_scores(30, 3 * _BLOCK_COLUMNS + 5, seed=5)
+        npt.assert_allclose(multiplier_maxima(s, 300, seed=6).maxima,
+                            unblocked_maxima(s, 300, 6), rtol=1e-13, atol=0)
+
+    def test_empty_feeds_and_repeated_maxima(self):
+        s = unit_scores(20, 9, seed=7)
+        stream = MaximaStream(20, 100, seed=8)
+        stream.feed(s[:, :0])
+        stream.feed(s)
+        stream.feed(np.empty((20, 0)))
+        first = stream.maxima().maxima
+        npt.assert_array_equal(first, multiplier_maxima(s, 100, 8).maxima)
+        npt.assert_array_equal(stream.maxima().maxima, first)
+
+    def test_input_validation(self):
+        with pytest.raises(InputError):
+            MaximaStream(0, 10, 0)
+        with pytest.raises(InputError):
+            MaximaStream(5, 0, 0)
+        stream = MaximaStream(5, 10, 0)
+        with pytest.raises(InputError):
+            stream.maxima()
+        for bad in (np.zeros((4, 2)), np.zeros(5), np.full((5, 2), np.inf)):
+            with pytest.raises(InputError):
+                stream.feed(bad)
+
+    def test_memory_does_not_grow_with_columns(self):
+        n, draws, width = 50, 300, _BLOCK_COLUMNS
+        bound = 4 * (draws * n + n * width + draws * width) * 8
+
+        def traced_peak(blocks):
+            gen = np.random.default_rng(9)
+            tracemalloc.start()
+            try:
+                stream = MaximaStream(n, draws, seed=10)
+                for _ in range(blocks):
+                    stream.feed(gen.normal(size=(n, width)))
+                stream.maxima()
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        few, many = traced_peak(2), traced_peak(20)
+        assert many < bound
+        # ten times the columns cost at most one more block of scores
+        assert many <= few + n * width * 8
 
 
 class TestCriticalValue:

@@ -12,7 +12,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from eivbands import cli, dataio, nodewise, simstudy
+from eivbands import bootstrap, cli, dataio, nodewise, simstudy
 from eivbands.bootstrap import band_over, simultaneous_bands
 from eivbands.cli import main
 from eivbands.errors import (
@@ -386,10 +386,10 @@ def test_graph_single_source_matches_library_inference(tmp_path, capsys):
     assert edge["band_high"] == band.upper[0]
 
 
-def test_graph_band_is_the_shared_band_over_all_edges(tmp_path, capsys):
-    # p = 4, every source: the 12 edge cells, taken source by source in
+def check_graph_band_is_band_over(tmp_path, capsys, p):
+    # every source: the p(p-1) edge cells, taken source by source in
     # partner order, go through the one band routine bit for bit
-    path, gamma = write_nodes(tmp_path, n=60, p=4, seed=8)
+    path, gamma = write_nodes(tmp_path, n=60, p=p, seed=8)
     code, out, _ = run_cli(capsys, "graph", "--input", path, "--gamma", gamma,
                            "--alpha", "0.1", "--boot", "300", "--seed", "5",
                            "--format", "records")
@@ -398,20 +398,73 @@ def test_graph_band_is_the_shared_band_over_all_edges(tmp_path, capsys):
     edges = [r for r in records if r["record"] == "edge"]
     data, _ = dataio.read_dataset_csv(path, require_response=False)
     cells = []
-    for j in range(4):
-        keep = np.arange(4) != j
+    for j in range(p):
+        keep = np.arange(p) != j
         table = run_inference(Dataset(y=data.Z[:, j], Z=data.Z[:, keep]),
-                              NoiseSpec.known(np.zeros(3)), [0, 1, 2], 0.1)
+                              NoiseSpec.known(np.zeros(p - 1)),
+                              list(range(p - 1)), 0.1)
         cells += table.cells
     band = band_over(cells, np.column_stack([c.scores for c in cells]), 0.1,
                      60, 300, 5)
-    assert len(edges) == 12
+    assert len(edges) == p * (p - 1)
     assert records[0]["critical_value"] == band.critical_value
     assert [e["estimate"] for e in edges] == list(band.estimates)
     assert [e["band_low"] for e in edges] == list(band.lower)
     assert [e["band_high"] for e in edges] == list(band.upper)
     assert [(e["source_index"], e["partner_index"]) for e in edges] == [
-        (j + 1, k + 1) for j in range(4) for k in range(4) if k != j]
+        (j + 1, k + 1) for j in range(p) for k in range(p) if k != j]
+
+
+def test_graph_band_is_the_shared_band_over_all_edges(tmp_path, capsys):
+    check_graph_band_is_band_over(tmp_path, capsys, p=4)
+
+
+def test_graph_band_is_the_shared_band_across_column_blocks(tmp_path, capsys):
+    # 552 edges stream through the bootstrap in three column blocks, fed
+    # 23 columns per source, and still equal the one-feed band
+    assert 2 * bootstrap._BLOCK_COLUMNS < 24 * 23
+    check_graph_band_is_band_over(tmp_path, capsys, p=24)
+
+
+def write_zero_column_nodes(tmp_path, gamma_value):
+    # columns a, b, c, d with c all zero; source a's design is [b, c, d], so
+    # c is column 1 there but column 2 of the file
+    rng = np.random.default_rng(3)
+    Z = rng.normal(size=(40, 4))
+    Z[:, 2] = 0.0
+    path = tmp_path / "zero_c.csv"
+    path.write_text("a,b,c,d\n" + "".join(
+        ",".join(repr(float(v)) for v in row) + "\n" for row in Z))
+    gamma = tmp_path / "zero_c_gamma.txt"
+    gamma.write_text(f"{gamma_value!r}\n" * 4)
+    return str(path), str(gamma)
+
+
+@pytest.mark.parametrize("gamma_value, reason", [
+    (0.0, "score slope"), (0.1, "plug-in variance is exactly zero")])
+def test_graph_degeneracy_names_source_and_partner(tmp_path, capsys,
+                                                   gamma_value, reason):
+    # gamma 0 makes the slope of edge a -> c vanish; gamma 0.1 keeps the
+    # slope but leaves every score of that edge at zero
+    path, gamma = write_zero_column_nodes(tmp_path, gamma_value)
+    code, out, err = run_cli(capsys, "graph", "--input", path, "--gamma",
+                             gamma, "--boot", "50")
+    assert (code, out) == (4, "")
+    assert reason in err
+    assert "for source a, partner c" in err
+    assert "column" not in err
+
+
+def test_zero_variance_names_coordinate(tmp_path):
+    # source a's regression of the gamma 0.1 case, run through the library:
+    # the zero variance names its column of that design
+    path, gamma = write_zero_column_nodes(tmp_path, 0.1)
+    data, _ = dataio.read_dataset_csv(path, require_response=False)
+    with pytest.raises(DegeneracyError) as exc:
+        run_inference(Dataset(y=data.Z[:, 0], Z=data.Z[:, 1:]),
+                      NoiseSpec.known(np.full(3, 0.1)), [0, 1, 2])
+    assert exc.value.coordinate == 1
+    assert str(exc.value) == "plug-in variance is exactly zero for column 1"
 
 
 def test_graph_null_design_bands_cover_zero(tmp_path, capsys):

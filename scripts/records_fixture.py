@@ -5,7 +5,8 @@
 draws small datasets from fixed seeds with NumPy alone, runs `fit` (also
 with a penalty that leaves no coefficient), `infer` (known noise, missing at
 random, a design too wide for stacked nodewise solves, more targets than one
-bootstrap column block, and one target without a band), `bands`, `graph`
+bootstrap column block, noise sd 1 where some nodewise candidates reach the
+l1-ball radius floor, and one target without a band), `bands`, `graph`
 (all sources, two of them, and enough nodes that the edges span several
 bootstrap column blocks) and
 `simulate` (both presets, the multi one also on two workers, a config file
@@ -108,6 +109,12 @@ def write_inputs(inputs: Path) -> None:
     _write_csv(inputs / "many.csv", cols)
     _write_gamma(inputs / "many_gamma.txt", np.full(Z.shape[1], sigma_w ** 2))
 
+    # noise sd 1: 8 of the 40 nodewise fits resolve their l1-ball radius
+    y, Z = _regression(np.random.default_rng(19), 120, 40, 1.0)
+    cols = {"y": y} | {f"z{k + 1}": Z[:, k] for k in range(Z.shape[1])}
+    _write_csv(inputs / "ball.csv", cols)
+    _write_gamma(inputs / "ball_gamma.txt", np.ones(Z.shape[1]))
+
     for name, p, seeds in (("nodes", 12, (14, 15)),
                            ("nodes_wide", 20, (17, 18))):
         Z = _ar_design(np.random.default_rng(seeds[0]), 100, p)
@@ -137,6 +144,8 @@ def _runs(inputs: Path) -> dict[str, list[str]]:
             "--gamma", str(inputs / "wide_gamma.txt")]
     many = ["--input", str(inputs / "many.csv"),
             "--gamma", str(inputs / "many_gamma.txt")]
+    ball = ["--input", str(inputs / "ball.csv"),
+            "--gamma", str(inputs / "ball_gamma.txt")]
     nodes = ["--input", str(inputs / "nodes.csv"),
              "--gamma", str(inputs / "nodes_gamma.txt")]
     nodes_wide = ["--input", str(inputs / "nodes_wide.csv"),
@@ -158,6 +167,7 @@ def _runs(inputs: Path) -> dict[str, list[str]]:
         "infer_wide": ["infer", *wide, "--targets", "1,2,50,140",
                        *small_boot],
         "infer_many": ["infer", *many, *small_boot],
+        "infer_ball": ["infer", *ball, *small_boot],
         "infer_max_iter": ["infer", *reg, "--targets", "1,2,3",
                            "--max-iter", "7", *small_boot],
         "bands": ["bands", *reg, "--targets", "z2", *small_boot],

@@ -131,7 +131,10 @@ class SolverConfig:
     penalty = sqrt(log(p / 0.05) / n) * penalty_scale, and radius = twice the
     l1 norm of the ridge pilot solving (G_psd + I) beta = b, where G_psd
     floors the negative eigenvalues of G at zero.  Use `resolve_config` to
-    make them concrete; `fit_corrected_lasso` requires concrete values.
+    make them concrete.  The solvers need a concrete penalty; a default
+    radius may instead be deferred (`resolve_config(..., defer_radius=True)`
+    plus the `radius_floor` of the problem), and is then resolved only if a
+    solver candidate can reach the ball.  An explicit radius is used as given.
     """
 
     penalty: float | None = None
@@ -164,6 +167,11 @@ class FitResult:
     magnitude.  `objective` and `kkt_residual` are evaluated at the final
     solver iterate before truncation; `objective_trace` records the objective
     at every accepted iterate and is non-increasing up to 1e-12 slack.
+
+    `radius` is the l1-ball radius that was in force: the configured or
+    resolved radius, or ``inf`` when a deferred default radius was never
+    resolved because no candidate could reach the ball.  Every other field
+    is what the same solve with the resolved radius gives, bit for bit.
     """
 
     beta: np.ndarray
@@ -200,14 +208,40 @@ def default_radius(G: np.ndarray, b: np.ndarray) -> float:
     return r if r > 0.0 else 1.0
 
 
+def radius_floor(G: np.ndarray, b: np.ndarray, noise_var: np.ndarray) -> float:
+    """Certified lower bound on `default_radius(G, b)` from one matvec.
+
+    G must be ``corrected_gram(Z, noise_var)``, so G + max(v) I is positive
+    semidefinite.  With c = max(max v, 0) + 1 and A = G + c I, the pilot's
+    matrix satisfies G_psd + I <= A, hence for the pilot r
+
+        b'r >= b'A^-1 b >= (b'b)^2 / (b'Ab)   and   ||r||_1 >= b'r / ||b||_inf,
+
+    so ``default_radius(G, b) >= 2 (b'b)^2 / (||b||_inf b'Ab)``.  The bound
+    is shrunk by 1e-6 to cover rounding; it is 0 when b = 0.
+    """
+    bb = float(b @ b)
+    if bb == 0.0:
+        return 0.0
+    c = float(np.max(noise_var, initial=0.0)) + 1.0
+    bAb = float(b @ (G @ b)) + c * bb
+    return 2.0 * bb * bb / (float(np.abs(b).max()) * bAb) * (1.0 - 1e-6)
+
+
 def resolve_config(cfg: SolverConfig, n: int, p: int,
-                   G: np.ndarray, b: np.ndarray) -> SolverConfig:
-    """Fill in data-driven penalty and radius; explicit values win."""
+                   G: np.ndarray, b: np.ndarray, *,
+                   defer_radius: bool = False) -> SolverConfig:
+    """Fill in data-driven penalty and radius; explicit values win.
+
+    With `defer_radius`, a default radius stays None: a solver given the
+    problem's `radius_floor` then resolves it only when a candidate's l1
+    norm exceeds the floor, and reports radius ``inf`` if none ever does.
+    """
     penalty = cfg.penalty
     if penalty is None:
         penalty = default_penalty(n, p) * cfg.penalty_scale
     radius = cfg.radius
-    if radius is None:
+    if radius is None and not defer_radius:
         radius = default_radius(G, b)
     return replace(cfg, penalty=penalty, radius=radius)
 
@@ -322,8 +356,8 @@ def _kkt_residual(beta: np.ndarray, grad: np.ndarray,
     return min(resid(0.0), f1, f2)
 
 
-def fit_corrected_lasso(b: np.ndarray, G: np.ndarray,
-                        cfg: SolverConfig) -> FitResult:
+def fit_corrected_lasso(b: np.ndarray, G: np.ndarray, cfg: SolverConfig,
+                        floor: float | None = None) -> FitResult:
     """Solve the l1-ball-constrained corrected lasso.
 
     Parameters
@@ -333,7 +367,16 @@ def fit_corrected_lasso(b: np.ndarray, G: np.ndarray,
     G : ndarray, shape (p, p)
         Corrected Gram matrix; symmetric, possibly indefinite.
     cfg : SolverConfig
-        Must carry concrete `penalty` and `radius` (see `resolve_config`).
+        Must carry a concrete `penalty`, and a concrete `radius` unless
+        `floor` is given (see `resolve_config`).
+    floor : float, optional
+        A lower bound on ``default_radius(G, b)``, such as `radius_floor`,
+        used only when ``cfg.radius`` is None.  The default radius is then
+        deferred: it acts as infinite until a candidate's l1 norm exceeds
+        `floor`, and only then is `default_radius` computed and the
+        candidate projected.  Every earlier candidate lay strictly inside
+        the ball, so the result equals the fit with the resolved radius in
+        every field but `radius`.
 
     Returns
     -------
@@ -344,8 +387,9 @@ def fit_corrected_lasso(b: np.ndarray, G: np.ndarray,
 
     Notes
     -----
-    Iterates start at 0 and stay feasible.  The initial step is 1 over a
-    power-iteration estimate of the spectral radius of G, halved by
+    Iterates start at 0 and stay feasible.  Unless 0 is already a KKT
+    point, the initial step is 1 over a power-iteration estimate of the
+    spectral radius of G, halved by
     backtracking until the usual quadratic upper bound holds, which makes the
     composite objective non-increasing even on indefinite problems.
     """
@@ -355,26 +399,31 @@ def fit_corrected_lasso(b: np.ndarray, G: np.ndarray,
         raise InputError("b must be a vector and G a matching square matrix")
     if not (np.all(np.isfinite(b)) and np.all(np.isfinite(G))):
         raise InputError("b and G must be finite")
-    if cfg.penalty is None or cfg.radius is None:
+    if cfg.penalty is None or (cfg.radius is None and floor is None):
         raise InputError("penalty and radius must be resolved before fitting")
     penalty = float(cfg.penalty)
-    radius = float(cfg.radius)
+    deferred = cfg.radius is None
+    radius = math.inf if deferred else float(cfg.radius)
 
     p = b.shape[0]
     beta = np.zeros(p)
     f_beta = 0.0
     grad = -b.copy()
-    step = 1.0 / max(_spectral_bound(G), 1e-12)
     trace = [0.0]
     kkt = _kkt_residual(beta, grad, penalty, radius)
     converged = kkt <= cfg.tol
+    if not converged:
+        step = 1.0 / max(_spectral_bound(G), 1e-12)
     iterations = 0
 
     while iterations < cfg.max_iter and not converged:
         iterations += 1
         while True:
             cand = soft_threshold(beta - step * grad, step * penalty)
-            cand = project_l1_ball(cand, radius)
+            if deferred and not float(np.abs(cand).sum()) <= floor:
+                radius, deferred = default_radius(G, b), False
+            if not deferred:
+                cand = project_l1_ball(cand, radius)
             delta = cand - beta
             sq = float(delta @ delta)
             Gc = G @ cand
@@ -452,13 +501,14 @@ def _spectral_bound_stack(G: np.ndarray) -> np.ndarray:
     return lam
 
 
-def _project_l1_ball_stack(v: np.ndarray, a: np.ndarray,
+def _project_l1_ball_stack(v: np.ndarray, a: np.ndarray, l1: np.ndarray,
                            radius: np.ndarray) -> np.ndarray:
-    """`project_l1_ball` of every row of v, in place; a is np.abs(v).
+    """`project_l1_ball` of every row of v, in place; a is np.abs(v) and
+    l1 its row sums.
 
     Rows already inside their ball are left unchanged; radii are > 0.
     """
-    over = ~(a.sum(axis=1) <= radius)
+    over = ~(l1 <= radius)
     if over.any():
         a, r = a[over], radius[over]
         u = np.sort(a, axis=1)[:, ::-1]
@@ -513,8 +563,8 @@ def _kkt_residual_stack(beta: np.ndarray, grad: np.ndarray,
     return out
 
 
-def fit_corrected_lasso_stack(b: np.ndarray, G: np.ndarray,
-                              cfgs) -> list[FitResult | NumericalError]:
+def fit_corrected_lasso_stack(b: np.ndarray, G: np.ndarray, cfgs,
+                              floors=None) -> list[FitResult | NumericalError]:
     """Solve k corrected-lasso problems of one size as a single stack.
 
     Parameters
@@ -524,15 +574,20 @@ def fit_corrected_lasso_stack(b: np.ndarray, G: np.ndarray,
     G : ndarray, shape (k, p, p)
         Corrected Gram matrices, one per problem.
     cfgs : sequence of k SolverConfig
-        Resolved configurations, one per problem (see `resolve_config`).
+        Configurations, one per problem (see `resolve_config`).
+    floors : sequence of k float or None, optional
+        Radius floors, read only for problems whose config leaves the radius
+        None; such a problem defers its default radius exactly as
+        `fit_corrected_lasso` does, and resolves it for its row alone.
 
     Returns
     -------
     list of FitResult or NumericalError
-        Entry i equals ``fit_corrected_lasso(b[i], G[i], cfgs[i])`` bit for
-        bit in every field.  Where that call would raise NumericalError, the
-        exception is returned in place, so the caller decides in which order
-        failures surface; the other problems are unaffected.
+        Entry i equals ``fit_corrected_lasso(b[i], G[i], cfgs[i],
+        floors[i])`` bit for bit in every field.  Where that call would
+        raise NumericalError, the exception is returned in place, so the
+        caller decides in which order failures surface; the other problems
+        are unaffected.
 
     Notes
     -----
@@ -550,10 +605,19 @@ def fit_corrected_lasso_stack(b: np.ndarray, G: np.ndarray,
         raise InputError(f"got {len(cfgs)} configs for {k} problems")
     if not (np.all(np.isfinite(b)) and np.all(np.isfinite(G))):
         raise InputError("b and G must be finite")
-    if any(c.penalty is None or c.radius is None for c in cfgs):
+    if floors is None:
+        floors = [None] * k
+    if len(floors) != k:
+        raise InputError(f"got {len(floors)} radius floors for {k} problems")
+    if any(c.penalty is None or (c.radius is None and f is None)
+           for c, f in zip(cfgs, floors)):
         raise InputError("penalty and radius must be resolved before fitting")
     penalty = np.array([float(c.penalty) for c in cfgs])
-    radius = np.array([float(c.radius) for c in cfgs])
+    deferred = np.array([c.radius is None for c in cfgs], dtype=bool)
+    radius = np.array([math.inf if d else float(c.radius)
+                       for c, d in zip(cfgs, deferred)])
+    floor = np.array([f if d else math.inf for f, d in zip(floors, deferred)],
+                     dtype=np.float64)
     tol = np.array([c.tol for c in cfgs], dtype=np.float64)
     tol_scaled = 0.1 * tol
     max_iter = np.array([c.max_iter for c in cfgs])
@@ -561,19 +625,23 @@ def fit_corrected_lasso_stack(b: np.ndarray, G: np.ndarray,
     beta = np.zeros_like(b)
     f_beta = np.zeros(k)
     grad = -b
-    step = 1.0 / np.maximum(_spectral_bound_stack(G), 1e-12)
     kkt = _kkt_residual_stack(beta, grad, penalty, radius)
     converged = kkt <= tol
     iterations = np.zeros(k, dtype=np.int64)
     errors: list[NumericalError | None] = [None] * k
     live = ~converged
+    if live.any():
+        step = 1.0 / np.maximum(_spectral_bound_stack(G), 1e-12)
     accepted, objectives = [], []
 
     while live.any():
         v = beta - step[:, None] * grad
         # |soft_threshold(v, t)| is exactly max(|v| - t, 0)
         mag = np.maximum(np.abs(v) - (step * penalty)[:, None], 0.0)
-        cand = _project_l1_ball_stack(np.sign(v) * mag, mag, radius)
+        l1 = mag.sum(axis=1)
+        for i in np.flatnonzero(live & deferred & ~(l1 <= floor)):
+            radius[i], deferred[i] = default_radius(G[i], b[i]), False
+        cand = _project_l1_ball_stack(np.sign(v) * mag, mag, l1, radius)
         delta = cand - beta
         sq = _rowdot(delta, delta)
         Gc = _rowmatvec(G, cand)

@@ -16,6 +16,12 @@ which solves their same-size subproblems in lockstep and returns exactly what
 the subproblems are small enough for per-call overhead to dominate, so
 `fit_nodewise_stack` batches its targets by `stack_size`, which stacks only
 when at least `STACK_MIN` subproblem Grams fit in `STACK_BUDGET_BYTES`.
+
+A default l1-ball radius is deferred: each subproblem computes the one-matvec
+`radius_floor` instead of the eigendecomposition behind `default_radius`,
+and the solver resolves the radius only if a candidate's l1 norm exceeds
+that floor.  The fitted direction is the same either way; a fit whose
+radius was never needed reports ``fit.radius == inf``.
 """
 
 from __future__ import annotations
@@ -33,6 +39,7 @@ from .lasso import (
     default_penalty,
     fit_corrected_lasso,
     fit_corrected_lasso_stack,
+    radius_floor,
     resolve_config,
 )
 
@@ -82,13 +89,18 @@ def _checked(Z, noise_var, targets):
 
 
 def _subproblem(Z, noise_var, j, cfg):
-    """Column mask, b, corrected Gram and resolved config for target j."""
+    """Column mask, b, corrected Gram, config and radius floor for target j.
+
+    A default radius is left unresolved for the solver to resolve past the
+    floor.
+    """
     n, p = Z.shape
     keep = np.arange(p) != j
     Zm = Z[:, keep]
     b = Zm.T @ Z[:, j] / n
     G = corrected_gram(Zm, noise_var[keep])
-    return keep, b, G, resolve_config(cfg, n, p, G, b)
+    cfg = resolve_config(cfg, n, p, G, b, defer_radius=True)
+    return keep, b, G, cfg, radius_floor(G, b, noise_var[keep])
 
 
 def _direction(j, keep, fit):
@@ -104,7 +116,8 @@ def fit_nodewise(Z: np.ndarray, noise_var: np.ndarray, j: int,
     The subproblem uses b = Z_{-j}' z_j / n and the corrected Gram of
     Z_{-j}.  The penalty default matches Step 1 (computed from the full
     problem size, not the subproblem's p - 1); the radius default is the
-    subproblem's own ridge rule.
+    subproblem's own ridge rule, deferred until a solver candidate can reach
+    it (``fit.radius`` is inf if none could).
     """
     Z, noise_var = _checked(Z, noise_var, [j])
     n, p = Z.shape
@@ -116,8 +129,8 @@ def fit_nodewise(Z: np.ndarray, noise_var: np.ndarray, j: int,
                           radius=0.0, objective_trace=np.zeros(1))
         return NodewiseResult(j=j, mu=np.zeros(1), fit=empty)
 
-    keep, b, G, cfg = _subproblem(Z, noise_var, j, cfg)
-    return _direction(j, keep, fit_corrected_lasso(b, G, cfg))
+    keep, b, G, cfg, floor = _subproblem(Z, noise_var, j, cfg)
+    return _direction(j, keep, fit_corrected_lasso(b, G, cfg, floor))
 
 
 def fit_nodewise_stack(Z: np.ndarray, noise_var: np.ndarray, targets,
@@ -144,7 +157,8 @@ def fit_nodewise_stack(Z: np.ndarray, noise_var: np.ndarray, targets,
         subs = [_subproblem(Z, noise_var, j, cfg) for j in batch]
         fits = fit_corrected_lasso_stack(np.array([s[1] for s in subs]),
                                          np.array([s[2] for s in subs]),
-                                         [s[3] for s in subs])
+                                         [s[3] for s in subs],
+                                         [s[4] for s in subs])
         for j, (keep, *_), fit in zip(batch, subs, fits):
             if isinstance(fit, NumericalError):
                 raise fit

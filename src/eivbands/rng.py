@@ -35,10 +35,16 @@ def stream(seed: int, *path: int) -> Philox:
 
 def uniforms(bits: Philox, count: int) -> np.ndarray:
     """Next `count` open-interval (0, 1) uniforms from a keyed stream."""
+    # in place, so at most the raw words and one float array are alive
     raw = bits.random_raw(count)
-    return ((raw >> np.uint64(11)).astype(np.float64) + 0.5) * _INV_2_53
+    raw >>= np.uint64(11)
+    u = raw.astype(np.float64)
+    u += 0.5
+    u *= _INV_2_53
+    return u
 
 
 def normals(bits: Philox, count: int) -> np.ndarray:
     """Next `count` i.i.d. standard normals (inverse-CDF transform)."""
-    return ndtri(uniforms(bits, count))
+    u = uniforms(bits, count)
+    return ndtri(u, out=u)

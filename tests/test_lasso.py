@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from eivbands import lasso
 from eivbands.errors import InputError, NumericalError
 from eivbands.lasso import (
     Dataset,
@@ -18,6 +19,7 @@ from eivbands.lasso import (
     fit_corrected_lasso_stack,
     hard_threshold,
     project_l1_ball,
+    radius_floor,
     resolve_config,
     soft_threshold,
 )
@@ -166,6 +168,40 @@ class TestDefaults:
         assert cfg.radius == pytest.approx(2 * np.abs(
             np.linalg.solve(G + np.eye(2), b)).sum())
 
+    @given(st.integers(0, 2 ** 32 - 1), st.integers(1, 12), st.integers(1, 12),
+           st.sampled_from(["noisy", "zero_noise", "zero_b"]))
+    @settings(max_examples=150, deadline=None)
+    def test_radius_floor_never_exceeds_the_radius(self, seed, n, p, case):
+        # p > n, v = 0 and b = 0 are all drawn; the floor must hold for the
+        # corrected Gram however indefinite it is
+        gen = np.random.default_rng(seed)
+        Z = gen.normal(size=(n, p)) * gen.uniform(0.1, 5.0)
+        v = gen.uniform(0.0, 6.0, size=p)
+        if case == "zero_noise":
+            v[:] = 0.0
+        G = corrected_gram(Z, v)
+        b = gen.normal(size=p) * gen.uniform(0.01, 10.0)
+        if case == "zero_b":
+            b[:] = 0.0
+        floor = radius_floor(G, b, v)
+        assert 0.0 <= floor <= default_radius(G, b) * (1.0 - 1e-9)
+        assert (floor == 0.0) == (case == "zero_b")
+
+    def test_radius_floor_one_column_formula(self):
+        # one column, no noise: the bound is tight up to its 1e-6 margin
+        G, b = np.array([[3.0]]), np.array([-2.0])
+        assert radius_floor(G, b, np.zeros(1)) == pytest.approx(
+            default_radius(G, b) * (1.0 - 1e-6), rel=1e-14)
+
+    def test_resolve_defers_only_a_default_radius(self):
+        G, b = np.eye(2), np.array([1.0, 0.0])
+        cfg = resolve_config(SolverConfig(), 50, 2, G, b, defer_radius=True)
+        assert cfg.radius is None
+        assert cfg.penalty == default_penalty(50, 2)
+        cfg = resolve_config(SolverConfig(radius=0.7), 50, 2, G, b,
+                             defer_radius=True)
+        assert cfg.radius == 0.7
+
     def test_penalty_scale_multiplies(self):
         c1 = resolve_config(SolverConfig(), 50, 2, np.eye(2), np.ones(2))
         c2 = resolve_config(SolverConfig(penalty_scale=0.5), 50, 2,
@@ -288,12 +324,12 @@ class TestSolver:
             fit_corrected_lasso(np.array([np.nan, 0.0]), np.eye(2), cfg)
 
 
-def solve_one_at_a_time(bs, Gs, cfgs):
+def solve_one_at_a_time(bs, Gs, cfgs, floors=None):
     # the reference: fit_corrected_lasso per problem, errors kept in place
     out = []
-    for b, G, cfg in zip(bs, Gs, cfgs):
+    for b, G, cfg, floor in zip(bs, Gs, cfgs, floors or [None] * len(cfgs)):
         try:
-            out.append(fit_corrected_lasso(b, G, cfg))
+            out.append(fit_corrected_lasso(b, G, cfg, floor))
         except NumericalError as exc:
             out.append(exc)
     return out
@@ -372,6 +408,48 @@ class TestStackedSolver:
         assert isinstance(diverged, NumericalError)
         assert_same_bits(stacked, single)
 
+    @given(st.integers(0, 2 ** 32 - 1), st.integers(1, 9), st.integers(1, 16))
+    @settings(max_examples=40, deadline=None)
+    def test_deferred_radius_matches_one_at_a_time_bitwise(self, seed, k, p):
+        # deferred default radii (some resolved, some never, some ending on
+        # the ball), mixed with explicit ones, against the single solver
+        # given the same floors
+        gen = np.random.default_rng(seed)
+        bs, Gs, cfgs, floors = [], [], [], []
+        for _ in range(k):
+            n = int(gen.integers(max(2, p // 2), 3 * p + 5))
+            v = np.full(p, gen.uniform(0.0, 1.5))
+            Z = gen.normal(size=(n, p))
+            G = corrected_gram(Z, v)
+            b = Z.T @ gen.normal(size=n) / n * gen.choice([0.0, 1.0, 3.0])
+            cfg = SolverConfig(penalty_scale=gen.uniform(0.02, 2.0),
+                               radius=gen.choice([None, None, 0.3]),
+                               max_iter=int(gen.choice([1, 4, 60, 20000])))
+            cfg = resolve_config(cfg, n, p, G, b, defer_radius=True)
+            bs.append(b)
+            Gs.append(G)
+            cfgs.append(cfg)
+            floors.append(radius_floor(G, b, v))  # read only if deferred
+        bs, Gs = np.array(bs), np.array(Gs)
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert_same_bits(fit_corrected_lasso_stack(bs, Gs, cfgs, floors),
+                             solve_one_at_a_time(bs, Gs, cfgs, floors))
+
+    def test_skips_power_iteration_when_zero_is_optimal(self, monkeypatch):
+        def refuse(G):
+            raise AssertionError("spectral bound computed")
+        monkeypatch.setattr(lasso, "_spectral_bound", refuse)
+        monkeypatch.setattr(lasso, "_spectral_bound_stack", refuse)
+        gen = np.random.default_rng(4)
+        b, G = pd_instance(gen, 5)
+        cfg = SolverConfig(penalty=float(np.abs(b).max()), radius=1.0)
+        fit = fit_corrected_lasso(b, G, cfg)
+        assert fit.iterations == 0 and fit.converged and not fit.beta.any()
+        stacked = fit_corrected_lasso_stack(np.array([b, 0.5 * b]),
+                                            np.array([G, G]), [cfg, cfg])
+        assert_same_bits(stacked[:1], [fit])
+        assert stacked[1].iterations == 0
+
     def test_validates_like_the_single_solver(self):
         cfg = SolverConfig(penalty=0.1, radius=1.0)
         with pytest.raises(InputError):
@@ -386,6 +464,9 @@ class TestStackedSolver:
         with pytest.raises(InputError):
             fit_corrected_lasso_stack(np.ones((1, 2)), np.eye(2)[None],
                                       [SolverConfig()])
+        with pytest.raises(InputError):
+            fit_corrected_lasso_stack(np.ones((1, 2)), np.eye(2)[None],
+                                      [SolverConfig(penalty=0.1)], [0.5, 0.5])
 
 
 class TestTypes:

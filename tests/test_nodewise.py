@@ -2,10 +2,11 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from eivbands import nodewise
+from eivbands import lasso, nodewise
+from eivbands.debias import run_inference
 from eivbands.errors import InputError, NumericalError
-from eivbands.lasso import SolverConfig, corrected_gram, fit_corrected_lasso, \
-    resolve_config
+from eivbands.lasso import Dataset, NoiseSpec, SolverConfig, corrected_gram, \
+    default_radius, fit_corrected_lasso, resolve_config
 from eivbands.nodewise import fit_nodewise, fit_nodewise_stack, stack_size
 
 TIGHT = SolverConfig(penalty=0.0, radius=np.inf, tol=1e-12, max_iter=100000,
@@ -165,3 +166,84 @@ def test_stack_size_follows_the_gram_budget(monkeypatch):
     assert stack_size(300) == 1
     monkeypatch.setattr(nodewise, "STACK_BUDGET_BYTES", 0)
     assert stack_size(30) == 1
+
+
+def count_radius_calls(monkeypatch):
+    # the solvers resolve a deferred radius through lasso.default_radius
+    calls = []
+    original = lasso.default_radius
+
+    def counted(G, b):
+        calls.append(G.shape[0])
+        return original(G, b)
+    monkeypatch.setattr(lasso, "default_radius", counted)
+    return calls
+
+
+def _ar_noisy(seed, n, p, sigma_w):
+    gen = np.random.default_rng(seed)
+    x = gen.normal(size=(n, p))
+    x[:, 1:] += 0.8 * x[:, :-1]
+    return x + sigma_w * gen.normal(size=(n, p)), np.full(p, sigma_w ** 2)
+
+
+# (seed, n, p, sigma_w, penalty_scale) for target 0 in each regime of the
+# deferred radius: the solve never leaves 0, its candidates stay under the
+# floor, one crosses the floor but the fit ends inside the ball, and the fit
+# ends on the ball
+DEFERRAL_REGIMES = {
+    "never_left_zero": (0, 40, 8, 0.5, 5.0),
+    "under_floor": (0, 40, 8, 0.5, 1.0),
+    "crossed_floor": (9, 40, 8, 0.2, 0.1),
+    "on_ball": (0, 20, 15, 1.0, 0.3),
+}
+
+
+@pytest.mark.parametrize("regime", list(DEFERRAL_REGIMES))
+def test_deferred_radius_gives_the_eager_fit(monkeypatch, regime):
+    seed, n, p, sigma_w, scale = DEFERRAL_REGIMES[regime]
+    Z, noise_var = _ar_noisy(seed, n, p, sigma_w)
+    cfg = SolverConfig(penalty_scale=scale)
+    keep = np.arange(p) != 0
+    b = Z[:, keep].T @ Z[:, 0] / n
+    G = corrected_gram(Z[:, keep], noise_var[keep])
+    eager = fit_corrected_lasso(b, G, resolve_config(cfg, n, p, G, b))
+    calls = count_radius_calls(monkeypatch)
+    got = fit_nodewise(Z, noise_var, 0, cfg).fit
+
+    resolved = len(calls) == 1
+    on_ball = np.abs(eager.beta).sum() >= eager.radius * (1.0 - 1e-6)
+    hit = ("never_left_zero" if eager.iterations == 0
+           else "under_floor" if not resolved
+           else "on_ball" if on_ball else "crossed_floor")
+    assert hit == regime
+    assert len(calls) <= 1
+    assert got.radius == (eager.radius if resolved else np.inf)
+    assert eager.radius == default_radius(G, b)
+    for field in ("iterations", "converged", "objective", "kkt_residual",
+                  "penalty"):
+        assert getattr(got, field) == getattr(eager, field), field
+    assert got.beta.tobytes() == eager.beta.tobytes()
+    assert got.objective_trace.tobytes() == eager.objective_trace.tobytes()
+
+
+@pytest.mark.parametrize("budget", [None, 0], ids=["stacked", "one_by_one"])
+def test_inference_resolves_only_the_pilot_radius(monkeypatch, budget):
+    if budget is not None:
+        monkeypatch.setattr(nodewise, "STACK_BUDGET_BYTES", budget)
+    # AR(0.5) columns observed with noise sd 0.5: no nodewise candidate
+    # passes its radius floor, so only the pilot computes a radius
+    n, p = 200, 30
+    gen = np.random.default_rng(31)
+    x = np.empty((n, p))
+    x[:, 0] = gen.normal(size=n)
+    for k in range(1, p):
+        x[:, k] = 0.5 * x[:, k - 1] + np.sqrt(0.75) * gen.normal(size=n)
+    Z = x + 0.5 * gen.normal(size=(n, p))
+    y = x[:, 2] - 0.8 * x[:, 10] + 0.5 * gen.normal(size=n)
+    noise_var = np.full(p, 0.25)
+    calls = count_radius_calls(monkeypatch)
+    table = run_inference(Dataset(y=y, Z=Z), NoiseSpec.known(noise_var),
+                          range(p))
+    assert len(table.cells) == p
+    assert calls == [p]  # the pilot's p x p Gram, no nodewise one

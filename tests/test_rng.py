@@ -49,3 +49,16 @@ def test_moments_sane():
     g = rng.normals(rng.stream(123), 200000)
     assert abs(g.mean()) < 0.01
     assert abs(g.var() - 1.0) < 0.01
+
+
+def test_in_place_transforms_match_the_expression_bytes():
+    # the uniforms and normals are built in place; each step must be the
+    # same elementwise operation as the plain expression below
+    for seed, count in ((0, 1), (5, 1000), (901, 350_017)):
+        raw = rng.stream(seed, 1).random_raw(count)
+        u = ((raw >> np.uint64(11)).astype(np.float64) + 0.5) * 2.0 ** -53
+        got_u = rng.uniforms(rng.stream(seed, 1), count)
+        got_g = rng.normals(rng.stream(seed, 1), count)
+        assert got_u.dtype == got_g.dtype == np.float64
+        assert got_u.tobytes() == u.tobytes()
+        assert got_g.tobytes() == ndtri(u).tobytes()

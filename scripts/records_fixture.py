@@ -7,8 +7,9 @@ with a penalty that leaves no coefficient), `infer` (known noise, missing at
 random, a design too wide for stacked nodewise solves, more targets than one
 bootstrap column block, noise sd 1 where some nodewise candidates reach the
 l1-ball radius floor, and one target without a band), `bands`, `graph`
-(all sources, two of them, and enough nodes that the edges span several
-bootstrap column blocks) and
+(all sources, two of them, enough nodes that the edges span several
+bootstrap column blocks, and 26 nodes whose 650 edges go in nodewise stacks
+of 227, 227 and 196 rows, so stack boundaries fall inside sources) and
 `simulate` (both presets, the multi one also on two workers, a config file
 under flags, the naive method with the solver flags, and the study
 defaults) once with `--format records` and once with `--format table`, and
@@ -116,7 +117,8 @@ def write_inputs(inputs: Path) -> None:
     _write_gamma(inputs / "ball_gamma.txt", np.ones(Z.shape[1]))
 
     for name, p, seeds in (("nodes", 12, (14, 15)),
-                           ("nodes_wide", 20, (17, 18))):
+                           ("nodes_wide", 20, (17, 18)),
+                           ("nodes_stacks", 26, (20, 21))):
         Z = _ar_design(np.random.default_rng(seeds[0]), 100, p)
         Z += sigma_w * np.random.default_rng(seeds[1]).normal(size=Z.shape)
         _write_csv(inputs / f"{name}.csv",
@@ -150,6 +152,8 @@ def _runs(inputs: Path) -> dict[str, list[str]]:
              "--gamma", str(inputs / "nodes_gamma.txt")]
     nodes_wide = ["--input", str(inputs / "nodes_wide.csv"),
                   "--gamma", str(inputs / "nodes_wide_gamma.txt")]
+    nodes_stacks = ["--input", str(inputs / "nodes_stacks.csv"),
+                    "--gamma", str(inputs / "nodes_stacks_gamma.txt")]
     mar = ["--input", str(inputs / "mar.csv"), "--mar"]
     small_boot = ["--boot", "300", "--seed", "5"]
     small_study = ["--n", "80", "--p", "20", "--replications", "3"]
@@ -174,6 +178,7 @@ def _runs(inputs: Path) -> dict[str, list[str]]:
         "graph": ["graph", *nodes, *small_boot],
         "graph_subset": ["graph", *nodes, "--targets", "z1,z4", *small_boot],
         "graph_wide": ["graph", *nodes_wide, *small_boot],
+        "graph_stacks": ["graph", *nodes_stacks, *small_boot],
         "simulate_single": ["simulate", "--n", "100", "--p", "30",
                             "--replications", "4", "--boot", "200",
                             "--seed", "3"],

@@ -24,6 +24,7 @@ from . import dataio, reports, simstudy
 from .bootstrap import MaximaStream, band_around, simultaneous_bands
 from .debias import (
     VARIANCE_CONVENTIONS,
+    graph_tables,
     prepare_pilot,
     run_inference,
 )
@@ -165,15 +166,13 @@ def cmd_graph(args) -> int:
     # the band's maxima stream over the edges' score columns, so only the
     # estimate and sd of an edge outlive its source's table
     stream = MaximaStream(data.n, args.boot, args.seed)
+    tables = graph_tables(data.Z, gamma, sources, args.alpha, cfg,
+                          args.variance_at)
     nodes, edges = [], []
     for j in sources:
-        keep = np.arange(p) != j
-        partners = np.flatnonzero(keep)
-        sub = Dataset(y=data.Z[:, j], Z=data.Z[:, keep])
+        partners = np.flatnonzero(np.arange(p) != j)
         try:
-            table = run_inference(sub, NoiseSpec.known(gamma[keep]),
-                                  list(range(p - 1)), args.alpha, cfg,
-                                  args.variance_at)
+            table = next(tables)
         except DegeneracyError as exc:
             if exc.coordinate is None:
                 raise

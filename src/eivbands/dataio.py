@@ -17,6 +17,7 @@ bit for bit.
 from __future__ import annotations
 
 import csv
+import math
 
 import numpy as np
 
@@ -32,7 +33,7 @@ def _parse_cell(token: str, row: int, name: str) -> float:
     except ValueError:
         raise InputError(
             f"row {row}, column {name!r}: non-numeric field {token!r}") from None
-    if not np.isfinite(value):
+    if not math.isfinite(value):
         raise InputError(f"row {row}, column {name!r}: non-finite value {token!r}")
     return value
 

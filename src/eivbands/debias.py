@@ -27,7 +27,9 @@ scores then have empirical variance exactly 1) or at the pilot estimate
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
+from itertools import islice
 
 import numpy as np
 from scipy.special import ndtri
@@ -43,7 +45,7 @@ from .lasso import (
     fit_corrected_lasso,
     resolve_config,
 )
-from .nodewise import fit_nodewise_stack
+from .nodewise import fit_nodewise_jobs, fit_nodewise_stack
 
 # |slope| below this is treated as a statistical degeneracy.
 DEGENERACY_TOL = 1e-10
@@ -208,6 +210,30 @@ def _target_cell(y, Z, noise_var, pilot_beta, nw, alpha,
                       ci_low=lo, ci_high=hi, scores=scores, mu=nw.mu)
 
 
+def _check_settings(alpha: float, variance_at: str) -> None:
+    if not 0.0 < alpha < 1.0:
+        raise InputError(f"alpha must lie strictly between 0 and 1, got {alpha}")
+    if variance_at not in VARIANCE_CONVENTIONS:
+        raise InputError(f"variance_at must be one of {VARIANCE_CONVENTIONS}")
+
+
+def _table(data, noise, alpha, cfg, variance_at, directions) -> DebiasTable:
+    """Pilot fit, then one cell per nodewise direction, in order.
+
+    `directions(prepared)` yields the nodewise results for the design and
+    noise variances of the prepared pilot, one per target.
+    """
+    prepared = prepare_pilot(data, noise, cfg)
+    Z_eff, noise_var, pilot = prepared.design, prepared.noise_var, prepared.fit
+    cells = tuple(
+        _target_cell(data.y, Z_eff, noise_var, pilot.beta, nw, alpha,
+                     variance_at)
+        for nw in directions(prepared))
+    return DebiasTable(cells=cells, alpha=alpha, n=data.n,
+                       noise_kind=noise.kind, noise_var=noise_var,
+                       pilot=pilot, variance_at=variance_at, mar=prepared.mar)
+
+
 def run_inference(data: Dataset, noise: NoiseSpec, targets,
                   alpha: float = 0.05,
                   cfg: SolverConfig = SolverConfig(),
@@ -237,10 +263,7 @@ def run_inference(data: Dataset, noise: NoiseSpec, targets,
     as many targets per stack as its memory budget allows for this design;
     the results are bit-identical to fitting them one at a time.
     """
-    if not 0.0 < alpha < 1.0:
-        raise InputError(f"alpha must lie strictly between 0 and 1, got {alpha}")
-    if variance_at not in VARIANCE_CONVENTIONS:
-        raise InputError(f"variance_at must be one of {VARIANCE_CONVENTIONS}")
+    _check_settings(alpha, variance_at)
     targets = [int(j) for j in targets]
     if not targets:
         raise InputError("target set is empty")
@@ -250,17 +273,64 @@ def run_inference(data: Dataset, noise: NoiseSpec, targets,
     for j in targets:
         if not 0 <= j < p:
             raise InputError(f"target column {j} out of range for p={p}")
+    return _table(data, noise, alpha, cfg, variance_at,
+                  lambda prepared: fit_nodewise_stack(
+                      prepared.design, prepared.noise_var, targets, cfg))
 
-    prepared = prepare_pilot(data, noise, cfg)
-    Z_eff, noise_var, pilot = prepared.design, prepared.noise_var, prepared.fit
-    cells = tuple(
-        _target_cell(data.y, Z_eff, noise_var, pilot.beta, nw, alpha,
-                     variance_at)
-        for nw in fit_nodewise_stack(Z_eff, noise_var, targets, cfg))
 
-    return DebiasTable(cells=cells, alpha=alpha, n=data.n,
-                       noise_kind=noise.kind, noise_var=noise_var,
-                       pilot=pilot, variance_at=variance_at, mar=prepared.mar)
+def graph_tables(Z: np.ndarray, gamma: np.ndarray, sources,
+                 alpha: float = 0.05, cfg: SolverConfig = SolverConfig(),
+                 variance_at: str = "debiased") -> Iterator[DebiasTable]:
+    """Yield the node graph's table of each source, in source order.
+
+    Source j's table equals ``run_inference(Dataset(y=Z[:, j], Z=Z[:, keep]),
+    NoiseSpec.known(gamma[keep]), range(p - 1), alpha, cfg, variance_at)``
+    bit for bit, with keep the columns other than j.  The edge regressions
+    of consecutive sources go through one `fit_nodewise_jobs` stream, so a
+    stack of nodewise solves spans sources when a source's p - 1 rows leave
+    room.  Source j's pilot runs when its table is formed, so errors surface
+    as they would source by source: pilot j, then its cells in partner
+    order, then pilot j + 1.  A source's regression is built when its jobs
+    or its table first need it and dropped with its table, so only the
+    sources of one stack are alive at a time.
+    """
+    _check_settings(alpha, variance_at)
+    Z = np.asarray(Z, dtype=np.float64)
+    gamma = np.asarray(gamma, dtype=np.float64)
+    if Z.ndim != 2:
+        raise InputError("Z must be a matrix")
+    p = Z.shape[1]
+    if gamma.shape != (p,):
+        raise InputError(f"gamma has shape {gamma.shape}, expected ({p},)")
+    sources = [int(j) for j in sources]
+    for j in sources:
+        if not 0 <= j < p:
+            raise InputError(f"source column {j} out of range for p={p}")
+    built = {}
+
+    def regression(j):
+        if j not in built:
+            keep = np.arange(p) != j
+            # Boolean column indexing gives an F-ordered design, the layout
+            # every source's regression has always used; a C-contiguous
+            # copy changes the last bit of some radii and edge estimates.
+            built[j] = (Dataset(y=Z[:, j], Z=Z[:, keep]),
+                        NoiseSpec.known(gamma[keep]))
+        return built[j]
+
+    def jobs():
+        for j in sources:
+            data, noise = regression(j)
+            for t in range(p - 1):
+                yield data.Z, noise.noise_var, t
+
+    stream = fit_nodewise_jobs(jobs(), cfg)
+    for j in sources:
+        data, noise = regression(j)
+        table = _table(data, noise, alpha, cfg, variance_at,
+                       lambda prepared: islice(stream, p - 1))
+        del built[j]
+        yield table
 
 
 @dataclass(frozen=True)

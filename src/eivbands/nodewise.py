@@ -10,12 +10,15 @@ Only the noise variances of the regressor columns enter the subproblem; the
 target column's own noise variance cancels from the moment condition and is
 never used here.
 
-Several targets of one design can be fitted as a stack (`fit_nodewise_stack`),
-which solves their same-size subproblems in lockstep and returns exactly what
-`fit_nodewise` returns one target at a time.  Stacking pays off only while
-the subproblems are small enough for per-call overhead to dominate, so
-`fit_nodewise_stack` batches its targets by `stack_size`, which stacks only
-when at least `STACK_MIN` subproblem Grams fit in `STACK_BUDGET_BYTES`.
+Many targets can be fitted as stacks (`fit_nodewise_jobs`), which solve
+same-size subproblems in lockstep and return exactly what `fit_nodewise`
+returns one target at a time.  The jobs of a stack need not share a design,
+only its width: the node graph feeds the edge regressions of consecutive
+sources into one job stream, so at p = 30 its 870 edges go in 6 stacks
+instead of 30.  `fit_nodewise_stack` is the one-design case.  Stacking pays
+off only while the subproblems are small enough for per-call overhead to
+dominate, so a stack holds `stack_size(p)` rows, which stacks only when at
+least `STACK_MIN` subproblem Grams fit in `STACK_BUDGET_BYTES`.
 
 A default l1-ball radius is deferred: each subproblem computes the one-matvec
 `radius_floor` instead of the eigendecomposition behind `default_radius`,
@@ -133,33 +136,65 @@ def fit_nodewise(Z: np.ndarray, noise_var: np.ndarray, j: int,
     return _direction(j, keep, fit_corrected_lasso(b, G, cfg, floor))
 
 
+def fit_nodewise_jobs(jobs, cfg: SolverConfig = SolverConfig()
+                      ) -> Iterator[NodewiseResult]:
+    """Yield ``fit_nodewise(Z, noise_var, j, cfg)`` for each job in order.
+
+    `jobs` is an iterable of ``(Z, noise_var, j)``, pulled only as far as
+    the current stack needs.  Consecutive jobs whose designs have the same
+    column count p join one stack of up to `stack_size(p)` rows, even when
+    they come from different designs; a change of width starts a new stack.
+    A stack is solved as one `fit_corrected_lasso_stack` call and a stack of
+    one is `fit_nodewise` itself, so the results are bit-identical to
+    fitting the jobs one at a time.  A job whose solve fails raises its
+    error when the iteration reaches it, after every earlier job was
+    yielded; an invalid job raises when it is pulled.
+    """
+    batch = []
+    for Z, noise_var, j in jobs:
+        Z, noise_var = _checked(Z, noise_var, [j])
+        if batch and Z.shape[1] != batch[0][0].shape[1]:
+            yield from _solve_batch(batch, cfg)
+            batch = []
+        batch.append((Z, noise_var, int(j)))
+        if len(batch) == stack_size(Z.shape[1]):
+            yield from _solve_batch(batch, cfg)
+            batch = []
+    if batch:
+        yield from _solve_batch(batch, cfg)
+
+
+def _solve_batch(batch, cfg):
+    if len(batch) == 1:
+        yield fit_nodewise(*batch[0], cfg)
+        return
+    # fill the stack in place, so one stack and one subproblem are alive
+    m = batch[0][0].shape[1] - 1
+    b = np.empty((len(batch), m))
+    G = np.empty((len(batch), m, m))
+    keeps, cfgs, floors = [], [], []
+    for i, (Z, noise_var, j) in enumerate(batch):
+        keep, b[i], G[i], row_cfg, floor = _subproblem(Z, noise_var, j, cfg)
+        keeps.append(keep)
+        cfgs.append(row_cfg)
+        floors.append(floor)
+    fits = fit_corrected_lasso_stack(b, G, cfgs, floors)
+    for (_, _, j), keep, fit in zip(batch, keeps, fits):
+        if isinstance(fit, NumericalError):
+            raise fit
+        yield _direction(j, keep, fit)
+
+
 def fit_nodewise_stack(Z: np.ndarray, noise_var: np.ndarray, targets,
                        cfg: SolverConfig = SolverConfig()
                        ) -> Iterator[NodewiseResult]:
     """Yield ``fit_nodewise(Z, noise_var, j, cfg)`` for each target in order.
 
-    The targets go in batches of `stack_size(p)`.  A batch builds all its
-    subproblems first and solves them as one stack with
-    `fit_corrected_lasso_stack`; a batch of one is `fit_nodewise` itself.
-    Results are bit-identical to fitting the targets one at a time.  A
-    target whose solve fails raises its error when the iteration reaches
-    it, after every earlier target was yielded, just as a loop over
-    `fit_nodewise` would; invalid input raises before the first result.
+    The one-design case of `fit_nodewise_jobs`: the targets go in stacks of
+    `stack_size(p)`, bit-identical to fitting them one at a time, and a
+    failing target raises when the iteration reaches it.  Invalid input
+    raises before the first result.
     """
     targets = [int(j) for j in targets]
     Z, noise_var = _checked(Z, noise_var, targets)
-    size = stack_size(Z.shape[1])
-    for i in range(0, len(targets), size):
-        batch = targets[i:i + size]
-        if len(batch) == 1:
-            yield fit_nodewise(Z, noise_var, batch[0], cfg)
-            continue
-        subs = [_subproblem(Z, noise_var, j, cfg) for j in batch]
-        fits = fit_corrected_lasso_stack(np.array([s[1] for s in subs]),
-                                         np.array([s[2] for s in subs]),
-                                         [s[3] for s in subs],
-                                         [s[4] for s in subs])
-        for j, (keep, *_), fit in zip(batch, subs, fits):
-            if isinstance(fit, NumericalError):
-                raise fit
-            yield _direction(j, keep, fit)
+    yield from fit_nodewise_jobs(((Z, noise_var, j) for j in targets), cfg)

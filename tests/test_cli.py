@@ -423,7 +423,29 @@ def test_graph_band_is_the_shared_band_across_column_blocks(tmp_path, capsys):
     # 552 edges stream through the bootstrap in three column blocks, fed
     # 23 columns per source, and still equal the one-feed band
     assert 2 * bootstrap._BLOCK_COLUMNS < 24 * 23
+    # and the nodewise stacks of 270 rows end inside a source's 23 edges
+    assert nodewise.stack_size(23) < 24 * 23
+    assert nodewise.stack_size(23) % 23 != 0
     check_graph_band_is_band_over(tmp_path, capsys, p=24)
+
+
+def test_graph_stacks_edges_across_sources(tmp_path, capsys, monkeypatch):
+    # the 72 edge regressions of 9 nodes fit in one stack of stack_size(8)
+    # rows, so the whole graph makes one stacked solve
+    path, gamma = write_nodes(tmp_path, n=80, p=9)
+    assert nodewise.stack_size(8) >= 9 * 8
+    rows = []
+    original = nodewise.fit_corrected_lasso_stack
+
+    def counted(b, G, cfgs, floors=None):
+        rows.append(b.shape[0])
+        return original(b, G, cfgs, floors)
+    monkeypatch.setattr(nodewise, "fit_corrected_lasso_stack", counted)
+    code, out, _ = run_cli(capsys, "graph", "--input", path, "--gamma", gamma,
+                           "--boot", "100", "--format", "records")
+    assert code == 0
+    assert sum(r["record"] == "edge" for r in parse_records(out)) == 72
+    assert rows == [72]
 
 
 def write_zero_column_nodes(tmp_path, gamma_value):

@@ -106,6 +106,21 @@ def test_non_finite_rejected(tmp_path):
     path = write(tmp_path, "y,z1,z2\n1.0,inf,3.0\n2.0,1.0,4.0\n")
     with pytest.raises(InputError, match="non-finite"):
         dataio.read_dataset_csv(path)
+    # nan, -inf and an overflowing literal, in the response and a covariate
+    for row, column, token, text in (
+            (2, "z2", "nan", "y,z1,z2\n1.0,2.0,nan\n2.0,1.0,4.0\n"),
+            (3, "y", "-inf", "y,z1,z2\n1.0,2.0,3.0\n-inf,1.0,4.0\n"),
+            (3, "z1", "1e999", "y,z1,z2\n1.0,2.0,3.0\n2.0,1e999,4.0\n")):
+        path = write(tmp_path, text)
+        with pytest.raises(InputError) as exc:
+            dataio.read_dataset_csv(path)
+        assert str(exc.value) == (f"row {row}, column {column!r}: "
+                                  f"non-finite value {token!r}")
+    path = write(tmp_path, "0.25\ninf\n", name="noise.txt")
+    with pytest.raises(InputError) as exc:
+        dataio.read_noise_csv(path, 2)
+    assert str(exc.value) == ("row 2, column 'noise variance': "
+                              "non-finite value 'inf'")
 
 
 def test_too_few_rows_rejected(tmp_path):

@@ -3,9 +3,11 @@ import numpy.testing as npt
 import pytest
 from scipy.special import ndtri
 
+from eivbands import nodewise
 from eivbands.debias import (
     DebiasTable,
     debias_coordinate,
+    graph_tables,
     plugin_variance,
     pointwise_ci,
     run_inference,
@@ -288,3 +290,33 @@ class TestRunInference:
         for cell in table.cells:
             assert cell.ci_low < cell.estimate < cell.ci_high
             assert cell.mu[cell.j] == 0.0
+
+
+@pytest.mark.parametrize("budget", [None, 3 * 8 * 5 ** 2],
+                         ids=["one_stack", "stacks_of_3"])
+def test_graph_tables_equal_per_source_inference(monkeypatch, budget):
+    # every source's table is its own run_inference bit for bit, whether
+    # one stack holds all 30 edge regressions or stacks of 3 cut sources
+    if budget is not None:
+        monkeypatch.setattr(nodewise, "STACK_MIN", 2)
+        monkeypatch.setattr(nodewise, "STACK_BUDGET_BYTES", budget)
+        assert nodewise.stack_size(6) == 3
+    rng = np.random.default_rng(41)
+    Z = rng.normal(size=(50, 6))
+    Z[:, 1:] += 0.6 * Z[:, :-1]
+    gamma = np.full(6, 0.1)
+    sources = [4, 0, 2, 5, 1, 3]
+    tables = list(graph_tables(Z, gamma, sources, 0.1, TIGHT, "pilot"))
+    for j, table in zip(sources, tables, strict=True):
+        keep = np.arange(6) != j
+        want = run_inference(Dataset(y=Z[:, j], Z=Z[:, keep]),
+                             NoiseSpec.known(gamma[keep]), range(5), 0.1,
+                             TIGHT, "pilot")
+        assert table.pilot.beta.tobytes() == want.pilot.beta.tobytes()
+        assert table.targets == want.targets
+        for got, cell in zip(table.cells, want.cells, strict=True):
+            assert (got.estimate, got.sd, got.slope) == \
+                (cell.estimate, cell.sd, cell.slope)
+            assert got.scores.tobytes() == cell.scores.tobytes()
+            assert got.mu.tobytes() == cell.mu.tobytes()
+

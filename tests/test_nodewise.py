@@ -7,7 +7,8 @@ from eivbands.debias import run_inference
 from eivbands.errors import InputError, NumericalError
 from eivbands.lasso import Dataset, NoiseSpec, SolverConfig, corrected_gram, \
     default_radius, fit_corrected_lasso, resolve_config
-from eivbands.nodewise import fit_nodewise, fit_nodewise_stack, stack_size
+from eivbands.nodewise import fit_nodewise, fit_nodewise_jobs, \
+    fit_nodewise_stack, stack_size
 
 TIGHT = SolverConfig(penalty=0.0, radius=np.inf, tol=1e-12, max_iter=100000,
                      truncation=0.0)
@@ -140,7 +141,7 @@ def test_stack_matches_one_target_at_a_time(monkeypatch, cfg, budget):
         assert_same_direction(got, fit_nodewise(Z, noise_var, j, cfg))
 
 
-def test_stack_raises_at_the_failing_target():
+def test_stack_raises_at_the_failing_target(monkeypatch):
     # the huge noise variance of column 4 makes every subproblem that keeps
     # column 4 indefinite, so with no ball those solves diverge; target 4's
     # own subproblem drops the column and converges
@@ -157,6 +158,54 @@ def test_stack_raises_at_the_failing_target():
         with pytest.raises(NumericalError) as stacked:
             next(results)
     assert str(stacked.value) == str(single.value)
+
+    # behind a design that converges, in the same stack: the failing row of
+    # the second design raises only after every result of the first
+    good = rng.normal(size=(60, 5))
+    stacks = count_stacks(monkeypatch)
+    jobs = [(good, np.zeros(5), j) for j in (2, 0, 3)]
+    jobs += [(Z, noise_var, j) for j in (4, 0, 1)]
+    with np.errstate(over="ignore", invalid="ignore"):
+        results = fit_nodewise_jobs(jobs, cfg)
+        for want in jobs[:4]:
+            assert_same_direction(next(results), fit_nodewise(*want, cfg))
+        with pytest.raises(NumericalError) as stacked:
+            next(results)
+    assert str(stacked.value) == str(single.value)
+    assert stacks == [6]
+
+
+def count_stacks(monkeypatch):
+    # rows of each stacked solve, through the name nodewise binds
+    rows = []
+    original = nodewise.fit_corrected_lasso_stack
+
+    def counted(b, G, cfgs, floors=None):
+        rows.append(b.shape[0])
+        return original(b, G, cfgs, floors)
+    monkeypatch.setattr(nodewise, "fit_corrected_lasso_stack", counted)
+    return rows
+
+
+def test_jobs_stack_across_designs_of_one_width(monkeypatch):
+    # two 8-column designs share one stack; the 6-column design that
+    # follows starts a new one
+    rng = np.random.default_rng(23)
+    designs = []
+    for p in (8, 8, 6):
+        Z = rng.normal(size=(40, p))
+        Z[:, 1:] += 0.5 * Z[:, :-1]
+        designs.append((Z, rng.uniform(0.0, 0.3, size=p)))
+    jobs = [(*designs[0], j) for j in (3, 0, 7)]
+    jobs += [(*designs[1], j) for j in (1, 6)]
+    jobs += [(*designs[2], j) for j in (2, 0, 5)]
+    assert stack_size(8) >= 5 and stack_size(6) >= 3
+    stacks = count_stacks(monkeypatch)
+    cfg = SolverConfig(penalty_scale=0.5)
+    results = list(fit_nodewise_jobs(iter(jobs), cfg))
+    assert stacks == [5, 3]
+    for got, job in zip(results, jobs, strict=True):
+        assert_same_direction(got, fit_nodewise(*job, cfg))
 
 
 def test_stack_size_follows_the_gram_budget(monkeypatch):

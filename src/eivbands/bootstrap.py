@@ -230,16 +230,6 @@ def band_around(targets, estimates, sds, maxima: MultiplierDraws,
                       draws=maxima.draws, seed=maxima.seed)
 
 
-def band_over(cells, scores: np.ndarray, alpha: float, n: int, draws: int,
-              seed: int) -> BandResult:
-    """Simultaneous band around the cells' estimates, one score column each."""
-    if not cells or np.shape(scores)[1:] != (len(cells),):
-        raise InputError("need one score column per cell")
-    return band_around([c.j for c in cells], [c.estimate for c in cells],
-                       [c.sd for c in cells],
-                       multiplier_maxima(scores, draws, seed), alpha, n)
-
-
 def simultaneous_bands(table: DebiasTable, draws: int, seed: int) -> BandResult:
     """Simultaneous band over the table's targets at the table's alpha."""
     if not table.cells:
@@ -251,4 +241,7 @@ def simultaneous_bands(table: DebiasTable, draws: int, seed: int) -> BandResult:
             [c.j for c in table.cells], [c.mu for c in table.cells],
             table.pilot.beta,
             [c.slope for c in table.cells], [c.sd for c in table.cells])
-    return band_over(table.cells, scores, table.alpha, table.n, draws, seed)
+    return band_around(table.targets, [c.estimate for c in table.cells],
+                       [c.sd for c in table.cells],
+                       multiplier_maxima(scores, draws, seed), table.alpha,
+                       table.n)

@@ -267,7 +267,9 @@ def _study_config(args) -> simstudy.SimConfig:
         cfg = builder(**fields)
         solver = dataclasses.replace(cfg.solver, **solver_over)
         return dataclasses.replace(cfg, solver=_solver_from(args, solver))
-    except InputError:
+    except InputError as exc:
+        if args.config:
+            raise InputError(f"{args.config}: {exc}") from None
         raise
     except (TypeError, ValueError) as exc:
         # a value of the wrong type fails inside NumPy or a comparison

@@ -45,7 +45,7 @@ from .lasso import (
     fit_corrected_lasso,
     resolve_config,
 )
-from .nodewise import fit_nodewise_jobs, fit_nodewise_stack
+from .nodewise import fit_nodewise_jobs
 
 # |slope| below this is treated as a statistical degeneracy.
 DEGENERACY_TOL = 1e-10
@@ -217,18 +217,14 @@ def _check_settings(alpha: float, variance_at: str) -> None:
         raise InputError(f"variance_at must be one of {VARIANCE_CONVENTIONS}")
 
 
-def _table(data, noise, alpha, cfg, variance_at, directions) -> DebiasTable:
-    """Pilot fit, then one cell per nodewise direction, in order.
-
-    `directions(prepared)` yields the nodewise results for the design and
-    noise variances of the prepared pilot, one per target.
-    """
-    prepared = prepare_pilot(data, noise, cfg)
+def _table(data, noise, alpha, variance_at, prepared,
+           directions) -> DebiasTable:
+    """One cell per nodewise direction of the prepared pilot, in order."""
     Z_eff, noise_var, pilot = prepared.design, prepared.noise_var, prepared.fit
     cells = tuple(
         _target_cell(data.y, Z_eff, noise_var, pilot.beta, nw, alpha,
                      variance_at)
-        for nw in directions(prepared))
+        for nw in directions)
     return DebiasTable(cells=cells, alpha=alpha, n=data.n,
                        noise_kind=noise.kind, noise_var=noise_var,
                        pilot=pilot, variance_at=variance_at, mar=prepared.mar)
@@ -259,9 +255,10 @@ def run_inference(data: Dataset, noise: NoiseSpec, targets,
 
     Notes
     -----
-    The nodewise fits come from `nodewise.fit_nodewise_stack`, which solves
-    as many targets per stack as its memory budget allows for this design;
-    the results are bit-identical to fitting them one at a time.
+    The nodewise fits come from `nodewise.fit_nodewise_jobs` on the
+    pilot's Gram, which solves as many targets per stack as its memory
+    budget allows for this design; the results are bit-identical to fitting
+    them one at a time.
     """
     _check_settings(alpha, variance_at)
     targets = [int(j) for j in targets]
@@ -273,9 +270,10 @@ def run_inference(data: Dataset, noise: NoiseSpec, targets,
     for j in targets:
         if not 0 <= j < p:
             raise InputError(f"target column {j} out of range for p={p}")
-    return _table(data, noise, alpha, cfg, variance_at,
-                  lambda prepared: fit_nodewise_stack(
-                      prepared.design, prepared.noise_var, targets, cfg))
+    prepared = prepare_pilot(data, noise, cfg)
+    jobs = ((prepared.gram, prepared.noise_var, data.n, j) for j in targets)
+    return _table(data, noise, alpha, variance_at, prepared,
+                  fit_nodewise_jobs(jobs, cfg))
 
 
 def graph_tables(Z: np.ndarray, gamma: np.ndarray, sources,
@@ -290,8 +288,9 @@ def graph_tables(Z: np.ndarray, gamma: np.ndarray, sources,
     stack of nodewise solves spans sources when a source's p - 1 rows leave
     room.  Source j's pilot runs when its table is formed, so errors surface
     as they would source by source: pilot j, then its cells in partner
-    order, then pilot j + 1.  A source's regression is built when its jobs
-    or its table first need it and dropped with its table, so only the
+    order, then pilot j + 1.  A source's regression and its one corrected
+    Gram, which its pilot and its edge jobs share, are built when its jobs
+    or its table first need them and dropped with its table, so only the
     sources of one stack are alive at a time.
     """
     _check_settings(alpha, variance_at)
@@ -314,44 +313,57 @@ def graph_tables(Z: np.ndarray, gamma: np.ndarray, sources,
             # Boolean column indexing gives an F-ordered design, the layout
             # every source's regression has always used; a C-contiguous
             # copy changes the last bit of some radii and edge estimates.
-            built[j] = (Dataset(y=Z[:, j], Z=Z[:, keep]),
-                        NoiseSpec.known(gamma[keep]))
+            data = Dataset(y=Z[:, j], Z=Z[:, keep])
+            noise = NoiseSpec.known(gamma[keep])
+            built[j] = data, noise, _effective(data, noise)
         return built[j]
 
     def jobs():
         for j in sources:
-            data, noise = regression(j)
+            data, _, (_, noise_var, G, _) = regression(j)
             for t in range(p - 1):
-                yield data.Z, noise.noise_var, t
+                yield G, noise_var, data.n, t
 
     stream = fit_nodewise_jobs(jobs(), cfg)
     for j in sources:
-        data, noise = regression(j)
-        table = _table(data, noise, alpha, cfg, variance_at,
-                       lambda prepared: islice(stream, p - 1))
+        data, noise, effective = regression(j)
+        table = _table(data, noise, alpha, variance_at,
+                       _fit_pilot(data, effective, cfg),
+                       islice(stream, p - 1))
         del built[j]
         yield table
 
 
 @dataclass(frozen=True)
 class PreparedPilot:
-    """Effective design, resolved noise variances, and the pilot fit."""
+    """Effective design, resolved noise variances, their Gram, the pilot fit.
+
+    `gram` is ``corrected_gram(design, noise_var)``, the one corrected Gram
+    of the regression: the pilot solves on it, and the nodewise regression
+    of target j on its (-j, -j) block with b its column j.
+    """
 
     design: np.ndarray
     noise_var: np.ndarray
+    gram: np.ndarray
     fit: FitResult
     mar: mar_mod.MarEstimate | None
 
 
 def prepare_pilot(data: Dataset, noise: NoiseSpec,
                   cfg: SolverConfig = SolverConfig()) -> PreparedPilot:
-    """Resolve the noise model and run the pilot corrected-lasso fit.
+    """Resolve the noise model, form the corrected Gram, fit the pilot.
 
     In missing-at-random mode this estimates the missingness rate, rescales
     the zero-filled design, and estimates the noise variances; otherwise the
     known variances are validated against the design.  The returned fit is
     exactly the pilot used by `run_inference` under the same inputs.
     """
+    return _fit_pilot(data, _effective(data, noise), cfg)
+
+
+def _effective(data, noise):
+    """Effective design, noise variances, corrected Gram and MAR estimate."""
     p = data.p
     mar_est = None
     if noise.kind == "mar":
@@ -368,11 +380,12 @@ def prepare_pilot(data: Dataset, noise: NoiseSpec,
                 f"noise_var has length {noise.noise_var.shape[0]}, expected {p}")
         Z_eff = data.Z
         noise_var = noise.noise_var
+    return Z_eff, noise_var, corrected_gram(Z_eff, noise_var), mar_est
 
-    n = data.n
-    G = corrected_gram(Z_eff, noise_var)
-    b = Z_eff.T @ data.y / n
-    pilot_cfg = resolve_config(cfg, n, p, G, b)
-    pilot = fit_corrected_lasso(b, G, pilot_cfg)
-    return PreparedPilot(design=Z_eff, noise_var=noise_var, fit=pilot,
+
+def _fit_pilot(data, effective, cfg) -> PreparedPilot:
+    Z_eff, noise_var, G, mar_est = effective
+    b = Z_eff.T @ data.y / data.n
+    pilot = fit_corrected_lasso(b, G, resolve_config(cfg, data.n, data.p, G, b))
+    return PreparedPilot(design=Z_eff, noise_var=noise_var, gram=G, fit=pilot,
                          mar=mar_est)

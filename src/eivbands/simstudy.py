@@ -22,6 +22,7 @@ rejection rate estimates the family-wise error rate under true nulls.
 from __future__ import annotations
 
 import math
+import numbers
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache
@@ -78,6 +79,14 @@ class SimConfig:
                            tuple(float(v) for v in self.null_values))
         if self.n < 2 or self.p < 2:
             raise InputError("need n >= 2 and p >= 2")
+        for name in ("n", "p", "replications", "boot_draws", "seed"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value,
+                                                         numbers.Integral):
+                raise InputError(f"{name} must be an integer (got {value!r})")
+        if not 0 <= self.seed < 2 ** 64:
+            raise InputError(
+                f"seed must be an unsigned 64-bit integer (got {self.seed})")
         if beta0.shape != (self.p,):
             raise InputError(f"beta0 has shape {beta0.shape}, expected ({self.p},)")
         if not self.targets:

@@ -14,7 +14,6 @@ from eivbands.bootstrap import (
     MaximaStream,
     MultiplierDraws,
     adjust_scores_for_estimated_noise,
-    band_over,
     critical_value,
     multiplier_maxima,
     simultaneous_bands,
@@ -304,12 +303,3 @@ class TestSimultaneousBands:
         npt.assert_array_equal(b1.lower, b2.lower)
         assert b1.critical_value == b2.critical_value
         assert isinstance(b1, BandResult)
-
-    def test_band_over_needs_one_score_column_per_cell(self):
-        table = inference_table(seed=5)
-        scores = table.score_matrix()
-        for cells, bad in ((table.cells, scores[:, :2]),
-                           (table.cells[:2], scores), ((), scores[:, :0]),
-                           (table.cells, scores[:, 0])):
-            with pytest.raises(InputError):
-                band_over(cells, bad, 0.05, table.n, 100, 0)

@@ -13,7 +13,8 @@ import numpy.testing as npt
 import pytest
 
 from eivbands import bootstrap, cli, dataio, nodewise, simstudy
-from eivbands.bootstrap import band_over, simultaneous_bands
+from eivbands.bootstrap import band_around, multiplier_maxima, \
+    simultaneous_bands
 from eivbands.cli import main
 from eivbands.errors import (
     DegeneracyError,
@@ -386,7 +387,7 @@ def test_graph_single_source_matches_library_inference(tmp_path, capsys):
     assert edge["band_high"] == band.upper[0]
 
 
-def check_graph_band_is_band_over(tmp_path, capsys, p):
+def check_graph_band_is_the_shared_band(tmp_path, capsys, p):
     # every source: the p(p-1) edge cells, taken source by source in
     # partner order, go through the one band routine bit for bit
     path, gamma = write_nodes(tmp_path, n=60, p=p, seed=8)
@@ -404,8 +405,10 @@ def check_graph_band_is_band_over(tmp_path, capsys, p):
                               NoiseSpec.known(np.zeros(p - 1)),
                               list(range(p - 1)), 0.1)
         cells += table.cells
-    band = band_over(cells, np.column_stack([c.scores for c in cells]), 0.1,
-                     60, 300, 5)
+    maxima = multiplier_maxima(np.column_stack([c.scores for c in cells]),
+                               300, 5)
+    band = band_around([c.j for c in cells], [c.estimate for c in cells],
+                       [c.sd for c in cells], maxima, 0.1, 60)
     assert len(edges) == p * (p - 1)
     assert records[0]["critical_value"] == band.critical_value
     assert [e["estimate"] for e in edges] == list(band.estimates)
@@ -416,7 +419,7 @@ def check_graph_band_is_band_over(tmp_path, capsys, p):
 
 
 def test_graph_band_is_the_shared_band_over_all_edges(tmp_path, capsys):
-    check_graph_band_is_band_over(tmp_path, capsys, p=4)
+    check_graph_band_is_the_shared_band(tmp_path, capsys, p=4)
 
 
 def test_graph_band_is_the_shared_band_across_column_blocks(tmp_path, capsys):
@@ -426,7 +429,7 @@ def test_graph_band_is_the_shared_band_across_column_blocks(tmp_path, capsys):
     # and the nodewise stacks of 270 rows end inside a source's 23 edges
     assert nodewise.stack_size(23) < 24 * 23
     assert nodewise.stack_size(23) % 23 != 0
-    check_graph_band_is_band_over(tmp_path, capsys, p=24)
+    check_graph_band_is_the_shared_band(tmp_path, capsys, p=24)
 
 
 def test_graph_stacks_edges_across_sources(tmp_path, capsys, monkeypatch):
@@ -687,6 +690,14 @@ def test_simulate_unknown_config_key_exit_2(tmp_path, capsys):
     pytest.param({"targets": 5}, "invalid value", id="targets-int"),
     pytest.param({"beta0": "x"}, "invalid value", id="beta0-str"),
     pytest.param({"n": "abc"}, "invalid value", id="n-str"),
+    # counts and the seed must be integers, the seed an unsigned 64-bit one
+    pytest.param({"replications": 2.5}, "replications must be an integer",
+                 id="replications-float"),
+    pytest.param({"boot_draws": 20.5}, "boot_draws must be an integer",
+                 id="boot_draws-float"),
+    pytest.param({"seed": 1.5}, "seed must be an integer", id="seed-float"),
+    pytest.param({"seed": -1}, "unsigned 64-bit", id="seed-negative"),
+    pytest.param({"seed": 2 ** 64}, "unsigned 64-bit", id="seed-2to64"),
 ])
 def test_simulate_bad_solver_config_exit_2(tmp_path, capsys, config, named):
     cfg_path = str(tmp_path / "bad_config.json")

@@ -1,9 +1,11 @@
+import sys
+
 import numpy as np
 import numpy.testing as npt
 import pytest
 from scipy.special import ndtri
 
-from eivbands import nodewise
+from eivbands import lasso, nodewise
 from eivbands.debias import (
     DebiasTable,
     debias_coordinate,
@@ -320,3 +322,48 @@ def test_graph_tables_equal_per_source_inference(monkeypatch, budget):
             assert got.scores.tobytes() == cell.scores.tobytes()
             assert got.mu.tobytes() == cell.mu.tobytes()
 
+
+
+def count_gram_calls(monkeypatch):
+    # rebinds every name a loaded eivbands module holds the Gram under, so
+    # a call is counted whichever module makes it
+    calls = []
+    original = lasso.corrected_gram
+
+    def counted(Z, noise_var):
+        calls.append(np.shape(Z)[1])
+        return original(Z, noise_var)
+    for name, module in list(sys.modules.items()):
+        if name.startswith("eivbands") and \
+                getattr(module, "corrected_gram", None) is original:
+            monkeypatch.setattr(module, "corrected_gram", counted)
+    return calls
+
+
+@pytest.mark.parametrize("budget", [None, 0], ids=["stacked", "one_by_one"])
+@pytest.mark.parametrize("mode", ["known", "mar"])
+def test_one_corrected_gram_per_inference(monkeypatch, budget, mode):
+    # the pilot's Gram is the only one: every nodewise subproblem slices it
+    if budget is not None:
+        monkeypatch.setattr(nodewise, "STACK_BUDGET_BYTES", budget)
+    data, noise = small_instance(3)
+    if mode == "mar":
+        mask = np.random.default_rng(4).uniform(size=data.Z.shape) >= 0.2
+        data = Dataset(y=data.y, Z=np.where(mask, data.Z, 0.0), mask=mask)
+        noise = NoiseSpec.mar()
+    calls = count_gram_calls(monkeypatch)
+    table = run_inference(data, noise, range(5), cfg=TIGHT)
+    assert table.targets == (0, 1, 2, 3, 4)
+    assert calls == [5]
+
+
+@pytest.mark.parametrize("budget", [None, 0], ids=["stacked", "one_by_one"])
+def test_one_corrected_gram_per_graph_source(monkeypatch, budget):
+    # source j's pilot and its p - 1 edge regressions share one Gram
+    if budget is not None:
+        monkeypatch.setattr(nodewise, "STACK_BUDGET_BYTES", budget)
+    Z = np.random.default_rng(43).normal(size=(40, 6))
+    calls = count_gram_calls(monkeypatch)
+    tables = list(graph_tables(Z, np.full(6, 0.1), [3, 0, 5], cfg=TIGHT))
+    assert [t.targets for t in tables] == [tuple(range(5))] * 3
+    assert calls == [5, 5, 5]

@@ -7,8 +7,7 @@ from eivbands.debias import run_inference
 from eivbands.errors import InputError, NumericalError
 from eivbands.lasso import Dataset, NoiseSpec, SolverConfig, corrected_gram, \
     default_radius, fit_corrected_lasso, resolve_config
-from eivbands.nodewise import fit_nodewise, fit_nodewise_jobs, \
-    fit_nodewise_stack, stack_size
+from eivbands.nodewise import fit_nodewise, fit_nodewise_jobs, stack_size
 
 TIGHT = SolverConfig(penalty=0.0, radius=np.inf, tol=1e-12, max_iter=100000,
                      truncation=0.0)
@@ -59,6 +58,19 @@ def test_self_exclusion_exact_zero():
     assert res.mu[3] == 0.0
 
 
+def sub_gram(Z, noise_var, j):
+    # the (-j, -j) block of the design's corrected Gram and its column j
+    full = corrected_gram(Z, noise_var)
+    keep = np.arange(Z.shape[1]) != j
+    return full[np.ix_(keep, keep)], full[keep, j]
+
+
+def gram_jobs(Z, noise_var, targets):
+    # nodewise jobs of one design: its corrected Gram, once, for every target
+    G = corrected_gram(Z, noise_var)
+    return [(G, noise_var, Z.shape[0], j) for j in targets]
+
+
 def test_reduces_to_corrected_lasso_subproblem():
     gen = np.random.default_rng(12)
     n, p, j = 30, 6, 2
@@ -67,9 +79,7 @@ def test_reduces_to_corrected_lasso_subproblem():
     cfg = SolverConfig(penalty=0.15, tol=1e-10)
     res = fit_nodewise(Z, noise_var, j, cfg)
     keep = np.arange(p) != j
-    Zm = Z[:, keep]
-    b = Zm.T @ Z[:, j] / n
-    G = corrected_gram(Zm, noise_var[keep])
+    G, b = sub_gram(Z, noise_var, j)
     sub = fit_corrected_lasso(b, G, resolve_config(cfg, n, p, G, b))
     npt.assert_array_equal(res.mu[keep], sub.beta)
     npt.assert_array_equal(res.fit.beta, sub.beta)
@@ -136,7 +146,7 @@ def test_stack_matches_one_target_at_a_time(monkeypatch, cfg, budget):
     Z[:, 1:] += 0.6 * Z[:, :-1]
     noise_var = rng.uniform(0.0, 0.5, size=p)
     targets = [5, 0, 11, 3, 7]
-    stacked = list(fit_nodewise_stack(Z, noise_var, targets, cfg))
+    stacked = list(fit_nodewise_jobs(gram_jobs(Z, noise_var, targets), cfg))
     for got, j in zip(stacked, targets, strict=True):
         assert_same_direction(got, fit_nodewise(Z, noise_var, j, cfg))
 
@@ -152,7 +162,7 @@ def test_stack_raises_at_the_failing_target(monkeypatch):
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(NumericalError) as single:
             fit_nodewise(Z, noise_var, 0, cfg)
-        results = fit_nodewise_stack(Z, noise_var, [4, 0, 1], cfg)
+        results = fit_nodewise_jobs(gram_jobs(Z, noise_var, [4, 0, 1]), cfg)
         assert_same_direction(next(results),
                               fit_nodewise(Z, noise_var, 4, cfg))
         with pytest.raises(NumericalError) as stacked:
@@ -163,11 +173,12 @@ def test_stack_raises_at_the_failing_target(monkeypatch):
     # the second design raises only after every result of the first
     good = rng.normal(size=(60, 5))
     stacks = count_stacks(monkeypatch)
-    jobs = [(good, np.zeros(5), j) for j in (2, 0, 3)]
-    jobs += [(Z, noise_var, j) for j in (4, 0, 1)]
+    fits = [(good, np.zeros(5), j) for j in (2, 0, 3)]
+    fits += [(Z, noise_var, j) for j in (4, 0, 1)]
+    jobs = [job for Zf, v, j in fits for job in gram_jobs(Zf, v, [j])]
     with np.errstate(over="ignore", invalid="ignore"):
         results = fit_nodewise_jobs(jobs, cfg)
-        for want in jobs[:4]:
+        for want in fits[:4]:
             assert_same_direction(next(results), fit_nodewise(*want, cfg))
         with pytest.raises(NumericalError) as stacked:
             next(results)
@@ -196,16 +207,17 @@ def test_jobs_stack_across_designs_of_one_width(monkeypatch):
         Z = rng.normal(size=(40, p))
         Z[:, 1:] += 0.5 * Z[:, :-1]
         designs.append((Z, rng.uniform(0.0, 0.3, size=p)))
-    jobs = [(*designs[0], j) for j in (3, 0, 7)]
-    jobs += [(*designs[1], j) for j in (1, 6)]
-    jobs += [(*designs[2], j) for j in (2, 0, 5)]
+    fits = [(*designs[0], j) for j in (3, 0, 7)]
+    fits += [(*designs[1], j) for j in (1, 6)]
+    fits += [(*designs[2], j) for j in (2, 0, 5)]
+    jobs = [job for Zf, v, j in fits for job in gram_jobs(Zf, v, [j])]
     assert stack_size(8) >= 5 and stack_size(6) >= 3
     stacks = count_stacks(monkeypatch)
     cfg = SolverConfig(penalty_scale=0.5)
     results = list(fit_nodewise_jobs(iter(jobs), cfg))
     assert stacks == [5, 3]
-    for got, job in zip(results, jobs, strict=True):
-        assert_same_direction(got, fit_nodewise(*job, cfg))
+    for got, fit in zip(results, fits, strict=True):
+        assert_same_direction(got, fit_nodewise(*fit, cfg))
 
 
 def test_stack_size_follows_the_gram_budget(monkeypatch):
@@ -253,9 +265,7 @@ def test_deferred_radius_gives_the_eager_fit(monkeypatch, regime):
     seed, n, p, sigma_w, scale = DEFERRAL_REGIMES[regime]
     Z, noise_var = _ar_noisy(seed, n, p, sigma_w)
     cfg = SolverConfig(penalty_scale=scale)
-    keep = np.arange(p) != 0
-    b = Z[:, keep].T @ Z[:, 0] / n
-    G = corrected_gram(Z[:, keep], noise_var[keep])
+    G, b = sub_gram(Z, noise_var, 0)
     eager = fit_corrected_lasso(b, G, resolve_config(cfg, n, p, G, b))
     calls = count_radius_calls(monkeypatch)
     got = fit_nodewise(Z, noise_var, 0, cfg).fit

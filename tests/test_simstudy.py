@@ -178,6 +178,14 @@ def test_rejects_negative_sd():
         tiny_config(measurement_sd=-1.0)
 
 
+@pytest.mark.parametrize("field, value", [
+    ("n", 40.0), ("p", 8.0), ("replications", 2.5), ("boot_draws", True),
+    ("seed", 1.5), ("seed", -1), ("seed", 2 ** 64)])
+def test_rejects_non_integer_counts_and_bad_seed(field, value):
+    with pytest.raises(InputError, match=f"^{field} must be"):
+        tiny_config(**{field: value})
+
+
 # ---------------------------------------------------------------------------
 # run_study
 

@@ -152,10 +152,8 @@ def cmd_infer(args) -> int:
 
 def cmd_graph(args) -> int:
     _check_common(args)
-    if args.mar:
-        raise InputError(
-            "graph mode does not support --mar; provide --gamma with known "
-            "noise variances")
+    if args.gamma is None:
+        raise InputError("graph requires --gamma (known noise variances)")
     data, names = dataio.read_dataset_csv(args.input, require_response=False,
                                           allow_missing=False)
     p = data.p
@@ -364,7 +362,11 @@ def build_parser() -> argparse.ArgumentParser:
     graph = subs.add_parser("graph",
                             help="conditional-association edges among all "
                                  "columns (no response needed)")
-    _add_io_flags(graph)
+    graph.add_argument("--input", required=True, help="dataset CSV path")
+    # cmd_graph requires --gamma, so that argparse names a stray --mar
+    # before it would name the missing --gamma
+    graph.add_argument("--gamma", help="noise-variance file, one value per "
+                                       "line (required)")
     graph.add_argument("--targets", default="all",
                        help="source nodes to scan (default all)")
     _add_inference_flags(graph)

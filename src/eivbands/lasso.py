@@ -267,34 +267,6 @@ def corrected_gram(Z: np.ndarray, noise_var: np.ndarray) -> np.ndarray:
     return G
 
 
-def soft_threshold(v: np.ndarray, t: float) -> np.ndarray:
-    """Entrywise sign(v) * max(|v| - t, 0)."""
-    return np.sign(v) * np.maximum(np.abs(v) - t, 0.0)
-
-
-def project_l1_ball(v: np.ndarray, radius: float) -> np.ndarray:
-    """Euclidean projection onto {x : ||x||_1 <= radius}.
-
-    Sorting-based: the threshold theta is found from the sorted absolute
-    values in O(p log p), then every entry shrinks toward zero by theta.
-    Already-feasible input is returned unchanged.
-    """
-    if not (radius >= 0):
-        raise InputError("radius must be nonnegative")
-    v = np.asarray(v, dtype=np.float64)
-    a = np.abs(v)
-    if a.sum() <= radius:
-        return v.copy()
-    if radius == 0.0:
-        return np.zeros_like(v)
-    u = np.sort(a)[::-1]
-    css = np.cumsum(u) - radius
-    idx = np.arange(1, u.shape[0] + 1)
-    rho = idx[u > css / idx][-1]
-    theta = css[rho - 1] / rho
-    return np.sign(v) * np.maximum(a - theta, 0.0)
-
-
 def hard_threshold(beta: np.ndarray, threshold: float) -> np.ndarray:
     """Zero every entry with |beta_k| <= threshold, keep the rest exactly."""
     if not (threshold >= 0):
@@ -303,57 +275,119 @@ def hard_threshold(beta: np.ndarray, threshold: float) -> np.ndarray:
     return np.where(np.abs(beta) > threshold, beta, 0.0)
 
 
-def _spectral_bound(G: np.ndarray) -> float:
-    # 20 power iterations from a deterministic start; |dominant eigenvalue|.
-    p = G.shape[0]
-    v = np.full(p, p ** -0.5)
-    lam = 1.0
-    for _ in range(_POWER_ITERATIONS):
-        w = G @ v
-        nw = float(np.linalg.norm(w))
-        if nw == 0.0 or not np.isfinite(nw):
-            return 1.0
-        lam = nw
-        v = w / nw
-    return lam
+# ---------------------------------------------------------------------------
+# solver primitives
+#
+# Both drivers, `fit_corrected_lasso` (one problem) and
+# `fit_corrected_lasso_stack` (k same-size problems in lockstep), take their
+# spectral bound, l1-ball projection and KKT residual from the functions
+# below, which work on (k, p) and (k, p, p) stacks; the one-problem driver
+# passes (1, p) views.  Each row gets exactly the floating-point operations
+# it would get alone: a stacked np.matmul calls the same BLAS gemv or ddot
+# once per row, reductions run along the contiguous last axis, and
+# everything else is elementwise.  What differs between the drivers is only
+# their backtracking and stopping loops, and the property tests that compare
+# stacked solves with one-at-a-time solves bit for bit pin those two loops
+# to each other.
 
 
-def _kkt_residual(beta: np.ndarray, grad: np.ndarray,
-                  penalty: float, radius: float) -> float:
-    """Infinity norm of the minimum-norm subgradient of the full problem.
+def _rowdot(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """u[i] @ v[i] for every row of two (k, p) stacks."""
+    return np.matmul(u[:, None, :], v[:, :, None])[:, 0, 0]
 
-    At an interior point this is the distance of -grad from
-    penalty * (subdifferential of the l1 norm).  When the l1-ball constraint
-    is active its normal cone contributes an extra theta >= 0 on top of the
-    penalty; the residual as a function of theta is convex piecewise linear,
-    so a golden-section scan finds the minimum.
+
+def _rowmatvec(G: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """G[i] @ v[i] for a (k, p, p) stack and a (k, p) stack."""
+    return np.matmul(G, v[:, :, None])[:, :, 0]
+
+
+def _spectral_bound_stack(G: np.ndarray) -> np.ndarray:
+    """|Dominant eigenvalue| of every G[i] by 20 power iterations from a
+    deterministic start; 1.0 for a row whose iterate vanishes or overflows.
+
+    G must be finite.  Once a row's norm is 0 or not finite, its iterate
+    holds a NaN from then on (0/0 or inf/inf at once, or 0/0 one step later
+    when a finite iterate's norm overflowed), and a NaN of v reaches every
+    entry of G[i] @ v; so one test after the loop finds the row.
     """
-    nonzero = beta != 0.0
+    k, p = G.shape[:2]
+    v = np.full((k, p), p ** -0.5)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for _ in range(_POWER_ITERATIONS):
+            w = _rowmatvec(G, v)
+            nw = np.sqrt(_rowdot(w, w))
+            v = w / nw[:, None]
+    return np.where((nw > 0.0) & (nw < math.inf), nw, 1.0)
 
-    def resid(theta: float) -> float:
-        lam = penalty + theta
-        shrunk = grad - np.clip(grad, -lam, lam)
-        full = np.where(nonzero, grad + lam * np.sign(beta), shrunk)
-        return float(np.abs(full).max())
 
-    l1 = float(np.abs(beta).sum())
-    if not np.isfinite(radius) or l1 < radius * (1.0 - 1e-9):
-        return resid(0.0)
-    lo, hi = 0.0, float(np.abs(grad).max()) + 1.0
+def _project_l1_ball_stack(v: np.ndarray, a: np.ndarray, l1: np.ndarray,
+                           radius: np.ndarray) -> np.ndarray:
+    """Euclidean projection of every row of v onto {x : ||x||_1 <= radius},
+    in place; a is np.abs(v) and l1 its row sums.
+
+    Sorting-based: the threshold theta is found from the sorted absolute
+    values in O(p log p), then every entry shrinks toward zero by theta.
+    Rows already inside their ball are left unchanged; radii are > 0.
+    """
+    over = ~(l1 <= radius)
+    if over.any():
+        a, r = a[over], radius[over]
+        u = np.sort(a, axis=1)[:, ::-1]
+        css = np.cumsum(u, axis=1) - r[:, None]
+        idx = np.arange(1, u.shape[1] + 1)
+        last = u > css / idx
+        rho = idx[-1] - np.argmax(last[:, ::-1], axis=1)
+        theta = css[np.arange(rho.shape[0]), rho - 1] / rho
+        v[over] = np.sign(v[over]) * np.maximum(a - theta[:, None], 0.0)
+    return v
+
+
+def _kkt_residual_stack(beta: np.ndarray, grad: np.ndarray,
+                        penalty: np.ndarray, radius: np.ndarray) -> np.ndarray:
+    """Infinity norm of the minimum-norm subgradient of every row's problem.
+
+    Inside the ball this is the distance of -grad from penalty * (the
+    subdifferential of the l1 norm).  On the ball the constraint's normal
+    cone adds a theta >= 0 to the penalty; the residual as a function of
+    theta is convex piecewise linear, and a golden-section scan, run only on
+    rows whose constraint is active, finds its minimum.
+    """
+
+    def residual(rows):
+        g, pen = grad[rows], penalty[rows]
+        nonzero, sign = beta[rows] != 0.0, np.sign(beta[rows])
+        size = np.abs(g)
+
+        def resid(theta):
+            lam = (pen + theta)[:, None]
+            shrunk = np.maximum(size - lam, 0.0)
+            return np.where(nonzero, np.abs(g + lam * sign), shrunk).max(axis=1)
+        return resid
+
+    out = residual(slice(None))(np.zeros(beta.shape[0]))
+    l1 = np.abs(beta).sum(axis=1)
+    on_ball = np.isfinite(radius) & ~(l1 < radius * (1.0 - 1e-9))
+    if not on_ball.any():
+        return out
+    ball = np.flatnonzero(on_ball)
+    lo = np.zeros(ball.size)
+    hi = np.abs(grad[ball]).max(axis=1) + 1.0
     invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    x1 = hi - invphi * (hi - lo)
-    x2 = lo + invphi * (hi - lo)
+    d = invphi * (hi - lo)
+    x1, x2 = hi - d, lo + d
+    resid = residual(ball)
     f1, f2 = resid(x1), resid(x2)
     for _ in range(100):
-        if f1 <= f2:
-            hi, x2, f2 = x2, x1, f1
-            x1 = hi - invphi * (hi - lo)
-            f1 = resid(x1)
-        else:
-            lo, x1, f1 = x1, x2, f2
-            x2 = lo + invphi * (hi - lo)
-            f2 = resid(x2)
-    return min(resid(0.0), f1, f2)
+        left = f1 <= f2
+        hi = np.where(left, x2, hi)
+        lo = np.where(left, lo, x1)
+        d = invphi * (hi - lo)
+        x_new = np.where(left, hi - d, lo + d)
+        f_new = resid(x_new)
+        x1, x2 = np.where(left, x_new, x2), np.where(left, x1, x_new)
+        f1, f2 = np.where(left, f_new, f2), np.where(left, f1, f_new)
+    out[ball] = np.minimum(np.minimum(out[ball], f1), f2)
+    return out
 
 
 def fit_corrected_lasso(b: np.ndarray, G: np.ndarray, cfg: SolverConfig,
@@ -405,25 +439,35 @@ def fit_corrected_lasso(b: np.ndarray, G: np.ndarray, cfg: SolverConfig,
     deferred = cfg.radius is None
     radius = math.inf if deferred else float(cfg.radius)
 
+    def kkt_residual() -> float:
+        return float(_kkt_residual_stack(beta[None], grad[None],
+                                         np.array([penalty]),
+                                         np.array([radius]))[0])
+
     p = b.shape[0]
     beta = np.zeros(p)
     f_beta = 0.0
     grad = -b.copy()
     trace = [0.0]
-    kkt = _kkt_residual(beta, grad, penalty, radius)
+    kkt = kkt_residual()
     converged = kkt <= cfg.tol
     if not converged:
-        step = 1.0 / max(_spectral_bound(G), 1e-12)
+        step = 1.0 / max(float(_spectral_bound_stack(G[None])[0]), 1e-12)
     iterations = 0
 
     while iterations < cfg.max_iter and not converged:
         iterations += 1
         while True:
-            cand = soft_threshold(beta - step * grad, step * penalty)
-            if deferred and not float(np.abs(cand).sum()) <= floor:
+            v = beta - step * grad
+            # |soft-threshold of v at step * penalty| and its l1 norm
+            mag = np.maximum(np.abs(v) - step * penalty, 0.0)
+            l1 = mag.sum()
+            if deferred and not l1 <= floor:
                 radius, deferred = default_radius(G, b), False
-            if not deferred:
-                cand = project_l1_ball(cand, radius)
+            cand = np.sign(v) * mag
+            if not l1 <= radius:
+                _project_l1_ball_stack(cand[None], mag[None], l1[None],
+                                       np.array([radius]))
             delta = cand - beta
             sq = float(delta @ delta)
             Gc = G @ cand
@@ -443,13 +487,13 @@ def fit_corrected_lasso(b: np.ndarray, G: np.ndarray, cfg: SolverConfig,
         trace.append(f_beta + penalty * float(np.abs(beta).sum()))
         if sq == 0.0 or iterations % 25 == 0 or \
                 math.sqrt(sq) <= 0.1 * cfg.tol * step:
-            kkt = _kkt_residual(beta, grad, penalty, radius)
+            kkt = kkt_residual()
             converged = kkt <= cfg.tol
             if sq == 0.0:
                 break
 
     if not converged:
-        kkt = _kkt_residual(beta, grad, penalty, radius)
+        kkt = kkt_residual()
         converged = kkt <= cfg.tol
     objective = f_beta + penalty * float(np.abs(beta).sum())
     return FitResult(
@@ -462,105 +506,6 @@ def fit_corrected_lasso(b: np.ndarray, G: np.ndarray, cfg: SolverConfig,
         radius=radius,
         objective_trace=np.asarray(trace),
     )
-
-
-# ---------------------------------------------------------------------------
-# stacked solves
-#
-# The functions below run k same-size problems in lockstep on (k, p) and
-# (k, p, p) arrays.  Each row gets exactly the floating-point operations the
-# single-problem code above gives it: a stacked np.matmul calls the same BLAS
-# gemv or ddot once per row, reductions run along the contiguous last axis,
-# and everything else is elementwise.  `fit_corrected_lasso` stays the
-# reference the stacked results are tested against bit for bit.
-
-
-def _rowdot(u: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """u[i] @ v[i] for every row of two (k, p) stacks."""
-    return np.matmul(u[:, None, :], v[:, :, None])[:, 0, 0]
-
-
-def _rowmatvec(G: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """G[i] @ v[i] for a (k, p, p) stack and a (k, p) stack."""
-    return np.matmul(G, v[:, :, None])[:, :, 0]
-
-
-def _spectral_bound_stack(G: np.ndarray) -> np.ndarray:
-    k, p = G.shape[:2]
-    v = np.full((k, p), p ** -0.5)
-    lam = np.ones(k)
-    live = np.ones(k, dtype=bool)
-    for _ in range(_POWER_ITERATIONS):
-        w = _rowmatvec(G, v)
-        nw = np.sqrt(_rowdot(w, w))
-        stop = live & ((nw == 0.0) | ~np.isfinite(nw))
-        lam[stop] = 1.0
-        live &= ~stop
-        lam[live] = nw[live]
-        v[live] = w[live] / nw[live, None]
-    return lam
-
-
-def _project_l1_ball_stack(v: np.ndarray, a: np.ndarray, l1: np.ndarray,
-                           radius: np.ndarray) -> np.ndarray:
-    """`project_l1_ball` of every row of v, in place; a is np.abs(v) and
-    l1 its row sums.
-
-    Rows already inside their ball are left unchanged; radii are > 0.
-    """
-    over = ~(l1 <= radius)
-    if over.any():
-        a, r = a[over], radius[over]
-        u = np.sort(a, axis=1)[:, ::-1]
-        css = np.cumsum(u, axis=1) - r[:, None]
-        idx = np.arange(1, u.shape[1] + 1)
-        last = u > css / idx
-        rho = idx[-1] - np.argmax(last[:, ::-1], axis=1)
-        theta = css[np.arange(rho.shape[0]), rho - 1] / rho
-        v[over] = np.sign(v[over]) * np.maximum(a - theta[:, None], 0.0)
-    return v
-
-
-def _kkt_residual_stack(beta: np.ndarray, grad: np.ndarray,
-                        penalty: np.ndarray, radius: np.ndarray) -> np.ndarray:
-    """`_kkt_residual` for every row; the golden-section scan runs only on
-    rows whose l1-ball constraint is active."""
-
-    def residual(rows):
-        g, pen = grad[rows], penalty[rows]
-        nonzero, sign = beta[rows] != 0.0, np.sign(beta[rows])
-
-        def resid(theta):
-            lam = (pen + theta)[:, None]
-            shrunk = g - np.clip(g, -lam, lam)
-            full = np.where(nonzero, g + lam * sign, shrunk)
-            return np.abs(full).max(axis=1)
-        return resid
-
-    out = residual(slice(None))(np.zeros(beta.shape[0]))
-    l1 = np.abs(beta).sum(axis=1)
-    ball = np.flatnonzero(np.isfinite(radius)
-                          & ~(l1 < radius * (1.0 - 1e-9)))
-    if ball.size == 0:
-        return out
-    lo = np.zeros(ball.size)
-    hi = np.abs(grad[ball]).max(axis=1) + 1.0
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    x1 = hi - invphi * (hi - lo)
-    x2 = lo + invphi * (hi - lo)
-    resid = residual(ball)
-    f1, f2 = resid(x1), resid(x2)
-    for _ in range(100):
-        left = f1 <= f2
-        hi = np.where(left, x2, hi)
-        lo = np.where(left, lo, x1)
-        x_new = np.where(left, hi - invphi * (hi - lo),
-                         lo + invphi * (hi - lo))
-        f_new = resid(x_new)
-        x1, x2 = np.where(left, x_new, x2), np.where(left, x1, x_new)
-        f1, f2 = np.where(left, f_new, f2), np.where(left, f1, f_new)
-    out[ball] = np.minimum(np.minimum(out[ball], f1), f2)
-    return out
 
 
 def fit_corrected_lasso_stack(b: np.ndarray, G: np.ndarray, cfgs,
@@ -636,7 +581,7 @@ def fit_corrected_lasso_stack(b: np.ndarray, G: np.ndarray, cfgs,
 
     while live.any():
         v = beta - step[:, None] * grad
-        # |soft_threshold(v, t)| is exactly max(|v| - t, 0)
+        # |soft-threshold of v at step * penalty| and its l1 norm
         mag = np.maximum(np.abs(v) - (step * penalty)[:, None], 0.0)
         l1 = mag.sum(axis=1)
         for i in np.flatnonzero(live & deferred & ~(l1 <= floor)):

@@ -22,8 +22,11 @@ rejection rate estimates the family-wise error rate under true nulls.
 from __future__ import annotations
 
 import math
+import multiprocessing
 import numbers
+import os
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -209,17 +212,50 @@ def _replicate_guarded(args) -> dict:
                 "error_kind": type(exc).__name__, "error": str(exc)}
 
 
+# Thread-count variables of the BLAS builds NumPy links against.  A worker
+# process reads them once, when it loads NumPy.
+_BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
+                     "MKL_NUM_THREADS")
+
+
+@contextmanager
+def _worker_pool(workers: int):
+    """A pool of fresh (spawned) processes whose BLAS runs one thread each,
+    so that `workers` processes do not oversubscribe the cores; the
+    caller's environment is restored afterwards."""
+    saved = {name: os.environ.get(name) for name in _BLAS_THREAD_VARS}
+    os.environ.update(dict.fromkeys(_BLAS_THREAD_VARS, "1"))
+    try:
+        with ProcessPoolExecutor(
+                max_workers=workers,
+                mp_context=multiprocessing.get_context("spawn")) as pool:
+            yield pool
+    finally:
+        for name, value in saved.items():
+            if value is None:
+                os.environ.pop(name, None)
+            else:
+                os.environ[name] = value
+
+
 def run_study(cfg: SimConfig, workers: int = 1) -> SimReport:
     """Run every replication and aggregate size/FWER and bias.
 
     Failed replications (numerical or degeneracy errors) are recorded and
     excluded from the aggregates; more than FAILURE_BUDGET of them aborts the
-    study.  Output is identical for any worker count.
+    study.
+
+    More than one worker runs the replications in spawned processes whose
+    BLAS runs one thread (see `_worker_pool`).  Output is identical for any
+    worker count when the calling process runs one BLAS thread too; at
+    other thread counts it can differ in the last bits where BLAS splits
+    its sums by thread.  The workers re-import the calling script, so a
+    script must guard its entry point with ``if __name__ == "__main__":``.
     """
     payloads = [(cfg, rep) for rep in range(cfg.replications)]
     if workers > 1:
         chunk = max(1, cfg.replications // (8 * workers))
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        with _worker_pool(workers) as pool:
             records = list(pool.map(_replicate_guarded, payloads,
                                     chunksize=chunk))
     else:

@@ -348,6 +348,13 @@ def test_graph_rejects_mar(tmp_path, capsys):
     assert "--mar" in err
 
 
+def test_graph_requires_gamma(tmp_path, capsys):
+    path, _ = write_nodes(tmp_path)
+    code, out, err = run_cli(capsys, "graph", "--input", path)
+    assert (code, out) == (2, "")
+    assert "--gamma" in err
+
+
 def test_graph_needs_no_response_column(tmp_path, capsys):
     path, gamma = write_nodes(tmp_path, n=50)
     code, out, _ = run_cli(capsys, "graph", "--input", path, "--gamma", gamma,

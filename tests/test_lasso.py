@@ -18,10 +18,8 @@ from eivbands.lasso import (
     fit_corrected_lasso,
     fit_corrected_lasso_stack,
     hard_threshold,
-    project_l1_ball,
     radius_floor,
     resolve_config,
-    soft_threshold,
 )
 
 finite_vectors = hnp.arrays(
@@ -70,15 +68,23 @@ class TestCorrectedGram:
             corrected_gram(np.ones((4, 3)), np.ones(2))
 
 
+def project(V, radius):
+    # the solvers' projection on a (k, p) stack, one radius per row
+    V = np.array(V, dtype=np.float64, ndmin=2)
+    a = np.abs(V)
+    return lasso._project_l1_ball_stack(V, a, a.sum(axis=1),
+                                        np.broadcast_to(radius, V.shape[:1]))
+
+
 class TestProjection:
     def test_interior_identity(self):
         v = np.array([0.3, -0.2, 0.1])
-        npt.assert_array_equal(project_l1_ball(v, 1.0), v)
+        npt.assert_array_equal(project(v, 1.0), [v])
 
     def test_known_simplex_case(self):
         # Projection of (1, 1) onto radius 1 is (0.5, 0.5).
-        npt.assert_allclose(project_l1_ball(np.array([1.0, 1.0]), 1.0),
-                            [0.5, 0.5], atol=1e-15)
+        npt.assert_allclose(project([1.0, 1.0], 1.0), [[0.5, 0.5]],
+                            atol=1e-15)
 
     def bisection_oracle(self, v, radius):
         # Independent of the sorting construction: solve
@@ -95,23 +101,123 @@ class TestProjection:
                 hi = mid
         return np.sign(v) * np.maximum(a - hi, 0.0)
 
-    @given(finite_vectors, st.floats(0.01, 100.0))
+    @given(hnp.arrays(np.float64, st.tuples(st.integers(2, 5),
+                                            st.integers(1, 12)),
+                      elements=st.floats(-1e6, 1e6, allow_nan=False,
+                                         allow_infinity=False)),
+           st.lists(st.floats(0.01, 100.0), min_size=5, max_size=5),
+           st.lists(st.booleans(), min_size=5, max_size=5))
     @settings(max_examples=200, deadline=None)
-    def test_matches_bisection_oracle(self, v, radius):
-        got = project_l1_ball(v, radius)
-        want = self.bisection_oracle(v, radius)
-        npt.assert_allclose(got, want, rtol=0, atol=1e-7 * (1 + np.abs(v).max()))
-        # feasible up to cancellation roundoff on large inputs
-        assert np.abs(got).sum() <= radius + 1e-12 * (1 + np.abs(v).max())
+    def test_matches_bisection_oracle(self, V, radii, inside):
+        # rows inside their ball (radius above the row's l1 norm) mixed with
+        # rows that must be projected, in one stack
+        k = V.shape[0]
+        inside[0], inside[1] = True, False
+        radius = np.array(radii[:k]) + np.where(
+            inside[:k], np.abs(V).sum(axis=1), 0.0)
+        got = project(V.copy(), radius)
+        for i in range(k):
+            want = self.bisection_oracle(V[i], radius[i])
+            scale = 1 + np.abs(V[i]).max()
+            if inside[i]:
+                npt.assert_array_equal(got[i], V[i])
+            npt.assert_allclose(got[i], want, rtol=0, atol=1e-7 * scale)
+            # feasible up to cancellation roundoff on large inputs
+            assert np.abs(got[i]).sum() <= radius[i] + 1e-12 * scale
 
-    @given(finite_vectors)
+
+def kkt_oracle(beta, grad, penalty, theta):
+    # the minimum-norm subgradient residual at normal-cone weight theta,
+    # coordinate by coordinate
+    lam = penalty + theta
+    worst = 0.0
+    for bk, gk in zip(beta, grad):
+        r = abs(gk + lam * np.sign(bk)) if bk != 0.0 else max(abs(gk) - lam, 0.0)
+        worst = max(worst, r)
+    return worst
+
+
+def kkt_breakpoints(beta, grad, penalty):
+    # every kink of the piecewise-linear residual in theta >= 0: each
+    # coordinate's own kink and each crossing of a rising piece (slope +1)
+    # with a falling one (slope -1); the minimum over theta sits on one
+    rising, falling, kinks = [], [], [0.0]
+    for bk, gk in zip(beta, grad):
+        if bk != 0.0:
+            c = gk * np.sign(bk) + penalty  # |c + theta|
+            rising.append(c)
+            falling.append(-c)
+            kinks.append(-c)
+        else:
+            falling.append(abs(gk) - penalty)  # max(|g| - lam, 0)
+            kinks.append(abs(gk) - penalty)
+    kinks += [(f - r) / 2 for r in rising for f in falling]
+    return [t for t in kinks if t >= 0.0]
+
+
+class TestKktResidual:
+    @given(st.integers(0, 2 ** 32 - 1), st.integers(1, 6), st.integers(1, 12))
     @settings(max_examples=100, deadline=None)
-    def test_radius_zero_gives_zero(self, v):
-        npt.assert_array_equal(project_l1_ball(v, 0.0), np.zeros_like(v))
+    def test_inside_the_ball_is_the_closed_form(self, seed, k, p):
+        gen = np.random.default_rng(seed)
+        beta = gen.normal(size=(k, p)) * (gen.uniform(size=(k, p)) < 0.5)
+        grad = gen.normal(size=(k, p)) * gen.uniform(0.1, 3.0)
+        penalty = gen.uniform(0.0, 1.0, size=k)
+        l1 = np.abs(beta).sum(axis=1)
+        radius = np.where(gen.uniform(size=k) < 0.5, np.inf, l1 * 2.0 + 1.0)
+        got = lasso._kkt_residual_stack(beta, grad, penalty, radius)
+        for i in range(k):
+            assert got[i] == pytest.approx(
+                kkt_oracle(beta[i], grad[i], penalty[i], 0.0),
+                rel=1e-15, abs=0)
 
-    def test_negative_radius_rejected(self):
-        with pytest.raises(InputError):
-            project_l1_ball(np.ones(3), -1.0)
+    @given(st.integers(0, 2 ** 32 - 1), st.integers(1, 6), st.integers(1, 12))
+    @settings(max_examples=100, deadline=None)
+    def test_on_the_ball_is_the_minimum_over_breakpoints(self, seed, k, p):
+        gen = np.random.default_rng(seed)
+        beta = gen.normal(size=(k, p)) * (gen.uniform(size=(k, p)) < 0.6)
+        beta[:, 0] = gen.choice([-1.0, 1.0], size=k)  # never all zero
+        grad = gen.normal(size=(k, p)) * gen.uniform(0.1, 3.0)
+        penalty = gen.uniform(0.0, 1.0, size=k)
+        radius = np.abs(beta).sum(axis=1)
+        inside = gen.uniform(size=k) < 0.3  # mix in rows off the ball
+        radius[inside] *= 2.0
+        got = lasso._kkt_residual_stack(beta, grad, penalty, radius)
+        for i in range(k):
+            thetas = [0.0] if inside[i] else kkt_breakpoints(
+                beta[i], grad[i], penalty[i])
+            want = min(kkt_oracle(beta[i], grad[i], penalty[i], t)
+                       for t in thetas)
+            scale = 1.0 + np.abs(grad[i]).max() + penalty[i]
+            assert abs(got[i] - want) <= 1e-9 * max(want, 1e-3 * scale)
+
+
+class TestSpectralBound:
+    @given(st.integers(0, 2 ** 32 - 1), st.integers(1, 6), st.integers(1, 12))
+    @settings(max_examples=100, deadline=None)
+    def test_never_exceeds_the_spectral_norm(self, seed, k, p):
+        gen = np.random.default_rng(seed)
+        n = int(gen.integers(1, 3 * p + 2))
+        Gs = np.array([corrected_gram(gen.normal(size=(n, p)),
+                                      np.full(p, gen.uniform(0.0, 2.0)))
+                       for _ in range(k)])
+        lam = lasso._spectral_bound_stack(Gs)
+        for i in range(k):
+            assert 0.0 < lam[i] <= np.linalg.norm(Gs[i], 2) * (1 + 1e-12)
+
+    def test_vanished_and_overflowing_rows_give_one(self):
+        gen = np.random.default_rng(9)
+        p = 7
+        pd = np.array([pd_instance(gen, p)[1] for _ in range(2)])
+        huge = np.full((p, p), 1e300)
+        with np.errstate(over="ignore", invalid="ignore"):
+            lam = lasso._spectral_bound_stack(
+                np.array([pd[0], np.zeros((p, p)), huge, pd[1]]))
+        assert lam[1] == 1.0 and lam[2] == 1.0
+        # the other rows are what they are alone, bit for bit
+        for i, G in ((0, pd[0]), (3, pd[1])):
+            assert lam[i].tobytes() == \
+                lasso._spectral_bound_stack(G[None])[0].tobytes()
 
 
 class TestHardThreshold:
@@ -236,7 +342,8 @@ class TestSolver:
         cfg = SolverConfig(penalty=lam, radius=np.inf, tol=1e-12,
                            truncation=0.0)
         fit = fit_corrected_lasso(b, np.eye(p), cfg)
-        npt.assert_allclose(fit.beta, soft_threshold(b, lam),
+        npt.assert_allclose(fit.beta,
+                            np.sign(b) * np.maximum(np.abs(b) - lam, 0.0),
                             rtol=0, atol=1e-10)
 
     def test_huge_penalty_returns_zero(self):
@@ -438,7 +545,6 @@ class TestStackedSolver:
     def test_skips_power_iteration_when_zero_is_optimal(self, monkeypatch):
         def refuse(G):
             raise AssertionError("spectral bound computed")
-        monkeypatch.setattr(lasso, "_spectral_bound", refuse)
         monkeypatch.setattr(lasso, "_spectral_bound_stack", refuse)
         gen = np.random.default_rng(4)
         b, G = pd_instance(gen, 5)

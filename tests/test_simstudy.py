@@ -6,6 +6,8 @@ study loop is checked for determinism (including across worker counts),
 failure accounting, and the structural identities the records must satisfy.
 """
 
+import os
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -202,6 +204,18 @@ def test_records_carry_one_entry_per_replication():
 def test_study_is_deterministic():
     cfg = tiny_config(replications=4)
     assert ss.run_study(cfg).records == ss.run_study(cfg).records
+
+
+def test_workers_run_blas_on_one_thread(monkeypatch):
+    # each worker process sees one BLAS thread; the caller's own settings
+    # come back when the pool closes
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "3")
+    monkeypatch.delenv("MKL_NUM_THREADS", raising=False)
+    with ss._worker_pool(2) as pool:
+        seen = list(pool.map(os.getenv, ss._BLAS_THREAD_VARS))
+    assert seen == ["1", "1", "1"]
+    assert os.environ["OPENBLAS_NUM_THREADS"] == "3"
+    assert "MKL_NUM_THREADS" not in os.environ
 
 
 def test_worker_count_does_not_change_results():

@@ -1,15 +1,17 @@
 """Write a golden fixture of every subcommand's reports and every demo's stdout.
 
     python3 scripts/records_fixture.py DIR
+    python3 scripts/records_fixture.py --compare BEFORE AFTER
 
 draws small datasets from fixed seeds with NumPy alone, runs `fit` (also
 with a penalty that leaves no coefficient), `infer` (known noise, missing at
-random, a design too wide for stacked nodewise solves, more targets than one
-bootstrap column block, noise sd 1 where some nodewise candidates reach the
-l1-ball radius floor, and one target without a band), `bands`, `graph`
-(all sources, two of them, enough nodes that the edges span several
-bootstrap column blocks, and 26 nodes whose 650 edges go in nodewise stacks
-of 227, 227 and 196 rows, so stack boundaries fall inside sources) and
+random, a 140-column design, more targets than one bootstrap column block
+or one nodewise stack holds,
+noise sd 1 where some nodewise candidates reach the l1-ball radius floor,
+and one target without a band), `bands`, `graph` (all sources, two of them,
+enough nodes that the edges span several bootstrap column blocks, and 26
+nodes whose 650 edge regressions on 26 source Grams make one nodewise
+stack) and
 `simulate` (both presets, the multi one also on two workers, a config file
 under flags, the naive method with the solver flags, and the study
 defaults) once with `--format records` and once with `--format table`, and
@@ -23,6 +25,17 @@ escapes `main`.  Two checkouts that compute the same numbers give trees that
     python3 scripts/records_fixture.py /tmp/after    # on the new commit
     diff -r /tmp/before /tmp/after
 
+A change that moves numbers only in their last bits is checked with
+`--compare BEFORE AFTER` instead.  For each file that differs it prints the
+largest deviation of every numeric field: in standard errors sd/sqrt(n) for
+the estimate, sd, CI and band fields of a target or edge record and the
+estimates, biases and sds of a replication (`stats` are already in SE),
+relative to the old value for any other record field, and in units of the
+last printed digit for the numbers of a table, demo or error text.  It
+exits 1 if a file is missing on one side, any other text or field differs,
+a record deviates by more than 1e-9 SE (or 1e-9 relative), or a printed
+number by more than one unit in its last digit.
+
 The package is imported from the `src/` directory next to this script.
 """
 
@@ -30,6 +43,7 @@ from __future__ import annotations
 
 import io
 import json
+import math
 import os
 import re
 import subprocess
@@ -98,13 +112,14 @@ def write_inputs(inputs: Path) -> None:
     cols = {"y": y} | {f"z{k + 1}": Z[:, k] for k in range(Z.shape[1])}
     _write_csv(inputs / "mar.csv", cols, mask)
 
-    # wide enough that each nodewise Gram exceeds the stacking budget share
+    # 140 columns: the design's Gram alone fills a nodewise stack's budget
     y, Z = _regression(np.random.default_rng(13), 150, 140, sigma_w)
     cols = {"y": y} | {f"z{k + 1}": Z[:, k] for k in range(Z.shape[1])}
     _write_csv(inputs / "wide.csv", cols)
     _write_gamma(inputs / "wide_gamma.txt", np.full(Z.shape[1], sigma_w ** 2))
 
-    # 260 targets: wider than one bootstrap column block
+    # 260 targets: wider than one bootstrap column block, and nodewise
+    # stacks of 126, 126 and 8 rows on the design's one Gram
     y, Z = _regression(np.random.default_rng(16), 100, 260, sigma_w)
     cols = {"y": y} | {f"z{k + 1}": Z[:, k] for k in range(Z.shape[1])}
     _write_csv(inputs / "many.csv", cols)
@@ -241,7 +256,113 @@ def run_demos(out: Path) -> None:
         (out / f"demo_{script.stem}.txt").write_text(text, encoding="utf-8")
 
 
+# record fields measured in standard errors of their record's sd
+_SE_FIELDS = ("estimate", "sd", "ci_low", "ci_high", "band_low", "band_high")
+_SE_LISTS = ("estimates", "biases", "sds")
+_TOLERANCE = 1e-9
+# a decimal number as reports print it; anything else must match exactly
+_DECIMAL = re.compile(r"(-?\d+\.\d+(?:e[-+]?\d+)?)")
+
+
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _record_deviations(old: dict, new: dict, n: int, worst: dict) -> list:
+    """Fold one record pair's numeric deviations into `worst`; return the
+    fields whose non-numeric content differs."""
+    if set(old) != set(new):
+        return [f"fields {sorted(set(old) ^ set(new))}"]
+    bad = []
+    for key, a in old.items():
+        b = new[key]
+        pairs = list(zip(a, b)) if isinstance(a, list) and \
+            isinstance(b, list) and len(a) == len(b) else [(a, b)]
+        for i, (x, y) in enumerate(pairs):
+            if not (_is_number(x) and _is_number(y)):
+                if x != y:
+                    bad.append(key)
+                continue
+            if x == y:
+                continue
+            if key in _SE_FIELDS and "sd" in old:
+                unit, scale = "SE", old["sd"] / math.sqrt(n)
+            elif key in _SE_LISTS:
+                unit, scale = "SE", old["sds"][i] / math.sqrt(n)
+            elif key == "stats":
+                unit, scale = "SE", 1.0
+            else:
+                unit, scale = "rel", abs(x)
+            dev = abs(y - x) / scale if scale > 0 else math.inf
+            worst[(key, unit)] = max(worst.get((key, unit), 0.0), dev)
+    return bad
+
+
+def _compare_records(old: str, new: str, worst: dict) -> list:
+    old = [json.loads(line) for line in old.splitlines()]
+    new = [json.loads(line) for line in new.splitlines()]
+    if len(old) != len(new):
+        return [f"{len(old)} records before, {len(new)} after"]
+    n = next(r["n"] for r in old if r.get("record") == "run")
+    bad = []
+    for a, b in zip(old, new):
+        bad += _record_deviations(a, b, n, worst)
+    return bad
+
+
+def _compare_text(old: str, new: str, worst: dict) -> list:
+    old, new = _DECIMAL.split(old), _DECIMAL.split(new)
+    if len(old) != len(new):
+        return ["text"]
+    bad = []
+    # odd positions hold the printed numbers
+    for i, (a, b) in enumerate(zip(old, new)):
+        if a == b:
+            continue
+        if i % 2 == 0:
+            bad.append("text")
+            continue
+        digits = len(a.split("e")[0].split(".")[1])
+        exponent = int(a.split("e")[1]) if "e" in a else 0
+        dev = abs(float(b) - float(a)) / 10.0 ** (exponent - digits)
+        worst[("printed", "last digit")] = max(
+            worst.get(("printed", "last digit"), 0.0), dev)
+    return bad
+
+
+def compare(before: Path, after: Path) -> int:
+    """Print the deviations of AFTER from BEFORE; see the module docstring."""
+    names = {p.relative_to(root) for root in (before, after)
+             for p in root.rglob("*") if p.is_file()}
+    failed = False
+    for name in sorted(names):
+        if not (before / name).is_file() or not (after / name).is_file():
+            print(f"{name}: only in {before if (before / name).is_file() else after}")
+            failed = True
+            continue
+        old = (before / name).read_text(encoding="utf-8")
+        new = (after / name).read_text(encoding="utf-8")
+        if old == new:
+            continue
+        worst: dict = {}
+        if name.suffix == ".jsonl":
+            bad = _compare_records(old, new, worst)
+        else:
+            bad = _compare_text(old, new, worst)
+        over = [(k, v) for k, v in worst.items()
+                if v > (1.0 if k[1] == "last digit" else _TOLERANCE)]
+        failed |= bool(bad or over)
+        devs = ", ".join(f"{key} {dev:.3g} {unit}"
+                         for (key, unit), dev in sorted(worst.items()))
+        print(f"{name}: {devs or 'no numeric change'}"
+              + (f"; differs in {sorted(set(bad))}" if bad else "")
+              + ("; OVER TOLERANCE" if over else ""))
+    return 1 if failed else 0
+
+
 def main_fixture(argv: list[str]) -> int:
+    if len(argv) == 3 and argv[0] == "--compare":
+        return compare(Path(argv[1]), Path(argv[2]))
     if len(argv) != 1:
         print(__doc__, file=sys.stderr)
         return 2

@@ -41,6 +41,8 @@ class _Parser(argparse.ArgumentParser):
 def _positive(value: float, flag: str) -> float:
     if not value > 0:
         raise InputError(f"{flag} must be positive (got {value})")
+    if not np.isfinite(value):
+        raise InputError(f"{flag} must be finite (got {value})")
     return value
 
 

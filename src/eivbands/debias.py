@@ -255,10 +255,8 @@ def run_inference(data: Dataset, noise: NoiseSpec, targets,
 
     Notes
     -----
-    The nodewise fits come from `nodewise.fit_nodewise_jobs` on the
-    pilot's Gram, which solves as many targets per stack as its memory
-    budget allows for this design; the results are bit-identical to fitting
-    them one at a time.
+    The nodewise fits are rows of one `nodewise.fit_nodewise_jobs` stack on
+    the pilot's Gram, bit-identical to fitting them one at a time.
     """
     _check_settings(alpha, variance_at)
     targets = [int(j) for j in targets]
@@ -284,14 +282,13 @@ def graph_tables(Z: np.ndarray, gamma: np.ndarray, sources,
     Source j's table equals ``run_inference(Dataset(y=Z[:, j], Z=Z[:, keep]),
     NoiseSpec.known(gamma[keep]), range(p - 1), alpha, cfg, variance_at)``
     bit for bit, with keep the columns other than j.  The edge regressions
-    of consecutive sources go through one `fit_nodewise_jobs` stream, so a
-    stack of nodewise solves spans sources when a source's p - 1 rows leave
-    room.  Source j's pilot runs when its table is formed, so errors surface
-    as they would source by source: pilot j, then its cells in partner
-    order, then pilot j + 1.  A source's regression and its one corrected
-    Gram, which its pilot and its edge jobs share, are built when its jobs
-    or its table first need them and dropped with its table, so only the
-    sources of one stack are alive at a time.
+    of consecutive sources go through one `fit_nodewise_jobs` stream, so
+    one nodewise stack can span sources.  Source j's pilot runs when its
+    table is formed, so errors surface as they would source by source:
+    pilot j, then its cells in partner order, then pilot j + 1.  A source's
+    one corrected Gram, shared by its pilot and its edge jobs, is built when
+    first needed and dropped with its table; its design is built for each
+    of the two, so a stack holds its sources' Grams, not their designs.
     """
     _check_settings(alpha, variance_at)
     Z = np.asarray(Z, dtype=np.float64)
@@ -305,18 +302,18 @@ def graph_tables(Z: np.ndarray, gamma: np.ndarray, sources,
     for j in sources:
         if not 0 <= j < p:
             raise InputError(f"source column {j} out of range for p={p}")
-    built = {}
+    grams = {}
 
     def regression(j):
-        if j not in built:
-            keep = np.arange(p) != j
-            # Boolean column indexing gives an F-ordered design, the layout
-            # every source's regression has always used; a C-contiguous
-            # copy changes the last bit of some radii and edge estimates.
-            data = Dataset(y=Z[:, j], Z=Z[:, keep])
-            noise = NoiseSpec.known(gamma[keep])
-            built[j] = data, noise, _effective(data, noise)
-        return built[j]
+        keep = np.arange(p) != j
+        # Boolean column indexing gives an F-ordered design, the layout
+        # every source's regression has always used; a C-contiguous
+        # copy changes the last bit of some radii and edge estimates.
+        data = Dataset(y=Z[:, j], Z=Z[:, keep])
+        noise = NoiseSpec.known(gamma[keep])
+        effective = _effective(data, noise, grams.get(j))
+        grams[j] = effective[2]
+        return data, noise, effective
 
     def jobs():
         for j in sources:
@@ -330,7 +327,7 @@ def graph_tables(Z: np.ndarray, gamma: np.ndarray, sources,
         table = _table(data, noise, alpha, variance_at,
                        _fit_pilot(data, effective, cfg),
                        islice(stream, p - 1))
-        del built[j]
+        del grams[j]
         yield table
 
 
@@ -362,8 +359,8 @@ def prepare_pilot(data: Dataset, noise: NoiseSpec,
     return _fit_pilot(data, _effective(data, noise), cfg)
 
 
-def _effective(data, noise):
-    """Effective design, noise variances, corrected Gram and MAR estimate."""
+def _effective(data, noise, G=None):
+    """Effective design, noise variances, Gram (G if given), MAR estimate."""
     p = data.p
     mar_est = None
     if noise.kind == "mar":
@@ -380,7 +377,9 @@ def _effective(data, noise):
                 f"noise_var has length {noise.noise_var.shape[0]}, expected {p}")
         Z_eff = data.Z
         noise_var = noise.noise_var
-    return Z_eff, noise_var, corrected_gram(Z_eff, noise_var), mar_est
+    if G is None:
+        G = corrected_gram(Z_eff, noise_var)
+    return Z_eff, noise_var, G, mar_est
 
 
 def _fit_pilot(data, effective, cfg) -> PreparedPilot:

@@ -12,6 +12,10 @@ when p > n, the problem is solved by projected composite gradient descent:
 a gradient step on the quadratic part, the soft-threshold prox for the l1
 penalty, then Euclidean projection onto the l1 ball.  The l1-ball side
 constraint keeps the iterates bounded on indefinite problems.
+
+`fit_corrected_lasso` solves one problem (the pilots); the rows of a
+`fit_corrected_lasso_stack` may share a Gram and pin one coordinate at 0, so
+a nodewise regression solves its (-j, -j) subproblem without a copy.
 """
 
 from __future__ import annotations
@@ -145,14 +149,14 @@ class SolverConfig:
     truncation: float = DEFAULT_TRUNCATION
 
     def __post_init__(self):
-        if self.penalty is not None and not (self.penalty >= 0):
-            raise InputError("penalty must be nonnegative")
-        if not (self.penalty_scale > 0):
-            raise InputError("penalty_scale must be positive")
+        if self.penalty is not None and not (0 <= self.penalty < math.inf):
+            raise InputError("penalty must be finite and nonnegative")
+        if not (0 < self.penalty_scale < math.inf):
+            raise InputError("penalty_scale must be finite and positive")
         if self.radius is not None and not (self.radius > 0):
             raise InputError("radius must be positive (np.inf allowed)")
-        if not (self.tol > 0):
-            raise InputError("tol must be positive")
+        if not (0 < self.tol < math.inf):
+            raise InputError("tol must be finite and positive")
         if self.max_iter < 1:
             raise InputError("max_iter must be at least 1")
         if not (self.truncation >= 0):
@@ -278,17 +282,12 @@ def hard_threshold(beta: np.ndarray, threshold: float) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # solver primitives
 #
-# Both drivers, `fit_corrected_lasso` (one problem) and
-# `fit_corrected_lasso_stack` (k same-size problems in lockstep), take their
-# spectral bound, l1-ball projection and KKT residual from the functions
-# below, which work on (k, p) and (k, p, p) stacks; the one-problem driver
-# passes (1, p) views.  Each row gets exactly the floating-point operations
-# it would get alone: a stacked np.matmul calls the same BLAS gemv or ddot
-# once per row, reductions run along the contiguous last axis, and
-# everything else is elementwise.  What differs between the drivers is only
-# their backtracking and stopping loops, and the property tests that compare
-# stacked solves with one-at-a-time solves bit for bit pin those two loops
-# to each other.
+# Both drivers take the spectral bound, projection and KKT residual below,
+# which work on (k, p) stacks.  Each row gets exactly the operations it would
+# get alone: its matvec is one gemv against its Gram however many rows share
+# it (a gemm over rows would round by their number), its dot products one
+# ddot each, reductions run along the contiguous last axis, and the rest is
+# elementwise.  Property tests pin the drivers' two loops to each other.
 
 
 def _rowdot(u: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -296,25 +295,48 @@ def _rowdot(u: np.ndarray, v: np.ndarray) -> np.ndarray:
     return np.matmul(u[:, None, :], v[:, :, None])[:, 0, 0]
 
 
-def _rowmatvec(G: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """G[i] @ v[i] for a (k, p, p) stack and a (k, p) stack."""
-    return np.matmul(G, v[:, :, None])[:, :, 0]
+class _Rows:
+    """Row i's Gram grams[gram[i]] (default grams[i]) and pinned coordinate
+    pin[i] (-1: none); consecutive rows of one Gram share a matmul call."""
+
+    def __init__(self, grams, gram=None, pin=None):
+        self.grams = grams
+        self.gram = np.arange(len(grams)) if gram is None else gram
+        self.pin = np.full(self.gram.size, -1) if pin is None else pin
+        starts = np.flatnonzero(np.diff(self.gram, prepend=-1))
+        self.runs = list(zip(self.gram[starts], starts,
+                             np.append(starts[1:], self.gram.size)))
+        self.pinned = np.flatnonzero(self.pin >= 0)
+
+    def matvec(self, X: np.ndarray) -> np.ndarray:
+        """Each row's Gram times X[i], pinned entries set to 0."""
+        out = np.empty_like(X)
+        for g, start, stop in self.runs:
+            np.matmul(self.grams[g], X[start:stop, :, None],
+                      out=out[start:stop, :, None])
+        out[self.pinned, self.pin[self.pinned]] = 0.0
+        return out
 
 
-def _spectral_bound_stack(G: np.ndarray) -> np.ndarray:
-    """|Dominant eigenvalue| of every G[i] by 20 power iterations from a
-    deterministic start; 1.0 for a row whose iterate vanishes or overflows.
+def _spectral_bound_stack(G, gram=None, pin=None) -> np.ndarray:
+    """|Dominant eigenvalue| of the Gram of every row of `_Rows(G, gram,
+    pin)` (by default of each G[i]) by 20 power iterations from a fixed
+    start; 1.0 where the iterate vanishes or overflows.
 
-    G must be finite.  Once a row's norm is 0 or not finite, its iterate
-    holds a NaN from then on (0/0 or inf/inf at once, or 0/0 one step later
-    when a finite iterate's norm overflowed), and a NaN of v reaches every
-    entry of G[i] @ v; so one test after the loop finds the row.
+    A pinned row holds its coordinate at 0, bounding its subproblem.  G must
+    be finite.  Once a row's norm is 0 or not finite, its iterate holds a
+    NaN (0/0 or inf/inf at once, or 0/0 one step after an overflow), which
+    reaches every entry of G @ v; one test at the end finds the row.
     """
-    k, p = G.shape[:2]
-    v = np.full((k, p), p ** -0.5)
+    rows = _Rows(G, gram, pin)
+    p = len(G[0])
+    start = np.where(rows.pin >= 0, (p - 1) ** -0.5 if p > 1 else 0.0,
+                     p ** -0.5)
+    v = np.repeat(start[:, None], p, axis=1)
+    v[rows.pinned, rows.pin[rows.pinned]] = 0.0
     with np.errstate(divide="ignore", invalid="ignore"):
         for _ in range(_POWER_ITERATIONS):
-            w = _rowmatvec(G, v)
+            w = rows.matvec(v)
             nw = np.sqrt(_rowdot(w, w))
             v = w / nw[:, None]
     return np.where((nw > 0.0) & (nw < math.inf), nw, 1.0)
@@ -423,9 +445,9 @@ def fit_corrected_lasso(b: np.ndarray, G: np.ndarray, cfg: SolverConfig,
     -----
     Iterates start at 0 and stay feasible.  Unless 0 is already a KKT
     point, the initial step is 1 over a power-iteration estimate of the
-    spectral radius of G, halved by
-    backtracking until the usual quadratic upper bound holds, which makes the
-    composite objective non-increasing even on indefinite problems.
+    spectral radius of G, halved by backtracking until the usual quadratic
+    upper bound holds, which makes the composite objective non-increasing
+    even on indefinite problems.
     """
     b = np.asarray(b, dtype=np.float64)
     G = np.asarray(G, dtype=np.float64)
@@ -508,63 +530,77 @@ def fit_corrected_lasso(b: np.ndarray, G: np.ndarray, cfg: SolverConfig,
     )
 
 
-def fit_corrected_lasso_stack(b: np.ndarray, G: np.ndarray, cfgs,
-                              floors=None) -> list[FitResult | NumericalError]:
+def fit_corrected_lasso_stack(b: np.ndarray, G, cfgs, floors=None,
+                              pin=None, gram=None
+                              ) -> list[FitResult | NumericalError]:
     """Solve k corrected-lasso problems of one size as a single stack.
+
+    Every problem keeps its own step size, backtracking, projection, KKT
+    checks, stopping rule and objective trace; one that stops leaves the
+    live rows, so no later pass computes anything for it.
 
     Parameters
     ----------
     b : ndarray, shape (k, p)
         Linear terms, one row per problem.
-    G : ndarray, shape (k, p, p)
-        Corrected Gram matrices, one per problem.
+    G : sequence of (p, p) arrays, such as a (k, p, p) stack
+        The corrected Grams; problem i solves on ``G[gram[i]]``.
     cfgs : sequence of k SolverConfig
         Configurations, one per problem (see `resolve_config`).
     floors : sequence of k float or None, optional
         Radius floors, read only for problems whose config leaves the radius
         None; such a problem defers its default radius exactly as
         `fit_corrected_lasso` does, and resolves it for its row alone.
+    pin : sequence of k (int or None), optional
+        A problem pinned at coordinate j reads entry j of its b as 0 and
+        zeroes entry j of its gradient after every update, so beta_j stays
+        exactly 0 and it solves the (-j, -j) subproblem without copying its
+        Gram.  Its floor and default radius are the subproblem's (sliced
+        only to resolve that radius); its `FitResult.beta` has length p - 1.
+    gram : sequence of k int, optional
+        Index into G of each problem's Gram, by default ``range(k)``.
+        Consecutive problems of one Gram share one matmul call per pass.
 
     Returns
     -------
     list of FitResult or NumericalError
-        Entry i equals ``fit_corrected_lasso(b[i], G[i], cfgs[i],
-        floors[i])`` bit for bit in every field.  Where that call would
-        raise NumericalError, the exception is returned in place, so the
-        caller decides in which order failures surface; the other problems
-        are unaffected.
-
-    Notes
-    -----
-    Every problem keeps its own step size, backtracking, l1-ball projection,
-    KKT checks, stopping rule and objective trace.  A problem that has
-    stopped stays in the stack and is recomputed with the others, but its
-    state is never written again, so no Gram is copied as problems finish.
+        Entry i equals problem i solved alone (a stack of one, same Gram
+        and pin) bit for bit in every field; unpinned, that is
+        ``fit_corrected_lasso(b[i], G[gram[i]], cfgs[i], floors[i])``.
+        Pinned, it agrees with `fit_corrected_lasso` on the sliced
+        subproblem up to rounding, as its sums run over p terms, not p - 1.
+        A solve that would raise NumericalError returns the exception in
+        place, so the caller decides in which order failures surface.
     """
-    b = np.ascontiguousarray(b, dtype=np.float64)
-    G = np.ascontiguousarray(G, dtype=np.float64)
-    if b.ndim != 2 or G.shape != (b.shape[0], b.shape[1], b.shape[1]):
-        raise InputError("b must be (k, p) and G a matching (k, p, p) stack")
-    k = b.shape[0]
-    if len(cfgs) != k:
-        raise InputError(f"got {len(cfgs)} configs for {k} problems")
-    if not (np.all(np.isfinite(b)) and np.all(np.isfinite(G))):
+    b = np.array(b, dtype=np.float64)
+    grams = [np.ascontiguousarray(g, dtype=np.float64) for g in G]
+    k, p = b.shape if b.ndim == 2 else (-1, -1)
+    gram = np.arange(len(grams)) if gram is None else np.asarray(gram, int)
+    # no pin is -1; a negative pin becomes p, out of range
+    pin = np.full(k, -1) if pin is None else np.array(
+        [-1 if j is None else j if j >= 0 else p for j in pin], dtype=int)
+    floors = [None] * k if floors is None else list(floors)
+    if k < 0 or gram.shape != (k,) or not all(0 <= i < len(grams)
+                                              for i in gram) or \
+            any(g.shape != (p, p) for g in grams) or pin.shape != (k,) or \
+            np.any(pin >= p) or len(cfgs) != k or len(floors) != k:
+        raise InputError("need b of shape (k, p), and for each of its rows "
+                         "a (p, p) Gram of G, a pin in [0, p) or None, a "
+                         "config and a floor")
+    if not (np.all(np.isfinite(b)) and all(np.isfinite(g).all()
+                                           for g in grams)):
         raise InputError("b and G must be finite")
-    if floors is None:
-        floors = [None] * k
-    if len(floors) != k:
-        raise InputError(f"got {len(floors)} radius floors for {k} problems")
     if any(c.penalty is None or (c.radius is None and f is None)
            for c, f in zip(cfgs, floors)):
         raise InputError("penalty and radius must be resolved before fitting")
-    penalty = np.array([float(c.penalty) for c in cfgs])
-    deferred = np.array([c.radius is None for c in cfgs], dtype=bool)
-    radius = np.array([math.inf if d else float(c.radius)
-                       for c, d in zip(cfgs, deferred)])
-    floor = np.array([f if d else math.inf for f, d in zip(floors, deferred)],
-                     dtype=np.float64)
+
+    b[pin >= 0, pin[pin >= 0]] = 0.0
+    penalty = np.array([c.penalty for c in cfgs], dtype=np.float64)
+    deferred = np.array([c.radius is None for c in cfgs])
+    radius = np.array([math.inf if c.radius is None else c.radius
+                       for c in cfgs], dtype=np.float64)
+    floor = np.where(deferred, np.array(floors, dtype=np.float64), math.inf)
     tol = np.array([c.tol for c in cfgs], dtype=np.float64)
-    tol_scaled = 0.1 * tol
     max_iter = np.array([c.max_iter for c in cfgs])
 
     beta = np.zeros_like(b)
@@ -574,81 +610,95 @@ def fit_corrected_lasso_stack(b: np.ndarray, G: np.ndarray, cfgs,
     converged = kkt <= tol
     iterations = np.zeros(k, dtype=np.int64)
     errors: list[NumericalError | None] = [None] * k
-    live = ~converged
-    if live.any():
-        step = 1.0 / np.maximum(_spectral_bound_stack(G), 1e-12)
-    accepted, objectives = [], []
+    traces = []
 
-    while live.any():
-        v = beta - step[:, None] * grad
+    # the live rows: positions `idx`, layout `rows`, step and working state
+    idx = np.flatnonzero(~converged)
+    rows = _Rows(grams, gram[idx], pin[idx])
+    step = 1.0 / np.maximum(_spectral_bound_stack(
+        grams, rows.gram, rows.pin), 1e-12) if idx.size else np.zeros(0)
+    live = (idx, step, beta[idx], grad[idx], b[idx], f_beta[idx],
+            iterations[idx], penalty[idx], radius[idx], deferred[idx],
+            floor[idx], tol[idx], max_iter[idx])
+
+    while live[0].size:
+        idx, step, x, g, bl, f_x, it, pen, rad, dfr, flr, tl, cap = live
+        v = x - step[:, None] * g
         # |soft-threshold of v at step * penalty| and its l1 norm
-        mag = np.maximum(np.abs(v) - (step * penalty)[:, None], 0.0)
+        mag = np.maximum(np.abs(v) - (step * pen)[:, None], 0.0)
         l1 = mag.sum(axis=1)
-        for i in np.flatnonzero(live & deferred & ~(l1 <= floor)):
-            radius[i], deferred[i] = default_radius(G[i], b[i]), False
-        cand = _project_l1_ball_stack(np.sign(v) * mag, mag, l1, radius)
-        delta = cand - beta
+        for i in np.flatnonzero(dfr & ~(l1 <= flr)):
+            keep = np.arange(p) != rows.pin[i]
+            rad[i] = radius[idx[i]] = default_radius(
+                grams[rows.gram[i]][np.ix_(keep, keep)], bl[i][keep])
+            dfr[i] = False
+        cand = _project_l1_ball_stack(np.sign(v) * mag, mag, l1, rad)
+        delta = cand - x
         sq = _rowdot(delta, delta)
-        Gc = _rowmatvec(G, cand)
-        f_cand = 0.5 * _rowdot(cand, Gc) - _rowdot(b, cand)
-        bound = f_beta + _rowdot(grad, delta) + sq / (2.0 * step)
+        Gc = rows.matvec(cand)
+        f_cand = 0.5 * _rowdot(cand, Gc) - _rowdot(bl, cand)
+        bound = f_x + _rowdot(g, delta) + sq / (2.0 * step)
         zero = sq == 0.0
-        accept = live & (zero | (
-            f_cand <= bound + _BACKTRACK_SLACK * (1.0 + np.abs(f_beta))))
+        accept = zero | (
+            f_cand <= bound + _BACKTRACK_SLACK * (1.0 + np.abs(f_x)))
 
-        retry = live & ~accept
-        if retry.any():
-            step[retry] *= 0.5
-            for i in np.flatnonzero(retry & (step < _MIN_STEP)):
-                errors[i] = NumericalError("backtracking step size underflow")
-                live[i] = False
-        finite = np.isfinite(f_cand)
-        if not finite.all():
-            for i in np.flatnonzero(accept & ~finite):
-                errors[i] = NumericalError("non-finite objective in solver")
-                live[i] = False
-            accept &= finite
+        step[~accept] *= 0.5
+        underflow = ~accept & (step < _MIN_STEP)
+        nonfinite = accept & ~np.isfinite(f_cand)
+        for i in np.flatnonzero(underflow | nonfinite):
+            errors[idx[i]] = NumericalError(
+                "backtracking step size underflow" if underflow[i]
+                else "non-finite objective in solver")
+        accept &= ~nonfinite
+        stop = underflow | nonfinite
 
-        rows = accept[:, None]
-        np.copyto(beta, cand, where=rows)
-        np.copyto(f_beta, f_cand, where=accept)
-        np.copyto(grad, Gc - b, where=rows)
-        iterations += accept
-        accepted.append(accept)
-        objectives.append(f_beta + penalty * np.abs(beta).sum(axis=1))
+        np.copyto(x, cand, where=accept[:, None])
+        np.copyto(f_x, f_cand, where=accept)
+        np.copyto(g, Gc - bl, where=accept[:, None])
+        it += accept
+        traces.append((idx[accept], f_x[accept]
+                       + pen[accept] * np.abs(x[accept]).sum(axis=1)))
 
-        check = accept & (zero | (iterations % 25 == 0)
-                          | (np.sqrt(sq) <= tol_scaled * step))
+        check = accept & (zero | (it % 25 == 0)
+                          | (np.sqrt(sq) <= 0.1 * tl * step))
         if check.any():
-            kkt[check] = _kkt_residual_stack(beta[check], grad[check],
-                                             penalty[check], radius[check])
-            converged[check] = kkt[check] <= tol[check]
-            live &= ~converged
-        live &= ~(accept & (zero | (iterations >= max_iter)))
+            kkt[idx[check]] = _kkt_residual_stack(x[check], g[check],
+                                                  pen[check], rad[check])
+            converged[idx[check]] = kkt[idx[check]] <= tl[check]
+            stop |= converged[idx]
+        stop |= accept & (zero | (it >= cap))
+        if stop.any():
+            done, keep = idx[stop], ~stop
+            beta[done], grad[done], f_beta[done], iterations[done] = \
+                x[stop], g[stop], f_x[stop], it[stop]
+            rows = _Rows(grams, rows.gram[keep], rows.pin[keep])
+            live = tuple(a[keep] for a in live)
 
     redo = ~converged
-    if redo.any():
-        kkt[redo] = _kkt_residual_stack(beta[redo], grad[redo],
-                                        penalty[redo], radius[redo])
-        converged = kkt <= tol
+    kkt[redo] = _kkt_residual_stack(beta[redo], grad[redo], penalty[redo],
+                                    radius[redo])
+    converged = kkt <= tol
     objective = f_beta + penalty * np.abs(beta).sum(axis=1)
-    accepted = np.array(accepted, dtype=bool).reshape(len(accepted), k)
-    objectives = np.array(objectives).reshape(len(objectives), k)
+    # row i's trace flat[start[i]:end[i]] is 0, then one objective per
+    # accepted iterate in pass order
+    end = np.cumsum(iterations + 1)
+    start = end - iterations - 1
+    flat, filled = np.zeros(k + iterations.sum()), start.copy()
+    for rows_done, values in traces:
+        filled[rows_done] += 1
+        flat[filled[rows_done]] = values
 
     results: list[FitResult | NumericalError] = []
     for i, cfg in enumerate(cfgs):
-        if errors[i] is not None:
-            results.append(errors[i])
-            continue
-        results.append(FitResult(
-            beta=hard_threshold(beta[i], cfg.truncation),
+        fit_beta = hard_threshold(beta[i], cfg.truncation)
+        results.append(errors[i] or FitResult(
+            beta=fit_beta if pin[i] < 0 else np.delete(fit_beta, pin[i]),
             objective=float(objective[i]),
             iterations=int(iterations[i]),
             converged=bool(converged[i]),
             kkt_residual=float(kkt[i]),
             penalty=float(penalty[i]),
             radius=float(radius[i]),
-            objective_trace=np.concatenate(
-                ([0.0], objectives[accepted[:, i], i])),
+            objective_trace=flat[start[i]:end[i]].copy(),
         ))
     return results

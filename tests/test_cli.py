@@ -433,23 +433,22 @@ def test_graph_band_is_the_shared_band_across_column_blocks(tmp_path, capsys):
     # 552 edges stream through the bootstrap in three column blocks, fed
     # 23 columns per source, and still equal the one-feed band
     assert 2 * bootstrap._BLOCK_COLUMNS < 24 * 23
-    # and the nodewise stacks of 270 rows end inside a source's 23 edges
-    assert nodewise.stack_size(23) < 24 * 23
-    assert nodewise.stack_size(23) % 23 != 0
+    # and one nodewise stack holds the 23-column Grams of all 24 sources
+    assert nodewise.stack_size(23) >= 24
     check_graph_band_is_the_shared_band(tmp_path, capsys, p=24)
 
 
 def test_graph_stacks_edges_across_sources(tmp_path, capsys, monkeypatch):
-    # the 72 edge regressions of 9 nodes fit in one stack of stack_size(8)
-    # rows, so the whole graph makes one stacked solve
+    # the 8-column Grams of 9 nodes fit in one stack of stack_size(8)
+    # Grams, so the whole graph makes one stacked solve of 72 rows
     path, gamma = write_nodes(tmp_path, n=80, p=9)
-    assert nodewise.stack_size(8) >= 9 * 8
+    assert nodewise.stack_size(8) >= 9
     rows = []
     original = nodewise.fit_corrected_lasso_stack
 
-    def counted(b, G, cfgs, floors=None):
+    def counted(b, *args, **kwargs):
         rows.append(b.shape[0])
-        return original(b, G, cfgs, floors)
+        return original(b, *args, **kwargs)
     monkeypatch.setattr(nodewise, "fit_corrected_lasso_stack", counted)
     code, out, _ = run_cli(capsys, "graph", "--input", path, "--gamma", gamma,
                            "--boot", "100", "--format", "records")
@@ -536,7 +535,7 @@ def test_stacked_nodewise_solves_leave_records_unchanged(tmp_path, capsys,
                        "--out", stacked)[0] == 0
         with monkeypatch.context() as m:
             m.setattr(nodewise, "STACK_BUDGET_BYTES", 0)
-            assert nodewise.stack_size(24) == 1
+            assert nodewise.stack_size(24) == nodewise.stack_rows(24) == 1
             alone = str(tmp_path / f"{name}_alone.ndjson")
             assert run_cli(capsys, *argv, "--format", "records",
                            "--out", alone)[0] == 0
@@ -714,6 +713,38 @@ def test_simulate_bad_solver_config_exit_2(tmp_path, capsys, config, named):
     assert code == 2
     assert cfg_path in err
     assert named in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv, named", [
+    pytest.param(("infer", "--lambda-scale", "inf"), "--lambda-scale",
+                 id="infer-lambda-scale"),
+    pytest.param(("fit", "--lambda-scale", "inf"), "--lambda-scale",
+                 id="fit-lambda-scale"),
+    pytest.param(("infer", "--tol", "inf"), "--tol", id="infer-tol"),
+    pytest.param(("fit", "--tol", "inf"), "--tol", id="fit-tol"),
+    pytest.param(("simulate", "--lambda-scale", "inf"), "--lambda-scale",
+                 id="simulate-lambda-scale"),
+    pytest.param(("simulate", "--tol", "inf"), "--tol", id="simulate-tol"),
+    # simulate --config files; json writes inf as Infinity
+    pytest.param({"penalty_scale": float("inf")}, "penalty_scale",
+                 id="config-penalty_scale"),
+    pytest.param({"penalty": float("inf")}, "penalty", id="config-penalty"),
+    pytest.param({"tol": float("inf")}, "tol", id="config-tol"),
+])
+def test_non_finite_solver_settings_exit_2(tmp_path, capsys, argv, named):
+    # an infinite penalty or tolerance would fit nothing and still write
+    # NaN or Infinity into the records, which is not JSON
+    if isinstance(argv, dict):
+        cfg_path = tmp_path / "solver.json"
+        cfg_path.write_text(json.dumps({"solver": argv}))
+        argv = ("simulate", "--config", str(cfg_path))
+    elif argv[0] != "simulate":
+        data, gamma = write_regression(tmp_path)
+        argv = (*argv, "--input", data, "--gamma", gamma)
+    code, out, err = run_cli(capsys, *argv, "--format", "records")
+    assert (code, out) == (2, "")
+    assert named in err and "finite" in err
     assert "Traceback" not in err
 
 

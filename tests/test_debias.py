@@ -294,15 +294,16 @@ class TestRunInference:
             assert cell.mu[cell.j] == 0.0
 
 
-@pytest.mark.parametrize("budget", [None, 3 * 8 * 5 ** 2],
-                         ids=["one_stack", "stacks_of_3"])
-def test_graph_tables_equal_per_source_inference(monkeypatch, budget):
+@pytest.mark.parametrize("budget, sizes", [
+    (None, None), (3 * 8 * 5 ** 2, (3, 15)), (3 * 8 * 5, (1, 3))],
+    ids=["one_stack", "stacks_of_3", "rows_of_3"])
+def test_graph_tables_equal_per_source_inference(monkeypatch, budget, sizes):
     # every source's table is its own run_inference bit for bit, whether
-    # one stack holds all 30 edge regressions or stacks of 3 cut sources
+    # one stack holds all 30 edge regressions, stacks hold the 5-column
+    # Grams of 3 sources, or stacks of 3 rows cut sources
     if budget is not None:
-        monkeypatch.setattr(nodewise, "STACK_MIN", 2)
         monkeypatch.setattr(nodewise, "STACK_BUDGET_BYTES", budget)
-        assert nodewise.stack_size(6) == 3
+        assert (nodewise.stack_size(5), nodewise.stack_rows(5)) == sizes
     rng = np.random.default_rng(41)
     Z = rng.normal(size=(50, 6))
     Z[:, 1:] += 0.6 * Z[:, :-1]

@@ -542,6 +542,64 @@ class TestStackedSolver:
             assert_same_bits(fit_corrected_lasso_stack(bs, Gs, cfgs, floors),
                              solve_one_at_a_time(bs, Gs, cfgs, floors))
 
+    @given(st.integers(0, 2 ** 32 - 1), st.integers(1, 12), st.integers(1, 3),
+           st.integers(1, 10))
+    @settings(max_examples=40, deadline=None)
+    def test_rows_sharing_grams_equal_rows_solved_alone(self, seed, k, g, p):
+        # rows of 1-3 shared Grams, pinned (nodewise-style b, deferred
+        # radius) or not, in random order and cut into stacks at random
+        # boundaries, often inside a Gram's rows: every row equals itself
+        # solved alone, and an unpinned one equals the single solver
+        gen = np.random.default_rng(seed)
+        designs = []
+        for _ in range(g):
+            n = int(gen.integers(max(2, p // 2), 3 * p + 5))
+            v = np.full(p, gen.uniform(0.0, 1.5))
+            Z = gen.normal(size=(n, p))
+            designs.append((corrected_gram(Z, v), v, Z))
+        bs, grams, cfgs, floors, pins = [], [], [], [], []
+        for _ in range(k):
+            d = int(gen.integers(g))
+            G, v, Z = designs[d]
+            n = Z.shape[0]
+            j = int(gen.integers(p)) if gen.uniform() < 0.6 else None
+            if j is None:
+                b = Z.T @ gen.normal(size=n) / n * gen.choice([0.0, 1.0, 3.0])
+                floor = radius_floor(G, b, v)
+            else:
+                b = G[:, j].copy()
+                b[j] = 0.0
+                floor = radius_floor(G, b, np.delete(v, j))
+            cfg = SolverConfig(penalty_scale=gen.uniform(0.02, 2.0),
+                               radius=gen.choice([None, None, np.inf, 0.3]),
+                               max_iter=int(gen.choice([1, 4, 60, 20000])),
+                               tol=float(gen.choice([1e-8, 1e-5])))
+            bs.append(b)
+            grams.append(d)
+            cfgs.append(resolve_config(cfg, n, p, G, b, defer_radius=True))
+            floors.append(floor)
+            pins.append(j)
+        bs = np.array(bs)
+        Gs = [design[0] for design in designs]
+        cuts = np.sort(gen.choice(np.arange(1, k), size=gen.integers(k),
+                                  replace=False)) if k > 1 else []
+        with np.errstate(over="ignore", invalid="ignore"):
+            stacked = []
+            for rows in np.split(np.arange(k), cuts):
+                stacked += fit_corrected_lasso_stack(
+                    bs[rows], Gs, [cfgs[i] for i in rows],
+                    [floors[i] for i in rows], pin=[pins[i] for i in rows],
+                    gram=[grams[i] for i in rows])
+            alone = [fit_corrected_lasso_stack(bs[i:i + 1], [Gs[grams[i]]],
+                                               cfgs[i:i + 1], floors[i:i + 1],
+                                               pin=pins[i:i + 1])[0]
+                     for i in range(k)]
+            assert_same_bits(stacked, alone)
+            free = [i for i in range(k) if pins[i] is None]
+            assert_same_bits([alone[i] for i in free], solve_one_at_a_time(
+                bs[free], [Gs[grams[i]] for i in free],
+                [cfgs[i] for i in free], [floors[i] for i in free]))
+
     def test_skips_power_iteration_when_zero_is_optimal(self, monkeypatch):
         def refuse(G):
             raise AssertionError("spectral bound computed")
@@ -573,6 +631,9 @@ class TestStackedSolver:
         with pytest.raises(InputError):
             fit_corrected_lasso_stack(np.ones((1, 2)), np.eye(2)[None],
                                       [SolverConfig(penalty=0.1)], [0.5, 0.5])
+        with pytest.raises(InputError):
+            fit_corrected_lasso_stack(np.ones((2, 2)), np.eye(2)[None],
+                                      [cfg, cfg], gram=[0, 1])
 
 
 class TestTypes:

@@ -6,8 +6,10 @@ from eivbands import lasso, nodewise
 from eivbands.debias import run_inference
 from eivbands.errors import InputError, NumericalError
 from eivbands.lasso import Dataset, NoiseSpec, SolverConfig, corrected_gram, \
-    default_radius, fit_corrected_lasso, resolve_config
-from eivbands.nodewise import fit_nodewise, fit_nodewise_jobs, stack_size
+    default_radius, fit_corrected_lasso, fit_corrected_lasso_stack, \
+    resolve_config
+from eivbands.nodewise import fit_nodewise, fit_nodewise_jobs, stack_rows, \
+    stack_size
 
 TIGHT = SolverConfig(penalty=0.0, radius=np.inf, tol=1e-12, max_iter=100000,
                      truncation=0.0)
@@ -72,6 +74,8 @@ def gram_jobs(Z, noise_var, targets):
 
 
 def test_reduces_to_corrected_lasso_subproblem():
+    # the pinned row solves the sliced subproblem; its sums run over p
+    # rather than p - 1 terms, so only the last bits may differ
     gen = np.random.default_rng(12)
     n, p, j = 30, 6, 2
     Z = gen.normal(size=(n, p))
@@ -81,8 +85,12 @@ def test_reduces_to_corrected_lasso_subproblem():
     keep = np.arange(p) != j
     G, b = sub_gram(Z, noise_var, j)
     sub = fit_corrected_lasso(b, G, resolve_config(cfg, n, p, G, b))
-    npt.assert_array_equal(res.mu[keep], sub.beta)
-    npt.assert_array_equal(res.fit.beta, sub.beta)
+    assert sub.iterations > 0
+    assert (res.fit.iterations, res.fit.converged) == \
+        (sub.iterations, sub.converged)
+    assert res.mu[j] == 0.0
+    npt.assert_allclose(res.mu[keep], sub.beta, rtol=0, atol=1e-12)
+    npt.assert_array_equal(res.mu[keep], res.fit.beta)
 
 
 def test_relabeling_symmetry():
@@ -132,14 +140,14 @@ def assert_same_direction(got, want):
     pytest.param(SolverConfig(), None, id="cfg0"),
     pytest.param(SolverConfig(max_iter=5), None, id="cfg1"),
     pytest.param(SolverConfig(penalty_scale=5.0, tol=1e-6), None, id="cfg2"),
-    # two 11-column Grams per stack: the 5 targets go in batches of 2, 2, 1
-    pytest.param(SolverConfig(), 2 * 8 * 11 ** 2, id="budget"),
+    # two 12-column rows per stack: the 5 targets go in batches of 2, 2, 1
+    pytest.param(SolverConfig(), 2 * 8 * 12, id="budget"),
 ])
 def test_stack_matches_one_target_at_a_time(monkeypatch, cfg, budget):
     if budget is not None:
-        monkeypatch.setattr(nodewise, "STACK_MIN", 2)
         monkeypatch.setattr(nodewise, "STACK_BUDGET_BYTES", budget)
-        assert stack_size(12) == 2
+        assert (stack_size(12), stack_rows(12)) == (1, 2)
+    stacks = count_stacks(monkeypatch)
     rng = np.random.default_rng(17)
     n, p = 40, 12
     Z = rng.normal(size=(n, p))
@@ -147,6 +155,7 @@ def test_stack_matches_one_target_at_a_time(monkeypatch, cfg, budget):
     noise_var = rng.uniform(0.0, 0.5, size=p)
     targets = [5, 0, 11, 3, 7]
     stacked = list(fit_nodewise_jobs(gram_jobs(Z, noise_var, targets), cfg))
+    assert stacks == ([5] if budget is None else [2, 2, 1])
     for got, j in zip(stacked, targets, strict=True):
         assert_same_direction(got, fit_nodewise(Z, noise_var, j, cfg))
 
@@ -172,14 +181,16 @@ def test_stack_raises_at_the_failing_target(monkeypatch):
     # behind a design that converges, in the same stack: the failing row of
     # the second design raises only after every result of the first
     good = rng.normal(size=(60, 5))
-    stacks = count_stacks(monkeypatch)
     fits = [(good, np.zeros(5), j) for j in (2, 0, 3)]
     fits += [(Z, noise_var, j) for j in (4, 0, 1)]
     jobs = [job for Zf, v, j in fits for job in gram_jobs(Zf, v, [j])]
+    # each fit_nodewise is a stack of one, so solve them before counting
+    wants = [fit_nodewise(*fit, cfg) for fit in fits[:4]]
+    stacks = count_stacks(monkeypatch)
     with np.errstate(over="ignore", invalid="ignore"):
         results = fit_nodewise_jobs(jobs, cfg)
-        for want in fits[:4]:
-            assert_same_direction(next(results), fit_nodewise(*want, cfg))
+        for want in wants:
+            assert_same_direction(next(results), want)
         with pytest.raises(NumericalError) as stacked:
             next(results)
     assert str(stacked.value) == str(single.value)
@@ -191,9 +202,9 @@ def count_stacks(monkeypatch):
     rows = []
     original = nodewise.fit_corrected_lasso_stack
 
-    def counted(b, G, cfgs, floors=None):
+    def counted(b, *args, **kwargs):
         rows.append(b.shape[0])
-        return original(b, G, cfgs, floors)
+        return original(b, *args, **kwargs)
     monkeypatch.setattr(nodewise, "fit_corrected_lasso_stack", counted)
     return rows
 
@@ -211,7 +222,7 @@ def test_jobs_stack_across_designs_of_one_width(monkeypatch):
     fits += [(*designs[1], j) for j in (1, 6)]
     fits += [(*designs[2], j) for j in (2, 0, 5)]
     jobs = [job for Zf, v, j in fits for job in gram_jobs(Zf, v, [j])]
-    assert stack_size(8) >= 5 and stack_size(6) >= 3
+    assert stack_size(8) >= 2
     stacks = count_stacks(monkeypatch)
     cfg = SolverConfig(penalty_scale=0.5)
     results = list(fit_nodewise_jobs(iter(jobs), cfg))
@@ -221,12 +232,34 @@ def test_jobs_stack_across_designs_of_one_width(monkeypatch):
 
 
 def test_stack_size_follows_the_gram_budget(monkeypatch):
-    assert stack_size(1) == 1
-    assert stack_size(30) >= nodewise.STACK_MIN
-    assert stack_size(120) >= nodewise.STACK_MIN
+    # distinct Grams per stack: the 30 source Grams (29 columns) of a
+    # 30-node graph fit in one stack, a 300-column Gram fits alone
+    assert stack_size(1) == nodewise.STACK_BUDGET_BYTES // 8
+    assert stack_size(29) >= 30
+    assert stack_size(120) == nodewise.STACK_BUDGET_BYTES // (8 * 120 ** 2)
     assert stack_size(300) == 1
     monkeypatch.setattr(nodewise, "STACK_BUDGET_BYTES", 0)
     assert stack_size(30) == 1
+
+
+def test_wide_design_with_many_targets_splits_into_stacks(monkeypatch):
+    # all 300 targets of one 300-column design share its Gram, and the rows
+    # still cut the stacks, so no solver array of a stack outgrows the
+    # budget; a row cut from its Gram's other rows gives the same bits
+    rng = np.random.default_rng(29)
+    n, p = 60, 300
+    Z = rng.normal(size=(n, p))
+    Z[:, 1:] += 0.5 * Z[:, :-1]
+    noise_var = np.full(p, 0.1)
+    assert stack_size(p) == 1
+    assert stack_rows(p) == nodewise.STACK_BUDGET_BYTES // (8 * p) < p
+    stacks = count_stacks(monkeypatch)
+    cfg = SolverConfig(penalty_scale=2.0, max_iter=30)
+    fits = list(fit_nodewise_jobs(gram_jobs(Z, noise_var, range(p)), cfg))
+    assert len(stacks) > 1 and sum(stacks) == p
+    assert stacks == [stack_rows(p)] * (len(stacks) - 1) + [stacks[-1]]
+    for j in (0, stack_rows(p) - 1, stack_rows(p), p - 1):
+        assert_same_direction(fits[j], fit_nodewise(Z, noise_var, j, cfg))
 
 
 def count_radius_calls(monkeypatch):
@@ -266,7 +299,14 @@ def test_deferred_radius_gives_the_eager_fit(monkeypatch, regime):
     Z, noise_var = _ar_noisy(seed, n, p, sigma_w)
     cfg = SolverConfig(penalty_scale=scale)
     G, b = sub_gram(Z, noise_var, 0)
-    eager = fit_corrected_lasso(b, G, resolve_config(cfg, n, p, G, b))
+    resolved_cfg = resolve_config(cfg, n, p, G, b)
+    # the same pinned row on the design's Gram, radius resolved up front
+    full = corrected_gram(Z, noise_var)
+    row = full[:, 0].copy()
+    eager = fit_corrected_lasso_stack(row[None], [full], [resolved_cfg],
+                                      pin=[0])[0]
+    # and the sliced subproblem, which sums over p - 1 terms, not p
+    sliced = fit_corrected_lasso(b, G, resolved_cfg)
     calls = count_radius_calls(monkeypatch)
     got = fit_nodewise(Z, noise_var, 0, cfg).fit
 
@@ -284,6 +324,11 @@ def test_deferred_radius_gives_the_eager_fit(monkeypatch, regime):
         assert getattr(got, field) == getattr(eager, field), field
     assert got.beta.tobytes() == eager.beta.tobytes()
     assert got.objective_trace.tobytes() == eager.objective_trace.tobytes()
+    assert (got.iterations, got.converged) == \
+        (sliced.iterations, sliced.converged)
+    npt.assert_allclose(got.beta, sliced.beta, rtol=0, atol=1e-12)
+    if resolved:
+        assert got.radius == sliced.radius
 
 
 @pytest.mark.parametrize("budget", [None, 0], ids=["stacked", "one_by_one"])
@@ -306,3 +351,53 @@ def test_inference_resolves_only_the_pilot_radius(monkeypatch, budget):
                           range(p))
     assert len(table.cells) == p
     assert calls == [p]  # the pilot's p x p Gram, no nodewise one
+
+
+def test_no_pass_over_a_finished_row(monkeypatch):
+    # the edge regressions of every third source of a 30-node graph (AR(0.5)
+    # nodes observed with noise sd 0.5, n = 400) go in one stack of 290
+    # rows, and its solver loop passes each row once per iteration or
+    # backtracking retry, never after the row stopped; a row solved alone
+    # makes exactly those passes
+    n, p = 400, 30
+    gen = np.random.default_rng(7)
+    x = np.empty((n, p))
+    x[:, 0] = gen.normal(size=n)
+    for k in range(1, p):
+        x[:, k] = 0.5 * x[:, k - 1] + np.sqrt(0.75) * gen.normal(size=n)
+    Z = x + 0.5 * gen.normal(size=(n, p))
+    noise_var = np.full(p - 1, 0.25)
+    jobs = []
+    for j in range(0, p, 3):
+        G = corrected_gram(Z[:, np.arange(p) != j], noise_var)
+        jobs += [(G, noise_var, n, t) for t in range(p - 1)]
+
+    rows, power = [], []
+    matvec, bound = lasso._Rows.matvec, lasso._spectral_bound_stack
+
+    def counted_matvec(self, X):
+        rows.append(X.shape[0])
+        return matvec(self, X)
+
+    def counted_bound(G, gram=None, pin=None):
+        power.append(len(gram))
+        return bound(G, gram, pin)
+    monkeypatch.setattr(lasso._Rows, "matvec", counted_matvec)
+    monkeypatch.setattr(lasso, "_spectral_bound_stack", counted_bound)
+
+    def loop_row_passes():
+        # rows of every matvec, less the power iteration's
+        return sum(rows) - lasso._POWER_ITERATIONS * sum(power)
+
+    stacks = count_stacks(monkeypatch)
+    fits = list(fit_nodewise_jobs(jobs))
+    assert stacks == [len(jobs)]
+    row_passes = loop_row_passes()
+    iterations = sum(f.fit.iterations for f in fits)
+    rows.clear()
+    power.clear()
+    for job in jobs:
+        next(fit_nodewise_jobs([job]))
+    retries = loop_row_passes() - iterations
+    assert 0 <= retries < iterations
+    assert row_passes == iterations + retries

@@ -1,6 +1,7 @@
 """CSV ingestion and emission for datasets and noise-variance files.
 
-Dataset files are UTF-8 CSV with a header row and '.' decimal separator.
+Dataset files are UTF-8 CSV with a header row and '.' decimal separator;
+a leading byte-order mark, as spreadsheet exports write, is skipped.
 For regression commands one column must be named "y"; the remaining columns
 are covariates in file order.  Empty fields and the token "NA" mark missing
 covariate cells and are accepted only when the caller opts in (the
@@ -47,7 +48,7 @@ def read_dataset_csv(path: str, *, require_response: bool = True,
     (all-observed when no cell is missing); without it any missing cell is an
     error naming the offending row and column.
     """
-    with open(path, newline="", encoding="utf-8") as fh:
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         rows = list(csv.reader(fh))
     if not rows:
         raise InputError(f"{path}: empty file")
@@ -127,7 +128,7 @@ def write_dataset_csv(path: str, data: Dataset,
 def read_noise_csv(path: str, p: int) -> np.ndarray:
     """Parse a noise-variance file: one nonnegative number per line."""
     values = []
-    with open(path, encoding="utf-8") as fh:
+    with open(path, encoding="utf-8-sig") as fh:
         for lineno, line in enumerate(fh, start=1):
             token = line.strip()
             if not token:

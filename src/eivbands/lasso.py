@@ -8,10 +8,19 @@ matrix Z'Z/n gives an unbiased estimate of E[xx'], and the corrected lasso
     subject to ||beta||_1 <= radius
 
 replaces the ordinary lasso.  Because the corrected Gram can be indefinite
-when p > n, the problem is solved by projected composite gradient descent:
-a gradient step on the quadratic part, the soft-threshold prox for the l1
-penalty, then Euclidean projection onto the l1 ball.  The l1-ball side
-constraint keeps the iterates bounded on indefinite problems.
+when p > n, each step is a projected composite gradient step: a gradient
+step on the quadratic part, the soft-threshold prox for the l1 penalty, then
+Euclidean projection onto the l1 ball.  The l1-ball side constraint keeps the
+iterates bounded on indefinite problems.  The steps are accelerated by
+monotone FISTA (Beck & Teboulle 2009) with gradient restart (O'Donoghue &
+Candes 2015): the step is taken from an extrapolated point y, the candidate
+replaces the iterate x only if it does not raise the objective, and the
+momentum restarts when the step turns against the last move.  Carrying G x
+alongside x, G y is a combination of G x and G cand, so every iteration
+(and every backtracking retry) makes one matrix-vector product.  The
+monotone and restart decisions, like the backtracking test, allow a slack of
+1e-12 relative to the objective, so rounding in the last bits does not flip
+them.
 
 `fit_corrected_lasso` solves one problem (the pilots); the rows of a
 `fit_corrected_lasso_stack` may share a Gram and pin one coordinate at 0, so
@@ -33,6 +42,7 @@ DEFAULT_TRUNCATION = 1e-7
 _POWER_ITERATIONS = 20
 _MIN_STEP = 1e-30
 _BACKTRACK_SLACK = 1e-12
+_KKT_BLOCK = 128
 
 
 @dataclass(frozen=True)
@@ -170,7 +180,8 @@ class FitResult:
     `beta` has every entry either exactly 0 or larger than `truncation` in
     magnitude.  `objective` and `kkt_residual` are evaluated at the final
     solver iterate before truncation; `objective_trace` records the objective
-    at every accepted iterate and is non-increasing up to 1e-12 slack.
+    of the iterate after every iteration and is non-increasing up to 1e-12
+    slack.
 
     `radius` is the l1-ball radius that was in force: the configured or
     resolved radius, or ``inf`` when a deferred default radius was never
@@ -446,8 +457,14 @@ def fit_corrected_lasso(b: np.ndarray, G: np.ndarray, cfg: SolverConfig,
     Iterates start at 0 and stay feasible.  Unless 0 is already a KKT
     point, the initial step is 1 over a power-iteration estimate of the
     spectral radius of G, halved by backtracking until the usual quadratic
-    upper bound holds, which makes the composite objective non-increasing
-    even on indefinite problems.
+    upper bound holds at the extrapolated point.  The steps are monotone
+    FISTA with gradient restart: a candidate replaces the iterate only if
+    its objective is no larger (up to a 1e-12 relative slack), which keeps
+    the objective trace non-increasing even on indefinite problems, and
+    the momentum restarts once (y - cand)'(cand - x) exceeds the same slack
+    times the step.  G y is formed from G cand and G x, so each iteration
+    makes one matrix-vector product.  The KKT residual of the iterate is
+    checked every 25 iterations and whenever a step is tiny.
     """
     b = np.asarray(b, dtype=np.float64)
     G = np.asarray(G, dtype=np.float64)
@@ -462,25 +479,25 @@ def fit_corrected_lasso(b: np.ndarray, G: np.ndarray, cfg: SolverConfig,
     radius = math.inf if deferred else float(cfg.radius)
 
     def kkt_residual() -> float:
-        return float(_kkt_residual_stack(beta[None], grad[None],
+        return float(_kkt_residual_stack(x[None], (Gx - b)[None],
                                          np.array([penalty]),
                                          np.array([radius]))[0])
 
     p = b.shape[0]
-    beta = np.zeros(p)
-    f_beta = 0.0
-    grad = -b.copy()
+    # x: accepted iterate, Gx = G @ x; y: extrapolated point, gy its gradient
+    x, Gx, F_x = np.zeros(p), np.zeros(p), 0.0
     trace = [0.0]
     kkt = kkt_residual()
     converged = kkt <= cfg.tol
     if not converged:
         step = 1.0 / max(float(_spectral_bound_stack(G[None])[0]), 1e-12)
+    y, gy, f_y, t = x, -b, 0.0, 1.0
     iterations = 0
 
     while iterations < cfg.max_iter and not converged:
         iterations += 1
         while True:
-            v = beta - step * grad
+            v = y - step * gy
             # |soft-threshold of v at step * penalty| and its l1 norm
             mag = np.maximum(np.abs(v) - step * penalty, 0.0)
             l1 = mag.sum()
@@ -490,37 +507,47 @@ def fit_corrected_lasso(b: np.ndarray, G: np.ndarray, cfg: SolverConfig,
             if not l1 <= radius:
                 _project_l1_ball_stack(cand[None], mag[None], l1[None],
                                        np.array([radius]))
-            delta = cand - beta
+            delta = cand - y
             sq = float(delta @ delta)
             Gc = G @ cand
             f_cand = 0.5 * float(cand @ Gc) - float(b @ cand)
             if sq == 0.0:
                 break
-            bound = f_beta + float(grad @ delta) + sq / (2.0 * step)
-            if f_cand <= bound + _BACKTRACK_SLACK * (1.0 + abs(f_beta)):
+            bound = f_y + float(gy @ delta) + sq / (2.0 * step)
+            if f_cand <= bound + _BACKTRACK_SLACK * (1.0 + abs(f_y)):
                 break
             step *= 0.5
             if step < _MIN_STEP:
                 raise NumericalError("backtracking step size underflow")
         if not np.isfinite(f_cand):
             raise NumericalError("non-finite objective in solver")
-        beta, f_beta = cand, f_cand
-        grad = Gc - b
-        trace.append(f_beta + penalty * float(np.abs(beta).sum()))
-        if sq == 0.0 or iterations % 25 == 0 or \
+        F_cand = f_cand + penalty * float(np.abs(cand).sum())
+        slack = _BACKTRACK_SLACK * (1.0 + abs(F_x))
+        took = F_cand <= F_x + slack
+        D, GD = cand - x, Gc - Gx
+        restart = float(delta @ D) < -(step * slack)
+        t_next = 1.0 if restart else (1.0 + math.sqrt(1.0 + 4.0 * t * t)) / 2.0
+        m = 0.0 if restart else ((t - 1.0) if took else t) / t_next
+        if took:
+            x, Gx, F_x = cand, Gc, F_cand
+        y, Gy, t = x + m * D, Gx + m * GD, t_next
+        f_y = 0.5 * float(y @ Gy) - float(b @ y)
+        gy = Gy - b
+        trace.append(F_x)
+        fixed = sq == 0.0 and took
+        if fixed or iterations % 25 == 0 or \
                 math.sqrt(sq) <= 0.1 * cfg.tol * step:
             kkt = kkt_residual()
             converged = kkt <= cfg.tol
-            if sq == 0.0:
+            if fixed:
                 break
 
     if not converged:
         kkt = kkt_residual()
         converged = kkt <= cfg.tol
-    objective = f_beta + penalty * float(np.abs(beta).sum())
     return FitResult(
-        beta=hard_threshold(beta, cfg.truncation),
-        objective=objective,
+        beta=hard_threshold(x, cfg.truncation),
+        objective=F_x,
         iterations=iterations,
         converged=converged,
         kkt_residual=kkt,
@@ -535,9 +562,9 @@ def fit_corrected_lasso_stack(b: np.ndarray, G, cfgs, floors=None,
                               ) -> list[FitResult | NumericalError]:
     """Solve k corrected-lasso problems of one size as a single stack.
 
-    Every problem keeps its own step size, backtracking, projection, KKT
-    checks, stopping rule and objective trace; one that stops leaves the
-    live rows, so no later pass computes anything for it.
+    Every problem keeps its own step size, momentum, backtracking,
+    projection, KKT checks, stopping rule and objective trace; one that
+    stops leaves the live rows, so no later pass computes anything for it.
 
     Parameters
     ----------
@@ -604,7 +631,7 @@ def fit_corrected_lasso_stack(b: np.ndarray, G, cfgs, floors=None,
     max_iter = np.array([c.max_iter for c in cfgs])
 
     beta = np.zeros_like(b)
-    f_beta = np.zeros(k)
+    objective = np.zeros(k)
     grad = -b
     kkt = _kkt_residual_stack(beta, grad, penalty, radius)
     converged = kkt <= tol
@@ -612,18 +639,21 @@ def fit_corrected_lasso_stack(b: np.ndarray, G, cfgs, floors=None,
     errors: list[NumericalError | None] = [None] * k
     traces = []
 
-    # the live rows: positions `idx`, layout `rows`, step and working state
+    # the live rows: positions `idx`, layout `rows`, step, momentum and
+    # working state (x, G @ x, its objective; y, its gradient and f(y))
     idx = np.flatnonzero(~converged)
     rows = _Rows(grams, gram[idx], pin[idx])
     step = 1.0 / np.maximum(_spectral_bound_stack(
         grams, rows.gram, rows.pin), 1e-12) if idx.size else np.zeros(0)
-    live = (idx, step, beta[idx], grad[idx], b[idx], f_beta[idx],
+    live = (idx, step, np.ones(idx.size), beta[idx], np.zeros_like(b[idx]),
+            objective[idx], beta[idx], grad[idx], objective[idx], b[idx],
             iterations[idx], penalty[idx], radius[idx], deferred[idx],
             floor[idx], tol[idx], max_iter[idx])
 
     while live[0].size:
-        idx, step, x, g, bl, f_x, it, pen, rad, dfr, flr, tl, cap = live
-        v = x - step[:, None] * g
+        (idx, step, t, x, Gx, F_x, y, gy, f_y, bl, it, pen, rad, dfr, flr,
+         tl, cap) = live
+        v = y - step[:, None] * gy
         # |soft-threshold of v at step * penalty| and its l1 norm
         mag = np.maximum(np.abs(v) - (step * pen)[:, None], 0.0)
         l1 = mag.sum(axis=1)
@@ -633,14 +663,14 @@ def fit_corrected_lasso_stack(b: np.ndarray, G, cfgs, floors=None,
                 grams[rows.gram[i]][np.ix_(keep, keep)], bl[i][keep])
             dfr[i] = False
         cand = _project_l1_ball_stack(np.sign(v) * mag, mag, l1, rad)
-        delta = cand - x
+        delta = cand - y
         sq = _rowdot(delta, delta)
         Gc = rows.matvec(cand)
         f_cand = 0.5 * _rowdot(cand, Gc) - _rowdot(bl, cand)
-        bound = f_x + _rowdot(g, delta) + sq / (2.0 * step)
+        bound = f_y + _rowdot(gy, delta) + sq / (2.0 * step)
         zero = sq == 0.0
         accept = zero | (
-            f_cand <= bound + _BACKTRACK_SLACK * (1.0 + np.abs(f_x)))
+            f_cand <= bound + _BACKTRACK_SLACK * (1.0 + np.abs(f_y)))
 
         step[~accept] *= 0.5
         underflow = ~accept & (step < _MIN_STEP)
@@ -652,25 +682,47 @@ def fit_corrected_lasso_stack(b: np.ndarray, G, cfgs, floors=None,
         accept &= ~nonfinite
         stop = underflow | nonfinite
 
-        np.copyto(x, cand, where=accept[:, None])
-        np.copyto(f_x, f_cand, where=accept)
-        np.copyto(g, Gc - bl, where=accept[:, None])
+        # accepted rows take the candidate if it does not raise F, then
+        # extrapolate (or restart at x); G @ y is a combination of G @ cand
+        # and G @ x, so the pass needs no second matvec
+        F_cand = f_cand + pen * np.abs(cand).sum(axis=1)
+        slack = _BACKTRACK_SLACK * (1.0 + np.abs(F_x))
+        took = accept & (F_cand <= F_x + slack)
+        D, GD = cand - x, Gc - Gx
+        restart = _rowdot(delta, D) < -(step * slack)
+        t_next = np.where(restart, 1.0,
+                          (1.0 + np.sqrt(1.0 + 4.0 * t * t)) / 2.0)
+        m = np.where(restart, 0.0, np.where(took, t - 1.0, t) / t_next)
+        np.copyto(x, cand, where=took[:, None])
+        np.copyto(Gx, Gc, where=took[:, None])
+        np.copyto(F_x, F_cand, where=took)
+        D *= m[:, None]
+        D += x
+        GD *= m[:, None]
+        GD += Gx
+        np.copyto(y, D, where=accept[:, None])
+        np.copyto(f_y, 0.5 * _rowdot(D, GD) - _rowdot(bl, D), where=accept)
+        GD -= bl
+        np.copyto(gy, GD, where=accept[:, None])
+        np.copyto(t, t_next, where=accept)
         it += accept
-        traces.append((idx[accept], f_x[accept]
-                       + pen[accept] * np.abs(x[accept]).sum(axis=1)))
+        traces.append((idx[accept], F_x[accept]))
 
-        check = accept & (zero | (it % 25 == 0)
-                          | (np.sqrt(sq) <= 0.1 * tl * step))
-        if check.any():
-            kkt[idx[check]] = _kkt_residual_stack(x[check], g[check],
-                                                  pen[check], rad[check])
-            converged[idx[check]] = kkt[idx[check]] <= tl[check]
-            stop |= converged[idx]
-        stop |= accept & (zero | (it >= cap))
+        fixed = zero & took
+        check = np.flatnonzero(accept & (fixed | (it % 25 == 0)
+                               | (np.sqrt(sq) <= 0.1 * tl * step)))
+        # in blocks, to bound the residual's temporaries on tall stacks
+        for lo in range(0, check.size, _KKT_BLOCK):
+            c = check[lo:lo + _KKT_BLOCK]
+            kkt[idx[c]] = _kkt_residual_stack(x[c], Gx[c] - bl[c], pen[c],
+                                              rad[c])
+        converged[idx[check]] = kkt[idx[check]] <= tl[check]
+        stop |= converged[idx]
+        stop |= fixed | (accept & (it >= cap))
         if stop.any():
             done, keep = idx[stop], ~stop
-            beta[done], grad[done], f_beta[done], iterations[done] = \
-                x[stop], g[stop], f_x[stop], it[stop]
+            beta[done], grad[done], objective[done], iterations[done] = \
+                x[stop], Gx[stop] - bl[stop], F_x[stop], it[stop]
             rows = _Rows(grams, rows.gram[keep], rows.pin[keep])
             live = tuple(a[keep] for a in live)
 
@@ -678,9 +730,8 @@ def fit_corrected_lasso_stack(b: np.ndarray, G, cfgs, floors=None,
     kkt[redo] = _kkt_residual_stack(beta[redo], grad[redo], penalty[redo],
                                     radius[redo])
     converged = kkt <= tol
-    objective = f_beta + penalty * np.abs(beta).sum(axis=1)
     # row i's trace flat[start[i]:end[i]] is 0, then one objective per
-    # accepted iterate in pass order
+    # iteration in pass order
     end = np.cumsum(iterations + 1)
     start = end - iterations - 1
     flat, filled = np.zeros(k + iterations.sum()), start.copy()

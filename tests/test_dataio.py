@@ -25,6 +25,14 @@ def test_basic_parse(tmp_path):
     assert data.mask is None
 
 
+def test_byte_order_mark_is_skipped(tmp_path):
+    # spreadsheet exports start with U+FEFF; it is not part of the "y" name
+    path = write(tmp_path, "\ufeffy,z1,z2\n1.5,2.0,3.0\n-0.5,0.25,1e-3\n")
+    data, names = dataio.read_dataset_csv(path)
+    assert names == ["z1", "z2"]
+    npt.assert_array_equal(data.y, [1.5, -0.5])
+
+
 def test_response_column_position_is_free(tmp_path):
     path = write(tmp_path, "z1,y,z2\n2.0,1.5,3.0\n0.25,-0.5,4.0\n")
     data, names = dataio.read_dataset_csv(path)
@@ -177,6 +185,11 @@ def test_write_rejects_wrong_name_count(tmp_path):
 def test_noise_file_parse(tmp_path):
     path = write(tmp_path, "0.25\n0.0\n1.5\n", name="gamma.txt")
     npt.assert_array_equal(dataio.read_noise_csv(path, 3), [0.25, 0.0, 1.5])
+
+
+def test_noise_file_byte_order_mark_is_skipped(tmp_path):
+    path = write(tmp_path, "\ufeff0.1\n0.25\n", name="gamma.txt")
+    npt.assert_array_equal(dataio.read_noise_csv(path, 2), [0.1, 0.25])
 
 
 def test_noise_file_length_mismatch(tmp_path):

@@ -384,6 +384,22 @@ class TestSolver:
         assert diffs.max() <= 1e-12 * (1 + np.abs(fit.objective_trace).max())
         assert np.abs(fit.beta).sum() <= cfg.radius * (1 + 1e-9)
 
+    def test_accelerated_on_an_ill_conditioned_gram(self):
+        # the AR(0.9) correlation matrix at p = 30 has condition number
+        # about 260: plain projected gradient needs 1,100 iterations here,
+        # the accelerated loop converges within 400, and its restarts leave
+        # the objective trace non-increasing
+        p = 30
+        G = 0.9 ** np.abs(np.subtract.outer(np.arange(p), np.arange(p)))
+        beta = np.zeros(p)
+        beta[[3, 9, 15]] = [1.0, -1.0, 0.5]
+        cfg = SolverConfig(penalty=0.01, radius=np.inf, tol=1e-8,
+                           max_iter=400)
+        fit = fit_corrected_lasso(G @ beta, G, cfg)
+        assert fit.converged and fit.kkt_residual <= 1e-8
+        diffs = np.diff(fit.objective_trace)
+        assert diffs.max() <= 1e-12 * (1 + np.abs(fit.objective_trace).max())
+
     def test_ball_constraint_active_feasible(self):
         gen = np.random.default_rng(2)
         b, G = pd_instance(gen, 5)
@@ -459,14 +475,29 @@ def assert_same_bits(stacked, single):
             assert g.tobytes() == w.tobytes(), field
 
 
+def draw_design(gen, p):
+    # Z and noise variances of one design: iid columns at a small n, with
+    # noise that can make the corrected Gram indefinite, or, a third of the
+    # time, noise-free AR(0.9) columns at n = 10 p, whose ill-conditioned
+    # Gram makes the accelerated loop restart its momentum several times
+    if gen.uniform() < 1 / 3:
+        Z = gen.normal(size=(10 * p, p))
+        for k in range(1, p):
+            Z[:, k] = 0.9 * Z[:, k - 1] + np.sqrt(0.19) * Z[:, k]
+        return Z, np.zeros(p)
+    n = int(gen.integers(max(2, p // 2), 3 * p + 5))
+    return gen.normal(size=(n, p)), np.full(p, gen.uniform(0.0, 1.5))
+
+
 def random_stack(gen, k, p):
-    # k same-size problems mixing positive definite and indefinite Grams,
-    # b = 0, tight and infinite radii, and small iteration caps
+    # k same-size problems mixing positive definite, ill-conditioned and
+    # indefinite Grams, b = 0, tight and infinite radii, and small
+    # iteration caps
     bs, Gs, cfgs = [], [], []
     for _ in range(k):
-        n = int(gen.integers(max(2, p // 2), 3 * p + 5))
-        Z = gen.normal(size=(n, p))
-        G = corrected_gram(Z, np.full(p, gen.uniform(0.0, 1.5)))
+        Z, v = draw_design(gen, p)
+        n = Z.shape[0]
+        G = corrected_gram(Z, v)
         b = Z.T @ gen.normal(size=n) / n * gen.choice([0.0, 1.0, 3.0])
         cfg = SolverConfig(penalty_scale=gen.uniform(0.05, 2.0),
                            radius=gen.choice([None, np.inf, 0.3]),
@@ -524,9 +555,8 @@ class TestStackedSolver:
         gen = np.random.default_rng(seed)
         bs, Gs, cfgs, floors = [], [], [], []
         for _ in range(k):
-            n = int(gen.integers(max(2, p // 2), 3 * p + 5))
-            v = np.full(p, gen.uniform(0.0, 1.5))
-            Z = gen.normal(size=(n, p))
+            Z, v = draw_design(gen, p)
+            n = Z.shape[0]
             G = corrected_gram(Z, v)
             b = Z.T @ gen.normal(size=n) / n * gen.choice([0.0, 1.0, 3.0])
             cfg = SolverConfig(penalty_scale=gen.uniform(0.02, 2.0),
@@ -553,9 +583,7 @@ class TestStackedSolver:
         gen = np.random.default_rng(seed)
         designs = []
         for _ in range(g):
-            n = int(gen.integers(max(2, p // 2), 3 * p + 5))
-            v = np.full(p, gen.uniform(0.0, 1.5))
-            Z = gen.normal(size=(n, p))
+            Z, v = draw_design(gen, p)
             designs.append((corrected_gram(Z, v), v, Z))
         bs, grams, cfgs, floors, pins = [], [], [], [], []
         for _ in range(k):

@@ -13,9 +13,10 @@ enough nodes that the edges span several bootstrap column blocks, and 26
 nodes whose 650 edge regressions on 26 source Grams make one nodewise
 stack) and
 `simulate` (both presets, the multi one also on two workers, a config file
-under flags, the naive method with the solver flags, and the study
-defaults) once with `--format records` and once with `--format table`, and
-captures the stdout of each script in `demos/`.  The two-worker run must
+under flags, the naive method with the solver flags, the study defaults,
+and noise sd 1 at a fifth of the study penalty, where pilots and nodewise
+rows end on their l1 balls) once with `--format records` and once with
+`--format table`, and captures the stdout of each script in `demos/`.  The two-worker run must
 equal its one-worker twin `simulate_multi_mar` byte for byte.  Each invalid `simulate` call in `_error_runs` leaves
 `err_<name>.txt`: its exit code and stderr, or the type of an exception that
 escapes `main`.  Two checkouts that compute the same numbers give trees that
@@ -197,6 +198,10 @@ def _runs(inputs: Path) -> dict[str, list[str]]:
         "simulate_single": ["simulate", "--n", "100", "--p", "30",
                             "--replications", "4", "--boot", "200",
                             "--seed", "3"],
+        "simulate_ball": ["simulate", "--preset", "single", "--sigma-w", "1",
+                          "--lambda-scale", "0.2", "--n", "100", "--p", "30",
+                          "--replications", "4", "--seed", "3", "--boot",
+                          "200"],
         "simulate_multi_mar": multi_mar,
         "simulate_workers2": [*multi_mar, "--workers", "2"],
         "simulate_config": ["simulate", "--preset", "multi", "--config",

@@ -1,7 +1,8 @@
 """CSV ingestion and emission for datasets and noise-variance files.
 
-Dataset files are UTF-8 CSV with a header row and '.' decimal separator;
-a leading byte-order mark, as spreadsheet exports write, is skipped.
+Dataset files are UTF-8 CSV with a header row of distinct, nonempty names
+and '.' decimal separator; a leading byte-order mark, as spreadsheet exports
+write, is skipped.
 For regression commands one column must be named "y"; the remaining columns
 are covariates in file order.  Empty fields and the token "NA" mark missing
 covariate cells and are accepted only when the caller opts in (the
@@ -53,6 +54,9 @@ def read_dataset_csv(path: str, *, require_response: bool = True,
     if not rows:
         raise InputError(f"{path}: empty file")
     header = [name.strip() for name in rows[0]]
+    if "" in header:
+        raise InputError(f"{path}: column {header.index('') + 1} has an "
+                         "empty header name")
     if len(set(header)) != len(header):
         dupes = sorted({h for h in header if header.count(h) > 1})
         raise InputError(f"{path}: duplicate header names {dupes}")

@@ -20,7 +20,8 @@ alongside x, G y is a combination of G x and G cand, so every iteration
 (and every backtracking retry) makes one matrix-vector product.  The
 monotone and restart decisions, like the backtracking test, allow a slack of
 1e-12 relative to the objective, so rounding in the last bits does not flip
-them.
+them.  A fit stops on its KKT residual, checked every 25 iterations, on a
+tiny step and at the iteration cap.
 
 `fit_corrected_lasso` solves one problem (the pilots); the rows of a
 `fit_corrected_lasso_stack` may share a Gram and pin one coordinate at 0, so
@@ -379,48 +380,21 @@ def _kkt_residual_stack(beta: np.ndarray, grad: np.ndarray,
                         penalty: np.ndarray, radius: np.ndarray) -> np.ndarray:
     """Infinity norm of the minimum-norm subgradient of every row's problem.
 
-    Inside the ball this is the distance of -grad from penalty * (the
-    subdifferential of the l1 norm).  On the ball the constraint's normal
-    cone adds a theta >= 0 to the penalty; the residual as a function of
-    theta is convex piecewise linear, and a golden-section scan, run only on
-    rows whose constraint is active, finds its minimum.
+    At weight theta >= 0 on the ball's normal cone, a nonzero entry adds
+    |a + theta| with a = sign(beta) grad + penalty, and a zero entry adds
+    max(|grad| - penalty - theta, 0).  So the residual is the V shape
+    max(theta + hi, lo - theta, 0), with hi = max a (-inf when beta = 0) and
+    lo the larger of max(-a) and max(|grad| - penalty).  theta is 0 inside
+    the ball and the V's minimum max((lo - hi) / 2, 0) on it.  Radii must be
+    > 0, so a row on its ball has a nonzero entry and a finite hi.
     """
-
-    def residual(rows):
-        g, pen = grad[rows], penalty[rows]
-        nonzero, sign = beta[rows] != 0.0, np.sign(beta[rows])
-        size = np.abs(g)
-
-        def resid(theta):
-            lam = (pen + theta)[:, None]
-            shrunk = np.maximum(size - lam, 0.0)
-            return np.where(nonzero, np.abs(g + lam * sign), shrunk).max(axis=1)
-        return resid
-
-    out = residual(slice(None))(np.zeros(beta.shape[0]))
-    l1 = np.abs(beta).sum(axis=1)
-    on_ball = np.isfinite(radius) & ~(l1 < radius * (1.0 - 1e-9))
-    if not on_ball.any():
-        return out
-    ball = np.flatnonzero(on_ball)
-    lo = np.zeros(ball.size)
-    hi = np.abs(grad[ball]).max(axis=1) + 1.0
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    d = invphi * (hi - lo)
-    x1, x2 = hi - d, lo + d
-    resid = residual(ball)
-    f1, f2 = resid(x1), resid(x2)
-    for _ in range(100):
-        left = f1 <= f2
-        hi = np.where(left, x2, hi)
-        lo = np.where(left, lo, x1)
-        d = invphi * (hi - lo)
-        x_new = np.where(left, hi - d, lo + d)
-        f_new = resid(x_new)
-        x1, x2 = np.where(left, x_new, x2), np.where(left, x1, x_new)
-        f1, f2 = np.where(left, f_new, f2), np.where(left, f1, f_new)
-    out[ball] = np.minimum(np.minimum(out[ball], f1), f2)
-    return out
+    nonzero = beta != 0.0
+    d = np.sign(beta) * grad  # a - penalty; max(d) + penalty == max a
+    hi = np.where(nonzero, d, -np.inf).max(axis=1) + penalty
+    lo = np.where(nonzero, -d, np.abs(grad)).max(axis=1) - penalty
+    on_ball = np.abs(beta).sum(axis=1) >= radius * (1.0 - 1e-9)
+    theta = np.where(on_ball, np.maximum((lo - hi) / 2.0, 0.0), 0.0)
+    return np.maximum(np.maximum(theta + hi, lo - theta), 0.0)
 
 
 def fit_corrected_lasso(b: np.ndarray, G: np.ndarray, cfg: SolverConfig,
@@ -464,7 +438,7 @@ def fit_corrected_lasso(b: np.ndarray, G: np.ndarray, cfg: SolverConfig,
     the momentum restarts once (y - cand)'(cand - x) exceeds the same slack
     times the step.  G y is formed from G cand and G x, so each iteration
     makes one matrix-vector product.  The KKT residual of the iterate is
-    checked every 25 iterations and whenever a step is tiny.
+    checked every 25 iterations, on a tiny step and at `max_iter`.
     """
     b = np.asarray(b, dtype=np.float64)
     G = np.asarray(G, dtype=np.float64)
@@ -535,16 +509,13 @@ def fit_corrected_lasso(b: np.ndarray, G: np.ndarray, cfg: SolverConfig,
         gy = Gy - b
         trace.append(F_x)
         fixed = sq == 0.0 and took
-        if fixed or iterations % 25 == 0 or \
+        if fixed or iterations % 25 == 0 or iterations == cfg.max_iter or \
                 math.sqrt(sq) <= 0.1 * cfg.tol * step:
             kkt = kkt_residual()
             converged = kkt <= cfg.tol
             if fixed:
                 break
 
-    if not converged:
-        kkt = kkt_residual()
-        converged = kkt <= cfg.tol
     return FitResult(
         beta=hard_threshold(x, cfg.truncation),
         objective=F_x,
@@ -632,8 +603,7 @@ def fit_corrected_lasso_stack(b: np.ndarray, G, cfgs, floors=None,
 
     beta = np.zeros_like(b)
     objective = np.zeros(k)
-    grad = -b
-    kkt = _kkt_residual_stack(beta, grad, penalty, radius)
+    kkt = _kkt_residual_stack(beta, -b, penalty, radius)
     converged = kkt <= tol
     iterations = np.zeros(k, dtype=np.int64)
     errors: list[NumericalError | None] = [None] * k
@@ -646,7 +616,7 @@ def fit_corrected_lasso_stack(b: np.ndarray, G, cfgs, floors=None,
     step = 1.0 / np.maximum(_spectral_bound_stack(
         grams, rows.gram, rows.pin), 1e-12) if idx.size else np.zeros(0)
     live = (idx, step, np.ones(idx.size), beta[idx], np.zeros_like(b[idx]),
-            objective[idx], beta[idx], grad[idx], objective[idx], b[idx],
+            objective[idx], beta[idx], -b[idx], objective[idx], b[idx],
             iterations[idx], penalty[idx], radius[idx], deferred[idx],
             floor[idx], tol[idx], max_iter[idx])
 
@@ -680,7 +650,6 @@ def fit_corrected_lasso_stack(b: np.ndarray, G, cfgs, floors=None,
                 "backtracking step size underflow" if underflow[i]
                 else "non-finite objective in solver")
         accept &= ~nonfinite
-        stop = underflow | nonfinite
 
         # accepted rows take the candidate if it does not raise F, then
         # extrapolate (or restart at x); G @ y is a combination of G @ cand
@@ -709,7 +678,7 @@ def fit_corrected_lasso_stack(b: np.ndarray, G, cfgs, floors=None,
         traces.append((idx[accept], F_x[accept]))
 
         fixed = zero & took
-        check = np.flatnonzero(accept & (fixed | (it % 25 == 0)
+        check = np.flatnonzero(accept & (fixed | (it % 25 == 0) | (it >= cap)
                                | (np.sqrt(sq) <= 0.1 * tl * step)))
         # in blocks, to bound the residual's temporaries on tall stacks
         for lo in range(0, check.size, _KKT_BLOCK):
@@ -717,19 +686,14 @@ def fit_corrected_lasso_stack(b: np.ndarray, G, cfgs, floors=None,
             kkt[idx[c]] = _kkt_residual_stack(x[c], Gx[c] - bl[c], pen[c],
                                               rad[c])
         converged[idx[check]] = kkt[idx[check]] <= tl[check]
-        stop |= converged[idx]
-        stop |= fixed | (accept & (it >= cap))
+        stop = underflow | nonfinite | converged[idx] | fixed | (it >= cap)
         if stop.any():
             done, keep = idx[stop], ~stop
-            beta[done], grad[done], objective[done], iterations[done] = \
-                x[stop], Gx[stop] - bl[stop], F_x[stop], it[stop]
+            beta[done], objective[done], iterations[done] = \
+                x[stop], F_x[stop], it[stop]
             rows = _Rows(grams, rows.gram[keep], rows.pin[keep])
             live = tuple(a[keep] for a in live)
 
-    redo = ~converged
-    kkt[redo] = _kkt_residual_stack(beta[redo], grad[redo], penalty[redo],
-                                    radius[redo])
-    converged = kkt <= tol
     # row i's trace flat[start[i]:end[i]] is 0, then one objective per
     # iteration in pass order
     end = np.cumsum(iterations + 1)

@@ -84,6 +84,15 @@ def test_duplicate_headers_rejected(tmp_path):
         dataio.read_dataset_csv(path)
 
 
+def test_empty_header_name_rejected(tmp_path):
+    # a trailing comma on every line, as spreadsheet exports write, would
+    # otherwise add an all-missing covariate under missing-at-random mode
+    path = write(tmp_path, "y,z1,z2,\n1.0,2.0,3.0,\n2.0,1.0,4.0,\n")
+    for allow_missing in (False, True):
+        with pytest.raises(InputError, match="column 4 has an empty header"):
+            dataio.read_dataset_csv(path, allow_missing=allow_missing)
+
+
 def test_missing_response_column_rejected(tmp_path):
     path = write(tmp_path, "a,z1,z2\n1.0,2.0,3.0\n2.0,1.0,4.0\n")
     with pytest.raises(InputError, match='no column named "y"'):

@@ -628,6 +628,39 @@ class TestStackedSolver:
                 bs[free], [Gs[grams[i]] for i in free],
                 [cfgs[i] for i in free], [floors[i] for i in free]))
 
+    def test_reports_the_residual_of_the_returned_iterate(self):
+        # untruncated, fit.beta is the last iterate; its residual must be
+        # the one reported however the fit ended, in both loops
+        gen = np.random.default_rng(9)
+        p = 6
+        b, G = pd_instance(gen, p)
+        cases = {
+            "converged": (b, SolverConfig(penalty=0.1, radius=np.inf,
+                                          tol=1e-10, truncation=0.0)),
+            "capped": (b, SolverConfig(penalty=0.01, radius=np.inf,
+                                       max_iter=3, truncation=0.0)),
+            "ball": (b, SolverConfig(penalty=0.0, radius=0.05,
+                                     truncation=0.0)),
+            "zero_b": (np.zeros(p), SolverConfig(penalty=0.1, radius=1.0,
+                                                 truncation=0.0)),
+        }
+        bs = np.array([case[0] for case in cases.values()])
+        cfgs = [case[1] for case in cases.values()]
+        single = [fit_corrected_lasso(bi, G, cfg) for bi, cfg in zip(bs, cfgs)]
+        stacked = fit_corrected_lasso_stack(bs, [G], cfgs,
+                                            gram=[0] * len(cfgs))
+        converged, capped, ball, zero_b = single
+        assert converged.converged and converged.iterations > 0
+        assert capped.iterations == 3 and not capped.converged
+        assert np.abs(ball.beta).sum() >= 0.05 * (1 - 1e-9)
+        assert zero_b.iterations == 0
+        for bi, cfg, *fits in zip(bs, cfgs, single, stacked):
+            for fit in fits:
+                want = lasso._kkt_residual_stack(
+                    fit.beta[None], (G @ fit.beta - bi)[None],
+                    np.array([cfg.penalty]), np.array([cfg.radius]))[0]
+                assert fit.kkt_residual == want
+
     def test_skips_power_iteration_when_zero_is_optimal(self, monkeypatch):
         def refuse(G):
             raise AssertionError("spectral bound computed")

@@ -8,7 +8,10 @@ with a penalty that leaves no coefficient), `infer` (known noise, missing at
 random, a 140-column design, more targets than one bootstrap column block
 or one nodewise stack holds,
 noise sd 1 where some nodewise candidates reach the l1-ball radius floor,
-and one target without a band), `bands`, `graph` (all sources, two of them,
+one target without a band, and the first dataset as a spreadsheet exports
+it: a byte-order mark, CRLF line ends, quoted and padded cells, which the
+reader parses cell by cell where clean files take its one-pass parse),
+`bands`, `graph` (all sources, two of them,
 enough nodes that the edges span several bootstrap column blocks, and 26
 nodes whose 650 edge regressions on 26 source Grams make one nodewise
 stack) and
@@ -86,6 +89,20 @@ def _write_csv(path: Path, columns: dict[str, np.ndarray],
             fh.write(",".join(cells) + "\n")
 
 
+def _write_spreadsheet(path: Path, columns: dict[str, np.ndarray]) -> None:
+    # as a spreadsheet exports a table: a byte-order mark, CRLF line ends,
+    # quoted names and every third cell quoted, the next one padded
+    names = list(columns)
+    table = np.column_stack([columns[c] for c in names])
+    lines = [",".join(f'"{c}"' for c in names)]
+    for row in table.tolist():
+        lines.append(",".join(f'"{v!r}"' if k % 3 == 0 else
+                              f" {v!r}\t" if k % 3 == 1 else repr(v)
+                              for k, v in enumerate(row)))
+    path.write_text("\ufeff" + "".join(line + "\r\n" for line in lines),
+                    encoding="utf-8", newline="")
+
+
 def _write_gamma(path: Path, gamma: np.ndarray) -> None:
     path.write_text("".join(f"{float(g)!r}\n" for g in gamma), encoding="utf-8")
 
@@ -105,6 +122,7 @@ def write_inputs(inputs: Path) -> None:
     y, Z = _regression(np.random.default_rng(11), 120, 40, sigma_w)
     cols = {"y": y} | {f"z{k + 1}": Z[:, k] for k in range(Z.shape[1])}
     _write_csv(inputs / "reg.csv", cols)
+    _write_spreadsheet(inputs / "spreadsheet.csv", cols)
     _write_gamma(inputs / "reg_gamma.txt", np.full(Z.shape[1], sigma_w ** 2))
 
     rng = np.random.default_rng(12)
@@ -180,6 +198,9 @@ def _runs(inputs: Path) -> dict[str, list[str]]:
         "fit": ["fit", *reg],
         "fit_empty": ["fit", *reg, "--lambda-scale", "500"],
         "infer": ["infer", *reg, *small_boot],
+        "infer_spreadsheet": ["infer", "--input",
+                              str(inputs / "spreadsheet.csv"), "--gamma",
+                              str(inputs / "reg_gamma.txt"), *small_boot],
         "infer_single": ["infer", *reg, "--targets", "z3", *small_boot],
         "infer_pilot_variance": ["infer", *reg, "--targets", "z1,z2,z14",
                                  "--variance-at", "pilot", *small_boot],

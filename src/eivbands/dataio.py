@@ -12,6 +12,17 @@ expects.
 
 Noise files carry one nonnegative variance per line, one line per covariate.
 
+The dataset reader parses a file's body in one pass (numpy.loadtxt) and
+reads every cell as float reads it.  The per-cell parse runs only where
+that pass cannot give the same answer: when the pass fails or finds a
+non-finite value, when its rows or columns differ from the body lines and
+the header (it skips blank lines, which are errors here), or when the body,
+or a header spanning lines, holds a quote character, whose rows only csv
+can split.  It writes the error naming the offending row and column, builds
+the missing-at-random mask, and accepts the tokens float takes and loadtxt
+does not ("1_0", non-ASCII digits).  Noise files, one short line per
+covariate, are parsed line by line.
+
 Floats are written with repr, so a write/read cycle reproduces every value
 bit for bit.
 """
@@ -20,6 +31,7 @@ from __future__ import annotations
 
 import csv
 import math
+from collections.abc import Iterable
 
 import numpy as np
 
@@ -40,6 +52,22 @@ def _parse_cell(token: str, row: int, name: str) -> float:
     return value
 
 
+def _read_table(lines: list[str], width: int) -> np.ndarray | None:
+    """Parse unquoted CSV lines of `width` finite numbers in one pass, or
+    return None to leave them to the per-cell parse (module docstring)."""
+    # a blank first line is an error anyway, and a body of blank lines
+    # would make loadtxt warn that it holds no data
+    if not lines or not lines[0].rstrip("\r\n"):
+        return None
+    try:
+        table = np.loadtxt(lines, delimiter=",", comments=None, ndmin=2)
+    except ValueError:
+        return None
+    if table.shape != (len(lines), width) or not np.isfinite(table).all():
+        return None
+    return table
+
+
 def read_dataset_csv(path: str, *, require_response: bool = True,
                      allow_missing: bool = False) -> tuple[Dataset, list[str]]:
     """Parse a dataset file; returns (dataset, covariate names).
@@ -50,10 +78,11 @@ def read_dataset_csv(path: str, *, require_response: bool = True,
     error naming the offending row and column.
     """
     with open(path, newline="", encoding="utf-8-sig") as fh:
-        rows = list(csv.reader(fh))
-    if not rows:
+        lines = fh.readlines()
+    if not lines:
         raise InputError(f"{path}: empty file")
-    header = [name.strip() for name in rows[0]]
+    rows = csv.reader(lines)
+    header = [name.strip() for name in next(rows)]
     if "" in header:
         raise InputError(f"{path}: column {header.index('') + 1} has an "
                          "empty header name")
@@ -71,62 +100,78 @@ def read_dataset_csv(path: str, *, require_response: bool = True,
     if p < 2:
         raise InputError(f"{path}: need at least 2 covariate columns, found {p}")
 
-    body = rows[1:]
+    # a quoted cell may hold a comma or a line break, so only csv can tell
+    # where its rows and cells end; otherwise each line is one row.  A
+    # quoted header that took one line leaves the body to the one pass.
+    quoted = rows.line_num != 1 or any('"' in line for line in lines[1:])
+    body = list(rows) if quoted else lines[1:]
     n = len(body)
     if n < 2:
         raise InputError(f"{path}: need at least 2 data rows, found {n}")
-    y = np.zeros(n) if y_pos is not None else None
-    Z = np.zeros((n, p))
-    mask = np.ones((n, p), dtype=bool)
-    for i, fields in enumerate(body):
+    table = None if quoted else _read_table(body, len(header))
+    if table is None:
+        table, observed = _read_cells(path, body if quoted else rows, header,
+                                      y_pos, allow_missing)
+    else:
+        observed = np.ones(table.shape, dtype=bool)
+    if y_pos is None:
+        y = np.zeros(n)  # placeholder response for node-graph ingestion
+    else:
+        y = np.ascontiguousarray(table[:, y_pos])
+        table = np.delete(table, y_pos, axis=1)
+        observed = np.delete(observed, y_pos, axis=1)
+    data = Dataset(y=y, Z=table, mask=observed if allow_missing else None)
+    return data, names
+
+
+def _read_cells(path: str, rows: Iterable[list[str]], header: list[str],
+                y_pos: int | None,
+                allow_missing: bool) -> tuple[np.ndarray, np.ndarray]:
+    """Parse csv rows cell by cell into (values, observed), both shaped
+    (rows, columns), or raise the InputError naming the first bad cell.
+
+    Missing cells read as 0.0 with observed False.
+    """
+    rows = list(rows)
+    values = np.zeros((len(rows), len(header)))
+    observed = np.ones(values.shape, dtype=bool)
+    for i, fields in enumerate(rows):
         row = i + 2  # 1-based file line, after the header
         if len(fields) != len(header):
             raise InputError(
                 f"{path}: row {row} has {len(fields)} fields, expected {len(header)}")
-        k = 0
-        for pos, token in enumerate(fields):
+        for k, (name, token) in enumerate(zip(header, fields)):
             token = token.strip()
-            if pos == y_pos:
-                if token in MISSING_TOKENS:
-                    raise InputError(f'row {row}: response "y" is missing')
-                y[i] = _parse_cell(token, row, "y")
-                continue
-            name = header[pos]
-            if token in MISSING_TOKENS:
-                if not allow_missing:
-                    raise InputError(
-                        f"row {row}, column {name!r}: missing value outside "
-                        "missing-at-random mode")
-                Z[i, k] = 0.0
-                mask[i, k] = False
+            if token not in MISSING_TOKENS:
+                values[i, k] = _parse_cell(token, row, name)
+            elif k == y_pos:
+                raise InputError(f'row {row}: response "y" is missing')
+            elif not allow_missing:
+                raise InputError(
+                    f"row {row}, column {name!r}: missing value outside "
+                    "missing-at-random mode")
             else:
-                Z[i, k] = _parse_cell(token, row, name)
-            k += 1
-    if y is None:
-        y = np.zeros(n)  # placeholder response for node-graph ingestion
-    data = Dataset(y=y, Z=Z, mask=mask if allow_missing else None)
-    return data, names
+                observed[i, k] = False
+    return values, observed
 
 
 def write_dataset_csv(path: str, data: Dataset,
                       names: list[str] | None = None) -> None:
     """Write a dataset with a "y" column first; masked cells become NA."""
-    n, p = data.Z.shape
+    p = data.Z.shape[1]
     if names is None:
         names = [f"z{k + 1}" for k in range(p)]
     if len(names) != p:
         raise InputError(f"got {len(names)} column names for {p} columns")
+    rows = [list(map(repr, row))
+            for row in np.column_stack([data.y, data.Z]).tolist()]
+    if data.mask is not None:
+        for i, k in zip(*np.nonzero(~data.mask)):
+            rows[i][k + 1] = "NA"
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["y", *names])
-        for i in range(n):
-            fields = [repr(float(data.y[i]))]
-            for k in range(p):
-                if data.mask is not None and not data.mask[i, k]:
-                    fields.append("NA")
-                else:
-                    fields.append(repr(float(data.Z[i, k])))
-            writer.writerow(fields)
+        writer.writerows(rows)
 
 
 def read_noise_csv(path: str, p: int) -> np.ndarray:

@@ -1,8 +1,13 @@
 """Tests for CSV ingestion and emission."""
 
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from eivbands import dataio
 from eivbands.errors import InputError
@@ -10,8 +15,9 @@ from eivbands.lasso import Dataset
 
 
 def write(tmp_path, text, name="data.csv"):
+    # the bytes as given, so CR and CRLF line ends reach the reader
     path = tmp_path / name
-    path.write_text(text, encoding="utf-8")
+    path.write_bytes(text.encode("utf-8"))
     return str(path)
 
 
@@ -223,3 +229,134 @@ def test_noise_file_non_numeric(tmp_path):
     path = write(tmp_path, "0.25\nhigh\n", name="gamma.txt")
     with pytest.raises(InputError, match="'high'"):
         dataio.read_noise_csv(path, 2)
+
+
+def test_blank_body_line_rejected_with_row_number(tmp_path):
+    # loadtxt skips blank lines; the reader must not
+    path = write(tmp_path, "y,z1,z2\n1.0,2.0,3.0\n\n2.0,1.0,4.0\n")
+    with pytest.raises(InputError, match="row 3 has 0 fields, expected 3"):
+        dataio.read_dataset_csv(path)
+
+
+def test_quoted_cells_follow_csv_rules(tmp_path):
+    # a quoted cell may hold a line break, so a row can span two lines
+    path = write(tmp_path, 'y,z1,z2\n"1.5\n",2.0," 3.0 "\n-0.5,0.25,1e-3\n')
+    data, names = dataio.read_dataset_csv(path, require_response=False)
+    assert names == ["y", "z1", "z2"]
+    npt.assert_array_equal(data.Z, [[1.5, 2.0, 3.0], [-0.5, 0.25, 1e-3]])
+    path = write(tmp_path, 'y,z1,z2\n"1.5\n",2.0,3.0\n')
+    with pytest.raises(InputError, match="need at least 2 data rows, found 1"):
+        dataio.read_dataset_csv(path)
+
+
+def test_write_pins_text_of_masked_dataset(tmp_path):
+    Z = np.array([[-0.0, 5e-324, 1e-300], [0.0, 2.5, -1e-300]])
+    mask = np.array([[True, True, False], [False, True, True]])
+    data = Dataset(y=np.array([1e-300, -0.0]), Z=Z, mask=mask)
+    path = tmp_path / "pinned.csv"
+    dataio.write_dataset_csv(str(path), data, ["a", "b,c", "d"])
+    assert path.read_bytes() == (b'y,a,"b,c",d\r\n'
+                                 b"1e-300,-0.0,5e-324,NA\r\n"
+                                 b"-0.0,NA,2.5,-1e-300\r\n")
+
+
+# Files whose cells, rows or line ends the one-pass parse (loadtxt) and the
+# per-cell parse (csv and float) could read differently.
+HEADER = "y,z1,z2\n"
+AWKWARD = {
+    "plain": HEADER + "1.5,2.0,3.0\n-0.5,0.25,1e-3\n",
+    "no_final_newline": HEADER + "1.5,2.0,3.0\n-0.5,0.25,1e-3",
+    "signed_zero_subnormal": HEADER + "-0.0,5e-324,1e-300\n0,-5e-324,1E+3\n",
+    "blank_mid": HEADER + "1.5,2.0,3.0\n\n-0.5,0.25,1e-3\n",
+    "blank_eof": HEADER + "1.5,2.0,3.0\n-0.5,0.25,1e-3\n\n",
+    "blank_first": HEADER + "\n1.5,2.0,3.0\n-0.5,0.25,1e-3\n",
+    "all_blank": HEADER + "\n\n\n",
+    "whitespace_line": HEADER + "1.5,2.0,3.0\n  \n-0.5,0.25,1e-3\n",
+    "hash_cell": HEADER + "#1.5,2.0,3.0\n-0.5,0.25,1e-3\n",
+    "quoted": HEADER + '"1.5",2.0,"3.0"\n-0.5," 0.25 ",1e-3\n',
+    "quoted_header": '"y","z1","z2"\n1.5,2.0,3.0\n-0.5,0.25,1e-3\n',
+    "header_line_break": 'y,"z\n1",z2\n1.5,2.0,3.0\n-0.5,0.25,1e-3\n',
+    "quoted_line_break": HEADER + '"1.5\n",2.0,3.0\n-0.5,0.25,1e-3\n',
+    "quoted_comma": HEADER + '"1,5",2.0,3.0\n-0.5,0.25,1e-3\n',
+    "padded": HEADER + " 1.5 ,\t3,2.0\n-0.5,0.25 , 1e-3\t\n",
+    "unicode_space": HEADER + "\xa01.5 ,2.0,3.0\x1c\n-0.5,0.25,1e-3\n",
+    "underscore": HEADER + "1_0,2.0,3.0\n-0.5,0.25,1e-3\n",
+    "arabic_digit": HEADER + "1.5,\u0661,3.0\n-0.5,0.25,1e-3\n",
+    "inf": HEADER + "1.5,inf,3.0\n-0.5,0.25,1e-3\n",
+    "nan_response": HEADER + "1.5,2.0,3.0\nnan,0.25,1e-3\n",
+    "overflow": HEADER + "1.5,2.0,3.0\n-0.5,1e999,1e-3\n",
+    "na": HEADER + "1.5,NA,3.0\n-0.5,0.25,\n",
+    "na_response": HEADER + "NA,2.0,3.0\n-0.5,0.25,1e-3\n",
+    "non_numeric": HEADER + "1.5,2.0,3.0\n-0.5,abc,1e-3\n",
+    "crlf": (HEADER + "1.5,2.0,3.0\n-0.5,0.25,1e-3\n").replace("\n", "\r\n"),
+    "cr": (HEADER + "1.5,2.0,3.0\n-0.5,0.25,1e-3\n").replace("\n", "\r"),
+    "bom": "\ufeff" + HEADER + "1.5,2.0,3.0\n-0.5,0.25,1e-3\n",
+    "bom_crlf_quoted": ('\ufeff"y",z1,z2\r\n" 1.5 ",2.0,3.0\r\n'
+                        "-0.5,0.25,1e-3\r\n"),
+    "ragged_short": HEADER + "1.5,2.0,3.0\n-0.5,0.25\n",
+    "ragged_long": HEADER + "1.5,2.0,3.0,4.0\n-0.5,0.25,1e-3,1.0\n",
+    "one_row": HEADER + "1.5,2.0,3.0\n",
+}
+# the clean files the one-pass parse must read on its own
+ONE_PASS = ("plain", "no_final_newline", "signed_zero_subnormal", "padded",
+            "unicode_space", "crlf", "cr", "bom", "quoted_header")
+
+
+def _outcome(path: str, **kwargs):
+    """What a read gives: the arrays' bytes, names and mask, or the error."""
+    try:
+        data, names = dataio.read_dataset_csv(path, **kwargs)
+    except InputError as exc:
+        return str(exc)
+    mask = None if data.mask is None else data.mask.tobytes()
+    return data.y.tobytes(), data.Z.shape, data.Z.tobytes(), names, mask
+
+
+def _per_cell_outcome(path: str, **kwargs):
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(dataio, "_read_table", lambda lines, width: None)
+        return _outcome(path, **kwargs)
+
+
+@pytest.mark.parametrize("case", sorted(AWKWARD))
+@pytest.mark.parametrize("allow_missing", [False, True])
+@pytest.mark.parametrize("require_response", [True, False])
+def test_one_pass_reader_equals_per_cell_parse(tmp_path, case, allow_missing,
+                                               require_response):
+    path = write(tmp_path, AWKWARD[case])
+    kwargs = dict(allow_missing=allow_missing,
+                  require_response=require_response)
+    assert _outcome(path, **kwargs) == _per_cell_outcome(path, **kwargs)
+
+
+@pytest.mark.parametrize("case", ONE_PASS)
+def test_clean_files_skip_the_per_cell_parse(tmp_path, monkeypatch, case):
+    path = write(tmp_path, AWKWARD[case])
+
+    def per_cell(*args):
+        raise AssertionError("per-cell parse ran")
+
+    monkeypatch.setattr(dataio, "_read_cells", per_cell)
+    data, names = dataio.read_dataset_csv(path, allow_missing=True)
+    assert names == ["z1", "z2"]
+    assert data.mask.all()
+
+
+_CELLS = st.sampled_from(["1.5", " -2 ", "\t3", "-0.0", "5e-324", "1e-300",
+                          "NA", "", "1_0", "\u0661", "inf", "nan", "1e999",
+                          "#4", '"5"', "abc"])
+_LINE_ENDS = st.sampled_from(["\n", "\r\n", "\r"])
+
+
+@given(st.lists(st.lists(_CELLS, min_size=2, max_size=4), min_size=1,
+                max_size=5),
+       _LINE_ENDS, st.booleans(), st.booleans())
+@settings(max_examples=300, deadline=None)
+def test_one_pass_reader_equals_per_cell_parse_on_mixed_files(
+        rows, end, bom, allow_missing):
+    text = ("\ufeff" if bom else "") + "y,z1,z2" + end + \
+        "".join(",".join(row) + end for row in rows)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = write(Path(tmp), text)
+        assert _outcome(path, allow_missing=allow_missing) == \
+            _per_cell_outcome(path, allow_missing=allow_missing)

@@ -12,9 +12,11 @@ one target without a band, and the first dataset as a spreadsheet exports
 it: a byte-order mark, CRLF line ends, quoted and padded cells, which the
 reader parses cell by cell where clean files take its one-pass parse),
 `bands`, `graph` (all sources, two of them,
-enough nodes that the edges span several bootstrap column blocks, and 26
-nodes whose 650 edge regressions on 26 source Grams make one nodewise
-stack) and
+enough nodes that the edges span several bootstrap column blocks, 26
+nodes whose 650 edge regressions, rows of the graph's one corrected Gram,
+make one nodewise stack, `--max-iter 7`, where pilots and edges stop
+unconverged, and noise sd 1 at a fifth of the default penalty, where edge
+rows pinned at two coordinates resolve their l1-ball radius) and
 `simulate` (both presets, the multi one also on two workers, a config file
 under flags, the naive method with the solver flags, the study defaults,
 and noise sd 1 at a fifth of the study penalty, where pilots and nodewise
@@ -150,14 +152,15 @@ def write_inputs(inputs: Path) -> None:
     _write_csv(inputs / "ball.csv", cols)
     _write_gamma(inputs / "ball_gamma.txt", np.ones(Z.shape[1]))
 
-    for name, p, seeds in (("nodes", 12, (14, 15)),
-                           ("nodes_wide", 20, (17, 18)),
-                           ("nodes_stacks", 26, (20, 21))):
+    for name, p, seeds, sd in (("nodes", 12, (14, 15), sigma_w),
+                               ("nodes_wide", 20, (17, 18), sigma_w),
+                               ("nodes_stacks", 26, (20, 21), sigma_w),
+                               ("nodes_ball", 12, (22, 23), 1.0)):
         Z = _ar_design(np.random.default_rng(seeds[0]), 100, p)
-        Z += sigma_w * np.random.default_rng(seeds[1]).normal(size=Z.shape)
+        Z += sd * np.random.default_rng(seeds[1]).normal(size=Z.shape)
         _write_csv(inputs / f"{name}.csv",
                    {f"z{k + 1}": Z[:, k] for k in range(p)})
-        _write_gamma(inputs / f"{name}_gamma.txt", np.full(p, sigma_w ** 2))
+        _write_gamma(inputs / f"{name}_gamma.txt", np.full(p, sd ** 2))
 
     beta0 = np.zeros(20)
     beta0[[0, 3, 7]] = [0.5, 1.0, -0.7]
@@ -188,6 +191,8 @@ def _runs(inputs: Path) -> dict[str, list[str]]:
                   "--gamma", str(inputs / "nodes_wide_gamma.txt")]
     nodes_stacks = ["--input", str(inputs / "nodes_stacks.csv"),
                     "--gamma", str(inputs / "nodes_stacks_gamma.txt")]
+    nodes_ball = ["--input", str(inputs / "nodes_ball.csv"),
+                  "--gamma", str(inputs / "nodes_ball_gamma.txt")]
     mar = ["--input", str(inputs / "mar.csv"), "--mar"]
     small_boot = ["--boot", "300", "--seed", "5"]
     small_study = ["--n", "80", "--p", "20", "--replications", "3"]
@@ -216,6 +221,9 @@ def _runs(inputs: Path) -> dict[str, list[str]]:
         "graph_subset": ["graph", *nodes, "--targets", "z1,z4", *small_boot],
         "graph_wide": ["graph", *nodes_wide, *small_boot],
         "graph_stacks": ["graph", *nodes_stacks, *small_boot],
+        "graph_max_iter": ["graph", *nodes, "--max-iter", "7", *small_boot],
+        "graph_ball": ["graph", *nodes_ball, "--lambda-scale", "0.2",
+                       *small_boot],
         "simulate_single": ["simulate", "--n", "100", "--p", "30",
                             "--replications", "4", "--boot", "200",
                             "--seed", "3"],

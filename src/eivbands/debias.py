@@ -43,9 +43,10 @@ from .lasso import (
     SolverConfig,
     corrected_gram,
     fit_corrected_lasso,
+    fit_corrected_lasso_stack,
     resolve_config,
 )
-from .nodewise import fit_nodewise_jobs
+from .nodewise import fit_nodewise_jobs, stack_rows
 
 # |slope| below this is treated as a statistical degeneracy.
 DEGENERACY_TOL = 1e-10
@@ -217,17 +218,16 @@ def _check_settings(alpha: float, variance_at: str) -> None:
         raise InputError(f"variance_at must be one of {VARIANCE_CONVENTIONS}")
 
 
-def _table(data, noise, alpha, variance_at, prepared,
-           directions) -> DebiasTable:
-    """One cell per nodewise direction of the prepared pilot, in order."""
-    Z_eff, noise_var, pilot = prepared.design, prepared.noise_var, prepared.fit
+def _table(y, design, noise_var, pilot, directions, alpha, variance_at,
+           noise_kind="known", mar=None) -> DebiasTable:
+    """One cell per nodewise direction of the regression of y on the
+    design, in order."""
     cells = tuple(
-        _target_cell(data.y, Z_eff, noise_var, pilot.beta, nw, alpha,
-                     variance_at)
+        _target_cell(y, design, noise_var, pilot.beta, nw, alpha, variance_at)
         for nw in directions)
-    return DebiasTable(cells=cells, alpha=alpha, n=data.n,
-                       noise_kind=noise.kind, noise_var=noise_var,
-                       pilot=pilot, variance_at=variance_at, mar=prepared.mar)
+    return DebiasTable(cells=cells, alpha=alpha, n=y.shape[0],
+                       noise_kind=noise_kind, noise_var=noise_var,
+                       pilot=pilot, variance_at=variance_at, mar=mar)
 
 
 def run_inference(data: Dataset, noise: NoiseSpec, targets,
@@ -270,8 +270,9 @@ def run_inference(data: Dataset, noise: NoiseSpec, targets,
             raise InputError(f"target column {j} out of range for p={p}")
     prepared = prepare_pilot(data, noise, cfg)
     jobs = ((prepared.gram, prepared.noise_var, data.n, j) for j in targets)
-    return _table(data, noise, alpha, variance_at, prepared,
-                  fit_nodewise_jobs(jobs, cfg))
+    return _table(data.y, prepared.design, prepared.noise_var, prepared.fit,
+                  fit_nodewise_jobs(jobs, cfg), alpha, variance_at,
+                  noise.kind, prepared.mar)
 
 
 def graph_tables(Z: np.ndarray, gamma: np.ndarray, sources,
@@ -279,56 +280,62 @@ def graph_tables(Z: np.ndarray, gamma: np.ndarray, sources,
                  variance_at: str = "debiased") -> Iterator[DebiasTable]:
     """Yield the node graph's table of each source, in source order.
 
-    Source j's table equals ``run_inference(Dataset(y=Z[:, j], Z=Z[:, keep]),
+    Source k's table is ``run_inference(Dataset(y=Z[:, k], Z=Z[:, keep]),
     NoiseSpec.known(gamma[keep]), range(p - 1), alpha, cfg, variance_at)``
-    bit for bit, with keep the columns other than j.  The edge regressions
-    of consecutive sources go through one `fit_nodewise_jobs` stream, so
-    one nodewise stack can span sources.  Source j's pilot runs when its
-    table is formed, so errors surface as they would source by source:
-    pilot j, then its cells in partner order, then pilot j + 1.  A source's
-    one corrected Gram, shared by its pilot and its edge jobs, is built when
-    first needed and dropped with its table; its design is built for each
-    of the two, so a stack holds its sources' Grams, not their designs.
+    with keep the columns other than k, but every regression is a row of the
+    graph's one corrected Gram G = ``corrected_gram(Z, gamma)``: source k's
+    pilot is column k of G pinned at k, and its edge to partner t is column
+    t pinned at t and k.  Each solves the subproblem of the source's own
+    Gram with the penalty of its p - 1 columns, and differs from
+    `run_inference` only by rounding, as its sums run over p terms.  The
+    pilot's radius is resolved on the (-k, -k) block of G, the edges'
+    radii are deferred.  The pilots are solved first, in stacks of
+    `nodewise.stack_rows(p)` rows, and the edges of consecutive sources go
+    through one `fit_nodewise_jobs` stream; a failed solve is held in
+    place, so errors surface as they would source by source: pilot k, then
+    its cells in partner order, then pilot k + 1.
     """
     _check_settings(alpha, variance_at)
     Z = np.asarray(Z, dtype=np.float64)
     gamma = np.asarray(gamma, dtype=np.float64)
     if Z.ndim != 2:
         raise InputError("Z must be a matrix")
-    p = Z.shape[1]
+    n, p = Z.shape
     if gamma.shape != (p,):
         raise InputError(f"gamma has shape {gamma.shape}, expected ({p},)")
     sources = [int(j) for j in sources]
     for j in sources:
         if not 0 <= j < p:
             raise InputError(f"source column {j} out of range for p={p}")
-    grams = {}
+    if not sources:
+        return
+    # every source's data and noise checks, as its first regression makes them
+    Dataset(y=Z[:, sources[0]], Z=np.delete(Z, sources[0], axis=1))
+    NoiseSpec.known(gamma)
+    G = corrected_gram(Z, gamma)
 
-    def regression(j):
-        keep = np.arange(p) != j
+    pilots = []
+    for lo in range(0, len(sources), stack_rows(p)):
+        chunk = sources[lo:lo + stack_rows(p)]
+        cfgs = []
+        for k in chunk:
+            keep = np.arange(p) != k
+            cfgs.append(resolve_config(cfg, n, p - 1, G[np.ix_(keep, keep)],
+                                       G[keep, k]))
+        pilots += fit_corrected_lasso_stack(G[:, chunk].T, G, cfgs,
+                                            pins=[(k,) for k in chunk])
+
+    jobs = ((G, gamma, n, t, (k,)) for k in sources for t in range(p)
+            if t != k)
+    stream = fit_nodewise_jobs(jobs, cfg)
+    for k, pilot in zip(sources, pilots):
+        if isinstance(pilot, NumericalError):
+            raise pilot
+        keep = np.arange(p) != k
         # Boolean column indexing gives an F-ordered design, the layout
-        # every source's regression has always used; a C-contiguous
-        # copy changes the last bit of some radii and edge estimates.
-        data = Dataset(y=Z[:, j], Z=Z[:, keep])
-        noise = NoiseSpec.known(gamma[keep])
-        effective = _effective(data, noise, grams.get(j))
-        grams[j] = effective[2]
-        return data, noise, effective
-
-    def jobs():
-        for j in sources:
-            data, _, (_, noise_var, G, _) = regression(j)
-            for t in range(p - 1):
-                yield G, noise_var, data.n, t
-
-    stream = fit_nodewise_jobs(jobs(), cfg)
-    for j in sources:
-        data, noise, effective = regression(j)
-        table = _table(data, noise, alpha, variance_at,
-                       _fit_pilot(data, effective, cfg),
-                       islice(stream, p - 1))
-        del grams[j]
-        yield table
+        # every source's regression has always used.
+        yield _table(Z[:, k], Z[:, keep], gamma[keep], pilot,
+                     islice(stream, p - 1), alpha, variance_at)
 
 
 @dataclass(frozen=True)
@@ -356,11 +363,6 @@ def prepare_pilot(data: Dataset, noise: NoiseSpec,
     known variances are validated against the design.  The returned fit is
     exactly the pilot used by `run_inference` under the same inputs.
     """
-    return _fit_pilot(data, _effective(data, noise), cfg)
-
-
-def _effective(data, noise, G=None):
-    """Effective design, noise variances, Gram (G if given), MAR estimate."""
     p = data.p
     mar_est = None
     if noise.kind == "mar":
@@ -377,13 +379,7 @@ def _effective(data, noise, G=None):
                 f"noise_var has length {noise.noise_var.shape[0]}, expected {p}")
         Z_eff = data.Z
         noise_var = noise.noise_var
-    if G is None:
-        G = corrected_gram(Z_eff, noise_var)
-    return Z_eff, noise_var, G, mar_est
-
-
-def _fit_pilot(data, effective, cfg) -> PreparedPilot:
-    Z_eff, noise_var, G, mar_est = effective
+    G = corrected_gram(Z_eff, noise_var)
     b = Z_eff.T @ data.y / data.n
     pilot = fit_corrected_lasso(b, G, resolve_config(cfg, data.n, data.p, G, b))
     return PreparedPilot(design=Z_eff, noise_var=noise_var, gram=G, fit=pilot,

@@ -23,9 +23,12 @@ monotone and restart decisions, like the backtracking test, allow a slack of
 them.  A fit stops on its KKT residual, checked every 25 iterations, on a
 tiny step and at the iteration cap.
 
-`fit_corrected_lasso` solves one problem (the pilots); the rows of a
-`fit_corrected_lasso_stack` may share a Gram and pin one coordinate at 0, so
-a nodewise regression solves its (-j, -j) subproblem without a copy.
+`fit_corrected_lasso` solves one problem (the `fit`, `infer` and `simulate`
+pilots).  `fit_corrected_lasso_stack` solves many problems on one Gram, one
+row each; a row may pin coordinates at 0, so a regression on a subset of
+the Gram's columns, such as a nodewise regression (pinned at its target), a
+graph pilot (pinned at its source) or a graph edge (pinned at its target
+and its source), solves its subproblem without a copy.
 """
 
 from __future__ import annotations
@@ -294,12 +297,14 @@ def hard_threshold(beta: np.ndarray, threshold: float) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # solver primitives
 #
-# Both drivers take the spectral bound, projection and KKT residual below,
-# which work on (k, p) stacks.  Each row gets exactly the operations it would
-# get alone: its matvec is one gemv against its Gram however many rows share
-# it (a gemm over rows would round by their number), its dot products one
-# ddot each, reductions run along the contiguous last axis, and the rest is
-# elementwise.  Property tests pin the drivers' two loops to each other.
+# Both solver loops take the spectral bound, projection and KKT residual
+# below, which work on (k, p) stacks of rows on one (p, p) Gram.  Each row
+# gets exactly the operations it would get alone: its matvec is one gemv
+# however many rows share the Gram (a gemm over rows would round by their
+# number), its dot products one ddot each, reductions run along the
+# contiguous last axis, and the rest is elementwise.  A row's pins are a
+# (k, m) array padded with -1.  Property tests pin the two loops to each
+# other.
 
 
 def _rowdot(u: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -307,48 +312,42 @@ def _rowdot(u: np.ndarray, v: np.ndarray) -> np.ndarray:
     return np.matmul(u[:, None, :], v[:, :, None])[:, 0, 0]
 
 
-class _Rows:
-    """Row i's Gram grams[gram[i]] (default grams[i]) and pinned coordinate
-    pin[i] (-1: none); consecutive rows of one Gram share a matmul call."""
-
-    def __init__(self, grams, gram=None, pin=None):
-        self.grams = grams
-        self.gram = np.arange(len(grams)) if gram is None else gram
-        self.pin = np.full(self.gram.size, -1) if pin is None else pin
-        starts = np.flatnonzero(np.diff(self.gram, prepend=-1))
-        self.runs = list(zip(self.gram[starts], starts,
-                             np.append(starts[1:], self.gram.size)))
-        self.pinned = np.flatnonzero(self.pin >= 0)
-
-    def matvec(self, X: np.ndarray) -> np.ndarray:
-        """Each row's Gram times X[i], pinned entries set to 0."""
-        out = np.empty_like(X)
-        for g, start, stop in self.runs:
-            np.matmul(self.grams[g], X[start:stop, :, None],
-                      out=out[start:stop, :, None])
-        out[self.pinned, self.pin[self.pinned]] = 0.0
-        return out
+def _pinned(pin: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Row and column indices of the entries that a (k, m) pin array pins
+    in a (k, p) stack."""
+    rows, slot = np.nonzero(pin >= 0)
+    return rows, pin[rows, slot]
 
 
-def _spectral_bound_stack(G, gram=None, pin=None) -> np.ndarray:
-    """|Dominant eigenvalue| of the Gram of every row of `_Rows(G, gram,
-    pin)` (by default of each G[i]) by 20 power iterations from a fixed
-    start; 1.0 where the iterate vanishes or overflows.
+def _matvec(G: np.ndarray, X: np.ndarray, pinned) -> np.ndarray:
+    """G @ X[i] for every row, one gemv each, `pinned` entries set to 0."""
+    out = np.empty_like(X)
+    np.matmul(G, X[:, :, None], out=out[:, :, None])
+    out[pinned] = 0.0
+    return out
 
-    A pinned row holds its coordinate at 0, bounding its subproblem.  G must
-    be finite.  Once a row's norm is 0 or not finite, its iterate holds a
-    NaN (0/0 or inf/inf at once, or 0/0 one step after an overflow), which
-    reaches every entry of G @ v; one test at the end finds the row.
+
+def _spectral_bound_stack(G: np.ndarray, pin: np.ndarray) -> np.ndarray:
+    """|Dominant eigenvalue| of G for every row of pins `pin`, by 20 power
+    iterations from a fixed start; 1.0 where the iterate vanishes or
+    overflows.
+
+    A row holds its pinned coordinates at 0, bounding its subproblem's
+    block of G; it starts at 1/sqrt(free coordinates), or 0 with none free.
+    G must be finite.  Once a row's norm is 0 or not finite, its iterate
+    holds a NaN (0/0 or inf/inf at once, or 0/0 one step after an
+    overflow), which reaches every entry of G @ v; one test at the end finds
+    the row.
     """
-    rows = _Rows(G, gram, pin)
-    p = len(G[0])
-    start = np.where(rows.pin >= 0, (p - 1) ** -0.5 if p > 1 else 0.0,
-                     p ** -0.5)
+    pinned = _pinned(pin)
+    p = len(G)
+    start = np.array([f ** -0.5 if f else 0.0
+                      for f in (p - (pin >= 0).sum(axis=1)).tolist()])
     v = np.repeat(start[:, None], p, axis=1)
-    v[rows.pinned, rows.pin[rows.pinned]] = 0.0
+    v[pinned] = 0.0
     with np.errstate(divide="ignore", invalid="ignore"):
         for _ in range(_POWER_ITERATIONS):
-            w = rows.matvec(v)
+            w = _matvec(G, v, pinned)
             nw = np.sqrt(_rowdot(w, w))
             v = w / nw[:, None]
     return np.where((nw > 0.0) & (nw < math.inf), nw, 1.0)
@@ -464,7 +463,8 @@ def fit_corrected_lasso(b: np.ndarray, G: np.ndarray, cfg: SolverConfig,
     kkt = kkt_residual()
     converged = kkt <= cfg.tol
     if not converged:
-        step = 1.0 / max(float(_spectral_bound_stack(G[None])[0]), 1e-12)
+        step = 1.0 / max(float(_spectral_bound_stack(
+            G, np.empty((1, 0), dtype=int))[0]), 1e-12)
     y, gy, f_y, t = x, -b, 0.0, 1.0
     iterations = 0
 
@@ -528,10 +528,10 @@ def fit_corrected_lasso(b: np.ndarray, G: np.ndarray, cfg: SolverConfig,
     )
 
 
-def fit_corrected_lasso_stack(b: np.ndarray, G, cfgs, floors=None,
-                              pin=None, gram=None
+def fit_corrected_lasso_stack(b: np.ndarray, G: np.ndarray, cfgs,
+                              floors=None, pins=None
                               ) -> list[FitResult | NumericalError]:
-    """Solve k corrected-lasso problems of one size as a single stack.
+    """Solve k corrected-lasso problems on one Gram as a single stack.
 
     Every problem keeps its own step size, momentum, backtracking,
     projection, KKT checks, stopping rule and objective trace; one that
@@ -541,58 +541,57 @@ def fit_corrected_lasso_stack(b: np.ndarray, G, cfgs, floors=None,
     ----------
     b : ndarray, shape (k, p)
         Linear terms, one row per problem.
-    G : sequence of (p, p) arrays, such as a (k, p, p) stack
-        The corrected Grams; problem i solves on ``G[gram[i]]``.
+    G : ndarray, shape (p, p)
+        The corrected Gram every problem solves on.
     cfgs : sequence of k SolverConfig
         Configurations, one per problem (see `resolve_config`).
     floors : sequence of k float or None, optional
         Radius floors, read only for problems whose config leaves the radius
         None; such a problem defers its default radius exactly as
         `fit_corrected_lasso` does, and resolves it for its row alone.
-    pin : sequence of k (int or None), optional
-        A problem pinned at coordinate j reads entry j of its b as 0 and
-        zeroes entry j of its gradient after every update, so beta_j stays
-        exactly 0 and it solves the (-j, -j) subproblem without copying its
-        Gram.  Its floor and default radius are the subproblem's (sliced
-        only to resolve that radius); its `FitResult.beta` has length p - 1.
-    gram : sequence of k int, optional
-        Index into G of each problem's Gram, by default ``range(k)``.
-        Consecutive problems of one Gram share one matmul call per pass.
+    pins : sequence of k sequences of int, optional
+        The coordinates each problem pins at 0, distinct and in [0, p); none
+        by default.  A pinned problem reads those entries of its b as 0 and
+        zeroes them in its gradient after every update, so its beta holds
+        them at exactly 0 and it solves the subproblem on the other
+        coordinates without copying G.  Its floor and default radius are the
+        subproblem's (G's free block is sliced only to resolve that radius),
+        and its `FitResult.beta` leaves the pinned coordinates out.
 
     Returns
     -------
     list of FitResult or NumericalError
         Entry i equals problem i solved alone (a stack of one, same Gram
-        and pin) bit for bit in every field; unpinned, that is
-        ``fit_corrected_lasso(b[i], G[gram[i]], cfgs[i], floors[i])``.
-        Pinned, it agrees with `fit_corrected_lasso` on the sliced
-        subproblem up to rounding, as its sums run over p terms, not p - 1.
-        A solve that would raise NumericalError returns the exception in
+        and pins) bit for bit in every field; unpinned, that is
+        ``fit_corrected_lasso(b[i], G, cfgs[i], floors[i])``.  Pinned, it
+        agrees with `fit_corrected_lasso` on the sliced subproblem up to
+        rounding, as its sums run over p terms, not over the free ones.  A
+        solve that would raise NumericalError returns the exception in
         place, so the caller decides in which order failures surface.
     """
     b = np.array(b, dtype=np.float64)
-    grams = [np.ascontiguousarray(g, dtype=np.float64) for g in G]
+    G = np.ascontiguousarray(G, dtype=np.float64)
     k, p = b.shape if b.ndim == 2 else (-1, -1)
-    gram = np.arange(len(grams)) if gram is None else np.asarray(gram, int)
-    # no pin is -1; a negative pin becomes p, out of range
-    pin = np.full(k, -1) if pin is None else np.array(
-        [-1 if j is None else j if j >= 0 else p for j in pin], dtype=int)
     floors = [None] * k if floors is None else list(floors)
-    if k < 0 or gram.shape != (k,) or not all(0 <= i < len(grams)
-                                              for i in gram) or \
-            any(g.shape != (p, p) for g in grams) or pin.shape != (k,) or \
-            np.any(pin >= p) or len(cfgs) != k or len(floors) != k:
-        raise InputError("need b of shape (k, p), and for each of its rows "
-                         "a (p, p) Gram of G, a pin in [0, p) or None, a "
-                         "config and a floor")
-    if not (np.all(np.isfinite(b)) and all(np.isfinite(g).all()
-                                           for g in grams)):
+    pins = [()] * k if pins is None else [
+        tuple(int(j) for j in row) for row in pins]
+    if k < 0 or G.shape != (p, p) or len(pins) != k or any(
+            len(set(row)) != len(row) or not all(0 <= j < p for j in row)
+            for row in pins) or len(cfgs) != k or len(floors) != k:
+        raise InputError("need b of shape (k, p), a (p, p) Gram G, and for "
+                         "each row of b distinct pins in [0, p), a config "
+                         "and a floor")
+    if not (np.all(np.isfinite(b)) and np.all(np.isfinite(G))):
         raise InputError("b and G must be finite")
     if any(c.penalty is None or (c.radius is None and f is None)
            for c, f in zip(cfgs, floors)):
         raise InputError("penalty and radius must be resolved before fitting")
 
-    b[pin >= 0, pin[pin >= 0]] = 0.0
+    # row i's pins, padded with -1 to the widest row's count
+    pin = np.full((k, max(map(len, pins), default=0)), -1)
+    for row, js in zip(pin, pins):
+        row[:len(js)] = js
+    b[_pinned(pin)] = 0.0
     penalty = np.array([c.penalty for c in cfgs], dtype=np.float64)
     deferred = np.array([c.radius is None for c in cfgs])
     radius = np.array([math.inf if c.radius is None else c.radius
@@ -609,33 +608,34 @@ def fit_corrected_lasso_stack(b: np.ndarray, G, cfgs, floors=None,
     errors: list[NumericalError | None] = [None] * k
     traces = []
 
-    # the live rows: positions `idx`, layout `rows`, step, momentum and
-    # working state (x, G @ x, its objective; y, its gradient and f(y))
+    # the live rows: positions `idx`, pins and their entries `pinned`, step,
+    # momentum and working state (x, G @ x, its objective; y, its gradient
+    # and f(y))
     idx = np.flatnonzero(~converged)
-    rows = _Rows(grams, gram[idx], pin[idx])
-    step = 1.0 / np.maximum(_spectral_bound_stack(
-        grams, rows.gram, rows.pin), 1e-12) if idx.size else np.zeros(0)
-    live = (idx, step, np.ones(idx.size), beta[idx], np.zeros_like(b[idx]),
-            objective[idx], beta[idx], -b[idx], objective[idx], b[idx],
-            iterations[idx], penalty[idx], radius[idx], deferred[idx],
-            floor[idx], tol[idx], max_iter[idx])
+    pinned = _pinned(pin[idx])
+    step = 1.0 / np.maximum(_spectral_bound_stack(G, pin[idx]), 1e-12) \
+        if idx.size else np.zeros(0)
+    live = (idx, pin[idx], step, np.ones(idx.size), beta[idx],
+            np.zeros_like(b[idx]), objective[idx], beta[idx], -b[idx],
+            objective[idx], b[idx], iterations[idx], penalty[idx],
+            radius[idx], deferred[idx], floor[idx], tol[idx], max_iter[idx])
 
     while live[0].size:
-        (idx, step, t, x, Gx, F_x, y, gy, f_y, bl, it, pen, rad, dfr, flr,
-         tl, cap) = live
+        (idx, pn, step, t, x, Gx, F_x, y, gy, f_y, bl, it, pen, rad, dfr,
+         flr, tl, cap) = live
         v = y - step[:, None] * gy
         # |soft-threshold of v at step * penalty| and its l1 norm
         mag = np.maximum(np.abs(v) - (step * pen)[:, None], 0.0)
         l1 = mag.sum(axis=1)
         for i in np.flatnonzero(dfr & ~(l1 <= flr)):
-            keep = np.arange(p) != rows.pin[i]
-            rad[i] = radius[idx[i]] = default_radius(
-                grams[rows.gram[i]][np.ix_(keep, keep)], bl[i][keep])
+            free = ~np.isin(np.arange(p), pn[i])
+            rad[i] = radius[idx[i]] = default_radius(G[np.ix_(free, free)],
+                                                     bl[i][free])
             dfr[i] = False
         cand = _project_l1_ball_stack(np.sign(v) * mag, mag, l1, rad)
         delta = cand - y
         sq = _rowdot(delta, delta)
-        Gc = rows.matvec(cand)
+        Gc = _matvec(G, cand, pinned)
         f_cand = 0.5 * _rowdot(cand, Gc) - _rowdot(bl, cand)
         bound = f_y + _rowdot(gy, delta) + sq / (2.0 * step)
         zero = sq == 0.0
@@ -691,8 +691,8 @@ def fit_corrected_lasso_stack(b: np.ndarray, G, cfgs, floors=None,
             done, keep = idx[stop], ~stop
             beta[done], objective[done], iterations[done] = \
                 x[stop], F_x[stop], it[stop]
-            rows = _Rows(grams, rows.gram[keep], rows.pin[keep])
             live = tuple(a[keep] for a in live)
+            pinned = _pinned(live[1])
 
     # row i's trace flat[start[i]:end[i]] is 0, then one objective per
     # iteration in pass order
@@ -707,7 +707,7 @@ def fit_corrected_lasso_stack(b: np.ndarray, G, cfgs, floors=None,
     for i, cfg in enumerate(cfgs):
         fit_beta = hard_threshold(beta[i], cfg.truncation)
         results.append(errors[i] or FitResult(
-            beta=fit_beta if pin[i] < 0 else np.delete(fit_beta, pin[i]),
+            beta=np.delete(fit_beta, pins[i]) if pins[i] else fit_beta,
             objective=float(objective[i]),
             iterations=int(iterations[i]),
             converged=bool(converged[i]),

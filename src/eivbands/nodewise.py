@@ -6,12 +6,14 @@ Step 1.  The fitted direction mu approximates the j-th column of the inverse
 of E[xx'] up to scaling and is what makes the debiased score insensitive to
 first-order pilot error.
 
-Every regression is a row, pinned at its target j, of a
-`fit_corrected_lasso_stack` stack on its design's corrected Gram G =
-``corrected_gram(Z, noise_var)``, the Gram the pilot solves on: b is column
-j of G with entry j read as 0 and beta_j stays 0, so the row solves the
-(-j, -j) subproblem on G itself.  Only the regressors' noise variances
-enter; the target's own sits on G[j, j], which the subproblem drops.
+Every regression is a row of a `fit_corrected_lasso_stack` stack on its
+design's one corrected Gram G = ``corrected_gram(Z, noise_var)``, the Gram
+the pilot solves on, pinned at its target j: b is column j of G with entry
+j read as 0 and beta_j stays 0, so the row solves the (-j, -j) subproblem
+on G itself.  Only the regressors' noise variances enter; the target's own
+sits on G[j, j], which the subproblem drops.  A job may also name columns
+of G that its design leaves out, such as a graph's source: the row pins
+them too, so every regression of a node graph is a row of one Gram.
 `fit_nodewise_jobs` cuts the stacks to `STACK_BUDGET_BYTES`.
 
 A default l1-ball radius is deferred: each row carries the one-matvec
@@ -39,9 +41,9 @@ from .lasso import (
     resolve_config,
 )
 
-# Bytes of the distinct Grams of one stack (38 of 29 columns, 2 of 120, 1 of
-# 300) and of one p-vector per row, which bounds each (rows, p) array of the
-# solver (1129 rows of 29 columns, 109 of 300, 16 of 2000).
+# Bytes of one p-vector per row of a stack, which bounds each (rows, p)
+# array of the solver: 1092 rows of 30 columns (every edge of a 30-node
+# graph), 109 of 300, 16 of 2000.
 STACK_BUDGET_BYTES = 1 << 18
 
 
@@ -49,18 +51,13 @@ STACK_BUDGET_BYTES = 1 << 18
 class NodewiseResult:
     """Direction for one target column.
 
-    `mu` lives in the full p-dimensional coordinate system with mu[j] = 0
+    `mu` lives in the design's p-dimensional coordinate system with mu[j] = 0
     exactly; `fit` is the underlying (p-1)-dimensional solver result.
     """
 
     j: int
     mu: np.ndarray
     fit: FitResult
-
-
-def stack_size(p: int) -> int:
-    """Distinct p x p Grams one stack holds, at least 1."""
-    return max(1, STACK_BUDGET_BYTES // (8 * p * p))
 
 
 def stack_rows(p: int) -> int:
@@ -87,49 +84,51 @@ def fit_nodewise_jobs(jobs, cfg: SolverConfig = SolverConfig()
                       ) -> Iterator[NodewiseResult]:
     """Yield ``fit_nodewise(Z, noise_var, j, cfg)`` for each job in order.
 
-    `jobs` is an iterable of ``(G, noise_var, n, j)`` with G =
-    ``corrected_gram(Z, noise_var)`` of an n-row design Z, pulled one job
-    past the current stack.  Consecutive jobs whose Grams have one size p
-    join a stack of at most `stack_size(p)` distinct Grams and
-    `stack_rows(p)` jobs, and consecutive jobs given one Gram object share
-    it; a change of size, one Gram or one row too many starts the next.  A
-    stack is one `fit_corrected_lasso_stack` call, bit-identical to fitting
-    its jobs one at a time.  A job whose solve fails raises its error when
-    the iteration reaches it, after every earlier job was yielded; an
-    invalid job raises when it is pulled.
+    `jobs` is an iterable of ``(G, noise_var, n, j)`` or ``(G, noise_var, n,
+    j, out)`` with G = ``corrected_gram(Z, noise_var)`` of an n-row design
+    Z, pulled one job past the current stack.  `out` names columns of Z
+    other than j that the job's design leaves out: the job regresses column
+    j on Z without them, with the penalty of that design's width, and its
+    result's `j` and `mu` are in that design's coordinates.  Consecutive
+    jobs given one Gram object join a stack of at most `stack_rows(p)` rows;
+    a new Gram or one row too many starts the next.  A stack is one
+    `fit_corrected_lasso_stack` call, bit-identical to fitting its jobs one
+    at a time.  A job whose solve fails raises its error when the iteration
+    reaches it, after every earlier job was yielded; a job whose target is
+    out of range raises when it is pulled.
     """
-    batch, grams = [], []
-    for G, noise_var, n, j in jobs:
+    batch = []
+    for job in jobs:
+        G, noise_var, n, j, out = job if len(job) == 5 else (*job, ())
         p = len(G)
         if not 0 <= j < p:
             raise InputError(f"target column {j} out of range for p={p}")
-        shared = bool(grams) and G is grams[-1]
-        if batch and (G.shape != grams[0].shape or len(batch) == stack_rows(p)
-                      or not shared and len(grams) == stack_size(p)):
-            yield from _solve_batch(batch, grams, cfg)
-            batch, grams, shared = [], [], False
-        if not shared:
-            grams.append(G)
-        batch.append((len(grams) - 1, noise_var, n, int(j)))
+        if batch and (G is not batch[0][0] or len(batch) == stack_rows(p)):
+            yield from _solve_batch(batch, cfg)
+            batch = []
+        batch.append((G, noise_var, n, int(j), tuple(out)))
     if batch:
-        yield from _solve_batch(batch, grams, cfg)
+        yield from _solve_batch(batch, cfg)
 
 
-def _solve_batch(batch, grams, cfg):
-    b = np.empty((len(batch), len(grams[0])))
-    cfgs, floors = [], []
-    for row, (g, noise_var, n, j) in zip(b, batch):
-        G = grams[g]
-        # column j of G without its entry j is the subproblem's b
+def _solve_batch(batch, cfg):
+    G = batch[0][0]
+    p = len(G)
+    b = np.empty((len(batch), p))
+    cfgs, floors, pins = [], [], []
+    for row, (_, noise_var, n, j, out) in zip(b, batch):
+        pin = (j, *out)
+        # column j of G without its pinned entries is the subproblem's b
         row[:] = G[:, j]
-        row[j] = 0.0
-        cfgs.append(resolve_config(cfg, n, len(G), G, row, defer_radius=True))
-        floors.append(radius_floor(G, row, np.delete(noise_var, j)))
-    fits = fit_corrected_lasso_stack(b, grams, cfgs, floors,
-                                     pin=[job[3] for job in batch],
-                                     gram=[job[0] for job in batch])
-    for _, _, _, j in batch:
+        row[list(pin)] = 0.0
+        cfgs.append(resolve_config(cfg, n, p - len(out), G, row,
+                                   defer_radius=True))
+        floors.append(radius_floor(G, row, np.delete(noise_var, pin)))
+        pins.append(pin)
+    fits = fit_corrected_lasso_stack(b, G, cfgs, floors, pins)
+    for _, _, _, j, out in batch:
         fit = fits.pop(0)  # let each row be freed once it is consumed
         if isinstance(fit, NumericalError):
             raise fit
+        j -= sum(c < j for c in out)  # the design's coordinates
         yield NodewiseResult(j=j, mu=np.insert(fit.beta, j, 0.0), fit=fit)

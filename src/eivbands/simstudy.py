@@ -92,6 +92,8 @@ class SimConfig:
                 f"seed must be an unsigned 64-bit integer (got {self.seed})")
         if beta0.shape != (self.p,):
             raise InputError(f"beta0 has shape {beta0.shape}, expected ({self.p},)")
+        if not np.all(np.isfinite(beta0)):
+            raise InputError("beta0 must be finite")
         if not self.targets:
             raise InputError("target set is empty")
         if len(set(self.targets)) != len(self.targets):
@@ -100,8 +102,13 @@ class SimConfig:
             raise InputError("target out of range")
         if len(self.null_values) != len(self.targets):
             raise InputError("need one null value per target")
-        if self.measurement_sd < 0 or self.model_sd < 0:
-            raise InputError("standard deviations must be nonnegative")
+        if not all(map(math.isfinite, self.null_values)):
+            raise InputError("null_values must be finite")
+        for name in ("measurement_sd", "model_sd"):
+            value = getattr(self, name)
+            if not 0 <= value < math.inf:
+                raise InputError(
+                    f"{name} must be finite and nonnegative (got {value!r})")
         if not 0.0 <= self.ar_rho < 1.0:
             raise InputError("ar_rho must lie in [0, 1)")
         if self.method not in ("eiv", "naive"):
@@ -285,6 +292,8 @@ def single_target_study(*, n: int = 200, p: int = 120,
     `null_values` given there replace this layout.  Defaults are desk scale;
     pass n=350, p=300, replications=500 for the full-scale design.
     """
+    if not math.isfinite(target_value):
+        raise InputError(f"target_value must be finite (got {target_value!r})")
     # slices, not beta0[0], so that SimConfig is the one to reject p < 2
     beta0 = np.zeros(p)
     beta0[:1] = target_value

@@ -7,12 +7,13 @@ the library path bit for bit (JSON floats round-trip float64 exactly).
 
 import filecmp
 import json
+import math
 
 import numpy as np
 import numpy.testing as npt
 import pytest
 
-from eivbands import bootstrap, cli, dataio, nodewise, simstudy
+from eivbands import bootstrap, cli, dataio, debias, nodewise, simstudy
 from eivbands.bootstrap import band_around, multiplier_maxima, \
     simultaneous_bands
 from eivbands.cli import main
@@ -22,7 +23,7 @@ from eivbands.errors import (
     InputError,
     NumericalError,
 )
-from eivbands.debias import run_inference
+from eivbands.debias import graph_tables, run_inference
 from eivbands.lasso import Dataset, NoiseSpec, SolverConfig
 
 
@@ -395,8 +396,9 @@ def test_graph_single_source_matches_library_inference(tmp_path, capsys):
 
 
 def check_graph_band_is_the_shared_band(tmp_path, capsys, p):
-    # every source: the p(p-1) edge cells, taken source by source in
-    # partner order, go through the one band routine bit for bit
+    # every source: the p(p-1) edge cells of the library's graph tables,
+    # taken source by source in partner order, go through the one band
+    # routine bit for bit
     path, gamma = write_nodes(tmp_path, n=60, p=p, seed=8)
     code, out, _ = run_cli(capsys, "graph", "--input", path, "--gamma", gamma,
                            "--alpha", "0.1", "--boot", "300", "--seed", "5",
@@ -405,13 +407,8 @@ def check_graph_band_is_the_shared_band(tmp_path, capsys, p):
     records = parse_records(out)
     edges = [r for r in records if r["record"] == "edge"]
     data, _ = dataio.read_dataset_csv(path, require_response=False)
-    cells = []
-    for j in range(p):
-        keep = np.arange(p) != j
-        table = run_inference(Dataset(y=data.Z[:, j], Z=data.Z[:, keep]),
-                              NoiseSpec.known(np.zeros(p - 1)),
-                              list(range(p - 1)), 0.1)
-        cells += table.cells
+    cells = [cell for table in graph_tables(data.Z, np.zeros(p), range(p),
+                                            0.1) for cell in table.cells]
     maxima = multiplier_maxima(np.column_stack([c.scores for c in cells]),
                                300, 5)
     band = band_around([c.j for c in cells], [c.estimate for c in cells],
@@ -433,16 +430,17 @@ def test_graph_band_is_the_shared_band_across_column_blocks(tmp_path, capsys):
     # 552 edges stream through the bootstrap in three column blocks, fed
     # 23 columns per source, and still equal the one-feed band
     assert 2 * bootstrap._BLOCK_COLUMNS < 24 * 23
-    # and one nodewise stack holds the 23-column Grams of all 24 sources
-    assert nodewise.stack_size(23) >= 24
+    # and one nodewise stack holds all 552 edge rows of the graph's Gram
+    assert nodewise.stack_rows(24) >= 24 * 23
     check_graph_band_is_the_shared_band(tmp_path, capsys, p=24)
 
 
 def test_graph_stacks_edges_across_sources(tmp_path, capsys, monkeypatch):
-    # the 8-column Grams of 9 nodes fit in one stack of stack_size(8)
-    # Grams, so the whole graph makes one stacked solve of 72 rows
+    # the 72 edge regressions of 9 nodes are rows of the graph's one Gram
+    # and fit in stack_rows(9), so the whole graph makes one nodewise
+    # stacked solve of 72 rows
     path, gamma = write_nodes(tmp_path, n=80, p=9)
-    assert nodewise.stack_size(8) >= 9
+    assert nodewise.stack_rows(9) >= 72
     rows = []
     original = nodewise.fit_corrected_lasso_stack
 
@@ -455,6 +453,26 @@ def test_graph_stacks_edges_across_sources(tmp_path, capsys, monkeypatch):
     assert code == 0
     assert sum(r["record"] == "edge" for r in parse_records(out)) == 72
     assert rows == [72]
+
+
+def test_graph_pilot_failure_exits_3_with_no_output(tmp_path, capsys,
+                                                    monkeypatch):
+    # the pilots are solved before the edges; source z3's failed pilot
+    # surfaces in its turn, and the report is written only after every
+    # source, so the command exits 3 with nothing on stdout
+    path, gamma = write_nodes(tmp_path, n=80, p=5)
+    original = debias.fit_corrected_lasso_stack
+
+    def fail_pilot(b, G, cfgs, floors=None, pins=None):
+        fits = original(b, G, cfgs, floors, pins)
+        return [NumericalError("forced pilot failure")
+                if tuple(pin) == (2,) else fit
+                for pin, fit in zip(pins, fits)]
+    monkeypatch.setattr(debias, "fit_corrected_lasso_stack", fail_pilot)
+    code, out, err = run_cli(capsys, "graph", "--input", path, "--gamma",
+                             gamma, "--boot", "50")
+    assert (code, out) == (3, "")
+    assert "forced pilot failure" in err
 
 
 def write_zero_column_nodes(tmp_path, gamma_value):
@@ -528,14 +546,14 @@ def test_stacked_nodewise_solves_leave_records_unchanged(tmp_path, capsys,
                      "--n", "80", "--p", "24", "--replications", "2",
                      "--boot", "100", "--seed", "6", "--lambda-scale", "0.2"),
     }
-    assert nodewise.stack_size(8) > 1 and nodewise.stack_size(24) > 1
+    assert nodewise.stack_rows(9) >= 72 and nodewise.stack_rows(24) >= 10
     for name, argv in runs.items():
         stacked = str(tmp_path / f"{name}_stacked.ndjson")
         assert run_cli(capsys, *argv, "--format", "records",
                        "--out", stacked)[0] == 0
         with monkeypatch.context() as m:
             m.setattr(nodewise, "STACK_BUDGET_BYTES", 0)
-            assert nodewise.stack_size(24) == nodewise.stack_rows(24) == 1
+            assert nodewise.stack_rows(9) == nodewise.stack_rows(24) == 1
             alone = str(tmp_path / f"{name}_alone.ndjson")
             assert run_cli(capsys, *argv, "--format", "records",
                            "--out", alone)[0] == 0
@@ -675,6 +693,38 @@ def test_simulate_too_few_columns_exit_2(tmp_path, capsys, argv, config):
     code, _, err = run_cli(capsys, "simulate", *argv, "--replications", "1")
     assert code == 2
     assert "need n >= 2 and p >= 2" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv, config, named", [
+    pytest.param(("--noise-mode", "mar", "--sigma-w", "inf"), None,
+                 "measurement_sd", id="mar-sigma-inf"),
+    pytest.param(("--noise-mode", "mar", "--sigma-w", "nan"), None,
+                 "measurement_sd", id="mar-sigma-nan"),
+    pytest.param(("--sigma-w", "inf"), None, "measurement_sd",
+                 id="known-sigma-inf"),
+    pytest.param(("--target-value", "nan"), None, "target_value",
+                 id="target-value-nan"),
+    pytest.param((), {"model_sd": math.inf}, "model_sd", id="config-model-sd"),
+    pytest.param((), {"measurement_sd": math.nan}, "measurement_sd",
+                 id="config-measurement-sd"),
+    pytest.param((), {"beta0": [0.0] * 5 + [math.inf]}, "beta0",
+                 id="config-beta0"),
+    pytest.param((), {"null_values": [math.nan]}, "null_values",
+                 id="config-null-values"),
+])
+def test_simulate_non_finite_setting_exit_2(tmp_path, capsys, argv, config,
+                                            named):
+    # rejected when the study is built, before any replication runs
+    if config is not None:
+        cfg_path = str(tmp_path / "study.json")
+        with open(cfg_path, "w") as fh:
+            json.dump(config, fh)
+        argv = ("--config", cfg_path)
+    code, out, err = run_cli(capsys, "simulate", *argv, "--n", "40", "--p",
+                             "6", "--replications", "1")
+    assert (code, out) == (2, "")
+    assert f"{named} must be finite" in err
     assert "Traceback" not in err
 
 

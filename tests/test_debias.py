@@ -5,7 +5,7 @@ import numpy.testing as npt
 import pytest
 from scipy.special import ndtri
 
-from eivbands import lasso, nodewise
+from eivbands import debias, lasso, nodewise
 from eivbands.debias import (
     DebiasTable,
     debias_coordinate,
@@ -16,7 +16,7 @@ from eivbands.debias import (
     score_slope,
     score_values,
 )
-from eivbands.errors import DegeneracyError, InputError
+from eivbands.errors import DegeneracyError, InputError, NumericalError
 from eivbands.lasso import Dataset, NoiseSpec, SolverConfig
 
 TIGHT = SolverConfig(tol=1e-10, max_iter=50000)
@@ -294,28 +294,39 @@ class TestRunInference:
             assert cell.mu[cell.j] == 0.0
 
 
-@pytest.mark.parametrize("budget, sizes", [
-    (None, None), (3 * 8 * 5 ** 2, (3, 15)), (3 * 8 * 5, (1, 3))],
-    ids=["one_stack", "stacks_of_3", "rows_of_3"])
-def test_graph_tables_equal_per_source_inference(monkeypatch, budget, sizes):
-    # every source's table is its own run_inference bit for bit, whether
-    # one stack holds all 30 edge regressions, stacks hold the 5-column
-    # Grams of 3 sources, or stacks of 3 rows cut sources
-    if budget is not None:
-        monkeypatch.setattr(nodewise, "STACK_BUDGET_BYTES", budget)
-        assert (nodewise.stack_size(5), nodewise.stack_rows(5)) == sizes
+def graph_instance():
     rng = np.random.default_rng(41)
     Z = rng.normal(size=(50, 6))
     Z[:, 1:] += 0.6 * Z[:, :-1]
-    gamma = np.full(6, 0.1)
-    sources = [4, 0, 2, 5, 1, 3]
+    return Z, np.full(6, 0.1), [4, 0, 2, 5, 1, 3]
+
+
+# the 6 pilots and 30 edge regressions in one stack each, in stacks of 15
+# rows (the edges of 3 sources), or in stacks of 3 rows that cut sources
+GRAPH_BUDGETS = [pytest.param(None, None, id="one_stack"),
+                 pytest.param(15 * 8 * 6, 15, id="stacks_of_3"),
+                 pytest.param(3 * 8 * 6, 3, id="rows_of_3")]
+
+
+@pytest.mark.parametrize("budget, rows", GRAPH_BUDGETS)
+def test_graph_tables_equal_rows_solved_alone(monkeypatch, budget, rows):
+    # every pilot and edge row of the graph's one Gram gives the same bits
+    # however the rows are stacked, down to every row solved alone
+    Z, gamma, sources = graph_instance()
+    with monkeypatch.context() as m:
+        m.setattr(nodewise, "STACK_BUDGET_BYTES", 0)
+        assert nodewise.stack_rows(6) == 1
+        alone = list(graph_tables(Z, gamma, sources, 0.1, TIGHT, "pilot"))
+    if budget is not None:
+        monkeypatch.setattr(nodewise, "STACK_BUDGET_BYTES", budget)
+        assert nodewise.stack_rows(6) == rows
     tables = list(graph_tables(Z, gamma, sources, 0.1, TIGHT, "pilot"))
-    for j, table in zip(sources, tables, strict=True):
-        keep = np.arange(6) != j
-        want = run_inference(Dataset(y=Z[:, j], Z=Z[:, keep]),
-                             NoiseSpec.known(gamma[keep]), range(5), 0.1,
-                             TIGHT, "pilot")
-        assert table.pilot.beta.tobytes() == want.pilot.beta.tobytes()
+    for table, want in zip(tables, alone, strict=True):
+        for field in ("beta", "objective_trace"):
+            assert getattr(table.pilot, field).tobytes() == \
+                getattr(want.pilot, field).tobytes()
+        for field in ("objective", "iterations", "kkt_residual", "radius"):
+            assert getattr(table.pilot, field) == getattr(want.pilot, field)
         assert table.targets == want.targets
         for got, cell in zip(table.cells, want.cells, strict=True):
             assert (got.estimate, got.sd, got.slope) == \
@@ -323,6 +334,56 @@ def test_graph_tables_equal_per_source_inference(monkeypatch, budget, sizes):
             assert got.scores.tobytes() == cell.scores.tobytes()
             assert got.mu.tobytes() == cell.mu.tobytes()
 
+
+@pytest.mark.parametrize("budget, rows", GRAPH_BUDGETS)
+def test_graph_tables_equal_per_source_inference(monkeypatch, budget, rows):
+    # every source's table is its own run_inference up to rounding: the
+    # rows of the graph's Gram sum over p terms where the source's own Gram
+    # sums over p - 1, so estimates, sds and CIs agree to 1e-9 standard
+    # errors and every fit takes the same iterations
+    if budget is not None:
+        monkeypatch.setattr(nodewise, "STACK_BUDGET_BYTES", budget)
+        assert nodewise.stack_rows(6) == rows
+    Z, gamma, sources = graph_instance()
+    tables = list(graph_tables(Z, gamma, sources, 0.1, TIGHT, "pilot"))
+    for j, table in zip(sources, tables, strict=True):
+        keep = np.arange(6) != j
+        want = run_inference(Dataset(y=Z[:, j], Z=Z[:, keep]),
+                             NoiseSpec.known(gamma[keep]), range(5), 0.1,
+                             TIGHT, "pilot")
+        assert (table.pilot.iterations, table.pilot.penalty) == \
+            (want.pilot.iterations, want.pilot.penalty)
+        npt.assert_allclose(table.pilot.radius, want.pilot.radius,
+                            rtol=1e-12)
+        npt.assert_allclose(table.pilot.beta, want.pilot.beta, rtol=0,
+                            atol=1e-12)
+        npt.assert_array_equal(table.noise_var, want.noise_var)
+        assert table.targets == want.targets
+        for got, cell in zip(table.cells, want.cells, strict=True):
+            se = cell.sd / np.sqrt(table.n)
+            for field in ("estimate", "sd", "ci_low", "ci_high"):
+                assert abs(getattr(got, field) - getattr(cell, field)) <= \
+                    1e-9 * se, field
+            npt.assert_allclose(got.mu, cell.mu, rtol=0, atol=1e-12)
+
+
+def test_graph_errors_keep_source_order(monkeypatch):
+    # the pilots are solved before any edge, but a pilot that fails raises
+    # only after every earlier source's table was yielded
+    Z, gamma, sources = graph_instance()
+    original = lasso.fit_corrected_lasso_stack
+    failing = sources[2]
+
+    def fail_pilot(b, G, cfgs, floors=None, pins=None):
+        fits = original(b, G, cfgs, floors, pins)
+        return [NumericalError("forced pilot failure")
+                if tuple(pin) == (failing,) else fit
+                for pin, fit in zip(pins, fits)]
+    monkeypatch.setattr(debias, "fit_corrected_lasso_stack", fail_pilot)
+    tables = graph_tables(Z, gamma, sources, 0.1, TIGHT)
+    assert [next(tables).targets for _ in range(2)] == [tuple(range(5))] * 2
+    with pytest.raises(NumericalError, match="forced pilot failure"):
+        next(tables)
 
 
 def count_gram_calls(monkeypatch):
@@ -359,12 +420,12 @@ def test_one_corrected_gram_per_inference(monkeypatch, budget, mode):
 
 
 @pytest.mark.parametrize("budget", [None, 0], ids=["stacked", "one_by_one"])
-def test_one_corrected_gram_per_graph_source(monkeypatch, budget):
-    # source j's pilot and its p - 1 edge regressions share one Gram
+def test_one_corrected_gram_per_graph(monkeypatch, budget):
+    # every source's pilot and edge regressions are rows of one Gram
     if budget is not None:
         monkeypatch.setattr(nodewise, "STACK_BUDGET_BYTES", budget)
     Z = np.random.default_rng(43).normal(size=(40, 6))
     calls = count_gram_calls(monkeypatch)
     tables = list(graph_tables(Z, np.full(6, 0.1), [3, 0, 5], cfg=TIGHT))
     assert [t.targets for t in tables] == [tuple(range(5))] * 3
-    assert calls == [5, 5, 5]
+    assert calls == [6]

@@ -192,32 +192,50 @@ class TestKktResidual:
             assert abs(got[i] - want) <= 1e-9 * max(want, 1e-3 * scale)
 
 
+def pin_array(pins):
+    # the solver's (k, m) layout of each row's pins, padded with -1
+    pin = np.full((len(pins), max(map(len, pins), default=0)), -1)
+    for row, js in zip(pin, pins):
+        row[:len(js)] = js
+    return pin
+
+
 class TestSpectralBound:
     @given(st.integers(0, 2 ** 32 - 1), st.integers(1, 6), st.integers(1, 12))
     @settings(max_examples=100, deadline=None)
     def test_never_exceeds_the_spectral_norm(self, seed, k, p):
+        # rows of one Gram pinned at up to two coordinates: each bounds the
+        # spectral norm of its free block
         gen = np.random.default_rng(seed)
         n = int(gen.integers(1, 3 * p + 2))
-        Gs = np.array([corrected_gram(gen.normal(size=(n, p)),
-                                      np.full(p, gen.uniform(0.0, 2.0)))
-                       for _ in range(k)])
-        lam = lasso._spectral_bound_stack(Gs)
+        G = corrected_gram(gen.normal(size=(n, p)),
+                           np.full(p, gen.uniform(0.0, 2.0)))
+        pins = [tuple(gen.choice(p, size=min(p - 1, gen.integers(3)),
+                                 replace=False)) for _ in range(k)]
+        lam = lasso._spectral_bound_stack(G, pin_array(pins))
         for i in range(k):
-            assert 0.0 < lam[i] <= np.linalg.norm(Gs[i], 2) * (1 + 1e-12)
+            free = ~np.isin(np.arange(p), pins[i])
+            block = G[np.ix_(free, free)]
+            assert 0.0 < lam[i] <= np.linalg.norm(block, 2) * (1 + 1e-12)
 
     def test_vanished_and_overflowing_rows_give_one(self):
+        # coordinate 0 overflows every row that keeps it free, coordinate 1
+        # is zero, so a row whose only free coordinate is 1 vanishes, and so
+        # does a row with no free coordinate
         gen = np.random.default_rng(9)
         p = 7
-        pd = np.array([pd_instance(gen, p)[1] for _ in range(2)])
-        huge = np.full((p, p), 1e300)
+        G = pd_instance(gen, p)[1]
+        G[0, 0] = 1e300
+        G[1, :] = G[:, 1] = 0.0
+        pins = [(0,), (), (0, 2, 3, 4, 5, 6), tuple(range(p)), (0, 1)]
         with np.errstate(over="ignore", invalid="ignore"):
-            lam = lasso._spectral_bound_stack(
-                np.array([pd[0], np.zeros((p, p)), huge, pd[1]]))
-        assert lam[1] == 1.0 and lam[2] == 1.0
+            lam = lasso._spectral_bound_stack(G, pin_array(pins))
+        assert lam[1] == lam[2] == lam[3] == 1.0
         # the other rows are what they are alone, bit for bit
-        for i, G in ((0, pd[0]), (3, pd[1])):
-            assert lam[i].tobytes() == \
-                lasso._spectral_bound_stack(G[None])[0].tobytes()
+        for i in (0, 4):
+            assert lam[i] != 1.0
+            assert lam[i].tobytes() == lasso._spectral_bound_stack(
+                G, pin_array(pins[i:i + 1]))[0].tobytes()
 
 
 class TestHardThreshold:
@@ -490,54 +508,56 @@ def draw_design(gen, p):
 
 
 def random_stack(gen, k, p):
-    # k same-size problems mixing positive definite, ill-conditioned and
-    # indefinite Grams, b = 0, tight and infinite radii, and small
+    # k problems on one Gram, positive definite, ill-conditioned or
+    # indefinite, mixing b = 0, tight and infinite radii, and small
     # iteration caps
-    bs, Gs, cfgs = [], [], []
+    Z, v = draw_design(gen, p)
+    n = Z.shape[0]
+    G = corrected_gram(Z, v)
+    bs, cfgs = [], []
     for _ in range(k):
-        Z, v = draw_design(gen, p)
-        n = Z.shape[0]
-        G = corrected_gram(Z, v)
         b = Z.T @ gen.normal(size=n) / n * gen.choice([0.0, 1.0, 3.0])
         cfg = SolverConfig(penalty_scale=gen.uniform(0.05, 2.0),
                            radius=gen.choice([None, np.inf, 0.3]),
                            max_iter=int(gen.choice([1, 4, 60, 20000])),
                            tol=float(gen.choice([1e-8, 1e-5])))
         bs.append(b)
-        Gs.append(G)
         cfgs.append(resolve_config(cfg, n, p, G, b))
-    return np.array(bs), np.array(Gs), cfgs
+    return np.array(bs), G, cfgs
 
 
 class TestStackedSolver:
     @given(st.integers(0, 2 ** 32 - 1), st.integers(1, 9), st.integers(1, 16))
     @settings(max_examples=60, deadline=None)
     def test_matches_one_at_a_time_bitwise(self, seed, k, p):
-        bs, Gs, cfgs = random_stack(np.random.default_rng(seed), k, p)
+        bs, G, cfgs = random_stack(np.random.default_rng(seed), k, p)
         with np.errstate(over="ignore", invalid="ignore"):  # divergent ones
-            assert_same_bits(fit_corrected_lasso_stack(bs, Gs, cfgs),
-                             solve_one_at_a_time(bs, Gs, cfgs))
+            assert_same_bits(fit_corrected_lasso_stack(bs, G, cfgs),
+                             solve_one_at_a_time(bs, [G] * k, cfgs))
 
     def test_covers_ball_cap_zero_b_indefinite_and_divergence(self):
         gen = np.random.default_rng(8)
         p = 6
         b_pd, G_pd = pd_instance(gen, p)
         G_indef = np.diag([-1.0, 1.0, 2.0, 0.5, 1.5, 3.0])
-        cases = [
-            (b_pd, G_pd, SolverConfig(penalty=0.0, radius=0.05)),  # ball
-            (b_pd, G_pd, SolverConfig(penalty=0.01, radius=np.inf,
-                                      max_iter=3)),  # capped
-            (np.zeros(p), G_pd, SolverConfig(penalty=0.1, radius=1.0)),
-            (b_pd, G_indef, SolverConfig(penalty=0.05, radius=2.0)),
-            (np.eye(p)[0], G_indef, SolverConfig(penalty=1e-3,
-                                                 radius=np.inf)),
-        ]
-        bs, Gs, cfgs = (np.array([c[0] for c in cases]),
-                        np.array([c[1] for c in cases]),
-                        [c[2] for c in cases])
-        with np.errstate(over="ignore", invalid="ignore"):
-            single = solve_one_at_a_time(bs, Gs, cfgs)
-            stacked = fit_corrected_lasso_stack(bs, Gs, cfgs)
+        stacks = {
+            "pd": (G_pd, [
+                (b_pd, SolverConfig(penalty=0.0, radius=0.05)),  # ball
+                (b_pd, SolverConfig(penalty=0.01, radius=np.inf,
+                                    max_iter=3)),  # capped
+                (np.zeros(p), SolverConfig(penalty=0.1, radius=1.0)),
+            ]),
+            "indefinite": (G_indef, [
+                (b_pd, SolverConfig(penalty=0.05, radius=2.0)),
+                (np.eye(p)[0], SolverConfig(penalty=1e-3, radius=np.inf)),
+            ]),
+        }
+        single, stacked = [], []
+        for G, cases in stacks.values():
+            bs, cfgs = np.array([c[0] for c in cases]), [c[1] for c in cases]
+            with np.errstate(over="ignore", invalid="ignore"):
+                single += solve_one_at_a_time(bs, [G] * len(cases), cfgs)
+                stacked += fit_corrected_lasso_stack(bs, G, cfgs)
         ball, capped, zero_b, indefinite, diverged = single
         assert np.abs(ball.beta).sum() >= 0.05 * (1 - 1e-6)
         assert capped.iterations == 3 and not capped.converged
@@ -553,80 +573,105 @@ class TestStackedSolver:
         # the ball), mixed with explicit ones, against the single solver
         # given the same floors
         gen = np.random.default_rng(seed)
-        bs, Gs, cfgs, floors = [], [], [], []
+        Z, v = draw_design(gen, p)
+        n = Z.shape[0]
+        G = corrected_gram(Z, v)
+        bs, cfgs, floors = [], [], []
         for _ in range(k):
-            Z, v = draw_design(gen, p)
-            n = Z.shape[0]
-            G = corrected_gram(Z, v)
             b = Z.T @ gen.normal(size=n) / n * gen.choice([0.0, 1.0, 3.0])
             cfg = SolverConfig(penalty_scale=gen.uniform(0.02, 2.0),
                                radius=gen.choice([None, None, 0.3]),
                                max_iter=int(gen.choice([1, 4, 60, 20000])))
             cfg = resolve_config(cfg, n, p, G, b, defer_radius=True)
             bs.append(b)
-            Gs.append(G)
             cfgs.append(cfg)
             floors.append(radius_floor(G, b, v))  # read only if deferred
-        bs, Gs = np.array(bs), np.array(Gs)
+        bs = np.array(bs)
         with np.errstate(over="ignore", invalid="ignore"):
-            assert_same_bits(fit_corrected_lasso_stack(bs, Gs, cfgs, floors),
-                             solve_one_at_a_time(bs, Gs, cfgs, floors))
+            assert_same_bits(fit_corrected_lasso_stack(bs, G, cfgs, floors),
+                             solve_one_at_a_time(bs, [G] * k, cfgs, floors))
 
-    @given(st.integers(0, 2 ** 32 - 1), st.integers(1, 12), st.integers(1, 3),
+    @given(st.integers(0, 2 ** 32 - 1), st.integers(1, 12),
            st.integers(1, 10))
-    @settings(max_examples=40, deadline=None)
-    def test_rows_sharing_grams_equal_rows_solved_alone(self, seed, k, g, p):
-        # rows of 1-3 shared Grams, pinned (nodewise-style b, deferred
-        # radius) or not, in random order and cut into stacks at random
-        # boundaries, often inside a Gram's rows: every row equals itself
-        # solved alone, and an unpinned one equals the single solver
+    @settings(max_examples=60, deadline=None)
+    def test_rows_sharing_grams_equal_rows_solved_alone(self, seed, k, p):
+        # rows of one Gram pinned at 0, 1 or 2 coordinates (all of them
+        # when p <= 2), with a regression's b on the free coordinates and a
+        # deferred radius, or unpinned with any b, in random order and cut
+        # into stacks at random boundaries: every row equals itself solved
+        # alone, an unpinned one equals the single solver, and a pinned
+        # one's beta leaves its pins out
         gen = np.random.default_rng(seed)
-        designs = []
-        for _ in range(g):
-            Z, v = draw_design(gen, p)
-            designs.append((corrected_gram(Z, v), v, Z))
-        bs, grams, cfgs, floors, pins = [], [], [], [], []
+        Z, v = draw_design(gen, p)
+        n = Z.shape[0]
+        G = corrected_gram(Z, v)
+        bs, cfgs, floors, pins = [], [], [], []
         for _ in range(k):
-            d = int(gen.integers(g))
-            G, v, Z = designs[d]
-            n = Z.shape[0]
-            j = int(gen.integers(p)) if gen.uniform() < 0.6 else None
-            if j is None:
+            m = int(gen.integers(3))
+            pin = tuple(int(j) for j in gen.choice(p, size=min(m, p),
+                                                   replace=False))
+            if pin:
+                b = G[:, pin[0]].copy()
+                b[list(pin)] = 0.0
+                floor = radius_floor(G, b, np.delete(v, pin))
+            else:
                 b = Z.T @ gen.normal(size=n) / n * gen.choice([0.0, 1.0, 3.0])
                 floor = radius_floor(G, b, v)
-            else:
-                b = G[:, j].copy()
-                b[j] = 0.0
-                floor = radius_floor(G, b, np.delete(v, j))
             cfg = SolverConfig(penalty_scale=gen.uniform(0.02, 2.0),
                                radius=gen.choice([None, None, np.inf, 0.3]),
                                max_iter=int(gen.choice([1, 4, 60, 20000])),
                                tol=float(gen.choice([1e-8, 1e-5])))
             bs.append(b)
-            grams.append(d)
-            cfgs.append(resolve_config(cfg, n, p, G, b, defer_radius=True))
+            cfgs.append(resolve_config(cfg, n, max(p - len(pin), 1), G, b,
+                                       defer_radius=True))
             floors.append(floor)
-            pins.append(j)
+            pins.append(pin)
         bs = np.array(bs)
-        Gs = [design[0] for design in designs]
         cuts = np.sort(gen.choice(np.arange(1, k), size=gen.integers(k),
                                   replace=False)) if k > 1 else []
         with np.errstate(over="ignore", invalid="ignore"):
             stacked = []
             for rows in np.split(np.arange(k), cuts):
                 stacked += fit_corrected_lasso_stack(
-                    bs[rows], Gs, [cfgs[i] for i in rows],
-                    [floors[i] for i in rows], pin=[pins[i] for i in rows],
-                    gram=[grams[i] for i in rows])
-            alone = [fit_corrected_lasso_stack(bs[i:i + 1], [Gs[grams[i]]],
+                    bs[rows], G, [cfgs[i] for i in rows],
+                    [floors[i] for i in rows], [pins[i] for i in rows])
+            alone = [fit_corrected_lasso_stack(bs[i:i + 1], G,
                                                cfgs[i:i + 1], floors[i:i + 1],
-                                               pin=pins[i:i + 1])[0]
+                                               pins[i:i + 1])[0]
                      for i in range(k)]
             assert_same_bits(stacked, alone)
-            free = [i for i in range(k) if pins[i] is None]
+            free = [i for i in range(k) if not pins[i]]
             assert_same_bits([alone[i] for i in free], solve_one_at_a_time(
-                bs[free], [Gs[grams[i]] for i in free],
-                [cfgs[i] for i in free], [floors[i] for i in free]))
+                bs[free], [G] * len(free), [cfgs[i] for i in free],
+                [floors[i] for i in free]))
+        for fit, pin in zip(alone, pins):
+            if isinstance(fit, FitResult):
+                assert fit.beta.shape == (p - len(pin),)
+
+    def test_pinned_rows_solve_the_sliced_subproblem(self):
+        # pinned at two coordinates, a row solves the problem on G's free
+        # block, up to rounding, with the same iterations; a deferred
+        # radius resolves on that block
+        gen = np.random.default_rng(14)
+        p = 8
+        Z = gen.normal(size=(20, p))
+        Z[:, 1:] += 0.7 * Z[:, :-1]
+        v = np.full(p, 1.0)
+        G = corrected_gram(Z, v)
+        pin = (5, 2)
+        free = ~np.isin(np.arange(p), pin)
+        b = G[:, 0].copy()
+        b[list(pin)] = 0.0
+        cfg = resolve_config(SolverConfig(penalty_scale=0.2), 20, p - 2, G,
+                             b, defer_radius=True)
+        floor = radius_floor(G, b, np.delete(v, pin))
+        fit = fit_corrected_lasso_stack(b[None], G, [cfg], [floor],
+                                        [pin])[0]
+        sub = fit_corrected_lasso(b[free], G[np.ix_(free, free)], cfg, floor)
+        assert fit.iterations == sub.iterations > 0
+        assert np.isfinite(fit.radius)
+        assert fit.radius == default_radius(G[np.ix_(free, free)], b[free])
+        npt.assert_allclose(fit.beta, sub.beta, rtol=0, atol=1e-12)
 
     def test_reports_the_residual_of_the_returned_iterate(self):
         # untruncated, fit.beta is the last iterate; its residual must be
@@ -647,8 +692,7 @@ class TestStackedSolver:
         bs = np.array([case[0] for case in cases.values()])
         cfgs = [case[1] for case in cases.values()]
         single = [fit_corrected_lasso(bi, G, cfg) for bi, cfg in zip(bs, cfgs)]
-        stacked = fit_corrected_lasso_stack(bs, [G], cfgs,
-                                            gram=[0] * len(cfgs))
+        stacked = fit_corrected_lasso_stack(bs, G, cfgs)
         converged, capped, ball, zero_b = single
         assert converged.converged and converged.iterations > 0
         assert capped.iterations == 3 and not capped.converged
@@ -662,7 +706,7 @@ class TestStackedSolver:
                 assert fit.kkt_residual == want
 
     def test_skips_power_iteration_when_zero_is_optimal(self, monkeypatch):
-        def refuse(G):
+        def refuse(G, pin):
             raise AssertionError("spectral bound computed")
         monkeypatch.setattr(lasso, "_spectral_bound_stack", refuse)
         gen = np.random.default_rng(4)
@@ -670,31 +714,30 @@ class TestStackedSolver:
         cfg = SolverConfig(penalty=float(np.abs(b).max()), radius=1.0)
         fit = fit_corrected_lasso(b, G, cfg)
         assert fit.iterations == 0 and fit.converged and not fit.beta.any()
-        stacked = fit_corrected_lasso_stack(np.array([b, 0.5 * b]),
-                                            np.array([G, G]), [cfg, cfg])
+        stacked = fit_corrected_lasso_stack(np.array([b, 0.5 * b]), G,
+                                            [cfg, cfg])
         assert_same_bits(stacked[:1], [fit])
         assert stacked[1].iterations == 0
 
     def test_validates_like_the_single_solver(self):
         cfg = SolverConfig(penalty=0.1, radius=1.0)
-        with pytest.raises(InputError):
-            fit_corrected_lasso_stack(np.ones((2, 3)), np.ones((2, 3, 2)),
-                                      [cfg, cfg])
-        with pytest.raises(InputError):
-            fit_corrected_lasso_stack(np.ones((2, 2)), np.ones((2, 2, 2)),
-                                      [cfg])
-        with pytest.raises(InputError):
-            fit_corrected_lasso_stack(np.array([[np.nan, 0.0]]),
-                                      np.eye(2)[None], [cfg])
-        with pytest.raises(InputError):
-            fit_corrected_lasso_stack(np.ones((1, 2)), np.eye(2)[None],
-                                      [SolverConfig()])
-        with pytest.raises(InputError):
-            fit_corrected_lasso_stack(np.ones((1, 2)), np.eye(2)[None],
-                                      [SolverConfig(penalty=0.1)], [0.5, 0.5])
-        with pytest.raises(InputError):
-            fit_corrected_lasso_stack(np.ones((2, 2)), np.eye(2)[None],
-                                      [cfg, cfg], gram=[0, 1])
+        bad = [
+            (np.ones((2, 3)), np.ones((3, 2)), [cfg, cfg], None, None),
+            (np.ones((2, 2)), np.eye(2), [cfg], None, None),
+            (np.ones(2), np.eye(2), [cfg], None, None),
+            (np.array([[np.nan, 0.0]]), np.eye(2), [cfg], None, None),
+            (np.ones((1, 2)), np.full((2, 2), np.inf), [cfg], None, None),
+            (np.ones((1, 2)), np.eye(2), [SolverConfig()], None, None),
+            (np.ones((1, 2)), np.eye(2), [SolverConfig(penalty=0.1)],
+             [0.5, 0.5], None),
+            (np.ones((1, 2)), np.eye(2), [cfg], None, [(2,)]),
+            (np.ones((1, 2)), np.eye(2), [cfg], None, [(-1,)]),
+            (np.ones((1, 2)), np.eye(2), [cfg], None, [(1, 1)]),
+            (np.ones((2, 2)), np.eye(2), [cfg, cfg], None, [(0,)]),
+        ]
+        for b, G, cfgs, floors, pins in bad:
+            with pytest.raises(InputError):
+                fit_corrected_lasso_stack(b, G, cfgs, floors, pins)
 
 
 class TestTypes:

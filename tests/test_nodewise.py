@@ -8,8 +8,7 @@ from eivbands.errors import InputError, NumericalError
 from eivbands.lasso import Dataset, NoiseSpec, SolverConfig, corrected_gram, \
     default_radius, fit_corrected_lasso, fit_corrected_lasso_stack, \
     resolve_config
-from eivbands.nodewise import fit_nodewise, fit_nodewise_jobs, stack_rows, \
-    stack_size
+from eivbands.nodewise import fit_nodewise, fit_nodewise_jobs, stack_rows
 
 TIGHT = SolverConfig(penalty=0.0, radius=np.inf, tol=1e-12, max_iter=100000,
                      truncation=0.0)
@@ -146,7 +145,7 @@ def assert_same_direction(got, want):
 def test_stack_matches_one_target_at_a_time(monkeypatch, cfg, budget):
     if budget is not None:
         monkeypatch.setattr(nodewise, "STACK_BUDGET_BYTES", budget)
-        assert (stack_size(12), stack_rows(12)) == (1, 2)
+        assert stack_rows(12) == 2
     stacks = count_stacks(monkeypatch)
     rng = np.random.default_rng(17)
     n, p = 40, 12
@@ -178,12 +177,13 @@ def test_stack_raises_at_the_failing_target(monkeypatch):
             next(results)
     assert str(stacked.value) == str(single.value)
 
-    # behind a design that converges, in the same stack: the failing row of
-    # the second design raises only after every result of the first
+    # behind a design that converges, in the stack before: the failing row
+    # of the second design raises only after every result of the first
     good = rng.normal(size=(60, 5))
     fits = [(good, np.zeros(5), j) for j in (2, 0, 3)]
     fits += [(Z, noise_var, j) for j in (4, 0, 1)]
-    jobs = [job for Zf, v, j in fits for job in gram_jobs(Zf, v, [j])]
+    jobs = gram_jobs(good, np.zeros(5), (2, 0, 3)) + \
+        gram_jobs(Z, noise_var, (4, 0, 1))
     # each fit_nodewise is a stack of one, so solve them before counting
     wants = [fit_nodewise(*fit, cfg) for fit in fits[:4]]
     stacks = count_stacks(monkeypatch)
@@ -194,7 +194,7 @@ def test_stack_raises_at_the_failing_target(monkeypatch):
         with pytest.raises(NumericalError) as stacked:
             next(results)
     assert str(stacked.value) == str(single.value)
-    assert stacks == [6]
+    assert stacks == [3, 3]
 
 
 def count_stacks(monkeypatch):
@@ -209,37 +209,64 @@ def count_stacks(monkeypatch):
     return rows
 
 
-def test_jobs_stack_across_designs_of_one_width(monkeypatch):
-    # two 8-column designs share one stack; the 6-column design that
-    # follows starts a new one
+def test_jobs_start_a_new_stack_at_each_gram(monkeypatch):
+    # a stack holds the rows of one Gram: two 8-column designs and the
+    # 6-column design that follows make three stacks, and a fourth starts
+    # when the first design's Gram comes back
     rng = np.random.default_rng(23)
     designs = []
     for p in (8, 8, 6):
         Z = rng.normal(size=(40, p))
         Z[:, 1:] += 0.5 * Z[:, :-1]
         designs.append((Z, rng.uniform(0.0, 0.3, size=p)))
-    fits = [(*designs[0], j) for j in (3, 0, 7)]
-    fits += [(*designs[1], j) for j in (1, 6)]
-    fits += [(*designs[2], j) for j in (2, 0, 5)]
-    jobs = [job for Zf, v, j in fits for job in gram_jobs(Zf, v, [j])]
-    assert stack_size(8) >= 2
+    targets = [(3, 0, 7), (1, 6), (2, 0, 5), (4,)]
+    grams = [gram_jobs(*design, [0])[0][0] for design in designs]
+    jobs = [(grams[d % 3], designs[d % 3][1], 40, j)
+            for d, js in enumerate(targets) for j in js]
+    fits = [(*designs[d % 3], j) for d, js in enumerate(targets) for j in js]
     stacks = count_stacks(monkeypatch)
     cfg = SolverConfig(penalty_scale=0.5)
     results = list(fit_nodewise_jobs(iter(jobs), cfg))
-    assert stacks == [5, 3]
+    assert stacks == [3, 2, 3, 1]
     for got, fit in zip(results, fits, strict=True):
         assert_same_direction(got, fit_nodewise(*fit, cfg))
 
 
-def test_stack_size_follows_the_gram_budget(monkeypatch):
-    # distinct Grams per stack: the 30 source Grams (29 columns) of a
-    # 30-node graph fit in one stack, a 300-column Gram fits alone
-    assert stack_size(1) == nodewise.STACK_BUDGET_BYTES // 8
-    assert stack_size(29) >= 30
-    assert stack_size(120) == nodewise.STACK_BUDGET_BYTES // (8 * 120 ** 2)
-    assert stack_size(300) == 1
+def test_stack_rows_follow_the_row_budget(monkeypatch):
+    # rows of one p-vector each: every edge of a 30-node graph fits in one
+    # stack, 300-column rows go 109 to a stack
+    assert stack_rows(1) == nodewise.STACK_BUDGET_BYTES // 8
+    assert stack_rows(30) >= 30 * 29
+    assert stack_rows(300) == 109
     monkeypatch.setattr(nodewise, "STACK_BUDGET_BYTES", 0)
-    assert stack_size(30) == 1
+    assert stack_rows(30) == 1
+
+
+@pytest.mark.parametrize("cfg", [
+    pytest.param(SolverConfig(), id="default"),
+    pytest.param(SolverConfig(max_iter=5), id="capped"),
+    pytest.param(SolverConfig(penalty_scale=0.2), id="loose"),
+])
+def test_job_leaving_out_columns_regresses_on_the_rest(cfg):
+    # a job on the full Gram that leaves out column k is the regression on
+    # the design without k: same penalty and iterations, its direction and
+    # target in that design's coordinates, equal up to rounding
+    rng = np.random.default_rng(37)
+    n, p = 50, 9
+    Z = rng.normal(size=(n, p))
+    Z[:, 1:] += 0.6 * Z[:, :-1]
+    noise_var = rng.uniform(0.1, 0.4, size=p)
+    G = corrected_gram(Z, noise_var)
+    for k, t in ((4, 1), (4, 7), (0, 8), (8, 0)):
+        got = next(fit_nodewise_jobs([(G, noise_var, n, t, (k,))], cfg))
+        keep = np.arange(p) != k
+        j = t - (t > k)
+        want = fit_nodewise(Z[:, keep], noise_var[keep], j, cfg)
+        assert got.j == want.j == j
+        assert got.mu.shape == (p - 1,) and got.mu[j] == 0.0
+        assert (got.fit.iterations, got.fit.converged, got.fit.penalty) == \
+            (want.fit.iterations, want.fit.converged, want.fit.penalty)
+        npt.assert_allclose(got.mu, want.mu, rtol=0, atol=1e-12)
 
 
 def test_wide_design_with_many_targets_splits_into_stacks(monkeypatch):
@@ -251,7 +278,6 @@ def test_wide_design_with_many_targets_splits_into_stacks(monkeypatch):
     Z = rng.normal(size=(n, p))
     Z[:, 1:] += 0.5 * Z[:, :-1]
     noise_var = np.full(p, 0.1)
-    assert stack_size(p) == 1
     assert stack_rows(p) == nodewise.STACK_BUDGET_BYTES // (8 * p) < p
     stacks = count_stacks(monkeypatch)
     cfg = SolverConfig(penalty_scale=2.0, max_iter=30)
@@ -303,8 +329,8 @@ def test_deferred_radius_gives_the_eager_fit(monkeypatch, regime):
     # the same pinned row on the design's Gram, radius resolved up front
     full = corrected_gram(Z, noise_var)
     row = full[:, 0].copy()
-    eager = fit_corrected_lasso_stack(row[None], [full], [resolved_cfg],
-                                      pin=[0])[0]
+    eager = fit_corrected_lasso_stack(row[None], full, [resolved_cfg],
+                                      pins=[(0,)])[0]
     # and the sliced subproblem, which sums over p - 1 terms, not p
     sliced = fit_corrected_lasso(b, G, resolved_cfg)
     calls = count_radius_calls(monkeypatch)
@@ -355,10 +381,10 @@ def test_inference_resolves_only_the_pilot_radius(monkeypatch, budget):
 
 def test_no_pass_over_a_finished_row(monkeypatch):
     # the edge regressions of every third source of a 30-node graph (AR(0.5)
-    # nodes observed with noise sd 0.5, n = 400) go in one stack of 290
-    # rows, and its solver loop passes each row once per iteration or
-    # backtracking retry, never after the row stopped; a row solved alone
-    # makes exactly those passes
+    # nodes observed with noise sd 0.5, n = 400), rows of the graph's one
+    # Gram, go in one stack of 290 rows, and its solver loop passes each row
+    # once per iteration or backtracking retry, never after the row stopped;
+    # a row solved alone makes exactly those passes
     n, p = 400, 30
     gen = np.random.default_rng(7)
     x = np.empty((n, p))
@@ -366,23 +392,22 @@ def test_no_pass_over_a_finished_row(monkeypatch):
     for k in range(1, p):
         x[:, k] = 0.5 * x[:, k - 1] + np.sqrt(0.75) * gen.normal(size=n)
     Z = x + 0.5 * gen.normal(size=(n, p))
-    noise_var = np.full(p - 1, 0.25)
-    jobs = []
-    for j in range(0, p, 3):
-        G = corrected_gram(Z[:, np.arange(p) != j], noise_var)
-        jobs += [(G, noise_var, n, t) for t in range(p - 1)]
+    noise_var = np.full(p, 0.25)
+    G = corrected_gram(Z, noise_var)
+    jobs = [(G, noise_var, n, t, (k,)) for k in range(0, p, 3)
+            for t in range(p) if t != k]
 
     rows, power = [], []
-    matvec, bound = lasso._Rows.matvec, lasso._spectral_bound_stack
+    matvec, bound = lasso._matvec, lasso._spectral_bound_stack
 
-    def counted_matvec(self, X):
+    def counted_matvec(G, X, pinned):
         rows.append(X.shape[0])
-        return matvec(self, X)
+        return matvec(G, X, pinned)
 
-    def counted_bound(G, gram=None, pin=None):
-        power.append(len(gram))
-        return bound(G, gram, pin)
-    monkeypatch.setattr(lasso._Rows, "matvec", counted_matvec)
+    def counted_bound(G, pin):
+        power.append(len(pin))
+        return bound(G, pin)
+    monkeypatch.setattr(lasso, "_matvec", counted_matvec)
     monkeypatch.setattr(lasso, "_spectral_bound_stack", counted_bound)
 
     def loop_row_passes():

@@ -22,7 +22,9 @@ under flags, the naive method with the solver flags, the study defaults,
 and noise sd 1 at a fifth of the study penalty, where pilots and nodewise
 rows end on their l1 balls) once with `--format records` and once with
 `--format table`, and captures the stdout of each script in `demos/`.  The two-worker run must
-equal its one-worker twin `simulate_multi_mar` byte for byte.  Each invalid `simulate` call in `_error_runs` leaves
+equal its one-worker twin `simulate_multi_mar` byte for byte.  Each invalid call in `_error_runs` (bad
+`simulate` flags and config files, and an `infer` target whose column is
+all zero at noise variance 0) leaves
 `err_<name>.txt`: its exit code and stderr, or the type of an exception that
 escapes `main`.  Two checkouts that compute the same numbers give trees that
 `diff -r` finds identical, so a refactor is checked with
@@ -162,6 +164,14 @@ def write_inputs(inputs: Path) -> None:
                    {f"z{k + 1}": Z[:, k] for k in range(p)})
         _write_gamma(inputs / f"{name}_gamma.txt", np.full(p, sd ** 2))
 
+    # an all-zero column at noise variance 0: its score slope is exactly 0
+    rng = np.random.default_rng(24)
+    Z = np.column_stack([np.zeros(30), rng.normal(size=(30, 2))])
+    y = Z[:, 1] + 0.1 * rng.normal(size=30)
+    _write_csv(inputs / "zero_column.csv",
+               {"y": y} | {f"z{k + 1}": Z[:, k] for k in range(3)})
+    _write_gamma(inputs / "zero_column_gamma.txt", np.zeros(3))
+
     beta0 = np.zeros(20)
     beta0[[0, 3, 7]] = [0.5, 1.0, -0.7]
     study = {"n": 80, "p": 20, "replications": 3, "seed": 8, "model_sd": 0.8,
@@ -256,7 +266,12 @@ def _error_runs(inputs: Path) -> dict[str, list[str]]:
              "p1": ["--p", "1"],
              "unknown_key": ["--config", str(inputs / "unknown_key.json")],
              "solver_int": ["--config", str(inputs / "solver_int.json")]}
-    return {name: [*base, *extra] for name, extra in flags.items()}
+    runs = {name: [*base, *extra] for name, extra in flags.items()}
+    runs["infer_degenerate"] = ["infer", "--input",
+                                str(inputs / "zero_column.csv"), "--gamma",
+                                str(inputs / "zero_column_gamma.txt"),
+                                "--targets", "z1"]
+    return runs
 
 
 def run_reports(inputs: Path, out: Path) -> None:

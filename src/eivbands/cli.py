@@ -112,6 +112,12 @@ def _load_regression(args) -> tuple[Dataset, list[str], NoiseSpec, str]:
     return data, names, NoiseSpec.known(gamma), args.gamma
 
 
+def _named(exc: DegeneracyError, where: str) -> DegeneracyError:
+    """`exc` naming `where` in place of its column index."""
+    reason = str(exc).removesuffix(f" for column {exc.coordinate}")
+    return DegeneracyError(f"{reason} for {where}", coordinate=exc.coordinate)
+
+
 def _emit(args, records: list[dict]) -> int:
     if args.format == "records":
         text = reports.render_records(records)
@@ -143,8 +149,13 @@ def cmd_infer(args) -> int:
     data, names, noise, gamma_source = _load_regression(args)
     targets = _resolve_targets(args.targets, names)
     cfg = _solver_from(args)
-    table = run_inference(data, noise, targets, args.alpha, cfg,
-                          args.variance_at)
+    try:
+        table = run_inference(data, noise, targets, args.alpha, cfg,
+                              args.variance_at)
+    except DegeneracyError as exc:
+        if exc.coordinate is None:
+            raise
+        raise _named(exc, f"target {names[exc.coordinate]}") from None
     band = None
     if args.bands or len(targets) >= 2:
         band = simultaneous_bands(table, args.boot, args.seed)
@@ -170,18 +181,13 @@ def cmd_graph(args) -> int:
                           args.variance_at)
     nodes, edges = [], []
     for j in sources:
-        partners = np.flatnonzero(np.arange(p) != j)
         try:
             table = next(tables)
         except DegeneracyError as exc:
             if exc.coordinate is None:
                 raise
-            # the coordinate indexes the source's design of partners
-            k = int(partners[exc.coordinate])
-            reason = str(exc).removesuffix(f" for column {exc.coordinate}")
-            raise DegeneracyError(
-                f"{reason} for source {names[j]}, partner {names[k]}",
-                coordinate=k) from None
+            raise _named(exc, f"source {names[j]}, partner "
+                              f"{names[exc.coordinate]}") from None
         nodes.append({"name": names[j], "index": j + 1,
                       "penalty": table.pilot.penalty,
                       "radius": table.pilot.radius,
@@ -190,9 +196,9 @@ def cmd_graph(args) -> int:
                       "kkt_residual": table.pilot.kkt_residual})
         stream.feed(table.score_matrix())
         edges += [{"source": names[j], "source_index": j + 1,
-                   "partner": names[k], "partner_index": int(k) + 1,
+                   "partner": names[cell.j], "partner_index": cell.j + 1,
                    "estimate": cell.estimate, "sd": cell.sd}
-                  for k, cell in zip(partners, table.cells)]
+                  for cell in table.cells]
 
     band = band_around([e["partner_index"] - 1 for e in edges],
                        [e["estimate"] for e in edges],

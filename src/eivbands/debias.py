@@ -255,8 +255,8 @@ def run_inference(data: Dataset, noise: NoiseSpec, targets,
 
     Notes
     -----
-    The nodewise fits are rows of one `nodewise.fit_nodewise_jobs` stack on
-    the pilot's Gram, bit-identical to fitting them one at a time.
+    The nodewise fits are one `nodewise.fit_nodewise_jobs` stream on the
+    pilot's Gram, bit-identical to fitting them one at a time.
     """
     _check_settings(alpha, variance_at)
     targets = [int(j) for j in targets]
@@ -269,10 +269,10 @@ def run_inference(data: Dataset, noise: NoiseSpec, targets,
         if not 0 <= j < p:
             raise InputError(f"target column {j} out of range for p={p}")
     prepared = prepare_pilot(data, noise, cfg)
-    jobs = ((prepared.gram, prepared.noise_var, data.n, j) for j in targets)
+    directions = fit_nodewise_jobs(prepared.gram, prepared.noise_var, data.n,
+                                   targets, cfg)
     return _table(data.y, prepared.design, prepared.noise_var, prepared.fit,
-                  fit_nodewise_jobs(jobs, cfg), alpha, variance_at,
-                  noise.kind, prepared.mar)
+                  directions, alpha, variance_at, noise.kind, prepared.mar)
 
 
 def graph_tables(Z: np.ndarray, gamma: np.ndarray, sources,
@@ -282,16 +282,19 @@ def graph_tables(Z: np.ndarray, gamma: np.ndarray, sources,
 
     Source k's table is ``run_inference(Dataset(y=Z[:, k], Z=Z[:, keep]),
     NoiseSpec.known(gamma[keep]), range(p - 1), alpha, cfg, variance_at)``
-    with keep the columns other than k, but every regression is a row of the
-    graph's one corrected Gram G = ``corrected_gram(Z, gamma)``: source k's
-    pilot is column k of G pinned at k, and its edge to partner t is column
-    t pinned at t and k.  Each solves the subproblem of the source's own
-    Gram with the penalty of its p - 1 columns, and differs from
-    `run_inference` only by rounding, as its sums run over p terms.  The
-    pilot's radius is resolved on the (-k, -k) block of G, the edges'
-    radii are deferred.  The pilots are solved first, in stacks of
-    `nodewise.stack_rows(p)` rows, and the edges of consecutive sources go
-    through one `fit_nodewise_jobs` stream; a failed solve is held in
+    with keep the columns other than k, in the columns of Z: its cells are
+    indexed by partner column t != k, its `noise_var` is `gamma`, and its
+    pilot's `beta` and every cell's `mu` have length p and are 0 at k.
+    Every regression is a row of the graph's one corrected Gram G =
+    ``corrected_gram(Z, gamma)``: source k's pilot is column k of G pinned
+    at k, and its edge to partner t is column t pinned at t and k.  Each
+    solves the subproblem of the source's own Gram with the penalty of its
+    p - 1 columns; its sums, like the cells', run over the p columns of Z,
+    so a table differs from `run_inference` only by rounding.  The pilot's
+    radius is resolved on the (-k, -k) block of G, the edges' radii are
+    deferred.  The pilots are solved first, in stacks
+    of `nodewise.stack_rows(p)` rows, and the edges of every source go
+    through one `fit_nodewise_jobs` stream on G; a failed solve is held in
     place, so errors surface as they would source by source: pilot k, then
     its cells in partner order, then pilot k + 1.
     """
@@ -325,16 +328,15 @@ def graph_tables(Z: np.ndarray, gamma: np.ndarray, sources,
         pilots += fit_corrected_lasso_stack(G[:, chunk].T, G, cfgs,
                                             pins=[(k,) for k in chunk])
 
-    jobs = ((G, gamma, n, t, (k,)) for k in sources for t in range(p)
-            if t != k)
-    stream = fit_nodewise_jobs(jobs, cfg)
+    jobs = ((t, (k,)) for k in sources for t in range(p) if t != k)
+    stream = fit_nodewise_jobs(G, gamma, n, jobs, cfg)
+    # column-major like a source's own design Z[:, keep], so the cells'
+    # products round closest to that design's
+    design = np.asfortranarray(Z)
     for k, pilot in zip(sources, pilots):
         if isinstance(pilot, NumericalError):
             raise pilot
-        keep = np.arange(p) != k
-        # Boolean column indexing gives an F-ordered design, the layout
-        # every source's regression has always used.
-        yield _table(Z[:, k], Z[:, keep], gamma[keep], pilot,
+        yield _table(design[:, k], design, gamma, pilot,
                      islice(stream, p - 1), alpha, variance_at)
 
 

@@ -28,7 +28,8 @@ pilots).  `fit_corrected_lasso_stack` solves many problems on one Gram, one
 row each; a row may pin coordinates at 0, so a regression on a subset of
 the Gram's columns, such as a nodewise regression (pinned at its target), a
 graph pilot (pinned at its source) or a graph edge (pinned at its target
-and its source), solves its subproblem without a copy.
+and its source), solves its subproblem without a copy, and its coefficients
+stay in the Gram's columns with the pinned ones exactly 0.
 """
 
 from __future__ import annotations
@@ -46,7 +47,6 @@ DEFAULT_TRUNCATION = 1e-7
 _POWER_ITERATIONS = 20
 _MIN_STEP = 1e-30
 _BACKTRACK_SLACK = 1e-12
-_KKT_BLOCK = 128
 
 
 @dataclass(frozen=True)
@@ -181,11 +181,13 @@ class SolverConfig:
 class FitResult:
     """Solver output.
 
-    `beta` has every entry either exactly 0 or larger than `truncation` in
-    magnitude.  `objective` and `kkt_residual` are evaluated at the final
-    solver iterate before truncation; `objective_trace` records the objective
-    of the iterate after every iteration and is non-increasing up to 1e-12
-    slack.
+    `beta` is indexed by the columns of the Gram the problem was solved on.
+    Every entry is either exactly 0 or larger than `truncation` in
+    magnitude, and a coordinate pinned at 0 (see `fit_corrected_lasso_stack`)
+    is an exact +0.0.  `objective` and `kkt_residual` are evaluated at the
+    final solver iterate before truncation; `objective_trace` records the
+    objective of the iterate after every iteration and is non-increasing up
+    to 1e-12 slack.
 
     `radius` is the l1-ball radius that was in force: the configured or
     resolved radius, or ``inf`` when a deferred default radius was never
@@ -555,19 +557,20 @@ def fit_corrected_lasso_stack(b: np.ndarray, G: np.ndarray, cfgs,
         zeroes them in its gradient after every update, so its beta holds
         them at exactly 0 and it solves the subproblem on the other
         coordinates without copying G.  Its floor and default radius are the
-        subproblem's (G's free block is sliced only to resolve that radius),
-        and its `FitResult.beta` leaves the pinned coordinates out.
+        subproblem's (G's free block is sliced only to resolve that radius).
 
     Returns
     -------
     list of FitResult or NumericalError
-        Entry i equals problem i solved alone (a stack of one, same Gram
-        and pins) bit for bit in every field; unpinned, that is
-        ``fit_corrected_lasso(b[i], G, cfgs[i], floors[i])``.  Pinned, it
-        agrees with `fit_corrected_lasso` on the sliced subproblem up to
-        rounding, as its sums run over p terms, not over the free ones.  A
-        solve that would raise NumericalError returns the exception in
-        place, so the caller decides in which order failures surface.
+        Every `beta` has length p, in G's columns, with an exact +0.0 at
+        each pinned coordinate.  Entry i equals problem i solved alone (a
+        stack of one, same Gram and pins) bit for bit in every field;
+        unpinned, that is ``fit_corrected_lasso(b[i], G, cfgs[i],
+        floors[i])``.  Pinned, its free entries agree with
+        `fit_corrected_lasso` on the sliced subproblem up to rounding, as
+        its sums run over p terms, not over the free ones.  A solve that
+        would raise NumericalError returns the exception in place, so the
+        caller decides in which order failures surface.
     """
     b = np.array(b, dtype=np.float64)
     G = np.ascontiguousarray(G, dtype=np.float64)
@@ -680,11 +683,8 @@ def fit_corrected_lasso_stack(b: np.ndarray, G: np.ndarray, cfgs,
         fixed = zero & took
         check = np.flatnonzero(accept & (fixed | (it % 25 == 0) | (it >= cap)
                                | (np.sqrt(sq) <= 0.1 * tl * step)))
-        # in blocks, to bound the residual's temporaries on tall stacks
-        for lo in range(0, check.size, _KKT_BLOCK):
-            c = check[lo:lo + _KKT_BLOCK]
-            kkt[idx[c]] = _kkt_residual_stack(x[c], Gx[c] - bl[c], pen[c],
-                                              rad[c])
+        kkt[idx[check]] = _kkt_residual_stack(x[check], Gx[check] - bl[check],
+                                              pen[check], rad[check])
         converged[idx[check]] = kkt[idx[check]] <= tl[check]
         stop = underflow | nonfinite | converged[idx] | fixed | (it >= cap)
         if stop.any():
@@ -705,9 +705,8 @@ def fit_corrected_lasso_stack(b: np.ndarray, G: np.ndarray, cfgs,
 
     results: list[FitResult | NumericalError] = []
     for i, cfg in enumerate(cfgs):
-        fit_beta = hard_threshold(beta[i], cfg.truncation)
         results.append(errors[i] or FitResult(
-            beta=np.delete(fit_beta, pins[i]) if pins[i] else fit_beta,
+            beta=hard_threshold(beta[i], cfg.truncation),
             objective=float(objective[i]),
             iterations=int(iterations[i]),
             converged=bool(converged[i]),

@@ -13,8 +13,11 @@ j read as 0 and beta_j stays 0, so the row solves the (-j, -j) subproblem
 on G itself.  Only the regressors' noise variances enter; the target's own
 sits on G[j, j], which the subproblem drops.  A job may also name columns
 of G that its design leaves out, such as a graph's source: the row pins
-them too, so every regression of a node graph is a row of one Gram.
-`fit_nodewise_jobs` cuts the stacks to `STACK_BUDGET_BYTES`.
+them too, so every regression of a node graph is a row of one Gram.  The
+coefficients never leave G's columns: the fitted direction mu is the row's
+beta, of length p, exactly 0 at j and at every left-out column.
+`fit_nodewise_jobs` streams the jobs of one Gram through stacks cut to
+`STACK_BUDGET_BYTES`.
 
 A default l1-ball radius is deferred: each row carries the one-matvec
 `radius_floor` instead of the eigendecomposition behind `default_radius`,
@@ -28,6 +31,7 @@ from __future__ import annotations
 
 from collections.abc import Iterator
 from dataclasses import dataclass
+from itertools import islice
 
 import numpy as np
 
@@ -51,8 +55,9 @@ STACK_BUDGET_BYTES = 1 << 18
 class NodewiseResult:
     """Direction for one target column.
 
-    `mu` lives in the design's p-dimensional coordinate system with mu[j] = 0
-    exactly; `fit` is the underlying (p-1)-dimensional solver result.
+    `mu` is ``fit.beta``: indexed by the columns of the Gram the regression
+    solved on, exactly 0 at the target j and at every column the job left
+    out.
     """
 
     j: int
@@ -61,8 +66,8 @@ class NodewiseResult:
 
 
 def stack_rows(p: int) -> int:
-    """Rows of length p one stack holds, at least 1."""
-    return max(1, STACK_BUDGET_BYTES // (8 * p))
+    """Rows of length p one stack holds, at least 1 (p = 0 counts as 1)."""
+    return max(1, STACK_BUDGET_BYTES // (8 * max(p, 1)))
 
 
 def fit_nodewise(Z: np.ndarray, noise_var: np.ndarray, j: int,
@@ -77,58 +82,45 @@ def fit_nodewise(Z: np.ndarray, noise_var: np.ndarray, j: int,
     inf if none could).
     """
     G = corrected_gram(Z, noise_var)
-    return next(fit_nodewise_jobs([(G, noise_var, np.shape(Z)[0], j)], cfg))
+    return next(fit_nodewise_jobs(G, noise_var, np.shape(Z)[0], [j], cfg))
 
 
-def fit_nodewise_jobs(jobs, cfg: SolverConfig = SolverConfig()
+def fit_nodewise_jobs(G: np.ndarray, noise_var: np.ndarray, n: int, jobs,
+                      cfg: SolverConfig = SolverConfig()
                       ) -> Iterator[NodewiseResult]:
-    """Yield ``fit_nodewise(Z, noise_var, j, cfg)`` for each job in order.
+    """Yield the nodewise regression of each job on G, in order.
 
-    `jobs` is an iterable of ``(G, noise_var, n, j)`` or ``(G, noise_var, n,
-    j, out)`` with G = ``corrected_gram(Z, noise_var)`` of an n-row design
-    Z, pulled one job past the current stack.  `out` names columns of Z
-    other than j that the job's design leaves out: the job regresses column
-    j on Z without them, with the penalty of that design's width, and its
-    result's `j` and `mu` are in that design's coordinates.  Consecutive
-    jobs given one Gram object join a stack of at most `stack_rows(p)` rows;
-    a new Gram or one row too many starts the next.  A stack is one
-    `fit_corrected_lasso_stack` call, bit-identical to fitting its jobs one
-    at a time.  A job whose solve fails raises its error when the iteration
-    reaches it, after every earlier job was yielded; a job whose target is
-    out of range raises when it is pulled.
+    G is ``corrected_gram(Z, noise_var)`` of an n-row design Z.  A job is a
+    target column j, giving ``fit_nodewise(Z, noise_var, j, cfg)``, or a
+    pair ``(j, out)`` whose `out` names columns of Z other than j that the
+    job's design leaves out: it regresses column j on Z without them, with
+    the penalty of that design's width.  Every result is in G's columns.
+    The jobs are pulled as needed and go in stacks of `stack_rows(p)` rows;
+    a stack is one `fit_corrected_lasso_stack` call, bit-identical to
+    fitting its jobs one at a time.  A job whose solve fails raises its
+    error when the iteration reaches it, after every earlier job was
+    yielded; a job whose target is out of range raises when its stack is
+    formed.
     """
-    batch = []
-    for job in jobs:
-        G, noise_var, n, j, out = job if len(job) == 5 else (*job, ())
-        p = len(G)
-        if not 0 <= j < p:
-            raise InputError(f"target column {j} out of range for p={p}")
-        if batch and (G is not batch[0][0] or len(batch) == stack_rows(p)):
-            yield from _solve_batch(batch, cfg)
-            batch = []
-        batch.append((G, noise_var, n, int(j), tuple(out)))
-    if batch:
-        yield from _solve_batch(batch, cfg)
-
-
-def _solve_batch(batch, cfg):
-    G = batch[0][0]
     p = len(G)
-    b = np.empty((len(batch), p))
-    cfgs, floors, pins = [], [], []
-    for row, (_, noise_var, n, j, out) in zip(b, batch):
-        pin = (j, *out)
-        # column j of G without its pinned entries is the subproblem's b
-        row[:] = G[:, j]
-        row[list(pin)] = 0.0
-        cfgs.append(resolve_config(cfg, n, p - len(out), G, row,
-                                   defer_radius=True))
-        floors.append(radius_floor(G, row, np.delete(noise_var, pin)))
-        pins.append(pin)
-    fits = fit_corrected_lasso_stack(b, G, cfgs, floors, pins)
-    for _, _, _, j, out in batch:
-        fit = fits.pop(0)  # let each row be freed once it is consumed
-        if isinstance(fit, NumericalError):
-            raise fit
-        j -= sum(c < j for c in out)  # the design's coordinates
-        yield NodewiseResult(j=j, mu=np.insert(fit.beta, j, 0.0), fit=fit)
+    jobs = iter(jobs)
+    while batch := list(islice(jobs, stack_rows(p))):
+        b = np.empty((len(batch), p))
+        cfgs, floors, pins = [], [], []
+        for row, job in zip(b, batch):
+            j, out = job if isinstance(job, tuple) else (job, ())
+            if not 0 <= j < p:
+                raise InputError(f"target column {j} out of range for p={p}")
+            pins.append((int(j), *out))
+            # column j of G without its pinned entries is the subproblem's b
+            row[:] = G[:, j]
+            row[list(pins[-1])] = 0.0
+            cfgs.append(resolve_config(cfg, n, p - len(out), G, row,
+                                       defer_radius=True))
+            floors.append(radius_floor(G, row, np.delete(noise_var, pins[-1])))
+        fits = fit_corrected_lasso_stack(b, G, cfgs, floors, pins)
+        for pin in pins:
+            fit = fits.pop(0)  # let each row be freed once it is consumed
+            if isinstance(fit, NumericalError):
+                raise fit
+            yield NodewiseResult(j=pin[0], mu=fit.beta, fit=fit)

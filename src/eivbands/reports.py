@@ -22,24 +22,15 @@ def default_names(p: int) -> list[str]:
     return [f"z{k + 1}" for k in range(p)]
 
 
-def _jsonable(value):
-    if isinstance(value, (np.bool_, bool)):
-        return bool(value)
-    if isinstance(value, (np.floating, float)):
-        return float(value)
-    if isinstance(value, (np.integer, int)):
-        return int(value)
-    if isinstance(value, np.ndarray):
-        return [_jsonable(v) for v in value]
-    if isinstance(value, (list, tuple)):
-        return [_jsonable(v) for v in value]
-    if isinstance(value, dict):
-        return {k: _jsonable(v) for k, v in value.items()}
-    return value
+def _plain(value):
+    # json.dumps hook: NumPy scalars and arrays become Python values
+    if isinstance(value, (np.generic, np.ndarray)):
+        return value.tolist()
+    raise TypeError(f"{type(value).__name__} is not JSON serializable")
 
 
 def render_records(records: list[dict]) -> str:
-    lines = [json.dumps(_jsonable(r), sort_keys=True) for r in records]
+    lines = [json.dumps(r, sort_keys=True, default=_plain) for r in records]
     return "\n".join(lines) + "\n"
 
 

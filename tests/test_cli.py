@@ -13,7 +13,8 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from eivbands import bootstrap, cli, dataio, debias, nodewise, simstudy
+from eivbands import bootstrap, cli, dataio, debias, nodewise, reports, \
+    simstudy
 from eivbands.bootstrap import band_around, multiplier_maxima, \
     simultaneous_bands
 from eivbands.cli import main
@@ -55,6 +56,23 @@ def write_regression(tmp_path, n=40, p=4, seed=0, sigma_w=0.5, name="data.csv"):
 
 # ---------------------------------------------------------------------------
 # infer
+
+
+def test_render_records_pins_numpy_values():
+    # NumPy scalars and arrays, nested in lists and tuples, render as their
+    # Python values; NaN as JSON's NaN; keys sorted, one record a line
+    records = [{"i": np.int64(-3), "b": np.bool_(True), "f": np.float32(0.1),
+                "a": np.array([[1.5, np.nan], [2.0, 3.0]]),
+                "l": [np.float64(0.1), [np.int64(2), (np.bool_(False),)]],
+                "nan": np.float64(np.nan), "x": 0.1},
+               {"record": "run", "ints": np.arange(2)}]
+    assert reports.render_records(records) == (
+        '{"a": [[1.5, NaN], [2.0, 3.0]], "b": true, '
+        '"f": 0.10000000149011612, "i": -3, "l": [0.1, [2, [false]]], '
+        '"nan": NaN, "x": 0.1}\n'
+        '{"ints": [0, 1], "record": "run"}\n')
+    with pytest.raises(TypeError):
+        reports.render_records([{"s": {1}}])
 
 
 def test_infer_records_shape(tmp_path, capsys):
@@ -241,10 +259,12 @@ def test_degenerate_column_names_coordinate(tmp_path, capsys):
     gamma = str(tmp_path / "g0.txt")
     with open(gamma, "w") as fh:
         fh.write("0.0\n0.0\n0.0\n")
-    code, _, err = run_cli(capsys, "infer", "--input", path, "--gamma", gamma,
-                           "--targets", "z1")
-    assert code == 4
-    assert "column 0" in err
+    for command in ("infer", "bands"):
+        code, _, err = run_cli(capsys, command, "--input", path, "--gamma",
+                               gamma, "--targets", "z1")
+        assert code == 4
+        assert err.endswith("is numerically zero for target z1\n")
+        assert "column 0" not in err
 
 
 def test_missing_cells_without_mar_exit_2(tmp_path, capsys):

@@ -294,6 +294,11 @@ class TestRunInference:
             assert cell.mu[cell.j] == 0.0
 
 
+def partners(p, k):
+    # a source's cells, in the columns of the graph's design
+    return tuple(t for t in range(p) if t != k)
+
+
 def graph_instance():
     rng = np.random.default_rng(41)
     Z = rng.normal(size=(50, 6))
@@ -338,9 +343,11 @@ def test_graph_tables_equal_rows_solved_alone(monkeypatch, budget, rows):
 @pytest.mark.parametrize("budget, rows", GRAPH_BUDGETS)
 def test_graph_tables_equal_per_source_inference(monkeypatch, budget, rows):
     # every source's table is its own run_inference up to rounding: the
-    # rows of the graph's Gram sum over p terms where the source's own Gram
-    # sums over p - 1, so estimates, sds and CIs agree to 1e-9 standard
-    # errors and every fit takes the same iterations
+    # rows of the graph's Gram and the cells of the graph's design sum over
+    # p terms where the source's own sum over p - 1, so estimates, sds and
+    # CIs agree to 1e-9 standard errors and every fit takes the same
+    # iterations; the graph's table is in the columns of the graph's design,
+    # with the pilot and every direction exactly 0 at the source
     if budget is not None:
         monkeypatch.setattr(nodewise, "STACK_BUDGET_BYTES", budget)
         assert nodewise.stack_rows(6) == rows
@@ -355,16 +362,19 @@ def test_graph_tables_equal_per_source_inference(monkeypatch, budget, rows):
             (want.pilot.iterations, want.pilot.penalty)
         npt.assert_allclose(table.pilot.radius, want.pilot.radius,
                             rtol=1e-12)
-        npt.assert_allclose(table.pilot.beta, want.pilot.beta, rtol=0,
+        assert table.pilot.beta[j] == 0.0
+        npt.assert_allclose(table.pilot.beta[keep], want.pilot.beta, rtol=0,
                             atol=1e-12)
-        npt.assert_array_equal(table.noise_var, want.noise_var)
-        assert table.targets == want.targets
+        npt.assert_array_equal(table.noise_var, gamma)
+        assert table.targets == tuple(np.flatnonzero(keep))
+        assert want.targets == tuple(range(5))
         for got, cell in zip(table.cells, want.cells, strict=True):
             se = cell.sd / np.sqrt(table.n)
             for field in ("estimate", "sd", "ci_low", "ci_high"):
                 assert abs(getattr(got, field) - getattr(cell, field)) <= \
                     1e-9 * se, field
-            npt.assert_allclose(got.mu, cell.mu, rtol=0, atol=1e-12)
+            assert got.mu[j] == 0.0
+            npt.assert_allclose(got.mu[keep], cell.mu, rtol=0, atol=1e-12)
 
 
 def test_graph_errors_keep_source_order(monkeypatch):
@@ -381,7 +391,8 @@ def test_graph_errors_keep_source_order(monkeypatch):
                 for pin, fit in zip(pins, fits)]
     monkeypatch.setattr(debias, "fit_corrected_lasso_stack", fail_pilot)
     tables = graph_tables(Z, gamma, sources, 0.1, TIGHT)
-    assert [next(tables).targets for _ in range(2)] == [tuple(range(5))] * 2
+    assert [next(tables).targets for _ in range(2)] == \
+        [partners(6, k) for k in sources[:2]]
     with pytest.raises(NumericalError, match="forced pilot failure"):
         next(tables)
 
@@ -427,5 +438,37 @@ def test_one_corrected_gram_per_graph(monkeypatch, budget):
     Z = np.random.default_rng(43).normal(size=(40, 6))
     calls = count_gram_calls(monkeypatch)
     tables = list(graph_tables(Z, np.full(6, 0.1), [3, 0, 5], cfg=TIGHT))
-    assert [t.targets for t in tables] == [tuple(range(5))] * 3
+    assert [t.targets for t in tables] == [partners(6, k) for k in (3, 0, 5)]
     assert calls == [6]
+
+
+def test_no_stack_outgrows_the_row_budget(monkeypatch):
+    # every solve is a stack of at most stack_rows(p) rows: inference's
+    # pilot and nodewise rows and the graph's pilots and edges, so the row
+    # budget bounds every (rows, p) array of the solver, the matvecs' and
+    # the KKT residual's alike
+    monkeypatch.setattr(nodewise, "STACK_BUDGET_BYTES", 3 * 8 * 5)
+    assert nodewise.stack_rows(5) == 3
+    stacks, arrays = [], []
+
+    def count(module, name, rows_of, log):
+        original = getattr(module, name)
+
+        def counted(*args, **kwargs):
+            log.append(rows_of(args))
+            return original(*args, **kwargs)
+        monkeypatch.setattr(module, name, counted)
+    count(debias, "fit_corrected_lasso", lambda args: 1, stacks)
+    for module in (debias, nodewise):
+        count(module, "fit_corrected_lasso_stack", lambda args: len(args[0]),
+              stacks)
+    count(lasso, "_matvec", lambda args: len(args[1]), arrays)
+    count(lasso, "_kkt_residual_stack", lambda args: len(args[0]), arrays)
+
+    data, noise = small_instance(3)
+    run_inference(data, noise, range(5), cfg=TIGHT)
+    assert stacks == [1, 3, 2]  # the pilot, then the nodewise rows
+    stacks.clear()
+    list(graph_tables(data.Z, np.full(5, 0.1), range(5), cfg=TIGHT))
+    assert stacks == [3, 2] + [3] * 6 + [2]  # the pilots, then the 20 edges
+    assert max(arrays) == 3

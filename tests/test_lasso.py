@@ -600,7 +600,7 @@ class TestStackedSolver:
         # deferred radius, or unpinned with any b, in random order and cut
         # into stacks at random boundaries: every row equals itself solved
         # alone, an unpinned one equals the single solver, and a pinned
-        # one's beta leaves its pins out
+        # one's beta keeps G's columns with +0.0 at its pins
         gen = np.random.default_rng(seed)
         Z, v = draw_design(gen, p)
         n = Z.shape[0]
@@ -646,12 +646,14 @@ class TestStackedSolver:
                 [floors[i] for i in free]))
         for fit, pin in zip(alone, pins):
             if isinstance(fit, FitResult):
-                assert fit.beta.shape == (p - len(pin),)
+                assert fit.beta.shape == (p,)
+                assert fit.beta[list(pin)].tobytes() == \
+                    np.zeros(len(pin)).tobytes()
 
     def test_pinned_rows_solve_the_sliced_subproblem(self):
         # pinned at two coordinates, a row solves the problem on G's free
-        # block, up to rounding, with the same iterations; a deferred
-        # radius resolves on that block
+        # block, up to rounding, with the same iterations, and holds its
+        # pins at 0; a deferred radius resolves on that block
         gen = np.random.default_rng(14)
         p = 8
         Z = gen.normal(size=(20, p))
@@ -671,7 +673,8 @@ class TestStackedSolver:
         assert fit.iterations == sub.iterations > 0
         assert np.isfinite(fit.radius)
         assert fit.radius == default_radius(G[np.ix_(free, free)], b[free])
-        npt.assert_allclose(fit.beta, sub.beta, rtol=0, atol=1e-12)
+        assert not fit.beta[~free].any()
+        npt.assert_allclose(fit.beta[free], sub.beta, rtol=0, atol=1e-12)
 
     def test_reports_the_residual_of_the_returned_iterate(self):
         # untruncated, fit.beta is the last iterate; its residual must be

@@ -66,10 +66,10 @@ def sub_gram(Z, noise_var, j):
     return full[np.ix_(keep, keep)], full[keep, j]
 
 
-def gram_jobs(Z, noise_var, targets):
-    # nodewise jobs of one design: its corrected Gram, once, for every target
-    G = corrected_gram(Z, noise_var)
-    return [(G, noise_var, Z.shape[0], j) for j in targets]
+def design_gram(Z, noise_var):
+    # the leading arguments of fit_nodewise_jobs for one design: its
+    # corrected Gram, its noise variances and its row count
+    return corrected_gram(Z, noise_var), noise_var, Z.shape[0]
 
 
 def test_reduces_to_corrected_lasso_subproblem():
@@ -89,7 +89,7 @@ def test_reduces_to_corrected_lasso_subproblem():
         (sub.iterations, sub.converged)
     assert res.mu[j] == 0.0
     npt.assert_allclose(res.mu[keep], sub.beta, rtol=0, atol=1e-12)
-    npt.assert_array_equal(res.mu[keep], res.fit.beta)
+    assert res.mu is res.fit.beta
 
 
 def test_relabeling_symmetry():
@@ -120,7 +120,7 @@ def test_single_column_direction_is_empty():
     Z = rng.normal(size=(12, 1))
     res = fit_nodewise(Z, np.array([0.4]), 0, TIGHT)
     npt.assert_array_equal(res.mu, np.zeros(1))
-    assert res.fit.beta.shape == (0,)
+    assert res.mu is res.fit.beta
     assert res.fit.converged
 
 
@@ -153,7 +153,8 @@ def test_stack_matches_one_target_at_a_time(monkeypatch, cfg, budget):
     Z[:, 1:] += 0.6 * Z[:, :-1]
     noise_var = rng.uniform(0.0, 0.5, size=p)
     targets = [5, 0, 11, 3, 7]
-    stacked = list(fit_nodewise_jobs(gram_jobs(Z, noise_var, targets), cfg))
+    stacked = list(fit_nodewise_jobs(*design_gram(Z, noise_var), targets,
+                                     cfg))
     assert stacks == ([5] if budget is None else [2, 2, 1])
     for got, j in zip(stacked, targets, strict=True):
         assert_same_direction(got, fit_nodewise(Z, noise_var, j, cfg))
@@ -170,31 +171,26 @@ def test_stack_raises_at_the_failing_target(monkeypatch):
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(NumericalError) as single:
             fit_nodewise(Z, noise_var, 0, cfg)
-        results = fit_nodewise_jobs(gram_jobs(Z, noise_var, [4, 0, 1]), cfg)
-        assert_same_direction(next(results),
-                              fit_nodewise(Z, noise_var, 4, cfg))
+        want = fit_nodewise(Z, noise_var, 4, cfg)
+        results = fit_nodewise_jobs(*design_gram(Z, noise_var), [4, 0, 1],
+                                    cfg)
+        assert_same_direction(next(results), want)
         with pytest.raises(NumericalError) as stacked:
             next(results)
     assert str(stacked.value) == str(single.value)
 
-    # behind a design that converges, in the stack before: the failing row
-    # of the second design raises only after every result of the first
-    good = rng.normal(size=(60, 5))
-    fits = [(good, np.zeros(5), j) for j in (2, 0, 3)]
-    fits += [(Z, noise_var, j) for j in (4, 0, 1)]
-    jobs = gram_jobs(good, np.zeros(5), (2, 0, 3)) + \
-        gram_jobs(Z, noise_var, (4, 0, 1))
-    # each fit_nodewise is a stack of one, so solve them before counting
-    wants = [fit_nodewise(*fit, cfg) for fit in fits[:4]]
+    # in stacks of one row, the failing row raises only after every
+    # result of the stacks before it, and no later stack is formed
+    monkeypatch.setattr(nodewise, "STACK_BUDGET_BYTES", 0)
     stacks = count_stacks(monkeypatch)
     with np.errstate(over="ignore", invalid="ignore"):
-        results = fit_nodewise_jobs(jobs, cfg)
-        for want in wants:
-            assert_same_direction(next(results), want)
+        results = fit_nodewise_jobs(*design_gram(Z, noise_var), [4, 0, 1],
+                                    cfg)
+        assert_same_direction(next(results), want)
         with pytest.raises(NumericalError) as stacked:
             next(results)
     assert str(stacked.value) == str(single.value)
-    assert stacks == [3, 3]
+    assert stacks == [1, 1]
 
 
 def count_stacks(monkeypatch):
@@ -207,29 +203,6 @@ def count_stacks(monkeypatch):
         return original(b, *args, **kwargs)
     monkeypatch.setattr(nodewise, "fit_corrected_lasso_stack", counted)
     return rows
-
-
-def test_jobs_start_a_new_stack_at_each_gram(monkeypatch):
-    # a stack holds the rows of one Gram: two 8-column designs and the
-    # 6-column design that follows make three stacks, and a fourth starts
-    # when the first design's Gram comes back
-    rng = np.random.default_rng(23)
-    designs = []
-    for p in (8, 8, 6):
-        Z = rng.normal(size=(40, p))
-        Z[:, 1:] += 0.5 * Z[:, :-1]
-        designs.append((Z, rng.uniform(0.0, 0.3, size=p)))
-    targets = [(3, 0, 7), (1, 6), (2, 0, 5), (4,)]
-    grams = [gram_jobs(*design, [0])[0][0] for design in designs]
-    jobs = [(grams[d % 3], designs[d % 3][1], 40, j)
-            for d, js in enumerate(targets) for j in js]
-    fits = [(*designs[d % 3], j) for d, js in enumerate(targets) for j in js]
-    stacks = count_stacks(monkeypatch)
-    cfg = SolverConfig(penalty_scale=0.5)
-    results = list(fit_nodewise_jobs(iter(jobs), cfg))
-    assert stacks == [3, 2, 3, 1]
-    for got, fit in zip(results, fits, strict=True):
-        assert_same_direction(got, fit_nodewise(*fit, cfg))
 
 
 def test_stack_rows_follow_the_row_budget(monkeypatch):
@@ -249,8 +222,9 @@ def test_stack_rows_follow_the_row_budget(monkeypatch):
 ])
 def test_job_leaving_out_columns_regresses_on_the_rest(cfg):
     # a job on the full Gram that leaves out column k is the regression on
-    # the design without k: same penalty and iterations, its direction and
-    # target in that design's coordinates, equal up to rounding
+    # the design without k: same penalty and iterations, and equal up to
+    # rounding; its target and direction stay in the Gram's columns, with
+    # mu exactly 0 at the target and at k
     rng = np.random.default_rng(37)
     n, p = 50, 9
     Z = rng.normal(size=(n, p))
@@ -258,15 +232,14 @@ def test_job_leaving_out_columns_regresses_on_the_rest(cfg):
     noise_var = rng.uniform(0.1, 0.4, size=p)
     G = corrected_gram(Z, noise_var)
     for k, t in ((4, 1), (4, 7), (0, 8), (8, 0)):
-        got = next(fit_nodewise_jobs([(G, noise_var, n, t, (k,))], cfg))
+        got = next(fit_nodewise_jobs(G, noise_var, n, [(t, (k,))], cfg))
         keep = np.arange(p) != k
-        j = t - (t > k)
-        want = fit_nodewise(Z[:, keep], noise_var[keep], j, cfg)
-        assert got.j == want.j == j
-        assert got.mu.shape == (p - 1,) and got.mu[j] == 0.0
+        want = fit_nodewise(Z[:, keep], noise_var[keep], t - (t > k), cfg)
+        assert got.j == t
+        assert got.mu.shape == (p,) and got.mu[t] == got.mu[k] == 0.0
         assert (got.fit.iterations, got.fit.converged, got.fit.penalty) == \
             (want.fit.iterations, want.fit.converged, want.fit.penalty)
-        npt.assert_allclose(got.mu, want.mu, rtol=0, atol=1e-12)
+        npt.assert_allclose(got.mu[keep], want.mu, rtol=0, atol=1e-12)
 
 
 def test_wide_design_with_many_targets_splits_into_stacks(monkeypatch):
@@ -281,7 +254,7 @@ def test_wide_design_with_many_targets_splits_into_stacks(monkeypatch):
     assert stack_rows(p) == nodewise.STACK_BUDGET_BYTES // (8 * p) < p
     stacks = count_stacks(monkeypatch)
     cfg = SolverConfig(penalty_scale=2.0, max_iter=30)
-    fits = list(fit_nodewise_jobs(gram_jobs(Z, noise_var, range(p)), cfg))
+    fits = list(fit_nodewise_jobs(*design_gram(Z, noise_var), range(p), cfg))
     assert len(stacks) > 1 and sum(stacks) == p
     assert stacks == [stack_rows(p)] * (len(stacks) - 1) + [stacks[-1]]
     for j in (0, stack_rows(p) - 1, stack_rows(p), p - 1):
@@ -352,7 +325,8 @@ def test_deferred_radius_gives_the_eager_fit(monkeypatch, regime):
     assert got.objective_trace.tobytes() == eager.objective_trace.tobytes()
     assert (got.iterations, got.converged) == \
         (sliced.iterations, sliced.converged)
-    npt.assert_allclose(got.beta, sliced.beta, rtol=0, atol=1e-12)
+    assert got.beta[0] == 0.0
+    npt.assert_allclose(got.beta[1:], sliced.beta, rtol=0, atol=1e-12)
     if resolved:
         assert got.radius == sliced.radius
 
@@ -394,8 +368,7 @@ def test_no_pass_over_a_finished_row(monkeypatch):
     Z = x + 0.5 * gen.normal(size=(n, p))
     noise_var = np.full(p, 0.25)
     G = corrected_gram(Z, noise_var)
-    jobs = [(G, noise_var, n, t, (k,)) for k in range(0, p, 3)
-            for t in range(p) if t != k]
+    jobs = [(t, (k,)) for k in range(0, p, 3) for t in range(p) if t != k]
 
     rows, power = [], []
     matvec, bound = lasso._matvec, lasso._spectral_bound_stack
@@ -415,14 +388,14 @@ def test_no_pass_over_a_finished_row(monkeypatch):
         return sum(rows) - lasso._POWER_ITERATIONS * sum(power)
 
     stacks = count_stacks(monkeypatch)
-    fits = list(fit_nodewise_jobs(jobs))
+    fits = list(fit_nodewise_jobs(G, noise_var, n, jobs))
     assert stacks == [len(jobs)]
     row_passes = loop_row_passes()
     iterations = sum(f.fit.iterations for f in fits)
     rows.clear()
     power.clear()
     for job in jobs:
-        next(fit_nodewise_jobs([job]))
+        next(fit_nodewise_jobs(G, noise_var, n, [job]))
     retries = loop_row_passes() - iterations
     assert 0 <= retries < iterations
     assert row_passes == iterations + retries

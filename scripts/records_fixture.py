@@ -15,8 +15,10 @@ reader parses cell by cell where clean files take its one-pass parse),
 enough nodes that the edges span several bootstrap column blocks, 26
 nodes whose 650 edge regressions, rows of the graph's one corrected Gram,
 make one nodewise stack, `--max-iter 7`, where pilots and edges stop
-unconverged, and noise sd 1 at a fifth of the default penalty, where edge
-rows pinned at two coordinates resolve their l1-ball radius) and
+unconverged, six times the default penalty, where every pilot stops at 0
+and still reports its l1-ball radius, and noise sd 1 at a fifth of the
+default penalty, where edge rows pinned at two coordinates resolve their
+l1-ball radius) and
 `simulate` (both presets, the multi one also on two workers, a config file
 under flags, the naive method with the solver flags, the study defaults,
 and noise sd 1 at a fifth of the study penalty, where pilots and nodewise
@@ -232,6 +234,8 @@ def _runs(inputs: Path) -> dict[str, list[str]]:
         "graph_wide": ["graph", *nodes_wide, *small_boot],
         "graph_stacks": ["graph", *nodes_stacks, *small_boot],
         "graph_max_iter": ["graph", *nodes, "--max-iter", "7", *small_boot],
+        "graph_zero_pilots": ["graph", *nodes, "--lambda-scale", "6",
+                              *small_boot],
         "graph_ball": ["graph", *nodes_ball, "--lambda-scale", "0.2",
                        *small_boot],
         "simulate_single": ["simulate", "--n", "100", "--p", "30",

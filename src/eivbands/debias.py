@@ -43,10 +43,9 @@ from .lasso import (
     SolverConfig,
     corrected_gram,
     fit_corrected_lasso,
-    fit_corrected_lasso_stack,
     resolve_config,
 )
-from .nodewise import fit_nodewise_jobs, stack_rows
+from .nodewise import fit_nodewise_jobs
 
 # |slope| below this is treated as a statistical degeneracy.
 DEGENERACY_TOL = 1e-10
@@ -285,18 +284,11 @@ def graph_tables(Z: np.ndarray, gamma: np.ndarray, sources,
     with keep the columns other than k, in the columns of Z: its cells are
     indexed by partner column t != k, its `noise_var` is `gamma`, and its
     pilot's `beta` and every cell's `mu` have length p and are 0 at k.
-    Every regression is a row of the graph's one corrected Gram G =
-    ``corrected_gram(Z, gamma)``: source k's pilot is column k of G pinned
-    at k, and its edge to partner t is column t pinned at t and k.  Each
-    solves the subproblem of the source's own Gram with the penalty of its
-    p - 1 columns; its sums, like the cells', run over the p columns of Z,
-    so a table differs from `run_inference` only by rounding.  The pilot's
-    radius is resolved on the (-k, -k) block of G, the edges' radii are
-    deferred.  The pilots are solved first, in stacks
-    of `nodewise.stack_rows(p)` rows, and the edges of every source go
-    through one `fit_nodewise_jobs` stream on G; a failed solve is held in
-    place, so errors surface as they would source by source: pilot k, then
-    its cells in partner order, then pilot k + 1.
+    Every regression is a job of one `fit_nodewise_jobs` stream on G =
+    ``corrected_gram(Z, gamma)``: the pilot ``(k, (k,))``, then the edges
+    ``(t, (k,))`` in partner order.  Their sums, like the cells', run over
+    the p columns of Z, so a table differs from `run_inference` only by
+    rounding, and errors surface in stream order.
     """
     _check_settings(alpha, variance_at)
     Z = np.asarray(Z, dtype=np.float64)
@@ -315,28 +307,15 @@ def graph_tables(Z: np.ndarray, gamma: np.ndarray, sources,
     # every source's data and noise checks, as its first regression makes them
     Dataset(y=Z[:, sources[0]], Z=np.delete(Z, sources[0], axis=1))
     NoiseSpec.known(gamma)
-    G = corrected_gram(Z, gamma)
-
-    pilots = []
-    for lo in range(0, len(sources), stack_rows(p)):
-        chunk = sources[lo:lo + stack_rows(p)]
-        cfgs = []
-        for k in chunk:
-            keep = np.arange(p) != k
-            cfgs.append(resolve_config(cfg, n, p - 1, G[np.ix_(keep, keep)],
-                                       G[keep, k]))
-        pilots += fit_corrected_lasso_stack(G[:, chunk].T, G, cfgs,
-                                            pins=[(k,) for k in chunk])
-
-    jobs = ((t, (k,)) for k in sources for t in range(p) if t != k)
-    stream = fit_nodewise_jobs(G, gamma, n, jobs, cfg)
+    # source k's pilot, then its edges in partner order
+    jobs = ((t, (k,)) for k in sources
+            for t in (k, *range(k), *range(k + 1, p)))
+    stream = fit_nodewise_jobs(corrected_gram(Z, gamma), gamma, n, jobs, cfg)
     # column-major like a source's own design Z[:, keep], so the cells'
     # products round closest to that design's
     design = np.asfortranarray(Z)
-    for k, pilot in zip(sources, pilots):
-        if isinstance(pilot, NumericalError):
-            raise pilot
-        yield _table(design[:, k], design, gamma, pilot,
+    for k in sources:
+        yield _table(design[:, k], design, gamma, next(stream).fit,
                      islice(stream, p - 1), alpha, variance_at)
 
 
@@ -383,6 +362,6 @@ def prepare_pilot(data: Dataset, noise: NoiseSpec,
         noise_var = noise.noise_var
     G = corrected_gram(Z_eff, noise_var)
     b = Z_eff.T @ data.y / data.n
-    pilot = fit_corrected_lasso(b, G, resolve_config(cfg, data.n, data.p, G, b))
+    pilot = fit_corrected_lasso(b, G, resolve_config(cfg, data.n, data.p))
     return PreparedPilot(design=Z_eff, noise_var=noise_var, gram=G, fit=pilot,
                          mar=mar_est)

@@ -146,13 +146,13 @@ class SolverConfig:
     """Tuning for the corrected-lasso solver.
 
     `penalty` and `radius` default to None, meaning "resolve from the data":
-    penalty = sqrt(log(p / 0.05) / n) * penalty_scale, and radius = twice the
-    l1 norm of the ridge pilot solving (G_psd + I) beta = b, where G_psd
-    floors the negative eigenvalues of G at zero.  Use `resolve_config` to
-    make them concrete.  The solvers need a concrete penalty; a default
-    radius may instead be deferred (`resolve_config(..., defer_radius=True)`
-    plus the `radius_floor` of the problem), and is then resolved only if a
-    solver candidate can reach the ball.  An explicit radius is used as given.
+    penalty = sqrt(log(p / 0.05) / n) * penalty_scale, filled in by
+    `resolve_config`, and radius = `default_radius` of the problem on its
+    free coordinates, which only the solvers resolve.  Given no radius
+    floor, a solver resolves it before its first pass, so a fit that never
+    leaves 0 still reports it; given a floor (such as `radius_floor`), it
+    defers it until a candidate's l1 norm exceeds the floor and reports
+    ``inf`` if none does.  An explicit radius is used as given.
     """
 
     penalty: float | None = None
@@ -249,22 +249,15 @@ def radius_floor(G: np.ndarray, b: np.ndarray, noise_var: np.ndarray) -> float:
     return 2.0 * bb * bb / (float(np.abs(b).max()) * bAb) * (1.0 - 1e-6)
 
 
-def resolve_config(cfg: SolverConfig, n: int, p: int,
-                   G: np.ndarray, b: np.ndarray, *,
-                   defer_radius: bool = False) -> SolverConfig:
-    """Fill in data-driven penalty and radius; explicit values win.
+def resolve_config(cfg: SolverConfig, n: int, p: int) -> SolverConfig:
+    """Fill in the default penalty of an n x p design; an explicit one wins.
 
-    With `defer_radius`, a default radius stays None: a solver given the
-    problem's `radius_floor` then resolves it only when a candidate's l1
-    norm exceeds the floor, and reports radius ``inf`` if none ever does.
+    The radius is left as configured: the solvers resolve a default one
+    (see `SolverConfig`).
     """
-    penalty = cfg.penalty
-    if penalty is None:
-        penalty = default_penalty(n, p) * cfg.penalty_scale
-    radius = cfg.radius
-    if radius is None and not defer_radius:
-        radius = default_radius(G, b)
-    return replace(cfg, penalty=penalty, radius=radius)
+    if cfg.penalty is not None:
+        return cfg
+    return replace(cfg, penalty=default_penalty(n, p) * cfg.penalty_scale)
 
 
 def corrected_gram(Z: np.ndarray, noise_var: np.ndarray) -> np.ndarray:
@@ -377,6 +370,15 @@ def _project_l1_ball_stack(v: np.ndarray, a: np.ndarray, l1: np.ndarray,
     return v
 
 
+def _free_radius(G: np.ndarray, b: np.ndarray, pins: np.ndarray) -> float:
+    """`default_radius` of the problem on the coordinates outside `pins`, a
+    row of a pin array; an unpinned problem's G is not copied."""
+    free = np.setdiff1d(np.arange(len(b)), pins)
+    if free.size == len(b):
+        return default_radius(G, b)
+    return default_radius(G[np.ix_(free, free)], b[free])
+
+
 def _kkt_residual_stack(beta: np.ndarray, grad: np.ndarray,
                         penalty: np.ndarray, radius: np.ndarray) -> np.ndarray:
     """Infinity norm of the minimum-norm subgradient of every row's problem.
@@ -409,16 +411,16 @@ def fit_corrected_lasso(b: np.ndarray, G: np.ndarray, cfg: SolverConfig,
     G : ndarray, shape (p, p)
         Corrected Gram matrix; symmetric, possibly indefinite.
     cfg : SolverConfig
-        Must carry a concrete `penalty`, and a concrete `radius` unless
-        `floor` is given (see `resolve_config`).
+        Must carry a concrete `penalty` (see `resolve_config`).  A radius
+        of None is ``default_radius(G, b)``, resolved before the first pass.
     floor : float, optional
         A lower bound on ``default_radius(G, b)``, such as `radius_floor`,
-        used only when ``cfg.radius`` is None.  The default radius is then
+        read only when ``cfg.radius`` is None.  The default radius is then
         deferred: it acts as infinite until a candidate's l1 norm exceeds
-        `floor`, and only then is `default_radius` computed and the
-        candidate projected.  Every earlier candidate lay strictly inside
-        the ball, so the result equals the fit with the resolved radius in
-        every field but `radius`.
+        `floor`, and only then is it computed and the candidate projected.
+        Every earlier candidate lay strictly inside the ball, so the result
+        equals the fit with the resolved radius in every field but
+        `radius`, which stays ``inf`` if no candidate exceeded the floor.
 
     Returns
     -------
@@ -447,11 +449,12 @@ def fit_corrected_lasso(b: np.ndarray, G: np.ndarray, cfg: SolverConfig,
         raise InputError("b must be a vector and G a matching square matrix")
     if not (np.all(np.isfinite(b)) and np.all(np.isfinite(G))):
         raise InputError("b and G must be finite")
-    if cfg.penalty is None or (cfg.radius is None and floor is None):
-        raise InputError("penalty and radius must be resolved before fitting")
+    if cfg.penalty is None:
+        raise InputError("penalty must be resolved before fitting")
     penalty = float(cfg.penalty)
-    deferred = cfg.radius is None
-    radius = math.inf if deferred else float(cfg.radius)
+    deferred = cfg.radius is None and floor is not None
+    radius = math.inf if deferred else (
+        default_radius(G, b) if cfg.radius is None else float(cfg.radius))
 
     def kkt_residual() -> float:
         return float(_kkt_residual_stack(x[None], (Gx - b)[None],
@@ -546,18 +549,21 @@ def fit_corrected_lasso_stack(b: np.ndarray, G: np.ndarray, cfgs,
     G : ndarray, shape (p, p)
         The corrected Gram every problem solves on.
     cfgs : sequence of k SolverConfig
-        Configurations, one per problem (see `resolve_config`).
+        Configurations, one per problem, each with a concrete penalty (see
+        `resolve_config`).
     floors : sequence of k float or None, optional
         Radius floors, read only for problems whose config leaves the radius
-        None; such a problem defers its default radius exactly as
-        `fit_corrected_lasso` does, and resolves it for its row alone.
+        None.  Such a problem resolves its default radius as
+        `fit_corrected_lasso` does: before the first pass if its floor is
+        None (the default), otherwise deferred behind the floor.
     pins : sequence of k sequences of int, optional
         The coordinates each problem pins at 0, distinct and in [0, p); none
         by default.  A pinned problem reads those entries of its b as 0 and
         zeroes them in its gradient after every update, so its beta holds
         them at exactly 0 and it solves the subproblem on the other
         coordinates without copying G.  Its floor and default radius are the
-        subproblem's (G's free block is sliced only to resolve that radius).
+        subproblem's: G's free block is sliced only to resolve that radius,
+        and an unpinned problem's radius is ``default_radius(G, b[i])``.
 
     Returns
     -------
@@ -586,9 +592,8 @@ def fit_corrected_lasso_stack(b: np.ndarray, G: np.ndarray, cfgs,
                          "and a floor")
     if not (np.all(np.isfinite(b)) and np.all(np.isfinite(G))):
         raise InputError("b and G must be finite")
-    if any(c.penalty is None or (c.radius is None and f is None)
-           for c, f in zip(cfgs, floors)):
-        raise InputError("penalty and radius must be resolved before fitting")
+    if any(c.penalty is None for c in cfgs):
+        raise InputError("penalty must be resolved before fitting")
 
     # row i's pins, padded with -1 to the widest row's count
     pin = np.full((k, max(map(len, pins), default=0)), -1)
@@ -596,9 +601,13 @@ def fit_corrected_lasso_stack(b: np.ndarray, G: np.ndarray, cfgs,
         row[:len(js)] = js
     b[_pinned(pin)] = 0.0
     penalty = np.array([c.penalty for c in cfgs], dtype=np.float64)
-    deferred = np.array([c.radius is None for c in cfgs])
-    radius = np.array([math.inf if c.radius is None else c.radius
-                       for c in cfgs], dtype=np.float64)
+    deferred = np.array([c.radius is None and f is not None
+                         for c, f in zip(cfgs, floors)], dtype=bool)
+    radius = np.array([math.inf if dfr else _free_radius(G, row, js)
+                       if c.radius is None else c.radius
+                       for c, dfr, row, js in zip(cfgs, deferred, b, pin)],
+                      dtype=np.float64)
+    # a floor of None reads as NaN, and only deferred rows read theirs
     floor = np.where(deferred, np.array(floors, dtype=np.float64), math.inf)
     tol = np.array([c.tol for c in cfgs], dtype=np.float64)
     max_iter = np.array([c.max_iter for c in cfgs])
@@ -631,9 +640,7 @@ def fit_corrected_lasso_stack(b: np.ndarray, G: np.ndarray, cfgs,
         mag = np.maximum(np.abs(v) - (step * pen)[:, None], 0.0)
         l1 = mag.sum(axis=1)
         for i in np.flatnonzero(dfr & ~(l1 <= flr)):
-            free = ~np.isin(np.arange(p), pn[i])
-            rad[i] = radius[idx[i]] = default_radius(G[np.ix_(free, free)],
-                                                     bl[i][free])
+            rad[i] = radius[idx[i]] = _free_radius(G, bl[i], pn[i])
             dfr[i] = False
         cand = _project_l1_ball_stack(np.sign(v) * mag, mag, l1, rad)
         delta = cand - y

@@ -13,18 +13,17 @@ j read as 0 and beta_j stays 0, so the row solves the (-j, -j) subproblem
 on G itself.  Only the regressors' noise variances enter; the target's own
 sits on G[j, j], which the subproblem drops.  A job may also name columns
 of G that its design leaves out, such as a graph's source: the row pins
-them too, so every regression of a node graph is a row of one Gram.  The
-coefficients never leave G's columns: the fitted direction mu is the row's
-beta, of length p, exactly 0 at j and at every left-out column.
+them too, and a job that leaves out j itself regresses z_j on the rest, so
+every regression of a node graph, pilots included, is a row of one Gram.
+The coefficients never leave G's columns: the fitted direction mu is the
+row's beta, of length p, exactly 0 at j and at every left-out column.
 `fit_nodewise_jobs` streams the jobs of one Gram through stacks cut to
 `STACK_BUDGET_BYTES`.
 
-A default l1-ball radius is deferred: each row carries the one-matvec
-`radius_floor` instead of the eigendecomposition behind `default_radius`,
-and the solver slices the subproblem's Gram to resolve the radius only if
-a candidate's l1 norm exceeds that floor.  The fitted direction is the
-same either way; a fit whose radius was never needed reports
-``fit.radius == inf``.
+A nodewise row defers its default l1-ball radius behind the one-matvec
+`radius_floor` (see `SolverConfig`), so the eigendecomposition behind
+`default_radius` runs only if a candidate can reach the ball; a fit whose
+radius was never needed reports ``fit.radius == inf``.
 """
 
 from __future__ import annotations
@@ -77,9 +76,9 @@ def fit_nodewise(Z: np.ndarray, noise_var: np.ndarray, j: int,
     With G = ``corrected_gram(Z, noise_var)``, the subproblem's Gram is the
     (-j, -j) block of G and b = Z_{-j}' z_j / n is G[-j, j].  The penalty
     default matches Step 1 (computed from the full problem size, not the
-    subproblem's p - 1); the radius default is the subproblem's own ridge
-    rule, deferred until a solver candidate can reach it (``fit.radius`` is
-    inf if none could).
+    subproblem's p - 1); the radius default is the subproblem's own,
+    deferred until a solver candidate can reach it (``fit.radius`` is inf
+    if none could).
     """
     G = corrected_gram(Z, noise_var)
     return next(fit_nodewise_jobs(G, noise_var, np.shape(Z)[0], [j], cfg))
@@ -92,15 +91,20 @@ def fit_nodewise_jobs(G: np.ndarray, noise_var: np.ndarray, n: int, jobs,
 
     G is ``corrected_gram(Z, noise_var)`` of an n-row design Z.  A job is a
     target column j, giving ``fit_nodewise(Z, noise_var, j, cfg)``, or a
-    pair ``(j, out)`` whose `out` names columns of Z other than j that the
-    job's design leaves out: it regresses column j on Z without them, with
-    the penalty of that design's width.  Every result is in G's columns.
+    pair ``(j, out)`` whose `out` names distinct columns of Z that the
+    job's design leaves out.  It regresses z_j on that design, with the
+    penalty of its p - len(out) columns, as a row of G pinned at j and
+    `out`.  With ``j not in out`` that is a nodewise regression, and the
+    row defers its default radius; ``j in out`` makes it a pilot on the
+    columns outside `out`, with no floor, so even a pilot that never
+    leaves 0 reports its radius.  Every result is in G's columns.
+
     The jobs are pulled as needed and go in stacks of `stack_rows(p)` rows;
     a stack is one `fit_corrected_lasso_stack` call, bit-identical to
     fitting its jobs one at a time.  A job whose solve fails raises its
     error when the iteration reaches it, after every earlier job was
-    yielded; a job whose target is out of range raises when its stack is
-    formed.
+    yielded; a job naming a column out of range, or a left-out column
+    twice, raises InputError when its stack is formed.
     """
     p = len(G)
     jobs = iter(jobs)
@@ -111,13 +115,19 @@ def fit_nodewise_jobs(G: np.ndarray, noise_var: np.ndarray, n: int, jobs,
             j, out = job if isinstance(job, tuple) else (job, ())
             if not 0 <= j < p:
                 raise InputError(f"target column {j} out of range for p={p}")
-            pins.append((int(j), *out))
+            for i, c in enumerate(out):
+                if not 0 <= c < p:
+                    raise InputError(
+                        f"left-out column {c} out of range for p={p}")
+                if c in out[:i]:
+                    raise InputError(f"left-out column {c} is repeated")
+            pins.append((int(j), *(c for c in out if c != j)))
             # column j of G without its pinned entries is the subproblem's b
             row[:] = G[:, j]
             row[list(pins[-1])] = 0.0
-            cfgs.append(resolve_config(cfg, n, p - len(out), G, row,
-                                       defer_radius=True))
-            floors.append(radius_floor(G, row, np.delete(noise_var, pins[-1])))
+            cfgs.append(resolve_config(cfg, n, p - len(out)))
+            floors.append(None if j in out else radius_floor(
+                G, row, np.delete(noise_var, pins[-1])))
         fits = fit_corrected_lasso_stack(b, G, cfgs, floors, pins)
         for pin in pins:
             fit = fits.pop(0)  # let each row be freed once it is consumed

@@ -13,8 +13,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from eivbands import bootstrap, cli, dataio, debias, nodewise, reports, \
-    simstudy
+from eivbands import bootstrap, cli, dataio, nodewise, reports, simstudy
 from eivbands.bootstrap import band_around, multiplier_maxima, \
     simultaneous_bands
 from eivbands.cli import main
@@ -456,11 +455,11 @@ def test_graph_band_is_the_shared_band_across_column_blocks(tmp_path, capsys):
 
 
 def test_graph_stacks_edges_across_sources(tmp_path, capsys, monkeypatch):
-    # the 72 edge regressions of 9 nodes are rows of the graph's one Gram
-    # and fit in stack_rows(9), so the whole graph makes one nodewise
-    # stacked solve of 72 rows
+    # the 9 pilots and 72 edge regressions of 9 nodes are rows of the
+    # graph's one Gram and fit in stack_rows(9), so the whole graph makes
+    # one nodewise stacked solve of 81 rows
     path, gamma = write_nodes(tmp_path, n=80, p=9)
-    assert nodewise.stack_rows(9) >= 72
+    assert nodewise.stack_rows(9) >= 81
     rows = []
     original = nodewise.fit_corrected_lasso_stack
 
@@ -472,23 +471,23 @@ def test_graph_stacks_edges_across_sources(tmp_path, capsys, monkeypatch):
                            "--boot", "100", "--format", "records")
     assert code == 0
     assert sum(r["record"] == "edge" for r in parse_records(out)) == 72
-    assert rows == [72]
+    assert rows == [81]
 
 
 def test_graph_pilot_failure_exits_3_with_no_output(tmp_path, capsys,
                                                     monkeypatch):
-    # the pilots are solved before the edges; source z3's failed pilot
-    # surfaces in its turn, and the report is written only after every
-    # source, so the command exits 3 with nothing on stdout
+    # the pilots are solved in the same stack as the edges; source z3's
+    # failed pilot surfaces in its turn, and the report is written only
+    # after every source, so the command exits 3 with nothing on stdout
     path, gamma = write_nodes(tmp_path, n=80, p=5)
-    original = debias.fit_corrected_lasso_stack
+    original = nodewise.fit_corrected_lasso_stack
 
     def fail_pilot(b, G, cfgs, floors=None, pins=None):
         fits = original(b, G, cfgs, floors, pins)
         return [NumericalError("forced pilot failure")
                 if tuple(pin) == (2,) else fit
                 for pin, fit in zip(pins, fits)]
-    monkeypatch.setattr(debias, "fit_corrected_lasso_stack", fail_pilot)
+    monkeypatch.setattr(nodewise, "fit_corrected_lasso_stack", fail_pilot)
     code, out, err = run_cli(capsys, "graph", "--input", path, "--gamma",
                              gamma, "--boot", "50")
     assert (code, out) == (3, "")

@@ -378,8 +378,9 @@ def test_graph_tables_equal_per_source_inference(monkeypatch, budget, rows):
 
 
 def test_graph_errors_keep_source_order(monkeypatch):
-    # the pilots are solved before any edge, but a pilot that fails raises
-    # only after every earlier source's table was yielded
+    # a source's pilot is the job right before its edges in the graph's one
+    # stream, so a pilot that fails raises only after every earlier
+    # source's table was yielded
     Z, gamma, sources = graph_instance()
     original = lasso.fit_corrected_lasso_stack
     failing = sources[2]
@@ -389,12 +390,44 @@ def test_graph_errors_keep_source_order(monkeypatch):
         return [NumericalError("forced pilot failure")
                 if tuple(pin) == (failing,) else fit
                 for pin, fit in zip(pins, fits)]
-    monkeypatch.setattr(debias, "fit_corrected_lasso_stack", fail_pilot)
+    monkeypatch.setattr(nodewise, "fit_corrected_lasso_stack", fail_pilot)
     tables = graph_tables(Z, gamma, sources, 0.1, TIGHT)
     assert [next(tables).targets for _ in range(2)] == \
         [partners(6, k) for k in sources[:2]]
     with pytest.raises(NumericalError, match="forced pilot failure"):
         next(tables)
+
+
+def test_graph_pilot_that_never_moves_reports_its_block_radius():
+    # at six times the default penalty no pilot leaves 0, and each still
+    # reports the default radius of its source's (-k, -k) block, bit for bit
+    Z, gamma, sources = graph_instance()
+    G = lasso.corrected_gram(Z, gamma)
+    tables = graph_tables(Z, gamma, sources, cfg=SolverConfig(
+        penalty_scale=6.0))
+    for k, table in zip(sources, tables, strict=True):
+        keep = np.arange(6) != k
+        assert table.pilot.iterations == 0
+        assert table.pilot.radius == lasso.default_radius(
+            G[np.ix_(keep, keep)], G[keep, k])
+
+
+def test_bench_size_graph_is_one_stack(monkeypatch):
+    # at p = 30 the 30 pilots and 870 edges of a graph are one stacked
+    # solve of 900 rows
+    rows = []
+    original = nodewise.fit_corrected_lasso_stack
+
+    def counted(b, *args, **kwargs):
+        rows.append(len(b))
+        return original(b, *args, **kwargs)
+    monkeypatch.setattr(nodewise, "fit_corrected_lasso_stack", counted)
+    rng = np.random.default_rng(7)
+    Z = rng.normal(size=(400, 30))
+    Z[:, 1:] += 0.5 * Z[:, :-1]
+    tables = list(graph_tables(Z, np.full(30, 0.25), range(30)))
+    assert rows == [900]
+    assert sum(len(t.cells) for t in tables) == 870
 
 
 def count_gram_calls(monkeypatch):
@@ -444,9 +477,9 @@ def test_one_corrected_gram_per_graph(monkeypatch, budget):
 
 def test_no_stack_outgrows_the_row_budget(monkeypatch):
     # every solve is a stack of at most stack_rows(p) rows: inference's
-    # pilot and nodewise rows and the graph's pilots and edges, so the row
-    # budget bounds every (rows, p) array of the solver, the matvecs' and
-    # the KKT residual's alike
+    # pilot and nodewise rows and the graph's pilot and edge jobs, so the
+    # row budget bounds every (rows, p) array of the solver, the matvecs'
+    # and the KKT residual's alike
     monkeypatch.setattr(nodewise, "STACK_BUDGET_BYTES", 3 * 8 * 5)
     assert nodewise.stack_rows(5) == 3
     stacks, arrays = [], []
@@ -459,9 +492,8 @@ def test_no_stack_outgrows_the_row_budget(monkeypatch):
             return original(*args, **kwargs)
         monkeypatch.setattr(module, name, counted)
     count(debias, "fit_corrected_lasso", lambda args: 1, stacks)
-    for module in (debias, nodewise):
-        count(module, "fit_corrected_lasso_stack", lambda args: len(args[0]),
-              stacks)
+    count(nodewise, "fit_corrected_lasso_stack", lambda args: len(args[0]),
+          stacks)
     count(lasso, "_matvec", lambda args: len(args[1]), arrays)
     count(lasso, "_kkt_residual_stack", lambda args: len(args[0]), arrays)
 
@@ -470,5 +502,5 @@ def test_no_stack_outgrows_the_row_budget(monkeypatch):
     assert stacks == [1, 3, 2]  # the pilot, then the nodewise rows
     stacks.clear()
     list(graph_tables(data.Z, np.full(5, 0.1), range(5), cfg=TIGHT))
-    assert stacks == [3, 2] + [3] * 6 + [2]  # the pilots, then the 20 edges
+    assert stacks == [3] * 8 + [1]  # each source's pilot, then its 4 edges
     assert max(arrays) == 3

@@ -285,12 +285,13 @@ class TestDefaults:
         assert default_radius(np.eye(3), np.zeros(3)) == 1.0
 
     def test_resolve_fills_both(self):
+        # resolve_config fills the penalty, the solver the radius
         G = np.eye(2)
         b = np.array([1.0, 0.0])
-        cfg = resolve_config(SolverConfig(), 50, 2, G, b)
+        cfg = resolve_config(SolverConfig(), 50, 2)
         assert cfg.penalty == pytest.approx(default_penalty(50, 2))
-        assert cfg.radius == pytest.approx(2 * np.abs(
-            np.linalg.solve(G + np.eye(2), b)).sum())
+        assert fit_corrected_lasso(b, G, cfg).radius == pytest.approx(
+            2 * np.abs(np.linalg.solve(G + np.eye(2), b)).sum())
 
     @given(st.integers(0, 2 ** 32 - 1), st.integers(1, 12), st.integers(1, 12),
            st.sampled_from(["noisy", "zero_noise", "zero_b"]))
@@ -318,18 +319,18 @@ class TestDefaults:
             default_radius(G, b) * (1.0 - 1e-6), rel=1e-14)
 
     def test_resolve_defers_only_a_default_radius(self):
-        G, b = np.eye(2), np.array([1.0, 0.0])
-        cfg = resolve_config(SolverConfig(), 50, 2, G, b, defer_radius=True)
+        # a default radius is left to the solvers, an explicit one kept, and
+        # an explicit penalty wins
+        cfg = resolve_config(SolverConfig(), 50, 2)
         assert cfg.radius is None
         assert cfg.penalty == default_penalty(50, 2)
-        cfg = resolve_config(SolverConfig(radius=0.7), 50, 2, G, b,
-                             defer_radius=True)
+        cfg = resolve_config(SolverConfig(radius=0.7), 50, 2)
         assert cfg.radius == 0.7
+        assert resolve_config(SolverConfig(penalty=0.3), 50, 2).penalty == 0.3
 
     def test_penalty_scale_multiplies(self):
-        c1 = resolve_config(SolverConfig(), 50, 2, np.eye(2), np.ones(2))
-        c2 = resolve_config(SolverConfig(penalty_scale=0.5), 50, 2,
-                            np.eye(2), np.ones(2))
+        c1 = resolve_config(SolverConfig(), 50, 2)
+        c2 = resolve_config(SolverConfig(penalty_scale=0.5), 50, 2)
         assert c2.penalty == pytest.approx(0.5 * c1.penalty)
 
 
@@ -394,13 +395,13 @@ class TestSolver:
         beta_true[:3] = [3.0, -2.0, 4.0]
         y = Z @ beta_true + gen.normal(size=n)
         b = Z.T @ y / n
-        cfg = resolve_config(SolverConfig(tol=1e-10, max_iter=3000),
-                             n, p, G, b)
+        cfg = resolve_config(SolverConfig(tol=1e-10, max_iter=3000), n, p)
         fit = fit_corrected_lasso(b, G, cfg)
         diffs = np.diff(fit.objective_trace)
         assert diffs.size > 10  # the instance actually iterates
         assert diffs.max() <= 1e-12 * (1 + np.abs(fit.objective_trace).max())
-        assert np.abs(fit.beta).sum() <= cfg.radius * (1 + 1e-9)
+        assert fit.radius == default_radius(G, b)
+        assert np.abs(fit.beta).sum() <= fit.radius * (1 + 1e-9)
 
     def test_accelerated_on_an_ill_conditioned_gram(self):
         # the AR(0.9) correlation matrix at p = 30 has condition number
@@ -522,7 +523,7 @@ def random_stack(gen, k, p):
                            max_iter=int(gen.choice([1, 4, 60, 20000])),
                            tol=float(gen.choice([1e-8, 1e-5])))
         bs.append(b)
-        cfgs.append(resolve_config(cfg, n, p, G, b))
+        cfgs.append(resolve_config(cfg, n, p))
     return np.array(bs), G, cfgs
 
 
@@ -582,7 +583,7 @@ class TestStackedSolver:
             cfg = SolverConfig(penalty_scale=gen.uniform(0.02, 2.0),
                                radius=gen.choice([None, None, 0.3]),
                                max_iter=int(gen.choice([1, 4, 60, 20000])))
-            cfg = resolve_config(cfg, n, p, G, b, defer_radius=True)
+            cfg = resolve_config(cfg, n, p)
             bs.append(b)
             cfgs.append(cfg)
             floors.append(radius_floor(G, b, v))  # read only if deferred
@@ -597,7 +598,8 @@ class TestStackedSolver:
     def test_rows_sharing_grams_equal_rows_solved_alone(self, seed, k, p):
         # rows of one Gram pinned at 0, 1 or 2 coordinates (all of them
         # when p <= 2), with a regression's b on the free coordinates and a
-        # deferred radius, or unpinned with any b, in random order and cut
+        # deferred or eager radius, or unpinned with any b, in random order
+        # and cut
         # into stacks at random boundaries: every row equals itself solved
         # alone, an unpinned one equals the single solver, and a pinned
         # one's beta keeps G's columns with +0.0 at its pins
@@ -617,13 +619,14 @@ class TestStackedSolver:
             else:
                 b = Z.T @ gen.normal(size=n) / n * gen.choice([0.0, 1.0, 3.0])
                 floor = radius_floor(G, b, v)
+            if gen.uniform() < 0.25:
+                floor = None  # a default radius resolves before any pass
             cfg = SolverConfig(penalty_scale=gen.uniform(0.02, 2.0),
                                radius=gen.choice([None, None, np.inf, 0.3]),
                                max_iter=int(gen.choice([1, 4, 60, 20000])),
                                tol=float(gen.choice([1e-8, 1e-5])))
             bs.append(b)
-            cfgs.append(resolve_config(cfg, n, max(p - len(pin), 1), G, b,
-                                       defer_radius=True))
+            cfgs.append(resolve_config(cfg, n, max(p - len(pin), 1)))
             floors.append(floor)
             pins.append(pin)
         bs = np.array(bs)
@@ -664,8 +667,7 @@ class TestStackedSolver:
         free = ~np.isin(np.arange(p), pin)
         b = G[:, 0].copy()
         b[list(pin)] = 0.0
-        cfg = resolve_config(SolverConfig(penalty_scale=0.2), 20, p - 2, G,
-                             b, defer_radius=True)
+        cfg = resolve_config(SolverConfig(penalty_scale=0.2), 20, p - 2)
         floor = radius_floor(G, b, np.delete(v, pin))
         fit = fit_corrected_lasso_stack(b[None], G, [cfg], [floor],
                                         [pin])[0]
@@ -675,6 +677,37 @@ class TestStackedSolver:
         assert fit.radius == default_radius(G[np.ix_(free, free)], b[free])
         assert not fit.beta[~free].any()
         npt.assert_allclose(fit.beta[free], sub.beta, rtol=0, atol=1e-12)
+
+    def test_eager_radius_is_reported_by_a_fit_that_never_moves(self):
+        # radius None, no floor and a penalty above max |b|: the scalar fit,
+        # an unpinned row and a pinned row all stop at 0, and each reports
+        # default_radius of its free block, bit for bit
+        gen = np.random.default_rng(6)
+        p = 7
+        Z = gen.normal(size=(30, p))
+        Z[:, 1:] += 0.6 * Z[:, :-1]
+        v = np.full(p, 0.3)
+        G = corrected_gram(Z, v)
+        b = G[:, 2].copy()
+        cfg = SolverConfig(penalty=2.0 * float(np.abs(b).max()))
+        pin = (2, 5)
+        free = ~np.isin(np.arange(p), pin)
+        b_free = b.copy()
+        b_free[list(pin)] = 0.0
+        single = fit_corrected_lasso(b, G, cfg)
+        unpinned, pinned = fit_corrected_lasso_stack(
+            np.array([b, b]), G, [cfg, cfg], pins=[(), pin])
+        for fit in (single, unpinned, pinned):
+            assert fit.iterations == 0 and fit.converged
+        assert single.radius == unpinned.radius == default_radius(G, b)
+        assert pinned.radius == default_radius(G[np.ix_(free, free)],
+                                               b_free[free])
+        # behind a floor the same rows never resolve it
+        floor = radius_floor(G, b, v)
+        assert fit_corrected_lasso(b, G, cfg, floor).radius == np.inf
+        assert [f.radius for f in fit_corrected_lasso_stack(
+            np.array([b, b]), G, [cfg, cfg], [floor, floor],
+            [(), pin])] == [np.inf, np.inf]
 
     def test_reports_the_residual_of_the_returned_iterate(self):
         # untruncated, fit.beta is the last iterate; its residual must be

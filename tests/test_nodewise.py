@@ -8,7 +8,8 @@ from eivbands.errors import InputError, NumericalError
 from eivbands.lasso import Dataset, NoiseSpec, SolverConfig, corrected_gram, \
     default_radius, fit_corrected_lasso, fit_corrected_lasso_stack, \
     resolve_config
-from eivbands.nodewise import fit_nodewise, fit_nodewise_jobs, stack_rows
+from eivbands.nodewise import NodewiseResult, fit_nodewise, \
+    fit_nodewise_jobs, stack_rows
 
 TIGHT = SolverConfig(penalty=0.0, radius=np.inf, tol=1e-12, max_iter=100000,
                      truncation=0.0)
@@ -83,7 +84,7 @@ def test_reduces_to_corrected_lasso_subproblem():
     res = fit_nodewise(Z, noise_var, j, cfg)
     keep = np.arange(p) != j
     G, b = sub_gram(Z, noise_var, j)
-    sub = fit_corrected_lasso(b, G, resolve_config(cfg, n, p, G, b))
+    sub = fit_corrected_lasso(b, G, resolve_config(cfg, n, p))
     assert sub.iterations > 0
     assert (res.fit.iterations, res.fit.converged) == \
         (sub.iterations, sub.converged)
@@ -242,6 +243,56 @@ def test_job_leaving_out_columns_regresses_on_the_rest(cfg):
         npt.assert_allclose(got.mu[keep], want.mu, rtol=0, atol=1e-12)
 
 
+# left-out columns that a job may not name, and the error naming each
+LEFT_OUT_ERRORS = {
+    "past_p": ((2, 9), "left-out column 9 out of range for p=9"),
+    "negative": ((-1,), "left-out column -1 out of range for p=9"),
+    "repeated": ((2, 4, 2), "left-out column 2 is repeated"),
+    "target_twice": ((1, 1), "left-out column 1 is repeated"),
+}
+
+
+@pytest.mark.parametrize("case", list(LEFT_OUT_ERRORS))
+def test_left_out_columns_are_validated(case):
+    # a left-out column is checked as the target is, and named; target 1
+    # itself may be left out (a pilot), but once
+    out, message = LEFT_OUT_ERRORS[case]
+    rng = np.random.default_rng(2)
+    Z = rng.normal(size=(30, 9))
+    G = corrected_gram(Z, np.full(9, 0.1))
+    with pytest.raises(InputError) as exc:
+        list(fit_nodewise_jobs(G, np.full(9, 0.1), 30, [(1, out)]))
+    assert str(exc.value) == message
+
+
+@pytest.mark.parametrize("scale", [1.0, 0.2, 50.0])
+def test_pilot_job_regresses_the_target_on_the_rest(scale):
+    # a job (j, out) with j in out is z_j on Z without out: the row of G
+    # pinned at out, with the penalty of p - len(out) columns and its
+    # radius resolved before its first pass, so a pilot that never leaves
+    # 0 (scale 50) still reports the radius of its free block
+    rng = np.random.default_rng(19)
+    n, p = 60, 9
+    Z = rng.normal(size=(n, p))
+    Z[:, 1:] += 0.6 * Z[:, :-1]
+    noise_var = np.full(p, 0.2)
+    G = corrected_gram(Z, noise_var)
+    cfg = SolverConfig(penalty_scale=scale)
+    for j, out in ((3, (3,)), (3, (6, 3)), (0, (0,))):
+        got = next(fit_nodewise_jobs(G, noise_var, n, [(j, out)], cfg))
+        b = G[:, j].copy()
+        b[list(out)] = 0.0
+        want = fit_corrected_lasso_stack(
+            b[None], G, [resolve_config(cfg, n, p - len(out))],
+            pins=[out])[0]
+        assert got.j == j and got.mu is got.fit.beta
+        assert_same_direction(got, NodewiseResult(j, want.beta, want))
+        free = ~np.isin(np.arange(p), out)
+        assert got.fit.radius == default_radius(G[np.ix_(free, free)],
+                                                b[free])
+        assert (got.fit.iterations == 0) == (scale == 50.0)
+
+
 def test_wide_design_with_many_targets_splits_into_stacks(monkeypatch):
     # all 300 targets of one 300-column design share its Gram, and the rows
     # still cut the stacks, so no solver array of a stack outgrows the
@@ -298,8 +349,9 @@ def test_deferred_radius_gives_the_eager_fit(monkeypatch, regime):
     Z, noise_var = _ar_noisy(seed, n, p, sigma_w)
     cfg = SolverConfig(penalty_scale=scale)
     G, b = sub_gram(Z, noise_var, 0)
-    resolved_cfg = resolve_config(cfg, n, p, G, b)
-    # the same pinned row on the design's Gram, radius resolved up front
+    resolved_cfg = resolve_config(cfg, n, p)
+    # the same pinned row on the design's Gram with no floor, so its
+    # radius is resolved up front
     full = corrected_gram(Z, noise_var)
     row = full[:, 0].copy()
     eager = fit_corrected_lasso_stack(row[None], full, [resolved_cfg],

@@ -14,15 +14,16 @@ keyed (seed, multiplier-domain), so every multiplier is a pure function of
 (seed, b, i), whatever the chunking.  They are drawn once per
 (n, draws, seed), in row chunks of the fixed `_CHUNK_DRAWS` draws.
 
-`MaximaStream` takes the score columns in any number of feeds, so a target
-set far wider than n (every edge of `graph`) never has to be held at once.
-It buffers the columns into blocks of the fixed `_BLOCK_COLUMNS`; for each
-block and draw chunk it forms g @ block, takes |.| in place and keeps a
-running maximum per draw, and it divides by sqrt(n) once, at the end.  That
-division is exact: dividing by a positive constant is monotone under
-correct rounding, so max_j |x_j| / sqrt(n) equals max_j (|x_j| / sqrt(n))
-bit for bit.  Memory is O(draws*n + n*block + chunk*block) whatever the
-number of columns.
+`simultaneous_bands`, the one band routine, feeds the score columns of one
+table or a stream of tables to a `MaximaStream`, which takes them in any
+number of feeds, so a target set far wider than n (every edge of `graph`)
+never has to be held at once.  The stream buffers the columns into blocks
+of the fixed `_BLOCK_COLUMNS`; for each block and draw chunk it forms
+g @ block, takes |.| in place and keeps a running maximum per draw, and it
+divides by sqrt(n) once, at the end.  That division is exact: dividing by
+a positive constant is monotone under correct rounding, so max_j |x_j| /
+sqrt(n) equals max_j (|x_j| / sqrt(n)) bit for bit.  Memory is
+O(draws*n + n*block + chunk*block) whatever the number of columns.
 
 The product g @ block can round differently for another chunk or block
 shape, so both widths are fixed, and block boundaries fall every
@@ -215,33 +216,36 @@ def adjust_scores_for_estimated_noise(scores, influence, targets, mus,
     return adjusted
 
 
-def band_around(targets, estimates, sds, maxima: MultiplierDraws,
-                alpha: float, n: int) -> BandResult:
-    """Simultaneous band estimate_k -+ c* sd_k / sqrt(n) over the targets.
-
-    c* is the critical value of the multiplier `maxima` at level alpha.
-    """
-    c_star = critical_value(maxima, alpha)
+def simultaneous_bands(tables, draws: int, seed: int) -> BandResult:
+    """Band estimate -+ c* sd / sqrt(n) over the cells of one `DebiasTable`
+    or of an iterable of tables sharing n and alpha, with c* the critical
+    value over all their score columns.  Tables are pulled one at a time,
+    and only a cell's target, estimate and sd outlive its table."""
+    if isinstance(tables, DebiasTable):
+        tables = (tables,)
+    stream, alpha, kept = None, None, []
+    for table in tables:
+        if not table.cells:
+            raise InputError("table has no cells")
+        if stream is None:
+            stream, alpha = MaximaStream(table.n, draws, seed), table.alpha
+        elif table.alpha != alpha:
+            raise InputError(f"tables mix alpha {alpha} and {table.alpha}")
+        scores = table.score_matrix()
+        if table.mar is not None:
+            scores = adjust_scores_for_estimated_noise(
+                scores, table.mar.influence,
+                [c.j for c in table.cells], [c.mu for c in table.cells],
+                table.pilot.beta,
+                [c.slope for c in table.cells], [c.sd for c in table.cells])
+        stream.feed(scores)
+        kept += [(c.j, c.estimate, c.sd) for c in table.cells]
+    if stream is None:
+        raise InputError("no tables to band")
+    targets, estimates, sds = zip(*kept)
+    c_star = critical_value(stream.maxima(), alpha)
     est = np.asarray(estimates, dtype=np.float64)
-    half = c_star * np.asarray(sds, dtype=np.float64) / math.sqrt(n)
-    return BandResult(targets=tuple(targets), estimates=est,
-                      lower=est - half, upper=est + half,
-                      critical_value=c_star, alpha=alpha,
-                      draws=maxima.draws, seed=maxima.seed)
-
-
-def simultaneous_bands(table: DebiasTable, draws: int, seed: int) -> BandResult:
-    """Simultaneous band over the table's targets at the table's alpha."""
-    if not table.cells:
-        raise InputError("table has no cells")
-    scores = table.score_matrix()
-    if table.mar is not None:
-        scores = adjust_scores_for_estimated_noise(
-            scores, table.mar.influence,
-            [c.j for c in table.cells], [c.mu for c in table.cells],
-            table.pilot.beta,
-            [c.slope for c in table.cells], [c.sd for c in table.cells])
-    return band_around(table.targets, [c.estimate for c in table.cells],
-                       [c.sd for c in table.cells],
-                       multiplier_maxima(scores, draws, seed), table.alpha,
-                       table.n)
+    half = c_star * np.asarray(sds, dtype=np.float64) / math.sqrt(stream.n)
+    return BandResult(targets=targets, estimates=est, lower=est - half,
+                      upper=est + half, critical_value=c_star, alpha=alpha,
+                      draws=stream.draws, seed=stream.seed)

@@ -21,7 +21,7 @@ import sys
 import numpy as np
 
 from . import dataio, reports, simstudy
-from .bootstrap import MaximaStream, band_around, simultaneous_bands
+from .bootstrap import simultaneous_bands
 from .debias import (
     VARIANCE_CONVENTIONS,
     graph_tables,
@@ -112,10 +112,13 @@ def _load_regression(args) -> tuple[Dataset, list[str], NoiseSpec, str]:
     return data, names, NoiseSpec.known(gamma), args.gamma
 
 
-def _named(exc: DegeneracyError, where: str) -> DegeneracyError:
-    """`exc` naming `where` in place of its column index."""
+def _named(exc: DegeneracyError, where) -> DegeneracyError:
+    """`exc` naming `where(column)` in place of its column index, if any."""
+    if exc.coordinate is None:
+        return exc
     reason = str(exc).removesuffix(f" for column {exc.coordinate}")
-    return DegeneracyError(f"{reason} for {where}", coordinate=exc.coordinate)
+    return DegeneracyError(f"{reason} for {where(exc.coordinate)}",
+                           coordinate=exc.coordinate)
 
 
 def _emit(args, records: list[dict]) -> int:
@@ -153,9 +156,7 @@ def cmd_infer(args) -> int:
         table = run_inference(data, noise, targets, args.alpha, cfg,
                               args.variance_at)
     except DegeneracyError as exc:
-        if exc.coordinate is None:
-            raise
-        raise _named(exc, f"target {names[exc.coordinate]}") from None
+        raise _named(exc, lambda t: f"target {names[t]}") from None
     band = None
     if args.bands or len(targets) >= 2:
         band = simultaneous_bands(table, args.boot, args.seed)
@@ -174,36 +175,32 @@ def cmd_graph(args) -> int:
     sources = _resolve_targets(args.targets, names)
     cfg = _solver_from(args)
 
-    # the band's maxima stream over the edges' score columns, so only the
-    # estimate and sd of an edge outlive its source's table
-    stream = MaximaStream(data.n, args.boot, args.seed)
-    tables = graph_tables(data.Z, gamma, sources, args.alpha, cfg,
-                          args.variance_at)
     nodes, edges = [], []
-    for j in sources:
-        try:
-            table = next(tables)
-        except DegeneracyError as exc:
-            if exc.coordinate is None:
-                raise
-            raise _named(exc, f"source {names[j]}, partner "
-                              f"{names[exc.coordinate]}") from None
-        nodes.append({"name": names[j], "index": j + 1,
-                      "penalty": table.pilot.penalty,
-                      "radius": table.pilot.radius,
-                      "iterations": table.pilot.iterations,
-                      "converged": bool(table.pilot.converged),
-                      "kkt_residual": table.pilot.kkt_residual})
-        stream.feed(table.score_matrix())
-        edges += [{"source": names[j], "source_index": j + 1,
-                   "partner": names[cell.j], "partner_index": cell.j + 1,
-                   "estimate": cell.estimate, "sd": cell.sd}
-                  for cell in table.cells]
 
-    band = band_around([e["partner_index"] - 1 for e in edges],
-                       [e["estimate"] for e in edges],
-                       [e["sd"] for e in edges], stream.maxima(), args.alpha,
-                       data.n)
+    def tables():
+        # each source's node and edges, recorded as its table goes into the
+        # band, so only an edge's estimate and sd outlive its table
+        for table in graph_tables(data.Z, gamma, sources, args.alpha, cfg,
+                                  args.variance_at):
+            j = sources[len(nodes)]
+            nodes.append({"name": names[j], "index": j + 1,
+                          "penalty": table.pilot.penalty,
+                          "radius": table.pilot.radius,
+                          "iterations": table.pilot.iterations,
+                          "converged": bool(table.pilot.converged),
+                          "kkt_residual": table.pilot.kkt_residual})
+            edges.extend({"source": names[j], "source_index": j + 1,
+                          "partner": names[cell.j],
+                          "partner_index": cell.j + 1,
+                          "estimate": cell.estimate, "sd": cell.sd}
+                         for cell in table.cells)
+            yield table
+
+    try:
+        band = simultaneous_bands(tables(), args.boot, args.seed)
+    except DegeneracyError as exc:
+        where = f"source {names[sources[len(nodes)]]}, partner "
+        raise _named(exc, lambda t: where + names[t]) from None
     for edge, lo, hi in zip(edges, band.lower, band.upper):
         edge.update(band_low=lo, band_high=hi,
                     zero_in_band=bool(lo <= 0.0 <= hi))

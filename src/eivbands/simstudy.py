@@ -14,9 +14,10 @@ the noise variances claimed to be zero, which is the ordinary debiased lasso
 applied to the noisy design and is the baseline whose size collapses once
 measurement noise matters.
 
-A single target is tested with the pointwise normal statistic; several
-targets are tested jointly through the multiplier-bootstrap band, so the
-rejection rate estimates the family-wise error rate under true nulls.
+A replication rejects when a null value falls outside its interval: the
+pointwise normal interval for a single target, and the multiplier-bootstrap
+band for several, so the rejection rate estimates the family-wise error rate
+under true nulls.
 """
 
 from __future__ import annotations
@@ -32,11 +33,10 @@ from functools import lru_cache
 
 import numpy as np
 from scipy.linalg import cholesky, toeplitz
-from scipy.special import ndtri
 
 from . import rng
 from .bootstrap import simultaneous_bands
-from .debias import run_inference
+from .debias import VARIANCE_CONVENTIONS, run_inference
 from .errors import DegeneracyError, InputError, NumericalError
 from .lasso import Dataset, NoiseSpec, SolverConfig
 
@@ -111,6 +111,8 @@ class SimConfig:
                     f"{name} must be finite and nonnegative (got {value!r})")
         if not 0.0 <= self.ar_rho < 1.0:
             raise InputError("ar_rho must lie in [0, 1)")
+        if self.variance_at not in VARIANCE_CONVENTIONS:
+            raise InputError(f"unknown variance_at {self.variance_at!r}")
         if self.method not in ("eiv", "naive"):
             raise InputError(f"unknown method {self.method!r}")
         if self.noise_mode not in ("known", "mar"):
@@ -184,30 +186,24 @@ def _noise_for(cfg: SimConfig, data: Dataset) -> tuple[Dataset, NoiseSpec]:
 
 
 def _replicate(cfg: SimConfig, rep: int) -> dict:
-    data = generate(cfg, rep)
-    data, noise = _noise_for(cfg, data)
+    data, noise = _noise_for(cfg, generate(cfg, rep))
     table = run_inference(data, noise, cfg.targets, cfg.alpha, cfg.solver,
                           cfg.variance_at)
-    root_n = math.sqrt(cfg.n)
-    stats, biases, estimates, sds = [], [], [], []
-    for cell, null in zip(table.cells, cfg.null_values):
-        stats.append(root_n * (cell.estimate - null) / cell.sd)
-        biases.append(cell.estimate - float(cfg.beta0[cell.j]))
-        estimates.append(cell.estimate)
-        sds.append(cell.sd)
-    if len(cfg.targets) == 1:
-        reject = abs(stats[0]) > float(ndtri(1.0 - cfg.alpha / 2.0))
-        covered = not reject
+    cells, nulls = table.cells, cfg.null_values
+    if len(cells) == 1:
+        lower, upper = [cells[0].ci_low], [cells[0].ci_high]
     else:
         band = simultaneous_bands(table, cfg.boot_draws,
                                   _bootstrap_seed(cfg, rep))
-        outside = [null < lo or null > hi for null, lo, hi
-                   in zip(cfg.null_values, band.lower, band.upper)]
-        reject = any(outside)
-        covered = not reject
-    return {"rep": int(rep), "reject": bool(reject), "covered": bool(covered),
-            "stats": stats, "biases": biases, "estimates": estimates,
-            "sds": sds}
+        lower, upper = band.lower, band.upper
+    reject = any(null < lo or null > hi
+                 for null, lo, hi in zip(nulls, lower, upper))
+    return {"rep": int(rep), "reject": bool(reject), "covered": not reject,
+            "stats": [math.sqrt(cfg.n) * (c.estimate - null) / c.sd
+                      for c, null in zip(cells, nulls)],
+            "biases": [c.estimate - float(cfg.beta0[c.j]) for c in cells],
+            "estimates": [c.estimate for c in cells],
+            "sds": [c.sd for c in cells]}
 
 
 def _replicate_guarded(args) -> dict:

@@ -1,12 +1,14 @@
+import dataclasses
 import math
 import tracemalloc
+import weakref
 
 import numpy as np
 import numpy.testing as npt
 import pytest
 from scipy.special import ndtri
 
-from eivbands import rng
+from eivbands import bootstrap, rng
 from eivbands.bootstrap import (
     _BLOCK_COLUMNS,
     _CHUNK_DRAWS,
@@ -18,7 +20,7 @@ from eivbands.bootstrap import (
     multiplier_maxima,
     simultaneous_bands,
 )
-from eivbands.debias import run_inference
+from eivbands.debias import DebiasCell, run_inference
 from eivbands.errors import InputError
 from eivbands.lasso import Dataset, NoiseSpec, SolverConfig
 
@@ -303,3 +305,143 @@ class TestSimultaneousBands:
         npt.assert_array_equal(b1.lower, b2.lower)
         assert b1.critical_value == b2.critical_value
         assert isinstance(b1, BandResult)
+
+
+def mar_table(seed=0, n=60, p=5):
+    gen = np.random.default_rng(seed)
+    x = gen.normal(size=(n, p))
+    y = x[:, 0] - 0.7 * x[:, 1] + 0.4 * gen.normal(size=n)
+    mask = gen.uniform(size=(n, p)) >= 0.2
+    data = Dataset(y=y, Z=np.where(mask, x, 0.0), mask=mask)
+    return run_inference(data, NoiseSpec.mar(), [0, 1, 2],
+                         cfg=SolverConfig(tol=1e-9, max_iter=20000))
+
+
+def wide_table(template, m, seed, alpha=0.05):
+    # m cells with fresh scores, estimates and sds on the template's n and p
+    gen = np.random.default_rng(seed)
+    scores = unit_scores(template.n, m, seed)
+    p = template.noise_var.shape[0]
+    cells = tuple(
+        DebiasCell(j=k % p, estimate=float(gen.normal()),
+                   slope=1.0, sd=float(gen.uniform(0.5, 2.0)), ci_low=0.0,
+                   ci_high=0.0, scores=scores[:, k], mu=np.zeros(p))
+        for k in range(m))
+    return dataclasses.replace(template, cells=cells, alpha=alpha, mar=None)
+
+
+def reference_band(tables, draws, seed):
+    # the band from one feed of every (adjusted) score column
+    columns, cells = [], []
+    for t in tables:
+        scores = t.score_matrix()
+        if t.mar is not None:
+            scores = adjust_scores_for_estimated_noise(
+                scores, t.mar.influence, [c.j for c in t.cells],
+                [c.mu for c in t.cells], t.pilot.beta,
+                [c.slope for c in t.cells], [c.sd for c in t.cells])
+        columns.append(scores)
+        cells += t.cells
+    c_star = critical_value(
+        multiplier_maxima(np.column_stack(columns), draws, seed),
+        tables[0].alpha)
+    est = np.array([c.estimate for c in cells])
+    half = c_star * np.array([c.sd for c in cells]) / math.sqrt(tables[0].n)
+    return [c.j for c in cells], c_star, est, est - half, est + half
+
+
+class TestBandOverAStream:
+    def tables(self):
+        # 200 + 3 + 100 columns: the MAR table sits in the first block, and
+        # the block boundary at 256 falls inside the last table
+        mar = mar_table(seed=1)
+        return [wide_table(mar, 200, seed=2), mar, wide_table(mar, 100, 3)]
+
+    def test_equals_the_one_feed_band_bit_for_bit(self):
+        tables = self.tables()
+        mar = tables[1]
+        # the MAR adjustment moves the scores, so the test covers it
+        plain = dataclasses.replace(mar, mar=None)
+        assert reference_band([mar], 500, 0)[1] != \
+            reference_band([plain], 500, 0)[1]
+        assert sum(len(t.cells) for t in tables) > _BLOCK_COLUMNS
+        band = simultaneous_bands(iter(tables), 700, seed=19)
+        targets, c_star, est, lower, upper = reference_band(tables, 700, 19)
+        assert band.targets == tuple(targets)
+        assert band.critical_value == c_star
+        assert (band.alpha, band.draws, band.seed) == (0.05, 700, 19)
+        assert band.estimates.tobytes() == est.tobytes()
+        assert band.lower.tobytes() == lower.tobytes()
+        assert band.upper.tobytes() == upper.tobytes()
+
+    def test_one_table_is_a_stream_of_one(self):
+        mar = mar_table(seed=4)
+        one, stream = (simultaneous_bands(t, 300, seed=2)
+                       for t in (mar, [mar]))
+        assert one.critical_value == stream.critical_value
+        assert one.targets == stream.targets
+        npt.assert_array_equal(one.lower, stream.lower)
+        npt.assert_array_equal(one.upper, stream.upper)
+
+    def test_tables_are_pulled_one_at_a_time(self, monkeypatch):
+        events = []
+        original = MaximaStream.feed
+
+        def feed(stream, scores):
+            events.append("feed")
+            return original(stream, scores)
+        monkeypatch.setattr(bootstrap.MaximaStream, "feed", feed)
+
+        def pulled():
+            for k, table in enumerate(self.tables()):
+                events.append(f"table {k}")
+                yield table
+        simultaneous_bands(pulled(), 50, seed=1)
+        assert events == ["table 0", "feed", "table 1", "feed",
+                          "table 2", "feed"]
+
+    def test_a_table_is_released_before_the_next_but_one(self):
+        # only each cell's target, estimate and sd may outlive its table:
+        # while a table is built, the one before it may still be held, but
+        # none earlier, and none once the band returns
+        refs = []
+
+        def dead(groups):
+            return all(r() is None for group in groups for r in group)
+
+        def fresh():
+            # every yielded table is built here, so only the band holds one
+            template = mar_table(seed=5)
+            for k in range(3):
+                assert dead(refs[:-1])
+                table = (mar_table(seed=6) if k == 1
+                         else wide_table(template, 40, seed=k))
+                refs.append([weakref.ref(table)] +
+                            [weakref.ref(c.scores) for c in table.cells])
+                yield table
+        band = simultaneous_bands(fresh(), 50, seed=1)
+        assert len(band.targets) == 83
+        assert dead(refs)
+
+    def test_mixed_alpha_raises(self):
+        mar = mar_table(seed=7)
+        tables = [wide_table(mar, 3, seed=8), wide_table(mar, 3, 9, alpha=0.1)]
+        with pytest.raises(InputError, match="alpha"):
+            simultaneous_bands(tables, 50, seed=1)
+
+    def test_mixed_n_raises(self):
+        tables = [inference_table(n=60), inference_table(n=61)]
+        with pytest.raises(InputError, match="60 rows"):
+            simultaneous_bands(tables, 50, seed=1)
+
+    @pytest.mark.parametrize("stream", [[], iter(())], ids=["list", "iter"])
+    def test_empty_stream_raises(self, stream):
+        with pytest.raises(InputError, match="no tables"):
+            simultaneous_bands(stream, 50, seed=1)
+
+    def test_empty_table_raises(self):
+        table = inference_table()
+        empty = dataclasses.replace(table, cells=())
+        for tables in (empty, [table, empty]):
+            with pytest.raises(InputError, match="no cells"):
+                simultaneous_bands(tables, 50, seed=1)

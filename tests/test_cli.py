@@ -14,7 +14,7 @@ import numpy.testing as npt
 import pytest
 
 from eivbands import bootstrap, cli, dataio, nodewise, reports, simstudy
-from eivbands.bootstrap import band_around, multiplier_maxima, \
+from eivbands.bootstrap import critical_value, multiplier_maxima, \
     simultaneous_bands
 from eivbands.cli import main
 from eivbands.errors import (
@@ -416,8 +416,9 @@ def test_graph_single_source_matches_library_inference(tmp_path, capsys):
 
 def check_graph_band_is_the_shared_band(tmp_path, capsys, p):
     # every source: the p(p-1) edge cells of the library's graph tables,
-    # taken source by source in partner order, go through the one band
-    # routine bit for bit
+    # taken source by source in partner order, get the band est -+ c* sd /
+    # sqrt(n) with c* from the one-feed maxima of all their scores, bit for
+    # bit
     path, gamma = write_nodes(tmp_path, n=60, p=p, seed=8)
     code, out, _ = run_cli(capsys, "graph", "--input", path, "--gamma", gamma,
                            "--alpha", "0.1", "--boot", "300", "--seed", "5",
@@ -428,15 +429,15 @@ def check_graph_band_is_the_shared_band(tmp_path, capsys, p):
     data, _ = dataio.read_dataset_csv(path, require_response=False)
     cells = [cell for table in graph_tables(data.Z, np.zeros(p), range(p),
                                             0.1) for cell in table.cells]
-    maxima = multiplier_maxima(np.column_stack([c.scores for c in cells]),
-                               300, 5)
-    band = band_around([c.j for c in cells], [c.estimate for c in cells],
-                       [c.sd for c in cells], maxima, 0.1, 60)
+    c_star = critical_value(multiplier_maxima(
+        np.column_stack([c.scores for c in cells]), 300, 5), 0.1)
+    est = np.array([c.estimate for c in cells])
+    half = c_star * np.array([c.sd for c in cells]) / math.sqrt(60)
     assert len(edges) == p * (p - 1)
-    assert records[0]["critical_value"] == band.critical_value
-    assert [e["estimate"] for e in edges] == list(band.estimates)
-    assert [e["band_low"] for e in edges] == list(band.lower)
-    assert [e["band_high"] for e in edges] == list(band.upper)
+    assert records[0]["critical_value"] == c_star
+    assert [e["estimate"] for e in edges] == list(est)
+    assert [e["band_low"] for e in edges] == list(est - half)
+    assert [e["band_high"] for e in edges] == list(est + half)
     assert [(e["source_index"], e["partner_index"]) for e in edges] == [
         (j + 1, k + 1) for j in range(p) for k in range(p) if k != j]
 
@@ -521,6 +522,29 @@ def test_graph_degeneracy_names_source_and_partner(tmp_path, capsys,
     assert reason in err
     assert "for source a, partner c" in err
     assert "column" not in err
+
+
+def test_graph_degeneracy_at_a_later_source_names_it(tmp_path, capsys):
+    # b leans on a, and its noise variance is its whole second moment.
+    # Every source other than a regresses b on a, so its edge to b has a
+    # slope; source a regresses b on c and d, at mu = 0, and the slope of
+    # its edge to b is exactly 0.  Source c goes into the band first, and
+    # the error must name a, the source that failed.
+    rng = np.random.default_rng(3)
+    Z = rng.normal(size=(40, 4))
+    Z[:, 1] = 0.7 * Z[:, 0] + 0.7 * Z[:, 1]
+    path = tmp_path / "leaning_b.csv"
+    path.write_text("a,b,c,d\n" + "".join(
+        ",".join(repr(float(v)) for v in row) + "\n" for row in Z))
+    gamma = tmp_path / "leaning_b_gamma.txt"
+    gamma.write_text(f"0.0\n{float(Z[:, 1] @ Z[:, 1] / 40)!r}\n0.0\n0.0\n")
+    argv = ("graph", "--input", str(path), "--gamma", str(gamma),
+            "--boot", "50", "--targets")
+    assert run_cli(capsys, *argv, "c")[0] == 0
+    code, out, err = run_cli(capsys, *argv, "c,a")
+    assert (code, out) == (4, "")
+    assert err == ("error: score slope 0.000e+00 is numerically zero for "
+                   "source a, partner b\n")
 
 
 def test_zero_variance_names_coordinate(tmp_path):
@@ -771,6 +795,13 @@ def test_simulate_unknown_config_key_exit_2(tmp_path, capsys):
     pytest.param({"boot_draws": 20.5}, "boot_draws must be an integer",
                  id="boot_draws-float"),
     pytest.param({"seed": 1.5}, "seed must be an integer", id="seed-float"),
+    pytest.param({"solver": {"max_iter": 2.5}},
+                 "max_iter must be an integer (got 2.5)", id="max_iter-float"),
+    pytest.param({"solver": {"max_iter": True}},
+                 "max_iter must be an integer (got True)", id="max_iter-bool"),
+    # checked when the study is built, not inside replication 0
+    pytest.param({"variance_at": "bogus"}, "unknown variance_at 'bogus'",
+                 id="variance_at-bogus"),
     pytest.param({"seed": -1}, "unsigned 64-bit", id="seed-negative"),
     pytest.param({"seed": 2 ** 64}, "unsigned 64-bit", id="seed-2to64"),
 ])

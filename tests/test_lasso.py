@@ -801,6 +801,15 @@ class TestTypes:
         with pytest.raises(InputError):
             NoiseSpec("mar", np.ones(2))
 
+    @pytest.mark.parametrize("value", [2.5, 3.0, True, False, "7", None])
+    def test_max_iter_must_be_an_integer(self, value):
+        with pytest.raises(InputError,
+                           match=r"^max_iter must be an integer \(got "):
+            SolverConfig(max_iter=value)
+
+    def test_max_iter_takes_numpy_integers(self):
+        assert SolverConfig(max_iter=np.int64(7)).max_iter == 7
+
     def test_solver_config_validates(self):
         with pytest.raises(InputError):
             SolverConfig(penalty=-0.1)

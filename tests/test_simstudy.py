@@ -140,6 +140,14 @@ def test_rejects_bad_noise_mode():
         tiny_config(noise_mode="heteroskedastic")
 
 
+@pytest.mark.parametrize("build", [tiny_config, ss.single_target_study,
+                                   ss.multi_target_study])
+def test_rejects_bad_variance_at(build):
+    # rejected when the study is built, not in replication 0's inference
+    with pytest.raises(InputError, match="^unknown variance_at 'bogus'$"):
+        build(variance_at="bogus")
+
+
 def test_rejects_target_null_length_mismatch():
     with pytest.raises(InputError):
         tiny_config(targets=(0, 1), null_values=(0.0,))

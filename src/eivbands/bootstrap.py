@@ -33,10 +33,11 @@ seed) for one BLAS build and thread count.  Up to `_BLOCK_COLUMNS` columns
 make one block, so the product is exactly the unblocked g @ scores; with
 more, a maximum can differ from the unblocked product in the last bit.
 
-When the noise variances were estimated from missingness, each score column
-first gets a correction for the sampling error of those estimates (see
-`adjust_scores_for_estimated_noise`); the per-coordinate standard deviations
-are kept from the unadjusted representation.
+When the noise variances were estimated from missingness, a table's score
+columns first get a correction for the sampling error of those estimates:
+`adjust_scores_for_estimated_noise` takes the table and returns its corrected
+score matrix.  The per-coordinate standard deviations are kept from the
+unadjusted representation.
 """
 
 from __future__ import annotations
@@ -90,6 +91,9 @@ class MaximaStream:
             raise InputError("scores must be a nonempty n x m matrix")
         if draws < 1:
             raise InputError("need at least one bootstrap draw")
+        if not 0 <= seed < 2 ** 64:
+            raise InputError(
+                f"seed must be an unsigned 64-bit integer (got {seed})")
         self.n, self.draws, self.seed = int(n), int(draws), int(seed)
         bits = rng.stream(seed, rng.DOMAIN_MULTIPLIER)
         self._chunks = []
@@ -175,43 +179,36 @@ def critical_value(draws: MultiplierDraws, alpha: float) -> float:
     return float(np.sort(maxima)[k - 1])
 
 
-def adjust_scores_for_estimated_noise(scores, influence, targets, mus,
-                                      pilot_beta, slopes, sds) -> np.ndarray:
-    """Correct bootstrap scores for estimated noise variances.
+def adjust_scores_for_estimated_noise(table: DebiasTable) -> np.ndarray:
+    """Score matrix of a missing-at-random table, corrected for its
+    estimated noise variances.
 
-    The score column for target j gets, for each observation i,
+    The score column of the cell for target j gets, for each observation i,
 
         scores[i, col] - (e_j - mu_j)' diag(influence[i, :]) pilot_beta
                          / (sd_j * slope_j)
 
-    and is then re-centered to empirical mean zero.  When the correction
-    vanishes identically (influence all zero or pilot all zero) the input is
-    returned unchanged, exactly.
+    with influence the table's `mar.influence` and pilot_beta its pilot's
+    beta, and is then re-centered to empirical mean zero.  When the
+    correction vanishes identically (influence all zero or pilot all zero)
+    the score matrix is returned unchanged, exactly.
     """
-    scores = np.asarray(scores, dtype=np.float64)
-    influence = np.asarray(influence, dtype=np.float64)
-    pilot_beta = np.asarray(pilot_beta, dtype=np.float64)
-    if scores.ndim != 2 or influence.ndim != 2:
-        raise InputError("scores and influence must be matrices")
-    n, m = scores.shape
-    if influence.shape[0] != n:
-        raise InputError("influence row count must match scores")
-    p = influence.shape[1]
-    if pilot_beta.shape != (p,):
-        raise InputError("pilot_beta length must match influence columns")
-    if not (len(targets) == len(mus) == len(slopes) == len(sds) == m):
-        raise InputError("need one target, mu, slope and sd per score column")
-
-    weighted = influence * pilot_beta[None, :]
+    if table.mar is None:
+        raise InputError("only a missing-at-random table has estimated noise")
+    scores = table.score_matrix()
+    weighted = table.mar.influence * table.pilot.beta[None, :]
     if not weighted.any():
         return scores
+    cells = table.cells
+    # a stack of (p, 1) mu columns: one gemv weighted @ mu per cell, the
+    # product a column-at-a-time loop makes, so the bits are the same
+    M = np.array([c.mu for c in cells])
+    along = np.matmul(weighted, M[:, :, None])[:, :, 0].T
+    correction = weighted[:, [c.j for c in cells]] - along
+    scale = np.array([c.sd * c.slope for c in cells])
+    # C-ordered like the scores, so the column means sum rows in order
     adjusted = np.empty_like(scores)
-    for col, (j, mu, slope, sd) in enumerate(zip(targets, mus, slopes, sds)):
-        mu = np.asarray(mu, dtype=np.float64)
-        if mu.shape != (p,) or not 0 <= j < p:
-            raise InputError("each mu must have one entry per design column")
-        correction = weighted[:, j] - weighted @ mu
-        adjusted[:, col] = scores[:, col] - correction / (sd * slope)
+    np.subtract(scores, correction / scale, out=adjusted)
     adjusted -= adjusted.mean(axis=0)
     return adjusted
 
@@ -231,14 +228,8 @@ def simultaneous_bands(tables, draws: int, seed: int) -> BandResult:
             stream, alpha = MaximaStream(table.n, draws, seed), table.alpha
         elif table.alpha != alpha:
             raise InputError(f"tables mix alpha {alpha} and {table.alpha}")
-        scores = table.score_matrix()
-        if table.mar is not None:
-            scores = adjust_scores_for_estimated_noise(
-                scores, table.mar.influence,
-                [c.j for c in table.cells], [c.mu for c in table.cells],
-                table.pilot.beta,
-                [c.slope for c in table.cells], [c.sd for c in table.cells])
-        stream.feed(scores)
+        stream.feed(table.score_matrix() if table.mar is None
+                    else adjust_scores_for_estimated_noise(table))
         kept += [(c.j, c.estimate, c.sd) for c in table.cells]
     if stream is None:
         raise InputError("no tables to band")

@@ -299,6 +299,8 @@ def graph_tables(Z: np.ndarray, gamma: np.ndarray, sources,
     if gamma.shape != (p,):
         raise InputError(f"gamma has shape {gamma.shape}, expected ({p},)")
     sources = [int(j) for j in sources]
+    if len(set(sources)) != len(sources):
+        raise InputError("source set has duplicates")
     for j in sources:
         if not 0 <= j < p:
             raise InputError(f"source column {j} out of range for p={p}")

@@ -15,7 +15,9 @@ variability of the estimated noise variances:
 
     influence_ij = (z_tilde_ij^2 - mean_i(z_tilde_ij^2)) * pi_hat / (1 - pi_hat)^2
 
-Columns of `influence` have empirical mean zero by construction.
+Columns of `influence` have empirical mean zero by construction.  `estimate`
+is the one function: it squares z_tilde once, and its column means of squares
+serve both noise_var and the influence.
 """
 
 from __future__ import annotations
@@ -42,51 +44,20 @@ class MarEstimate:
     influence: np.ndarray
 
 
-def missing_fraction(mask: np.ndarray) -> float:
-    """Fraction of False cells in an observation mask."""
-    mask = np.asarray(mask)
-    if mask.dtype != np.bool_ or mask.ndim != 2 or mask.size == 0:
-        raise InputError("mask must be a nonempty boolean matrix")
-    frac = 1.0 - float(np.count_nonzero(mask)) / mask.size
-    if frac >= 1.0:
-        raise InputError("every design cell is missing")
-    return frac
-
-
-def rescale_design(z_tilde: np.ndarray, miss_prob: float) -> np.ndarray:
-    """Inverse-probability rescaling z_tilde / (1 - miss_prob)."""
-    if not 0.0 <= miss_prob < 1.0:
-        raise InputError("miss_prob must lie in [0, 1)")
-    return np.asarray(z_tilde, dtype=np.float64) / (1.0 - miss_prob)
-
-
-def noise_variance(z_tilde: np.ndarray, miss_prob: float) -> np.ndarray:
-    """Per-column effective noise variance of the rescaled design."""
-    if not 0.0 <= miss_prob < 1.0:
-        raise InputError("miss_prob must lie in [0, 1)")
-    z_tilde = np.asarray(z_tilde, dtype=np.float64)
-    second = np.mean(z_tilde ** 2, axis=0)
-    return second * (miss_prob / (1.0 - miss_prob) ** 2)
-
-
-def influence_scores(z_tilde: np.ndarray, miss_prob: float) -> np.ndarray:
-    """Per-observation influence of each column's noise-variance estimate."""
-    if not 0.0 <= miss_prob < 1.0:
-        raise InputError("miss_prob must lie in [0, 1)")
-    z_tilde = np.asarray(z_tilde, dtype=np.float64)
-    sq = z_tilde ** 2
-    return (sq - sq.mean(axis=0)) * (miss_prob / (1.0 - miss_prob) ** 2)
-
-
 def estimate(data: Dataset) -> MarEstimate:
     """Resolve the full missing-at-random noise model for a masked dataset."""
     if data.mask is None:
         raise InputError("missing-at-random mode requires an observation mask")
+    pi_hat = 1.0 - float(np.count_nonzero(data.mask)) / data.mask.size
+    if pi_hat >= 1.0:
+        raise InputError("every design cell is missing")
     z_tilde = np.where(data.mask, data.Z, 0.0)
-    pi_hat = missing_fraction(data.mask)
+    sq = z_tilde ** 2
+    second = sq.mean(axis=0)
+    scale = pi_hat / (1.0 - pi_hat) ** 2
     return MarEstimate(
         miss_prob=pi_hat,
-        design=rescale_design(z_tilde, pi_hat),
-        noise_var=noise_variance(z_tilde, pi_hat),
-        influence=influence_scores(z_tilde, pi_hat),
+        design=z_tilde / (1.0 - pi_hat),
+        noise_var=second * scale,
+        influence=(sq - second) * scale,
     )

@@ -255,6 +255,8 @@ def run_study(cfg: SimConfig, workers: int = 1) -> SimReport:
     its sums by thread.  The workers re-import the calling script, so a
     script must guard its entry point with ``if __name__ == "__main__":``.
     """
+    if workers < 1:
+        raise InputError(f"workers must be at least 1 (got {workers})")
     payloads = [(cfg, rep) for rep in range(cfg.replications)]
     if workers > 1:
         chunk = max(1, cfg.replications // (8 * workers))

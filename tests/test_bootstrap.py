@@ -92,6 +92,16 @@ class TestMultiplierMaxima:
         with pytest.raises(InputError):
             multiplier_maxima(np.full((5, 2), np.nan), 10, 0)
 
+    @pytest.mark.parametrize("seed", [-1, 2 ** 70])
+    def test_seed_outside_uint64_raises(self, seed):
+        with pytest.raises(InputError, match=rf"seed must be an unsigned "
+                           rf"64-bit integer \(got {seed}\)"):
+            multiplier_maxima(unit_scores(20, 2), 10, seed)
+
+    def test_largest_seed_is_accepted(self):
+        md = multiplier_maxima(unit_scores(20, 2), 10, 2 ** 64 - 1)
+        assert md.seed == 2 ** 64 - 1
+
 
 def unblocked_maxima(scores, draws, seed):
     # the product over all columns at once, in draw chunks of _CHUNK_DRAWS
@@ -215,20 +225,50 @@ class TestCriticalValue:
             critical_value(self.md([1.0]), 0.0)
 
 
+def correction_table(scores, influence, targets, mus, pilot_beta, slopes,
+                     sds):
+    # a MAR table that carries exactly these scores, influence, pilot and
+    # cells; the correction reads nothing else
+    template = mar_table()
+    cells = tuple(
+        DebiasCell(j=j, estimate=0.0, slope=slope, sd=sd, ci_low=0.0,
+                   ci_high=0.0, scores=scores[:, k], mu=np.asarray(mu))
+        for k, (j, mu, slope, sd) in enumerate(zip(targets, mus, slopes, sds)))
+    return dataclasses.replace(
+        template, cells=cells, n=scores.shape[0],
+        pilot=dataclasses.replace(template.pilot, beta=pilot_beta),
+        mar=dataclasses.replace(template.mar, influence=influence))
+
+
+def column_loop(table):
+    # the correction one score column at a time, into one C-ordered matrix:
+    # the batched product must equal it bit for bit
+    scores = table.score_matrix()
+    weighted = table.mar.influence * table.pilot.beta[None, :]
+    adjusted = np.empty_like(scores)
+    for col, c in enumerate(table.cells):
+        correction = weighted[:, c.j] - weighted @ c.mu
+        adjusted[:, col] = scores[:, col] - correction / (c.sd * c.slope)
+    adjusted -= adjusted.mean(axis=0)
+    return adjusted
+
+
 class TestAdjustScores:
     def test_zero_influence_is_exact_identity(self):
         s = unit_scores(30, 2, seed=14)
-        out = adjust_scores_for_estimated_noise(
+        table = correction_table(
             s, np.zeros((30, 5)), [0, 3], [np.zeros(5), np.zeros(5)],
             np.ones(5), [1.0, 1.0], [1.0, 1.0])
+        out = adjust_scores_for_estimated_noise(table)
         npt.assert_array_equal(out, s)
 
     def test_zero_pilot_is_exact_identity(self):
         gen = np.random.default_rng(15)
         s = unit_scores(30, 1, seed=16)
-        out = adjust_scores_for_estimated_noise(
+        table = correction_table(
             s, gen.normal(size=(30, 4)), [2], [np.zeros(4)],
             np.zeros(4), [1.0], [1.0])
+        out = adjust_scores_for_estimated_noise(table)
         npt.assert_array_equal(out, s)
 
     def test_double_loop_oracle(self):
@@ -241,8 +281,9 @@ class TestAdjustScores:
         targets = [0, 1]
         slopes = [0.8, 1.3]
         sds = [0.9, 1.1]
-        got = adjust_scores_for_estimated_noise(
-            scores, influence, targets, mus, pilot, slopes, sds)
+        table = correction_table(scores, influence, targets, mus, pilot,
+                                 slopes, sds)
+        got = adjust_scores_for_estimated_noise(table)
         want = np.empty_like(scores)
         for col in range(2):
             j, mu = targets[col], mus[col]
@@ -255,6 +296,22 @@ class TestAdjustScores:
         want -= want.mean(axis=0)
         npt.assert_allclose(got, want, rtol=0, atol=1e-12)
         npt.assert_allclose(got.mean(axis=0), [0.0, 0.0], atol=1e-14)
+        assert got.tobytes() == column_loop(table).tobytes()
+
+    def test_equals_the_column_loop_bit_for_bit(self):
+        # a fitted MAR table, and the same cells repeated and reordered
+        table = mar_table(seed=18)
+        wide = dataclasses.replace(
+            table, cells=table.cells[::-1] + table.cells * 3)
+        for t in (table, wide):
+            got = adjust_scores_for_estimated_noise(t)
+            assert got.shape == (t.n, len(t.cells))
+            assert got.tobytes() == column_loop(t).tobytes()
+            assert not np.array_equal(got, t.score_matrix())
+
+    def test_known_noise_table_raises(self):
+        with pytest.raises(InputError, match="missing-at-random"):
+            adjust_scores_for_estimated_noise(inference_table())
 
 
 def inference_table(seed=0, n=60, p=5, targets=(0, 1, 2)):
@@ -298,6 +355,12 @@ class TestSimultaneousBands:
             assert band.upper[k] - band.lower[k] >= \
                 (cell.ci_high - cell.ci_low) * (1 - 0.05)
 
+    @pytest.mark.parametrize("seed", [-1, 2 ** 70])
+    def test_seed_outside_uint64_raises(self, seed):
+        with pytest.raises(InputError, match=rf"seed must be an unsigned "
+                           rf"64-bit integer \(got {seed}\)"):
+            simultaneous_bands(inference_table(), 50, seed)
+
     def test_deterministic(self):
         table = inference_table(seed=4)
         b1 = simultaneous_bands(table, 500, seed=7)
@@ -334,13 +397,8 @@ def reference_band(tables, draws, seed):
     # the band from one feed of every (adjusted) score column
     columns, cells = [], []
     for t in tables:
-        scores = t.score_matrix()
-        if t.mar is not None:
-            scores = adjust_scores_for_estimated_noise(
-                scores, t.mar.influence, [c.j for c in t.cells],
-                [c.mu for c in t.cells], t.pilot.beta,
-                [c.slope for c in t.cells], [c.sd for c in t.cells])
-        columns.append(scores)
+        columns.append(t.score_matrix() if t.mar is None
+                       else adjust_scores_for_estimated_noise(t))
         cells += t.cells
     c_star = critical_value(
         multiplier_maxima(np.column_stack(columns), draws, seed),

@@ -398,6 +398,15 @@ def test_graph_errors_keep_source_order(monkeypatch):
         next(tables)
 
 
+def test_graph_rejects_duplicate_sources():
+    # a repeated source would yield its table, and band its edges, twice
+    Z, gamma, _ = graph_instance()
+    with pytest.raises(InputError, match="source set has duplicates"):
+        list(graph_tables(Z, gamma, [0, 0]))
+    with pytest.raises(InputError, match="source set has duplicates"):
+        next(graph_tables(Z, gamma, [2, 0, 2]))
+
+
 def test_graph_pilot_that_never_moves_reports_its_block_radius():
     # at six times the default penalty no pilot leaves 0, and each still
     # reports the default radius of its source's (-k, -k) block, bit for bit

@@ -235,6 +235,13 @@ def test_worker_count_does_not_change_results():
     assert serial.mean_bias == parallel.mean_bias
 
 
+@pytest.mark.parametrize("workers", [0, -3])
+def test_rejects_fewer_than_one_worker(workers):
+    with pytest.raises(InputError,
+                       match=rf"workers must be at least 1 \(got {workers}\)"):
+        ss.run_study(tiny_config(replications=2), workers=workers)
+
+
 def test_rejection_rate_matches_records():
     cfg = tiny_config(replications=8, seed=5)
     rep = ss.run_study(cfg)

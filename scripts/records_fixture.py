@@ -13,8 +13,9 @@ it: a byte-order mark, CRLF line ends, quoted and padded cells, which the
 reader parses cell by cell where clean files take its one-pass parse),
 `bands`, `graph` (all sources, two of them,
 enough nodes that the edges span several bootstrap column blocks, 26
-nodes whose 650 edge regressions, rows of the graph's one corrected Gram,
-make one nodewise stack, `--max-iter 7`, where pilots and edges stop
+nodes whose 26 pilots, rows of the graph's one corrected Gram, make one
+nodewise stack and whose 650 edges each take their partner's pilot or are
+refit in one more, `--max-iter 7`, where pilots and edges stop
 unconverged, six times the default penalty, where every pilot stops at 0
 and still reports its l1-ball radius, and noise sd 1 at a fifth of the
 default penalty, where edge rows pinned at two coordinates resolve their

@@ -49,7 +49,7 @@ import numpy as np
 
 from . import rng
 from .debias import DebiasTable
-from .errors import InputError
+from .errors import InputError, check_integer
 
 _CHUNK_DRAWS = 4096
 _BLOCK_COLUMNS = 256
@@ -89,6 +89,8 @@ class MaximaStream:
     def __init__(self, n: int, draws: int, seed: int):
         if n < 1:
             raise InputError("scores must be a nonempty n x m matrix")
+        check_integer("draws", draws)
+        check_integer("seed", seed)
         if draws < 1:
             raise InputError("need at least one bootstrap draw")
         if not 0 <= seed < 2 ** 64:

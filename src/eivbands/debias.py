@@ -29,7 +29,6 @@ from __future__ import annotations
 import math
 from collections.abc import Iterator
 from dataclasses import dataclass
-from itertools import islice
 
 import numpy as np
 from scipy.special import ndtri
@@ -194,20 +193,20 @@ def pointwise_ci(estimate: float, sd: float, n: int,
     return estimate - half, estimate + half
 
 
-def _target_cell(y, Z, noise_var, pilot_beta, nw, alpha,
+def _target_cell(y, Z, noise_var, pilot_beta, j, mu, alpha,
                  variance_at) -> DebiasCell:
-    score = _Score(Z, noise_var, nw.mu, nw.j, y, pilot_beta)
+    score = _Score(Z, noise_var, mu, j, y, pilot_beta)
     theta = score.root()
     raw = score.values(theta)
     if variance_at == "debiased":
         centred = raw
     else:
-        centred = score.values(float(pilot_beta[nw.j]))
-    sd = math.sqrt(plugin_variance(centred, score.slope, coordinate=nw.j))
+        centred = score.values(float(pilot_beta[j]))
+    sd = math.sqrt(plugin_variance(centred, score.slope, coordinate=j))
     scores = -raw / (sd * score.slope)
     lo, hi = pointwise_ci(theta, sd, Z.shape[0], alpha)
-    return DebiasCell(j=nw.j, estimate=theta, slope=score.slope, sd=sd,
-                      ci_low=lo, ci_high=hi, scores=scores, mu=nw.mu)
+    return DebiasCell(j=j, estimate=theta, slope=score.slope, sd=sd,
+                      ci_low=lo, ci_high=hi, scores=scores, mu=mu)
 
 
 def _check_settings(alpha: float, variance_at: str) -> None:
@@ -219,11 +218,12 @@ def _check_settings(alpha: float, variance_at: str) -> None:
 
 def _table(y, design, noise_var, pilot, directions, alpha, variance_at,
            noise_kind="known", mar=None) -> DebiasTable:
-    """One cell per nodewise direction of the regression of y on the
-    design, in order."""
+    """One cell per nodewise direction (j, mu) of the regression of y on
+    the design, in order."""
     cells = tuple(
-        _target_cell(y, design, noise_var, pilot.beta, nw, alpha, variance_at)
-        for nw in directions)
+        _target_cell(y, design, noise_var, pilot.beta, j, mu, alpha,
+                     variance_at)
+        for j, mu in directions)
     return DebiasTable(cells=cells, alpha=alpha, n=y.shape[0],
                        noise_kind=noise_kind, noise_var=noise_var,
                        pilot=pilot, variance_at=variance_at, mar=mar)
@@ -271,7 +271,92 @@ def run_inference(data: Dataset, noise: NoiseSpec, targets,
     directions = fit_nodewise_jobs(prepared.gram, prepared.noise_var, data.n,
                                    targets, cfg)
     return _table(data.y, prepared.design, prepared.noise_var, prepared.fit,
-                  directions, alpha, variance_at, noise.kind, prepared.mar)
+                  ((nw.j, nw.mu) for nw in directions), alpha, variance_at,
+                  noise.kind, prepared.mar)
+
+
+def _edges_solved_by_pilots(G: np.ndarray, gamma: np.ndarray, pilots,
+                            cfg: SolverConfig) -> np.ndarray:
+    """(p, p) mask of the graph edges whose partner's pilot solves them.
+
+    `pilots` holds the result or the error of every column's pilot, and
+    `cfg` the penalty of the p - 1 columns every pilot and edge regresses on
+    (see `resolve_config`).  Pilot t regresses z_t on Z without t, and edge
+    (t, k) on Z without t and k, at the same penalty, so where pilot t's
+    beta is 0 at k the two problems share every free coordinate but k.  Entry
+    (t, k) is True when pilot t did not fail, its beta is 0 at k, its l1
+    norm lies strictly below the edge's radius (an explicit ``cfg.radius``,
+    or a floor of the edge's default radius), and the edge's KKT residual
+    there, which is pilot t's residual with entry k dropped, is at most
+    ``cfg.tol``: that beta is then a stationary point of the edge's problem,
+    strictly inside its ball.  Every step is an elementwise or row operation
+    on (p, p) arrays.
+
+    The residual takes each row's gradient by one gemv and reads it entry
+    by entry as `lasso._kkt_residual_stack` does inside the ball, so it is
+    the residual the edge's own row reports at that beta, bit for bit; the
+    largest entry other than k is a top-2 lookup.  The floor is
+    `radius_floor` of the edge's b, pilot t's b with entry k zeroed, by a
+    rank-one update of pilot t's b'Gb, and stays a certified lower bound on
+    the edge's default radius: its c is max(gamma) + 1, no less than the
+    edge's own, and a larger c only shrinks the bound; b'b is summed
+    without cancellation from prefix and suffix sums of the squares; and
+    b'Gb gets an allowance of 2 (p + 4) eps |b|'|G||b|, which covers the
+    update's rounding, so the denominator is an upper bound.  What rounding
+    is left is relative of order p eps, inside the 1e-6 shrink.
+    """
+    p = len(G)
+    failed = np.array([isinstance(nw, NumericalError) for nw in pilots])
+    B = np.array([np.zeros(p) if bad else nw.mu
+                  for nw, bad in zip(pilots, failed)])
+    # row t is pilot t's b: G[:, t] with entry t read as 0 (G is symmetric)
+    b = G.copy()
+    np.fill_diagonal(b, 0.0)
+    grad = np.matmul(G, B[:, :, None])[:, :, 0] - b
+    np.fill_diagonal(grad, 0.0)
+    resid = np.where(B != 0.0, np.abs(np.sign(B) * grad + cfg.penalty),
+                     np.maximum(np.abs(grad) - cfg.penalty, 0.0))
+    l1 = np.abs(B).sum(axis=1)
+    if cfg.radius is None:
+        inside = l1[:, None] < _edge_radius_floors(G, gamma, b)
+    else:
+        inside = (l1 < cfg.radius)[:, None]
+    return ~failed[:, None] & (B == 0.0) & inside & \
+        (_max_but_one(resid) <= cfg.tol)
+
+
+def _max_but_one(A: np.ndarray) -> np.ndarray:
+    """Entry (t, k) is the largest entry of row t of A other than column k."""
+    rows = np.arange(len(A))
+    top = np.argmax(A, axis=1)
+    first = A[rows, top]
+    rest = A.copy()
+    rest[rows, top] = -np.inf
+    second = rest.max(axis=1)
+    return np.where(np.arange(A.shape[1]) == top[:, None], second[:, None],
+                    first[:, None])
+
+
+def _edge_radius_floors(G: np.ndarray, gamma: np.ndarray,
+                        b: np.ndarray) -> np.ndarray:
+    """Entry (t, k) bounds the default radius of edge (t, k) from below;
+    row t of b is pilot t's b.  See `_edges_solved_by_pilots`."""
+    p = len(G)
+    sq = b * b
+    bb = np.zeros((p, p))
+    bb[:, 1:] = np.cumsum(sq[:, :-1], axis=1)
+    bb[:, :-1] += np.cumsum(sq[:, :0:-1], axis=1)[:, ::-1]
+    a = np.abs(b)
+    inf_norm = _max_but_one(a)
+    Gb = b @ G
+    bGb = (b * Gb).sum(axis=1)[:, None] - 2.0 * b * Gb + sq * np.diag(G)
+    slack = np.finfo(np.float64).eps * (2 * p + 8) * \
+        (a * (a @ np.abs(G))).sum(axis=1)
+    c = float(np.max(gamma, initial=0.0)) + 1.0
+    bAb = bGb + slack[:, None] + c * bb
+    with np.errstate(divide="ignore", invalid="ignore"):
+        floor = 2.0 * bb * bb / (inf_norm * bAb) * (1.0 - 1e-6)
+    return np.where(bb > 0.0, floor, 0.0)
 
 
 def graph_tables(Z: np.ndarray, gamma: np.ndarray, sources,
@@ -284,11 +369,22 @@ def graph_tables(Z: np.ndarray, gamma: np.ndarray, sources,
     with keep the columns other than k, in the columns of Z: its cells are
     indexed by partner column t != k, its `noise_var` is `gamma`, and its
     pilot's `beta` and every cell's `mu` have length p and are 0 at k.
-    Every regression is a job of one `fit_nodewise_jobs` stream on G =
-    ``corrected_gram(Z, gamma)``: the pilot ``(k, (k,))``, then the edges
-    ``(t, (k,))`` in partner order.  Their sums, like the cells', run over
-    the p columns of Z, so a table differs from `run_inference` only by
-    rounding, and errors surface in stream order.
+    Every regression is a row of G = ``corrected_gram(Z, gamma)``.  The
+    pilots ``(t, (t,))`` of all p columns are solved first, the sources'
+    in one `fit_nodewise_jobs` stream and, with a deferred radius, the
+    other columns' in another.  Edge (t, k) takes pilot t's `beta` as its
+    `mu` where that beta already solves the edge (see
+    `_edges_solved_by_pilots`); every other edge is a job ``(t, (k,))`` of
+    one more stream, fed across all sources in source and partner order.
+    A refit edge and a pilot equal the regression solved alone, so they
+    and the node rows differ from `run_inference` only by rounding, as the
+    cells' sums run over the p columns of Z; a reused edge is a solution of
+    its problem to the solver tolerance, not the solver's own iterate.
+
+    Errors surface in source order: source k's failed pilot raises when
+    its table is due, after every earlier table, and a refit's or a cell's
+    in partner order as its table forms.  A failed pilot of a column that
+    is only a partner is never raised: its edges are refit.
     """
     _check_settings(alpha, variance_at)
     Z = np.asarray(Z, dtype=np.float64)
@@ -309,16 +405,36 @@ def graph_tables(Z: np.ndarray, gamma: np.ndarray, sources,
     # every source's data and noise checks, as its first regression makes them
     Dataset(y=Z[:, sources[0]], Z=np.delete(Z, sources[0], axis=1))
     NoiseSpec.known(gamma)
-    # source k's pilot, then its edges in partner order
-    jobs = ((t, (k,)) for k in sources
-            for t in (k, *range(k), *range(k + 1, p)))
-    stream = fit_nodewise_jobs(corrected_gram(Z, gamma), gamma, n, jobs, cfg)
+    G = corrected_gram(Z, gamma)
+    # a source's pilot resolves its radius, which its node record prints;
+    # the pilot of a column that is only a partner defers it, as an edge
+    # does, and gives the same beta
+    partners_only = sorted(set(range(p)) - set(sources))
+    pilots = {}
+    for columns, defer in ((sources, False), (partners_only, True)):
+        pilots.update(zip(columns, fit_nodewise_jobs(
+            G, gamma, n, ((t, (t,)) for t in columns), cfg,
+            raise_errors=False, defer_pilots=defer)))
+    pilots = [pilots[t] for t in range(p)]
+    reused = _edges_solved_by_pilots(G, gamma, pilots,
+                                     resolve_config(cfg, n, p - 1))
+
+    def partners(k):
+        return (*range(k), *range(k + 1, p))
+
+    refits = fit_nodewise_jobs(G, gamma, n, (
+        (t, (k,)) for k in sources for t in partners(k) if not reused[t, k]),
+        cfg)
     # column-major like a source's own design Z[:, keep], so the cells'
     # products round closest to that design's
     design = np.asfortranarray(Z)
     for k in sources:
-        yield _table(design[:, k], design, gamma, next(stream).fit,
-                     islice(stream, p - 1), alpha, variance_at)
+        if isinstance(pilots[k], NumericalError):
+            raise pilots[k]
+        directions = ((t, pilots[t].mu if reused[t, k] else next(refits).mu)
+                      for t in partners(k))
+        yield _table(design[:, k], design, gamma, pilots[k].fit, directions,
+                     alpha, variance_at)
 
 
 @dataclass(frozen=True)

@@ -6,6 +6,8 @@ failures (non-finite objectives, singular solves) exit 3, and statistical
 degeneracies (zero score slope, zero variance) exit 4.
 """
 
+import numbers
+
 
 class EivbandsError(Exception):
     """Base of the package's errors; each subclass sets its CLI `exit_code`."""
@@ -37,3 +39,9 @@ class DegeneracyError(EivbandsError, RuntimeError):
     def __reduce__(self):
         # keep the coordinate across pickling (worker processes)
         return (type(self), (self.args[0], self.coordinate))
+
+
+def check_integer(name: str, value) -> None:
+    """Raise InputError unless `value` is an integer; a bool is not one."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise InputError(f"{name} must be an integer (got {value!r})")

@@ -35,12 +35,11 @@ stay in the Gram's columns with the pinned ones exactly 0.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import InputError, NumericalError
+from .errors import InputError, NumericalError, check_integer
 
 # Entries at or below this magnitude count as exactly zero after truncation.
 DEFAULT_TRUNCATION = 1e-7
@@ -172,10 +171,7 @@ class SolverConfig:
             raise InputError("radius must be positive (np.inf allowed)")
         if not (0 < self.tol < math.inf):
             raise InputError("tol must be finite and positive")
-        if isinstance(self.max_iter, bool) or not isinstance(
-                self.max_iter, numbers.Integral):
-            raise InputError(
-                f"max_iter must be an integer (got {self.max_iter!r})")
+        check_integer("max_iter", self.max_iter)
         if self.max_iter < 1:
             raise InputError("max_iter must be at least 1")
         if not (self.truncation >= 0):

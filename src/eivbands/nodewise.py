@@ -18,7 +18,9 @@ every regression of a node graph, pilots included, is a row of one Gram.
 The coefficients never leave G's columns: the fitted direction mu is the
 row's beta, of length p, exactly 0 at j and at every left-out column.
 `fit_nodewise_jobs` streams the jobs of one Gram through stacks cut to
-`STACK_BUDGET_BYTES`.
+`STACK_BUDGET_BYTES`.  `run_inference` makes its targets one stream; a
+node graph (`debias.graph_tables`) streams its p pilots first, then the
+edges that no pilot already solves.
 
 A nodewise row defers its default l1-ball radius behind the one-matvec
 `radius_floor` (see `SolverConfig`), so the eigendecomposition behind
@@ -85,8 +87,9 @@ def fit_nodewise(Z: np.ndarray, noise_var: np.ndarray, j: int,
 
 
 def fit_nodewise_jobs(G: np.ndarray, noise_var: np.ndarray, n: int, jobs,
-                      cfg: SolverConfig = SolverConfig()
-                      ) -> Iterator[NodewiseResult]:
+                      cfg: SolverConfig = SolverConfig(),
+                      raise_errors: bool = True, defer_pilots: bool = False
+                      ) -> Iterator[NodewiseResult | NumericalError]:
     """Yield the nodewise regression of each job on G, in order.
 
     G is ``corrected_gram(Z, noise_var)`` of an n-row design Z.  A job is a
@@ -97,13 +100,15 @@ def fit_nodewise_jobs(G: np.ndarray, noise_var: np.ndarray, n: int, jobs,
     `out`.  With ``j not in out`` that is a nodewise regression, and the
     row defers its default radius; ``j in out`` makes it a pilot on the
     columns outside `out`, with no floor, so even a pilot that never
-    leaves 0 reports its radius.  Every result is in G's columns.
+    leaves 0 reports its radius, unless `defer_pilots` defers a pilot's
+    radius as a nodewise row's.  Every result is in G's columns.
 
     The jobs are pulled as needed and go in stacks of `stack_rows(p)` rows;
     a stack is one `fit_corrected_lasso_stack` call, bit-identical to
     fitting its jobs one at a time.  A job whose solve fails raises its
     error when the iteration reaches it, after every earlier job was
-    yielded; a job naming a column out of range, or a left-out column
+    yielded (with ``raise_errors=False`` that NumericalError is yielded in
+    its place); a job naming a column out of range, or a left-out column
     twice, raises InputError when its stack is formed.
     """
     p = len(G)
@@ -126,11 +131,14 @@ def fit_nodewise_jobs(G: np.ndarray, noise_var: np.ndarray, n: int, jobs,
             row[:] = G[:, j]
             row[list(pins[-1])] = 0.0
             cfgs.append(resolve_config(cfg, n, p - len(out)))
-            floors.append(None if j in out else radius_floor(
-                G, row, np.delete(noise_var, pins[-1])))
+            floors.append(None if j in out and not defer_pilots else
+                          radius_floor(G, row, np.delete(noise_var, pins[-1])))
         fits = fit_corrected_lasso_stack(b, G, cfgs, floors, pins)
         for pin in pins:
             fit = fits.pop(0)  # let each row be freed once it is consumed
             if isinstance(fit, NumericalError):
-                raise fit
-            yield NodewiseResult(j=pin[0], mu=fit.beta, fit=fit)
+                if raise_errors:
+                    raise fit
+                yield fit
+            else:
+                yield NodewiseResult(j=pin[0], mu=fit.beta, fit=fit)

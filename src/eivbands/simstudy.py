@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import math
 import multiprocessing
-import numbers
 import os
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
@@ -37,7 +36,12 @@ from scipy.linalg import cholesky, toeplitz
 from . import rng
 from .bootstrap import simultaneous_bands
 from .debias import VARIANCE_CONVENTIONS, run_inference
-from .errors import DegeneracyError, InputError, NumericalError
+from .errors import (
+    DegeneracyError,
+    InputError,
+    NumericalError,
+    check_integer,
+)
 from .lasso import Dataset, NoiseSpec, SolverConfig
 
 # Study fits favor throughput: statistical error dominates solver error well
@@ -83,10 +87,7 @@ class SimConfig:
         if self.n < 2 or self.p < 2:
             raise InputError("need n >= 2 and p >= 2")
         for name in ("n", "p", "replications", "boot_draws", "seed"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value,
-                                                         numbers.Integral):
-                raise InputError(f"{name} must be an integer (got {value!r})")
+            check_integer(name, getattr(self, name))
         if not 0 <= self.seed < 2 ** 64:
             raise InputError(
                 f"seed must be an unsigned 64-bit integer (got {self.seed})")

@@ -25,6 +25,14 @@ from eivbands.errors import InputError
 from eivbands.lasso import Dataset, NoiseSpec, SolverConfig
 
 
+# a seed of 1.5 would be truncated to 1 and True read as 1; a draws of 2.5
+# would reach NumPy as a bare TypeError
+NOT_INTEGERS = [pytest.param(10, 1.5, "seed", id="seed_1.5"),
+                pytest.param(10, True, "seed", id="seed_True"),
+                pytest.param(2.5, 0, "draws", id="draws_2.5"),
+                pytest.param(True, 0, "draws", id="draws_True")]
+
+
 def unit_scores(n=200, m=1, seed=0):
     # exactly unit empirical variance, exactly zero mean, per column
     gen = np.random.default_rng(seed)
@@ -101,6 +109,15 @@ class TestMultiplierMaxima:
     def test_largest_seed_is_accepted(self):
         md = multiplier_maxima(unit_scores(20, 2), 10, 2 ** 64 - 1)
         assert md.seed == 2 ** 64 - 1
+
+    @pytest.mark.parametrize("draws, seed, name", NOT_INTEGERS)
+    def test_non_integer_draws_or_seed_raises(self, draws, seed, name):
+        with pytest.raises(InputError, match=rf"{name} must be an integer"):
+            multiplier_maxima(unit_scores(20, 2), draws, seed)
+
+    def test_numpy_integers_are_accepted(self):
+        md = multiplier_maxima(unit_scores(20, 2), np.int64(10), np.uint64(3))
+        assert (md.draws, md.seed) == (10, 3)
 
 
 def unblocked_maxima(scores, draws, seed):
@@ -360,6 +377,11 @@ class TestSimultaneousBands:
         with pytest.raises(InputError, match=rf"seed must be an unsigned "
                            rf"64-bit integer \(got {seed}\)"):
             simultaneous_bands(inference_table(), 50, seed)
+
+    @pytest.mark.parametrize("draws, seed, name", NOT_INTEGERS)
+    def test_non_integer_draws_or_seed_raises(self, draws, seed, name):
+        with pytest.raises(InputError, match=rf"{name} must be an integer"):
+            simultaneous_bands(inference_table(), draws, seed)
 
     def test_deterministic(self):
         table = inference_table(seed=4)

@@ -456,11 +456,11 @@ def test_graph_band_is_the_shared_band_across_column_blocks(tmp_path, capsys):
 
 
 def test_graph_stacks_edges_across_sources(tmp_path, capsys, monkeypatch):
-    # the 9 pilots and 72 edge regressions of 9 nodes are rows of the
-    # graph's one Gram and fit in stack_rows(9), so the whole graph makes
-    # one nodewise stacked solve of 81 rows
+    # the 9 pilots of 9 nodes are rows of the graph's one Gram and one
+    # stacked solve; the edge regressions that their pilots leave unsolved
+    # go, across sources, into one more
     path, gamma = write_nodes(tmp_path, n=80, p=9)
-    assert nodewise.stack_rows(9) >= 81
+    assert nodewise.stack_rows(9) >= 72
     rows = []
     original = nodewise.fit_corrected_lasso_stack
 
@@ -472,27 +472,60 @@ def test_graph_stacks_edges_across_sources(tmp_path, capsys, monkeypatch):
                            "--boot", "100", "--format", "records")
     assert code == 0
     assert sum(r["record"] == "edge" for r in parse_records(out)) == 72
-    assert rows == [81]
+    assert rows[0] == 9 and len(rows) == 2 and 0 < rows[1] < 72
 
 
-def test_graph_pilot_failure_exits_3_with_no_output(tmp_path, capsys,
-                                                    monkeypatch):
-    # the pilots are solved in the same stack as the edges; source z3's
-    # failed pilot surfaces in its turn, and the report is written only
-    # after every source, so the command exits 3 with nothing on stdout
-    path, gamma = write_nodes(tmp_path, n=80, p=5)
+def fail_pilot_of(monkeypatch, column):
+    # the pilot of `column` returns a NumericalError in its stack
     original = nodewise.fit_corrected_lasso_stack
 
     def fail_pilot(b, G, cfgs, floors=None, pins=None):
         fits = original(b, G, cfgs, floors, pins)
         return [NumericalError("forced pilot failure")
-                if tuple(pin) == (2,) else fit
+                if tuple(pin) == (column,) else fit
                 for pin, fit in zip(pins, fits)]
     monkeypatch.setattr(nodewise, "fit_corrected_lasso_stack", fail_pilot)
+
+
+def test_graph_pilot_failure_exits_3_with_no_output(tmp_path, capsys,
+                                                    monkeypatch):
+    # every pilot is solved before the first source's table; source z3's
+    # failed pilot surfaces in its turn, and the report is written only
+    # after every source, so the command exits 3 with nothing on stdout
+    path, gamma = write_nodes(tmp_path, n=80, p=5)
+    fail_pilot_of(monkeypatch, 2)
     code, out, err = run_cli(capsys, "graph", "--input", path, "--gamma",
                              gamma, "--boot", "50")
     assert (code, out) == (3, "")
     assert "forced pilot failure" in err
+
+
+@pytest.mark.parametrize("targets, code", [("z1,z4", 0), ("z1,z3", 3)])
+def test_graph_with_targets_fails_only_on_a_source_pilot(
+        tmp_path, capsys, monkeypatch, targets, code):
+    # z3's pilot fails: with z3 only a partner, its edges are refit and
+    # the graph is the one an unpatched run gives up to the solver
+    # tolerance; with z3 a source, the command exits 3 with no output
+    path, gamma = write_nodes(tmp_path, n=80, p=5)
+    argv = ("graph", "--input", path, "--gamma", gamma, "--boot", "50",
+            "--targets", targets, "--format", "records")
+    unpatched, out, _ = run_cli(capsys, *argv)
+    assert unpatched == 0
+    want = parse_records(out)
+    fail_pilot_of(monkeypatch, 2)
+    got, out, err = run_cli(capsys, *argv)
+    assert got == code
+    if code:
+        assert out == "" and "forced pilot failure" in err
+        return
+    records = parse_records(out)
+    assert [r["record"] for r in records] == [r["record"] for r in want]
+    for rec, before in zip(records, want):
+        if rec["record"] == "edge":
+            se = before["sd"] / math.sqrt(80)
+            assert abs(rec["estimate"] - before["estimate"]) <= 1e-6 * se
+        else:
+            assert rec == before
 
 
 def write_zero_column_nodes(tmp_path, gamma_value):

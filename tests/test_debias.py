@@ -306,11 +306,45 @@ def graph_instance():
     return Z, np.full(6, 0.1), [4, 0, 2, 5, 1, 3]
 
 
-# the 6 pilots and 30 edge regressions in one stack each, in stacks of 15
-# rows (the edges of 3 sources), or in stacks of 3 rows that cut sources
+# the 6 pilots in one stack and the refit edges in another, in stacks of
+# 15 rows, or in stacks of 3 rows that cut the pilots and the refits
 GRAPH_BUDGETS = [pytest.param(None, None, id="one_stack"),
                  pytest.param(15 * 8 * 6, 15, id="stacks_of_3"),
                  pytest.param(3 * 8 * 6, 3, id="rows_of_3")]
+
+
+def record_stacks(monkeypatch):
+    # the pins of every row of each stacked solve, through the name
+    # nodewise binds: a pilot pins (t,), a refit edge (t, k)
+    stacks = []
+    original = nodewise.fit_corrected_lasso_stack
+
+    def recorded(b, G, cfgs, floors=None, pins=None):
+        stacks.append([tuple(int(c) for c in row) for row in pins])
+        return original(b, G, cfgs, floors, pins)
+    monkeypatch.setattr(nodewise, "fit_corrected_lasso_stack", recorded)
+    return stacks
+
+
+def refit_edges(stacks):
+    # the edges (t, k) of the recorded stacks
+    return {row for stack in stacks for row in stack if len(row) == 2}
+
+
+def edge_kkt_residual(G, gamma, n, t, k, mu, cfg, inside=False):
+    # KKT residual of edge (t, k) at mu, as the edge's own row computes
+    # it: pinned at t and k, on its default radius unless cfg sets one,
+    # or with inside=True the residual inside the ball, with no weight on
+    # its normal cone
+    b = G[:, t].copy()
+    b[[t, k]] = 0.0
+    pin = np.array([[t, k]])
+    radius = np.inf if inside else \
+        cfg.radius or lasso._free_radius(G, b, pin[0])
+    grad = lasso._matvec(G, mu[None], lasso._pinned(pin)) - b
+    penalty = lasso.resolve_config(cfg, n, len(G) - 1).penalty
+    return lasso._kkt_residual_stack(mu[None], grad, np.array([penalty]),
+                                     np.array([radius]))[0]
 
 
 @pytest.mark.parametrize("budget, rows", GRAPH_BUDGETS)
@@ -342,17 +376,27 @@ def test_graph_tables_equal_rows_solved_alone(monkeypatch, budget, rows):
 
 @pytest.mark.parametrize("budget, rows", GRAPH_BUDGETS)
 def test_graph_tables_equal_per_source_inference(monkeypatch, budget, rows):
-    # every source's table is its own run_inference up to rounding: the
-    # rows of the graph's Gram and the cells of the graph's design sum over
-    # p terms where the source's own sum over p - 1, so estimates, sds and
-    # CIs agree to 1e-9 standard errors and every fit takes the same
-    # iterations; the graph's table is in the columns of the graph's design,
-    # with the pilot and every direction exactly 0 at the source
+    # every source's table is its own run_inference up to the solver
+    # tolerance: the rows of the graph's Gram and the cells of the graph's
+    # design sum over p terms where the source's own sum over p - 1, and an
+    # edge that takes its partner's pilot as its direction is a solution of
+    # its problem to TIGHT's tolerance, not the solver's iterate, so
+    # estimates, sds and CIs agree to 1e-9 standard errors.  Every pilot
+    # takes the same iterations, a refit edge's direction agrees to 1e-12,
+    # and a reused edge's direction is pilot t's beta bit for bit, with the
+    # edge's KKT residual there within tolerance.  The graph's table is in
+    # the columns of the graph's design, with the pilot and every direction
+    # exactly 0 at the source
     if budget is not None:
         monkeypatch.setattr(nodewise, "STACK_BUDGET_BYTES", budget)
         assert nodewise.stack_rows(6) == rows
+    stacks = record_stacks(monkeypatch)
     Z, gamma, sources = graph_instance()
+    G = lasso.corrected_gram(Z, gamma)
     tables = list(graph_tables(Z, gamma, sources, 0.1, TIGHT, "pilot"))
+    refits = refit_edges(stacks)
+    pilot = {k: table.pilot for k, table in zip(sources, tables)}
+    assert 0 < len(refits) < 30
     for j, table in zip(sources, tables, strict=True):
         keep = np.arange(6) != j
         want = run_inference(Dataset(y=Z[:, j], Z=Z[:, keep]),
@@ -374,12 +418,17 @@ def test_graph_tables_equal_per_source_inference(monkeypatch, budget, rows):
                 assert abs(getattr(got, field) - getattr(cell, field)) <= \
                     1e-9 * se, field
             assert got.mu[j] == 0.0
-            npt.assert_allclose(got.mu[keep], cell.mu, rtol=0, atol=1e-12)
+            if (got.j, j) in refits:
+                npt.assert_allclose(got.mu[keep], cell.mu, rtol=0, atol=1e-12)
+            else:
+                assert got.mu.tobytes() == pilot[got.j].beta.tobytes()
+                assert edge_kkt_residual(G, gamma, 50, got.j, j, got.mu,
+                                         TIGHT) <= TIGHT.tol
 
 
 def test_graph_errors_keep_source_order(monkeypatch):
-    # a source's pilot is the job right before its edges in the graph's one
-    # stream, so a pilot that fails raises only after every earlier
+    # every pilot is solved before the first table, but a source's failed
+    # pilot raises only when its table is due, after every earlier
     # source's table was yielded
     Z, gamma, sources = graph_instance()
     original = lasso.fit_corrected_lasso_stack
@@ -396,6 +445,177 @@ def test_graph_errors_keep_source_order(monkeypatch):
         [partners(6, k) for k in sources[:2]]
     with pytest.raises(NumericalError, match="forced pilot failure"):
         next(tables)
+
+
+def test_failed_partner_pilot_refits_its_edges(monkeypatch):
+    # column 2's pilot fails, but 2 is no source: its edges are refit, the
+    # graph succeeds, and only those edges differ from the graph whose
+    # pilot 2 solved
+    Z, gamma, _ = graph_instance()
+    sources = [4, 0, 5]
+    want = list(graph_tables(Z, gamma, sources, 0.1, TIGHT))
+    original = lasso.fit_corrected_lasso_stack
+
+    def fail_pilot(b, G, cfgs, floors=None, pins=None):
+        fits = original(b, G, cfgs, floors, pins)
+        return [NumericalError("forced pilot failure")
+                if tuple(pin) == (2,) else fit
+                for pin, fit in zip(pins, fits)]
+    monkeypatch.setattr(nodewise, "fit_corrected_lasso_stack", fail_pilot)
+    stacks = record_stacks(monkeypatch)
+    tables = list(graph_tables(Z, gamma, sources, 0.1, TIGHT))
+    assert {(2, k) for k in sources} <= refit_edges(stacks)
+    for table, before in zip(tables, want, strict=True):
+        assert table.pilot.beta.tobytes() == before.pilot.beta.tobytes()
+        for got, cell in zip(table.cells, before.cells, strict=True):
+            se = cell.sd / np.sqrt(table.n)
+            assert abs(got.estimate - cell.estimate) <= 1e-9 * se
+            if got.j != 2:
+                assert got.mu.tobytes() == cell.mu.tobytes()
+
+
+def test_graph_over_some_sources_gives_their_full_graph_tables(monkeypatch):
+    # a source's table does not depend on which other columns are sources:
+    # the pilot of a column that is only a partner defers its radius and
+    # gives the same beta, so the same edges take it; only the sources'
+    # pilots resolve their radius, one eigendecomposition each
+    Z, gamma, _ = graph_instance()
+    full = list(graph_tables(Z, gamma, range(6), 0.1, TIGHT))
+    calls = []
+    original = lasso.default_radius
+
+    def counted(G, b):
+        calls.append(len(G))
+        return original(G, b)
+    monkeypatch.setattr(lasso, "default_radius", counted)
+    some = list(graph_tables(Z, gamma, [4, 1], 0.1, TIGHT))
+    assert calls == [5, 5]
+    for k, table in zip([4, 1], some, strict=True):
+        want = full[k]
+        for field in ("beta", "objective_trace"):
+            assert getattr(table.pilot, field).tobytes() == \
+                getattr(want.pilot, field).tobytes()
+        assert (table.pilot.radius, table.pilot.kkt_residual) == \
+            (want.pilot.radius, want.pilot.kkt_residual)
+        for got, cell in zip(table.cells, want.cells, strict=True):
+            assert (got.j, got.estimate, got.sd) == (cell.j, cell.estimate,
+                                                     cell.sd)
+            assert got.mu.tobytes() == cell.mu.tobytes()
+
+
+def reuse_oracle(G, gamma, n, pilots, cfg):
+    # edge by edge: pilot t's beta solves edge (t, k) when it is 0 at k,
+    # strictly inside the edge's ball by the edge's own radius_floor (or
+    # the explicit radius), and the edge's KKT residual inside the ball is
+    # within tolerance there
+    p = len(G)
+    reused = set()
+    for t, beta in pilots.items():
+        for k in range(p):
+            if k == t or beta[k] != 0.0:
+                continue
+            b = G[:, t].copy()
+            b[[t, k]] = 0.0
+            radius = cfg.radius or lasso.radius_floor(
+                G, b, np.delete(gamma, [t, k]))
+            if np.abs(beta).sum() < radius and edge_kkt_residual(
+                    G, gamma, n, t, k, beta, cfg, inside=True) <= cfg.tol:
+                reused.add((t, k))
+    return reused
+
+
+def ar_nodes(n, p, seed=7):
+    rng = np.random.default_rng(seed)
+    x = np.empty((n, p))
+    x[:, 0] = rng.normal(size=n)
+    for k in range(1, p):
+        x[:, k] = 0.5 * x[:, k - 1] + np.sqrt(0.75) * rng.normal(size=n)
+    return x + 0.5 * rng.normal(size=(n, p)), np.full(p, 0.25)
+
+
+@pytest.mark.parametrize("cfg", [
+    pytest.param(SolverConfig(), id="default"),
+    pytest.param(SolverConfig(max_iter=7), id="capped"),
+    pytest.param(SolverConfig(radius=0.05), id="small_radius"),
+])
+def test_graph_refits_the_edges_its_pilots_do_not_solve(monkeypatch, cfg):
+    # a p = 9 graph refits exactly the edges the rule, checked edge by
+    # edge, leaves to a refit: every edge whose pilot is nonzero at the
+    # source, sits on or over the edge's ball or stopped unconverged, and
+    # no other; a reused edge's pilot lies strictly inside the edge's
+    # default ball.  At 7 iterations some pilot stops unconverged, and at
+    # radius 0.05 some pilot ends on its ball
+    Z, gamma = ar_nodes(120, 9)
+    G = lasso.corrected_gram(Z, gamma)
+    stacks = record_stacks(monkeypatch)
+    tables = list(graph_tables(Z, gamma, range(9), cfg=cfg))
+    assert stacks[0] == [(t,) for t in range(9)]
+    refits = refit_edges(stacks)
+    assert sum(map(len, stacks[1:])) == len(refits)
+    pilots = {k: table.pilot.beta for k, table in enumerate(tables)}
+    reused = reuse_oracle(G, gamma, 120, pilots, cfg)
+    edges = {(t, k) for k in range(9) for t in range(9) if t != k}
+    assert refits == edges - reused
+    for t, k in edges:
+        if pilots[t][k] != 0.0:
+            assert (t, k) in refits
+        if cfg.radius is not None and np.abs(pilots[t]).sum() >= cfg.radius:
+            assert (t, k) in refits
+        if not tables[t].pilot.converged:
+            assert (t, k) in refits
+    for t, k in reused:
+        b = G[:, t].copy()
+        b[[t, k]] = 0.0
+        if cfg.radius is None:
+            assert np.abs(pilots[t]).sum() < lasso._free_radius(G, b, [t, k])
+    if cfg.max_iter == 7:
+        assert not all(table.pilot.converged for table in tables)
+    elif cfg.radius is not None:
+        assert any(np.abs(beta).sum() >= 0.05 * (1 - 1e-9)
+                   for beta in pilots.values())
+    else:
+        assert 0 < len(refits) < len(edges) // 2
+
+
+def test_an_edge_drops_its_source_from_the_pilot_residual():
+    # pilot 0 left at 0 where only column k's gradient exceeds the
+    # penalty: 0 is a stationary point of edge (0, k), whose problem drops
+    # k, and of no other edge of 0; failed pilots solve no edge
+    Z, gamma = ar_nodes(120, 9)
+    G = lasso.corrected_gram(Z, gamma)
+    a = np.abs(G[1:, 0])
+    k = 1 + int(np.argmax(a))
+    second, first = np.sort(a)[-2:]
+    cfg = SolverConfig(penalty=(first + second) / 2)
+    pilots = [nodewise.NodewiseResult(j=0, mu=np.zeros(9), fit=None),
+              *[NumericalError("failed pilot")] * 8]
+    reused = debias._edges_solved_by_pilots(G, gamma, pilots, cfg)
+    assert np.flatnonzero(reused.ravel()).tolist() == [k]
+    assert reuse_oracle(G, gamma, 120, {0: np.zeros(9)}, cfg) == {(0, k)}
+
+
+def test_edge_floors_bound_the_edge_radius():
+    # the rank-one floors of every edge of a p = 12 graph are certified:
+    # below radius_floor of the edge's own b and noise variances, and below
+    # the edge's default radius; with c from every noise variance they are
+    # radius_floor to 1e-9
+    Z, gamma = ar_nodes(60, 12, seed=3)
+    gamma = np.linspace(0.1, 0.4, 12)
+    G = lasso.corrected_gram(Z, gamma)
+    b = G.copy()
+    np.fill_diagonal(b, 0.0)
+    floors = debias._edge_radius_floors(G, gamma, b)
+    for t in range(12):
+        for k in range(12):
+            if k == t:
+                continue
+            row = b[t].copy()
+            row[k] = 0.0
+            want = lasso.radius_floor(G, row, np.delete(gamma, [t, k]))
+            assert floors[t, k] <= want
+            assert floors[t, k] >= lasso.radius_floor(G, row, gamma) * \
+                (1 - 1e-9)
+            assert floors[t, k] < lasso._free_radius(G, row, [t, k])
 
 
 def test_graph_rejects_duplicate_sources():
@@ -422,20 +642,16 @@ def test_graph_pilot_that_never_moves_reports_its_block_radius():
 
 
 def test_bench_size_graph_is_one_stack(monkeypatch):
-    # at p = 30 the 30 pilots and 870 edges of a graph are one stacked
-    # solve of 900 rows
-    rows = []
-    original = nodewise.fit_corrected_lasso_stack
-
-    def counted(b, *args, **kwargs):
-        rows.append(len(b))
-        return original(b, *args, **kwargs)
-    monkeypatch.setattr(nodewise, "fit_corrected_lasso_stack", counted)
+    # at p = 30 the 30 pilots of a graph are one stacked solve, and the
+    # edges their pilots leave unsolved are one more
+    stacks = record_stacks(monkeypatch)
     rng = np.random.default_rng(7)
     Z = rng.normal(size=(400, 30))
     Z[:, 1:] += 0.5 * Z[:, :-1]
     tables = list(graph_tables(Z, np.full(30, 0.25), range(30)))
-    assert rows == [900]
+    assert [len(stack) for stack in stacks] == [30, len(stacks[1])]
+    assert stacks[0] == [(t,) for t in range(30)]
+    assert 0 < len(stacks[1]) < 870 <= nodewise.stack_rows(30)
     assert sum(len(t.cells) for t in tables) == 870
 
 
@@ -511,5 +727,6 @@ def test_no_stack_outgrows_the_row_budget(monkeypatch):
     assert stacks == [1, 3, 2]  # the pilot, then the nodewise rows
     stacks.clear()
     list(graph_tables(data.Z, np.full(5, 0.1), range(5), cfg=TIGHT))
-    assert stacks == [3] * 8 + [1]  # each source's pilot, then its 4 edges
-    assert max(arrays) == 3
+    # the 5 pilots, then the refit edges
+    assert stacks[:2] == [3, 2] and len(stacks) > 2
+    assert max(stacks) == 3 and max(arrays) == 3

@@ -194,6 +194,27 @@ def test_stack_raises_at_the_failing_target(monkeypatch):
     assert stacks == [1, 1]
 
 
+def test_stack_can_yield_a_failure_in_place():
+    # the same stream with raise_errors=False yields target 0's and 1's
+    # errors where their results would be, and goes on past them
+    rng = np.random.default_rng(5)
+    Z = rng.normal(size=(60, 5))
+    noise_var = np.array([0.0, 0.0, 0.0, 0.0, 5.0])
+    cfg = SolverConfig(radius=np.inf, penalty_scale=0.01)
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(NumericalError) as single:
+            fit_nodewise(Z, noise_var, 0, cfg)
+        results = list(fit_nodewise_jobs(*design_gram(Z, noise_var),
+                                         [0, 4, 1, 4], cfg,
+                                         raise_errors=False))
+        want = fit_nodewise(Z, noise_var, 4, cfg)
+    assert [type(r) for r in results] == [NumericalError, NodewiseResult,
+                                          NumericalError, NodewiseResult]
+    assert str(results[0]) == str(single.value)
+    assert_same_direction(results[1], want)
+    assert_same_direction(results[3], want)
+
+
 def count_stacks(monkeypatch):
     # rows of each stacked solve, through the name nodewise binds
     rows = []
@@ -291,6 +312,33 @@ def test_pilot_job_regresses_the_target_on_the_rest(scale):
         assert got.fit.radius == default_radius(G[np.ix_(free, free)],
                                                 b[free])
         assert (got.fit.iterations == 0) == (scale == 50.0)
+
+
+@pytest.mark.parametrize("scale", [1.0, 0.2, 50.0])
+def test_deferred_pilot_job_gives_the_eager_fit(scale):
+    # with defer_pilots a pilot job takes its floor as a nodewise row does:
+    # the same fit in every field but the radius, which is the eager one
+    # once a candidate crossed the floor and inf otherwise
+    rng = np.random.default_rng(19)
+    n, p = 60, 9
+    Z = rng.normal(size=(n, p))
+    Z[:, 1:] += 0.6 * Z[:, :-1]
+    noise_var = np.full(p, 0.2)
+    G = corrected_gram(Z, noise_var)
+    cfg = SolverConfig(penalty_scale=scale)
+    jobs = [(3, (3,)), (3, (6, 3)), (0, (0,))]
+    eager = list(fit_nodewise_jobs(G, noise_var, n, jobs, cfg))
+    deferred = list(fit_nodewise_jobs(G, noise_var, n, jobs, cfg,
+                                      defer_pilots=True))
+    for got, want in zip(deferred, eager, strict=True):
+        for field in ("beta", "objective_trace"):
+            assert getattr(got.fit, field).tobytes() == \
+                getattr(want.fit, field).tobytes()
+        for field in ("iterations", "converged", "objective", "kkt_residual"):
+            assert getattr(got.fit, field) == getattr(want.fit, field)
+        assert got.fit.radius in (want.fit.radius, np.inf)
+    # at a fifth of the penalty some pilot's candidates cross its floor
+    assert any(got.fit.radius < np.inf for got in deferred) == (scale == 0.2)
 
 
 def test_wide_design_with_many_targets_splits_into_stacks(monkeypatch):

@@ -22,6 +22,26 @@ The plug-in variance is slope_j^{-2} mean_i psi_i(center)^2, with the center
 at the debiased estimate by default ("debiased" convention; standardized
 scores then have empirical variance exactly 1) or at the pilot estimate
 ("pilot" convention).
+
+A table's m cells are one batch over (m, n) row arrays: the products Z mu
+and Z beta are one stacked matmul, a gemv per row and never a gemm; every
+dot is a ddot per row pair; the slopes, roots, scores and variances are row
+operations; and the quantile is one `ndtri` per table.  Rows whose target
+the pilot leaves at 0 share one y - Z beta.  The public `score_slope`,
+`score_values` and `debias_coordinate` are one-row calls of the same batch.
+Every cell equals the one-cell formulas bit for bit as long as two
+conditions hold:
+
+  * the slope's dot reads z_j with its own stride in Z.  On a C-ordered Z
+    that stride is p, and a unit-stride copy of z_j (which `Z[:, js]`
+    gives) makes a ddot that rounds differently;
+  * each slope is squared as a Python float, by libm's pow.  NumPy's
+    square is x * x, and the two differ in the last bit for some slopes.
+
+In `graph_tables` the residual z_t - Z beta_t of every pilot t is formed
+once, as one (p, n) array: it is the direction residual of every edge that
+reuses pilot t, and source t's y-residual at every partner that pilot t
+leaves at 0.
 """
 
 from __future__ import annotations
@@ -34,7 +54,7 @@ import numpy as np
 from scipy.special import ndtri
 
 from . import mar as mar_mod
-from .errors import DegeneracyError, InputError, NumericalError
+from .errors import DegeneracyError, EivbandsError, InputError, NumericalError
 from .lasso import (
     Dataset,
     FitResult,
@@ -59,6 +79,7 @@ class DebiasCell:
     `scores` holds the standardized per-observation scores
     -psi_i(estimate) / (sd * slope); they have mean 0 to roundoff, and
     empirical variance exactly 1 under the "debiased" variance convention.
+    They are a row of the one (m, n) score array of the cell's table.
     `mu` is the nodewise direction used (full length p, mu[j] = 0).
     """
 
@@ -93,72 +114,159 @@ class DebiasTable:
         return np.column_stack([c.scores for c in self.cells])
 
 
-class _Score:
-    """The theta-free terms of the column-j score, validated and formed once.
+def _row_dots(A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """Entry i is A[i] @ B[i]: one ddot per row pair, with each row's own
+    stride, as the 1-d product of the two rows makes it."""
+    return np.matmul(A[:, None, :], B[:, :, None])[:, 0, 0]
 
-    `resid_dir` is z_j - Z mu and `slope` the debias denominator.  Given y
-    and the pilot, `resid_out` is y - Z beta and `const` is
-    mu'(noise_var * beta), with beta the pilot whose j-th entry is zeroed.
+
+def _residuals(lhs: np.ndarray, Z: np.ndarray,
+               coefs: np.ndarray) -> np.ndarray:
+    """Row i is lhs[i] - Z @ coefs[i]: one gemv per row, never a gemm, so
+    each row is the product of its own 1-d call bit for bit."""
+    out = np.matmul(Z, coefs[:, :, None])[:, :, 0]
+    return np.subtract(lhs, out, out=out)
+
+
+def _column_dots(R: np.ndarray, Z: np.ndarray, js: np.ndarray) -> np.ndarray:
+    """Entry i is R[i] @ Z[:, js[i]], with z_j read at its own stride in Z:
+    on a C-ordered Z a unit-stride copy of z_j rounds the dot differently.
+    The rows of R go to a span of zero rows, one per column of Z from the
+    first target to the last, so that row i meets z_j's own view."""
+    lo = int(js.min())
+    span = np.zeros((int(js.max()) + 1 - lo, R.shape[1]))
+    span[js - lo] = R
+    return _row_dots(span, Z.T[lo:lo + len(span)])[js - lo]
+
+
+class _Scores:
+    """The theta-free terms of m target scores, one row each, formed at once.
+
+    Row i is target column js[i] along direction M[i]: `resid_dir` is
+    z_j - Z mu and `slopes` the debias denominators.  Given y and the pilot,
+    `resid_out` is y - Z beta and `consts` is mu'(noise_var * beta), with
+    beta the pilot whose j-th entry is zeroed.  `dirs`, if given, holds a
+    row's resid_dir where it is already known and None where it is not;
+    every row whose target the pilot leaves at 0 shares one resid_out,
+    y - Z pilot_beta, which `out0` gives if it is already known.
     """
 
-    def __init__(self, Z, noise_var, mu, j, y=None, pilot_beta=None):
-        Z = np.asarray(Z, dtype=np.float64)
-        noise_var = np.asarray(noise_var, dtype=np.float64)
-        mu = np.asarray(mu, dtype=np.float64)
-        if Z.ndim != 2:
-            raise InputError("Z must be a matrix")
-        n, p = Z.shape
-        if noise_var.shape != (p,):
-            raise InputError(f"noise_var has shape {noise_var.shape}, expected ({p},)")
-        if mu.shape != (p,):
-            raise InputError(f"mu has shape {mu.shape}, expected ({p},)")
-        if not 0 <= j < p:
-            raise InputError(f"target column {j} out of range for p={p}")
-        self.j = j
-        self.z_j = Z[:, j]
-        self.noise_var_j = noise_var[j]
-        self.resid_dir = self.z_j - Z @ mu
-        self.slope = float(self.resid_dir @ self.z_j / n - noise_var[j])
+    def __init__(self, Z, noise_var, js, M, dirs=None, y=None,
+                 pilot_beta=None, out0=None):
+        n = Z.shape[0]
+        m = len(js)
+        self.Z = Z
+        self.js = js = np.asarray(js, dtype=np.intp)
+        self.noise_var_j = noise_var[js]
+        if dirs is None:
+            self.resid_dir = _residuals(Z.T[js], Z, M)
+        else:
+            self.resid_dir = np.empty((m, n))
+            for i, known in enumerate(dirs):
+                if known is not None:
+                    self.resid_dir[i] = known
+            fresh = [i for i, known in enumerate(dirs) if known is None]
+            if fresh:
+                self.resid_dir[fresh] = _residuals(Z.T[js[fresh]], Z,
+                                                   M[fresh])
+        self.slopes = _column_dots(self.resid_dir, Z, js) / n - \
+            self.noise_var_j
         if y is None:
             return
+        beta = np.repeat(pilot_beta[None], m, axis=0)
+        beta[np.arange(m), js] = 0.0
+        own = pilot_beta[js] != 0.0
+        self.resid_out = np.empty((m, n))
+        if not own.all():
+            if out0 is None:
+                out0 = y - Z @ pilot_beta
+            self.resid_out[~own] = out0
+        if own.any():
+            self.resid_out[own] = _residuals(y, Z, beta[own])
+        self.consts = _row_dots(M, noise_var * beta)
+
+    def roots(self) -> np.ndarray:
+        dots = _row_dots(self.resid_dir, self.resid_out)
+        return (dots / self.Z.shape[0] - self.consts) / self.slopes
+
+    def values(self, thetas: np.ndarray) -> np.ndarray:
+        """Row i holds psi(thetas[i]) of row i's score."""
+        thetas = thetas[:, None]
+        # in place in a gathered copy of the z_j, so only the result is
+        # allocated
+        out = self.Z.T[self.js]
+        out *= thetas
+        np.subtract(self.resid_out, out, out=out)
+        out *= self.resid_dir
+        out += self.noise_var_j[:, None] * thetas
+        out -= self.consts[:, None]
+        return out
+
+
+def _check_slope(slope: float, j: int) -> None:
+    if abs(slope) < DEGENERACY_TOL:
+        raise DegeneracyError(
+            f"score slope {slope:.3e} is numerically zero for column {j}",
+            coordinate=j)
+
+
+def _check_variance(var: float, coordinate: int | None) -> None:
+    if not math.isfinite(var):
+        raise NumericalError("non-finite plug-in variance")
+    if var == 0.0:
+        where = "" if coordinate is None else f" for column {coordinate}"
+        raise DegeneracyError(f"plug-in variance is exactly zero{where}",
+                              coordinate=coordinate)
+
+
+def _variances(centred: np.ndarray, slopes: np.ndarray) -> np.ndarray:
+    """Row i's slopes[i]^{-2} mean(centred[i]^2).  Each slope is squared as
+    a Python float, by libm's pow: NumPy's square is x * x, and the two can
+    differ in the last bit."""
+    squares = np.array([s ** 2 for s in slopes.tolist()])
+    return np.mean(centred ** 2, axis=1) / squares
+
+
+def _one_row(Z, noise_var, mu, j, y=None, pilot_beta=None) -> _Scores:
+    Z = np.asarray(Z, dtype=np.float64)
+    noise_var = np.asarray(noise_var, dtype=np.float64)
+    mu = np.asarray(mu, dtype=np.float64)
+    if Z.ndim != 2:
+        raise InputError("Z must be a matrix")
+    n, p = Z.shape
+    if noise_var.shape != (p,):
+        raise InputError(f"noise_var has shape {noise_var.shape}, expected ({p},)")
+    if mu.shape != (p,):
+        raise InputError(f"mu has shape {mu.shape}, expected ({p},)")
+    if not 0 <= j < p:
+        raise InputError(f"target column {j} out of range for p={p}")
+    if y is not None:
         y = np.asarray(y, dtype=np.float64)
-        beta = np.array(pilot_beta, dtype=np.float64)
+        pilot_beta = np.asarray(pilot_beta, dtype=np.float64)
         if y.shape != (n,):
             raise InputError("y and Z have mismatched shapes")
-        if beta.shape != (p,):
+        if pilot_beta.shape != (p,):
             raise InputError("pilot_beta length must match the column count of Z")
-        beta[j] = 0.0
-        self.resid_out = y - Z @ beta
-        self.const = float(mu @ (noise_var * beta))
-
-    def root(self) -> float:
-        if abs(self.slope) < DEGENERACY_TOL:
-            raise DegeneracyError(
-                f"score slope {self.slope:.3e} is numerically zero for "
-                f"column {self.j}", coordinate=self.j)
-        n = self.z_j.shape[0]
-        num = float(self.resid_dir @ self.resid_out) / n - self.const
-        return num / self.slope
-
-    def values(self, theta) -> np.ndarray:
-        return (self.resid_dir * (self.resid_out - theta * self.z_j)
-                + self.noise_var_j * theta - self.const)
+    return _Scores(Z, noise_var, [j], mu[None], y=y, pilot_beta=pilot_beta)
 
 
 def score_slope(Z: np.ndarray, noise_var: np.ndarray, mu: np.ndarray,
                 j: int) -> float:
     """Negative derivative of the mean score in theta (the debias denominator)."""
-    return _Score(Z, noise_var, mu, j).slope
+    return float(_one_row(Z, noise_var, mu, j).slopes[0])
 
 
 def score_values(y, Z, noise_var, pilot_beta, mu, j, theta) -> np.ndarray:
     """Per-observation scores psi_i(theta) for target column j."""
-    return _Score(Z, noise_var, mu, j, y, pilot_beta).values(theta)
+    score = _one_row(Z, noise_var, mu, j, y, pilot_beta)
+    return score.values(np.array([theta], dtype=np.float64))[0]
 
 
 def debias_coordinate(y, Z, noise_var, pilot_beta, mu, j) -> float:
     """Exact root of the mean orthogonalized score for column j."""
-    return _Score(Z, noise_var, mu, j, y, pilot_beta).root()
+    score = _one_row(Z, noise_var, mu, j, y, pilot_beta)
+    _check_slope(float(score.slopes[0]), j)
+    return float(score.roots()[0])
 
 
 def plugin_variance(raw_scores: np.ndarray, slope: float,
@@ -170,60 +278,96 @@ def plugin_variance(raw_scores: np.ndarray, slope: float,
     raw_scores = np.asarray(raw_scores, dtype=np.float64)
     if raw_scores.ndim != 1 or raw_scores.size == 0:
         raise InputError("raw_scores must be a nonempty vector")
-    var = float(np.mean(raw_scores ** 2)) / slope ** 2
-    if not math.isfinite(var):
-        raise NumericalError("non-finite plug-in variance")
-    if var == 0.0:
-        where = "" if coordinate is None else f" for column {coordinate}"
-        raise DegeneracyError(f"plug-in variance is exactly zero{where}",
-                              coordinate=coordinate)
+    with np.errstate(all="ignore"):
+        var = float(_variances(raw_scores[None],
+                               np.array([slope], dtype=np.float64))[0])
+    _check_variance(var, coordinate)
     return var
+
+
+def _quantile(alpha: float) -> float:
+    """The normal quantile q_{1-alpha/2}, finite for every alpha accepted."""
+    if not 0.0 < alpha < 1.0:
+        raise InputError(f"alpha must lie strictly between 0 and 1, got {alpha}")
+    if 1.0 - alpha / 2.0 == 1.0:
+        raise InputError(f"alpha {alpha} is too small: 1 - alpha/2 rounds to "
+                         "1, where the normal quantile is infinite")
+    return float(ndtri(1.0 - alpha / 2.0))
 
 
 def pointwise_ci(estimate: float, sd: float, n: int,
                  alpha: float) -> tuple[float, float]:
     """Normal interval estimate -+ q_{1-alpha/2} * sd / sqrt(n)."""
-    if not 0.0 < alpha < 1.0:
-        raise InputError(f"alpha must lie strictly between 0 and 1, got {alpha}")
+    q = _quantile(alpha)
     if not sd > 0:
         raise InputError("sd must be positive")
     if n < 1:
         raise InputError("n must be at least 1")
-    half = float(ndtri(1.0 - alpha / 2.0)) * sd / math.sqrt(n)
+    half = q * sd / math.sqrt(n)
     return estimate - half, estimate + half
 
 
-def _target_cell(y, Z, noise_var, pilot_beta, j, mu, alpha,
-                 variance_at) -> DebiasCell:
-    score = _Score(Z, noise_var, mu, j, y, pilot_beta)
-    theta = score.root()
-    raw = score.values(theta)
-    if variance_at == "debiased":
-        centred = raw
-    else:
-        centred = score.values(float(pilot_beta[j]))
-    sd = math.sqrt(plugin_variance(centred, score.slope, coordinate=j))
-    scores = -raw / (sd * score.slope)
-    lo, hi = pointwise_ci(theta, sd, Z.shape[0], alpha)
-    return DebiasCell(j=j, estimate=theta, slope=score.slope, sd=sd,
-                      ci_low=lo, ci_high=hi, scores=scores, mu=mu)
-
-
 def _check_settings(alpha: float, variance_at: str) -> None:
-    if not 0.0 < alpha < 1.0:
-        raise InputError(f"alpha must lie strictly between 0 and 1, got {alpha}")
+    _quantile(alpha)
     if variance_at not in VARIANCE_CONVENTIONS:
         raise InputError(f"variance_at must be one of {VARIANCE_CONVENTIONS}")
 
 
+def _cells(y, design, noise_var, pilot_beta, directions, q, variance_at,
+           resid_out=None) -> tuple[DebiasCell, ...]:
+    """The cells of the directions (j, mu, resid_dir), in one batch; a
+    degenerate cell raises in direction order."""
+    if not directions:
+        return ()
+    js, mus, dirs = zip(*directions)
+    n = y.shape[0]
+    # a degenerate row divides by 0 here; it raises below, in its turn
+    with np.errstate(all="ignore"):
+        score = _Scores(design, noise_var, js, np.array(mus), dirs, y,
+                        pilot_beta, resid_out)
+        slopes = score.slopes
+        thetas = score.roots()
+        raw = score.values(thetas)
+        centred = raw if variance_at == "debiased" else \
+            score.values(pilot_beta[score.js])
+        # the score's (m, n) terms are freed before the variance's square
+        del score
+        var = _variances(centred, slopes)
+        sd = np.sqrt(var)
+        # the scores -raw / (sd * slope), formed in raw's place
+        scores = np.negative(raw, out=raw)
+        scores /= (sd * slopes)[:, None]
+        half = q * sd / math.sqrt(n)
+    for j, slope, v in zip(js, slopes.tolist(), var.tolist()):
+        _check_slope(slope, j)
+        _check_variance(v, j)
+    return tuple(
+        DebiasCell(j=j, estimate=theta, slope=slope, sd=s, ci_low=lo,
+                   ci_high=hi, scores=row, mu=mu)
+        for j, theta, slope, s, lo, hi, row, mu in zip(
+            js, thetas.tolist(), slopes.tolist(), sd.tolist(),
+            (thetas - half).tolist(), (thetas + half).tolist(), scores, mus))
+
+
 def _table(y, design, noise_var, pilot, directions, alpha, variance_at,
-           noise_kind="known", mar=None) -> DebiasTable:
-    """One cell per nodewise direction (j, mu) of the regression of y on
-    the design, in order."""
-    cells = tuple(
-        _target_cell(y, design, noise_var, pilot.beta, j, mu, alpha,
-                     variance_at)
-        for j, mu in directions)
+           noise_kind="known", mar=None, resid_out=None) -> DebiasTable:
+    """One cell per direction (j, mu, resid_dir) of the regression of y on
+    the design, in order, formed in one batch; resid_dir is z_j - Z mu
+    where already known, else None, and `resid_out`, if given, is
+    y - Z pilot.beta.  The directions are pulled first: an error in
+    pulling one raises after the cells pulled before it are formed, so an
+    earlier degenerate cell raises first."""
+    q = _quantile(alpha)
+    pulled = []
+    try:
+        for direction in directions:
+            pulled.append(direction)
+    except EivbandsError:
+        _cells(y, design, noise_var, pilot.beta, pulled, q, variance_at,
+               resid_out)
+        raise
+    cells = _cells(y, design, noise_var, pilot.beta, pulled, q, variance_at,
+                   resid_out)
     return DebiasTable(cells=cells, alpha=alpha, n=y.shape[0],
                        noise_kind=noise_kind, noise_var=noise_var,
                        pilot=pilot, variance_at=variance_at, mar=mar)
@@ -271,8 +415,8 @@ def run_inference(data: Dataset, noise: NoiseSpec, targets,
     directions = fit_nodewise_jobs(prepared.gram, prepared.noise_var, data.n,
                                    targets, cfg)
     return _table(data.y, prepared.design, prepared.noise_var, prepared.fit,
-                  ((nw.j, nw.mu) for nw in directions), alpha, variance_at,
-                  noise.kind, prepared.mar)
+                  ((nw.j, nw.mu, None) for nw in directions), alpha,
+                  variance_at, noise.kind, prepared.mar)
 
 
 def _edges_solved_by_pilots(G: np.ndarray, gamma: np.ndarray, pilots,
@@ -305,10 +449,8 @@ def _edges_solved_by_pilots(G: np.ndarray, gamma: np.ndarray, pilots,
     update's rounding, so the denominator is an upper bound.  What rounding
     is left is relative of order p eps, inside the 1e-6 shrink.
     """
-    p = len(G)
     failed = np.array([isinstance(nw, NumericalError) for nw in pilots])
-    B = np.array([np.zeros(p) if bad else nw.mu
-                  for nw, bad in zip(pilots, failed)])
+    B = _pilot_betas(pilots)
     # row t is pilot t's b: G[:, t] with entry t read as 0 (G is symmetric)
     b = G.copy()
     np.fill_diagonal(b, 0.0)
@@ -323,6 +465,13 @@ def _edges_solved_by_pilots(G: np.ndarray, gamma: np.ndarray, pilots,
         inside = (l1 < cfg.radius)[:, None]
     return ~failed[:, None] & (B == 0.0) & inside & \
         (_max_but_one(resid) <= cfg.tol)
+
+
+def _pilot_betas(pilots) -> np.ndarray:
+    """Row t is pilot t's beta, or 0 where pilot t failed."""
+    p = len(pilots)
+    return np.array([np.zeros(p) if isinstance(nw, NumericalError) else nw.mu
+                     for nw in pilots])
 
 
 def _max_but_one(A: np.ndarray) -> np.ndarray:
@@ -380,6 +529,9 @@ def graph_tables(Z: np.ndarray, gamma: np.ndarray, sources,
     and the node rows differ from `run_inference` only by rounding, as the
     cells' sums run over the p columns of Z; a reused edge is a solution of
     its problem to the solver tolerance, not the solver's own iterate.
+    Each pilot's residual z_t - Z beta_t is formed once for the whole
+    graph; only a refit edge, and a partner inside its source's pilot
+    support, forms a residual of its own.
 
     Errors surface in source order: source k's failed pilot raises when
     its table is due, after every earlier table, and a refit's or a cell's
@@ -428,13 +580,17 @@ def graph_tables(Z: np.ndarray, gamma: np.ndarray, sources,
     # column-major like a source's own design Z[:, keep], so the cells'
     # products round closest to that design's
     design = np.asfortranarray(Z)
+    # row t is z_t - Z beta_t for pilot t, formed once: the resid_dir of
+    # every edge that takes pilot t, and source t's resid_out at every
+    # partner its pilot leaves at 0
+    nodes = _residuals(design.T, design, _pilot_betas(pilots))
     for k in sources:
         if isinstance(pilots[k], NumericalError):
             raise pilots[k]
-        directions = ((t, pilots[t].mu if reused[t, k] else next(refits).mu)
-                      for t in partners(k))
+        directions = ((t, pilots[t].mu, nodes[t]) if reused[t, k]
+                      else (t, next(refits).mu, None) for t in partners(k))
         yield _table(design[:, k], design, gamma, pilots[k].fit, directions,
-                     alpha, variance_at)
+                     alpha, variance_at, resid_out=nodes[k])
 
 
 @dataclass(frozen=True)

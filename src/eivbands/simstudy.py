@@ -149,9 +149,11 @@ def _toeplitz_cholesky(p: int, rho: float) -> np.ndarray:
 def generate(cfg: SimConfig, rep: int) -> Dataset:
     """Dataset for replication `rep`, a pure function of (cfg.seed, rep).
 
-    The stream is consumed in a fixed order (x, xi, w, missingness uniforms)
+    The stream is laid out in a fixed order (x, xi, w, missingness uniforms)
     regardless of mode, so e.g. known-noise and missing-at-random variants of
-    the same seed share their latent x, xi, w draws.
+    the same seed share their latent x, xi, w draws.  A mode draws only what
+    it uses: missing-at-random skips w's raw words, and known noise stops
+    before the uniforms.
     """
     n, p = cfg.n, cfg.p
     bits = rng.stream(cfg.seed, rng.DOMAIN_REPLICATION, rep)
@@ -159,15 +161,15 @@ def generate(cfg: SimConfig, rep: int) -> Dataset:
     if cfg.ar_rho != 0.0:
         x = x @ _toeplitz_cholesky(p, cfg.ar_rho).T
     xi = rng.normals(bits, n)
-    w = rng.normals(bits, n * p).reshape(n, p)
-    u = rng.uniforms(bits, n * p).reshape(n, p)
-
     y = x @ cfg.beta0 + cfg.model_sd * xi
     if cfg.noise_mode == "mar":
-        mask = u >= cfg.miss_prob
+        bits.random_raw(n * p, output=False)
+        mask = rng.uniforms(bits, n * p).reshape(n, p) >= cfg.miss_prob
         return Dataset(y=y, Z=np.where(mask, x, 0.0), mask=mask)
-    Z = x + cfg.measurement_sd * w if cfg.measurement_sd > 0 else x.copy()
-    return Dataset(y=y, Z=Z)
+    if cfg.measurement_sd == 0:
+        return Dataset(y=y, Z=x.copy())
+    w = rng.normals(bits, n * p).reshape(n, p)
+    return Dataset(y=y, Z=x + cfg.measurement_sd * w)
 
 
 def _bootstrap_seed(cfg: SimConfig, rep: int) -> int:

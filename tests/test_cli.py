@@ -229,6 +229,36 @@ def test_bad_alpha_names_flag(tmp_path, capsys):
     assert "--alpha" in err and "1.5" in err
 
 
+@pytest.mark.parametrize("command", [
+    ("infer", "--targets", "z1,z2"),
+    ("simulate", "--preset", "single", "--replications", "2"),
+])
+def test_alpha_with_an_infinite_quantile_exit_2(tmp_path, capsys, command):
+    # at alpha <= 2^-53, 1 - alpha/2 rounds to 1: the intervals would be
+    # infinite, which records cannot hold as JSON and which covers any null
+    if command[0] == "infer":
+        data, gamma = write_regression(tmp_path)
+        command += ("--input", data, "--gamma", gamma)
+    code, out, err = run_cli(capsys, *command, "--alpha", "1e-17")
+    assert code == 2 and out == ""
+    assert "alpha" in err and "1e-17" in err
+
+
+def test_tiny_alpha_with_a_finite_quantile_gives_finite_records(tmp_path,
+                                                                capsys):
+    data, gamma = write_regression(tmp_path)
+    code, out, _ = run_cli(capsys, "infer", "--input", data, "--gamma", gamma,
+                           "--targets", "z1,z2", "--alpha", "1e-15",
+                           "--format", "records")
+    assert code == 0
+    targets = [r for r in parse_records(out) if r["record"] == "target"]
+    assert len(targets) == 2
+    for record in targets:
+        for field in ("ci_low", "ci_high", "band_low", "band_high"):
+            assert math.isfinite(record[field]), field
+        assert record["ci_low"] < record["estimate"] < record["ci_high"]
+
+
 @pytest.mark.parametrize("exc, expected", [
     (InputError("bad input"), 2),
     (NumericalError("non-finite objective"), 3),

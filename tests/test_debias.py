@@ -1,4 +1,7 @@
+import math
 import sys
+import warnings
+from types import SimpleNamespace
 
 import numpy as np
 import numpy.testing as npt
@@ -7,6 +10,7 @@ from scipy.special import ndtri
 
 from eivbands import debias, lasso, nodewise
 from eivbands.debias import (
+    VARIANCE_CONVENTIONS,
     DebiasTable,
     debias_coordinate,
     graph_tables,
@@ -730,3 +734,182 @@ def test_no_stack_outgrows_the_row_budget(monkeypatch):
     # the 5 pilots, then the refit edges
     assert stacks[:2] == [3, 2] and len(stacks) > 2
     assert max(stacks) == 3 and max(arrays) == 3
+
+
+def cell_oracle(y, Z, noise_var, pilot_beta, j, mu, alpha, variance_at):
+    # one cell formed alone, by the per-cell formulas the batch replaced:
+    # two gemvs, the slope's ddot against z_j as a view of Z, each slope
+    # squared as a Python float
+    n = Z.shape[0]
+    z_j = Z[:, j]
+    resid_dir = z_j - Z @ mu
+    slope = float(resid_dir @ z_j / n - noise_var[j])
+    beta = np.array(pilot_beta, dtype=np.float64)
+    beta[j] = 0.0
+    resid_out = y - Z @ beta
+    const = float(mu @ (noise_var * beta))
+    theta = (float(resid_dir @ resid_out) / n - const) / slope
+
+    def values(at):
+        return resid_dir * (resid_out - at * z_j) + noise_var[j] * at - const
+    raw = values(theta)
+    centred = raw if variance_at == "debiased" else \
+        values(float(pilot_beta[j]))
+    sd = math.sqrt(float(np.mean(centred ** 2)) / slope ** 2)
+    half = float(ndtri(1.0 - alpha / 2.0)) * sd / math.sqrt(n)
+    return {"estimate": theta, "slope": slope, "sd": sd,
+            "ci_low": theta - half, "ci_high": theta + half,
+            "scores": (-raw / (sd * slope)).tobytes()}
+
+
+def assert_cells_match_oracle(table, y, Z, alpha):
+    for cell in table.cells:
+        want = cell_oracle(y, Z, table.noise_var, table.pilot.beta, cell.j,
+                           cell.mu, alpha, table.variance_at)
+        got = {field: getattr(cell, field) for field in want}
+        got["scores"] = cell.scores.tobytes()
+        assert got == want, cell.j
+        for field in ("estimate", "slope", "sd", "ci_low", "ci_high"):
+            assert type(got[field]) is float
+
+
+@pytest.mark.parametrize("order", ["C", "F"])
+@pytest.mark.parametrize("variance_at", VARIANCE_CONVENTIONS)
+def test_table_batch_equals_cells_formed_alone(order, variance_at):
+    # a table's cells, formed in one batch, equal the per-cell formulas bit
+    # for bit on either design layout, at targets the pilot leaves at 0,
+    # which share one y-residual, and at targets inside its support
+    gen = np.random.default_rng(5)
+    n, p = 70, 12
+    Z = np.array(gen.normal(size=(n, p)), order=order)
+    y = gen.normal(size=n)
+    noise_var = gen.uniform(0.05, 0.3, size=p)
+    beta = np.where(gen.uniform(size=p) < 0.4, gen.normal(size=p), 0.0)
+    beta[[2, 7]] = 0.0, 0.8
+    targets = [7, 2, 0, 11, 5, 9, 3]
+    mus = [np.where(np.arange(p) == j, 0.0, 0.2 * gen.normal(size=p))
+           for j in targets]
+    pilot = SimpleNamespace(beta=beta)
+    table = debias._table(y, Z, noise_var, pilot,
+                          ((j, mu, None) for j, mu in zip(targets, mus)),
+                          0.1, variance_at)
+    assert table.targets == tuple(targets)
+    assert {beta[j] == 0.0 for j in targets} == {True, False}
+    assert_cells_match_oracle(table, y, Z, 0.1)
+    npt.assert_array_equal(table.score_matrix(),
+                           np.column_stack([c.scores for c in table.cells]))
+
+
+@pytest.mark.parametrize("variance_at", VARIANCE_CONVENTIONS)
+def test_run_inference_cells_equal_cells_formed_alone(variance_at):
+    # on the C-ordered design of run_inference, where the slope's dot
+    # reads z_j with stride p
+    data, noise = small_instance(3, n=60)
+    table = run_inference(data, noise, [4, 0, 2, 3], 0.05, TIGHT,
+                          variance_at)
+    assert data.Z.flags.c_contiguous
+    assert any(table.pilot.beta[c.j] == 0.0 for c in table.cells)
+    assert any(table.pilot.beta[c.j] != 0.0 for c in table.cells)
+    assert_cells_match_oracle(table, data.y, data.Z, 0.05)
+
+
+@pytest.mark.parametrize("variance_at", VARIANCE_CONVENTIONS)
+def test_graph_cells_equal_cells_formed_alone(monkeypatch, variance_at):
+    # a graph whose edges take their partner's node residual where they
+    # reuse its pilot, and form their own where they are refit, equals
+    # every cell formed alone on the graph's column-major design, whether
+    # the source's pilot is 0 at the partner or not
+    stacks = record_stacks(monkeypatch)
+    Z, gamma = ar_nodes(120, 9)
+    tables = list(graph_tables(Z, gamma, range(9), 0.05,
+                               variance_at=variance_at))
+    refits = refit_edges(stacks)
+    edges = {(t, k) for k in range(9) for t in range(9) if t != k}
+    assert 0 < len(refits) < len(edges)
+    betas = [table.pilot.beta for table in tables]
+    assert any(betas[k][t] != 0.0 for t, k in edges)
+    design = np.asfortranarray(Z)
+    for k, table in enumerate(tables):
+        assert_cells_match_oracle(table, design[:, k], design, 0.05)
+
+
+def degenerate_direction_then(error):
+    # a direction whose slope is exactly 0 (mean z_0^2 equals its noise
+    # variance at mu = 0), then a pull that fails
+    yield 0, np.zeros(2), None
+    raise error
+
+
+def degenerate_problem():
+    Z = np.array([[1.0, 1.0], [1.0, -1.0], [-1.0, 1.0], [-1.0, -1.0]])
+    return np.array([1.0, 0.5, -0.5, -1.0]), Z, np.array([1.0, 0.5]), \
+        SimpleNamespace(beta=np.zeros(2))
+
+
+def test_degenerate_cell_raises_before_a_later_pull_error():
+    # the directions are pulled first, but a cell pulled before a failed
+    # refit still raises first, as it did when cells formed one by one
+    y, Z, noise_var, pilot = degenerate_problem()
+    with pytest.raises(DegeneracyError) as exc:
+        debias._table(y, Z, noise_var, pilot, degenerate_direction_then(
+            NumericalError("forced refit failure")), 0.05, "debiased")
+    assert exc.value.coordinate == 0
+
+    def fine_then_failing():
+        yield 1, np.zeros(2), None
+        raise NumericalError("forced refit failure")
+    with pytest.raises(NumericalError, match="forced refit failure"):
+        debias._table(y, Z, noise_var, pilot, fine_then_failing(), 0.05,
+                      "debiased")
+
+
+@pytest.mark.parametrize("variance_at", VARIANCE_CONVENTIONS)
+def test_degenerate_cell_raises_without_runtime_warnings(variance_at):
+    # the batch divides by the zero slope before it checks it; that must
+    # stay silent, and the cell still raises with its coordinate
+    y, Z, noise_var, pilot = degenerate_problem()
+    directions = [(1, np.zeros(2), None), (0, np.zeros(2), None)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DegeneracyError) as exc:
+            debias._table(y, Z, noise_var, pilot, directions, 0.05,
+                          variance_at)
+        assert exc.value.coordinate == 0
+        with pytest.raises(DegeneracyError):
+            debias_coordinate(y, Z, noise_var, np.zeros(2), np.zeros(2), 0)
+        with pytest.raises(DegeneracyError):
+            plugin_variance(np.zeros(4), 1.0)
+
+
+@pytest.mark.parametrize("alpha", [2.0 ** -53, 1e-17, 5e-324])
+def test_alpha_whose_quantile_is_infinite_is_rejected(alpha):
+    # 1 - alpha/2 rounds to 1, so the normal quantile would be infinite
+    assert 1.0 - alpha / 2.0 == 1.0
+    data, noise = small_instance(1)
+    with pytest.raises(InputError, match="alpha"):
+        run_inference(data, noise, [0], alpha=alpha)
+    with pytest.raises(InputError, match="alpha"):
+        next(graph_tables(data.Z, np.full(5, 0.1), [0], alpha=alpha))
+    with pytest.raises(InputError, match="alpha"):
+        pointwise_ci(0.0, 1.0, 10, alpha)
+
+
+def test_tiny_alpha_with_a_finite_quantile_still_gives_finite_cells():
+    data, noise = small_instance(1)
+    alpha = 1e-15
+    table = run_inference(data, noise, [0, 3], alpha=alpha, cfg=TIGHT)
+    for cell in table.cells:
+        assert math.isfinite(cell.ci_low) and math.isfinite(cell.ci_high)
+        assert cell.ci_low < cell.estimate < cell.ci_high
+    assert_cells_match_oracle(table, data.y, data.Z, alpha)
+
+
+def test_variance_squares_the_slope_as_a_python_float():
+    # libm's pow, which squares a Python float, and NumPy's x * x differ in
+    # the last bit at this slope; cells have always divided by the former,
+    # one slope or a table's batch of them alike
+    slope = 0.4786618688802179
+    assert 1.0 / slope ** 2 != 1.0 / (slope * slope)
+    assert plugin_variance(np.ones(4), slope) == 1.0 / slope ** 2
+    batch = debias._variances(np.ones((3, 4)), np.array([slope, 1.0, slope]))
+    assert batch.tolist() == [1.0 / slope ** 2, 1.0, 1.0 / slope ** 2]

@@ -45,6 +45,28 @@ def reconstruct_design(cfg, rep):
     return x, xi, w, u
 
 
+@pytest.mark.parametrize("fields", [
+    pytest.param(dict(measurement_sd=0.7), id="known"),
+    pytest.param(dict(measurement_sd=0.0), id="known_noiseless"),
+    pytest.param(dict(noise_mode="mar", miss_prob=0.3), id="mar"),
+])
+def test_generate_equals_the_full_stream_layout_bytewise(fields):
+    # a mode draws only what it uses, but every draw sits where the full
+    # layout (x, xi, w, uniforms, all drawn) puts it, byte for byte
+    cfg = tiny_config(n=60, ar_rho=0.4, **fields)
+    data = ss.generate(cfg, 3)
+    x, xi, w, u = reconstruct_design(cfg, 3)
+    assert data.y.tobytes() == (x @ cfg.beta0 + cfg.model_sd * xi).tobytes()
+    if cfg.noise_mode == "mar":
+        mask = u >= cfg.miss_prob
+        assert data.mask.tobytes() == mask.tobytes()
+        assert data.Z.tobytes() == np.where(mask, x, 0.0).tobytes()
+    else:
+        assert data.mask is None
+        want = x + cfg.measurement_sd * w if cfg.measurement_sd > 0 else x
+        assert data.Z.tobytes() == want.tobytes()
+
+
 def test_no_measurement_noise_returns_latent_design_exactly():
     cfg = tiny_config(measurement_sd=0.0)
     data = ss.generate(cfg, 2)

@@ -7,7 +7,7 @@ draws small datasets from fixed seeds with NumPy alone, runs `fit` (also
 with a penalty that leaves no coefficient), `infer` (known noise, missing at
 random, a 140-column design, more targets than one bootstrap column block
 or one nodewise stack holds,
-noise sd 1 where some nodewise candidates reach the l1-ball radius floor,
+noise sd 1 where some nodewise fits end on their l1 balls,
 one target without a band, and the first dataset as a spreadsheet exports
 it: a byte-order mark, CRLF line ends, quoted and padded cells, which the
 reader parses cell by cell where clean files take its one-pass parse),
@@ -18,8 +18,8 @@ nodewise stack and whose 650 edges each take their partner's pilot or are
 refit in one more, `--max-iter 7`, where pilots and edges stop
 unconverged, six times the default penalty, where every pilot stops at 0
 and still reports its l1-ball radius, and noise sd 1 at a fifth of the
-default penalty, where edge rows pinned at two coordinates resolve their
-l1-ball radius) and
+default penalty, where nearly every pilot and edge row ends on its l1
+ball) and
 `simulate` (both presets, the multi one also on two workers, a config file
 under flags, the naive method with the solver flags, the study defaults,
 and noise sd 1 at a fifth of the study penalty, where pilots and nodewise
@@ -155,7 +155,7 @@ def write_inputs(inputs: Path) -> None:
     _write_csv(inputs / "many.csv", cols)
     _write_gamma(inputs / "many_gamma.txt", np.full(Z.shape[1], sigma_w ** 2))
 
-    # noise sd 1: 8 of the 40 nodewise fits resolve their l1-ball radius
+    # noise sd 1: 5 of the 40 nodewise fits end on their l1 balls
     y, Z = _regression(np.random.default_rng(19), 120, 40, 1.0)
     cols = {"y": y} | {f"z{k + 1}": Z[:, k] for k in range(Z.shape[1])}
     _write_csv(inputs / "ball.csv", cols)

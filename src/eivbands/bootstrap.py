@@ -198,15 +198,15 @@ def adjust_scores_for_estimated_noise(table: DebiasTable) -> np.ndarray:
     if table.mar is None:
         raise InputError("only a missing-at-random table has estimated noise")
     scores = table.score_matrix()
-    weighted = table.mar.influence * table.pilot.beta[None, :]
-    if not weighted.any():
+    scaled = table.mar.influence * table.pilot.beta[None, :]
+    if not scaled.any():
         return scores
     cells = table.cells
-    # a stack of (p, 1) mu columns: one gemv weighted @ mu per cell, the
+    # a stack of (p, 1) mu columns: one gemv scaled @ mu per cell, the
     # product a column-at-a-time loop makes, so the bits are the same
     M = np.array([c.mu for c in cells])
-    along = np.matmul(weighted, M[:, :, None])[:, :, 0].T
-    correction = weighted[:, [c.j for c in cells]] - along
+    along = np.matmul(scaled, M[:, :, None])[:, :, 0].T
+    correction = scaled[:, [c.j for c in cells]] - along
     scale = np.array([c.sd * c.slope for c in cells])
     # C-ordered like the scores, so the column means sum rows in order
     adjusted = np.empty_like(scores)

@@ -60,6 +60,7 @@ from .lasso import (
     FitResult,
     NoiseSpec,
     SolverConfig,
+    _radius_terms,
     corrected_gram,
     fit_corrected_lasso,
     resolve_config,
@@ -412,14 +413,13 @@ def run_inference(data: Dataset, noise: NoiseSpec, targets,
         if not 0 <= j < p:
             raise InputError(f"target column {j} out of range for p={p}")
     prepared = prepare_pilot(data, noise, cfg)
-    directions = fit_nodewise_jobs(prepared.gram, prepared.noise_var, data.n,
-                                   targets, cfg)
+    directions = fit_nodewise_jobs(prepared.gram, data.n, targets, cfg)
     return _table(data.y, prepared.design, prepared.noise_var, prepared.fit,
                   ((nw.j, nw.mu, None) for nw in directions), alpha,
                   variance_at, noise.kind, prepared.mar)
 
 
-def _edges_solved_by_pilots(G: np.ndarray, gamma: np.ndarray, pilots,
+def _edges_solved_by_pilots(G: np.ndarray, pilots,
                             cfg: SolverConfig) -> np.ndarray:
     """(p, p) mask of the graph edges whose partner's pilot solves them.
 
@@ -429,8 +429,7 @@ def _edges_solved_by_pilots(G: np.ndarray, gamma: np.ndarray, pilots,
     (t, k) on Z without t and k, at the same penalty, so where pilot t's
     beta is 0 at k the two problems share every free coordinate but k.  Entry
     (t, k) is True when pilot t did not fail, its beta is 0 at k, its l1
-    norm lies strictly below the edge's radius (an explicit ``cfg.radius``,
-    or a floor of the edge's default radius), and the edge's KKT residual
+    norm lies strictly below the edge's radius, and the edge's KKT residual
     there, which is pilot t's residual with entry k dropped, is at most
     ``cfg.tol``: that beta is then a stationary point of the edge's problem,
     strictly inside its ball.  Every step is an elementwise or row operation
@@ -439,15 +438,14 @@ def _edges_solved_by_pilots(G: np.ndarray, gamma: np.ndarray, pilots,
     The residual takes each row's gradient by one gemv and reads it entry
     by entry as `lasso._kkt_residual_stack` does inside the ball, so it is
     the residual the edge's own row reports at that beta, bit for bit; the
-    largest entry other than k is a top-2 lookup.  The floor is
-    `radius_floor` of the edge's b, pilot t's b with entry k zeroed, by a
-    rank-one update of pilot t's b'Gb, and stays a certified lower bound on
-    the edge's default radius: its c is max(gamma) + 1, no less than the
-    edge's own, and a larger c only shrinks the bound; b'b is summed
-    without cancellation from prefix and suffix sums of the squares; and
-    b'Gb gets an allowance of 2 (p + 4) eps |b|'|G||b|, which covers the
-    update's rounding, so the denominator is an upper bound.  What rounding
-    is left is relative of order p eps, inside the 1e-6 shrink.
+    largest entry other than k is a top-2 lookup.  The edge's radius is an
+    explicit ``cfg.radius``, or its `default_radius`: twice the sum of pilot
+    t's radius terms less term k, since the edge's b is pilot t's with
+    entry k zeroed.  That difference and the edge row's own sum, both over
+    the same terms, differ by rounding of at most about p eps times the
+    pilot's sum, so the pilot's l1 norm must stay below the difference by
+    (2 p + 4) eps times the pilot's radius: no edge is taken unless its
+    pilot lies strictly inside the radius its own row would compute.
     """
     failed = np.array([isinstance(nw, NumericalError) for nw in pilots])
     B = _pilot_betas(pilots)
@@ -460,7 +458,10 @@ def _edges_solved_by_pilots(G: np.ndarray, gamma: np.ndarray, pilots,
                      np.maximum(np.abs(grad) - cfg.penalty, 0.0))
     l1 = np.abs(B).sum(axis=1)
     if cfg.radius is None:
-        inside = l1[:, None] < _edge_radius_floors(G, gamma, b)
+        terms = 2.0 * _radius_terms(G, b)
+        pilot_radius = terms.sum(axis=1)[:, None]
+        margin = (2 * len(G) + 4) * np.finfo(np.float64).eps * pilot_radius
+        inside = l1[:, None] < pilot_radius - terms - margin
     else:
         inside = (l1 < cfg.radius)[:, None]
     return ~failed[:, None] & (B == 0.0) & inside & \
@@ -486,28 +487,6 @@ def _max_but_one(A: np.ndarray) -> np.ndarray:
                     first[:, None])
 
 
-def _edge_radius_floors(G: np.ndarray, gamma: np.ndarray,
-                        b: np.ndarray) -> np.ndarray:
-    """Entry (t, k) bounds the default radius of edge (t, k) from below;
-    row t of b is pilot t's b.  See `_edges_solved_by_pilots`."""
-    p = len(G)
-    sq = b * b
-    bb = np.zeros((p, p))
-    bb[:, 1:] = np.cumsum(sq[:, :-1], axis=1)
-    bb[:, :-1] += np.cumsum(sq[:, :0:-1], axis=1)[:, ::-1]
-    a = np.abs(b)
-    inf_norm = _max_but_one(a)
-    Gb = b @ G
-    bGb = (b * Gb).sum(axis=1)[:, None] - 2.0 * b * Gb + sq * np.diag(G)
-    slack = np.finfo(np.float64).eps * (2 * p + 8) * \
-        (a * (a @ np.abs(G))).sum(axis=1)
-    c = float(np.max(gamma, initial=0.0)) + 1.0
-    bAb = bGb + slack[:, None] + c * bb
-    with np.errstate(divide="ignore", invalid="ignore"):
-        floor = 2.0 * bb * bb / (inf_norm * bAb) * (1.0 - 1e-6)
-    return np.where(bb > 0.0, floor, 0.0)
-
-
 def graph_tables(Z: np.ndarray, gamma: np.ndarray, sources,
                  alpha: float = 0.05, cfg: SolverConfig = SolverConfig(),
                  variance_at: str = "debiased") -> Iterator[DebiasTable]:
@@ -519,9 +498,8 @@ def graph_tables(Z: np.ndarray, gamma: np.ndarray, sources,
     indexed by partner column t != k, its `noise_var` is `gamma`, and its
     pilot's `beta` and every cell's `mu` have length p and are 0 at k.
     Every regression is a row of G = ``corrected_gram(Z, gamma)``.  The
-    pilots ``(t, (t,))`` of all p columns are solved first, the sources'
-    in one `fit_nodewise_jobs` stream and, with a deferred radius, the
-    other columns' in another.  Edge (t, k) takes pilot t's `beta` as its
+    pilots ``(t, (t,))`` of all p columns are solved first, in one
+    `fit_nodewise_jobs` stream.  Edge (t, k) takes pilot t's `beta` as its
     `mu` where that beta already solves the edge (see
     `_edges_solved_by_pilots`); every other edge is a job ``(t, (k,))`` of
     one more stream, fed across all sources in source and partner order.
@@ -558,23 +536,14 @@ def graph_tables(Z: np.ndarray, gamma: np.ndarray, sources,
     Dataset(y=Z[:, sources[0]], Z=np.delete(Z, sources[0], axis=1))
     NoiseSpec.known(gamma)
     G = corrected_gram(Z, gamma)
-    # a source's pilot resolves its radius, which its node record prints;
-    # the pilot of a column that is only a partner defers it, as an edge
-    # does, and gives the same beta
-    partners_only = sorted(set(range(p)) - set(sources))
-    pilots = {}
-    for columns, defer in ((sources, False), (partners_only, True)):
-        pilots.update(zip(columns, fit_nodewise_jobs(
-            G, gamma, n, ((t, (t,)) for t in columns), cfg,
-            raise_errors=False, defer_pilots=defer)))
-    pilots = [pilots[t] for t in range(p)]
-    reused = _edges_solved_by_pilots(G, gamma, pilots,
-                                     resolve_config(cfg, n, p - 1))
+    pilots = list(fit_nodewise_jobs(G, n, ((t, (t,)) for t in range(p)), cfg,
+                                    raise_errors=False))
+    reused = _edges_solved_by_pilots(G, pilots, resolve_config(cfg, n, p - 1))
 
     def partners(k):
         return (*range(k), *range(k + 1, p))
 
-    refits = fit_nodewise_jobs(G, gamma, n, (
+    refits = fit_nodewise_jobs(G, n, (
         (t, (k,)) for k in sources for t in partners(k) if not reused[t, k]),
         cfg)
     # column-major like a source's own design Z[:, keep], so the cells'

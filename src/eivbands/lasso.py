@@ -147,12 +147,9 @@ class SolverConfig:
 
     `penalty` and `radius` default to None, meaning "resolve from the data":
     penalty = sqrt(log(p / 0.05) / n) * penalty_scale, filled in by
-    `resolve_config`, and radius = `default_radius` of the problem on its
-    free coordinates, which only the solvers resolve.  Given no radius
-    floor, a solver resolves it before its first pass, so a fit that never
-    leaves 0 still reports it; given a floor (such as `radius_floor`), it
-    defers it until a candidate's l1 norm exceeds the floor and reports
-    ``inf`` if none does.  An explicit radius is used as given.
+    `resolve_config`, and radius = `default_radius` of the problem, which
+    only the solvers resolve, before their first pass, so even a fit that
+    never leaves 0 reports it.  An explicit radius is used as given.
     """
 
     penalty: float | None = None
@@ -190,10 +187,8 @@ class FitResult:
     objective of the iterate after every iteration and is non-increasing up
     to 1e-12 slack.
 
-    `radius` is the l1-ball radius that was in force: the configured or
-    resolved radius, or ``inf`` when a deferred default radius was never
-    resolved because no candidate could reach the ball.  Every other field
-    is what the same solve with the resolved radius gives, bit for bit.
+    `radius` is the l1-ball radius that was in force: the configured one,
+    or the default one the solver resolved (always finite).
     """
 
     beta: np.ndarray
@@ -213,41 +208,30 @@ def default_penalty(n: int, p: int) -> float:
     return math.sqrt(math.log(p / 0.05) / n)
 
 
+def _radius_terms(G: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """|b_k| / (max(G_kk, 0) + 1) for every entry of b, a (p,) vector or a
+    (k, p) stack of rows: the terms of `default_radius`."""
+    return np.abs(b) / (np.maximum(np.diagonal(G), 0.0) + 1.0)
+
+
+def _default_radii(G: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """`default_radius` of every row of a (k, p) stack b, one row sum each."""
+    r = 2.0 * _radius_terms(G, b).sum(axis=1)
+    return np.where(r > 0.0, r, 1.0)
+
+
 def default_radius(G: np.ndarray, b: np.ndarray) -> float:
-    """Data-driven l1-ball radius: 2 * ||ridge pilot||_1.
+    """Data-driven l1-ball radius 2 * sum_k |b_k| / (max(G_kk, 0) + 1).
 
-    The pilot solves (G_psd + I) beta = b with G_psd the positive
-    semidefinite part of G (negative eigenvalues floored at zero), so the
-    rule stays well defined on indefinite corrected Grams.  Falls back to
-    1.0 when b = 0 makes the pilot vanish.
+    Term k is the ridge pilot of coordinate k alone, with a negative
+    diagonal entry of an indefinite corrected Gram floored at zero: the
+    diagonal analogue of 2 * ||(G_psd + I)^-1 b||_1, in O(p).  An entry of
+    b that is 0 adds nothing, so a problem pinned at 0 on some coordinates
+    (see `fit_corrected_lasso_stack`) gets the radius of its free block, up
+    to rounding, without slicing G.  Falls back to 1.0 when b = 0.
     """
-    try:
-        w, V = np.linalg.eigh(G)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalError(f"eigendecomposition failed: {exc}") from exc
-    ridge = V @ ((V.T @ b) / (np.maximum(w, 0.0) + 1.0))
-    r = 2.0 * float(np.abs(ridge).sum())
-    return r if r > 0.0 else 1.0
-
-
-def radius_floor(G: np.ndarray, b: np.ndarray, noise_var: np.ndarray) -> float:
-    """Certified lower bound on `default_radius(G, b)` from one matvec.
-
-    G must be ``corrected_gram(Z, noise_var)``, so G + max(v) I is positive
-    semidefinite.  With c = max(max v, 0) + 1 and A = G + c I, the pilot's
-    matrix satisfies G_psd + I <= A, hence for the pilot r
-
-        b'r >= b'A^-1 b >= (b'b)^2 / (b'Ab)   and   ||r||_1 >= b'r / ||b||_inf,
-
-    so ``default_radius(G, b) >= 2 (b'b)^2 / (||b||_inf b'Ab)``.  The bound
-    is shrunk by 1e-6 to cover rounding; it is 0 when b = 0.
-    """
-    bb = float(b @ b)
-    if bb == 0.0:
-        return 0.0
-    c = float(np.max(noise_var, initial=0.0)) + 1.0
-    bAb = float(b @ (G @ b)) + c * bb
-    return 2.0 * bb * bb / (float(np.abs(b).max()) * bAb) * (1.0 - 1e-6)
+    b = np.asarray(b, dtype=np.float64)
+    return float(_default_radii(G, b[None])[0])
 
 
 def resolve_config(cfg: SolverConfig, n: int, p: int) -> SolverConfig:
@@ -371,20 +355,11 @@ def _project_l1_ball_stack(v: np.ndarray, a: np.ndarray, l1: np.ndarray,
     return v
 
 
-def _free_radius(G: np.ndarray, b: np.ndarray, pins: np.ndarray) -> float:
-    """`default_radius` of the problem on the coordinates outside `pins`, a
-    row of a pin array; an unpinned problem's G is not copied."""
-    free = np.setdiff1d(np.arange(len(b)), pins)
-    if free.size == len(b):
-        return default_radius(G, b)
-    return default_radius(G[np.ix_(free, free)], b[free])
-
-
 def _kkt_residual_stack(beta: np.ndarray, grad: np.ndarray,
                         penalty: np.ndarray, radius: np.ndarray) -> np.ndarray:
     """Infinity norm of the minimum-norm subgradient of every row's problem.
 
-    At weight theta >= 0 on the ball's normal cone, a nonzero entry adds
+    With multiplier theta >= 0 on the ball's normal cone, a nonzero entry adds
     |a + theta| with a = sign(beta) grad + penalty, and a zero entry adds
     max(|grad| - penalty - theta, 0).  So the residual is the V shape
     max(theta + hi, lo - theta, 0), with hi = max a (-inf when beta = 0) and
@@ -401,8 +376,8 @@ def _kkt_residual_stack(beta: np.ndarray, grad: np.ndarray,
     return np.maximum(np.maximum(theta + hi, lo - theta), 0.0)
 
 
-def fit_corrected_lasso(b: np.ndarray, G: np.ndarray, cfg: SolverConfig,
-                        floor: float | None = None) -> FitResult:
+def fit_corrected_lasso(b: np.ndarray, G: np.ndarray,
+                        cfg: SolverConfig) -> FitResult:
     """Solve the l1-ball-constrained corrected lasso.
 
     Parameters
@@ -414,14 +389,6 @@ def fit_corrected_lasso(b: np.ndarray, G: np.ndarray, cfg: SolverConfig,
     cfg : SolverConfig
         Must carry a concrete `penalty` (see `resolve_config`).  A radius
         of None is ``default_radius(G, b)``, resolved before the first pass.
-    floor : float, optional
-        A lower bound on ``default_radius(G, b)``, such as `radius_floor`,
-        read only when ``cfg.radius`` is None.  The default radius is then
-        deferred: it acts as infinite until a candidate's l1 norm exceeds
-        `floor`, and only then is it computed and the candidate projected.
-        Every earlier candidate lay strictly inside the ball, so the result
-        equals the fit with the resolved radius in every field but
-        `radius`, which stays ``inf`` if no candidate exceeded the floor.
 
     Returns
     -------
@@ -453,9 +420,7 @@ def fit_corrected_lasso(b: np.ndarray, G: np.ndarray, cfg: SolverConfig,
     if cfg.penalty is None:
         raise InputError("penalty must be resolved before fitting")
     penalty = float(cfg.penalty)
-    deferred = cfg.radius is None and floor is not None
-    radius = math.inf if deferred else (
-        default_radius(G, b) if cfg.radius is None else float(cfg.radius))
+    radius = default_radius(G, b) if cfg.radius is None else float(cfg.radius)
 
     def kkt_residual() -> float:
         return float(_kkt_residual_stack(x[None], (Gx - b)[None],
@@ -481,8 +446,6 @@ def fit_corrected_lasso(b: np.ndarray, G: np.ndarray, cfg: SolverConfig,
             # |soft-threshold of v at step * penalty| and its l1 norm
             mag = np.maximum(np.abs(v) - step * penalty, 0.0)
             l1 = mag.sum()
-            if deferred and not l1 <= floor:
-                radius, deferred = default_radius(G, b), False
             cand = np.sign(v) * mag
             if not l1 <= radius:
                 _project_l1_ball_stack(cand[None], mag[None], l1[None],
@@ -534,8 +497,7 @@ def fit_corrected_lasso(b: np.ndarray, G: np.ndarray, cfg: SolverConfig,
     )
 
 
-def fit_corrected_lasso_stack(b: np.ndarray, G: np.ndarray, cfgs,
-                              floors=None, pins=None
+def fit_corrected_lasso_stack(b: np.ndarray, G: np.ndarray, cfgs, pins=None
                               ) -> list[FitResult | NumericalError]:
     """Solve k corrected-lasso problems on one Gram as a single stack.
 
@@ -552,19 +514,15 @@ def fit_corrected_lasso_stack(b: np.ndarray, G: np.ndarray, cfgs,
     cfgs : sequence of k SolverConfig
         Configurations, one per problem, each with a concrete penalty (see
         `resolve_config`).
-    floors : sequence of k float or None, optional
-        Radius floors, read only for problems whose config leaves the radius
-        None.  Such a problem resolves its default radius as
-        `fit_corrected_lasso` does: before the first pass if its floor is
-        None (the default), otherwise deferred behind the floor.
     pins : sequence of k sequences of int, optional
         The coordinates each problem pins at 0, distinct and in [0, p); none
         by default.  A pinned problem reads those entries of its b as 0 and
         zeroes them in its gradient after every update, so its beta holds
         them at exactly 0 and it solves the subproblem on the other
-        coordinates without copying G.  Its floor and default radius are the
-        subproblem's: G's free block is sliced only to resolve that radius,
-        and an unpinned problem's radius is ``default_radius(G, b[i])``.
+        coordinates without copying G.  Every default radius is resolved
+        before the first pass, as one row sum per problem: problem i's is
+        ``default_radius(G, b[i])`` with its pinned entries read as 0, which
+        is the subproblem's up to rounding.
 
     Returns
     -------
@@ -572,8 +530,8 @@ def fit_corrected_lasso_stack(b: np.ndarray, G: np.ndarray, cfgs,
         Every `beta` has length p, in G's columns, with an exact +0.0 at
         each pinned coordinate.  Entry i equals problem i solved alone (a
         stack of one, same Gram and pins) bit for bit in every field;
-        unpinned, that is ``fit_corrected_lasso(b[i], G, cfgs[i],
-        floors[i])``.  Pinned, its free entries agree with
+        unpinned, that is ``fit_corrected_lasso(b[i], G, cfgs[i])``.
+        Pinned, its free entries and its radius agree with
         `fit_corrected_lasso` on the sliced subproblem up to rounding, as
         its sums run over p terms, not over the free ones.  A solve that
         would raise NumericalError returns the exception in place, so the
@@ -582,15 +540,13 @@ def fit_corrected_lasso_stack(b: np.ndarray, G: np.ndarray, cfgs,
     b = np.array(b, dtype=np.float64)
     G = np.ascontiguousarray(G, dtype=np.float64)
     k, p = b.shape if b.ndim == 2 else (-1, -1)
-    floors = [None] * k if floors is None else list(floors)
     pins = [()] * k if pins is None else [
         tuple(int(j) for j in row) for row in pins]
     if k < 0 or G.shape != (p, p) or len(pins) != k or any(
             len(set(row)) != len(row) or not all(0 <= j < p for j in row)
-            for row in pins) or len(cfgs) != k or len(floors) != k:
+            for row in pins) or len(cfgs) != k:
         raise InputError("need b of shape (k, p), a (p, p) Gram G, and for "
-                         "each row of b distinct pins in [0, p), a config "
-                         "and a floor")
+                         "each row of b distinct pins in [0, p) and a config")
     if not (np.all(np.isfinite(b)) and np.all(np.isfinite(G))):
         raise InputError("b and G must be finite")
     if any(c.penalty is None for c in cfgs):
@@ -602,14 +558,9 @@ def fit_corrected_lasso_stack(b: np.ndarray, G: np.ndarray, cfgs,
         row[:len(js)] = js
     b[_pinned(pin)] = 0.0
     penalty = np.array([c.penalty for c in cfgs], dtype=np.float64)
-    deferred = np.array([c.radius is None and f is not None
-                         for c, f in zip(cfgs, floors)], dtype=bool)
-    radius = np.array([math.inf if dfr else _free_radius(G, row, js)
-                       if c.radius is None else c.radius
-                       for c, dfr, row, js in zip(cfgs, deferred, b, pin)],
-                      dtype=np.float64)
-    # a floor of None reads as NaN, and only deferred rows read theirs
-    floor = np.where(deferred, np.array(floors, dtype=np.float64), math.inf)
+    radius = np.array([math.nan if c.radius is None else c.radius
+                       for c in cfgs], dtype=np.float64)
+    radius = np.where(np.isnan(radius), _default_radii(G, b), radius)
     tol = np.array([c.tol for c in cfgs], dtype=np.float64)
     max_iter = np.array([c.max_iter for c in cfgs])
 
@@ -631,18 +582,15 @@ def fit_corrected_lasso_stack(b: np.ndarray, G: np.ndarray, cfgs,
     live = (idx, pin[idx], step, np.ones(idx.size), beta[idx],
             np.zeros_like(b[idx]), objective[idx], beta[idx], -b[idx],
             objective[idx], b[idx], iterations[idx], penalty[idx],
-            radius[idx], deferred[idx], floor[idx], tol[idx], max_iter[idx])
+            radius[idx], tol[idx], max_iter[idx])
 
     while live[0].size:
-        (idx, pn, step, t, x, Gx, F_x, y, gy, f_y, bl, it, pen, rad, dfr,
-         flr, tl, cap) = live
+        (idx, _, step, t, x, Gx, F_x, y, gy, f_y, bl, it, pen, rad, tl,
+         cap) = live
         v = y - step[:, None] * gy
         # |soft-threshold of v at step * penalty| and its l1 norm
         mag = np.maximum(np.abs(v) - (step * pen)[:, None], 0.0)
         l1 = mag.sum(axis=1)
-        for i in np.flatnonzero(dfr & ~(l1 <= flr)):
-            rad[i] = radius[idx[i]] = _free_radius(G, bl[i], pn[i])
-            dfr[i] = False
         cand = _project_l1_ball_stack(np.sign(v) * mag, mag, l1, rad)
         delta = cand - y
         sq = _rowdot(delta, delta)

@@ -22,10 +22,8 @@ row's beta, of length p, exactly 0 at j and at every left-out column.
 node graph (`debias.graph_tables`) streams its p pilots first, then the
 edges that no pilot already solves.
 
-A nodewise row defers its default l1-ball radius behind the one-matvec
-`radius_floor` (see `SolverConfig`), so the eigendecomposition behind
-`default_radius` runs only if a candidate can reach the ball; a fit whose
-radius was never needed reports ``fit.radius == inf``.
+Every row resolves its default l1-ball radius, the O(p) `default_radius`
+of its b, before its first pass, so every fit reports the radius in force.
 """
 
 from __future__ import annotations
@@ -42,7 +40,6 @@ from .lasso import (
     SolverConfig,
     corrected_gram,
     fit_corrected_lasso_stack,
-    radius_floor,
     resolve_config,
 )
 
@@ -78,17 +75,17 @@ def fit_nodewise(Z: np.ndarray, noise_var: np.ndarray, j: int,
     With G = ``corrected_gram(Z, noise_var)``, the subproblem's Gram is the
     (-j, -j) block of G and b = Z_{-j}' z_j / n is G[-j, j].  The penalty
     default matches Step 1 (computed from the full problem size, not the
-    subproblem's p - 1); the radius default is the subproblem's own,
-    deferred until a solver candidate can reach it (``fit.radius`` is inf
-    if none could).
+    subproblem's p - 1); the radius default is the subproblem's own
+    `default_radius` up to rounding, resolved before the first pass, so
+    ``fit.radius`` is finite unless `cfg` sets ``np.inf``.
     """
     G = corrected_gram(Z, noise_var)
-    return next(fit_nodewise_jobs(G, noise_var, np.shape(Z)[0], [j], cfg))
+    return next(fit_nodewise_jobs(G, np.shape(Z)[0], [j], cfg))
 
 
-def fit_nodewise_jobs(G: np.ndarray, noise_var: np.ndarray, n: int, jobs,
+def fit_nodewise_jobs(G: np.ndarray, n: int, jobs,
                       cfg: SolverConfig = SolverConfig(),
-                      raise_errors: bool = True, defer_pilots: bool = False
+                      raise_errors: bool = True
                       ) -> Iterator[NodewiseResult | NumericalError]:
     """Yield the nodewise regression of each job on G, in order.
 
@@ -97,11 +94,10 @@ def fit_nodewise_jobs(G: np.ndarray, noise_var: np.ndarray, n: int, jobs,
     pair ``(j, out)`` whose `out` names distinct columns of Z that the
     job's design leaves out.  It regresses z_j on that design, with the
     penalty of its p - len(out) columns, as a row of G pinned at j and
-    `out`.  With ``j not in out`` that is a nodewise regression, and the
-    row defers its default radius; ``j in out`` makes it a pilot on the
-    columns outside `out`, with no floor, so even a pilot that never
-    leaves 0 reports its radius, unless `defer_pilots` defers a pilot's
-    radius as a nodewise row's.  Every result is in G's columns.
+    `out`.  With ``j not in out`` that is a nodewise regression; ``j in
+    out`` makes it a pilot on the columns outside `out`.  Every row
+    resolves its default radius before its first pass, so even a fit that
+    never leaves 0 reports it.  Every result is in G's columns.
 
     The jobs are pulled as needed and go in stacks of `stack_rows(p)` rows;
     a stack is one `fit_corrected_lasso_stack` call, bit-identical to
@@ -115,7 +111,7 @@ def fit_nodewise_jobs(G: np.ndarray, noise_var: np.ndarray, n: int, jobs,
     jobs = iter(jobs)
     while batch := list(islice(jobs, stack_rows(p))):
         b = np.empty((len(batch), p))
-        cfgs, floors, pins = [], [], []
+        cfgs, pins = [], []
         for row, job in zip(b, batch):
             j, out = job if isinstance(job, tuple) else (job, ())
             if not 0 <= j < p:
@@ -131,9 +127,7 @@ def fit_nodewise_jobs(G: np.ndarray, noise_var: np.ndarray, n: int, jobs,
             row[:] = G[:, j]
             row[list(pins[-1])] = 0.0
             cfgs.append(resolve_config(cfg, n, p - len(out)))
-            floors.append(None if j in out and not defer_pilots else
-                          radius_floor(G, row, np.delete(noise_var, pins[-1])))
-        fits = fit_corrected_lasso_stack(b, G, cfgs, floors, pins)
+        fits = fit_corrected_lasso_stack(b, G, cfgs, pins)
         for pin in pins:
             fit = fits.pop(0)  # let each row be freed once it is consumed
             if isinstance(fit, NumericalError):

@@ -391,6 +391,34 @@ def write_nodes(tmp_path, n=120, p=4, seed=0, name="nodes.csv"):
     return path, gamma
 
 
+def test_no_command_computes_an_eigendecomposition(tmp_path, capsys,
+                                                   monkeypatch):
+    # every l1-ball radius is the O(p) diagonal rule, resolved before its
+    # solve's first pass: infer (known noise and missing at random), graph
+    # and simulate (both presets) run with eigh refusing, and every radius
+    # they print is finite
+    def refuse(*args, **kwargs):
+        raise AssertionError("eigendecomposition computed")
+    monkeypatch.setattr(np.linalg, "eigh", refuse)
+    data, gamma = write_regression(tmp_path, p=6)
+    nodes, node_gamma = write_nodes(tmp_path, n=80, p=5)
+    runs = [
+        ("infer", "--input", data, "--gamma", gamma, "--boot", "50"),
+        ("infer", "--input", data, "--mar", "--boot", "50"),
+        ("graph", "--input", nodes, "--gamma", node_gamma, "--boot", "50"),
+        ("simulate", "--n", "50", "--p", "8", "--replications", "2",
+         "--boot", "50"),
+        ("simulate", "--preset", "multi", "--noise-mode", "mar", "--n", "50",
+         "--p", "12", "--replications", "2", "--boot", "50"),
+    ]
+    radii = []
+    for argv in runs:
+        code, out, err = run_cli(capsys, *argv, "--format", "records")
+        assert code == 0, (argv, err)
+        radii += [r["radius"] for r in parse_records(out) if "radius" in r]
+    assert len(radii) == 1 + 1 + 5 and all(map(math.isfinite, radii))
+
+
 def test_graph_rejects_mar(tmp_path, capsys):
     path, _ = write_nodes(tmp_path)
     code, _, err = run_cli(capsys, "graph", "--input", path, "--mar")
@@ -509,8 +537,8 @@ def fail_pilot_of(monkeypatch, column):
     # the pilot of `column` returns a NumericalError in its stack
     original = nodewise.fit_corrected_lasso_stack
 
-    def fail_pilot(b, G, cfgs, floors=None, pins=None):
-        fits = original(b, G, cfgs, floors, pins)
+    def fail_pilot(b, G, cfgs, pins=None):
+        fits = original(b, G, cfgs, pins)
         return [NumericalError("forced pilot failure")
                 if tuple(pin) == (column,) else fit
                 for pin, fit in zip(pins, fits)]

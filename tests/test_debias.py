@@ -323,9 +323,9 @@ def record_stacks(monkeypatch):
     stacks = []
     original = nodewise.fit_corrected_lasso_stack
 
-    def recorded(b, G, cfgs, floors=None, pins=None):
+    def recorded(b, G, cfgs, pins=None):
         stacks.append([tuple(int(c) for c in row) for row in pins])
-        return original(b, G, cfgs, floors, pins)
+        return original(b, G, cfgs, pins)
     monkeypatch.setattr(nodewise, "fit_corrected_lasso_stack", recorded)
     return stacks
 
@@ -335,16 +335,21 @@ def refit_edges(stacks):
     return {row for stack in stacks for row in stack if len(row) == 2}
 
 
-def edge_kkt_residual(G, gamma, n, t, k, mu, cfg, inside=False):
+def edge_b(G, t, k):
+    # edge (t, k)'s b: column t of G with entries t and k read as 0
+    b = G[:, t].copy()
+    b[[t, k]] = 0.0
+    return b
+
+
+def edge_kkt_residual(G, n, t, k, mu, cfg, inside=False):
     # KKT residual of edge (t, k) at mu, as the edge's own row computes
     # it: pinned at t and k, on its default radius unless cfg sets one,
     # or with inside=True the residual inside the ball, with no weight on
     # its normal cone
-    b = G[:, t].copy()
-    b[[t, k]] = 0.0
+    b = edge_b(G, t, k)
     pin = np.array([[t, k]])
-    radius = np.inf if inside else \
-        cfg.radius or lasso._free_radius(G, b, pin[0])
+    radius = np.inf if inside else cfg.radius or lasso.default_radius(G, b)
     grad = lasso._matvec(G, mu[None], lasso._pinned(pin)) - b
     penalty = lasso.resolve_config(cfg, n, len(G) - 1).penalty
     return lasso._kkt_residual_stack(mu[None], grad, np.array([penalty]),
@@ -426,7 +431,7 @@ def test_graph_tables_equal_per_source_inference(monkeypatch, budget, rows):
                 npt.assert_allclose(got.mu[keep], cell.mu, rtol=0, atol=1e-12)
             else:
                 assert got.mu.tobytes() == pilot[got.j].beta.tobytes()
-                assert edge_kkt_residual(G, gamma, 50, got.j, j, got.mu,
+                assert edge_kkt_residual(G, 50, got.j, j, got.mu,
                                          TIGHT) <= TIGHT.tol
 
 
@@ -438,8 +443,8 @@ def test_graph_errors_keep_source_order(monkeypatch):
     original = lasso.fit_corrected_lasso_stack
     failing = sources[2]
 
-    def fail_pilot(b, G, cfgs, floors=None, pins=None):
-        fits = original(b, G, cfgs, floors, pins)
+    def fail_pilot(b, G, cfgs, pins=None):
+        fits = original(b, G, cfgs, pins)
         return [NumericalError("forced pilot failure")
                 if tuple(pin) == (failing,) else fit
                 for pin, fit in zip(pins, fits)]
@@ -460,8 +465,8 @@ def test_failed_partner_pilot_refits_its_edges(monkeypatch):
     want = list(graph_tables(Z, gamma, sources, 0.1, TIGHT))
     original = lasso.fit_corrected_lasso_stack
 
-    def fail_pilot(b, G, cfgs, floors=None, pins=None):
-        fits = original(b, G, cfgs, floors, pins)
+    def fail_pilot(b, G, cfgs, pins=None):
+        fits = original(b, G, cfgs, pins)
         return [NumericalError("forced pilot failure")
                 if tuple(pin) == (2,) else fit
                 for pin, fit in zip(pins, fits)]
@@ -478,22 +483,13 @@ def test_failed_partner_pilot_refits_its_edges(monkeypatch):
                 assert got.mu.tobytes() == cell.mu.tobytes()
 
 
-def test_graph_over_some_sources_gives_their_full_graph_tables(monkeypatch):
+def test_graph_over_some_sources_gives_their_full_graph_tables():
     # a source's table does not depend on which other columns are sources:
-    # the pilot of a column that is only a partner defers its radius and
-    # gives the same beta, so the same edges take it; only the sources'
-    # pilots resolve their radius, one eigendecomposition each
+    # every column's pilot is solved, so the same edges take the same
+    # pilots, and a node reads its pilot's radius as it was resolved
     Z, gamma, _ = graph_instance()
     full = list(graph_tables(Z, gamma, range(6), 0.1, TIGHT))
-    calls = []
-    original = lasso.default_radius
-
-    def counted(G, b):
-        calls.append(len(G))
-        return original(G, b)
-    monkeypatch.setattr(lasso, "default_radius", counted)
     some = list(graph_tables(Z, gamma, [4, 1], 0.1, TIGHT))
-    assert calls == [5, 5]
     for k, table in zip([4, 1], some, strict=True):
         want = full[k]
         for field in ("beta", "objective_trace"):
@@ -507,23 +503,20 @@ def test_graph_over_some_sources_gives_their_full_graph_tables(monkeypatch):
             assert got.mu.tobytes() == cell.mu.tobytes()
 
 
-def reuse_oracle(G, gamma, n, pilots, cfg):
+def reuse_oracle(G, n, pilots, cfg):
     # edge by edge: pilot t's beta solves edge (t, k) when it is 0 at k,
-    # strictly inside the edge's ball by the edge's own radius_floor (or
-    # the explicit radius), and the edge's KKT residual inside the ball is
-    # within tolerance there
+    # strictly inside the radius the edge's own row resolves (its default
+    # radius, or the explicit one), and the edge's KKT residual inside the
+    # ball is within tolerance there
     p = len(G)
     reused = set()
     for t, beta in pilots.items():
         for k in range(p):
             if k == t or beta[k] != 0.0:
                 continue
-            b = G[:, t].copy()
-            b[[t, k]] = 0.0
-            radius = cfg.radius or lasso.radius_floor(
-                G, b, np.delete(gamma, [t, k]))
+            radius = cfg.radius or lasso.default_radius(G, edge_b(G, t, k))
             if np.abs(beta).sum() < radius and edge_kkt_residual(
-                    G, gamma, n, t, k, beta, cfg, inside=True) <= cfg.tol:
+                    G, n, t, k, beta, cfg, inside=True) <= cfg.tol:
                 reused.add((t, k))
     return reused
 
@@ -537,28 +530,45 @@ def ar_nodes(n, p, seed=7):
     return x + 0.5 * rng.normal(size=(n, p)), np.full(p, 0.25)
 
 
-@pytest.mark.parametrize("cfg", [
-    pytest.param(SolverConfig(), id="default"),
-    pytest.param(SolverConfig(max_iter=7), id="capped"),
-    pytest.param(SolverConfig(radius=0.05), id="small_radius"),
-])
-def test_graph_refits_the_edges_its_pilots_do_not_solve(monkeypatch, cfg):
-    # a p = 9 graph refits exactly the edges the rule, checked edge by
-    # edge, leaves to a refit: every edge whose pilot is nonzero at the
-    # source, sits on or over the edge's ball or stopped unconverged, and
-    # no other; a reused edge's pilot lies strictly inside the edge's
-    # default ball.  At 7 iterations some pilot stops unconverged, and at
-    # radius 0.05 some pilot ends on its ball
-    Z, gamma = ar_nodes(120, 9)
+def strong_ar_nodes():
+    # strong signals: N(0, 1) columns, each with half the one before added,
+    # observed without noise, n = 400, p = 30, gamma = 0.25
+    rng = np.random.default_rng(0)
+    Z = rng.normal(size=(400, 30))
+    Z[:, 1:] += 0.5 * Z[:, :-1]
+    return Z, np.full(30, 0.25)
+
+
+# (design, cfg) of each graph whose reused edges are checked edge by edge
+GRAPH_REUSE_CASES = {
+    "default": (lambda: ar_nodes(120, 9), SolverConfig()),
+    "capped": (lambda: ar_nodes(120, 9), SolverConfig(max_iter=7)),
+    "small_radius": (lambda: ar_nodes(120, 9), SolverConfig(radius=0.05)),
+    "strong_signal": (strong_ar_nodes, SolverConfig()),
+}
+
+
+@pytest.mark.parametrize("case", list(GRAPH_REUSE_CASES))
+def test_graph_refits_the_edges_its_pilots_do_not_solve(monkeypatch, case):
+    # a graph refits exactly the edges the rule, checked edge by edge,
+    # leaves to a refit: every edge whose pilot is nonzero at the source,
+    # sits on or over the radius the edge's own row resolves, or stopped
+    # unconverged, and no other.  At 7 iterations some pilot stops
+    # unconverged, at radius 0.05 some pilot ends on its ball, and with
+    # strong signals, whose pilots' l1 norms come close to the edges'
+    # radii, fewer than a quarter of the edges are refit
+    design, cfg = GRAPH_REUSE_CASES[case]
+    Z, gamma = design()
+    n, p = Z.shape
     G = lasso.corrected_gram(Z, gamma)
     stacks = record_stacks(monkeypatch)
-    tables = list(graph_tables(Z, gamma, range(9), cfg=cfg))
-    assert stacks[0] == [(t,) for t in range(9)]
+    tables = list(graph_tables(Z, gamma, range(p), cfg=cfg))
+    assert stacks[0] == [(t,) for t in range(p)]
     refits = refit_edges(stacks)
     assert sum(map(len, stacks[1:])) == len(refits)
     pilots = {k: table.pilot.beta for k, table in enumerate(tables)}
-    reused = reuse_oracle(G, gamma, 120, pilots, cfg)
-    edges = {(t, k) for k in range(9) for t in range(9) if t != k}
+    reused = reuse_oracle(G, n, pilots, cfg)
+    edges = {(t, k) for k in range(p) for t in range(p) if t != k}
     assert refits == edges - reused
     for t, k in edges:
         if pilots[t][k] != 0.0:
@@ -568,15 +578,16 @@ def test_graph_refits_the_edges_its_pilots_do_not_solve(monkeypatch, cfg):
         if not tables[t].pilot.converged:
             assert (t, k) in refits
     for t, k in reused:
-        b = G[:, t].copy()
-        b[[t, k]] = 0.0
         if cfg.radius is None:
-            assert np.abs(pilots[t]).sum() < lasso._free_radius(G, b, [t, k])
+            assert np.abs(pilots[t]).sum() < \
+                lasso.default_radius(G, edge_b(G, t, k))
     if cfg.max_iter == 7:
         assert not all(table.pilot.converged for table in tables)
     elif cfg.radius is not None:
         assert any(np.abs(beta).sum() >= 0.05 * (1 - 1e-9)
                    for beta in pilots.values())
+    elif case == "strong_signal":
+        assert 0 < len(refits) < len(edges) // 4
     else:
         assert 0 < len(refits) < len(edges) // 2
 
@@ -593,33 +604,42 @@ def test_an_edge_drops_its_source_from_the_pilot_residual():
     cfg = SolverConfig(penalty=(first + second) / 2)
     pilots = [nodewise.NodewiseResult(j=0, mu=np.zeros(9), fit=None),
               *[NumericalError("failed pilot")] * 8]
-    reused = debias._edges_solved_by_pilots(G, gamma, pilots, cfg)
+    reused = debias._edges_solved_by_pilots(G, pilots, cfg)
     assert np.flatnonzero(reused.ravel()).tolist() == [k]
-    assert reuse_oracle(G, gamma, 120, {0: np.zeros(9)}, cfg) == {(0, k)}
+    assert reuse_oracle(G, 120, {0: np.zeros(9)}, cfg) == {(0, k)}
 
 
-def test_edge_floors_bound_the_edge_radius():
-    # the rank-one floors of every edge of a p = 12 graph are certified:
-    # below radius_floor of the edge's own b and noise variances, and below
-    # the edge's default radius; with c from every noise variance they are
-    # radius_floor to 1e-9
-    Z, gamma = ar_nodes(60, 12, seed=3)
-    gamma = np.linspace(0.1, 0.4, 12)
+def test_edge_radius_is_the_one_its_row_resolves():
+    # pilot t has one nonzero entry, at t + 1, and its l1 norm equals
+    # exactly the radius that edge (t, t + 2)'s own row resolves: that edge
+    # is refit, and every edge whose radius is larger by more than
+    # rounding is reused, so pilot t's radius sum less term k never rounds
+    # a pilot on the edge's ball inside it.  The tolerance passes every
+    # residual, which leaves the radius as the test; at p = 40 the radii
+    # are pairwise sums, and some diagonal entries of G are negative
+    p = 40
+    Z, _ = ar_nodes(60, p, seed=3)
+    gamma = np.linspace(0.1, 1.5, p)
     G = lasso.corrected_gram(Z, gamma)
-    b = G.copy()
-    np.fill_diagonal(b, 0.0)
-    floors = debias._edge_radius_floors(G, gamma, b)
-    for t in range(12):
-        for k in range(12):
-            if k == t:
-                continue
-            row = b[t].copy()
-            row[k] = 0.0
-            want = lasso.radius_floor(G, row, np.delete(gamma, [t, k]))
-            assert floors[t, k] <= want
-            assert floors[t, k] >= lasso.radius_floor(G, row, gamma) * \
-                (1 - 1e-9)
-            assert floors[t, k] < lasso._free_radius(G, row, [t, k])
+    assert (np.diag(G) < 0).any()
+    radius = np.array([[lasso.default_radius(G, edge_b(G, t, k)) if k != t
+                        else np.inf for k in range(p)] for t in range(p)])
+    pilots = []
+    for t in range(p):
+        mu = np.zeros(p)
+        mu[(t + 1) % p] = radius[t, (t + 2) % p]
+        pilots.append(nodewise.NodewiseResult(j=t, mu=mu, fit=None))
+    reused = debias._edges_solved_by_pilots(
+        G, pilots, SolverConfig(penalty=0.0, tol=1e300))
+    assert reused.sum() > p * p // 2
+    for t in range(p):
+        l1 = radius[t, (t + 2) % p]
+        assert not reused[t, (t + 2) % p]
+        for k in range(p):
+            if reused[t, k]:
+                assert l1 < radius[t, k]
+            elif k not in (t, (t + 1) % p):
+                assert l1 >= radius[t, k] * (1 - 1e-12)
 
 
 def test_graph_rejects_duplicate_sources():

@@ -18,7 +18,6 @@ from eivbands.lasso import (
     fit_corrected_lasso,
     fit_corrected_lasso_stack,
     hard_threshold,
-    radius_floor,
     resolve_config,
 )
 
@@ -266,19 +265,19 @@ class TestDefaults:
             np.sqrt(np.log(p / 0.05) / n), abs=0)
 
     def test_radius_positive_definite_case(self):
-        # With PD G the PSD part is G itself; check against a direct solve.
+        # on a positive definite G every diagonal entry is positive, so
+        # term k is the ridge pilot of coordinate k alone, b_k / (G_kk + 1)
         gen = np.random.default_rng(3)
         A = gen.normal(size=(30, 4))
         G = A.T @ A / 30 + 0.5 * np.eye(4)
         b = gen.normal(size=4)
-        ridge = np.linalg.solve(G + np.eye(4), b)
         assert default_radius(G, b) == pytest.approx(
-            2 * np.abs(ridge).sum(), rel=1e-12)
+            2 * sum(abs(b[k]) / (G[k, k] + 1) for k in range(4)), rel=1e-15)
 
     def test_radius_floors_negative_eigenvalues(self):
         G = np.diag([-2.0, 1.0])
         b = np.array([1.0, 1.0])
-        # PSD part is diag(0, 1), ridge = (1/1, 1/2)
+        # diagonal floored at (0, 1), terms (1/1, 1/2)
         assert default_radius(G, b) == pytest.approx(3.0, rel=1e-12)
 
     def test_radius_zero_b_fallback(self):
@@ -293,30 +292,35 @@ class TestDefaults:
         assert fit_corrected_lasso(b, G, cfg).radius == pytest.approx(
             2 * np.abs(np.linalg.solve(G + np.eye(2), b)).sum())
 
-    @given(st.integers(0, 2 ** 32 - 1), st.integers(1, 12), st.integers(1, 12),
-           st.sampled_from(["noisy", "zero_noise", "zero_b"]))
+    @given(st.integers(0, 2 ** 32 - 1), st.integers(1, 40), st.integers(1, 40),
+           st.sampled_from(["noisy", "zero_b", "pinned"]))
     @settings(max_examples=150, deadline=None)
-    def test_radius_floor_never_exceeds_the_radius(self, seed, n, p, case):
-        # p > n, v = 0 and b = 0 are all drawn; the floor must hold for the
-        # corrected Gram however indefinite it is
+    def test_radius_matches_loop_oracle(self, seed, n, p, case):
+        # a loop over the coordinates, on corrected Grams whose noise
+        # variances make diagonal entries negative (entry 0's always; p > n
+        # is drawn), with b = 0 or with pinned entries of b zeroed; every
+        # row of a stack of such b gives the scalar rule's bits
         gen = np.random.default_rng(seed)
         Z = gen.normal(size=(n, p)) * gen.uniform(0.1, 5.0)
-        v = gen.uniform(0.0, 6.0, size=p)
-        if case == "zero_noise":
-            v[:] = 0.0
+        v = gen.uniform(0.0, 30.0, size=p)
+        v[0] = Z[:, 0] @ Z[:, 0] / n + 1.0
         G = corrected_gram(Z, v)
-        b = gen.normal(size=p) * gen.uniform(0.01, 10.0)
+        b = gen.normal(size=(3, p)) * gen.uniform(0.01, 10.0)
         if case == "zero_b":
-            b[:] = 0.0
-        floor = radius_floor(G, b, v)
-        assert 0.0 <= floor <= default_radius(G, b) * (1.0 - 1e-9)
-        assert (floor == 0.0) == (case == "zero_b")
+            b[0] = 0.0
+        elif case == "pinned":
+            pins = gen.choice(p, size=gen.integers(1, p + 1), replace=False)
+            b[:, pins] = 0.0
 
-    def test_radius_floor_one_column_formula(self):
-        # one column, no noise: the bound is tight up to its 1e-6 margin
-        G, b = np.array([[3.0]]), np.array([-2.0])
-        assert radius_floor(G, b, np.zeros(1)) == pytest.approx(
-            default_radius(G, b) * (1.0 - 1e-6), rel=1e-14)
+        def oracle(row):
+            total = 0.0
+            for k in range(p):
+                total += abs(row[k]) / (max(G[k, k], 0.0) + 1.0)
+            return 2.0 * total if total > 0.0 else 1.0
+        got = [default_radius(G, row) for row in b]
+        for value, row in zip(got, b):
+            assert value == pytest.approx(oracle(row), rel=4 * p * 2e-16)
+        assert lasso._default_radii(G, b).tobytes() == np.array(got).tobytes()
 
     def test_resolve_defers_only_a_default_radius(self):
         # a default radius is left to the solvers, an explicit one kept, and
@@ -466,12 +470,12 @@ class TestSolver:
             fit_corrected_lasso(np.array([np.nan, 0.0]), np.eye(2), cfg)
 
 
-def solve_one_at_a_time(bs, Gs, cfgs, floors=None):
+def solve_one_at_a_time(bs, Gs, cfgs):
     # the reference: fit_corrected_lasso per problem, errors kept in place
     out = []
-    for b, G, cfg, floor in zip(bs, Gs, cfgs, floors or [None] * len(cfgs)):
+    for b, G, cfg in zip(bs, Gs, cfgs):
         try:
-            out.append(fit_corrected_lasso(b, G, cfg, floor))
+            out.append(fit_corrected_lasso(b, G, cfg))
         except NumericalError as exc:
             out.append(exc)
     return out
@@ -567,47 +571,21 @@ class TestStackedSolver:
         assert isinstance(diverged, NumericalError)
         assert_same_bits(stacked, single)
 
-    @given(st.integers(0, 2 ** 32 - 1), st.integers(1, 9), st.integers(1, 16))
-    @settings(max_examples=40, deadline=None)
-    def test_deferred_radius_matches_one_at_a_time_bitwise(self, seed, k, p):
-        # deferred default radii (some resolved, some never, some ending on
-        # the ball), mixed with explicit ones, against the single solver
-        # given the same floors
-        gen = np.random.default_rng(seed)
-        Z, v = draw_design(gen, p)
-        n = Z.shape[0]
-        G = corrected_gram(Z, v)
-        bs, cfgs, floors = [], [], []
-        for _ in range(k):
-            b = Z.T @ gen.normal(size=n) / n * gen.choice([0.0, 1.0, 3.0])
-            cfg = SolverConfig(penalty_scale=gen.uniform(0.02, 2.0),
-                               radius=gen.choice([None, None, 0.3]),
-                               max_iter=int(gen.choice([1, 4, 60, 20000])))
-            cfg = resolve_config(cfg, n, p)
-            bs.append(b)
-            cfgs.append(cfg)
-            floors.append(radius_floor(G, b, v))  # read only if deferred
-        bs = np.array(bs)
-        with np.errstate(over="ignore", invalid="ignore"):
-            assert_same_bits(fit_corrected_lasso_stack(bs, G, cfgs, floors),
-                             solve_one_at_a_time(bs, [G] * k, cfgs, floors))
-
     @given(st.integers(0, 2 ** 32 - 1), st.integers(1, 12),
            st.integers(1, 10))
     @settings(max_examples=60, deadline=None)
     def test_rows_sharing_grams_equal_rows_solved_alone(self, seed, k, p):
         # rows of one Gram pinned at 0, 1 or 2 coordinates (all of them
-        # when p <= 2), with a regression's b on the free coordinates and a
-        # deferred or eager radius, or unpinned with any b, in random order
-        # and cut
-        # into stacks at random boundaries: every row equals itself solved
-        # alone, an unpinned one equals the single solver, and a pinned
-        # one's beta keeps G's columns with +0.0 at its pins
+        # when p <= 2), with a regression's b on the free coordinates, or
+        # unpinned with any b, in random order and cut into stacks at
+        # random boundaries: every row equals itself solved alone, an
+        # unpinned one equals the single solver, and a pinned one's beta
+        # keeps G's columns with +0.0 at its pins
         gen = np.random.default_rng(seed)
         Z, v = draw_design(gen, p)
         n = Z.shape[0]
         G = corrected_gram(Z, v)
-        bs, cfgs, floors, pins = [], [], [], []
+        bs, cfgs, pins = [], [], []
         for _ in range(k):
             m = int(gen.integers(3))
             pin = tuple(int(j) for j in gen.choice(p, size=min(m, p),
@@ -615,19 +593,14 @@ class TestStackedSolver:
             if pin:
                 b = G[:, pin[0]].copy()
                 b[list(pin)] = 0.0
-                floor = radius_floor(G, b, np.delete(v, pin))
             else:
                 b = Z.T @ gen.normal(size=n) / n * gen.choice([0.0, 1.0, 3.0])
-                floor = radius_floor(G, b, v)
-            if gen.uniform() < 0.25:
-                floor = None  # a default radius resolves before any pass
             cfg = SolverConfig(penalty_scale=gen.uniform(0.02, 2.0),
                                radius=gen.choice([None, None, np.inf, 0.3]),
                                max_iter=int(gen.choice([1, 4, 60, 20000])),
                                tol=float(gen.choice([1e-8, 1e-5])))
             bs.append(b)
             cfgs.append(resolve_config(cfg, n, max(p - len(pin), 1)))
-            floors.append(floor)
             pins.append(pin)
         bs = np.array(bs)
         cuts = np.sort(gen.choice(np.arange(1, k), size=gen.integers(k),
@@ -637,16 +610,15 @@ class TestStackedSolver:
             for rows in np.split(np.arange(k), cuts):
                 stacked += fit_corrected_lasso_stack(
                     bs[rows], G, [cfgs[i] for i in rows],
-                    [floors[i] for i in rows], [pins[i] for i in rows])
+                    [pins[i] for i in rows])
             alone = [fit_corrected_lasso_stack(bs[i:i + 1], G,
-                                               cfgs[i:i + 1], floors[i:i + 1],
+                                               cfgs[i:i + 1],
                                                pins[i:i + 1])[0]
                      for i in range(k)]
             assert_same_bits(stacked, alone)
             free = [i for i in range(k) if not pins[i]]
             assert_same_bits([alone[i] for i in free], solve_one_at_a_time(
-                bs[free], [G] * len(free), [cfgs[i] for i in free],
-                [floors[i] for i in free]))
+                bs[free], [G] * len(free), [cfgs[i] for i in free]))
         for fit, pin in zip(alone, pins):
             if isinstance(fit, FitResult):
                 assert fit.beta.shape == (p,)
@@ -656,7 +628,7 @@ class TestStackedSolver:
     def test_pinned_rows_solve_the_sliced_subproblem(self):
         # pinned at two coordinates, a row solves the problem on G's free
         # block, up to rounding, with the same iterations, and holds its
-        # pins at 0; a deferred radius resolves on that block
+        # pins at 0; its radius is the block's, up to rounding
         gen = np.random.default_rng(14)
         p = 8
         Z = gen.normal(size=(20, p))
@@ -668,20 +640,37 @@ class TestStackedSolver:
         b = G[:, 0].copy()
         b[list(pin)] = 0.0
         cfg = resolve_config(SolverConfig(penalty_scale=0.2), 20, p - 2)
-        floor = radius_floor(G, b, np.delete(v, pin))
-        fit = fit_corrected_lasso_stack(b[None], G, [cfg], [floor],
-                                        [pin])[0]
-        sub = fit_corrected_lasso(b[free], G[np.ix_(free, free)], cfg, floor)
+        fit = fit_corrected_lasso_stack(b[None], G, [cfg], [pin])[0]
+        sub = fit_corrected_lasso(b[free], G[np.ix_(free, free)], cfg)
         assert fit.iterations == sub.iterations > 0
-        assert np.isfinite(fit.radius)
-        assert fit.radius == default_radius(G[np.ix_(free, free)], b[free])
+        npt.assert_allclose(fit.radius, sub.radius, rtol=1e-15)
         assert not fit.beta[~free].any()
         npt.assert_allclose(fit.beta[free], sub.beta, rtol=0, atol=1e-12)
 
+    @given(st.integers(0, 2 ** 32 - 1), st.integers(2, 40))
+    @settings(max_examples=60, deadline=None)
+    def test_pinned_row_radius_is_the_free_blocks(self, seed, p):
+        # a row reads its pinned entries of b as 0, so its default radius,
+        # a sum over all p terms, is the sliced free block's up to the
+        # rounding of summing the same terms in another grouping
+        gen = np.random.default_rng(seed)
+        Z, v = draw_design(gen, p)
+        G = corrected_gram(Z, v)
+        pins = [tuple(int(j) for j in gen.choice(
+            p, size=gen.integers(1, p), replace=False)) for _ in range(3)]
+        b = G[:, [pin[0] for pin in pins]].T
+        cfgs = [SolverConfig(penalty=float(np.abs(b).max()) + 1.0)] * 3
+        fits = fit_corrected_lasso_stack(b, G, cfgs, pins)
+        for row, pin, fit in zip(b, pins, fits):
+            free = ~np.isin(np.arange(p), pin)
+            want = default_radius(G[np.ix_(free, free)], row[free])
+            assert fit.iterations == 0 and np.isfinite(fit.radius)
+            assert fit.radius == pytest.approx(want, rel=2 * p * 2.3e-16)
+
     def test_eager_radius_is_reported_by_a_fit_that_never_moves(self):
-        # radius None, no floor and a penalty above max |b|: the scalar fit,
-        # an unpinned row and a pinned row all stop at 0, and each reports
-        # default_radius of its free block, bit for bit
+        # radius None and a penalty above max |b|: the scalar fit, an
+        # unpinned row and a pinned row all stop at 0, and each reports the
+        # default radius of its b, with the pinned row's entries read as 0
         gen = np.random.default_rng(6)
         p = 7
         Z = gen.normal(size=(30, p))
@@ -691,7 +680,6 @@ class TestStackedSolver:
         b = G[:, 2].copy()
         cfg = SolverConfig(penalty=2.0 * float(np.abs(b).max()))
         pin = (2, 5)
-        free = ~np.isin(np.arange(p), pin)
         b_free = b.copy()
         b_free[list(pin)] = 0.0
         single = fit_corrected_lasso(b, G, cfg)
@@ -700,14 +688,7 @@ class TestStackedSolver:
         for fit in (single, unpinned, pinned):
             assert fit.iterations == 0 and fit.converged
         assert single.radius == unpinned.radius == default_radius(G, b)
-        assert pinned.radius == default_radius(G[np.ix_(free, free)],
-                                               b_free[free])
-        # behind a floor the same rows never resolve it
-        floor = radius_floor(G, b, v)
-        assert fit_corrected_lasso(b, G, cfg, floor).radius == np.inf
-        assert [f.radius for f in fit_corrected_lasso_stack(
-            np.array([b, b]), G, [cfg, cfg], [floor, floor],
-            [(), pin])] == [np.inf, np.inf]
+        assert pinned.radius == default_radius(G, b_free)
 
     def test_reports_the_residual_of_the_returned_iterate(self):
         # untruncated, fit.beta is the last iterate; its residual must be
@@ -758,22 +739,20 @@ class TestStackedSolver:
     def test_validates_like_the_single_solver(self):
         cfg = SolverConfig(penalty=0.1, radius=1.0)
         bad = [
-            (np.ones((2, 3)), np.ones((3, 2)), [cfg, cfg], None, None),
-            (np.ones((2, 2)), np.eye(2), [cfg], None, None),
-            (np.ones(2), np.eye(2), [cfg], None, None),
-            (np.array([[np.nan, 0.0]]), np.eye(2), [cfg], None, None),
-            (np.ones((1, 2)), np.full((2, 2), np.inf), [cfg], None, None),
-            (np.ones((1, 2)), np.eye(2), [SolverConfig()], None, None),
-            (np.ones((1, 2)), np.eye(2), [SolverConfig(penalty=0.1)],
-             [0.5, 0.5], None),
-            (np.ones((1, 2)), np.eye(2), [cfg], None, [(2,)]),
-            (np.ones((1, 2)), np.eye(2), [cfg], None, [(-1,)]),
-            (np.ones((1, 2)), np.eye(2), [cfg], None, [(1, 1)]),
-            (np.ones((2, 2)), np.eye(2), [cfg, cfg], None, [(0,)]),
+            (np.ones((2, 3)), np.ones((3, 2)), [cfg, cfg], None),
+            (np.ones((2, 2)), np.eye(2), [cfg], None),
+            (np.ones(2), np.eye(2), [cfg], None),
+            (np.array([[np.nan, 0.0]]), np.eye(2), [cfg], None),
+            (np.ones((1, 2)), np.full((2, 2), np.inf), [cfg], None),
+            (np.ones((1, 2)), np.eye(2), [SolverConfig()], None),
+            (np.ones((1, 2)), np.eye(2), [cfg], [(2,)]),
+            (np.ones((1, 2)), np.eye(2), [cfg], [(-1,)]),
+            (np.ones((1, 2)), np.eye(2), [cfg], [(1, 1)]),
+            (np.ones((2, 2)), np.eye(2), [cfg, cfg], [(0,)]),
         ]
-        for b, G, cfgs, floors, pins in bad:
+        for b, G, cfgs, pins in bad:
             with pytest.raises(InputError):
-                fit_corrected_lasso_stack(b, G, cfgs, floors, pins)
+                fit_corrected_lasso_stack(b, G, cfgs, pins)
 
 
 class TestTypes:

@@ -69,8 +69,8 @@ def sub_gram(Z, noise_var, j):
 
 def design_gram(Z, noise_var):
     # the leading arguments of fit_nodewise_jobs for one design: its
-    # corrected Gram, its noise variances and its row count
-    return corrected_gram(Z, noise_var), noise_var, Z.shape[0]
+    # corrected Gram and its row count
+    return corrected_gram(Z, noise_var), Z.shape[0]
 
 
 def test_reduces_to_corrected_lasso_subproblem():
@@ -254,7 +254,7 @@ def test_job_leaving_out_columns_regresses_on_the_rest(cfg):
     noise_var = rng.uniform(0.1, 0.4, size=p)
     G = corrected_gram(Z, noise_var)
     for k, t in ((4, 1), (4, 7), (0, 8), (8, 0)):
-        got = next(fit_nodewise_jobs(G, noise_var, n, [(t, (k,))], cfg))
+        got = next(fit_nodewise_jobs(G, n, [(t, (k,))], cfg))
         keep = np.arange(p) != k
         want = fit_nodewise(Z[:, keep], noise_var[keep], t - (t > k), cfg)
         assert got.j == t
@@ -282,7 +282,7 @@ def test_left_out_columns_are_validated(case):
     Z = rng.normal(size=(30, 9))
     G = corrected_gram(Z, np.full(9, 0.1))
     with pytest.raises(InputError) as exc:
-        list(fit_nodewise_jobs(G, np.full(9, 0.1), 30, [(1, out)]))
+        list(fit_nodewise_jobs(G, 30, [(1, out)]))
     assert str(exc.value) == message
 
 
@@ -291,7 +291,8 @@ def test_pilot_job_regresses_the_target_on_the_rest(scale):
     # a job (j, out) with j in out is z_j on Z without out: the row of G
     # pinned at out, with the penalty of p - len(out) columns and its
     # radius resolved before its first pass, so a pilot that never leaves
-    # 0 (scale 50) still reports the radius of its free block
+    # 0 (scale 50) still reports the radius of its free block (up to the
+    # rounding of a sum over p terms rather than the free ones)
     rng = np.random.default_rng(19)
     n, p = 60, 9
     Z = rng.normal(size=(n, p))
@@ -300,7 +301,7 @@ def test_pilot_job_regresses_the_target_on_the_rest(scale):
     G = corrected_gram(Z, noise_var)
     cfg = SolverConfig(penalty_scale=scale)
     for j, out in ((3, (3,)), (3, (6, 3)), (0, (0,))):
-        got = next(fit_nodewise_jobs(G, noise_var, n, [(j, out)], cfg))
+        got = next(fit_nodewise_jobs(G, n, [(j, out)], cfg))
         b = G[:, j].copy()
         b[list(out)] = 0.0
         want = fit_corrected_lasso_stack(
@@ -309,36 +310,11 @@ def test_pilot_job_regresses_the_target_on_the_rest(scale):
         assert got.j == j and got.mu is got.fit.beta
         assert_same_direction(got, NodewiseResult(j, want.beta, want))
         free = ~np.isin(np.arange(p), out)
-        assert got.fit.radius == default_radius(G[np.ix_(free, free)],
-                                                b[free])
+        assert got.fit.radius == default_radius(G, b)
+        npt.assert_allclose(got.fit.radius,
+                            default_radius(G[np.ix_(free, free)], b[free]),
+                            rtol=1e-15)
         assert (got.fit.iterations == 0) == (scale == 50.0)
-
-
-@pytest.mark.parametrize("scale", [1.0, 0.2, 50.0])
-def test_deferred_pilot_job_gives_the_eager_fit(scale):
-    # with defer_pilots a pilot job takes its floor as a nodewise row does:
-    # the same fit in every field but the radius, which is the eager one
-    # once a candidate crossed the floor and inf otherwise
-    rng = np.random.default_rng(19)
-    n, p = 60, 9
-    Z = rng.normal(size=(n, p))
-    Z[:, 1:] += 0.6 * Z[:, :-1]
-    noise_var = np.full(p, 0.2)
-    G = corrected_gram(Z, noise_var)
-    cfg = SolverConfig(penalty_scale=scale)
-    jobs = [(3, (3,)), (3, (6, 3)), (0, (0,))]
-    eager = list(fit_nodewise_jobs(G, noise_var, n, jobs, cfg))
-    deferred = list(fit_nodewise_jobs(G, noise_var, n, jobs, cfg,
-                                      defer_pilots=True))
-    for got, want in zip(deferred, eager, strict=True):
-        for field in ("beta", "objective_trace"):
-            assert getattr(got.fit, field).tobytes() == \
-                getattr(want.fit, field).tobytes()
-        for field in ("iterations", "converged", "objective", "kkt_residual"):
-            assert getattr(got.fit, field) == getattr(want.fit, field)
-        assert got.fit.radius in (want.fit.radius, np.inf)
-    # at a fifth of the penalty some pilot's candidates cross its floor
-    assert any(got.fit.radius < np.inf for got in deferred) == (scale == 0.2)
 
 
 def test_wide_design_with_many_targets_splits_into_stacks(monkeypatch):
@@ -361,7 +337,8 @@ def test_wide_design_with_many_targets_splits_into_stacks(monkeypatch):
 
 
 def count_radius_calls(monkeypatch):
-    # the solvers resolve a deferred radius through lasso.default_radius
+    # calls of the scalar rule lasso.default_radius, which the single
+    # solver makes; a stack resolves its rows' radii in one row sum
     calls = []
     original = lasso.default_radius
 
@@ -372,71 +349,12 @@ def count_radius_calls(monkeypatch):
     return calls
 
 
-def _ar_noisy(seed, n, p, sigma_w):
-    gen = np.random.default_rng(seed)
-    x = gen.normal(size=(n, p))
-    x[:, 1:] += 0.8 * x[:, :-1]
-    return x + sigma_w * gen.normal(size=(n, p)), np.full(p, sigma_w ** 2)
-
-
-# (seed, n, p, sigma_w, penalty_scale) for target 0 in each regime of the
-# deferred radius: the solve never leaves 0, its candidates stay under the
-# floor, one crosses the floor but the fit ends inside the ball, and the fit
-# ends on the ball
-DEFERRAL_REGIMES = {
-    "never_left_zero": (0, 40, 8, 0.5, 5.0),
-    "under_floor": (0, 40, 8, 0.5, 1.0),
-    "crossed_floor": (9, 40, 8, 0.2, 0.1),
-    "on_ball": (0, 20, 15, 1.0, 0.3),
-}
-
-
-@pytest.mark.parametrize("regime", list(DEFERRAL_REGIMES))
-def test_deferred_radius_gives_the_eager_fit(monkeypatch, regime):
-    seed, n, p, sigma_w, scale = DEFERRAL_REGIMES[regime]
-    Z, noise_var = _ar_noisy(seed, n, p, sigma_w)
-    cfg = SolverConfig(penalty_scale=scale)
-    G, b = sub_gram(Z, noise_var, 0)
-    resolved_cfg = resolve_config(cfg, n, p)
-    # the same pinned row on the design's Gram with no floor, so its
-    # radius is resolved up front
-    full = corrected_gram(Z, noise_var)
-    row = full[:, 0].copy()
-    eager = fit_corrected_lasso_stack(row[None], full, [resolved_cfg],
-                                      pins=[(0,)])[0]
-    # and the sliced subproblem, which sums over p - 1 terms, not p
-    sliced = fit_corrected_lasso(b, G, resolved_cfg)
-    calls = count_radius_calls(monkeypatch)
-    got = fit_nodewise(Z, noise_var, 0, cfg).fit
-
-    resolved = len(calls) == 1
-    on_ball = np.abs(eager.beta).sum() >= eager.radius * (1.0 - 1e-6)
-    hit = ("never_left_zero" if eager.iterations == 0
-           else "under_floor" if not resolved
-           else "on_ball" if on_ball else "crossed_floor")
-    assert hit == regime
-    assert len(calls) <= 1
-    assert got.radius == (eager.radius if resolved else np.inf)
-    assert eager.radius == default_radius(G, b)
-    for field in ("iterations", "converged", "objective", "kkt_residual",
-                  "penalty"):
-        assert getattr(got, field) == getattr(eager, field), field
-    assert got.beta.tobytes() == eager.beta.tobytes()
-    assert got.objective_trace.tobytes() == eager.objective_trace.tobytes()
-    assert (got.iterations, got.converged) == \
-        (sliced.iterations, sliced.converged)
-    assert got.beta[0] == 0.0
-    npt.assert_allclose(got.beta[1:], sliced.beta, rtol=0, atol=1e-12)
-    if resolved:
-        assert got.radius == sliced.radius
-
-
 @pytest.mark.parametrize("budget", [None, 0], ids=["stacked", "one_by_one"])
 def test_inference_resolves_only_the_pilot_radius(monkeypatch, budget):
     if budget is not None:
         monkeypatch.setattr(nodewise, "STACK_BUDGET_BYTES", budget)
-    # AR(0.5) columns observed with noise sd 0.5: no nodewise candidate
-    # passes its radius floor, so only the pilot computes a radius
+    # AR(0.5) columns observed with noise sd 0.5: the pilot resolves its
+    # radius alone, and the nodewise rows theirs as rows of their stacks
     n, p = 200, 30
     gen = np.random.default_rng(31)
     x = np.empty((n, p))
@@ -488,14 +406,14 @@ def test_no_pass_over_a_finished_row(monkeypatch):
         return sum(rows) - lasso._POWER_ITERATIONS * sum(power)
 
     stacks = count_stacks(monkeypatch)
-    fits = list(fit_nodewise_jobs(G, noise_var, n, jobs))
+    fits = list(fit_nodewise_jobs(G, n, jobs))
     assert stacks == [len(jobs)]
     row_passes = loop_row_passes()
     iterations = sum(f.fit.iterations for f in fits)
     rows.clear()
     power.clear()
     for job in jobs:
-        next(fit_nodewise_jobs(G, noise_var, n, [job]))
+        next(fit_nodewise_jobs(G, n, [job]))
     retries = loop_row_passes() - iterations
     assert 0 <= retries < iterations
     assert row_passes == iterations + retries

@@ -22,8 +22,12 @@ default penalty, where nearly every pilot and edge row ends on its l1
 ball) and
 `simulate` (both presets, the multi one also on two workers, a config file
 under flags, the naive method with the solver flags, the study defaults,
-and noise sd 1 at a fifth of the study penalty, where pilots and nodewise
-rows end on their l1 balls) once with `--format records` and once with
+noise sd 1 at a fifth of the study penalty, where pilots and nodewise
+rows end on their l1 balls, and two multi-target studies that reach every
+exit of the band's coverage decision: one at alpha 0.5, whose replications
+miss after 256, 384 and all 500 draws and hold after 384 and all of them,
+and one of 50 draws, less than one draw chunk, that misses and holds on
+its only chunk) once with `--format records` and once with
 `--format table`, and captures the stdout of each script in `demos/`.  The two-worker run must
 equal its one-worker twin `simulate_multi_mar` byte for byte.  Each invalid call in `_error_runs` (bad
 `simulate` flags and config files, and an `infer` target whose column is
@@ -261,6 +265,13 @@ def _runs(inputs: Path) -> dict[str, list[str]]:
                            "--max-iter", "500"],
         "simulate_multi_defaults": ["simulate", "--preset", "multi",
                                     *small_study],
+        "simulate_alpha_half": ["simulate", "--preset", "multi", "--n", "100",
+                                "--p", "30", "--replications", "6", "--boot",
+                                "500", "--seed", "5", "--alpha", "0.5"],
+        "simulate_one_chunk": ["simulate", "--preset", "multi",
+                               "--noise-mode", "mar", "--n", "100", "--p",
+                               "30", "--replications", "4", "--boot", "50",
+                               "--seed", "5", "--alpha", "0.5"],
     }
 
 

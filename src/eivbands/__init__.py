@@ -11,6 +11,7 @@ a command line.
 from .bootstrap import (
     BandResult,
     MultiplierDraws,
+    band_covers,
     critical_value,
     multiplier_maxima,
     simultaneous_bands,
@@ -68,6 +69,7 @@ __all__ = [
     "SimConfig",
     "SimReport",
     "SolverConfig",
+    "band_covers",
     "corrected_gram",
     "critical_value",
     "debias_coordinate",

@@ -12,7 +12,8 @@ Multipliers come from a counter-based stream keyed by (seed, draw index,
 observation index): draw b occupies positions [b*n, (b+1)*n) of the stream
 keyed (seed, multiplier-domain), so every multiplier is a pure function of
 (seed, b, i), whatever the chunking.  They are drawn once per
-(n, draws, seed), in row chunks of the fixed `_CHUNK_DRAWS` draws.
+(n, draws, seed), in row chunks of the fixed `_CHUNK_DRAWS` draws
+(`_draw_chunks`).
 
 `simultaneous_bands`, the one band routine, feeds the score columns of one
 table or a stream of tables to a `MaximaStream`, which takes them in any
@@ -33,6 +34,18 @@ seed) for one BLAS build and thread count.  Up to `_BLOCK_COLUMNS` columns
 make one block, so the product is exactly the unblocked g @ scores; with
 more, a maximum can differ from the unblocked product in the last bit.
 
+A study replication asks only whether its band holds the null values.
+`band_covers` answers that from the draws in chunk order, and stops at the
+first chunk after which the answer can no longer change (see its
+docstring), so the chunk width is also the granularity of that decision.
+The decision and the band must share the width: the maxima it reads must
+be the band's bit for bit, and g @ block in pieces of another height can
+round differently from the band's product.  Both take their chunks from
+`_draw_chunks` and their per-(chunk, block) maxima from `_fold_block`.
+The width is small, 128 draws, so that most replications stop after one
+or two chunks; the band itself loses little by it, and its (chunk, block)
+product is smaller.
+
 When the noise variances were estimated from missingness, a table's score
 columns first get a correction for the sampling error of those estimates:
 `adjust_scores_for_estimated_noise` takes the table and returns its corrected
@@ -51,8 +64,70 @@ from . import rng
 from .debias import DebiasTable
 from .errors import InputError, check_integer
 
-_CHUNK_DRAWS = 4096
+_CHUNK_DRAWS = 128
 _BLOCK_COLUMNS = 256
+
+
+def _check_stream(n: int, draws: int, seed: int) -> None:
+    if n < 1:
+        raise InputError("scores must be a nonempty n x m matrix")
+    check_integer("draws", draws)
+    check_integer("seed", seed)
+    if draws < 1:
+        raise InputError("need at least one bootstrap draw")
+    if not 0 <= seed < 2 ** 64:
+        raise InputError(
+            f"seed must be an unsigned 64-bit integer (got {seed})")
+
+
+def _check_scores(scores, n: int) -> np.ndarray:
+    scores = np.asarray(scores, dtype=np.float64)
+    if scores.ndim != 2 or scores.shape[0] != n:
+        raise InputError(f"scores must be a matrix with {n} rows")
+    if not np.all(np.isfinite(scores)):
+        raise InputError("scores contain non-finite entries")
+    return scores
+
+
+def _draw_chunks(n: int, draws: int, seed: int):
+    """The multipliers of draws 0, 1, ..., in (take, n) chunks of
+    `_CHUNK_DRAWS` draws (the last one shorter), read off one stream."""
+    bits = rng.stream(seed, rng.DOMAIN_MULTIPLIER)
+    for done in range(0, draws, _CHUNK_DRAWS):
+        take = min(_CHUNK_DRAWS, draws - done)
+        yield rng.normals(bits, take * n).reshape(take, n)
+
+
+def _fold_block(g: np.ndarray, block: np.ndarray, top: np.ndarray) -> None:
+    """top = max(top, max_j |g @ block[:, j]|) per draw, in place."""
+    prod = g @ block
+    np.abs(prod, out=prod)
+    np.maximum(top, prod.max(axis=1), out=top)
+
+
+def _order_index(alpha: float, B: int) -> int:
+    """k = ceil((1 - alpha) * B - 1e-9) clamped to [1, B]: c* is the k-th
+    smallest of B maxima.  The 1e-9 keeps an exact-integer product from
+    being bumped to the next order statistic by float rounding."""
+    if not 0.0 < alpha < 1.0:
+        raise InputError(f"alpha must lie strictly between 0 and 1, got {alpha}")
+    if B < 1:
+        raise InputError("empty bootstrap draws")
+    k = int(math.ceil((1.0 - alpha) * B - 1e-9))
+    return min(max(k, 1), B)
+
+
+def _band_edges(estimates: np.ndarray, sds: np.ndarray, c: float,
+                n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The band estimate -+ c sd / sqrt(n)."""
+    half = c * sds / math.sqrt(n)
+    return estimates - half, estimates + half
+
+
+def _band_scores(table: DebiasTable) -> np.ndarray:
+    """The score columns a table's cells contribute to its band."""
+    return (table.score_matrix() if table.mar is None
+            else adjust_scores_for_estimated_noise(table))
 
 
 @dataclass(frozen=True)
@@ -87,21 +162,9 @@ class MaximaStream:
     """
 
     def __init__(self, n: int, draws: int, seed: int):
-        if n < 1:
-            raise InputError("scores must be a nonempty n x m matrix")
-        check_integer("draws", draws)
-        check_integer("seed", seed)
-        if draws < 1:
-            raise InputError("need at least one bootstrap draw")
-        if not 0 <= seed < 2 ** 64:
-            raise InputError(
-                f"seed must be an unsigned 64-bit integer (got {seed})")
+        _check_stream(n, draws, seed)
         self.n, self.draws, self.seed = int(n), int(draws), int(seed)
-        bits = rng.stream(seed, rng.DOMAIN_MULTIPLIER)
-        self._chunks = []
-        for done in range(0, draws, _CHUNK_DRAWS):
-            take = min(_CHUNK_DRAWS, draws - done)
-            self._chunks.append(rng.normals(bits, take * n).reshape(take, n))
+        self._chunks = list(_draw_chunks(self.n, self.draws, self.seed))
         self._block = np.empty((n, _BLOCK_COLUMNS))
         self._filled = 0
         self._columns = 0
@@ -110,11 +173,7 @@ class MaximaStream:
 
     def feed(self, scores: np.ndarray) -> None:
         """Add the columns of an n x k score matrix (k may be 0)."""
-        scores = np.asarray(scores, dtype=np.float64)
-        if scores.ndim != 2 or scores.shape[0] != self.n:
-            raise InputError(f"scores must be a matrix with {self.n} rows")
-        if not np.all(np.isfinite(scores)):
-            raise InputError("scores contain non-finite entries")
+        scores = _check_scores(scores, self.n)
         m = scores.shape[1]
         start = 0
         while start < m:
@@ -135,10 +194,7 @@ class MaximaStream:
             block = np.ascontiguousarray(block[:, :self._filled])
         done = 0
         for g in self._chunks:
-            prod = g @ block
-            np.abs(prod, out=prod)
-            top = self._top[done:done + g.shape[0]]
-            np.maximum(top, prod.max(axis=1), out=top)
+            _fold_block(g, block, self._top[done:done + g.shape[0]])
             done += g.shape[0]
         self._filled = 0
 
@@ -164,20 +220,10 @@ def multiplier_maxima(scores: np.ndarray, draws: int,
 
 
 def critical_value(draws: MultiplierDraws, alpha: float) -> float:
-    """ceil((1 - alpha) * B)-th ascending order statistic of the maxima.
-
-    The index is computed as ceil((1 - alpha) * B - 1e-9) clamped to [1, B]
-    so exact-integer products are not bumped to the next order statistic by
-    float rounding.
-    """
-    if not 0.0 < alpha < 1.0:
-        raise InputError(f"alpha must lie strictly between 0 and 1, got {alpha}")
+    """ceil((1 - alpha) * B)-th ascending order statistic of the maxima,
+    with the index rule of `_order_index`."""
     maxima = np.asarray(draws.maxima, dtype=np.float64)
-    B = maxima.shape[0]
-    if B < 1:
-        raise InputError("empty bootstrap draws")
-    k = int(math.ceil((1.0 - alpha) * B - 1e-9))
-    k = min(max(k, 1), B)
+    k = _order_index(alpha, maxima.shape[0])
     return float(np.sort(maxima)[k - 1])
 
 
@@ -230,15 +276,69 @@ def simultaneous_bands(tables, draws: int, seed: int) -> BandResult:
             stream, alpha = MaximaStream(table.n, draws, seed), table.alpha
         elif table.alpha != alpha:
             raise InputError(f"tables mix alpha {alpha} and {table.alpha}")
-        stream.feed(table.score_matrix() if table.mar is None
-                    else adjust_scores_for_estimated_noise(table))
+        stream.feed(_band_scores(table))
         kept += [(c.j, c.estimate, c.sd) for c in table.cells]
     if stream is None:
         raise InputError("no tables to band")
     targets, estimates, sds = zip(*kept)
     c_star = critical_value(stream.maxima(), alpha)
     est = np.asarray(estimates, dtype=np.float64)
-    half = c_star * np.asarray(sds, dtype=np.float64) / math.sqrt(stream.n)
-    return BandResult(targets=targets, estimates=est, lower=est - half,
-                      upper=est + half, critical_value=c_star, alpha=alpha,
+    lower, upper = _band_edges(est, np.asarray(sds, dtype=np.float64),
+                               c_star, stream.n)
+    return BandResult(targets=targets, estimates=est, lower=lower,
+                      upper=upper, critical_value=c_star, alpha=alpha,
                       draws=stream.draws, seed=stream.seed)
+
+
+def band_covers(table: DebiasTable, values, draws: int, seed: int) -> bool:
+    """Whether the band `simultaneous_bands(table, draws, seed)` holds
+    values[k] for every cell k, with no more draws than settle it.
+
+    Draw b's maximum is formed exactly as the band forms it: the same
+    chunks of multipliers (`_draw_chunks`), the same column blocks and the
+    same per-(chunk, block) step (`_fold_block`), so it is the band's
+    draw b bit for bit; the chunks are only taken in order, and not all.
+
+    With d of the B draws seen and k = `_order_index(alpha, B)`, c* is at
+    most the k-th smallest maximum seen (the B - d unseen ones can only
+    push the k-th order statistic down) and at least the (k - (B - d))-th
+    (they can all fall below it).  A cell's edges est -+ c sd / sqrt(n)
+    are each monotone in c under correct rounding, since sd >= 0, so the
+    band at a larger c holds every value the band at a smaller c holds.
+    Hence when the band at the upper bound misses a value, the band at c*
+    misses it, and when the band at the lower bound holds every value, so
+    does the band at c*: either way the answer is the band's, not an
+    approximation of it.  With every draw seen the two bounds are c*.
+    """
+    if not table.cells:
+        raise InputError("table has no cells")
+    _check_stream(table.n, draws, seed)
+    scores = _check_scores(_band_scores(table), table.n)
+    values = np.asarray(values, dtype=np.float64)
+    if values.shape != (len(table.cells),):
+        raise InputError(
+            f"need one value per cell ({len(table.cells)}), got {values.shape}")
+    k = _order_index(table.alpha, draws)
+    est = np.array([c.estimate for c in table.cells])
+    sds = np.array([c.sd for c in table.cells])
+
+    def covers(c: float) -> bool:
+        lower, upper = _band_edges(est, sds, float(c), table.n)
+        return not np.any((values < lower) | (values > upper))
+
+    # the blocks as `MaximaStream` lays them: C-ordered n x _BLOCK_COLUMNS,
+    # and the remainder as an n x r matrix of its own
+    blocks = [np.ascontiguousarray(scores[:, s:s + _BLOCK_COLUMNS])
+              for s in range(0, scores.shape[1], _BLOCK_COLUMNS)]
+    seen = np.empty(0)
+    for g in _draw_chunks(table.n, draws, seed):
+        top = np.zeros(g.shape[0])
+        for block in blocks:
+            _fold_block(g, block, top)
+        seen = np.sort(np.concatenate((seen, top / math.sqrt(table.n))))
+        unseen = draws - seen.shape[0]
+        if seen.shape[0] >= k and not covers(seen[k - 1]):
+            return False
+        if unseen < k and covers(seen[k - 1 - unseen]):
+            return True
+    raise AssertionError("with every draw seen both bounds are c*")

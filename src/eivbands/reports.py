@@ -23,14 +23,19 @@ def default_names(p: int) -> list[str]:
 
 
 def _plain(value):
-    # json.dumps hook: NumPy scalars and arrays become Python values
+    # encoder hook: NumPy scalars and arrays become Python values
     if isinstance(value, (np.generic, np.ndarray)):
         return value.tolist()
     raise TypeError(f"{type(value).__name__} is not JSON serializable")
 
 
+# one encoder for every record; json.dumps with keyword arguments would
+# build a new one per record
+_ENCODER = json.JSONEncoder(sort_keys=True, default=_plain)
+
+
 def render_records(records: list[dict]) -> str:
-    lines = [json.dumps(r, sort_keys=True, default=_plain) for r in records]
+    lines = [_ENCODER.encode(r) for r in records]
     return "\n".join(lines) + "\n"
 
 

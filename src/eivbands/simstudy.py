@@ -17,7 +17,8 @@ measurement noise matters.
 A replication rejects when a null value falls outside its interval: the
 pointwise normal interval for a single target, and the multiplier-bootstrap
 band for several, so the rejection rate estimates the family-wise error rate
-under true nulls.
+under true nulls.  The band's verdict comes from `bootstrap.band_covers`,
+which draws only the bootstrap multipliers that settle it.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ import numpy as np
 from scipy.linalg import cholesky, toeplitz
 
 from . import rng
-from .bootstrap import simultaneous_bands
+from .bootstrap import band_covers
 from .debias import VARIANCE_CONVENTIONS, run_inference
 from .errors import (
     DegeneracyError,
@@ -194,13 +195,10 @@ def _replicate(cfg: SimConfig, rep: int) -> dict:
                           cfg.variance_at)
     cells, nulls = table.cells, cfg.null_values
     if len(cells) == 1:
-        lower, upper = [cells[0].ci_low], [cells[0].ci_high]
+        reject = nulls[0] < cells[0].ci_low or nulls[0] > cells[0].ci_high
     else:
-        band = simultaneous_bands(table, cfg.boot_draws,
-                                  _bootstrap_seed(cfg, rep))
-        lower, upper = band.lower, band.upper
-    reject = any(null < lo or null > hi
-                 for null, lo, hi in zip(nulls, lower, upper))
+        reject = not band_covers(table, nulls, cfg.boot_draws,
+                                 _bootstrap_seed(cfg, rep))
     return {"rep": int(rep), "reject": bool(reject), "covered": not reject,
             "stats": [math.sqrt(cfg.n) * (c.estimate - null) / c.sd
                       for c, null in zip(cells, nulls)],

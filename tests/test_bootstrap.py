@@ -16,6 +16,7 @@ from eivbands.bootstrap import (
     MaximaStream,
     MultiplierDraws,
     adjust_scores_for_estimated_noise,
+    band_covers,
     critical_value,
     multiplier_maxima,
     simultaneous_bands,
@@ -525,3 +526,103 @@ class TestBandOverAStream:
         for tables in (empty, [table, empty]):
             with pytest.raises(InputError, match="no cells"):
                 simultaneous_bands(tables, 50, seed=1)
+
+
+def band_verdict(band, values):
+    # the verdict a study replication takes from the whole band
+    return not any(v < lo or v > hi
+                   for v, lo, hi in zip(values, band.lower, band.upper))
+
+
+def probes(band, seed):
+    # value vectors inside, on and just across the band's edges, one cell
+    # moved at a time, and random ones straddling the edges
+    gen = np.random.default_rng(seed)
+    est, lower, upper = band.estimates, band.lower, band.upper
+    out = [est, lower, upper, np.nextafter(lower, np.inf),
+           np.nextafter(upper, -np.inf)]
+    for k in {0, len(est) // 2, len(est) - 1}:
+        for edge, away in ((lower, -np.inf), (upper, np.inf)):
+            for v in (edge[k], np.nextafter(edge[k], away)):
+                probe = est.copy()
+                probe[k] = v
+                out.append(probe)
+    half = (upper - lower) / 2
+    for _ in range(3):
+        out.append(est + gen.uniform(-1.02, 1.02, size=len(est)) * half)
+    return out
+
+
+def covers_tables():
+    known, mar = inference_table(seed=2), mar_table(seed=3)
+    return {"known": known, "mar": mar, "m1": wide_table(mar, 1, seed=4),
+            f"m{_BLOCK_COLUMNS}": wide_table(mar, _BLOCK_COLUMNS, seed=5),
+            f"m{_BLOCK_COLUMNS + 1}": wide_table(mar, _BLOCK_COLUMNS + 1,
+                                                 seed=6)}
+
+
+class TestBandCovers:
+    @pytest.mark.parametrize("name", list(covers_tables()))
+    @pytest.mark.parametrize("draws", [1, _CHUNK_DRAWS - 1, _CHUNK_DRAWS,
+                                       _CHUNK_DRAWS + 1, 500])
+    def test_equals_the_band_verdict(self, name, draws):
+        table = covers_tables()[name]
+        for alpha in (0.05, 0.2, 0.5, 0.9):
+            table = dataclasses.replace(table, alpha=alpha)
+            band = simultaneous_bands(table, draws, seed=draws)
+            verdicts = set()
+            for values in probes(band, seed=draws):
+                want = band_verdict(band, values)
+                assert band_covers(table, values, draws, draws) is want
+                verdicts.add(want)
+            assert verdicts == {True, False}
+
+    @pytest.mark.parametrize("offset, alpha, verdict", [
+        (0.0, 0.05, True), (100.0, 0.5, False)])
+    def test_a_clear_case_draws_fewer_than_every_multiplier(
+            self, monkeypatch, offset, alpha, verdict):
+        table = dataclasses.replace(inference_table(seed=9), alpha=alpha)
+        values = [c.estimate + offset * c.sd for c in table.cells]
+        counted = []
+        original = rng.normals
+
+        def normals(bits, count):
+            counted.append(count)
+            return original(bits, count)
+        monkeypatch.setattr(rng, "normals", normals)
+        assert band_covers(table, values, 500, seed=10) is verdict
+        assert 0 < sum(counted) < 500 * table.n
+        counted.clear()
+        simultaneous_bands(table, 500, seed=10)
+        assert sum(counted) == 500 * table.n
+
+    @pytest.mark.parametrize("draws, seed", [
+        (0, 1), (2.5, 1), (True, 1), (10, -1), (10, 2 ** 70), (10, 1.5),
+        (10, True)])
+    def test_bad_draws_or_seed_raise_as_the_band_does(self, draws, seed):
+        table = inference_table()
+        values = [c.estimate for c in table.cells]
+        with pytest.raises(InputError) as band:
+            simultaneous_bands(table, draws, seed)
+        with pytest.raises(InputError) as covers:
+            band_covers(table, values, draws, seed)
+        assert str(covers.value) == str(band.value)
+
+    def test_non_finite_scores_raise_as_the_band_does(self):
+        table = inference_table()
+        cell = dataclasses.replace(table.cells[1],
+                                   scores=np.full(table.n, np.nan))
+        table = dataclasses.replace(
+            table, cells=(table.cells[0], cell, table.cells[2]))
+        with pytest.raises(InputError) as band:
+            simultaneous_bands(table, 50, 1)
+        with pytest.raises(InputError) as covers:
+            band_covers(table, [0.0] * 3, 50, 1)
+        assert str(covers.value) == str(band.value)
+
+    def test_one_value_per_cell(self):
+        table = inference_table()
+        with pytest.raises(InputError, match="one value per cell"):
+            band_covers(table, [0.0, 0.0], 50, 1)
+        with pytest.raises(InputError, match="no cells"):
+            band_covers(dataclasses.replace(table, cells=()), [], 50, 1)

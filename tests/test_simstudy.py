@@ -14,6 +14,8 @@ import pytest
 from scipy.linalg import cholesky, toeplitz
 
 from eivbands import rng
+from eivbands.bootstrap import simultaneous_bands
+from eivbands.debias import run_inference
 from eivbands.errors import InputError, NumericalError
 from eivbands.lasso import SolverConfig
 from eivbands import simstudy as ss
@@ -292,6 +294,27 @@ def test_multi_target_band_study_runs():
     for r in rep.records:
         assert len(r["stats"]) == 3
         assert len(r["biases"]) == 3
+
+
+def test_band_verdict_is_the_full_bands():
+    # a replication decides from the draws that settle it; its verdict is
+    # the one the band over every draw gives
+    beta0 = np.zeros(8)
+    beta0[6] = 1.0
+    cfg = tiny_config(beta0=beta0, targets=(0, 1, 2),
+                      null_values=(0.0, 0.0, 0.0), replications=8,
+                      alpha=0.5, boot_draws=300)
+    verdicts = []
+    for r in ss.run_study(cfg).records:
+        data, noise = ss._noise_for(cfg, ss.generate(cfg, r["rep"]))
+        table = run_inference(data, noise, cfg.targets, cfg.alpha,
+                              cfg.solver, cfg.variance_at)
+        band = simultaneous_bands(table, cfg.boot_draws,
+                                  ss._bootstrap_seed(cfg, r["rep"]))
+        covered = bool(np.all((band.lower <= 0.0) & (band.upper >= 0.0)))
+        assert r["covered"] is covered
+        verdicts.append(covered)
+    assert set(verdicts) == {True, False}
 
 
 def test_naive_bias_is_negative_with_measurement_noise():

@@ -254,8 +254,9 @@ def adjust_scores_for_estimated_noise(table: DebiasTable) -> np.ndarray:
     along = np.matmul(scaled, M[:, :, None])[:, :, 0].T
     correction = scaled[:, [c.j for c in cells]] - along
     scale = np.array([c.sd * c.slope for c in cells])
-    # C-ordered like the scores, so the column means sum rows in order
-    adjusted = np.empty_like(scores)
+    # C-ordered, whatever the scores' layout, so the column means sum rows
+    # in order
+    adjusted = np.empty(scores.shape)
     np.subtract(scores, correction / scale, out=adjusted)
     adjusted -= adjusted.mean(axis=0)
     return adjusted

@@ -112,7 +112,26 @@ class DebiasTable:
         return tuple(c.j for c in self.cells)
 
     def score_matrix(self) -> np.ndarray:
-        return np.column_stack([c.scores for c in self.cells])
+        """The (n, m) scores, column k cell k's: a view of the (m, n) array
+        whose rows the cells' scores are, when they were formed in one
+        batch, and a stack of them otherwise."""
+        return _score_rows(self.cells).T
+
+
+def _score_rows(cells) -> np.ndarray:
+    """The cells' scores as the rows of one (m, n) array, in cell order:
+    the array they are rows of, if there is one, else a copy."""
+    rows = [c.scores for c in cells]
+    whole = rows[0].base if rows else None
+    if (isinstance(whole, np.ndarray) and whole.ndim == 2
+            and whole.shape[0] == len(rows)):
+        start, step = whole.ctypes.data, whole.strides[0]
+        if all(r.base is whole and r.shape == whole.shape[1:]
+               and r.strides == whole.strides[1:]
+               and r.ctypes.data == start + k * step
+               for k, r in enumerate(rows)):
+            return whole
+    return np.stack(rows)
 
 
 def _row_dots(A: np.ndarray, B: np.ndarray) -> np.ndarray:

@@ -1,9 +1,11 @@
 """Monte Carlo coverage and size studies for the debiased pipeline.
 
 The data generating process draws rows x_i ~ N(0, Omega) with the Toeplitz
-correlation Omega_jk = ar_rho^|j-k|, responses y = x'beta0 + model_sd * xi,
-and either additive covariate noise z = x + measurement_sd * w (known-noise
-mode) or independent cell-wise missingness with zero-filled storage
+correlation Omega_jk = ar_rho^|j-k|, as x_i = L e_i with L the Cholesky
+factor of Omega in closed form (the AR(1) recursion written out; see
+`_ar1_factor`), responses y = x'beta0 + model_sd * xi, and either additive
+covariate noise z = x + measurement_sd * w (known-noise mode) or
+independent cell-wise missingness with zero-filled storage
 (missing-at-random mode).  All draws come from counter-based streams keyed by
 (seed, replication), so replication r is reproducible in isolation and
 results are independent of execution order and worker count.
@@ -24,15 +26,12 @@ which draws only the bootstrap multipliers that settle it.
 from __future__ import annotations
 
 import math
-import multiprocessing
 import os
-from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.linalg import cholesky, toeplitz
 
 from . import rng
 from .bootstrap import band_covers
@@ -143,8 +142,18 @@ class SimReport:
 
 
 @lru_cache(maxsize=8)
-def _toeplitz_cholesky(p: int, rho: float) -> np.ndarray:
-    return cholesky(toeplitz(rho ** np.arange(p)), lower=True)
+def _ar1_factor(p: int, rho: float) -> np.ndarray:
+    """The lower-triangular L with L L' = Omega, Omega_jk = rho^|j-k|.
+
+    It is the AR(1) recursion x_0 = e_0, x_j = rho x_{j-1} + sqrt(1 - rho^2)
+    e_j written out: L[j, k] = rho^(j-k) for k <= j, with every column but
+    the first scaled by sqrt(1 - rho^2).  This is the Cholesky factor of
+    Omega in closed form, and at least as accurate as a factorization.
+    """
+    lag = np.arange(p)
+    L = np.tril(rho ** np.abs(lag[:, None] - lag[None, :]))
+    L[:, 1:] *= math.sqrt(1.0 - rho * rho)
+    return L
 
 
 def generate(cfg: SimConfig, rep: int) -> Dataset:
@@ -160,7 +169,7 @@ def generate(cfg: SimConfig, rep: int) -> Dataset:
     bits = rng.stream(cfg.seed, rng.DOMAIN_REPLICATION, rep)
     x = rng.normals(bits, n * p).reshape(n, p)
     if cfg.ar_rho != 0.0:
-        x = x @ _toeplitz_cholesky(p, cfg.ar_rho).T
+        x = x @ _ar1_factor(p, cfg.ar_rho).T
     xi = rng.normals(bits, n)
     y = x @ cfg.beta0 + cfg.model_sd * xi
     if cfg.noise_mode == "mar":
@@ -226,7 +235,12 @@ _BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
 def _worker_pool(workers: int):
     """A pool of fresh (spawned) processes whose BLAS runs one thread each,
     so that `workers` processes do not oversubscribe the cores; the
-    caller's environment is restored afterwards."""
+    caller's environment is restored afterwards.  The pool's modules are
+    imported here, so that a process that never starts one never loads
+    them."""
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
     saved = {name: os.environ.get(name) for name in _BLAS_THREAD_VARS}
     os.environ.update(dict.fromkeys(_BLAS_THREAD_VARS, "1"))
     try:

@@ -263,7 +263,7 @@ def column_loop(table):
     # the batched product must equal it bit for bit
     scores = table.score_matrix()
     weighted = table.mar.influence * table.pilot.beta[None, :]
-    adjusted = np.empty_like(scores)
+    adjusted = np.empty(scores.shape)
     for col, c in enumerate(table.cells):
         correction = weighted[:, c.j] - weighted @ c.mu
         adjusted[:, col] = scores[:, col] - correction / (c.sd * c.slope)

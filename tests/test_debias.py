@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import sys
 import warnings
@@ -818,6 +819,23 @@ def test_table_batch_equals_cells_formed_alone(order, variance_at):
     assert_cells_match_oracle(table, y, Z, 0.1)
     npt.assert_array_equal(table.score_matrix(),
                            np.column_stack([c.scores for c in table.cells]))
+
+
+def test_score_matrix_views_the_rows_of_one_batch_and_stacks_others():
+    # the cells of one batch are rows of one (m, n) array, which the score
+    # matrix transposes without a copy; any other cells are stacked
+    data, noise = small_instance(3, n=60)
+    table = run_inference(data, noise, [4, 0, 2, 3], 0.05, TIGHT)
+    whole = table.score_matrix()
+    want = np.column_stack([c.scores for c in table.cells])
+    npt.assert_array_equal(whole, want)
+    assert whole.T.base is table.cells[0].scores.base
+    for cells in (table.cells[::-1], table.cells[1:], table.cells * 2,
+                  table.cells[:1]):
+        mixed = dataclasses.replace(table, cells=cells)
+        got = mixed.score_matrix()
+        npt.assert_array_equal(
+            got, np.column_stack([c.scores for c in cells]))
 
 
 @pytest.mark.parametrize("variance_at", VARIANCE_CONVENTIONS)

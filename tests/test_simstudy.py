@@ -7,10 +7,13 @@ failure accounting, and the structural identities the records must satisfy.
 """
 
 import os
+import subprocess
+import sys
 
 import numpy as np
 import numpy.testing as npt
 import pytest
+# LAPACK's factorization, an oracle for the closed-form factor only
 from scipy.linalg import cholesky, toeplitz
 
 from eivbands import rng
@@ -39,7 +42,11 @@ def reconstruct_design(cfg, rep):
     # x raws (n*p), xi (n), w raws (n*p), missingness uniforms (n*p)
     bits = rng.stream(cfg.seed, rng.DOMAIN_REPLICATION, rep)
     raw = rng.normals(bits, cfg.n * cfg.p).reshape(cfg.n, cfg.p)
-    L = cholesky(toeplitz(cfg.ar_rho ** np.arange(cfg.p)), lower=True)
+    # the AR(1) factor in closed form: L[j, k] = rho^(j-k) for k <= j,
+    # columns k >= 1 scaled by sqrt(1 - rho^2)
+    lag = np.arange(cfg.p)
+    L = np.tril(cfg.ar_rho ** np.abs(lag[:, None] - lag[None, :]))
+    L[:, 1:] *= np.sqrt(1.0 - cfg.ar_rho * cfg.ar_rho)
     x = raw @ L.T
     xi = rng.normals(bits, cfg.n)
     w = rng.normals(bits, cfg.n * cfg.p).reshape(cfg.n, cfg.p)
@@ -140,6 +147,32 @@ def test_latent_covariance_matches_toeplitz_target():
     emp = data.Z.T @ data.Z / cfg.n
     target = toeplitz(0.5 ** np.arange(3))
     npt.assert_allclose(emp, target, rtol=0, atol=0.01)
+
+
+@pytest.mark.parametrize("rho", [0.05, 0.5, 0.9, 0.99])
+@pytest.mark.parametrize("p", [1, 2, 3, 8, 120, 300])
+def test_ar1_factor_is_the_cholesky_factor_of_the_toeplitz_target(p, rho):
+    L = ss._ar1_factor(p, rho)
+    assert L.shape == (p, p)
+    npt.assert_array_equal(np.triu(L, 1), 0.0)
+    assert np.all(np.diag(L) > 0)
+    lag = np.arange(p)
+    omega = rho ** np.abs(lag[:, None] - lag[None, :])
+    npt.assert_allclose(L @ L.T, omega, rtol=0, atol=1e-15)
+    oracle = cholesky(toeplitz(rho ** lag), lower=True)
+    npt.assert_allclose(L, oracle, rtol=0, atol=1e-14)
+
+
+def test_importing_the_cli_leaves_linalg_and_process_pools_unloaded():
+    # every command pays for what `eivbands.cli` imports; only
+    # `simulate --workers N` with N > 1 loads the process pool
+    unwanted = ["scipy.linalg", "multiprocessing",
+                "concurrent.futures.process"]
+    code = ("import sys, eivbands.cli; "
+            f"print([m for m in {unwanted!r} if m in sys.modules])")
+    out = subprocess.run([sys.executable, "-c", code],
+                         capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"
 
 
 def test_uncorrelated_design_skips_mixing():

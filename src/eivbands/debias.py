@@ -96,9 +96,13 @@ class DebiasCell:
 
 @dataclass(frozen=True)
 class DebiasTable:
-    """Inference results for a target set, plus everything a bootstrap needs."""
+    """Inference results for a target set, plus everything a bootstrap needs.
+
+    `scores` is the read-only (m, n) array whose row k is cells[k].scores.
+    """
 
     cells: tuple[DebiasCell, ...]
+    scores: np.ndarray
     alpha: float
     n: int
     noise_kind: str
@@ -112,26 +116,8 @@ class DebiasTable:
         return tuple(c.j for c in self.cells)
 
     def score_matrix(self) -> np.ndarray:
-        """The (n, m) scores, column k cell k's: a view of the (m, n) array
-        whose rows the cells' scores are, when they were formed in one
-        batch, and a stack of them otherwise."""
-        return _score_rows(self.cells).T
-
-
-def _score_rows(cells) -> np.ndarray:
-    """The cells' scores as the rows of one (m, n) array, in cell order:
-    the array they are rows of, if there is one, else a copy."""
-    rows = [c.scores for c in cells]
-    whole = rows[0].base if rows else None
-    if (isinstance(whole, np.ndarray) and whole.ndim == 2
-            and whole.shape[0] == len(rows)):
-        start, step = whole.ctypes.data, whole.strides[0]
-        if all(r.base is whole and r.shape == whole.shape[1:]
-               and r.strides == whole.strides[1:]
-               and r.ctypes.data == start + k * step
-               for k, r in enumerate(rows)):
-            return whole
-    return np.stack(rows)
+        """The (n, m) scores, column k cell k's: a read-only view."""
+        return self.scores.T
 
 
 def _row_dots(A: np.ndarray, B: np.ndarray) -> np.ndarray:
@@ -334,13 +320,16 @@ def _check_settings(alpha: float, variance_at: str) -> None:
 
 
 def _cells(y, design, noise_var, pilot_beta, directions, q, variance_at,
-           resid_out=None) -> tuple[DebiasCell, ...]:
-    """The cells of the directions (j, mu, resid_dir), in one batch; a
-    degenerate cell raises in direction order."""
-    if not directions:
-        return ()
-    js, mus, dirs = zip(*directions)
+           resid_out=None) -> tuple[tuple[DebiasCell, ...], np.ndarray]:
+    """The cells of the directions (j, mu, resid_dir), in one batch, and
+    their (m, n) read-only scores, row k cell k's; a degenerate cell raises
+    in direction order."""
     n = y.shape[0]
+    if not directions:
+        scores = np.empty((0, n))
+        scores.flags.writeable = False
+        return (), scores
+    js, mus, dirs = zip(*directions)
     # a degenerate row divides by 0 here; it raises below, in its turn
     with np.errstate(all="ignore"):
         score = _Scores(design, noise_var, js, np.array(mus), dirs, y,
@@ -358,15 +347,18 @@ def _cells(y, design, noise_var, pilot_beta, directions, q, variance_at,
         scores = np.negative(raw, out=raw)
         scores /= (sd * slopes)[:, None]
         half = q * sd / math.sqrt(n)
+    # read-only before its rows are taken, so that the rows are too
+    scores.flags.writeable = False
     for j, slope, v in zip(js, slopes.tolist(), var.tolist()):
         _check_slope(slope, j)
         _check_variance(v, j)
-    return tuple(
+    cells = tuple(
         DebiasCell(j=j, estimate=theta, slope=slope, sd=s, ci_low=lo,
                    ci_high=hi, scores=row, mu=mu)
         for j, theta, slope, s, lo, hi, row, mu in zip(
             js, thetas.tolist(), slopes.tolist(), sd.tolist(),
             (thetas - half).tolist(), (thetas + half).tolist(), scores, mus))
+    return cells, scores
 
 
 def _table(y, design, noise_var, pilot, directions, alpha, variance_at,
@@ -386,9 +378,9 @@ def _table(y, design, noise_var, pilot, directions, alpha, variance_at,
         _cells(y, design, noise_var, pilot.beta, pulled, q, variance_at,
                resid_out)
         raise
-    cells = _cells(y, design, noise_var, pilot.beta, pulled, q, variance_at,
-                   resid_out)
-    return DebiasTable(cells=cells, alpha=alpha, n=y.shape[0],
+    cells, scores = _cells(y, design, noise_var, pilot.beta, pulled, q,
+                           variance_at, resid_out)
+    return DebiasTable(cells=cells, scores=scores, alpha=alpha, n=y.shape[0],
                        noise_kind=noise_kind, noise_var=noise_var,
                        pilot=pilot, variance_at=variance_at, mar=mar)
 

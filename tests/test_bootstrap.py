@@ -253,7 +253,7 @@ def correction_table(scores, influence, targets, mus, pilot_beta, slopes,
                    ci_high=0.0, scores=scores[:, k], mu=np.asarray(mu))
         for k, (j, mu, slope, sd) in enumerate(zip(targets, mus, slopes, sds)))
     return dataclasses.replace(
-        template, cells=cells, n=scores.shape[0],
+        template, cells=cells, scores=scores.T, n=scores.shape[0],
         pilot=dataclasses.replace(template.pilot, beta=pilot_beta),
         mar=dataclasses.replace(template.mar, influence=influence))
 
@@ -319,8 +319,9 @@ class TestAdjustScores:
     def test_equals_the_column_loop_bit_for_bit(self):
         # a fitted MAR table, and the same cells repeated and reordered
         table = mar_table(seed=18)
+        cells = table.cells[::-1] + table.cells * 3
         wide = dataclasses.replace(
-            table, cells=table.cells[::-1] + table.cells * 3)
+            table, cells=cells, scores=np.stack([c.scores for c in cells]))
         for t in (table, wide):
             got = adjust_scores_for_estimated_noise(t)
             assert got.shape == (t.n, len(t.cells))
@@ -413,7 +414,8 @@ def wide_table(template, m, seed, alpha=0.05):
                    slope=1.0, sd=float(gen.uniform(0.5, 2.0)), ci_low=0.0,
                    ci_high=0.0, scores=scores[:, k], mu=np.zeros(p))
         for k in range(m))
-    return dataclasses.replace(template, cells=cells, alpha=alpha, mar=None)
+    return dataclasses.replace(template, cells=cells, scores=scores.T,
+                               alpha=alpha, mar=None)
 
 
 def reference_band(tables, draws, seed):
@@ -522,7 +524,8 @@ class TestBandOverAStream:
 
     def test_empty_table_raises(self):
         table = inference_table()
-        empty = dataclasses.replace(table, cells=())
+        empty = dataclasses.replace(table, cells=(),
+                                    scores=table.scores[:0])
         for tables in (empty, [table, empty]):
             with pytest.raises(InputError, match="no cells"):
                 simultaneous_bands(tables, 50, seed=1)
@@ -610,10 +613,12 @@ class TestBandCovers:
 
     def test_non_finite_scores_raise_as_the_band_does(self):
         table = inference_table()
-        cell = dataclasses.replace(table.cells[1],
-                                   scores=np.full(table.n, np.nan))
+        scores = table.scores.copy()
+        scores[1] = np.nan
+        cell = dataclasses.replace(table.cells[1], scores=scores[1])
         table = dataclasses.replace(
-            table, cells=(table.cells[0], cell, table.cells[2]))
+            table, cells=(table.cells[0], cell, table.cells[2]),
+            scores=scores)
         with pytest.raises(InputError) as band:
             simultaneous_bands(table, 50, 1)
         with pytest.raises(InputError) as covers:
@@ -625,4 +630,6 @@ class TestBandCovers:
         with pytest.raises(InputError, match="one value per cell"):
             band_covers(table, [0.0, 0.0], 50, 1)
         with pytest.raises(InputError, match="no cells"):
-            band_covers(dataclasses.replace(table, cells=()), [], 50, 1)
+            band_covers(dataclasses.replace(table, cells=(),
+                                            scores=table.scores[:0]),
+                        [], 50, 1)

@@ -1,4 +1,3 @@
-import dataclasses
 import math
 import sys
 import warnings
@@ -821,21 +820,22 @@ def test_table_batch_equals_cells_formed_alone(order, variance_at):
                            np.column_stack([c.scores for c in table.cells]))
 
 
-def test_score_matrix_views_the_rows_of_one_batch_and_stacks_others():
-    # the cells of one batch are rows of one (m, n) array, which the score
-    # matrix transposes without a copy; any other cells are stacked
+def test_score_matrix_is_a_read_only_view_of_the_cells_score_rows():
+    # the table keeps the batch's one (m, n) score array, whose rows are
+    # the cells' scores; the score matrix is its transpose, not a copy,
+    # and none of them can be written through
     data, noise = small_instance(3, n=60)
     table = run_inference(data, noise, [4, 0, 2, 3], 0.05, TIGHT)
     whole = table.score_matrix()
-    want = np.column_stack([c.scores for c in table.cells])
-    npt.assert_array_equal(whole, want)
-    assert whole.T.base is table.cells[0].scores.base
-    for cells in (table.cells[::-1], table.cells[1:], table.cells * 2,
-                  table.cells[:1]):
-        mixed = dataclasses.replace(table, cells=cells)
-        got = mixed.score_matrix()
-        npt.assert_array_equal(
-            got, np.column_stack([c.scores for c in cells]))
+    npt.assert_array_equal(whole,
+                           np.column_stack([c.scores for c in table.cells]))
+    assert whole.base is table.scores
+    for k, c in enumerate(table.cells):
+        assert c.scores.base is table.scores
+        npt.assert_array_equal(c.scores, table.scores[k])
+    for view in (whole, table.scores, table.cells[1].scores):
+        with pytest.raises(ValueError, match="read-only"):
+            view[0] = 0.0
 
 
 @pytest.mark.parametrize("variance_at", VARIANCE_CONVENTIONS)

@@ -42,11 +42,9 @@ def reconstruct_design(cfg, rep):
     # x raws (n*p), xi (n), w raws (n*p), missingness uniforms (n*p)
     bits = rng.stream(cfg.seed, rng.DOMAIN_REPLICATION, rep)
     raw = rng.normals(bits, cfg.n * cfg.p).reshape(cfg.n, cfg.p)
-    # the AR(1) factor in closed form: L[j, k] = rho^(j-k) for k <= j,
-    # columns k >= 1 scaled by sqrt(1 - rho^2)
-    lag = np.arange(cfg.p)
-    L = np.tril(cfg.ar_rho ** np.abs(lag[:, None] - lag[None, :]))
-    L[:, 1:] *= np.sqrt(1.0 - cfg.ar_rho * cfg.ar_rho)
+    # the factor is checked against LAPACK's in
+    # test_ar1_factor_is_the_cholesky_factor_of_the_toeplitz_target
+    L = ss._ar1_factor(cfg.p, cfg.ar_rho)
     x = raw @ L.T
     xi = rng.normals(bits, cfg.n)
     w = rng.normals(bits, cfg.n * cfg.p).reshape(cfg.n, cfg.p)
@@ -158,21 +156,43 @@ def test_ar1_factor_is_the_cholesky_factor_of_the_toeplitz_target(p, rho):
     assert np.all(np.diag(L) > 0)
     lag = np.arange(p)
     omega = rho ** np.abs(lag[:, None] - lag[None, :])
-    npt.assert_allclose(L @ L.T, omega, rtol=0, atol=1e-15)
+    # Rounding bound, in units of eps = 2u.  Each entry of L carries a
+    # relative error of a few u from `**` and the column scale, plus
+    # u rho^2 / (2 (1 - rho^2)) from rounding rho * rho before 1 - rho^2;
+    # a p-term dot product of nonnegative terms adds at most p u times
+    # (L L')_jk = Omega_jk <= 1, in any summation order.
+    eps = np.finfo(np.float64).eps
+    residual = (p + 16 + 1.0 / (1.0 - rho * rho)) * eps
+    npt.assert_allclose(L @ L.T, omega, rtol=0, atol=residual)
+    # Both factors are exact factors of matrices within about `residual`
+    # of Omega, so to first order they differ by that much times Omega's
+    # condition number, at most (1 + rho) / (1 - rho); a wrong formula
+    # would miss by far more.
     oracle = cholesky(toeplitz(rho ** lag), lower=True)
-    npt.assert_allclose(L, oracle, rtol=0, atol=1e-14)
+    npt.assert_allclose(L, oracle, rtol=0,
+                        atol=residual * (1 + rho) / (1 - rho))
+
+
+def loaded_modules(statement):
+    # the modules in sys.modules after `statement`, in a fresh interpreter
+    code = f"import sys; {statement}; print('\\n'.join(sys.modules))"
+    out = subprocess.run([sys.executable, "-c", code],
+                         capture_output=True, text=True, check=True)
+    return set(out.stdout.split())
 
 
 def test_importing_the_cli_leaves_linalg_and_process_pools_unloaded():
     # every command pays for what `eivbands.cli` imports; only
-    # `simulate --workers N` with N > 1 loads the process pool
-    unwanted = ["scipy.linalg", "multiprocessing",
-                "concurrent.futures.process"]
-    code = ("import sys, eivbands.cli; "
-            f"print([m for m in {unwanted!r} if m in sys.modules])")
-    out = subprocess.run([sys.executable, "-c", code],
-                         capture_output=True, text=True, check=True)
-    assert out.stdout.strip() == "[]"
+    # `simulate --workers N` with N > 1 loads the process pool.  The
+    # package needs NumPy and scipy.special, and what those load by
+    # themselves (scipy.linalg, in SciPy releases whose scipy.special
+    # imports it eagerly) is theirs, not the package's
+    unwanted = ("scipy.linalg", "multiprocessing",
+                "concurrent.futures.process")
+    needed = loaded_modules("import numpy, scipy.special")
+    added = loaded_modules("import eivbands.cli") - needed
+    assert [m for m in added
+            if any(m == u or m.startswith(u + ".") for u in unwanted)] == []
 
 
 def test_uncorrelated_design_skips_mixing():

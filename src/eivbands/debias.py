@@ -29,14 +29,10 @@ dot is a ddot per row pair; the slopes, roots, scores and variances are row
 operations; and the quantile is one `ndtri` per table.  Rows whose target
 the pilot leaves at 0 share one y - Z beta.  The public `score_slope`,
 `score_values` and `debias_coordinate` are one-row calls of the same batch.
-Every cell equals the one-cell formulas bit for bit as long as two
-conditions hold:
-
-  * the slope's dot reads z_j with its own stride in Z.  On a C-ordered Z
-    that stride is p, and a unit-stride copy of z_j (which `Z[:, js]`
-    gives) makes a ddot that rounds differently;
-  * each slope is squared as a Python float, by libm's pow.  NumPy's
-    square is x * x, and the two differ in the last bit for some slopes.
+One rule keeps the bits: every product is formed per row, on the row's own
+operands (the gathered z_j among them), so a cell does not depend on which
+other cells share its table, and each one-row call equals its row of the
+batch.
 
 In `graph_tables` the residual z_t - Z beta_t of every pilot t is formed
 once, as one (p, n) array: it is the direction residual of every edge that
@@ -134,17 +130,6 @@ def _residuals(lhs: np.ndarray, Z: np.ndarray,
     return np.subtract(lhs, out, out=out)
 
 
-def _column_dots(R: np.ndarray, Z: np.ndarray, js: np.ndarray) -> np.ndarray:
-    """Entry i is R[i] @ Z[:, js[i]], with z_j read at its own stride in Z:
-    on a C-ordered Z a unit-stride copy of z_j rounds the dot differently.
-    The rows of R go to a span of zero rows, one per column of Z from the
-    first target to the last, so that row i meets z_j's own view."""
-    lo = int(js.min())
-    span = np.zeros((int(js.max()) + 1 - lo, R.shape[1]))
-    span[js - lo] = R
-    return _row_dots(span, Z.T[lo:lo + len(span)])[js - lo]
-
-
 class _Scores:
     """The theta-free terms of m target scores, one row each, formed at once.
 
@@ -175,7 +160,7 @@ class _Scores:
             if fresh:
                 self.resid_dir[fresh] = _residuals(Z.T[js[fresh]], Z,
                                                    M[fresh])
-        self.slopes = _column_dots(self.resid_dir, Z, js) / n - \
+        self.slopes = _row_dots(self.resid_dir, Z.T[js]) / n - \
             self.noise_var_j
         if y is None:
             return
@@ -216,21 +201,18 @@ def _check_slope(slope: float, j: int) -> None:
             coordinate=j)
 
 
-def _check_variance(var: float, coordinate: int | None) -> None:
+def _check_variance(var: float, coordinate: int) -> None:
     if not math.isfinite(var):
         raise NumericalError("non-finite plug-in variance")
     if var == 0.0:
-        where = "" if coordinate is None else f" for column {coordinate}"
-        raise DegeneracyError(f"plug-in variance is exactly zero{where}",
-                              coordinate=coordinate)
+        raise DegeneracyError("plug-in variance is exactly zero for column "
+                              f"{coordinate}", coordinate=coordinate)
 
 
 def _variances(centred: np.ndarray, slopes: np.ndarray) -> np.ndarray:
-    """Row i's slopes[i]^{-2} mean(centred[i]^2).  Each slope is squared as
-    a Python float, by libm's pow: NumPy's square is x * x, and the two can
-    differ in the last bit."""
-    squares = np.array([s ** 2 for s in slopes.tolist()])
-    return np.mean(centred ** 2, axis=1) / squares
+    """Row i's slopes[i]^{-2} mean(centred[i]^2), every operation a row's
+    own: each slope is squared exactly, as slope * slope."""
+    return np.mean(centred ** 2, axis=1) / (slopes * slopes)
 
 
 def _one_row(Z, noise_var, mu, j, y=None, pilot_beta=None) -> _Scores:
@@ -275,22 +257,6 @@ def debias_coordinate(y, Z, noise_var, pilot_beta, mu, j) -> float:
     return float(score.roots()[0])
 
 
-def plugin_variance(raw_scores: np.ndarray, slope: float,
-                    coordinate: int | None = None) -> float:
-    """Plug-in variance slope^{-2} * mean(psi^2) of the debiased estimate.
-
-    `coordinate`, the target column if known, is named by a zero variance.
-    """
-    raw_scores = np.asarray(raw_scores, dtype=np.float64)
-    if raw_scores.ndim != 1 or raw_scores.size == 0:
-        raise InputError("raw_scores must be a nonempty vector")
-    with np.errstate(all="ignore"):
-        var = float(_variances(raw_scores[None],
-                               np.array([slope], dtype=np.float64))[0])
-    _check_variance(var, coordinate)
-    return var
-
-
 def _quantile(alpha: float) -> float:
     """The normal quantile q_{1-alpha/2}, finite for every alpha accepted."""
     if not 0.0 < alpha < 1.0:
@@ -299,18 +265,6 @@ def _quantile(alpha: float) -> float:
         raise InputError(f"alpha {alpha} is too small: 1 - alpha/2 rounds to "
                          "1, where the normal quantile is infinite")
     return float(ndtri(1.0 - alpha / 2.0))
-
-
-def pointwise_ci(estimate: float, sd: float, n: int,
-                 alpha: float) -> tuple[float, float]:
-    """Normal interval estimate -+ q_{1-alpha/2} * sd / sqrt(n)."""
-    q = _quantile(alpha)
-    if not sd > 0:
-        raise InputError("sd must be positive")
-    if n < 1:
-        raise InputError("n must be at least 1")
-    half = q * sd / math.sqrt(n)
-    return estimate - half, estimate + half
 
 
 def _check_settings(alpha: float, variance_at: str) -> None:

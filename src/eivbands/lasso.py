@@ -639,9 +639,10 @@ def fit_corrected_lasso_stack(b: np.ndarray, G: np.ndarray, cfgs, pins=None
         fixed = zero & took
         check = np.flatnonzero(accept & (fixed | (it % 25 == 0) | (it >= cap)
                                | (np.sqrt(sq) <= 0.1 * tl * step)))
-        kkt[idx[check]] = _kkt_residual_stack(x[check], Gx[check] - bl[check],
-                                              pen[check], rad[check])
-        converged[idx[check]] = kkt[idx[check]] <= tl[check]
+        if check.size:
+            kkt[idx[check]] = _kkt_residual_stack(
+                x[check], Gx[check] - bl[check], pen[check], rad[check])
+            converged[idx[check]] = kkt[idx[check]] <= tl[check]
         stop = underflow | nonfinite | converged[idx] | fixed | (it >= cap)
         if stop.any():
             done, keep = idx[stop], ~stop

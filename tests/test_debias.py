@@ -14,8 +14,6 @@ from eivbands.debias import (
     DebiasTable,
     debias_coordinate,
     graph_tables,
-    plugin_variance,
-    pointwise_ci,
     run_inference,
     score_slope,
     score_values,
@@ -128,52 +126,98 @@ class TestDebiasCoordinate:
         assert exc.value.coordinate == 0
 
 
+def variance(psi, slope):
+    # the plug-in variance slope^{-2} mean(psi^2) of one row of scores
+    return float(debias._variances(np.asarray(psi)[None],
+                                   np.array([slope]))[0])
+
+
+def zero_variance_problem():
+    # target column 1, which y equals twice, observed without noise: the
+    # slope is 2.5 and the root exactly 2, where the pilot sits too, and
+    # there every score is 0
+    Z = np.array([[3.0, 1.0], [1.0, -1.0], [0.5, 2.0], [-1.0, -2.0]])
+    return 2.0 * Z[:, 1], Z, np.zeros(2), \
+        SimpleNamespace(beta=np.array([0.0, 2.0]))
+
+
+def one_cell(y, Z, noise_var, pilot, j, mu, alpha=0.05,
+             variance_at="debiased"):
+    # the cell of one direction, formed as a table's one-row batch
+    return debias._table(y, Z, noise_var, pilot, [(j, mu, None)], alpha,
+                         variance_at).cells[0]
+
+
 class TestPluginVariance:
     def test_constant_scores(self):
         # all scores equal to c with unit slope: variance = c^2
-        psi = np.full(9, 3.0)
-        assert plugin_variance(psi, 1.0) == pytest.approx(9.0, abs=0)
+        assert variance(np.full(9, 3.0), 1.0) == 9.0
 
     def test_doubling_scores_quadruples(self):
         gen = np.random.default_rng(4)
         psi = gen.normal(size=20)
-        assert plugin_variance(2 * psi, 0.7) == pytest.approx(
-            4 * plugin_variance(psi, 0.7), rel=1e-14)
+        assert variance(2 * psi, 0.7) == pytest.approx(
+            4 * variance(psi, 0.7), rel=1e-14)
 
     def test_matches_loop_oracle(self):
         gen = np.random.default_rng(6)
         psi = gen.normal(size=13)
         slope = 0.42
         want = sum(float(v) ** 2 for v in psi) / 13 / slope ** 2
-        assert plugin_variance(psi, slope) == pytest.approx(want, rel=1e-13)
+        assert variance(psi, slope) == pytest.approx(want, rel=1e-13)
 
     def test_zero_variance_degenerate(self):
-        with pytest.raises(DegeneracyError):
-            plugin_variance(np.zeros(5), 1.0)
+        # a cell whose scores are all 0 at its center raises, naming it
+        y, Z, noise_var, pilot = zero_variance_problem()
+        for variance_at in VARIANCE_CONVENTIONS:
+            with pytest.raises(DegeneracyError,
+                               match="variance is exactly zero for column 1"
+                               ) as exc:
+                one_cell(y, Z, noise_var, pilot, 1, np.zeros(2),
+                         variance_at=variance_at)
+            assert exc.value.coordinate == 1
+        with pytest.raises(DegeneracyError, match="for column 3") as exc:
+            debias._check_variance(0.0, 3)
+        assert exc.value.coordinate == 3
+
+
+def interval_cells(alpha, copies=1):
+    # one cell of a fixed pilot and direction, on the rows of a small
+    # problem repeated `copies` times, which leaves every mean (so the
+    # estimate and sd) the same up to rounding
+    y, Z, noise_var, pilot_beta, mu, j = random_problem(23, n=30)
+    return one_cell(np.tile(y, copies), np.tile(Z, (copies, 1)), noise_var,
+                    SimpleNamespace(beta=pilot_beta), j, mu, alpha)
+
+
+def half_width(cell):
+    return (cell.ci_high - cell.ci_low) / 2.0
 
 
 class TestPointwiseCI:
     def test_frozen_quantile(self):
-        lo, hi = pointwise_ci(1.0, 0.2, 1, 0.05)
-        # half width = 1.959964 * 0.2 at n = 1
-        assert hi - 1.0 == pytest.approx(1.959964 * 0.2, abs=5e-6)
-        assert lo == pytest.approx(1.0 - 1.959964 * 0.2, abs=5e-6)
+        cell = interval_cells(0.05)
+        # half width = 1.959964 * sd / sqrt(n)
+        assert half_width(cell) == pytest.approx(
+            1.959964 * cell.sd / math.sqrt(30), rel=5e-6)
+        assert cell.ci_low < cell.estimate < cell.ci_high
 
     def test_quantile_full_precision(self):
-        lo, hi = pointwise_ci(0.0, 1.0, 4, 0.05)
-        assert hi == pytest.approx(ndtri(0.975) / 2.0, rel=1e-14)
+        cell = interval_cells(0.05)
+        half = ndtri(0.975) * cell.sd / math.sqrt(30)
+        assert cell.ci_high - cell.estimate == pytest.approx(half, rel=1e-14)
+        assert cell.estimate - cell.ci_low == pytest.approx(half, rel=1e-14)
 
     def test_narrows_with_alpha_and_n(self):
-        w1 = np.diff(pointwise_ci(0.0, 1.0, 10, 0.05))[0]
-        w2 = np.diff(pointwise_ci(0.0, 1.0, 10, 0.10))[0]
-        w3 = np.diff(pointwise_ci(0.0, 1.0, 40, 0.05))[0]
-        assert w2 < w1 and w3 == pytest.approx(w1 / 2)
+        w1 = half_width(interval_cells(0.05))
+        w2 = half_width(interval_cells(0.10))
+        w3 = half_width(interval_cells(0.05, copies=4))
+        assert w2 < w1 and w3 == pytest.approx(w1 / 2, rel=1e-12)
 
     def test_bad_inputs(self):
-        with pytest.raises(InputError):
-            pointwise_ci(0.0, 1.0, 10, 1.5)
-        with pytest.raises(InputError):
-            pointwise_ci(0.0, 0.0, 10, 0.05)
+        for alpha in (1.5, 0.0, 1.0):
+            with pytest.raises(InputError, match="alpha"):
+                interval_cells(alpha)
 
 
 def small_instance(seed=0, n=40, p=5, noise_sd=0.4):
@@ -238,8 +282,8 @@ class TestRunInference:
         t2 = debias_coordinate(2.0 * y, Z, noise_var, 2.0 * pilot, mu, j)
         assert t2 == pytest.approx(2.0 * t1, rel=1e-12)
         s1 = score_slope(Z, noise_var, mu, j)
-        v1 = plugin_variance(score_values(y, Z, noise_var, pilot, mu, j, t1), s1)
-        v2 = plugin_variance(
+        v1 = variance(score_values(y, Z, noise_var, pilot, mu, j, t1), s1)
+        v2 = variance(
             score_values(2.0 * y, Z, noise_var, 2.0 * pilot, mu, j, t2), s1)
         assert np.sqrt(v2) == pytest.approx(2.0 * np.sqrt(v1), rel=1e-12)
         z1 = -score_values(y, Z, noise_var, pilot, mu, j, t1) / (np.sqrt(v1) * s1)
@@ -756,12 +800,31 @@ def test_no_stack_outgrows_the_row_budget(monkeypatch):
     assert max(stacks) == 3 and max(arrays) == 3
 
 
+def test_solver_stacks_evaluate_no_empty_kkt_batch(monkeypatch):
+    # a stack's pass in which no row is due for its KKT check evaluates no
+    # residual: every call gets at least one row, in inference's nodewise
+    # stack and in the graph's pilot and edge stacks alike
+    rows = []
+    original = lasso._kkt_residual_stack
+
+    def counted(beta, *args):
+        rows.append(len(beta))
+        return original(beta, *args)
+    monkeypatch.setattr(lasso, "_kkt_residual_stack", counted)
+    data, noise = small_instance(3)
+    run_inference(data, noise, range(5), cfg=TIGHT)
+    assert len(rows) > 2 and min(rows) > 0
+    rows.clear()
+    Z, gamma = ar_nodes(120, 9)
+    list(graph_tables(Z, gamma, range(9)))
+    assert len(rows) > 2 and min(rows) > 0
+
+
 def cell_oracle(y, Z, noise_var, pilot_beta, j, mu, alpha, variance_at):
-    # one cell formed alone, by the per-cell formulas the batch replaced:
-    # two gemvs, the slope's ddot against z_j as a view of Z, each slope
-    # squared as a Python float
+    # one cell formed alone, by the per-cell formulas: two gemvs, every dot
+    # on a contiguous copy of z_j, the slope squared as slope * slope
     n = Z.shape[0]
-    z_j = Z[:, j]
+    z_j = Z[:, j].copy()
     resid_dir = z_j - Z @ mu
     slope = float(resid_dir @ z_j / n - noise_var[j])
     beta = np.array(pilot_beta, dtype=np.float64)
@@ -775,7 +838,7 @@ def cell_oracle(y, Z, noise_var, pilot_beta, j, mu, alpha, variance_at):
     raw = values(theta)
     centred = raw if variance_at == "debiased" else \
         values(float(pilot_beta[j]))
-    sd = math.sqrt(float(np.mean(centred ** 2)) / slope ** 2)
+    sd = math.sqrt(float(np.mean(centred ** 2)) / (slope * slope))
     half = float(ndtri(1.0 - alpha / 2.0)) * sd / math.sqrt(n)
     return {"estimate": theta, "slope": slope, "sd": sd,
             "ci_low": theta - half, "ci_high": theta + half,
@@ -840,8 +903,7 @@ def test_score_matrix_is_a_read_only_view_of_the_cells_score_rows():
 
 @pytest.mark.parametrize("variance_at", VARIANCE_CONVENTIONS)
 def test_run_inference_cells_equal_cells_formed_alone(variance_at):
-    # on the C-ordered design of run_inference, where the slope's dot
-    # reads z_j with stride p
+    # on the C-ordered design of run_inference, where z_j has stride p in Z
     data, noise = small_instance(3, n=60)
     table = run_inference(data, noise, [4, 0, 2, 3], 0.05, TIGHT,
                           variance_at)
@@ -915,8 +977,12 @@ def test_degenerate_cell_raises_without_runtime_warnings(variance_at):
         assert exc.value.coordinate == 0
         with pytest.raises(DegeneracyError):
             debias_coordinate(y, Z, noise_var, np.zeros(2), np.zeros(2), 0)
-        with pytest.raises(DegeneracyError):
-            plugin_variance(np.zeros(4), 1.0)
+        # a zero variance divides 0 by 0 in the scores before it raises
+        y, Z, noise_var, pilot = zero_variance_problem()
+        with pytest.raises(DegeneracyError) as exc:
+            one_cell(y, Z, noise_var, pilot, 1, np.zeros(2),
+                     variance_at=variance_at)
+        assert exc.value.coordinate == 1
 
 
 @pytest.mark.parametrize("alpha", [2.0 ** -53, 1e-17, 5e-324])
@@ -929,7 +995,7 @@ def test_alpha_whose_quantile_is_infinite_is_rejected(alpha):
     with pytest.raises(InputError, match="alpha"):
         next(graph_tables(data.Z, np.full(5, 0.1), [0], alpha=alpha))
     with pytest.raises(InputError, match="alpha"):
-        pointwise_ci(0.0, 1.0, 10, alpha)
+        interval_cells(alpha)
 
 
 def test_tiny_alpha_with_a_finite_quantile_still_gives_finite_cells():
@@ -942,12 +1008,14 @@ def test_tiny_alpha_with_a_finite_quantile_still_gives_finite_cells():
     assert_cells_match_oracle(table, data.y, data.Z, alpha)
 
 
-def test_variance_squares_the_slope_as_a_python_float():
-    # libm's pow, which squares a Python float, and NumPy's x * x differ in
-    # the last bit at this slope; cells have always divided by the former,
-    # one slope or a table's batch of them alike
+def test_variance_squares_the_slope_exactly():
+    # libm's pow (a Python float's s ** 2) and s * s differ in the last bit
+    # at this slope; a cell divides by the exact square, one slope or a
+    # table's batch of them alike
     slope = 0.4786618688802179
     assert 1.0 / slope ** 2 != 1.0 / (slope * slope)
-    assert plugin_variance(np.ones(4), slope) == 1.0 / slope ** 2
-    batch = debias._variances(np.ones((3, 4)), np.array([slope, 1.0, slope]))
-    assert batch.tolist() == [1.0 / slope ** 2, 1.0, 1.0 / slope ** 2]
+    gen = np.random.default_rng(2)
+    centred = np.vstack([np.ones(4), gen.normal(size=(2, 4))])
+    want = [float(np.mean(row ** 2)) / (slope * slope) for row in centred]
+    assert variance(centred[0], slope) == want[0]
+    assert debias._variances(centred, np.full(3, slope)).tolist() == want

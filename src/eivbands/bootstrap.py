@@ -319,6 +319,8 @@ def band_covers(table: DebiasTable, values, draws: int, seed: int) -> bool:
     if values.shape != (len(table.cells),):
         raise InputError(
             f"need one value per cell ({len(table.cells)}), got {values.shape}")
+    if not np.all(np.isfinite(values)):
+        raise InputError("values must be finite")
     k = _order_index(table.alpha, draws)
     est = np.array([c.estimate for c in table.cells])
     sds = np.array([c.sd for c in table.cells])

@@ -284,8 +284,7 @@ def cmd_simulate(args) -> int:
     cfg = _study_config(args)
     if args.dump_data:
         first = simstudy.generate(cfg, 0)
-        dataio.write_dataset_csv(args.dump_data, first,
-                                 reports.default_names(cfg.p))
+        dataio.write_dataset_csv(args.dump_data, first)
     report = simstudy.run_study(cfg, workers=args.workers)
     return _emit(args, reports.study_records(cfg, report))
 

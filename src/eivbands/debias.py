@@ -57,6 +57,7 @@ from .lasso import (
     NoiseSpec,
     SolverConfig,
     _radius_terms,
+    _rowdot,
     corrected_gram,
     fit_corrected_lasso,
     resolve_config,
@@ -116,12 +117,6 @@ class DebiasTable:
         return self.scores.T
 
 
-def _row_dots(A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """Entry i is A[i] @ B[i]: one ddot per row pair, with each row's own
-    stride, as the 1-d product of the two rows makes it."""
-    return np.matmul(A[:, None, :], B[:, :, None])[:, 0, 0]
-
-
 def _residuals(lhs: np.ndarray, Z: np.ndarray,
                coefs: np.ndarray) -> np.ndarray:
     """Row i is lhs[i] - Z @ coefs[i]: one gemv per row, never a gemm, so
@@ -160,7 +155,7 @@ class _Scores:
             if fresh:
                 self.resid_dir[fresh] = _residuals(Z.T[js[fresh]], Z,
                                                    M[fresh])
-        self.slopes = _row_dots(self.resid_dir, Z.T[js]) / n - \
+        self.slopes = _rowdot(self.resid_dir, Z.T[js]) / n - \
             self.noise_var_j
         if y is None:
             return
@@ -174,10 +169,10 @@ class _Scores:
             self.resid_out[~own] = out0
         if own.any():
             self.resid_out[own] = _residuals(y, Z, beta[own])
-        self.consts = _row_dots(M, noise_var * beta)
+        self.consts = _rowdot(M, noise_var * beta)
 
     def roots(self) -> np.ndarray:
-        dots = _row_dots(self.resid_dir, self.resid_out)
+        dots = _rowdot(self.resid_dir, self.resid_out)
         return (dots / self.Z.shape[0] - self.consts) / self.slopes
 
     def values(self, thetas: np.ndarray) -> np.ndarray:

@@ -183,9 +183,7 @@ class FitResult:
     Every entry is either exactly 0 or larger than `truncation` in
     magnitude, and a coordinate pinned at 0 (see `fit_corrected_lasso_stack`)
     is an exact +0.0.  `objective` and `kkt_residual` are evaluated at the
-    final solver iterate before truncation; `objective_trace` records the
-    objective of the iterate after every iteration and is non-increasing up
-    to 1e-12 slack.
+    final solver iterate before truncation.
 
     `radius` is the l1-ball radius that was in force: the configured one,
     or the default one the solver resolved (always finite).
@@ -198,7 +196,6 @@ class FitResult:
     kkt_residual: float
     penalty: float
     radius: float
-    objective_trace: np.ndarray
 
 
 def default_penalty(n: int, p: int) -> float:
@@ -282,35 +279,30 @@ def hard_threshold(beta: np.ndarray, threshold: float) -> np.ndarray:
 # gets exactly the operations it would get alone: its matvec is one gemv
 # however many rows share the Gram (a gemm over rows would round by their
 # number), its dot products one ddot each, reductions run along the
-# contiguous last axis, and the rest is elementwise.  A row's pins are a
-# (k, m) array padded with -1.  Property tests pin the two loops to each
-# other.
+# contiguous last axis, and the rest is elementwise.  The pins are one
+# (k, p) boolean mask, True where a row holds a coordinate at 0.  Property
+# tests pin the two loops to each other.
 
 
 def _rowdot(u: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """u[i] @ v[i] for every row of two (k, p) stacks."""
+    """u[i] @ v[i] for every row of two (k, p) stacks: one ddot per row
+    pair, with each row's own stride, as the 1-d product makes it."""
     return np.matmul(u[:, None, :], v[:, :, None])[:, 0, 0]
 
 
-def _pinned(pin: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Row and column indices of the entries that a (k, m) pin array pins
-    in a (k, p) stack."""
-    rows, slot = np.nonzero(pin >= 0)
-    return rows, pin[rows, slot]
-
-
-def _matvec(G: np.ndarray, X: np.ndarray, pinned) -> np.ndarray:
-    """G @ X[i] for every row, one gemv each, `pinned` entries set to 0."""
+def _matvec(G: np.ndarray, X: np.ndarray, pin: np.ndarray) -> np.ndarray:
+    """G @ X[i] for every row, one gemv each, with the entries where the
+    mask `pin` is True set to 0."""
     out = np.empty_like(X)
     np.matmul(G, X[:, :, None], out=out[:, :, None])
-    out[pinned] = 0.0
+    out[pin] = 0.0
     return out
 
 
 def _spectral_bound_stack(G: np.ndarray, pin: np.ndarray) -> np.ndarray:
-    """|Dominant eigenvalue| of G for every row of pins `pin`, by 20 power
-    iterations from a fixed start; 1.0 where the iterate vanishes or
-    overflows.
+    """|Dominant eigenvalue| of G for every row of the (k, p) pin mask
+    `pin`, by 20 power iterations from a fixed start; 1.0 where the iterate
+    vanishes or overflows.
 
     A row holds its pinned coordinates at 0, bounding its subproblem's
     block of G; it starts at 1/sqrt(free coordinates), or 0 with none free.
@@ -319,15 +311,12 @@ def _spectral_bound_stack(G: np.ndarray, pin: np.ndarray) -> np.ndarray:
     overflow), which reaches every entry of G @ v; one test at the end finds
     the row.
     """
-    pinned = _pinned(pin)
-    p = len(G)
     start = np.array([f ** -0.5 if f else 0.0
-                      for f in (p - (pin >= 0).sum(axis=1)).tolist()])
-    v = np.repeat(start[:, None], p, axis=1)
-    v[pinned] = 0.0
+                      for f in (len(G) - pin.sum(axis=1)).tolist()])
+    v = np.where(pin, 0.0, start[:, None])
     with np.errstate(divide="ignore", invalid="ignore"):
         for _ in range(_POWER_ITERATIONS):
-            w = _matvec(G, v, pinned)
+            w = _matvec(G, v, pin)
             nw = np.sqrt(_rowdot(w, w))
             v = w / nw[:, None]
     return np.where((nw > 0.0) & (nw < math.inf), nw, 1.0)
@@ -404,10 +393,10 @@ def fit_corrected_lasso(b: np.ndarray, G: np.ndarray,
     spectral radius of G, halved by backtracking until the usual quadratic
     upper bound holds at the extrapolated point.  The steps are monotone
     FISTA with gradient restart: a candidate replaces the iterate only if
-    its objective is no larger (up to a 1e-12 relative slack), which keeps
-    the objective trace non-increasing even on indefinite problems, and
-    the momentum restarts once (y - cand)'(cand - x) exceeds the same slack
-    times the step.  G y is formed from G cand and G x, so each iteration
+    its objective is no larger (up to a 1e-12 relative slack), so the
+    objective never rises, even on indefinite problems, and the momentum
+    restarts once (y - cand)'(cand - x) exceeds the same slack times the
+    step.  G y is formed from G cand and G x, so each iteration
     makes one matrix-vector product.  The KKT residual of the iterate is
     checked every 25 iterations, on a tiny step and at `max_iter`.
     """
@@ -430,12 +419,11 @@ def fit_corrected_lasso(b: np.ndarray, G: np.ndarray,
     p = b.shape[0]
     # x: accepted iterate, Gx = G @ x; y: extrapolated point, gy its gradient
     x, Gx, F_x = np.zeros(p), np.zeros(p), 0.0
-    trace = [0.0]
     kkt = kkt_residual()
     converged = kkt <= cfg.tol
     if not converged:
         step = 1.0 / max(float(_spectral_bound_stack(
-            G, np.empty((1, 0), dtype=int))[0]), 1e-12)
+            G, np.zeros((1, p), dtype=bool))[0]), 1e-12)
     y, gy, f_y, t = x, -b, 0.0, 1.0
     iterations = 0
 
@@ -476,7 +464,6 @@ def fit_corrected_lasso(b: np.ndarray, G: np.ndarray,
         y, Gy, t = x + m * D, Gx + m * GD, t_next
         f_y = 0.5 * float(y @ Gy) - float(b @ y)
         gy = Gy - b
-        trace.append(F_x)
         fixed = sq == 0.0 and took
         if fixed or iterations % 25 == 0 or iterations == cfg.max_iter or \
                 math.sqrt(sq) <= 0.1 * cfg.tol * step:
@@ -493,7 +480,6 @@ def fit_corrected_lasso(b: np.ndarray, G: np.ndarray,
         kkt_residual=kkt,
         penalty=penalty,
         radius=radius,
-        objective_trace=np.asarray(trace),
     )
 
 
@@ -502,8 +488,8 @@ def fit_corrected_lasso_stack(b: np.ndarray, G: np.ndarray, cfgs, pins=None
     """Solve k corrected-lasso problems on one Gram as a single stack.
 
     Every problem keeps its own step size, momentum, backtracking,
-    projection, KKT checks, stopping rule and objective trace; one that
-    stops leaves the live rows, so no later pass computes anything for it.
+    projection, KKT checks and stopping rule; one that stops leaves the
+    live rows, so no later pass computes anything for it.
 
     Parameters
     ----------
@@ -552,11 +538,11 @@ def fit_corrected_lasso_stack(b: np.ndarray, G: np.ndarray, cfgs, pins=None
     if any(c.penalty is None for c in cfgs):
         raise InputError("penalty must be resolved before fitting")
 
-    # row i's pins, padded with -1 to the widest row's count
-    pin = np.full((k, max(map(len, pins), default=0)), -1)
+    # pin[i, j]: row i holds coordinate j at 0
+    pin = np.zeros((k, p), dtype=bool)
     for row, js in zip(pin, pins):
-        row[:len(js)] = js
-    b[_pinned(pin)] = 0.0
+        row[list(js)] = True
+    b[pin] = 0.0
     penalty = np.array([c.penalty for c in cfgs], dtype=np.float64)
     radius = np.array([math.nan if c.radius is None else c.radius
                        for c in cfgs], dtype=np.float64)
@@ -570,13 +556,10 @@ def fit_corrected_lasso_stack(b: np.ndarray, G: np.ndarray, cfgs, pins=None
     converged = kkt <= tol
     iterations = np.zeros(k, dtype=np.int64)
     errors: list[NumericalError | None] = [None] * k
-    traces = []
 
-    # the live rows: positions `idx`, pins and their entries `pinned`, step,
-    # momentum and working state (x, G @ x, its objective; y, its gradient
-    # and f(y))
+    # the live rows: positions `idx`, pin mask, step, momentum and working
+    # state (x, G @ x, its objective; y, its gradient and f(y))
     idx = np.flatnonzero(~converged)
-    pinned = _pinned(pin[idx])
     step = 1.0 / np.maximum(_spectral_bound_stack(G, pin[idx]), 1e-12) \
         if idx.size else np.zeros(0)
     live = (idx, pin[idx], step, np.ones(idx.size), beta[idx],
@@ -585,7 +568,7 @@ def fit_corrected_lasso_stack(b: np.ndarray, G: np.ndarray, cfgs, pins=None
             radius[idx], tol[idx], max_iter[idx])
 
     while live[0].size:
-        (idx, _, step, t, x, Gx, F_x, y, gy, f_y, bl, it, pen, rad, tl,
+        (idx, pinned, step, t, x, Gx, F_x, y, gy, f_y, bl, it, pen, rad, tl,
          cap) = live
         v = y - step[:, None] * gy
         # |soft-threshold of v at step * penalty| and its l1 norm
@@ -634,7 +617,6 @@ def fit_corrected_lasso_stack(b: np.ndarray, G: np.ndarray, cfgs, pins=None
         np.copyto(gy, GD, where=accept[:, None])
         np.copyto(t, t_next, where=accept)
         it += accept
-        traces.append((idx[accept], F_x[accept]))
 
         fixed = zero & took
         check = np.flatnonzero(accept & (fixed | (it % 25 == 0) | (it >= cap)
@@ -649,16 +631,6 @@ def fit_corrected_lasso_stack(b: np.ndarray, G: np.ndarray, cfgs, pins=None
             beta[done], objective[done], iterations[done] = \
                 x[stop], F_x[stop], it[stop]
             live = tuple(a[keep] for a in live)
-            pinned = _pinned(live[1])
-
-    # row i's trace flat[start[i]:end[i]] is 0, then one objective per
-    # iteration in pass order
-    end = np.cumsum(iterations + 1)
-    start = end - iterations - 1
-    flat, filled = np.zeros(k + iterations.sum()), start.copy()
-    for rows_done, values in traces:
-        filled[rows_done] += 1
-        flat[filled[rows_done]] = values
 
     results: list[FitResult | NumericalError] = []
     for i, cfg in enumerate(cfgs):
@@ -670,6 +642,5 @@ def fit_corrected_lasso_stack(b: np.ndarray, G: np.ndarray, cfgs, pins=None
             kkt_residual=float(kkt[i]),
             penalty=float(penalty[i]),
             radius=float(radius[i]),
-            objective_trace=flat[start[i]:end[i]].copy(),
         ))
     return results

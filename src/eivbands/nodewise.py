@@ -123,9 +123,8 @@ def fit_nodewise_jobs(G: np.ndarray, n: int, jobs,
                 if c in out[:i]:
                     raise InputError(f"left-out column {c} is repeated")
             pins.append((int(j), *(c for c in out if c != j)))
-            # column j of G without its pinned entries is the subproblem's b
+            # column j of G is the subproblem's b once its pins read as 0
             row[:] = G[:, j]
-            row[list(pins[-1])] = 0.0
             cfgs.append(resolve_config(cfg, n, p - len(out)))
         fits = fit_corrected_lasso_stack(b, G, cfgs, pins)
         for pin in pins:

@@ -18,10 +18,6 @@ import numpy as np
 SCHEMA_VERSION = 1
 
 
-def default_names(p: int) -> list[str]:
-    return [f"z{k + 1}" for k in range(p)]
-
-
 def _plain(value):
     # encoder hook: NumPy scalars and arrays become Python values
     if isinstance(value, (np.generic, np.ndarray)):

@@ -625,6 +625,16 @@ class TestBandCovers:
             band_covers(table, [0.0] * 3, 50, 1)
         assert str(covers.value) == str(band.value)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_values_raise(self, bad):
+        # a NaN compares false against both edges, so it would read as
+        # covered; every non-finite value is rejected, in any cell
+        table = inference_table()
+        estimates = [c.estimate for c in table.cells]
+        for values in ([bad] * 3, estimates[:2] + [bad]):
+            with pytest.raises(InputError, match="values must be finite"):
+                band_covers(table, values, 200, 1)
+
     def test_one_value_per_cell(self):
         table = inference_table()
         with pytest.raises(InputError, match="one value per cell"):

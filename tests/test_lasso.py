@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -191,11 +193,11 @@ class TestKktResidual:
             assert abs(got[i] - want) <= 1e-9 * max(want, 1e-3 * scale)
 
 
-def pin_array(pins):
-    # the solver's (k, m) layout of each row's pins, padded with -1
-    pin = np.full((len(pins), max(map(len, pins), default=0)), -1)
+def pin_mask(pins, p):
+    # the solver's (k, p) boolean mask of each row's pins
+    pin = np.zeros((len(pins), p), dtype=bool)
     for row, js in zip(pin, pins):
-        row[:len(js)] = js
+        row[list(js)] = True
     return pin
 
 
@@ -211,7 +213,7 @@ class TestSpectralBound:
                            np.full(p, gen.uniform(0.0, 2.0)))
         pins = [tuple(gen.choice(p, size=min(p - 1, gen.integers(3)),
                                  replace=False)) for _ in range(k)]
-        lam = lasso._spectral_bound_stack(G, pin_array(pins))
+        lam = lasso._spectral_bound_stack(G, pin_mask(pins, p))
         for i in range(k):
             free = ~np.isin(np.arange(p), pins[i])
             block = G[np.ix_(free, free)]
@@ -228,13 +230,13 @@ class TestSpectralBound:
         G[1, :] = G[:, 1] = 0.0
         pins = [(0,), (), (0, 2, 3, 4, 5, 6), tuple(range(p)), (0, 1)]
         with np.errstate(over="ignore", invalid="ignore"):
-            lam = lasso._spectral_bound_stack(G, pin_array(pins))
+            lam = lasso._spectral_bound_stack(G, pin_mask(pins, p))
         assert lam[1] == lam[2] == lam[3] == 1.0
         # the other rows are what they are alone, bit for bit
         for i in (0, 4):
             assert lam[i] != 1.0
             assert lam[i].tobytes() == lasso._spectral_bound_stack(
-                G, pin_array(pins[i:i + 1]))[0].tobytes()
+                G, pin_mask(pins[i:i + 1], p))[0].tobytes()
 
 
 class TestHardThreshold:
@@ -346,6 +348,20 @@ def pd_instance(gen, p, n=64):
     return b, G
 
 
+def assert_objective_never_rises(b, G, cfg, fit):
+    # row k of a stack of copies of the problem, capped at max_iter = k,
+    # runs the fit's first k iterations and stops, so its objective is the
+    # fit's after iteration k: checked from 0 (the start) to the last one
+    caps = range(1, fit.iterations + 1)
+    rows = fit_corrected_lasso_stack(
+        np.repeat(b[None], len(caps), axis=0), G,
+        [replace(cfg, max_iter=k) for k in caps])
+    assert [row.iterations for row in rows] == list(caps)
+    F = np.array([0.0] + [row.objective for row in rows])
+    assert F[-1] == fit.objective
+    assert np.diff(F).max() <= 1e-12 * (1 + np.abs(F).max())
+
+
 class TestSolver:
     def test_identity_gram_is_soft_threshold(self):
         b = np.array([1.0, 0.2, -0.8])
@@ -389,7 +405,7 @@ class TestSolver:
                                 rtol=0, atol=1e-8)
             assert fit.converged
 
-    def test_objective_trace_non_increasing_indefinite(self):
+    def test_objective_never_rises_indefinite(self):
         gen = np.random.default_rng(23)
         p, n = 30, 10  # p > n makes the corrected Gram indefinite
         Z = gen.normal(size=(n, p))
@@ -401,17 +417,16 @@ class TestSolver:
         b = Z.T @ y / n
         cfg = resolve_config(SolverConfig(tol=1e-10, max_iter=3000), n, p)
         fit = fit_corrected_lasso(b, G, cfg)
-        diffs = np.diff(fit.objective_trace)
-        assert diffs.size > 10  # the instance actually iterates
-        assert diffs.max() <= 1e-12 * (1 + np.abs(fit.objective_trace).max())
+        assert fit.iterations > 10  # the instance actually iterates
+        assert_objective_never_rises(b, G, cfg, fit)
         assert fit.radius == default_radius(G, b)
         assert np.abs(fit.beta).sum() <= fit.radius * (1 + 1e-9)
 
     def test_accelerated_on_an_ill_conditioned_gram(self):
         # the AR(0.9) correlation matrix at p = 30 has condition number
         # about 260: plain projected gradient needs 1,100 iterations here,
-        # the accelerated loop converges within 400, and its restarts leave
-        # the objective trace non-increasing
+        # the accelerated loop converges within 400, and its restarts never
+        # let the objective rise
         p = 30
         G = 0.9 ** np.abs(np.subtract.outer(np.arange(p), np.arange(p)))
         beta = np.zeros(p)
@@ -420,8 +435,7 @@ class TestSolver:
                            max_iter=400)
         fit = fit_corrected_lasso(G @ beta, G, cfg)
         assert fit.converged and fit.kkt_residual <= 1e-8
-        diffs = np.diff(fit.objective_trace)
-        assert diffs.max() <= 1e-12 * (1 + np.abs(fit.objective_trace).max())
+        assert_objective_never_rises(G @ beta, G, cfg, fit)
 
     def test_ball_constraint_active_feasible(self):
         gen = np.random.default_rng(2)
@@ -492,7 +506,7 @@ def assert_same_bits(stacked, single):
             assert type(getattr(got, field)) is type(getattr(want, field))
             assert getattr(got, field) == getattr(want, field)
         for field in ("beta", "objective", "kkt_residual", "penalty",
-                      "radius", "objective_trace"):
+                      "radius"):
             g, w = np.asarray(getattr(got, field)), np.asarray(getattr(want, field))
             assert g.dtype == w.dtype and g.shape == w.shape, field
             assert g.tobytes() == w.tobytes(), field

@@ -56,6 +56,7 @@ from .lasso import (
     FitResult,
     NoiseSpec,
     SolverConfig,
+    _matvec,
     _radius_terms,
     _rowdot,
     corrected_gram,
@@ -360,7 +361,7 @@ def run_inference(data: Dataset, noise: NoiseSpec, targets,
     Notes
     -----
     The nodewise fits are one `nodewise.fit_nodewise_jobs` stream on the
-    pilot's Gram, bit-identical to fitting them one at a time.
+    pilot's Gram, equal to fitting them one at a time up to rounding.
     """
     _check_settings(alpha, variance_at)
     targets = [int(j) for j in targets]
@@ -392,16 +393,16 @@ def _edges_solved_by_pilots(G: np.ndarray, pilots,
     norm lies strictly below the edge's radius, and the edge's KKT residual
     there, which is pilot t's residual with entry k dropped, is at most
     ``cfg.tol``: that beta is then a stationary point of the edge's problem,
-    strictly inside its ball.  Every step is an elementwise or row operation
-    on (p, p) arrays.
+    strictly inside its ball.  Every step is one matrix product or an
+    elementwise or row operation on (p, p) arrays.
 
-    The residual takes each row's gradient by one gemv and reads it entry
-    by entry as `lasso._kkt_residual_stack` does inside the ball, so it is
-    the residual the edge's own row reports at that beta, bit for bit; the
-    largest entry other than k is a top-2 lookup.  The edge's radius is an
-    explicit ``cfg.radius``, or its `default_radius`: twice the sum of pilot
-    t's radius terms less term k, since the edge's b is pilot t's with
-    entry k zeroed.  That difference and the edge row's own sum, both over
+    The residual takes the p pilots' gradients by one matrix product and
+    reads them entry by entry as `lasso._kkt_residual_stack` does inside
+    the ball, so it is the residual the edge's own row reports at that
+    beta up to the rounding of that product; the largest entry other than
+    k is a top-2 lookup.  The edge's radius is an explicit ``cfg.radius``,
+    or its `default_radius`: twice the sum of pilot t's radius terms less
+    term k, since the edge's b is pilot t's with entry k zeroed.  That difference and the edge row's own sum, both over
     the same terms, differ by rounding of at most about p eps times the
     pilot's sum, so the pilot's l1 norm must stay below the difference by
     (2 p + 4) eps times the pilot's radius: no edge is taken unless its
@@ -412,8 +413,7 @@ def _edges_solved_by_pilots(G: np.ndarray, pilots,
     # row t is pilot t's b: G[:, t] with entry t read as 0 (G is symmetric)
     b = G.copy()
     np.fill_diagonal(b, 0.0)
-    grad = np.matmul(G, B[:, :, None])[:, :, 0] - b
-    np.fill_diagonal(grad, 0.0)
+    grad = _matvec(G, B, np.eye(len(G), dtype=bool)) - b
     resid = np.where(B != 0.0, np.abs(np.sign(B) * grad + cfg.penalty),
                      np.maximum(np.abs(grad) - cfg.penalty, 0.0))
     l1 = np.abs(B).sum(axis=1)

@@ -17,11 +17,12 @@ Candes 2015): the step is taken from an extrapolated point y, the candidate
 replaces the iterate x only if it does not raise the objective, and the
 momentum restarts when the step turns against the last move.  Carrying G x
 alongside x, G y is a combination of G x and G cand, so every iteration
-(and every backtracking retry) makes one matrix-vector product.  The
-monotone and restart decisions, like the backtracking test, allow a slack of
-1e-12 relative to the objective, so rounding in the last bits does not flip
-them.  A fit stops on its KKT residual, checked every 25 iterations, on a
-tiny step and at the iteration cap.
+(and every backtracking retry) makes one matrix-vector product, and a pass
+over a stack of rows one matrix product.  The monotone and restart
+decisions, like the backtracking test, allow a slack of 1e-12 relative to
+the objective, so rounding in the last bits does not flip them.  A fit
+stops on its KKT residual, checked every 25 iterations, on a tiny step and
+at the iteration cap.
 
 `fit_corrected_lasso` solves one problem (the `fit`, `infer` and `simulate`
 pilots).  `fit_corrected_lasso_stack` solves many problems on one Gram, one
@@ -275,13 +276,16 @@ def hard_threshold(beta: np.ndarray, threshold: float) -> np.ndarray:
 # solver primitives
 #
 # Both solver loops take the spectral bound, projection and KKT residual
-# below, which work on (k, p) stacks of rows on one (p, p) Gram.  Each row
-# gets exactly the operations it would get alone: its matvec is one gemv
-# however many rows share the Gram (a gemm over rows would round by their
-# number), its dot products one ddot each, reductions run along the
-# contiguous last axis, and the rest is elementwise.  The pins are one
-# (k, p) boolean mask, True where a row holds a coordinate at 0.  Property
-# tests pin the two loops to each other.
+# below, which work on (k, p) stacks of rows on one (p, p) Gram.  A pass
+# forms every live row's G x as one product X @ G (G is exactly
+# symmetric): one gemv for a single row, one gemm for several.  A gemm
+# row's last bits may depend on how many rows share the call, so a row of
+# a stack agrees with the row solved alone up to rounding, while the same
+# stack of the same rows gives the same bytes.  Every dot product is one
+# ddot per row, reductions run along the contiguous last axis, and the
+# rest is elementwise.  The pins are one (k, p) boolean mask, True where a
+# row holds a coordinate at 0.  Property tests pin the two loops to each
+# other.
 
 
 def _rowdot(u: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -291,10 +295,9 @@ def _rowdot(u: np.ndarray, v: np.ndarray) -> np.ndarray:
 
 
 def _matvec(G: np.ndarray, X: np.ndarray, pin: np.ndarray) -> np.ndarray:
-    """G @ X[i] for every row, one gemv each, with the entries where the
-    mask `pin` is True set to 0."""
-    out = np.empty_like(X)
-    np.matmul(G, X[:, :, None], out=out[:, :, None])
+    """G @ X[i] for every row, as the one product X @ G of the symmetric G,
+    with the entries where the mask `pin` is True set to 0."""
+    out = X @ G
     out[pin] = 0.0
     return out
 
@@ -440,7 +443,7 @@ def fit_corrected_lasso(b: np.ndarray, G: np.ndarray,
                                        np.array([radius]))
             delta = cand - y
             sq = float(delta @ delta)
-            Gc = G @ cand
+            Gc = cand @ G  # the one-row product of a stack of one
             f_cand = 0.5 * float(cand @ Gc) - float(b @ cand)
             if sq == 0.0:
                 break
@@ -489,7 +492,8 @@ def fit_corrected_lasso_stack(b: np.ndarray, G: np.ndarray, cfgs, pins=None
 
     Every problem keeps its own step size, momentum, backtracking,
     projection, KKT checks and stopping rule; one that stops leaves the
-    live rows, so no later pass computes anything for it.
+    live rows, so no later pass computes anything for it.  A pass forms
+    G x of every live row as one matrix product.
 
     Parameters
     ----------
@@ -514,14 +518,18 @@ def fit_corrected_lasso_stack(b: np.ndarray, G: np.ndarray, cfgs, pins=None
     -------
     list of FitResult or NumericalError
         Every `beta` has length p, in G's columns, with an exact +0.0 at
-        each pinned coordinate.  Entry i equals problem i solved alone (a
-        stack of one, same Gram and pins) bit for bit in every field;
-        unpinned, that is ``fit_corrected_lasso(b[i], G, cfgs[i])``.
-        Pinned, its free entries and its radius agree with
-        `fit_corrected_lasso` on the sliced subproblem up to rounding, as
-        its sums run over p terms, not over the free ones.  A solve that
-        would raise NumericalError returns the exception in place, so the
-        caller decides in which order failures surface.
+        each pinned coordinate.  Entry i agrees with problem i solved alone
+        (a stack of one, same Gram and pins) up to rounding: its penalty
+        and radius are the same bits, but the last bits of its G x depend
+        on how many rows share the pass's product, and so do those of its
+        beta, objective and KKT residual.  The same stack gives the same
+        bytes on every run.  A stack of one equals
+        ``fit_corrected_lasso(b[0], G, cfgs[0])`` bit for bit in every
+        field when unpinned.  Pinned, its free entries and its radius
+        agree with `fit_corrected_lasso` on the sliced subproblem up to
+        rounding, as its sums run over p terms, not over the free ones.  A
+        solve that would raise NumericalError returns the exception in
+        place, so the caller decides in which order failures surface.
     """
     b = np.array(b, dtype=np.float64)
     G = np.ascontiguousarray(G, dtype=np.float64)
@@ -571,10 +579,16 @@ def fit_corrected_lasso_stack(b: np.ndarray, G: np.ndarray, cfgs, pins=None
         (idx, pinned, step, t, x, Gx, F_x, y, gy, f_y, bl, it, pen, rad, tl,
          cap) = live
         v = y - step[:, None] * gy
-        # |soft-threshold of v at step * penalty| and its l1 norm
-        mag = np.maximum(np.abs(v) - (step * pen)[:, None], 0.0)
+        # |soft-threshold of v at step * penalty| and its l1 norm, then the
+        # soft-threshold itself in v's place
+        mag = np.abs(v)
+        mag -= (step * pen)[:, None]
+        np.maximum(mag, 0.0, out=mag)
         l1 = mag.sum(axis=1)
-        cand = _project_l1_ball_stack(np.sign(v) * mag, mag, l1, rad)
+        cand = np.sign(v, out=v)
+        cand *= mag
+        over = ~(l1 <= rad)
+        _project_l1_ball_stack(cand, mag, l1, rad)
         delta = cand - y
         sq = _rowdot(delta, delta)
         Gc = _matvec(G, cand, pinned)
@@ -595,8 +609,11 @@ def fit_corrected_lasso_stack(b: np.ndarray, G: np.ndarray, cfgs, pins=None
 
         # accepted rows take the candidate if it does not raise F, then
         # extrapolate (or restart at x); G @ y is a combination of G @ cand
-        # and G @ x, so the pass needs no second matvec
-        F_cand = f_cand + pen * np.abs(cand).sum(axis=1)
+        # and G @ x, so the pass needs no second matrix product.  A row the
+        # projection left alone has |cand| = mag, whose row sum is l1.
+        if over.any():
+            l1[over] = np.abs(cand[over]).sum(axis=1)
+        F_cand = f_cand + pen * l1
         slack = _BACKTRACK_SLACK * (1.0 + np.abs(F_x))
         took = accept & (F_cand <= F_x + slack)
         D, GD = cand - x, Gc - Gx
@@ -604,19 +621,29 @@ def fit_corrected_lasso_stack(b: np.ndarray, G: np.ndarray, cfgs, pins=None
         t_next = np.where(restart, 1.0,
                           (1.0 + np.sqrt(1.0 + 4.0 * t * t)) / 2.0)
         m = np.where(restart, 0.0, np.where(took, t - 1.0, t) / t_next)
-        np.copyto(x, cand, where=took[:, None])
-        np.copyto(Gx, Gc, where=took[:, None])
-        np.copyto(F_x, F_cand, where=took)
+        # when every row moves, the new arrays replace the old ones whole
+        if took.all():
+            x, Gx, F_x = cand, Gc, F_cand
+        else:
+            np.copyto(x, cand, where=took[:, None])
+            np.copyto(Gx, Gc, where=took[:, None])
+            np.copyto(F_x, F_cand, where=took)
         D *= m[:, None]
         D += x
         GD *= m[:, None]
         GD += Gx
-        np.copyto(y, D, where=accept[:, None])
-        np.copyto(f_y, 0.5 * _rowdot(D, GD) - _rowdot(bl, D), where=accept)
+        f_D = 0.5 * _rowdot(D, GD) - _rowdot(bl, D)
         GD -= bl
-        np.copyto(gy, GD, where=accept[:, None])
-        np.copyto(t, t_next, where=accept)
+        if accept.all():
+            y, gy, f_y, t = D, GD, f_D, t_next
+        else:
+            np.copyto(y, D, where=accept[:, None])
+            np.copyto(f_y, f_D, where=accept)
+            np.copyto(gy, GD, where=accept[:, None])
+            np.copyto(t, t_next, where=accept)
         it += accept
+        live = (idx, pinned, step, t, x, Gx, F_x, y, gy, f_y, bl, it, pen,
+                rad, tl, cap)
 
         fixed = zero & took
         check = np.flatnonzero(accept & (fixed | (it % 25 == 0) | (it >= cap)

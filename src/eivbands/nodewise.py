@@ -100,8 +100,9 @@ def fit_nodewise_jobs(G: np.ndarray, n: int, jobs,
     never leaves 0 reports it.  Every result is in G's columns.
 
     The jobs are pulled as needed and go in stacks of `stack_rows(p)` rows;
-    a stack is one `fit_corrected_lasso_stack` call, bit-identical to
-    fitting its jobs one at a time.  A job whose solve fails raises its
+    a stack is one `fit_corrected_lasso_stack` call, equal to fitting its
+    jobs one at a time up to rounding (the same jobs in the same stacks
+    give the same bytes).  A job whose solve fails raises its
     error when the iteration reaches it, after every earlier job was
     yielded (with ``raise_errors=False`` that NumericalError is yielded in
     its place); a job naming a column out of range, or a left-out column

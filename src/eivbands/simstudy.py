@@ -173,7 +173,7 @@ def generate(cfg: SimConfig, rep: int) -> Dataset:
     xi = rng.normals(bits, n)
     y = x @ cfg.beta0 + cfg.model_sd * xi
     if cfg.noise_mode == "mar":
-        bits.random_raw(n * p, output=False)
+        rng.skip(bits, n * p)
         mask = rng.uniforms(bits, n * p).reshape(n, p) >= cfg.miss_prob
         return Dataset(y=y, Z=np.where(mask, x, 0.0), mask=mask)
     if cfg.measurement_sd == 0:

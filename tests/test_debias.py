@@ -401,10 +401,23 @@ def edge_kkt_residual(G, n, t, k, mu, cfg, inside=False):
                                      np.array([radius]))[0]
 
 
+# A stack forms its rows' G x in one product, whose last bits depend on
+# how many rows share it, so a stacked row agrees with the row solved alone
+# up to this bound, relative to 1 + the size of what is compared.
+ROUNDING = 1e-10
+
+
+def assert_close(got, want):
+    got, want = np.asarray(got), np.asarray(want)
+    assert np.abs(got - want).max() <= ROUNDING * (1.0 + np.abs(want).max())
+
+
 @pytest.mark.parametrize("budget, rows", GRAPH_BUDGETS)
 def test_graph_tables_equal_rows_solved_alone(monkeypatch, budget, rows):
-    # every pilot and edge row of the graph's one Gram gives the same bits
-    # however the rows are stacked, down to every row solved alone
+    # every pilot and edge row of the graph's one Gram, however the rows
+    # are stacked, is the row solved alone up to ROUNDING, with the same
+    # iterations and radius, and so is every cell; the same stacks give
+    # the same bytes
     Z, gamma, sources = graph_instance()
     with monkeypatch.context() as m:
         m.setattr(nodewise, "STACK_BUDGET_BYTES", 0)
@@ -414,16 +427,20 @@ def test_graph_tables_equal_rows_solved_alone(monkeypatch, budget, rows):
         monkeypatch.setattr(nodewise, "STACK_BUDGET_BYTES", budget)
         assert nodewise.stack_rows(6) == rows
     tables = list(graph_tables(Z, gamma, sources, 0.1, TIGHT, "pilot"))
-    for table, want in zip(tables, alone, strict=True):
-        assert table.pilot.beta.tobytes() == want.pilot.beta.tobytes()
-        for field in ("objective", "iterations", "kkt_residual", "radius"):
+    again = list(graph_tables(Z, gamma, sources, 0.1, TIGHT, "pilot"))
+    for table, twin, want in zip(tables, again, alone, strict=True):
+        assert table.scores.tobytes() == twin.scores.tobytes()
+        assert table.pilot.beta.tobytes() == twin.pilot.beta.tobytes()
+        for field in ("iterations", "converged", "radius"):
             assert getattr(table.pilot, field) == getattr(want.pilot, field)
+        for field in ("beta", "objective", "kkt_residual"):
+            assert_close(getattr(table.pilot, field),
+                         getattr(want.pilot, field))
         assert table.targets == want.targets
         for got, cell in zip(table.cells, want.cells, strict=True):
-            assert (got.estimate, got.sd, got.slope) == \
-                (cell.estimate, cell.sd, cell.slope)
-            assert got.scores.tobytes() == cell.scores.tobytes()
-            assert got.mu.tobytes() == cell.mu.tobytes()
+            for field in ("estimate", "sd", "slope", "scores", "mu"):
+                assert_close(getattr(got, field), getattr(cell, field))
+            assert np.array_equal(got.mu != 0.0, cell.mu != 0.0)
 
 
 @pytest.mark.parametrize("budget, rows", GRAPH_BUDGETS)

@@ -351,14 +351,15 @@ def pd_instance(gen, p, n=64):
 def assert_objective_never_rises(b, G, cfg, fit):
     # row k of a stack of copies of the problem, capped at max_iter = k,
     # runs the fit's first k iterations and stops, so its objective is the
-    # fit's after iteration k: checked from 0 (the start) to the last one
+    # fit's after iteration k, up to the rounding of a stacked row (see
+    # ROUNDING): checked from 0 (the start) to the last one
     caps = range(1, fit.iterations + 1)
     rows = fit_corrected_lasso_stack(
         np.repeat(b[None], len(caps), axis=0), G,
         [replace(cfg, max_iter=k) for k in caps])
     assert [row.iterations for row in rows] == list(caps)
     F = np.array([0.0] + [row.objective for row in rows])
-    assert F[-1] == fit.objective
+    assert F[-1] == pytest.approx(fit.objective, rel=ROUNDING, abs=ROUNDING)
     assert np.diff(F).max() <= 1e-12 * (1 + np.abs(F).max())
 
 
@@ -495,7 +496,18 @@ def solve_one_at_a_time(bs, Gs, cfgs):
     return out
 
 
-def assert_same_bits(stacked, single):
+# A stack forms every live row's G x in one product, a gemm once two or
+# more rows share it, whose last bits depend on how many rows do; a row
+# solved alone makes a gemv.  So a stacked row agrees with the row solved
+# alone up to this bound, relative to 1 + the field's size, while its
+# iterations, convergence, penalty and radius stay exact.  The largest
+# deviation seen over 1,500 random stacks was 1.2e-13.
+ROUNDING = 1e-10
+
+
+def assert_same_bits(stacked, single, rounding=0.0):
+    # equal bit for bit, or with `rounding` > 0 equal up to it in beta,
+    # objective and kkt_residual
     assert len(stacked) == len(single)
     for got, want in zip(stacked, single):
         if isinstance(want, NumericalError):
@@ -509,7 +521,12 @@ def assert_same_bits(stacked, single):
                       "radius"):
             g, w = np.asarray(getattr(got, field)), np.asarray(getattr(want, field))
             assert g.dtype == w.dtype and g.shape == w.shape, field
-            assert g.tobytes() == w.tobytes(), field
+            if rounding and field not in ("penalty", "radius"):
+                scale = 1.0 + np.abs(w).max(initial=0.0)
+                assert np.abs(g - w).max(initial=0.0) <= rounding * scale, \
+                    field
+            else:
+                assert g.tobytes() == w.tobytes(), field
 
 
 def draw_design(gen, p):
@@ -549,10 +566,16 @@ class TestStackedSolver:
     @given(st.integers(0, 2 ** 32 - 1), st.integers(1, 9), st.integers(1, 16))
     @settings(max_examples=60, deadline=None)
     def test_matches_one_at_a_time_bitwise(self, seed, k, p):
+        # a stack of one is the single solver bit for bit; a row of the
+        # whole stack is it up to ROUNDING
         bs, G, cfgs = random_stack(np.random.default_rng(seed), k, p)
         with np.errstate(over="ignore", invalid="ignore"):  # divergent ones
-            assert_same_bits(fit_corrected_lasso_stack(bs, G, cfgs),
-                             solve_one_at_a_time(bs, [G] * k, cfgs))
+            single = solve_one_at_a_time(bs, [G] * k, cfgs)
+            assert_same_bits([fit_corrected_lasso_stack(bs[i:i + 1], G,
+                                                        cfgs[i:i + 1])[0]
+                              for i in range(k)], single)
+            assert_same_bits(fit_corrected_lasso_stack(bs, G, cfgs), single,
+                             ROUNDING)
 
     def test_covers_ball_cap_zero_b_indefinite_and_divergence(self):
         gen = np.random.default_rng(8)
@@ -583,7 +606,7 @@ class TestStackedSolver:
         assert zero_b.iterations == 0 and not zero_b.beta.any()
         assert indefinite.converged and indefinite.iterations > 0
         assert isinstance(diverged, NumericalError)
-        assert_same_bits(stacked, single)
+        assert_same_bits(stacked, single, ROUNDING)
 
     @given(st.integers(0, 2 ** 32 - 1), st.integers(1, 12),
            st.integers(1, 10))
@@ -592,9 +615,10 @@ class TestStackedSolver:
         # rows of one Gram pinned at 0, 1 or 2 coordinates (all of them
         # when p <= 2), with a regression's b on the free coordinates, or
         # unpinned with any b, in random order and cut into stacks at
-        # random boundaries: every row equals itself solved alone, an
-        # unpinned one equals the single solver, and a pinned one's beta
-        # keeps G's columns with +0.0 at its pins
+        # random boundaries: every row equals itself solved alone up to
+        # ROUNDING, an unpinned one alone equals the single solver bit for
+        # bit, and a pinned one's beta keeps G's columns with +0.0 at its
+        # pins
         gen = np.random.default_rng(seed)
         Z, v = draw_design(gen, p)
         n = Z.shape[0]
@@ -629,7 +653,7 @@ class TestStackedSolver:
                                                cfgs[i:i + 1],
                                                pins[i:i + 1])[0]
                      for i in range(k)]
-            assert_same_bits(stacked, alone)
+            assert_same_bits(stacked, alone, ROUNDING)
             free = [i for i in range(k) if not pins[i]]
             assert_same_bits([alone[i] for i in free], solve_one_at_a_time(
                 bs[free], [G] * len(free), [cfgs[i] for i in free]))
@@ -638,6 +662,38 @@ class TestStackedSolver:
                 assert fit.beta.shape == (p,)
                 assert fit.beta[list(pin)].tobytes() == \
                     np.zeros(len(pin)).tobytes()
+
+    def test_wide_stack_rows_match_rows_solved_alone(self):
+        # at p = 300 a gemm row's last bits depend on how many rows share
+        # the product: 60 nodewise-like rows (pinned at their target, with
+        # b its column of G) and unpinned ones, capped so that they leave
+        # the stack at different passes.  Two runs give the same bytes, and
+        # every row is itself solved alone up to ROUNDING, with the same
+        # iterations and convergence
+        gen = np.random.default_rng(29)
+        n, p, k = 350, 300, 60
+        Z = gen.normal(size=(n, p))
+        Z[:, 1:] += 0.5 * Z[:, :-1]
+        G = corrected_gram(Z, np.full(p, 0.25))
+        targets = gen.choice(p, size=k, replace=False)
+        b = G[:, targets].T.copy()
+        pins = [(int(j),) if i % 3 else () for i, j in enumerate(targets)]
+        for row, pin in zip(b, pins):
+            row[list(pin)] = 0.0
+        caps = [3, 11, 40, 20000]
+        cfgs = [resolve_config(SolverConfig(max_iter=caps[i % len(caps)]),
+                               n, p - len(pins[i])) for i in range(k)]
+        first = fit_corrected_lasso_stack(b, G, cfgs, pins)
+        again = fit_corrected_lasso_stack(b, G, cfgs, pins)
+        assert_same_bits(again, first)
+        alone = [fit_corrected_lasso_stack(b[i:i + 1], G, cfgs[i:i + 1],
+                                           pins[i:i + 1])[0]
+                 for i in range(k)]
+        assert_same_bits(first, alone, ROUNDING)
+        iterations = {fit.iterations for fit in first}
+        assert len(iterations) > 5 and max(iterations) > 40
+        assert any(not fit.converged for fit in first)
+        assert any(fit.converged and fit.iterations > 0 for fit in first)
 
     def test_pinned_rows_solve_the_sliced_subproblem(self):
         # pinned at two coordinates, a row solves the problem on G's free
@@ -706,7 +762,8 @@ class TestStackedSolver:
 
     def test_reports_the_residual_of_the_returned_iterate(self):
         # untruncated, fit.beta is the last iterate; its residual must be
-        # the one reported however the fit ended, in both loops
+        # the one reported however the fit ended: bit for bit from the
+        # single loop's product beta @ G, up to ROUNDING from a stack's
         gen = np.random.default_rng(9)
         p = 6
         b, G = pd_instance(gen, p)
@@ -730,11 +787,11 @@ class TestStackedSolver:
         assert np.abs(ball.beta).sum() >= 0.05 * (1 - 1e-9)
         assert zero_b.iterations == 0
         for bi, cfg, *fits in zip(bs, cfgs, single, stacked):
-            for fit in fits:
+            for fit, rounding in zip(fits, (0.0, ROUNDING)):
                 want = lasso._kkt_residual_stack(
-                    fit.beta[None], (G @ fit.beta - bi)[None],
+                    fit.beta[None], (fit.beta @ G - bi)[None],
                     np.array([cfg.penalty]), np.array([cfg.radius]))[0]
-                assert fit.kkt_residual == want
+                assert abs(fit.kkt_residual - want) <= rounding * (1 + want)
 
     def test_skips_power_iteration_when_zero_is_optimal(self, monkeypatch):
         def refuse(G, pin):

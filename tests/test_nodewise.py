@@ -125,13 +125,28 @@ def test_single_column_direction_is_empty():
     assert res.fit.converged
 
 
-def assert_same_direction(got, want):
+# A stack forms its rows' G x in one product, whose last bits depend on
+# how many rows share it, so a stacked target agrees with the target solved
+# alone up to this bound, relative to 1 + the field's size, with the same
+# iterations, convergence, penalty and radius.
+ROUNDING = 1e-10
+
+
+def assert_same_direction(got, want, rounding=0.0):
+    # bit for bit, or with `rounding` > 0 up to it in mu, the objective and
+    # the KKT residual
     assert got.j == want.j
-    assert got.mu.tobytes() == want.mu.tobytes()
-    assert got.fit.beta.tobytes() == want.fit.beta.tobytes()
-    for field in ("objective", "iterations", "converged", "kkt_residual",
-                  "penalty", "radius"):
+    assert got.mu is got.fit.beta
+    for field in ("iterations", "converged", "penalty", "radius"):
         assert getattr(got.fit, field) == getattr(want.fit, field), field
+    for field in ("beta", "objective", "kkt_residual"):
+        g, w = np.asarray(getattr(got.fit, field)), \
+            np.asarray(getattr(want.fit, field))
+        if rounding:
+            scale = 1.0 + np.abs(w).max()
+            assert np.abs(g - w).max() <= rounding * scale, field
+        else:
+            assert g.tobytes() == w.tobytes(), field
 
 
 @pytest.mark.parametrize("cfg, budget", [
@@ -156,7 +171,8 @@ def test_stack_matches_one_target_at_a_time(monkeypatch, cfg, budget):
                                      cfg))
     assert stacks == ([5] if budget is None else [2, 2, 1])
     for got, j in zip(stacked, targets, strict=True):
-        assert_same_direction(got, fit_nodewise(Z, noise_var, j, cfg))
+        assert_same_direction(got, fit_nodewise(Z, noise_var, j, cfg),
+                              ROUNDING)
 
 
 def test_stack_raises_at_the_failing_target(monkeypatch):
@@ -173,7 +189,7 @@ def test_stack_raises_at_the_failing_target(monkeypatch):
         want = fit_nodewise(Z, noise_var, 4, cfg)
         results = fit_nodewise_jobs(*design_gram(Z, noise_var), [4, 0, 1],
                                     cfg)
-        assert_same_direction(next(results), want)
+        assert_same_direction(next(results), want, ROUNDING)
         with pytest.raises(NumericalError) as stacked:
             next(results)
     assert str(stacked.value) == str(single.value)
@@ -209,8 +225,8 @@ def test_stack_can_yield_a_failure_in_place():
     assert [type(r) for r in results] == [NumericalError, NodewiseResult,
                                           NumericalError, NodewiseResult]
     assert str(results[0]) == str(single.value)
-    assert_same_direction(results[1], want)
-    assert_same_direction(results[3], want)
+    assert_same_direction(results[1], want, ROUNDING)
+    assert_same_direction(results[3], want, ROUNDING)
 
 
 def count_stacks(monkeypatch):

@@ -1,5 +1,6 @@
 import numpy as np
 import numpy.testing as npt
+import pytest
 from numpy.random import Philox, SeedSequence
 from scipy.special import ndtri
 
@@ -62,3 +63,37 @@ def test_in_place_transforms_match_the_expression_bytes():
         assert got_u.dtype == got_g.dtype == np.float64
         assert got_u.tobytes() == u.tobytes()
         assert got_g.tobytes() == ndtri(u).tobytes()
+
+
+class _FixedWords:
+    """A bit generator stub whose raw words are given."""
+
+    def __init__(self, words):
+        self.words = np.array(words, dtype=np.uint64)
+
+    def random_raw(self, count):
+        assert count == len(self.words)
+        return self.words.copy()
+
+
+def test_extreme_raw_words_stay_inside_the_open_interval():
+    # the top word's (2**53 - 1) + 0.5 rounds to 2**53, so it is clamped to
+    # the largest double below 1; the bottom word maps to 2**-54
+    words = [0, 2 ** 64 - 1, 2 ** 64 - 2 ** 12]
+    u = rng.uniforms(_FixedWords(words), 3)
+    assert u.tolist() == [2.0 ** -54, np.nextafter(1.0, 0.0), 1.0 - 2.0 ** -52]
+    g = rng.normals(_FixedWords(words), 3)
+    assert np.all(np.isfinite(g))
+    assert g[0] < -8.0 and g[1] > g[2] > 8.0
+
+
+@pytest.mark.parametrize("consumed", [0, 1, 2, 3])
+@pytest.mark.parametrize("count", [0, 1, 3, 4, 5, 8, 13, 24_000])
+def test_skip_equals_drawing_the_words(consumed, count):
+    # a stream that has used 0-3 words of its current counter block skips
+    # `count` words and continues exactly where drawing them would
+    bits = rng.stream(8, 2, 3)
+    bits.random_raw(consumed)
+    rng.skip(bits, count)
+    want = rng.stream(8, 2, 3).random_raw(consumed + count + 9)[-9:]
+    npt.assert_array_equal(bits.random_raw(9), want)

@@ -28,7 +28,7 @@ from .debias import (
     prepare_pilot,
     run_inference,
 )
-from .errors import DegeneracyError, EivbandsError, InputError
+from .errors import DegeneracyError, EivbandsError, InputError, check_integer
 from .lasso import Dataset, NoiseSpec, SolverConfig
 
 
@@ -266,7 +266,9 @@ def _study_config(args) -> simstudy.SimConfig:
     try:
         # file targets are 1-based; SimConfig converts beta0 and null_values
         if "targets" in fields:
-            fields["targets"] = [int(t) - 1 for t in fields["targets"]]
+            for t in fields["targets"]:
+                check_integer("target", t)
+            fields["targets"] = [t - 1 for t in fields["targets"]]
         cfg = builder(**fields)
         solver = dataclasses.replace(cfg.solver, **solver_over)
         return dataclasses.replace(cfg, solver=_solver_from(args, solver))

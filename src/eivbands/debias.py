@@ -50,7 +50,8 @@ import numpy as np
 from scipy.special import ndtri
 
 from . import mar as mar_mod
-from .errors import DegeneracyError, EivbandsError, InputError, NumericalError
+from .errors import (DegeneracyError, EivbandsError, InputError,
+                     NumericalError, check_integer)
 from .lasso import (
     Dataset,
     FitResult,
@@ -335,6 +336,19 @@ def _table(y, design, noise_var, pilot, directions, alpha, variance_at,
                        pilot=pilot, variance_at=variance_at, mar=mar)
 
 
+def _columns(js, p: int, what: str) -> list[int]:
+    """The distinct integer columns `js` of a p-column design, as ints."""
+    js = list(js)
+    for j in js:
+        check_integer(f"{what} column", j)
+    if len(set(js)) != len(js):
+        raise InputError(f"{what} set has duplicates")
+    for j in js:
+        if not 0 <= j < p:
+            raise InputError(f"{what} column {j} out of range for p={p}")
+    return [int(j) for j in js]
+
+
 def run_inference(data: Dataset, noise: NoiseSpec, targets,
                   alpha: float = 0.05,
                   cfg: SolverConfig = SolverConfig(),
@@ -360,21 +374,17 @@ def run_inference(data: Dataset, noise: NoiseSpec, targets,
 
     Notes
     -----
-    The nodewise fits are one `nodewise.fit_nodewise_jobs` stream on the
-    pilot's Gram, equal to fitting them one at a time up to rounding.
+    The config is resolved once, for the n x p design.  The nodewise fits
+    are one `nodewise.fit_nodewise_jobs` stream on the pilot's Gram, equal
+    to fitting them one at a time up to rounding.
     """
     _check_settings(alpha, variance_at)
-    targets = [int(j) for j in targets]
+    targets = _columns(targets, data.p, "target")
     if not targets:
         raise InputError("target set is empty")
-    if len(set(targets)) != len(targets):
-        raise InputError("target set has duplicates")
-    p = data.p
-    for j in targets:
-        if not 0 <= j < p:
-            raise InputError(f"target column {j} out of range for p={p}")
+    cfg = resolve_config(cfg, data.n, data.p)
     prepared = prepare_pilot(data, noise, cfg)
-    directions = fit_nodewise_jobs(prepared.gram, data.n, targets, cfg)
+    directions = fit_nodewise_jobs(prepared.gram, targets, cfg)
     return _table(data.y, prepared.design, prepared.noise_var, prepared.fit,
                   ((nw.j, nw.mu, None) for nw in directions), alpha,
                   variance_at, noise.kind, prepared.mar)
@@ -385,16 +395,16 @@ def _edges_solved_by_pilots(G: np.ndarray, pilots,
     """(p, p) mask of the graph edges whose partner's pilot solves them.
 
     `pilots` holds the result or the error of every column's pilot, and
-    `cfg` the penalty of the p - 1 columns every pilot and edge regresses on
-    (see `resolve_config`).  Pilot t regresses z_t on Z without t, and edge
-    (t, k) on Z without t and k, at the same penalty, so where pilot t's
-    beta is 0 at k the two problems share every free coordinate but k.  Entry
-    (t, k) is True when pilot t did not fail, its beta is 0 at k, its l1
-    norm lies strictly below the edge's radius, and the edge's KKT residual
-    there, which is pilot t's residual with entry k dropped, is at most
-    ``cfg.tol``: that beta is then a stationary point of the edge's problem,
-    strictly inside its ball.  Every step is one matrix product or an
-    elementwise or row operation on (p, p) arrays.
+    `cfg` the graph's one resolved config, which every pilot and edge
+    solves at (see `graph_tables`).  Pilot t regresses z_t on Z without t,
+    and edge (t, k) on Z without t and k, so where pilot t's beta is 0 at
+    k the two problems share every free coordinate but k.  Entry (t, k) is
+    True when pilot t did not fail, its beta is 0 at k, its l1 norm lies
+    strictly below the edge's radius, and the edge's KKT residual there,
+    which is pilot t's residual with entry k dropped, is at most
+    ``cfg.tol``: that beta is then a stationary point of the edge's
+    problem, strictly inside its ball.  Every step is one matrix product or
+    an elementwise or row operation on (p, p) arrays.
 
     The residual takes the p pilots' gradients by one matrix product and
     reads them entry by entry as `lasso._kkt_residual_stack` does inside
@@ -402,11 +412,12 @@ def _edges_solved_by_pilots(G: np.ndarray, pilots,
     beta up to the rounding of that product; the largest entry other than
     k is a top-2 lookup.  The edge's radius is an explicit ``cfg.radius``,
     or its `default_radius`: twice the sum of pilot t's radius terms less
-    term k, since the edge's b is pilot t's with entry k zeroed.  That difference and the edge row's own sum, both over
-    the same terms, differ by rounding of at most about p eps times the
-    pilot's sum, so the pilot's l1 norm must stay below the difference by
-    (2 p + 4) eps times the pilot's radius: no edge is taken unless its
-    pilot lies strictly inside the radius its own row would compute.
+    term k, since the edge's b is pilot t's with entry k zeroed.  That
+    difference and the edge row's own sum, both over the same terms,
+    differ by rounding of at most about p eps times the pilot's sum, so the
+    pilot's l1 norm must stay below the difference by (2 p + 4) eps times
+    the pilot's radius: no edge is taken unless its pilot lies strictly
+    inside the radius its own row would compute.
     """
     failed = np.array([isinstance(nw, NumericalError) for nw in pilots])
     B = _pilot_betas(pilots)
@@ -457,19 +468,19 @@ def graph_tables(Z: np.ndarray, gamma: np.ndarray, sources,
     with keep the columns other than k, in the columns of Z: its cells are
     indexed by partner column t != k, its `noise_var` is `gamma`, and its
     pilot's `beta` and every cell's `mu` have length p and are 0 at k.
-    Every regression is a row of G = ``corrected_gram(Z, gamma)``.  The
-    pilots ``(t, (t,))`` of all p columns are solved first, in one
-    `fit_nodewise_jobs` stream.  Edge (t, k) takes pilot t's `beta` as its
-    `mu` where that beta already solves the edge (see
-    `_edges_solved_by_pilots`); every other edge is a job ``(t, (k,))`` of
-    one more stream, fed across all sources in source and partner order.
-    A refit edge and a pilot equal the regression solved alone, so they
-    and the node rows differ from `run_inference` only by rounding, as the
+    Every regression is a row of G = ``corrected_gram(Z, gamma)``, at one
+    config resolved for p - 1 columns.  The pilots, jobs t of all p columns,
+    are solved first, in one `fit_nodewise_jobs` stream.  Edge (t, k) takes
+    pilot t's `beta` as its `mu` where that beta already solves the edge
+    (see `_edges_solved_by_pilots`); every other edge is a job ``(t, k)`` of
+    one more stream, fed across all sources in source and partner order.  A
+    refit edge and a pilot equal the regression solved alone, so they and
+    the node rows differ from `run_inference` only by rounding, as the
     cells' sums run over the p columns of Z; a reused edge is a solution of
-    its problem to the solver tolerance, not the solver's own iterate.
-    Each pilot's residual z_t - Z beta_t is formed once for the whole
-    graph; only a refit edge, and a partner inside its source's pilot
-    support, forms a residual of its own.
+    its problem to the solver tolerance, not the solver's own iterate.  Each
+    pilot's residual z_t - Z beta_t is formed once for the whole graph; only
+    a refit edge, and a partner inside its source's pilot support, forms a
+    residual of its own.
 
     Errors surface in source order: source k's failed pilot raises when
     its table is due, after every earlier table, and a refit's or a cell's
@@ -484,27 +495,23 @@ def graph_tables(Z: np.ndarray, gamma: np.ndarray, sources,
     n, p = Z.shape
     if gamma.shape != (p,):
         raise InputError(f"gamma has shape {gamma.shape}, expected ({p},)")
-    sources = [int(j) for j in sources]
-    if len(set(sources)) != len(sources):
-        raise InputError("source set has duplicates")
-    for j in sources:
-        if not 0 <= j < p:
-            raise InputError(f"source column {j} out of range for p={p}")
+    sources = _columns(sources, p, "source")
     if not sources:
         return
     # every source's data and noise checks, as its first regression makes them
     Dataset(y=Z[:, sources[0]], Z=np.delete(Z, sources[0], axis=1))
     NoiseSpec.known(gamma)
     G = corrected_gram(Z, gamma)
-    pilots = list(fit_nodewise_jobs(G, n, ((t, (t,)) for t in range(p)), cfg,
-                                    raise_errors=False))
-    reused = _edges_solved_by_pilots(G, pilots, resolve_config(cfg, n, p - 1))
+    # every pilot and edge regresses on p - 1 columns, at one penalty
+    cfg = resolve_config(cfg, n, p - 1)
+    pilots = list(fit_nodewise_jobs(G, range(p), cfg, raise_errors=False))
+    reused = _edges_solved_by_pilots(G, pilots, cfg)
 
     def partners(k):
         return (*range(k), *range(k + 1, p))
 
-    refits = fit_nodewise_jobs(G, n, (
-        (t, (k,)) for k in sources for t in partners(k) if not reused[t, k]),
+    refits = fit_nodewise_jobs(G, (
+        (t, k) for k in sources for t in partners(k) if not reused[t, k]),
         cfg)
     # column-major like a source's own design Z[:, keep], so the cells'
     # products round closest to that design's

@@ -26,11 +26,12 @@ at the iteration cap.
 
 `fit_corrected_lasso` solves one problem (the `fit`, `infer` and `simulate`
 pilots).  `fit_corrected_lasso_stack` solves many problems on one Gram, one
-row each; a row may pin coordinates at 0, so a regression on a subset of
-the Gram's columns, such as a nodewise regression (pinned at its target), a
-graph pilot (pinned at its source) or a graph edge (pinned at its target
-and its source), solves its subproblem without a copy, and its coefficients
-stay in the Gram's columns with the pinned ones exactly 0.
+row each, at one config (only a default radius is a row's own); a row may
+pin coordinates at 0, so a regression on a subset of the Gram's columns,
+such as a nodewise regression (pinned at its target), a graph pilot
+(pinned at its source) or a graph edge (pinned at its target and its
+source), solves its subproblem without a copy, and its coefficients stay
+in the Gram's columns with the pinned ones exactly 0.
 """
 
 from __future__ import annotations
@@ -347,8 +348,8 @@ def _project_l1_ball_stack(v: np.ndarray, a: np.ndarray, l1: np.ndarray,
     return v
 
 
-def _kkt_residual_stack(beta: np.ndarray, grad: np.ndarray,
-                        penalty: np.ndarray, radius: np.ndarray) -> np.ndarray:
+def _kkt_residual_stack(beta: np.ndarray, grad: np.ndarray, penalty: float,
+                        radius: np.ndarray) -> np.ndarray:
     """Infinity norm of the minimum-norm subgradient of every row's problem.
 
     With multiplier theta >= 0 on the ball's normal cone, a nonzero entry adds
@@ -415,8 +416,7 @@ def fit_corrected_lasso(b: np.ndarray, G: np.ndarray,
     radius = default_radius(G, b) if cfg.radius is None else float(cfg.radius)
 
     def kkt_residual() -> float:
-        return float(_kkt_residual_stack(x[None], (Gx - b)[None],
-                                         np.array([penalty]),
+        return float(_kkt_residual_stack(x[None], (Gx - b)[None], penalty,
                                          np.array([radius]))[0])
 
     p = b.shape[0]
@@ -486,8 +486,8 @@ def fit_corrected_lasso(b: np.ndarray, G: np.ndarray,
     )
 
 
-def fit_corrected_lasso_stack(b: np.ndarray, G: np.ndarray, cfgs, pins=None
-                              ) -> list[FitResult | NumericalError]:
+def fit_corrected_lasso_stack(b: np.ndarray, G: np.ndarray, cfg: SolverConfig,
+                              pins=None) -> list[FitResult | NumericalError]:
     """Solve k corrected-lasso problems on one Gram as a single stack.
 
     Every problem keeps its own step size, momentum, backtracking,
@@ -501,9 +501,9 @@ def fit_corrected_lasso_stack(b: np.ndarray, G: np.ndarray, cfgs, pins=None
         Linear terms, one row per problem.
     G : ndarray, shape (p, p)
         The corrected Gram every problem solves on.
-    cfgs : sequence of k SolverConfig
-        Configurations, one per problem, each with a concrete penalty (see
-        `resolve_config`).
+    cfg : SolverConfig
+        The one configuration of every problem, with a concrete penalty
+        (see `resolve_config`); a radius of None is each row's own.
     pins : sequence of k sequences of int, optional
         The coordinates each problem pins at 0, distinct and in [0, p); none
         by default.  A pinned problem reads those entries of its b as 0 and
@@ -524,12 +524,12 @@ def fit_corrected_lasso_stack(b: np.ndarray, G: np.ndarray, cfgs, pins=None
         on how many rows share the pass's product, and so do those of its
         beta, objective and KKT residual.  The same stack gives the same
         bytes on every run.  A stack of one equals
-        ``fit_corrected_lasso(b[0], G, cfgs[0])`` bit for bit in every
-        field when unpinned.  Pinned, its free entries and its radius
-        agree with `fit_corrected_lasso` on the sliced subproblem up to
-        rounding, as its sums run over p terms, not over the free ones.  A
-        solve that would raise NumericalError returns the exception in
-        place, so the caller decides in which order failures surface.
+        ``fit_corrected_lasso(b[0], G, cfg)`` bit for bit in every field
+        when unpinned.  Pinned, its free entries and its radius agree with
+        `fit_corrected_lasso` on the sliced subproblem up to rounding, as
+        its sums run over p terms, not over the free ones.  A solve that
+        would raise NumericalError returns the exception in place, so the
+        caller decides in which order failures surface.
     """
     b = np.array(b, dtype=np.float64)
     G = np.ascontiguousarray(G, dtype=np.float64)
@@ -538,12 +538,12 @@ def fit_corrected_lasso_stack(b: np.ndarray, G: np.ndarray, cfgs, pins=None
         tuple(int(j) for j in row) for row in pins]
     if k < 0 or G.shape != (p, p) or len(pins) != k or any(
             len(set(row)) != len(row) or not all(0 <= j < p for j in row)
-            for row in pins) or len(cfgs) != k:
+            for row in pins):
         raise InputError("need b of shape (k, p), a (p, p) Gram G, and for "
-                         "each row of b distinct pins in [0, p) and a config")
+                         "each row of b distinct pins in [0, p)")
     if not (np.all(np.isfinite(b)) and np.all(np.isfinite(G))):
         raise InputError("b and G must be finite")
-    if any(c.penalty is None for c in cfgs):
+    if cfg.penalty is None:
         raise InputError("penalty must be resolved before fitting")
 
     # pin[i, j]: row i holds coordinate j at 0
@@ -551,12 +551,9 @@ def fit_corrected_lasso_stack(b: np.ndarray, G: np.ndarray, cfgs, pins=None
     for row, js in zip(pin, pins):
         row[list(js)] = True
     b[pin] = 0.0
-    penalty = np.array([c.penalty for c in cfgs], dtype=np.float64)
-    radius = np.array([math.nan if c.radius is None else c.radius
-                       for c in cfgs], dtype=np.float64)
-    radius = np.where(np.isnan(radius), _default_radii(G, b), radius)
-    tol = np.array([c.tol for c in cfgs], dtype=np.float64)
-    max_iter = np.array([c.max_iter for c in cfgs])
+    penalty, tol, cap = float(cfg.penalty), cfg.tol, cfg.max_iter
+    radius = _default_radii(G, b) if cfg.radius is None else \
+        np.full(k, float(cfg.radius))
 
     beta = np.zeros_like(b)
     objective = np.zeros(k)
@@ -572,17 +569,15 @@ def fit_corrected_lasso_stack(b: np.ndarray, G: np.ndarray, cfgs, pins=None
         if idx.size else np.zeros(0)
     live = (idx, pin[idx], step, np.ones(idx.size), beta[idx],
             np.zeros_like(b[idx]), objective[idx], beta[idx], -b[idx],
-            objective[idx], b[idx], iterations[idx], penalty[idx],
-            radius[idx], tol[idx], max_iter[idx])
+            objective[idx], b[idx], iterations[idx], radius[idx])
 
     while live[0].size:
-        (idx, pinned, step, t, x, Gx, F_x, y, gy, f_y, bl, it, pen, rad, tl,
-         cap) = live
+        idx, pinned, step, t, x, Gx, F_x, y, gy, f_y, bl, it, rad = live
         v = y - step[:, None] * gy
         # |soft-threshold of v at step * penalty| and its l1 norm, then the
         # soft-threshold itself in v's place
         mag = np.abs(v)
-        mag -= (step * pen)[:, None]
+        mag -= (step * penalty)[:, None]
         np.maximum(mag, 0.0, out=mag)
         l1 = mag.sum(axis=1)
         cand = np.sign(v, out=v)
@@ -613,7 +608,7 @@ def fit_corrected_lasso_stack(b: np.ndarray, G: np.ndarray, cfgs, pins=None
         # projection left alone has |cand| = mag, whose row sum is l1.
         if over.any():
             l1[over] = np.abs(cand[over]).sum(axis=1)
-        F_cand = f_cand + pen * l1
+        F_cand = f_cand + penalty * l1
         slack = _BACKTRACK_SLACK * (1.0 + np.abs(F_x))
         took = accept & (F_cand <= F_x + slack)
         D, GD = cand - x, Gc - Gx
@@ -642,16 +637,15 @@ def fit_corrected_lasso_stack(b: np.ndarray, G: np.ndarray, cfgs, pins=None
             np.copyto(gy, GD, where=accept[:, None])
             np.copyto(t, t_next, where=accept)
         it += accept
-        live = (idx, pinned, step, t, x, Gx, F_x, y, gy, f_y, bl, it, pen,
-                rad, tl, cap)
+        live = (idx, pinned, step, t, x, Gx, F_x, y, gy, f_y, bl, it, rad)
 
         fixed = zero & took
         check = np.flatnonzero(accept & (fixed | (it % 25 == 0) | (it >= cap)
-                               | (np.sqrt(sq) <= 0.1 * tl * step)))
+                               | (np.sqrt(sq) <= 0.1 * tol * step)))
         if check.size:
             kkt[idx[check]] = _kkt_residual_stack(
-                x[check], Gx[check] - bl[check], pen[check], rad[check])
-            converged[idx[check]] = kkt[idx[check]] <= tl[check]
+                x[check], Gx[check] - bl[check], penalty, rad[check])
+            converged[idx[check]] = kkt[idx[check]] <= tol
         stop = underflow | nonfinite | converged[idx] | fixed | (it >= cap)
         if stop.any():
             done, keep = idx[stop], ~stop
@@ -659,15 +653,12 @@ def fit_corrected_lasso_stack(b: np.ndarray, G: np.ndarray, cfgs, pins=None
                 x[stop], F_x[stop], it[stop]
             live = tuple(a[keep] for a in live)
 
-    results: list[FitResult | NumericalError] = []
-    for i, cfg in enumerate(cfgs):
-        results.append(errors[i] or FitResult(
-            beta=hard_threshold(beta[i], cfg.truncation),
-            objective=float(objective[i]),
-            iterations=int(iterations[i]),
-            converged=bool(converged[i]),
-            kkt_residual=float(kkt[i]),
-            penalty=float(penalty[i]),
-            radius=float(radius[i]),
-        ))
-    return results
+    return [errors[i] or FitResult(
+        beta=hard_threshold(beta[i], cfg.truncation),
+        objective=float(objective[i]),
+        iterations=int(iterations[i]),
+        converged=bool(converged[i]),
+        kkt_residual=float(kkt[i]),
+        penalty=penalty,
+        radius=float(radius[i]),
+    ) for i in range(k)]

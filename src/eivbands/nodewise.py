@@ -11,16 +11,16 @@ design's one corrected Gram G = ``corrected_gram(Z, noise_var)``, the Gram
 the pilot solves on, pinned at its target j: b is column j of G with entry
 j read as 0 and beta_j stays 0, so the row solves the (-j, -j) subproblem
 on G itself.  Only the regressors' noise variances enter; the target's own
-sits on G[j, j], which the subproblem drops.  A job may also name columns
-of G that its design leaves out, such as a graph's source: the row pins
-them too, and a job that leaves out j itself regresses z_j on the rest, so
-every regression of a node graph, pilots included, is a row of one Gram.
-The coefficients never leave G's columns: the fitted direction mu is the
-row's beta, of length p, exactly 0 at j and at every left-out column.
-`fit_nodewise_jobs` streams the jobs of one Gram through stacks cut to
-`STACK_BUDGET_BYTES`.  `run_inference` makes its targets one stream; a
-node graph (`debias.graph_tables`) streams its p pilots first, then the
-edges that no pilot already solves.
+sits on G[j, j], which the subproblem drops.  A job may pin more columns of
+G, such as a graph's source, so every regression of a node graph, pilots
+included, is a row of one Gram.  The coefficients never leave G's columns:
+the fitted direction mu is the row's beta, of length p, exactly 0 at every
+pin.  `fit_nodewise_jobs` streams the jobs of one Gram through stacks cut
+to `STACK_BUDGET_BYTES`, all at the one resolved config its caller decided
+for the design.  `run_inference` makes its targets one stream at the
+penalty of p columns; a node graph (`debias.graph_tables`) streams its p
+pilots first, then the edges that no pilot already solves, both at the
+penalty of p - 1 columns.
 
 Every row resolves its default l1-ball radius, the O(p) `default_radius`
 of its b, before its first pass, so every fit reports the radius in force.
@@ -80,22 +80,22 @@ def fit_nodewise(Z: np.ndarray, noise_var: np.ndarray, j: int,
     ``fit.radius`` is finite unless `cfg` sets ``np.inf``.
     """
     G = corrected_gram(Z, noise_var)
-    return next(fit_nodewise_jobs(G, np.shape(Z)[0], [j], cfg))
+    return next(fit_nodewise_jobs(G, [j], resolve_config(cfg, *np.shape(Z))))
 
 
-def fit_nodewise_jobs(G: np.ndarray, n: int, jobs,
-                      cfg: SolverConfig = SolverConfig(),
+def fit_nodewise_jobs(G: np.ndarray, jobs, cfg: SolverConfig,
                       raise_errors: bool = True
                       ) -> Iterator[NodewiseResult | NumericalError]:
     """Yield the nodewise regression of each job on G, in order.
 
-    G is ``corrected_gram(Z, noise_var)`` of an n-row design Z.  A job is a
-    target column j, giving ``fit_nodewise(Z, noise_var, j, cfg)``, or a
-    pair ``(j, out)`` whose `out` names distinct columns of Z that the
-    job's design leaves out.  It regresses z_j on that design, with the
-    penalty of its p - len(out) columns, as a row of G pinned at j and
-    `out`.  With ``j not in out`` that is a nodewise regression; ``j in
-    out`` makes it a pilot on the columns outside `out`.  Every row
+    G is ``corrected_gram(Z, noise_var)`` of a design Z, and `cfg` the one
+    resolved config (see `resolve_config`) of every job, which its design
+    decides: the penalty of p columns for a regression's targets, of p - 1
+    for a node graph's pilots and edges.  A job is a target column j, or a
+    tuple ``(j, *pins)``: z_j regressed, as a row of G with b its column j,
+    on the columns other than j and `pins`, which the row pins at 0.  So
+    ``fit_nodewise(Z, noise_var, j, cfg)`` is job j, a graph's pilot of
+    column t is job t, and its edge (t, k) job ``(t, k)``.  Every row
     resolves its default radius before its first pass, so even a fit that
     never leaves 0 reports it.  Every result is in G's columns.
 
@@ -105,29 +105,22 @@ def fit_nodewise_jobs(G: np.ndarray, n: int, jobs,
     give the same bytes).  A job whose solve fails raises its
     error when the iteration reaches it, after every earlier job was
     yielded (with ``raise_errors=False`` that NumericalError is yielded in
-    its place); a job naming a column out of range, or a left-out column
-    twice, raises InputError when its stack is formed.
+    its place); a target out of range raises InputError as its stack is
+    formed, and so does, from the stack, a pin out of range or repeated,
+    or a config with no penalty.
     """
     p = len(G)
     jobs = iter(jobs)
     while batch := list(islice(jobs, stack_rows(p))):
         b = np.empty((len(batch), p))
-        cfgs, pins = [], []
-        for row, job in zip(b, batch):
-            j, out = job if isinstance(job, tuple) else (job, ())
+        pins = [job if isinstance(job, tuple) else (job,) for job in batch]
+        for row, (j, *_) in zip(b, pins):
+            # a negative j would index G from the end
             if not 0 <= j < p:
                 raise InputError(f"target column {j} out of range for p={p}")
-            for i, c in enumerate(out):
-                if not 0 <= c < p:
-                    raise InputError(
-                        f"left-out column {c} out of range for p={p}")
-                if c in out[:i]:
-                    raise InputError(f"left-out column {c} is repeated")
-            pins.append((int(j), *(c for c in out if c != j)))
             # column j of G is the subproblem's b once its pins read as 0
             row[:] = G[:, j]
-            cfgs.append(resolve_config(cfg, n, p - len(out)))
-        fits = fit_corrected_lasso_stack(b, G, cfgs, pins)
+        fits = fit_corrected_lasso_stack(b, G, cfg, pins)
         for pin in pins:
             fit = fits.pop(0)  # let each row be freed once it is consumed
             if isinstance(fit, NumericalError):
@@ -135,4 +128,4 @@ def fit_nodewise_jobs(G: np.ndarray, n: int, jobs,
                     raise fit
                 yield fit
             else:
-                yield NodewiseResult(j=pin[0], mu=fit.beta, fit=fit)
+                yield NodewiseResult(j=int(pin[0]), mu=fit.beta, fit=fit)

@@ -81,6 +81,8 @@ class SimConfig:
     def __post_init__(self):
         beta0 = np.asarray(self.beta0, dtype=np.float64)
         object.__setattr__(self, "beta0", beta0)
+        for j in self.targets:
+            check_integer("target", j)
         object.__setattr__(self, "targets", tuple(int(j) for j in self.targets))
         object.__setattr__(self, "null_values",
                            tuple(float(v) for v in self.null_values))

@@ -537,8 +537,8 @@ def fail_pilot_of(monkeypatch, column):
     # the pilot of `column` returns a NumericalError in its stack
     original = nodewise.fit_corrected_lasso_stack
 
-    def fail_pilot(b, G, cfgs, pins=None):
-        fits = original(b, G, cfgs, pins)
+    def fail_pilot(b, G, cfg, pins=None):
+        fits = original(b, G, cfg, pins)
         return [NumericalError("forced pilot failure")
                 if tuple(pin) == (column,) else fit
                 for pin, fit in zip(pins, fits)]
@@ -904,6 +904,13 @@ def test_simulate_unknown_config_key_exit_2(tmp_path, capsys):
     pytest.param({"solver": {"tol": "x"}}, "invalid value", id="tol-str"),
     pytest.param({"alpha": "0.1"}, "invalid value", id="alpha-str"),
     pytest.param({"targets": 5}, "invalid value", id="targets-int"),
+    # a file target is checked before its 1-based shift, so 2.5 is not
+    # column 2; one replication keeps a run that misses this short
+    pytest.param({"targets": [2.5], "null_values": [0.0], "replications": 1},
+                 "target must be an integer (got 2.5)", id="targets-float"),
+    pytest.param({"targets": [True], "null_values": [0.0],
+                  "replications": 1},
+                 "target must be an integer (got True)", id="targets-bool"),
     pytest.param({"beta0": "x"}, "invalid value", id="beta0-str"),
     pytest.param({"n": "abc"}, "invalid value", id="n-str"),
     # counts and the seed must be integers, the seed an unsigned 64-bit one

@@ -331,6 +331,31 @@ class TestRunInference:
         with pytest.raises(InputError):
             run_inference(data, short, [0])
 
+    def test_rejects_non_integer_targets(self):
+        # a fractional or boolean target is refused, not truncated to a
+        # column
+        data, noise = small_instance(1)
+        for targets in ([1.9, 3.2], [True], [0, 2.0]):
+            with pytest.raises(InputError, match="must be an integer"):
+                run_inference(data, noise, targets)
+
+    def test_pilot_and_nodewise_fits_share_one_resolved_config(
+            self, monkeypatch):
+        # the penalty is resolved once, for the n x p design: the pilot's
+        # solver and every nodewise stack get that one config, and every
+        # fit reports its penalty bit for bit
+        configs, fits = record_configs(monkeypatch)
+        data, noise = small_instance(2)
+        table = run_inference(data, noise, range(5),
+                              cfg=SolverConfig(penalty_scale=0.7))
+        want = lasso.default_penalty(data.n, data.p) * 0.7
+        assert len(configs) == 2 and configs[0] is configs[1]
+        assert configs[0].penalty == want
+        assert len(fits) == 5
+        for fit in (table.pilot, *fits):
+            assert np.float64(fit.penalty).tobytes() == \
+                np.float64(want).tobytes()
+
     def test_table_shape(self):
         data, noise = small_instance(2)
         table = run_inference(data, noise, [4, 1], cfg=TIGHT)
@@ -340,6 +365,34 @@ class TestRunInference:
         for cell in table.cells:
             assert cell.ci_low < cell.estimate < cell.ci_high
             assert cell.mu[cell.j] == 0.0
+
+
+def record_configs(monkeypatch):
+    # the config of every solve (the scalar pilot, each stack and the graph
+    # reuse test), in order, and the results of the stacked rows, through
+    # the names debias and nodewise bind
+    configs, fits = [], []
+    single = debias.fit_corrected_lasso
+    stack = nodewise.fit_corrected_lasso_stack
+    reuse = debias._edges_solved_by_pilots
+
+    def recorded_single(b, G, cfg):
+        configs.append(cfg)
+        return single(b, G, cfg)
+
+    def recorded_stack(b, G, cfg, pins=None):
+        configs.append(cfg)
+        out = stack(b, G, cfg, pins)
+        fits.extend(out)
+        return out
+
+    def recorded_reuse(G, pilots, cfg):
+        configs.append(cfg)
+        return reuse(G, pilots, cfg)
+    monkeypatch.setattr(debias, "fit_corrected_lasso", recorded_single)
+    monkeypatch.setattr(nodewise, "fit_corrected_lasso_stack", recorded_stack)
+    monkeypatch.setattr(debias, "_edges_solved_by_pilots", recorded_reuse)
+    return configs, fits
 
 
 def partners(p, k):
@@ -367,9 +420,9 @@ def record_stacks(monkeypatch):
     stacks = []
     original = nodewise.fit_corrected_lasso_stack
 
-    def recorded(b, G, cfgs, pins=None):
+    def recorded(b, G, cfg, pins=None):
         stacks.append([tuple(int(c) for c in row) for row in pins])
-        return original(b, G, cfgs, pins)
+        return original(b, G, cfg, pins)
     monkeypatch.setattr(nodewise, "fit_corrected_lasso_stack", recorded)
     return stacks
 
@@ -397,7 +450,7 @@ def edge_kkt_residual(G, n, t, k, mu, cfg, inside=False):
     radius = np.inf if inside else cfg.radius or lasso.default_radius(G, b)
     grad = lasso._matvec(G, mu[None], pin) - b
     penalty = lasso.resolve_config(cfg, n, len(G) - 1).penalty
-    return lasso._kkt_residual_stack(mu[None], grad, np.array([penalty]),
+    return lasso._kkt_residual_stack(mu[None], grad, penalty,
                                      np.array([radius]))[0]
 
 
@@ -503,8 +556,8 @@ def test_graph_errors_keep_source_order(monkeypatch):
     original = lasso.fit_corrected_lasso_stack
     failing = sources[2]
 
-    def fail_pilot(b, G, cfgs, pins=None):
-        fits = original(b, G, cfgs, pins)
+    def fail_pilot(b, G, cfg, pins=None):
+        fits = original(b, G, cfg, pins)
         return [NumericalError("forced pilot failure")
                 if tuple(pin) == (failing,) else fit
                 for pin, fit in zip(pins, fits)]
@@ -525,8 +578,8 @@ def test_failed_partner_pilot_refits_its_edges(monkeypatch):
     want = list(graph_tables(Z, gamma, sources, 0.1, TIGHT))
     original = lasso.fit_corrected_lasso_stack
 
-    def fail_pilot(b, G, cfgs, pins=None):
-        fits = original(b, G, cfgs, pins)
+    def fail_pilot(b, G, cfg, pins=None):
+        fits = original(b, G, cfg, pins)
         return [NumericalError("forced pilot failure")
                 if tuple(pin) == (2,) else fit
                 for pin, fit in zip(pins, fits)]
@@ -707,6 +760,38 @@ def test_graph_rejects_duplicate_sources():
         list(graph_tables(Z, gamma, [0, 0]))
     with pytest.raises(InputError, match="source set has duplicates"):
         next(graph_tables(Z, gamma, [2, 0, 2]))
+
+
+def test_graph_rejects_non_integer_sources():
+    # a fractional or boolean source is refused, not truncated to a column
+    Z, gamma, _ = graph_instance()
+    for sources in ([2.7], [True], [0, 1.0]):
+        with pytest.raises(InputError, match="must be an integer"):
+            next(graph_tables(Z, gamma, sources))
+
+
+@pytest.mark.parametrize("budget", [None, 3 * 8 * 6],
+                         ids=["one_stack", "rows_of_3"])
+def test_graph_solves_every_row_at_one_resolved_config(monkeypatch, budget):
+    # the graph resolves its config once, for the p - 1 columns every
+    # pilot and edge regresses on: the pilot stream, the reuse test and
+    # the refit stream get that one object, and every pilot and refit edge
+    # reports its penalty bit for bit
+    if budget is not None:
+        monkeypatch.setattr(nodewise, "STACK_BUDGET_BYTES", budget)
+    configs, fits = record_configs(monkeypatch)
+    stacks = record_stacks(monkeypatch)
+    Z, gamma, sources = graph_instance()
+    n, p = Z.shape
+    tables = list(graph_tables(Z, gamma, sources, 0.1,
+                               SolverConfig(penalty_scale=0.7)))
+    want = lasso.default_penalty(n, p - 1) * 0.7
+    assert all(cfg is configs[0] for cfg in configs)
+    assert configs[0].penalty == want
+    assert len(fits) == p + len(refit_edges(stacks)) > p
+    for fit in (*(table.pilot for table in tables), *fits):
+        assert np.float64(fit.penalty).tobytes() == \
+            np.float64(want).tobytes()
 
 
 def test_graph_pilot_that_never_moves_reports_its_block_radius():

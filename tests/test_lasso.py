@@ -349,17 +349,14 @@ def pd_instance(gen, p, n=64):
 
 
 def assert_objective_never_rises(b, G, cfg, fit):
-    # row k of a stack of copies of the problem, capped at max_iter = k,
-    # runs the fit's first k iterations and stops, so its objective is the
-    # fit's after iteration k, up to the rounding of a stacked row (see
-    # ROUNDING): checked from 0 (the start) to the last one
+    # the problem capped at max_iter = k runs the fit's first k iterations
+    # and stops, so its objective is the fit's after iteration k, bit for
+    # bit: checked from 0 (the start) to the last one
     caps = range(1, fit.iterations + 1)
-    rows = fit_corrected_lasso_stack(
-        np.repeat(b[None], len(caps), axis=0), G,
-        [replace(cfg, max_iter=k) for k in caps])
+    rows = [fit_corrected_lasso(b, G, replace(cfg, max_iter=k)) for k in caps]
     assert [row.iterations for row in rows] == list(caps)
     F = np.array([0.0] + [row.objective for row in rows])
-    assert F[-1] == pytest.approx(fit.objective, rel=ROUNDING, abs=ROUNDING)
+    assert F[-1] == fit.objective
     assert np.diff(F).max() <= 1e-12 * (1 + np.abs(F).max())
 
 
@@ -543,23 +540,26 @@ def draw_design(gen, p):
     return gen.normal(size=(n, p)), np.full(p, gen.uniform(0.0, 1.5))
 
 
+def random_config(gen, n, p):
+    # one resolved config of a stack: a penalty scale, a default, tight or
+    # infinite radius, an iteration cap from 1 to 20000 and a tolerance
+    return resolve_config(SolverConfig(
+        penalty_scale=gen.uniform(0.05, 2.0),
+        radius=gen.choice([None, None, np.inf, 0.3]),
+        max_iter=int(gen.choice([1, 4, 60, 20000])),
+        tol=float(gen.choice([1e-8, 1e-5]))), n, p)
+
+
 def random_stack(gen, k, p):
-    # k problems on one Gram, positive definite, ill-conditioned or
-    # indefinite, mixing b = 0, tight and infinite radii, and small
-    # iteration caps
+    # k problems at one config on one Gram, positive definite,
+    # ill-conditioned or indefinite, whose b mixes 0 with small and large
+    # scales, so that the rows leave the stack at different passes
     Z, v = draw_design(gen, p)
     n = Z.shape[0]
     G = corrected_gram(Z, v)
-    bs, cfgs = [], []
-    for _ in range(k):
-        b = Z.T @ gen.normal(size=n) / n * gen.choice([0.0, 1.0, 3.0])
-        cfg = SolverConfig(penalty_scale=gen.uniform(0.05, 2.0),
-                           radius=gen.choice([None, np.inf, 0.3]),
-                           max_iter=int(gen.choice([1, 4, 60, 20000])),
-                           tol=float(gen.choice([1e-8, 1e-5])))
-        bs.append(b)
-        cfgs.append(resolve_config(cfg, n, p))
-    return np.array(bs), G, cfgs
+    bs = [Z.T @ gen.normal(size=n) / n * gen.choice([0.0, 0.3, 1.0, 3.0])
+          for _ in range(k)]
+    return np.array(bs), G, random_config(gen, n, p)
 
 
 class TestStackedSolver:
@@ -568,62 +568,75 @@ class TestStackedSolver:
     def test_matches_one_at_a_time_bitwise(self, seed, k, p):
         # a stack of one is the single solver bit for bit; a row of the
         # whole stack is it up to ROUNDING
-        bs, G, cfgs = random_stack(np.random.default_rng(seed), k, p)
+        bs, G, cfg = random_stack(np.random.default_rng(seed), k, p)
         with np.errstate(over="ignore", invalid="ignore"):  # divergent ones
-            single = solve_one_at_a_time(bs, [G] * k, cfgs)
+            single = solve_one_at_a_time(bs, [G] * k, [cfg] * k)
             assert_same_bits([fit_corrected_lasso_stack(bs[i:i + 1], G,
-                                                        cfgs[i:i + 1])[0]
+                                                        cfg)[0]
                               for i in range(k)], single)
-            assert_same_bits(fit_corrected_lasso_stack(bs, G, cfgs), single,
+            assert_same_bits(fit_corrected_lasso_stack(bs, G, cfg), single,
                              ROUNDING)
 
     def test_covers_ball_cap_zero_b_indefinite_and_divergence(self):
+        # one stack per config, each with rows that leave it at different
+        # passes because of their b: rows ending on a tight ball, a row
+        # held at its iteration cap, rows with b = 0 that never move, a
+        # row converging on an indefinite Gram, and a diverging row next
+        # to one that converges
         gen = np.random.default_rng(8)
         p = 6
         b_pd, G_pd = pd_instance(gen, p)
         G_indef = np.diag([-1.0, 1.0, 2.0, 0.5, 1.5, 3.0])
+        zero, e = np.zeros(p), np.eye(p)
         stacks = {
-            "pd": (G_pd, [
-                (b_pd, SolverConfig(penalty=0.0, radius=0.05)),  # ball
-                (b_pd, SolverConfig(penalty=0.01, radius=np.inf,
-                                    max_iter=3)),  # capped
-                (np.zeros(p), SolverConfig(penalty=0.1, radius=1.0)),
-            ]),
-            "indefinite": (G_indef, [
-                (b_pd, SolverConfig(penalty=0.05, radius=2.0)),
-                (np.eye(p)[0], SolverConfig(penalty=1e-3, radius=np.inf)),
-            ]),
+            "ball": (G_pd, SolverConfig(penalty=0.0, radius=0.05),
+                     [b_pd, np.sign(b_pd), zero]),
+            "capped": (G_pd, SolverConfig(penalty=0.01, radius=np.inf,
+                                          max_iter=3), [b_pd, zero]),
+            "indefinite": (G_indef, SolverConfig(penalty=0.05, radius=2.0),
+                           [b_pd, zero]),
+            "divergence": (G_indef, SolverConfig(penalty=1e-3,
+                                                 radius=np.inf),
+                           [e[0], e[1]]),
         }
-        single, stacked = [], []
-        for G, cases in stacks.values():
-            bs, cfgs = np.array([c[0] for c in cases]), [c[1] for c in cases]
+        single, stacked = {}, []
+        for name, (G, cfg, rows) in stacks.items():
+            bs = np.array(rows)
             with np.errstate(over="ignore", invalid="ignore"):
-                single += solve_one_at_a_time(bs, [G] * len(cases), cfgs)
-                stacked += fit_corrected_lasso_stack(bs, G, cfgs)
-        ball, capped, zero_b, indefinite, diverged = single
-        assert np.abs(ball.beta).sum() >= 0.05 * (1 - 1e-6)
+                single[name] = solve_one_at_a_time(bs, [G] * len(bs),
+                                                   [cfg] * len(bs))
+                stacked += fit_corrected_lasso_stack(bs, G, cfg)
+        for ball in single["ball"][:2]:
+            assert np.abs(ball.beta).sum() >= 0.05 * (1 - 1e-6)
+        capped, zero_b = single["capped"]
         assert capped.iterations == 3 and not capped.converged
-        assert zero_b.iterations == 0 and not zero_b.beta.any()
+        indefinite, _ = single["indefinite"]
         assert indefinite.converged and indefinite.iterations > 0
+        diverged, converged = single["divergence"]
         assert isinstance(diverged, NumericalError)
-        assert_same_bits(stacked, single, ROUNDING)
+        assert converged.converged and converged.iterations > 0
+        for fits in (single["ball"], single["capped"], single["indefinite"]):
+            assert fits[-1].iterations == 0 and not fits[-1].beta.any()
+            assert len({fit.iterations for fit in fits}) == len(fits)
+        assert_same_bits(stacked, sum(single.values(), []), ROUNDING)
 
     @given(st.integers(0, 2 ** 32 - 1), st.integers(1, 12),
            st.integers(1, 10))
     @settings(max_examples=60, deadline=None)
     def test_rows_sharing_grams_equal_rows_solved_alone(self, seed, k, p):
-        # rows of one Gram pinned at 0, 1 or 2 coordinates (all of them
-        # when p <= 2), with a regression's b on the free coordinates, or
-        # unpinned with any b, in random order and cut into stacks at
-        # random boundaries: every row equals itself solved alone up to
-        # ROUNDING, an unpinned one alone equals the single solver bit for
-        # bit, and a pinned one's beta keeps G's columns with +0.0 at its
-        # pins
+        # rows of one Gram at one config, pinned at 0, 1 or 2 coordinates
+        # (all of them when p <= 2), with a regression's b on the free
+        # coordinates, or unpinned with any b, in random order and cut into
+        # stacks at random boundaries: every row equals itself solved alone
+        # up to ROUNDING, an unpinned one alone equals the single solver bit
+        # for bit, and a pinned one's beta keeps G's columns with +0.0 at
+        # its pins
         gen = np.random.default_rng(seed)
         Z, v = draw_design(gen, p)
         n = Z.shape[0]
         G = corrected_gram(Z, v)
-        bs, cfgs, pins = [], [], []
+        cfg = random_config(gen, n, p)
+        bs, pins = [], []
         for _ in range(k):
             m = int(gen.integers(3))
             pin = tuple(int(j) for j in gen.choice(p, size=min(m, p),
@@ -633,12 +646,7 @@ class TestStackedSolver:
                 b[list(pin)] = 0.0
             else:
                 b = Z.T @ gen.normal(size=n) / n * gen.choice([0.0, 1.0, 3.0])
-            cfg = SolverConfig(penalty_scale=gen.uniform(0.02, 2.0),
-                               radius=gen.choice([None, None, np.inf, 0.3]),
-                               max_iter=int(gen.choice([1, 4, 60, 20000])),
-                               tol=float(gen.choice([1e-8, 1e-5])))
             bs.append(b)
-            cfgs.append(resolve_config(cfg, n, max(p - len(pin), 1)))
             pins.append(pin)
         bs = np.array(bs)
         cuts = np.sort(gen.choice(np.arange(1, k), size=gen.integers(k),
@@ -647,16 +655,14 @@ class TestStackedSolver:
             stacked = []
             for rows in np.split(np.arange(k), cuts):
                 stacked += fit_corrected_lasso_stack(
-                    bs[rows], G, [cfgs[i] for i in rows],
-                    [pins[i] for i in rows])
-            alone = [fit_corrected_lasso_stack(bs[i:i + 1], G,
-                                               cfgs[i:i + 1],
+                    bs[rows], G, cfg, [pins[i] for i in rows])
+            alone = [fit_corrected_lasso_stack(bs[i:i + 1], G, cfg,
                                                pins[i:i + 1])[0]
                      for i in range(k)]
             assert_same_bits(stacked, alone, ROUNDING)
             free = [i for i in range(k) if not pins[i]]
             assert_same_bits([alone[i] for i in free], solve_one_at_a_time(
-                bs[free], [G] * len(free), [cfgs[i] for i in free]))
+                bs[free], [G] * len(free), [cfg] * len(free)))
         for fit, pin in zip(alone, pins):
             if isinstance(fit, FitResult):
                 assert fit.beta.shape == (p,)
@@ -666,10 +672,11 @@ class TestStackedSolver:
     def test_wide_stack_rows_match_rows_solved_alone(self):
         # at p = 300 a gemm row's last bits depend on how many rows share
         # the product: 60 nodewise-like rows (pinned at their target, with
-        # b its column of G) and unpinned ones, capped so that they leave
-        # the stack at different passes.  Two runs give the same bytes, and
-        # every row is itself solved alone up to ROUNDING, with the same
-        # iterations and convergence
+        # b its column of G) and unpinned ones, at one config whose cap of
+        # 60 iterations stops some rows while the others converge at
+        # passes of their own.  Two runs give the same bytes, and every row
+        # is itself solved alone up to ROUNDING, with the same iterations
+        # and convergence
         gen = np.random.default_rng(29)
         n, p, k = 350, 300, 60
         Z = gen.normal(size=(n, p))
@@ -680,18 +687,16 @@ class TestStackedSolver:
         pins = [(int(j),) if i % 3 else () for i, j in enumerate(targets)]
         for row, pin in zip(b, pins):
             row[list(pin)] = 0.0
-        caps = [3, 11, 40, 20000]
-        cfgs = [resolve_config(SolverConfig(max_iter=caps[i % len(caps)]),
-                               n, p - len(pins[i])) for i in range(k)]
-        first = fit_corrected_lasso_stack(b, G, cfgs, pins)
-        again = fit_corrected_lasso_stack(b, G, cfgs, pins)
+        cfg = resolve_config(SolverConfig(max_iter=60), n, p)
+        first = fit_corrected_lasso_stack(b, G, cfg, pins)
+        again = fit_corrected_lasso_stack(b, G, cfg, pins)
         assert_same_bits(again, first)
-        alone = [fit_corrected_lasso_stack(b[i:i + 1], G, cfgs[i:i + 1],
+        alone = [fit_corrected_lasso_stack(b[i:i + 1], G, cfg,
                                            pins[i:i + 1])[0]
                  for i in range(k)]
         assert_same_bits(first, alone, ROUNDING)
         iterations = {fit.iterations for fit in first}
-        assert len(iterations) > 5 and max(iterations) > 40
+        assert len(iterations) > 5 and max(iterations) == 60
         assert any(not fit.converged for fit in first)
         assert any(fit.converged and fit.iterations > 0 for fit in first)
 
@@ -710,7 +715,7 @@ class TestStackedSolver:
         b = G[:, 0].copy()
         b[list(pin)] = 0.0
         cfg = resolve_config(SolverConfig(penalty_scale=0.2), 20, p - 2)
-        fit = fit_corrected_lasso_stack(b[None], G, [cfg], [pin])[0]
+        fit = fit_corrected_lasso_stack(b[None], G, cfg, [pin])[0]
         sub = fit_corrected_lasso(b[free], G[np.ix_(free, free)], cfg)
         assert fit.iterations == sub.iterations > 0
         npt.assert_allclose(fit.radius, sub.radius, rtol=1e-15)
@@ -729,8 +734,8 @@ class TestStackedSolver:
         pins = [tuple(int(j) for j in gen.choice(
             p, size=gen.integers(1, p), replace=False)) for _ in range(3)]
         b = G[:, [pin[0] for pin in pins]].T
-        cfgs = [SolverConfig(penalty=float(np.abs(b).max()) + 1.0)] * 3
-        fits = fit_corrected_lasso_stack(b, G, cfgs, pins)
+        cfg = SolverConfig(penalty=float(np.abs(b).max()) + 1.0)
+        fits = fit_corrected_lasso_stack(b, G, cfg, pins)
         for row, pin, fit in zip(b, pins, fits):
             free = ~np.isin(np.arange(p), pin)
             want = default_radius(G[np.ix_(free, free)], row[free])
@@ -754,7 +759,7 @@ class TestStackedSolver:
         b_free[list(pin)] = 0.0
         single = fit_corrected_lasso(b, G, cfg)
         unpinned, pinned = fit_corrected_lasso_stack(
-            np.array([b, b]), G, [cfg, cfg], pins=[(), pin])
+            np.array([b, b]), G, cfg, pins=[(), pin])
         for fit in (single, unpinned, pinned):
             assert fit.iterations == 0 and fit.converged
         assert single.radius == unpinned.radius == default_radius(G, b)
@@ -763,7 +768,9 @@ class TestStackedSolver:
     def test_reports_the_residual_of_the_returned_iterate(self):
         # untruncated, fit.beta is the last iterate; its residual must be
         # the one reported however the fit ended: bit for bit from the
-        # single loop's product beta @ G, up to ROUNDING from a stack's
+        # single loop's product beta @ G, up to ROUNDING from a stack's.
+        # Each case is a stack of its own config, with a second row,
+        # sign(b), that leaves it at another pass
         gen = np.random.default_rng(9)
         p = 6
         b, G = pd_instance(gen, p)
@@ -777,21 +784,24 @@ class TestStackedSolver:
             "zero_b": (np.zeros(p), SolverConfig(penalty=0.1, radius=1.0,
                                                  truncation=0.0)),
         }
-        bs = np.array([case[0] for case in cases.values()])
-        cfgs = [case[1] for case in cases.values()]
-        single = [fit_corrected_lasso(bi, G, cfg) for bi, cfg in zip(bs, cfgs)]
-        stacked = fit_corrected_lasso_stack(bs, G, cfgs)
-        converged, capped, ball, zero_b = single
+        first = []
+        for bi, cfg in cases.values():
+            bs = np.array([bi, np.sign(b)])
+            single = [fit_corrected_lasso(row, G, cfg) for row in bs]
+            stacked = fit_corrected_lasso_stack(bs, G, cfg)
+            first.append(single[0])
+            for row, *fits in zip(bs, single, stacked):
+                for fit, rounding in zip(fits, (0.0, ROUNDING)):
+                    want = lasso._kkt_residual_stack(
+                        fit.beta[None], (fit.beta @ G - row)[None],
+                        cfg.penalty, np.array([cfg.radius]))[0]
+                    assert abs(fit.kkt_residual - want) <= \
+                        rounding * (1 + want)
+        converged, capped, ball, zero_b = first
         assert converged.converged and converged.iterations > 0
         assert capped.iterations == 3 and not capped.converged
         assert np.abs(ball.beta).sum() >= 0.05 * (1 - 1e-9)
         assert zero_b.iterations == 0
-        for bi, cfg, *fits in zip(bs, cfgs, single, stacked):
-            for fit, rounding in zip(fits, (0.0, ROUNDING)):
-                want = lasso._kkt_residual_stack(
-                    fit.beta[None], (fit.beta @ G - bi)[None],
-                    np.array([cfg.penalty]), np.array([cfg.radius]))[0]
-                assert abs(fit.kkt_residual - want) <= rounding * (1 + want)
 
     def test_skips_power_iteration_when_zero_is_optimal(self, monkeypatch):
         def refuse(G, pin):
@@ -802,28 +812,33 @@ class TestStackedSolver:
         cfg = SolverConfig(penalty=float(np.abs(b).max()), radius=1.0)
         fit = fit_corrected_lasso(b, G, cfg)
         assert fit.iterations == 0 and fit.converged and not fit.beta.any()
-        stacked = fit_corrected_lasso_stack(np.array([b, 0.5 * b]), G,
-                                            [cfg, cfg])
+        stacked = fit_corrected_lasso_stack(np.array([b, 0.5 * b]), G, cfg)
         assert_same_bits(stacked[:1], [fit])
         assert stacked[1].iterations == 0
 
     def test_validates_like_the_single_solver(self):
         cfg = SolverConfig(penalty=0.1, radius=1.0)
         bad = [
-            (np.ones((2, 3)), np.ones((3, 2)), [cfg, cfg], None),
-            (np.ones((2, 2)), np.eye(2), [cfg], None),
-            (np.ones(2), np.eye(2), [cfg], None),
-            (np.array([[np.nan, 0.0]]), np.eye(2), [cfg], None),
-            (np.ones((1, 2)), np.full((2, 2), np.inf), [cfg], None),
-            (np.ones((1, 2)), np.eye(2), [SolverConfig()], None),
-            (np.ones((1, 2)), np.eye(2), [cfg], [(2,)]),
-            (np.ones((1, 2)), np.eye(2), [cfg], [(-1,)]),
-            (np.ones((1, 2)), np.eye(2), [cfg], [(1, 1)]),
-            (np.ones((2, 2)), np.eye(2), [cfg, cfg], [(0,)]),
+            (np.ones((2, 3)), np.ones((3, 2)), cfg, None),
+            (np.ones(2), np.eye(2), cfg, None),
+            (np.array([[np.nan, 0.0]]), np.eye(2), cfg, None),
+            (np.ones((1, 2)), np.full((2, 2), np.inf), cfg, None),
+            (np.ones((1, 2)), np.eye(2), cfg, [(2,)]),
+            (np.ones((1, 2)), np.eye(2), cfg, [(-1,)]),
+            (np.ones((1, 2)), np.eye(2), cfg, [(1, 1)]),
+            (np.ones((2, 2)), np.eye(2), cfg, [(0,)]),
         ]
-        for b, G, cfgs, pins in bad:
+        for b, G, cfg, pins in bad:
             with pytest.raises(InputError):
-                fit_corrected_lasso_stack(b, G, cfgs, pins)
+                fit_corrected_lasso_stack(b, G, cfg, pins)
+
+    def test_unresolved_config_rejected(self):
+        # a stack takes one resolved config: with no penalty it raises
+        # before any row is solved, and so does an empty stack
+        for b in (np.ones((3, 2)), np.ones((0, 2))):
+            with pytest.raises(InputError, match="penalty must be resolved"):
+                fit_corrected_lasso_stack(b, np.eye(2), SolverConfig(),
+                                          [(0,)] * len(b))
 
 
 class TestTypes:

@@ -67,10 +67,11 @@ def sub_gram(Z, noise_var, j):
     return full[np.ix_(keep, keep)], full[keep, j]
 
 
-def design_gram(Z, noise_var):
-    # the leading arguments of fit_nodewise_jobs for one design: its
-    # corrected Gram and its row count
-    return corrected_gram(Z, noise_var), Z.shape[0]
+def design_jobs(Z, noise_var, jobs, cfg, **kwargs):
+    # the job stream of one design: its corrected Gram, at the config
+    # resolved for its n x p shape, as fit_nodewise and run_inference use
+    return fit_nodewise_jobs(corrected_gram(Z, noise_var), jobs,
+                             resolve_config(cfg, *Z.shape), **kwargs)
 
 
 def test_reduces_to_corrected_lasso_subproblem():
@@ -167,8 +168,7 @@ def test_stack_matches_one_target_at_a_time(monkeypatch, cfg, budget):
     Z[:, 1:] += 0.6 * Z[:, :-1]
     noise_var = rng.uniform(0.0, 0.5, size=p)
     targets = [5, 0, 11, 3, 7]
-    stacked = list(fit_nodewise_jobs(*design_gram(Z, noise_var), targets,
-                                     cfg))
+    stacked = list(design_jobs(Z, noise_var, targets, cfg))
     assert stacks == ([5] if budget is None else [2, 2, 1])
     for got, j in zip(stacked, targets, strict=True):
         assert_same_direction(got, fit_nodewise(Z, noise_var, j, cfg),
@@ -187,8 +187,7 @@ def test_stack_raises_at_the_failing_target(monkeypatch):
         with pytest.raises(NumericalError) as single:
             fit_nodewise(Z, noise_var, 0, cfg)
         want = fit_nodewise(Z, noise_var, 4, cfg)
-        results = fit_nodewise_jobs(*design_gram(Z, noise_var), [4, 0, 1],
-                                    cfg)
+        results = design_jobs(Z, noise_var, [4, 0, 1], cfg)
         assert_same_direction(next(results), want, ROUNDING)
         with pytest.raises(NumericalError) as stacked:
             next(results)
@@ -199,8 +198,7 @@ def test_stack_raises_at_the_failing_target(monkeypatch):
     monkeypatch.setattr(nodewise, "STACK_BUDGET_BYTES", 0)
     stacks = count_stacks(monkeypatch)
     with np.errstate(over="ignore", invalid="ignore"):
-        results = fit_nodewise_jobs(*design_gram(Z, noise_var), [4, 0, 1],
-                                    cfg)
+        results = design_jobs(Z, noise_var, [4, 0, 1], cfg)
         assert_same_direction(next(results), want)
         with pytest.raises(NumericalError) as stacked:
             next(results)
@@ -218,9 +216,8 @@ def test_stack_can_yield_a_failure_in_place():
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(NumericalError) as single:
             fit_nodewise(Z, noise_var, 0, cfg)
-        results = list(fit_nodewise_jobs(*design_gram(Z, noise_var),
-                                         [0, 4, 1, 4], cfg,
-                                         raise_errors=False))
+        results = list(design_jobs(Z, noise_var, [0, 4, 1, 4], cfg,
+                                   raise_errors=False))
         want = fit_nodewise(Z, noise_var, 4, cfg)
     assert [type(r) for r in results] == [NumericalError, NodewiseResult,
                                           NumericalError, NodewiseResult]
@@ -257,18 +254,20 @@ def test_stack_rows_follow_the_row_budget(monkeypatch):
     pytest.param(SolverConfig(penalty_scale=0.2), id="loose"),
 ])
 def test_job_leaving_out_columns_regresses_on_the_rest(cfg):
-    # a job on the full Gram that leaves out column k is the regression on
-    # the design without k: same penalty and iterations, and equal up to
-    # rounding; its target and direction stay in the Gram's columns, with
-    # mu exactly 0 at the target and at k
+    # a job (t, k) on the full Gram, at the config resolved for the p - 1
+    # columns of the design without k, is the regression on that design:
+    # same penalty and iterations, and equal up to rounding; its target and
+    # direction stay in the Gram's columns, with mu exactly 0 at the target
+    # and at k
     rng = np.random.default_rng(37)
     n, p = 50, 9
     Z = rng.normal(size=(n, p))
     Z[:, 1:] += 0.6 * Z[:, :-1]
     noise_var = rng.uniform(0.1, 0.4, size=p)
     G = corrected_gram(Z, noise_var)
+    resolved = resolve_config(cfg, n, p - 1)
     for k, t in ((4, 1), (4, 7), (0, 8), (8, 0)):
-        got = next(fit_nodewise_jobs(G, n, [(t, (k,))], cfg))
+        got = next(fit_nodewise_jobs(G, [(t, k)], resolved))
         keep = np.arange(p) != k
         want = fit_nodewise(Z[:, keep], noise_var[keep], t - (t > k), cfg)
         assert got.j == t
@@ -278,49 +277,72 @@ def test_job_leaving_out_columns_regresses_on_the_rest(cfg):
         npt.assert_allclose(got.mu[keep], want.mu, rtol=0, atol=1e-12)
 
 
-# left-out columns that a job may not name, and the error naming each
-LEFT_OUT_ERRORS = {
-    "past_p": ((2, 9), "left-out column 9 out of range for p=9"),
-    "negative": ((-1,), "left-out column -1 out of range for p=9"),
-    "repeated": ((2, 4, 2), "left-out column 2 is repeated"),
-    "target_twice": ((1, 1), "left-out column 1 is repeated"),
+# the stack's error for pins out of range or repeated
+PIN_ERROR = ("need b of shape (k, p), a (p, p) Gram G, and for each row of "
+             "b distinct pins in [0, p)")
+
+# jobs that may not be formed, and the error naming each: the stream checks
+# the target before it reads its column of G, the stack every pin
+JOB_ERRORS = {
+    "past_p": ((1, 2, 9), PIN_ERROR),
+    "negative": ((1, -1), PIN_ERROR),
+    "repeated": ((1, 2, 4, 2), PIN_ERROR),
+    "target_twice": ((1, 1), PIN_ERROR),
+    "target_past_p": ((9, 2), "target column 9 out of range for p=9"),
+    "target_negative": (-1, "target column -1 out of range for p=9"),
 }
 
 
-@pytest.mark.parametrize("case", list(LEFT_OUT_ERRORS))
+@pytest.mark.parametrize("case", list(JOB_ERRORS))
 def test_left_out_columns_are_validated(case):
-    # a left-out column is checked as the target is, and named; target 1
-    # itself may be left out (a pilot), but once
-    out, message = LEFT_OUT_ERRORS[case]
+    # a job's pins are checked by the stack, and its target by the stream
+    # before the target's column is read, so a negative target does not
+    # index G from the end; the target is pinned once, by its job's first
+    # entry
+    job, message = JOB_ERRORS[case]
     rng = np.random.default_rng(2)
     Z = rng.normal(size=(30, 9))
     G = corrected_gram(Z, np.full(9, 0.1))
     with pytest.raises(InputError) as exc:
-        list(fit_nodewise_jobs(G, 30, [(1, out)]))
+        list(fit_nodewise_jobs(G, [3, job], resolve_config(
+            SolverConfig(), 30, 9)))
     assert str(exc.value) == message
+
+
+def test_job_stream_takes_a_resolved_config(monkeypatch):
+    # the stream resolves no penalty: a config with none raises from the
+    # stack as the first stack is formed, whatever the jobs
+    rng = np.random.default_rng(2)
+    Z = rng.normal(size=(30, 9))
+    G = corrected_gram(Z, np.full(9, 0.1))
+    stacks = count_stacks(monkeypatch)
+    for jobs in ([3], [(1, 4), 0]):
+        with pytest.raises(InputError, match="penalty must be resolved"):
+            next(fit_nodewise_jobs(G, jobs, SolverConfig()))
+    assert stacks == [1, 2]
 
 
 @pytest.mark.parametrize("scale", [1.0, 0.2, 50.0])
 def test_pilot_job_regresses_the_target_on_the_rest(scale):
-    # a job (j, out) with j in out is z_j on Z without out: the row of G
-    # pinned at out, with the penalty of p - len(out) columns and its
-    # radius resolved before its first pass, so a pilot that never leaves
-    # 0 (scale 50) still reports the radius of its free block (up to the
-    # rounding of a sum over p terms rather than the free ones)
+    # a job (j, *pins) is z_j on Z without j and pins: the row of G with b
+    # its column j, pinned at j and pins, at the config it is given, and
+    # with its radius resolved before its first pass, so a pilot that never
+    # leaves 0 (scale 50) still reports the radius of its free block (up to
+    # the rounding of a sum over p terms rather than the free ones)
     rng = np.random.default_rng(19)
     n, p = 60, 9
     Z = rng.normal(size=(n, p))
     Z[:, 1:] += 0.6 * Z[:, :-1]
     noise_var = np.full(p, 0.2)
     G = corrected_gram(Z, noise_var)
-    cfg = SolverConfig(penalty_scale=scale)
-    for j, out in ((3, (3,)), (3, (6, 3)), (0, (0,))):
-        got = next(fit_nodewise_jobs(G, n, [(j, out)], cfg))
+    cfg = resolve_config(SolverConfig(penalty_scale=scale), n, p - 1)
+    for job in (3, (3,), (3, 6), (0,)):
+        got = next(fit_nodewise_jobs(G, [job], cfg))
+        out = job if isinstance(job, tuple) else (job,)
+        j = out[0]
         b = G[:, j].copy()
         b[list(out)] = 0.0
-        want = fit_corrected_lasso_stack(
-            b[None], G, [resolve_config(cfg, n, p - len(out))],
-            pins=[out])[0]
+        want = fit_corrected_lasso_stack(b[None], G, cfg, pins=[out])[0]
         assert got.j == j and got.mu is got.fit.beta
         assert_same_direction(got, NodewiseResult(j, want.beta, want))
         free = ~np.isin(np.arange(p), out)
@@ -343,7 +365,7 @@ def test_wide_design_with_many_targets_splits_into_stacks(monkeypatch):
     assert stack_rows(p) == nodewise.STACK_BUDGET_BYTES // (8 * p) < p
     stacks = count_stacks(monkeypatch)
     cfg = SolverConfig(penalty_scale=2.0, max_iter=30)
-    fits = list(fit_nodewise_jobs(*design_gram(Z, noise_var), range(p), cfg))
+    fits = list(design_jobs(Z, noise_var, range(p), cfg))
     assert len(stacks) > 1 and sum(stacks) == p
     assert stacks == [stack_rows(p)] * (len(stacks) - 1) + [stacks[-1]]
     for j in (0, stack_rows(p) - 1, stack_rows(p), p - 1):
@@ -400,7 +422,8 @@ def test_no_pass_over_a_finished_row(monkeypatch):
     Z = x + 0.5 * gen.normal(size=(n, p))
     noise_var = np.full(p, 0.25)
     G = corrected_gram(Z, noise_var)
-    jobs = [(t, (k,)) for k in range(0, p, 3) for t in range(p) if t != k]
+    jobs = [(t, k) for k in range(0, p, 3) for t in range(p) if t != k]
+    cfg = resolve_config(SolverConfig(), n, p - 1)
 
     rows, power = [], []
     matvec, bound = lasso._matvec, lasso._spectral_bound_stack
@@ -420,14 +443,14 @@ def test_no_pass_over_a_finished_row(monkeypatch):
         return sum(rows) - lasso._POWER_ITERATIONS * sum(power)
 
     stacks = count_stacks(monkeypatch)
-    fits = list(fit_nodewise_jobs(G, n, jobs))
+    fits = list(fit_nodewise_jobs(G, jobs, cfg))
     assert stacks == [len(jobs)]
     row_passes = loop_row_passes()
     iterations = sum(f.fit.iterations for f in fits)
     rows.clear()
     power.clear()
     for job in jobs:
-        next(fit_nodewise_jobs(G, n, [job]))
+        next(fit_nodewise_jobs(G, [job], cfg))
     retries = loop_row_passes() - iterations
     assert 0 <= retries < iterations
     assert row_passes == iterations + retries

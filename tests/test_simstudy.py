@@ -240,6 +240,15 @@ def test_rejects_out_of_range_target():
         tiny_config(targets=(8,))
 
 
+def test_rejects_non_integer_targets():
+    # a fractional or boolean target is refused, not truncated to a column
+    for targets in ((0.5, 1.7), (True, 2)):
+        with pytest.raises(InputError, match="^target must be an integer"):
+            ss.multi_target_study(targets=targets, null_values=(0.0, 0.0))
+    with pytest.raises(InputError, match="^target must be an integer"):
+        tiny_config(targets=(2.0,))
+
+
 def test_rejects_zero_replications():
     with pytest.raises(InputError):
         tiny_config(replications=0)

@@ -223,11 +223,10 @@ def _study_config(args) -> simstudy.SimConfig:
     # precedence: preset defaults < config file < explicit flags
     fields = {}
     if args.config:
-        with open(args.config, encoding="utf-8") as fh:
-            try:
-                fields = json.load(fh)
-            except json.JSONDecodeError as exc:
-                raise InputError(f"{args.config}: invalid JSON ({exc})") from None
+        try:
+            fields = json.loads("".join(dataio.read_lines(args.config)))
+        except json.JSONDecodeError as exc:
+            raise InputError(f"{args.config}: invalid JSON ({exc})") from None
         if not isinstance(fields, dict):
             raise InputError(f"{args.config}: expected a JSON object")
         known = {f.name for f in dataclasses.fields(simstudy.SimConfig)}

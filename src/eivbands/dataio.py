@@ -11,6 +11,8 @@ are stored as 0.0 with mask False, the convention the estimation code
 expects.
 
 Noise files carry one nonnegative variance per line, one line per covariate.
+Both kinds must be UTF-8 text; any other file, such as a UTF-16
+spreadsheet export, is refused with an InputError naming it.
 
 The dataset reader parses a file's body in one pass (numpy.loadtxt) and
 reads every cell as float reads it.  The per-cell parse runs only where
@@ -52,6 +54,30 @@ def _parse_cell(token: str, row: int, name: str) -> float:
     return value
 
 
+def read_lines(path: str) -> list[str]:
+    """The lines of a UTF-8 text file, line ends kept and a leading
+    byte-order mark skipped; InputError when the file is not UTF-8."""
+    try:
+        with open(path, newline="", encoding="utf-8-sig") as fh:
+            return fh.readlines()
+    except UnicodeDecodeError as exc:
+        # exc.start counts from the decoded chunk, not from the file start
+        raise InputError(f"{path}: not UTF-8 text ({exc.reason})") from None
+
+
+def _check_header(path: str, fields: list[str]) -> list[str]:
+    """The header names as the reader takes them: stripped, each nonempty
+    and distinct."""
+    header = [name.strip() for name in fields]
+    if "" in header:
+        raise InputError(f"{path}: column {header.index('') + 1} has an "
+                         "empty header name")
+    if len(set(header)) != len(header):
+        dupes = sorted({h for h in header if header.count(h) > 1})
+        raise InputError(f"{path}: duplicate header names {dupes}")
+    return header
+
+
 def _read_table(lines: list[str], width: int) -> np.ndarray | None:
     """Parse unquoted CSV lines of `width` finite numbers in one pass, or
     return None to leave them to the per-cell parse (module docstring)."""
@@ -77,18 +103,11 @@ def read_dataset_csv(path: str, *, require_response: bool = True,
     (all-observed when no cell is missing); without it any missing cell is an
     error naming the offending row and column.
     """
-    with open(path, newline="", encoding="utf-8-sig") as fh:
-        lines = fh.readlines()
+    lines = read_lines(path)
     if not lines:
         raise InputError(f"{path}: empty file")
     rows = csv.reader(lines)
-    header = [name.strip() for name in next(rows)]
-    if "" in header:
-        raise InputError(f"{path}: column {header.index('') + 1} has an "
-                         "empty header name")
-    if len(set(header)) != len(header):
-        dupes = sorted({h for h in header if header.count(h) > 1})
-        raise InputError(f"{path}: duplicate header names {dupes}")
+    header = _check_header(path, next(rows))
     if require_response:
         if "y" not in header:
             raise InputError(f'{path}: no column named "y"')
@@ -157,12 +176,20 @@ def _read_cells(path: str, rows: Iterable[list[str]], header: list[str],
 
 def write_dataset_csv(path: str, data: Dataset,
                       names: list[str] | None = None) -> None:
-    """Write a dataset with a "y" column first; masked cells become NA."""
+    """Write a dataset with a "y" column first; masked cells become NA.
+
+    The names must read back as written, so they follow the reader's header
+    rules: nonempty, distinct, none "y", and no surrounding whitespace.
+    """
     p = data.Z.shape[1]
     if names is None:
         names = [f"z{k + 1}" for k in range(p)]
     if len(names) != p:
         raise InputError(f"got {len(names)} column names for {p} columns")
+    header = ["y", *names]
+    if _check_header(path, header) != header:
+        raise InputError(f"{path}: a header name starts or ends with "
+                         "whitespace, which the reader strips")
     rows = [list(map(repr, row))
             for row in np.column_stack([data.y, data.Z]).tolist()]
     if data.mask is not None:
@@ -170,19 +197,18 @@ def write_dataset_csv(path: str, data: Dataset,
             rows[i][k + 1] = "NA"
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["y", *names])
+        writer.writerow(header)
         writer.writerows(rows)
 
 
 def read_noise_csv(path: str, p: int) -> np.ndarray:
     """Parse a noise-variance file: one nonnegative number per line."""
     values = []
-    with open(path, encoding="utf-8-sig") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            token = line.strip()
-            if not token:
-                raise InputError(f"{path}: line {lineno} is blank")
-            values.append(_parse_cell(token, lineno, "noise variance"))
+    for lineno, line in enumerate(read_lines(path), start=1):
+        token = line.strip()
+        if not token:
+            raise InputError(f"{path}: line {lineno} is blank")
+        values.append(_parse_cell(token, lineno, "noise variance"))
     if len(values) != p:
         raise InputError(
             f"{path}: found {len(values)} noise variances for {p} covariates")

@@ -317,6 +317,20 @@ def test_duplicate_headers_exit_2(tmp_path, capsys):
     assert "duplicate" in err
 
 
+@pytest.mark.parametrize("which", [0, 1], ids=["input", "gamma"])
+def test_non_utf8_input_exit_2(tmp_path, capsys, which):
+    # the file re-saved as UTF-16, as spreadsheets export it
+    files = list(write_regression(tmp_path))
+    path = tmp_path / "utf16.txt"
+    with open(files[which], encoding="utf-8") as fh:
+        path.write_bytes(fh.read().encode("utf-16"))
+    files[which] = str(path)
+    code, out, err = run_cli(capsys, "infer", "--input", files[0], "--gamma",
+                             files[1])
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: {path}: not UTF-8 text")
+
+
 def test_unknown_target_exit_2(tmp_path, capsys):
     data, gamma = write_regression(tmp_path)
     code, _, err = run_cli(capsys, "infer", "--input", data, "--gamma", gamma,
@@ -928,11 +942,17 @@ def test_simulate_unknown_config_key_exit_2(tmp_path, capsys):
                  id="variance_at-bogus"),
     pytest.param({"seed": -1}, "unsigned 64-bit", id="seed-negative"),
     pytest.param({"seed": 2 ** 64}, "unsigned 64-bit", id="seed-2to64"),
+    # a file's bytes as given: UTF-16, as some editors save JSON
+    pytest.param(json.dumps({"n": 50}).encode("utf-16"), "not UTF-8 text",
+                 id="utf16-file"),
 ])
 def test_simulate_bad_solver_config_exit_2(tmp_path, capsys, config, named):
-    cfg_path = str(tmp_path / "bad_config.json")
-    with open(cfg_path, "w") as fh:
-        json.dump(config, fh)
+    cfg_path = tmp_path / "bad_config.json"
+    if isinstance(config, bytes):
+        cfg_path.write_bytes(config)
+    else:
+        cfg_path.write_text(json.dumps(config))
+    cfg_path = str(cfg_path)
     code, _, err = run_cli(capsys, "simulate", "--config", cfg_path)
     assert code == 2
     assert cfg_path in err

@@ -192,9 +192,31 @@ def test_round_trip_preserves_mask(tmp_path):
 
 
 def test_write_rejects_wrong_name_count(tmp_path):
-    data = Dataset(y=np.zeros(2), Z=np.zeros((2, 3)))
-    with pytest.raises(InputError, match="3 columns"):
-        dataio.write_dataset_csv(str(tmp_path / "x.csv"), data, ["a", "b"])
+    # and names the reader would refuse or rename; no file is written
+    data = Dataset(y=np.zeros(2), Z=np.zeros((2, 2)))
+    path = tmp_path / "x.csv"
+    for names, message in (
+            (["a"], "1 column names for 2 columns"),
+            (["y", "b"], r"duplicate header names \['y'\]"),
+            (["a", "a"], r"duplicate header names \['a'\]"),
+            (["", " b"], "column 2 has an empty header name"),
+            ([" a", "b "], "starts or ends with whitespace")):
+        with pytest.raises(InputError, match=message):
+            dataio.write_dataset_csv(str(path), data, names)
+        assert not path.exists()
+
+
+@pytest.mark.parametrize("read", [
+    pytest.param(dataio.read_dataset_csv, id="dataset"),
+    pytest.param(lambda path: dataio.read_noise_csv(path, 2), id="noise"),
+])
+def test_non_utf8_file_rejected(tmp_path, read):
+    # a spreadsheet's UTF-16 export starts with the bytes FF FE
+    path = tmp_path / "utf16.csv"
+    path.write_bytes("y,z1,z2\n1,2,3\n4,5,6\n".encode("utf-16"))
+    with pytest.raises(InputError, match="not UTF-8 text") as exc:
+        read(str(path))
+    assert str(path) in str(exc.value)
 
 
 def test_noise_file_parse(tmp_path):

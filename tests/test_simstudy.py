@@ -16,6 +16,7 @@ import pytest
 # LAPACK's factorization, an oracle for the closed-form factor only
 from scipy.linalg import cholesky, toeplitz
 
+import eivbands
 from eivbands import rng
 from eivbands.bootstrap import simultaneous_bands
 from eivbands.debias import run_inference
@@ -193,6 +194,48 @@ def test_importing_the_cli_leaves_linalg_and_process_pools_unloaded():
     added = loaded_modules("import eivbands.cli") - needed
     assert [m for m in added
             if any(m == u or m.startswith(u + ".") for u in unwanted)] == []
+
+
+def scipy_modules(modules):
+    return sorted(m for m in modules if m == "scipy" or m.startswith("scipy."))
+
+
+def test_importing_the_package_loads_no_submodule_and_no_scipy():
+    # the namespace is lazy: a public name loads its module on first access
+    loaded = loaded_modules("import eivbands")
+    assert sorted(m for m in loaded if m.startswith("eivbands.")) == []
+    assert scipy_modules(loaded) == []
+
+
+@pytest.mark.parametrize("module", ["errors", "lasso", "dataio", "mar",
+                                    "nodewise", "reports"])
+def test_scipy_free_modules_load_no_scipy(module):
+    # only rng and debias need the normal quantile, scipy.special.ndtri
+    assert scipy_modules(loaded_modules(f"import eivbands.{module}")) == []
+
+
+def test_importing_the_cli_loads_every_module_and_scipy_special():
+    # every command needs ndtri, so the cli pays for SciPy before its
+    # commands are timed
+    loaded = loaded_modules("import eivbands.cli")
+    assert "scipy.special" in loaded
+    assert {m for m in loaded if m.startswith("eivbands")} == {
+        "eivbands", *(f"eivbands.{m}" for m in (
+            "bootstrap", "cli", "dataio", "debias", "errors", "lasso", "mar",
+            "nodewise", "reports", "rng", "simstudy"))}
+
+
+def test_lazy_namespace_resolves_names_and_submodules():
+    # a bare `import eivbands` still reaches every submodule by attribute
+    loaded_modules("import eivbands; "
+                   "assert eivbands.simstudy.generate is eivbands.generate")
+    namespace = {}
+    exec("from eivbands import *", namespace)
+    assert [n for n in eivbands.__all__ if n not in namespace] == []
+    assert namespace["estimate_mar"] is eivbands.mar.estimate
+    assert set(eivbands.__all__) <= set(dir(eivbands))
+    with pytest.raises(AttributeError, match="has no attribute 'bogus'"):
+        eivbands.bogus
 
 
 def test_uncorrelated_design_skips_mixing():

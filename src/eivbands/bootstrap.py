@@ -277,6 +277,8 @@ def simultaneous_bands(tables, draws: int, seed: int) -> BandResult:
             stream, alpha = MaximaStream(table.n, draws, seed), table.alpha
         elif table.alpha != alpha:
             raise InputError(f"tables mix alpha {alpha} and {table.alpha}")
+        elif table.n != stream.n:
+            raise InputError(f"tables mix n {stream.n} and {table.n}")
         stream.feed(_band_scores(table))
         kept += [(c.j, c.estimate, c.sd) for c in table.cells]
     if stream is None:

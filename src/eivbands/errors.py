@@ -45,3 +45,9 @@ def check_integer(name: str, value) -> None:
     """Raise InputError unless `value` is an integer; a bool is not one."""
     if isinstance(value, bool) or not isinstance(value, numbers.Integral):
         raise InputError(f"{name} must be an integer (got {value!r})")
+
+
+def check_real(name: str, value) -> None:
+    """Raise InputError unless `value` is a real number; a bool is not one."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise InputError(f"{name} must be a real number (got {value!r})")

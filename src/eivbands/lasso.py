@@ -41,7 +41,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import InputError, NumericalError, check_integer
+from .errors import InputError, NumericalError, check_integer, check_real
 
 # Entries at or below this magnitude count as exactly zero after truncation.
 DEFAULT_TRUNCATION = 1e-7
@@ -162,6 +162,12 @@ class SolverConfig:
     truncation: float = DEFAULT_TRUNCATION
 
     def __post_init__(self):
+        for name in ("penalty", "radius"):  # None: resolved from the data
+            if getattr(self, name) is not None:
+                check_real(name, getattr(self, name))
+        for name in ("penalty_scale", "tol", "truncation"):
+            check_real(name, getattr(self, name))
+        check_integer("max_iter", self.max_iter)
         if self.penalty is not None and not (0 <= self.penalty < math.inf):
             raise InputError("penalty must be finite and nonnegative")
         if not (0 < self.penalty_scale < math.inf):
@@ -170,7 +176,6 @@ class SolverConfig:
             raise InputError("radius must be positive (np.inf allowed)")
         if not (0 < self.tol < math.inf):
             raise InputError("tol must be finite and positive")
-        check_integer("max_iter", self.max_iter)
         if self.max_iter < 1:
             raise InputError("max_iter must be at least 1")
         if not (self.truncation >= 0):
@@ -486,6 +491,12 @@ def fit_corrected_lasso(b: np.ndarray, G: np.ndarray,
     )
 
 
+def _pin_index(j) -> int:
+    # int() would truncate a fractional pin and read a bool as 0 or 1
+    check_integer("pin", j)
+    return int(j)
+
+
 def fit_corrected_lasso_stack(b: np.ndarray, G: np.ndarray, cfg: SolverConfig,
                               pins=None) -> list[FitResult | NumericalError]:
     """Solve k corrected-lasso problems on one Gram as a single stack.
@@ -505,11 +516,11 @@ def fit_corrected_lasso_stack(b: np.ndarray, G: np.ndarray, cfg: SolverConfig,
         The one configuration of every problem, with a concrete penalty
         (see `resolve_config`); a radius of None is each row's own.
     pins : sequence of k sequences of int, optional
-        The coordinates each problem pins at 0, distinct and in [0, p); none
-        by default.  A pinned problem reads those entries of its b as 0 and
-        zeroes them in its gradient after every update, so its beta holds
-        them at exactly 0 and it solves the subproblem on the other
-        coordinates without copying G.  Every default radius is resolved
+        The coordinates each problem pins at 0, integers, distinct and in
+        [0, p); none by default.  A pinned problem reads those entries of
+        its b as 0 and zeroes them in its gradient after every update, so
+        its beta holds them at exactly 0 and it solves the subproblem on the
+        other coordinates without copying G.  Every default radius is resolved
         before the first pass, as one row sum per problem: problem i's is
         ``default_radius(G, b[i])`` with its pinned entries read as 0, which
         is the subproblem's up to rounding.
@@ -535,7 +546,7 @@ def fit_corrected_lasso_stack(b: np.ndarray, G: np.ndarray, cfg: SolverConfig,
     G = np.ascontiguousarray(G, dtype=np.float64)
     k, p = b.shape if b.ndim == 2 else (-1, -1)
     pins = [()] * k if pins is None else [
-        tuple(int(j) for j in row) for row in pins]
+        tuple(map(_pin_index, row)) for row in pins]
     if k < 0 or G.shape != (p, p) or len(pins) != k or any(
             len(set(row)) != len(row) or not all(0 <= j < p for j in row)
             for row in pins):

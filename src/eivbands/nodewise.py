@@ -34,7 +34,7 @@ from itertools import islice
 
 import numpy as np
 
-from .errors import InputError, NumericalError
+from .errors import InputError, NumericalError, check_integer
 from .lasso import (
     FitResult,
     SolverConfig,
@@ -105,9 +105,9 @@ def fit_nodewise_jobs(G: np.ndarray, jobs, cfg: SolverConfig,
     give the same bytes).  A job whose solve fails raises its
     error when the iteration reaches it, after every earlier job was
     yielded (with ``raise_errors=False`` that NumericalError is yielded in
-    its place); a target out of range raises InputError as its stack is
-    formed, and so does, from the stack, a pin out of range or repeated,
-    or a config with no penalty.
+    its place); a target that is not an integer or out of range raises
+    InputError as its stack is formed, and so does, from the stack, such a
+    pin or a repeated one, or a config with no penalty.
     """
     p = len(G)
     jobs = iter(jobs)
@@ -115,7 +115,9 @@ def fit_nodewise_jobs(G: np.ndarray, jobs, cfg: SolverConfig,
         b = np.empty((len(batch), p))
         pins = [job if isinstance(job, tuple) else (job,) for job in batch]
         for row, (j, *_) in zip(b, pins):
-            # a negative j would index G from the end
+            # a fractional or boolean j would index G as no column, and a
+            # negative one from the end
+            check_integer("target column", j)
             if not 0 <= j < p:
                 raise InputError(f"target column {j} out of range for p={p}")
             # column j of G is the subproblem's b once its pins read as 0

@@ -41,6 +41,7 @@ from .errors import (
     InputError,
     NumericalError,
     check_integer,
+    check_real,
 )
 from .lasso import Dataset, NoiseSpec, SolverConfig
 
@@ -86,10 +87,13 @@ class SimConfig:
         object.__setattr__(self, "targets", tuple(int(j) for j in self.targets))
         object.__setattr__(self, "null_values",
                            tuple(float(v) for v in self.null_values))
-        if self.n < 2 or self.p < 2:
-            raise InputError("need n >= 2 and p >= 2")
         for name in ("n", "p", "replications", "boot_draws", "seed"):
             check_integer(name, getattr(self, name))
+        for name in ("measurement_sd", "model_sd", "ar_rho", "miss_prob",
+                     "alpha"):
+            check_real(name, getattr(self, name))
+        if self.n < 2 or self.p < 2:
+            raise InputError("need n >= 2 and p >= 2")
         if not 0 <= self.seed < 2 ** 64:
             raise InputError(
                 f"seed must be an unsigned 64-bit integer (got {self.seed})")
@@ -307,6 +311,7 @@ def single_target_study(*, n: int = 200, p: int = 120,
     `null_values` given there replace this layout.  Defaults are desk scale;
     pass n=350, p=300, replications=500 for the full-scale design.
     """
+    check_real("target_value", target_value)
     if not math.isfinite(target_value):
         raise InputError(f"target_value must be finite (got {target_value!r})")
     # slices, not beta0[0], so that SimConfig is the one to reject p < 2

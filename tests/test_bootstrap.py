@@ -513,8 +513,9 @@ class TestBandOverAStream:
             simultaneous_bands(tables, 50, seed=1)
 
     def test_mixed_n_raises(self):
+        # named as the tables' n, not as a score matrix of the wrong shape
         tables = [inference_table(n=60), inference_table(n=61)]
-        with pytest.raises(InputError, match="60 rows"):
+        with pytest.raises(InputError, match="^tables mix n 60 and 61$"):
             simultaneous_bands(tables, 50, seed=1)
 
     @pytest.mark.parametrize("stream", [[], iter(())], ids=["list", "iter"])

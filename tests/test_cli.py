@@ -914,9 +914,12 @@ def test_simulate_unknown_config_key_exit_2(tmp_path, capsys):
 @pytest.mark.parametrize("config, named", [
     pytest.param({"solver": {"bogus": 1}}, "bogus", id="solver0-bogus"),
     pytest.param({"solver": 5}, "solver", id="5-solver"),
-    # values of the wrong type fail inside NumPy or a comparison
-    pytest.param({"solver": {"tol": "x"}}, "invalid value", id="tol-str"),
-    pytest.param({"alpha": "0.1"}, "invalid value", id="alpha-str"),
+    # a config field of the wrong type is named by the config's own check
+    pytest.param({"solver": {"tol": "x"}},
+                 "tol must be a real number (got 'x')", id="tol-str"),
+    pytest.param({"alpha": "0.1"}, "alpha must be a real number (got '0.1')",
+                 id="alpha-str"),
+    # other values of the wrong type fail inside NumPy or a comparison
     pytest.param({"targets": 5}, "invalid value", id="targets-int"),
     # a file target is checked before its 1-based shift, so 2.5 is not
     # column 2; one replication keeps a run that misses this short
@@ -926,7 +929,8 @@ def test_simulate_unknown_config_key_exit_2(tmp_path, capsys):
                   "replications": 1},
                  "target must be an integer (got True)", id="targets-bool"),
     pytest.param({"beta0": "x"}, "invalid value", id="beta0-str"),
-    pytest.param({"n": "abc"}, "invalid value", id="n-str"),
+    pytest.param({"n": "abc"}, "n must be an integer (got 'abc')",
+                 id="n-str"),
     # counts and the seed must be integers, the seed an unsigned 64-bit one
     pytest.param({"replications": 2.5}, "replications must be an integer",
                  id="replications-float"),

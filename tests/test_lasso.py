@@ -875,6 +875,16 @@ class TestTypes:
     def test_max_iter_takes_numpy_integers(self):
         assert SolverConfig(max_iter=np.int64(7)).max_iter == 7
 
+    @pytest.mark.parametrize("field, value", [
+        ("penalty", "x"), ("penalty_scale", "2"), ("radius", "1"),
+        ("tol", True), ("truncation", None)])
+    def test_float_fields_must_be_real(self, field, value):
+        # refused as InputError, not a TypeError from a comparison, and a
+        # bool is not read as 0 or 1
+        with pytest.raises(InputError,
+                           match=rf"^{field} must be a real number \(got "):
+            SolverConfig(**{field: value})
+
     def test_solver_config_validates(self):
         with pytest.raises(InputError):
             SolverConfig(penalty=-0.1)

@@ -290,6 +290,10 @@ JOB_ERRORS = {
     "target_twice": ((1, 1), PIN_ERROR),
     "target_past_p": ((9, 2), "target column 9 out of range for p=9"),
     "target_negative": (-1, "target column -1 out of range for p=9"),
+    # a fractional or boolean target or pin is refused, not truncated
+    "target_float": (1.0, "target column must be an integer (got 1.0)"),
+    "target_bool": (True, "target column must be an integer (got True)"),
+    "pin_float": ((1, 2.5), "pin must be an integer (got 2.5)"),
 }
 
 

@@ -325,6 +325,25 @@ def test_rejects_non_integer_counts_and_bad_seed(field, value):
         tiny_config(**{field: value})
 
 
+@pytest.mark.parametrize("build, field, value, message", [
+    pytest.param(ss.multi_target_study, "n", "200",
+                 "n must be an integer (got '200')", id="n-str"),
+    pytest.param(ss.multi_target_study, "measurement_sd", "1",
+                 "measurement_sd must be a real number (got '1')",
+                 id="measurement_sd-str"),
+    pytest.param(ss.multi_target_study, "alpha", True,
+                 "alpha must be a real number (got True)", id="alpha-bool"),
+    pytest.param(ss.single_target_study, "target_value", "1",
+                 "target_value must be a real number (got '1')",
+                 id="target_value-str"),
+])
+def test_rejects_values_of_the_wrong_type(build, field, value, message):
+    # refused as InputError before a comparison could raise TypeError
+    with pytest.raises(InputError) as exc:
+        build(**{field: value})
+    assert str(exc.value) == message
+
+
 # ---------------------------------------------------------------------------
 # run_study
 

@@ -11,7 +11,8 @@ noise sd 1 where some nodewise fits end on their l1 balls,
 one target without a band, and the first dataset as a spreadsheet exports
 it: a byte-order mark, CRLF line ends, quoted and padded cells, which the
 reader parses cell by cell where clean files take its one-pass parse),
-`bands`, `graph` (all sources, two of them,
+`bands`, `graph` (all sources, two of them, the same two given in
+reverse order, whose node and edge records follow that order,
 enough nodes that the edges span several bootstrap column blocks, 26
 nodes whose 26 pilots, rows of the graph's one corrected Gram, make one
 nodewise stack and whose 650 edges each take their partner's pilot or are
@@ -240,6 +241,8 @@ def _runs(inputs: Path) -> dict[str, list[str]]:
         "bands": ["bands", *reg, "--targets", "z2", *small_boot],
         "graph": ["graph", *nodes, *small_boot],
         "graph_subset": ["graph", *nodes, "--targets", "z1,z4", *small_boot],
+        "graph_subset_reversed": ["graph", *nodes, "--targets", "z4,z1",
+                                  *small_boot],
         "graph_wide": ["graph", *nodes_wide, *small_boot],
         "graph_stacks": ["graph", *nodes_stacks, *small_boot],
         "graph_max_iter": ["graph", *nodes, "--max-iter", "7", *small_boot],

@@ -18,10 +18,12 @@ keyed (seed, multiplier-domain), so every multiplier is a pure function of
 `simultaneous_bands`, the one band routine, feeds the score columns of one
 table or a stream of tables to a `MaximaStream`, which takes them in any
 number of feeds, so a target set far wider than n (every edge of `graph`)
-never has to be held at once.  The stream buffers the columns into blocks
-of the fixed `_BLOCK_COLUMNS`; for each block and draw chunk it forms
-g @ block, takes |.| in place and keeps a running maximum per draw, and it
-divides by sqrt(n) once, at the end.  That division is exact: dividing by
+never has to be held at once.  Of each cell it keeps only the target,
+estimate and sd, and its `BandResult` returns them, so a caller needs no
+copy of its own.  The stream buffers the columns into blocks of the fixed
+`_BLOCK_COLUMNS`; for each block and draw chunk it forms g @ block, takes
+|.| in place and keeps a running maximum per draw, and it divides by
+sqrt(n) once, at the end.  That division is exact: dividing by
 a positive constant is monotone under correct rounding, so max_j |x_j| /
 sqrt(n) equals max_j (|x_j| / sqrt(n)) bit for bit.  Memory is
 O(draws*n + n*block + chunk*block) whatever the number of columns.
@@ -145,6 +147,7 @@ class BandResult:
 
     targets: tuple[int, ...]
     estimates: np.ndarray
+    sds: np.ndarray
     lower: np.ndarray
     upper: np.ndarray
     critical_value: float
@@ -266,7 +269,8 @@ def simultaneous_bands(tables, draws: int, seed: int) -> BandResult:
     """Band estimate -+ c* sd / sqrt(n) over the cells of one `DebiasTable`
     or of an iterable of tables sharing n and alpha, with c* the critical
     value over all their score columns.  Tables are pulled one at a time,
-    and only a cell's target, estimate and sd outlive its table."""
+    and only a cell's target, estimate and sd outlive its table: the
+    result returns them as `targets`, `estimates` and `sds`."""
     if isinstance(tables, DebiasTable):
         tables = (tables,)
     stream, alpha, kept = None, None, []
@@ -286,9 +290,9 @@ def simultaneous_bands(tables, draws: int, seed: int) -> BandResult:
     targets, estimates, sds = zip(*kept)
     c_star = critical_value(stream.maxima(), alpha)
     est = np.asarray(estimates, dtype=np.float64)
-    lower, upper = _band_edges(est, np.asarray(sds, dtype=np.float64),
-                               c_star, stream.n)
-    return BandResult(targets=targets, estimates=est, lower=lower,
+    sds = np.asarray(sds, dtype=np.float64)
+    lower, upper = _band_edges(est, sds, c_star, stream.n)
+    return BandResult(targets=targets, estimates=est, sds=sds, lower=lower,
                       upper=upper, critical_value=c_star, alpha=alpha,
                       draws=stream.draws, seed=stream.seed)
 

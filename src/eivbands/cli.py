@@ -121,11 +121,10 @@ def _named(exc: DegeneracyError, where) -> DegeneracyError:
                            coordinate=exc.coordinate)
 
 
-def _emit(args, records: list[dict]) -> int:
-    if args.format == "records":
-        text = reports.render_records(records)
-    else:
-        text = reports.render_table(records)
+def _emit(args, records) -> int:
+    render = (reports.render_records if args.format == "records"
+              else reports.render_table)
+    text = render(records)
     if args.out:
         with open(args.out, "w", encoding="utf-8", newline="") as fh:
             fh.write(text)
@@ -170,46 +169,32 @@ def cmd_graph(args) -> int:
         raise InputError("graph requires --gamma (known noise variances)")
     data, names = dataio.read_dataset_csv(args.input, require_response=False,
                                           allow_missing=False)
-    p = data.p
-    gamma = dataio.read_noise_csv(args.gamma, p)
+    gamma = dataio.read_noise_csv(args.gamma, data.p)
     sources = _resolve_targets(args.targets, names)
     cfg = _solver_from(args)
 
-    nodes, edges = [], []
+    pilots = []
 
     def tables():
-        # each source's node and edges, recorded as its table goes into the
-        # band, so only an edge's estimate and sd outlive its table
+        # each source's pilot fit, kept as its table goes into the band; the
+        # band keeps every edge's partner, estimate and sd
         for table in graph_tables(data.Z, gamma, sources, args.alpha, cfg,
                                   args.variance_at):
-            j = sources[len(nodes)]
-            nodes.append({"name": names[j], "index": j + 1,
-                          "penalty": table.pilot.penalty,
-                          "radius": table.pilot.radius,
-                          "iterations": table.pilot.iterations,
-                          "converged": bool(table.pilot.converged),
-                          "kkt_residual": table.pilot.kkt_residual})
-            edges.extend({"source": names[j], "source_index": j + 1,
-                          "partner": names[cell.j],
-                          "partner_index": cell.j + 1,
-                          "estimate": cell.estimate, "sd": cell.sd}
-                         for cell in table.cells)
+            pilots.append(table.pilot)
             yield table
 
     try:
         band = simultaneous_bands(tables(), args.boot, args.seed)
     except DegeneracyError as exc:
-        where = f"source {names[sources[len(nodes)]]}, partner "
+        where = f"source {names[sources[len(pilots)]]}, partner "
         raise _named(exc, lambda t: where + names[t]) from None
-    for edge, lo, hi in zip(edges, band.lower, band.upper):
-        edge.update(band_low=lo, band_high=hi,
-                    zero_in_band=bool(lo <= 0.0 <= hi))
 
-    settings = {"n": data.n, "p": p, "alpha": args.alpha,
+    settings = {"n": data.n, "p": data.p, "alpha": args.alpha,
                 "gamma_source": args.gamma, "draws": args.boot,
                 "seed": args.seed, "critical_value": band.critical_value,
-                "variance_at": args.variance_at, "edges": len(edges)}
-    return _emit(args, reports.graph_records(settings, nodes, edges))
+                "variance_at": args.variance_at, "edges": len(band.targets)}
+    return _emit(args, reports.graph_records(settings, sources, pilots, band,
+                                             names))
 
 
 def _study_config(args) -> simstudy.SimConfig:

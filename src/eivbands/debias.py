@@ -104,7 +104,6 @@ class DebiasTable:
     scores: np.ndarray
     alpha: float
     n: int
-    noise_kind: str
     noise_var: np.ndarray
     pilot: FitResult
     variance_at: str
@@ -113,6 +112,10 @@ class DebiasTable:
     @property
     def targets(self) -> tuple[int, ...]:
         return tuple(c.j for c in self.cells)
+
+    @property
+    def noise_kind(self) -> str:
+        return "known" if self.mar is None else "mar"
 
     def score_matrix(self) -> np.ndarray:
         """The (n, m) scores, column k cell k's: a read-only view."""
@@ -313,7 +316,7 @@ def _cells(y, design, noise_var, pilot_beta, directions, q, variance_at,
 
 
 def _table(y, design, noise_var, pilot, directions, alpha, variance_at,
-           noise_kind="known", mar=None, resid_out=None) -> DebiasTable:
+           mar=None, resid_out=None) -> DebiasTable:
     """One cell per direction (j, mu, resid_dir) of the regression of y on
     the design, in order, formed in one batch; resid_dir is z_j - Z mu
     where already known, else None, and `resid_out`, if given, is
@@ -332,8 +335,8 @@ def _table(y, design, noise_var, pilot, directions, alpha, variance_at,
     cells, scores = _cells(y, design, noise_var, pilot.beta, pulled, q,
                            variance_at, resid_out)
     return DebiasTable(cells=cells, scores=scores, alpha=alpha, n=y.shape[0],
-                       noise_kind=noise_kind, noise_var=noise_var,
-                       pilot=pilot, variance_at=variance_at, mar=mar)
+                       noise_var=noise_var, pilot=pilot,
+                       variance_at=variance_at, mar=mar)
 
 
 def _columns(js, p: int, what: str) -> list[int]:
@@ -387,7 +390,7 @@ def run_inference(data: Dataset, noise: NoiseSpec, targets,
     directions = fit_nodewise_jobs(prepared.gram, targets, cfg)
     return _table(data.y, prepared.design, prepared.noise_var, prepared.fit,
                   ((nw.j, nw.mu, None) for nw in directions), alpha,
-                  variance_at, noise.kind, prepared.mar)
+                  variance_at, prepared.mar)
 
 
 def _edges_solved_by_pilots(G: np.ndarray, pilots,

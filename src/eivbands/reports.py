@@ -1,12 +1,13 @@
 """Report rendering: line-delimited JSON records and an aligned text table.
 
-The records are the one report model.  The machine format is one JSON object
-per line with sorted keys and a schema_version field on the run header;
-identical inputs render to identical bytes (floats go through repr, so values
-survive a parse round trip).  The table is a view of the same records: a
-settings preamble (the run header, then the fields of the band or aggregate
-record that the header lacks) and one row per item record.  Nothing in either
-format depends on wall clock, host, or worker count.
+The records are the one report model: each command's builder yields them one
+at a time, and both renderers take any iterable of them.  The machine format
+is one JSON object per line with sorted keys and a schema_version field on the
+run header; identical inputs render to identical bytes (floats go through
+repr, so values survive a parse round trip).  The table is a view of the same
+records: a settings preamble (the run header, then the fields of the band or
+aggregate record that the header lacks) and one row per item record.  Nothing
+in either format depends on wall clock, host, or worker count.
 """
 
 from __future__ import annotations
@@ -30,9 +31,9 @@ def _plain(value):
 _ENCODER = json.JSONEncoder(sort_keys=True, default=_plain)
 
 
-def render_records(records: list[dict]) -> str:
-    lines = [_ENCODER.encode(r) for r in records]
-    return "\n".join(lines) + "\n"
+def render_records(records) -> str:
+    """The text of an iterable of records, one JSON line each."""
+    return "\n".join(map(_ENCODER.encode, records)) + "\n"
 
 
 def run_header(command: str, **settings) -> dict:
@@ -73,8 +74,9 @@ _TABLES = {
 _SUMMARY_KINDS = ("band", "aggregate")
 
 
-def render_table(records: list[dict]) -> str:
+def render_table(records) -> str:
     """Aligned text block: a settings preamble then one row per item record."""
+    records = list(records)
     header = records[0]
     title, kind, spec = _TABLES[header["command"]]
     settings = {k: v for k, v in header.items()
@@ -107,20 +109,18 @@ def render_table(records: list[dict]) -> str:
 
 
 def fit_records(fit, names: list[str], n: int, gamma_source: str,
-                truncation: float) -> list[dict]:
-    records = [run_header(
+                truncation: float):
+    yield run_header(
         "fit", n=n, p=len(fit.beta), gamma_source=gamma_source,
         penalty=fit.penalty, radius=fit.radius, truncation=truncation,
         iterations=fit.iterations, converged=bool(fit.converged),
-        kkt_residual=fit.kkt_residual, objective=fit.objective)]
+        kkt_residual=fit.kkt_residual, objective=fit.objective)
     for j in np.flatnonzero(fit.beta):
-        records.append({"record": "coefficient", "index": int(j) + 1,
-                        "name": names[j], "value": float(fit.beta[j])})
-    return records
+        yield {"record": "coefficient", "index": int(j) + 1,
+               "name": names[j], "value": float(fit.beta[j])}
 
 
-def inference_records(table, band, names: list[str],
-                      gamma_source: str) -> list[dict]:
+def inference_records(table, band, names: list[str], gamma_source: str):
     settings = {"n": table.n, "p": len(table.pilot.beta),
                 "alpha": table.alpha, "noise": table.noise_kind,
                 "gamma_source": gamma_source, "variance_at": table.variance_at,
@@ -129,11 +129,10 @@ def inference_records(table, band, names: list[str],
                 "pilot_converged": bool(table.pilot.converged)}
     if band is not None:
         settings.update(draws=band.draws, seed=band.seed)
-    records = [run_header("infer", **settings)]
+    yield run_header("infer", **settings)
     if band is not None:
-        records.append({"record": "band", "critical_value": band.critical_value,
-                        "alpha": band.alpha, "draws": band.draws,
-                        "seed": band.seed})
+        yield {"record": "band", "critical_value": band.critical_value,
+               "alpha": band.alpha, "draws": band.draws, "seed": band.seed}
     for k, cell in enumerate(table.cells):
         rec = {"record": "target", "index": cell.j + 1, "name": names[cell.j],
                "estimate": cell.estimate, "sd": cell.sd,
@@ -141,23 +140,31 @@ def inference_records(table, band, names: list[str],
         if band is not None:
             rec["band_low"] = float(band.lower[k])
             rec["band_high"] = float(band.upper[k])
-        records.append(rec)
-    return records
+        yield rec
 
 
-def graph_records(settings: dict, nodes: list[dict],
-                  edges: list[dict]) -> list[dict]:
-    records = [run_header("graph", **settings)]
-    for node in nodes:
-        records.append({"record": "node", **node})
-    for edge in edges:
-        records.append({"record": "edge", **edge})
-    return records
+def graph_records(settings: dict, sources: list[int], pilots, band,
+                  names: list[str]):
+    """The run header, a node record per source's pilot fit, and an edge
+    record per band column; edge e is source `sources[e // (p - 1)]`'s."""
+    yield run_header("graph", **settings)
+    for j, fit in zip(sources, pilots):
+        yield {"record": "node", "name": names[j], "index": j + 1,
+               "penalty": fit.penalty, "radius": fit.radius,
+               "iterations": fit.iterations, "converged": bool(fit.converged),
+               "kkt_residual": fit.kkt_residual}
+    for e, (t, est, sd, lo, hi) in enumerate(zip(
+            band.targets, band.estimates, band.sds, band.lower, band.upper)):
+        j = sources[e // (len(names) - 1)]
+        yield {"record": "edge", "source": names[j], "source_index": j + 1,
+               "partner": names[t], "partner_index": t + 1, "estimate": est,
+               "sd": sd, "band_low": lo, "band_high": hi,
+               "zero_in_band": bool(lo <= 0.0 <= hi)}
 
 
-def study_records(cfg, report) -> list[dict]:
+def study_records(cfg, report):
     support = np.flatnonzero(cfg.beta0)
-    records = [run_header(
+    yield run_header(
         "simulate", n=cfg.n, p=cfg.p, measurement_sd=cfg.measurement_sd,
         model_sd=cfg.model_sd, ar_rho=cfg.ar_rho, method=cfg.method,
         noise_mode=cfg.noise_mode, miss_prob=cfg.miss_prob,
@@ -168,14 +175,10 @@ def study_records(cfg, report) -> list[dict]:
         beta_support=[int(j) + 1 for j in support],
         beta_values=[float(cfg.beta0[j]) for j in support],
         penalty_scale=cfg.solver.penalty_scale, tol=cfg.solver.tol,
-        max_iter=cfg.solver.max_iter)]
-    records.append({"record": "aggregate",
-                    "rejection_rate": report.rejection_rate,
-                    "mean_bias": report.mean_bias,
-                    "rejection_se": report.rejection_se,
-                    "replications": report.replications,
-                    "completed": report.completed,
-                    "failures": report.failures})
+        max_iter=cfg.solver.max_iter)
+    yield {"record": "aggregate", "rejection_rate": report.rejection_rate,
+           "mean_bias": report.mean_bias, "rejection_se": report.rejection_se,
+           "replications": report.replications,
+           "completed": report.completed, "failures": report.failures}
     for r in report.records:
-        records.append({"record": "replication", **r})
-    return records
+        yield {"record": "replication", **r}

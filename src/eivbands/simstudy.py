@@ -80,11 +80,16 @@ class SimConfig:
     solver: SolverConfig = STUDY_SOLVER
 
     def __post_init__(self):
+        # as objects, so that a string or a bool reaches check_real intact
+        for value in np.asarray(self.beta0, dtype=object).ravel():
+            check_real("beta0 entry", value)
         beta0 = np.asarray(self.beta0, dtype=np.float64)
         object.__setattr__(self, "beta0", beta0)
         for j in self.targets:
             check_integer("target", j)
         object.__setattr__(self, "targets", tuple(int(j) for j in self.targets))
+        for value in self.null_values:
+            check_real("null_values entry", value)
         object.__setattr__(self, "null_values",
                            tuple(float(v) for v in self.null_values))
         for name in ("n", "p", "replications", "boot_draws", "seed"):

@@ -385,6 +385,12 @@ class TestSimultaneousBands:
         with pytest.raises(InputError, match=rf"{name} must be an integer"):
             simultaneous_bands(inference_table(), draws, seed)
 
+    def test_sds_are_the_cells_sds_bit_for_bit(self):
+        table = inference_table(seed=2)
+        band = simultaneous_bands(table, 100, seed=3)
+        sds = np.array([c.sd for c in table.cells])
+        assert band.sds.tobytes() == sds.tobytes()
+
     def test_deterministic(self):
         table = inference_table(seed=4)
         b1 = simultaneous_bands(table, 500, seed=7)
@@ -454,6 +460,8 @@ class TestBandOverAStream:
         assert band.critical_value == c_star
         assert (band.alpha, band.draws, band.seed) == (0.05, 700, 19)
         assert band.estimates.tobytes() == est.tobytes()
+        sds = np.array([c.sd for t in tables for c in t.cells])
+        assert band.sds.tobytes() == sds.tobytes()
         assert band.lower.tobytes() == lower.tobytes()
         assert band.upper.tobytes() == upper.tobytes()
 

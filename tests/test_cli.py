@@ -74,6 +74,19 @@ def test_render_records_pins_numpy_values():
         reports.render_records([{"s": {1}}])
 
 
+def test_renderers_take_any_iterable_of_records(tmp_path, capsys):
+    data, gamma = write_regression(tmp_path)
+    code, out, _ = run_cli(capsys, "infer", "--input", data, "--gamma", gamma,
+                           "--boot", "50", "--format", "records")
+    assert code == 0
+    records = parse_records(out)
+    text = reports.render_records(r for r in records)
+    assert isinstance(text, str)
+    assert text == reports.render_records(records) == out
+    assert reports.render_table(r for r in records) == \
+        reports.render_table(records)
+
+
 def test_infer_records_shape(tmp_path, capsys):
     data, gamma = write_regression(tmp_path)
     code, out, err = run_cli(capsys, "infer", "--input", data, "--gamma",
@@ -484,6 +497,36 @@ def test_graph_single_source_matches_library_inference(tmp_path, capsys):
     assert edge["sd"] == table.cells[0].sd
     assert edge["band_low"] == band.lower[0]
     assert edge["band_high"] == band.upper[0]
+
+
+def test_graph_records_follow_the_given_source_order(tmp_path, capsys):
+    # node records in --targets order, and edge e of the band belongs to
+    # source e // (p - 1), with the band's numbers bit for bit
+    p = 5
+    path, gamma = write_nodes(tmp_path, n=60, p=p, seed=3)
+    code, out, _ = run_cli(capsys, "graph", "--input", path, "--gamma", gamma,
+                           "--targets", "z4,z1", "--boot", "200", "--seed",
+                           "2", "--format", "records")
+    assert code == 0
+    records = parse_records(out)
+    data, names = dataio.read_dataset_csv(path, require_response=False)
+    tables = list(graph_tables(data.Z, np.zeros(p), [3, 0], 0.05))
+    band = simultaneous_bands(tables, 200, 2)
+    nodes = [r for r in records if r["record"] == "node"]
+    assert [(r["name"], r["index"]) for r in nodes] == [("z4", 4), ("z1", 1)]
+    assert [(r["penalty"], r["radius"], r["iterations"], r["converged"],
+             r["kkt_residual"]) for r in nodes] == [
+        (t.pilot.penalty, t.pilot.radius, t.pilot.iterations,
+         t.pilot.converged, t.pilot.kkt_residual) for t in tables]
+    edges = [r for r in records if r["record"] == "edge"]
+    assert len(edges) == len(band.targets) == 2 * (p - 1)
+    assert [(e["source"], e["source_index"], e["partner"], e["partner_index"],
+             e["estimate"], e["sd"], e["band_low"], e["band_high"],
+             e["zero_in_band"]) for e in edges] == [
+        (names[j], j + 1, names[t], t + 1, est, sd, lo, hi, lo <= 0.0 <= hi)
+        for j, t, est, sd, lo, hi in zip(
+            np.repeat([3, 0], p - 1), band.targets, band.estimates, band.sds,
+            band.lower, band.upper)]
 
 
 def check_graph_band_is_the_shared_band(tmp_path, capsys, p):
@@ -928,7 +971,10 @@ def test_simulate_unknown_config_key_exit_2(tmp_path, capsys):
     pytest.param({"targets": [True], "null_values": [0.0],
                   "replications": 1},
                  "target must be an integer (got True)", id="targets-bool"),
-    pytest.param({"beta0": "x"}, "invalid value", id="beta0-str"),
+    pytest.param({"beta0": "x"}, "beta0 entry must be a real number "
+                 "(got 'x')", id="beta0-str"),
+    pytest.param({"null_values": ["1"]}, "null_values entry must be a real "
+                 "number (got '1')", id="null_values-str"),
     pytest.param({"n": "abc"}, "n must be an integer (got 'abc')",
                  id="n-str"),
     # counts and the seed must be integers, the seed an unsigned 64-bit one

@@ -336,12 +336,34 @@ def test_rejects_non_integer_counts_and_bad_seed(field, value):
     pytest.param(ss.single_target_study, "target_value", "1",
                  "target_value must be a real number (got '1')",
                  id="target_value-str"),
+    # once float() read "1" and True as 1.0, and "x" and a string beta0
+    # escaped as a bare ValueError
+    pytest.param(ss.multi_target_study, "null_values", ("1",) * 10,
+                 "null_values entry must be a real number (got '1')",
+                 id="null_values-str"),
+    pytest.param(ss.multi_target_study, "null_values", (True,) * 10,
+                 "null_values entry must be a real number (got True)",
+                 id="null_values-bool"),
+    pytest.param(ss.multi_target_study, "null_values", ("x",) * 10,
+                 "null_values entry must be a real number (got 'x')",
+                 id="null_values-x"),
+    pytest.param(ss.multi_target_study, "beta0", ["a"] * 120,
+                 "beta0 entry must be a real number (got 'a')",
+                 id="beta0-str"),
 ])
 def test_rejects_values_of_the_wrong_type(build, field, value, message):
     # refused as InputError before a comparison could raise TypeError
     with pytest.raises(InputError) as exc:
         build(**{field: value})
     assert str(exc.value) == message
+
+
+def test_accepts_numpy_arrays_of_floats():
+    beta0 = np.zeros(120, dtype=np.float32)
+    beta0[3] = 0.5
+    cfg = ss.multi_target_study(beta0=beta0, null_values=np.zeros(10))
+    assert cfg.beta0.dtype == np.float64 and cfg.beta0[3] == 0.5
+    assert cfg.null_values == (0.0,) * 10
 
 
 # ---------------------------------------------------------------------------

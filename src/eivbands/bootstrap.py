@@ -11,22 +11,29 @@ ascending order statistic over B draws.
 Multipliers come from a counter-based stream keyed by (seed, draw index,
 observation index): draw b occupies positions [b*n, (b+1)*n) of the stream
 keyed (seed, multiplier-domain), so every multiplier is a pure function of
-(seed, b, i), whatever the chunking.  They are drawn once per
-(n, draws, seed), in row chunks of the fixed `_CHUNK_DRAWS` draws
-(`_draw_chunks`).
+(seed, b, i), whatever the chunking.  They are drawn in row chunks of the
+fixed `_CHUNK_DRAWS` draws (`_draw_chunks`).
 
 `simultaneous_bands`, the one band routine, feeds the score columns of one
 table or a stream of tables to a `MaximaStream`, which takes them in any
 number of feeds, so a target set far wider than n (every edge of `graph`)
 never has to be held at once.  Of each cell it keeps only the target,
 estimate and sd, and its `BandResult` returns them, so a caller needs no
-copy of its own.  The stream buffers the columns into blocks of the fixed
+copy of its own.  The stream gathers the columns into blocks of the fixed
 `_BLOCK_COLUMNS`; for each block and draw chunk it forms g @ block, takes
 |.| in place and keeps a running maximum per draw, and it divides by
 sqrt(n) once, at the end.  That division is exact: dividing by
 a positive constant is monotone under correct rounding, so max_j |x_j| /
-sqrt(n) equals max_j (|x_j| / sqrt(n)) bit for bit.  Memory is
-O(draws*n + n*block + chunk*block) whatever the number of columns.
+sqrt(n) equals max_j (|x_j| / sqrt(n)) bit for bit.  A running maximum
+does not depend on the order of its folds either, so the stream may fold
+the blocks chunk by chunk or the chunks block by block.  It holds the
+smaller of its columns and its multipliers: up to max(block, draws / 4)
+columns it holds the columns and draws each chunk only when asked for the
+maxima, one chunk alive at a time; past that it draws and keeps every
+chunk and folds each block as it fills.  Memory is
+O(n*m + chunk*(n + block) + draws) for m columns up to the switch and
+O(n*draws + n*block + chunk*block) past it: up to one block it grows with
+neither the columns nor the draws, apart from one maximum per draw.
 
 The product g @ block can round differently for another chunk or block
 shape, so both widths are fixed, and block boundaries fall every
@@ -42,8 +49,9 @@ first chunk after which the answer can no longer change (see its
 docstring), so the chunk width is also the granularity of that decision.
 The decision and the band must share the width: the maxima it reads must
 be the band's bit for bit, and g @ block in pieces of another height can
-round differently from the band's product.  Both take their chunks from
-`_draw_chunks` and their per-(chunk, block) maxima from `_fold_block`.
+round differently from the band's product.  Both lay their blocks in a
+`MaximaStream` and take their chunks from `_draw_chunks` and their
+per-(chunk, block) maxima from `_fold_block`.
 The width is small, 128 draws, so that most replications stop after one
 or two chunks; the band itself loses little by it, and its (chunk, block)
 product is smaller.
@@ -160,55 +168,119 @@ class MaximaStream:
     """Running max_j |G_j| per draw over score columns fed in pieces.
 
     Feed n-row score matrices in column order with `feed`; `maxima` returns
-    the draws over every column fed so far.  The result does not depend on
-    how the columns were split into feeds.
+    the draws over every column fed so far, and more columns may follow it.
+    The result does not depend on how the columns were split into feeds or
+    where `maxima` was called.
+
+    The stream holds the smaller of its score columns and its multipliers.
+    It holds the columns, in blocks, and draws nothing until `maxima`, which
+    draws each chunk of multipliers, folds it through every held block and
+    drops it.  Only when the held columns would pass `_limit`, the larger of
+    one block and draws / 4, does it draw and keep every chunk, fold and
+    drop the held blocks, and from then on fold each block as it fills.  So
+    it holds at most about n * max(`_BLOCK_COLUMNS`, draws / 4) score
+    entries before the switch and n * draws multipliers plus one block
+    after it, at most about 1.25 times the multipliers alone.
     """
 
     def __init__(self, n: int, draws: int, seed: int):
         _check_stream(n, draws, seed)
         self.n, self.draws, self.seed = int(n), int(draws), int(seed)
-        self._chunks = list(_draw_chunks(self.n, self.draws, self.seed))
-        self._block = np.empty((n, _BLOCK_COLUMNS))
+        self._limit = max(_BLOCK_COLUMNS, self.draws // 4)
+        self._chunks = None  # every chunk of multipliers, once kept
+        self._held = []  # full blocks not yet folded, while _chunks is None
+        self._block = None  # the block being filled: its first _filled columns
         self._filled = 0
         self._columns = 0
-        # running max_j |g @ s_j| per draw, divided by sqrt(n) only at the end
+        # running max_j |g @ s_j| per draw over the folded blocks, divided
+        # by sqrt(n) only at the end
         self._top = np.zeros(draws)
 
     def feed(self, scores: np.ndarray) -> None:
         """Add the columns of an n x k score matrix (k may be 0)."""
         scores = _check_scores(scores, self.n)
+        if (self._chunks is None
+                and self._columns + scores.shape[1] > self._limit):
+            self._keep_chunks()
+        self._hold(scores)
+
+    def _hold(self, scores: np.ndarray) -> None:
         m = scores.shape[1]
         start = 0
         while start < m:
             take = min(_BLOCK_COLUMNS - self._filled, m - start)
-            self._block[:, self._filled:self._filled + take] = \
-                scores[:, start:start + take]
+            piece = scores[:, start:start + take]
+            if self._block is None:
+                # a copy, so that the caller may reuse its matrix; a block
+                # buffer is made only when a second piece joins it, so a
+                # few columns never touch all of one
+                self._block = np.array(piece, order="C")
+            else:
+                if self._block.shape[1] < _BLOCK_COLUMNS:
+                    first = self._block
+                    self._block = np.empty((self.n, _BLOCK_COLUMNS))
+                    self._block[:, :self._filled] = first
+                self._block[:, self._filled:self._filled + take] = piece
             self._filled += take
             start += take
             if self._filled == _BLOCK_COLUMNS:
-                self._flush()
+                self._close()
         self._columns += m
 
-    def _flush(self) -> None:
-        block = self._block
-        if self._filled < _BLOCK_COLUMNS:
-            # the layout of a caller's own n x k matrix, so that up to one
-            # block the product is the unblocked one bit for bit
-            block = np.ascontiguousarray(block[:, :self._filled])
+    def _pending(self) -> np.ndarray:
+        """The block being filled as one C-ordered n x k matrix, the layout
+        of a caller's own matrix, so that up to one block the product is
+        the unblocked one bit for bit."""
+        if self._block.shape[1] == self._filled:
+            return self._block
+        return np.ascontiguousarray(self._block[:, :self._filled])
+
+    def _close(self) -> None:
+        if self._chunks is None:
+            self._held.append(self._block)
+            self._block = None
+        else:
+            self._fold(self._block)  # and fill the same buffer again
+        self._filled = 0
+
+    def _keep_chunks(self) -> None:
+        self._chunks = list(_draw_chunks(self.n, self.draws, self.seed))
+        for block in self._held:
+            self._fold(block)
+        self._held = []
+
+    def _fold(self, block: np.ndarray) -> None:
         done = 0
         for g in self._chunks:
             _fold_block(g, block, self._top[done:done + g.shape[0]])
             done += g.shape[0]
-        self._filled = 0
+
+    def _chunk_maxima(self):
+        """Per chunk of draws, in draw order: the running maxima over every
+        column fed so far, not yet divided by sqrt(n).  A partial block is
+        folded into these, not into the stream, so it stays open."""
+        blocks = self._held + ([self._pending()] if self._filled else [])
+        chunks = (self._chunks if self._chunks is not None
+                  else _draw_chunks(self.n, self.draws, self.seed))
+        done = 0
+        for g in chunks:
+            top = self._top[done:done + g.shape[0]].copy()
+            for block in blocks:
+                _fold_block(g, block, top)
+            done += g.shape[0]
+            yield top
 
     def maxima(self) -> MultiplierDraws:
         """The draws max_j |G_j| over every column fed so far."""
-        if self._filled:
-            self._flush()
         if not self._columns:
             raise InputError("scores must be a nonempty n x m matrix")
-        return MultiplierDraws(maxima=self._top / math.sqrt(self.n),
-                               seed=self.seed, draws=self.draws)
+        top = np.empty(self.draws)
+        done = 0
+        for part in self._chunk_maxima():
+            top[done:done + part.shape[0]] = part
+            done += part.shape[0]
+        top /= math.sqrt(self.n)
+        return MultiplierDraws(maxima=top, seed=self.seed, draws=self.draws)
 
 
 def multiplier_maxima(scores: np.ndarray, draws: int,
@@ -302,9 +374,10 @@ def band_covers(table: DebiasTable, values, draws: int, seed: int) -> bool:
     values[k] for every cell k, with no more draws than settle it.
 
     Draw b's maximum is formed exactly as the band forms it: the same
-    chunks of multipliers (`_draw_chunks`), the same column blocks and the
-    same per-(chunk, block) step (`_fold_block`), so it is the band's
-    draw b bit for bit; the chunks are only taken in order, and not all.
+    chunks of multipliers (`_draw_chunks`), the same column blocks (a
+    `MaximaStream` holds them, however many) and the same per-(chunk,
+    block) step (`_fold_block`), so it is the band's draw b bit for bit;
+    the chunks are only taken in order, and not all.
 
     With d of the B draws seen and k = `_order_index(alpha, B)`, c* is at
     most the k-th smallest maximum seen (the B - d unseen ones can only
@@ -319,7 +392,7 @@ def band_covers(table: DebiasTable, values, draws: int, seed: int) -> bool:
     """
     if not table.cells:
         raise InputError("table has no cells")
-    _check_stream(table.n, draws, seed)
+    stream = MaximaStream(table.n, draws, seed)
     scores = _check_scores(_band_scores(table), table.n)
     values = np.asarray(values, dtype=np.float64)
     if values.shape != (len(table.cells),):
@@ -335,15 +408,10 @@ def band_covers(table: DebiasTable, values, draws: int, seed: int) -> bool:
         lower, upper = _band_edges(est, sds, float(c), table.n)
         return not np.any((values < lower) | (values > upper))
 
-    # the blocks as `MaximaStream` lays them: C-ordered n x _BLOCK_COLUMNS,
-    # and the remainder as an n x r matrix of its own
-    blocks = [np.ascontiguousarray(scores[:, s:s + _BLOCK_COLUMNS])
-              for s in range(0, scores.shape[1], _BLOCK_COLUMNS)]
+    # held, never kept ahead: each chunk is drawn only if it is reached
+    stream._hold(scores)
     seen = np.empty(0)
-    for g in _draw_chunks(table.n, draws, seed):
-        top = np.zeros(g.shape[0])
-        for block in blocks:
-            _fold_block(g, block, top)
+    for top in stream._chunk_maxima():
         seen = np.sort(np.concatenate((seen, top / math.sqrt(table.n))))
         unseen = draws - seen.shape[0]
         if seen.shape[0] >= k and not covers(seen[k - 1]):

@@ -186,6 +186,39 @@ class TestMaximaStream:
             with pytest.raises(InputError):
                 stream.feed(bad)
 
+    @pytest.mark.parametrize("trial", range(5))
+    def test_maxima_mid_stream_changes_no_bit(self, trial):
+        # asking for the maxima must not close the partial block, or the
+        # later columns fall into shifted blocks and round differently
+        s = unit_scores(40, 600, seed=100 + trial)
+        stream = MaximaStream(40, 300, seed=trial)
+        stream.feed(s[:, :100])
+        npt.assert_array_equal(stream.maxima().maxima,
+                               multiplier_maxima(s[:, :100], 300, trial).maxima)
+        stream.feed(s[:, 100:])
+        npt.assert_array_equal(stream.maxima().maxima,
+                               multiplier_maxima(s, 300, trial).maxima)
+
+    @pytest.mark.parametrize("offset", [-1, 0, 1])
+    def test_feed_splits_around_the_switch_change_no_bit(self, offset):
+        # 1100 draws, not a whole number of chunks, hold up to 275 columns;
+        # the first feed ends at, before or after that limit, and the
+        # columns in all outnumber the draws
+        draws, n = 1100, 30
+        limit = MaximaStream(n, draws, 0)._limit
+        assert limit == draws // 4 > _BLOCK_COLUMNS
+        assert draws % _CHUNK_DRAWS
+        s = unit_scores(n, draws + 37, seed=11)
+        for m in (limit - 1, limit, limit + 1, s.shape[1]):
+            whole = multiplier_maxima(s[:, :m], draws, seed=12).maxima
+            stream = MaximaStream(n, draws, seed=12)
+            first = min(limit + offset, m)
+            stream.feed(s[:, :first])
+            stream.maxima()
+            for start in range(first, m, 97):
+                stream.feed(s[:, start:min(start + 97, m)])
+            npt.assert_array_equal(stream.maxima().maxima, whole)
+
     def test_memory_does_not_grow_with_columns(self):
         n, draws, width = 50, 300, _BLOCK_COLUMNS
         bound = 4 * (draws * n + n * width + draws * width) * 8
@@ -206,6 +239,46 @@ class TestMaximaStream:
         assert many < bound
         # ten times the columns cost at most one more block of scores
         assert many <= few + n * width * 8
+
+
+def traced_peak(run):
+    tracemalloc.start()
+    try:
+        run()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def held_bound(n, m, draws):
+    # bytes for m held columns in whole blocks plus the block being filled,
+    # a few chunks of multipliers and their products, and two floats per
+    # draw (the running maxima and the result); no n x draws term
+    blocks = -(-m // _BLOCK_COLUMNS) + 1
+    return 8 * (n * _BLOCK_COLUMNS * blocks + 2 * draws
+                + 4 * _CHUNK_DRAWS * (n + _BLOCK_COLUMNS))
+
+
+class TestMemoryFollowsTheColumns:
+    def test_one_column_many_draws(self):
+        # criterion 06's band: all 200,000 x 64 multipliers are 102 MB
+        n, draws = 64, 200_000
+        peak = traced_peak(lambda: multiplier_maxima(np.ones((n, 1)), draws,
+                                                     seed=13))
+        assert peak < held_bound(n, 1, draws) < draws * n * 8 // 20
+
+    def test_a_graph_of_edges_fed_a_source_at_a_time(self):
+        # 870 edges, 29 a feed, held whole: fewer than a quarter of 20,000
+        # draws, whose multipliers alone are 64 MB
+        n, draws, m = 400, 20_000, 870
+        s = np.random.default_rng(14).normal(size=(n, m))
+
+        def run():
+            stream = MaximaStream(n, draws, seed=15)
+            for start in range(0, m, 29):
+                stream.feed(s[:, start:start + 29])
+            stream.maxima()
+        assert traced_peak(run) < held_bound(n, m, draws) < draws * n * 8 // 8
 
 
 class TestCriticalValue:
@@ -588,6 +661,19 @@ class TestBandCovers:
                 assert band_covers(table, values, draws, draws) is want
                 verdicts.add(want)
             assert verdicts == {True, False}
+
+    def test_more_columns_than_draws(self):
+        # 300 columns past 200 draws' limit: a band's stream would keep its
+        # multipliers, the decision still takes them a chunk at a time
+        table = wide_table(mar_table(seed=3), 300, seed=16, alpha=0.1)
+        assert len(table.cells) > MaximaStream(table.n, 200, 0)._limit
+        band = simultaneous_bands(table, 200, seed=17)
+        verdicts = set()
+        for values in probes(band, seed=18):
+            want = band_verdict(band, values)
+            assert band_covers(table, values, 200, 17) is want
+            verdicts.add(want)
+        assert verdicts == {True, False}
 
     @pytest.mark.parametrize("offset, alpha, verdict", [
         (0.0, 0.05, True), (100.0, 0.5, False)])

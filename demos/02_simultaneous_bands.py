@@ -30,14 +30,14 @@ print(f"joint critical value     : {band.critical_value:.3f}\n")
 
 print(f"{'coord':>5} {'estimate':>9} {'pointwise CI':>20} {'joint band':>20}")
 point_misses, joint_misses = 0, 0
-for k, cell in enumerate(table.cells):
-    point = not (cell.ci_low <= 0.0 <= cell.ci_high)
+for k, j in enumerate(table.targets):
+    lo, hi = table.ci_low[k], table.ci_high[k]
+    point = not (lo <= 0.0 <= hi)
     joint = not (band.lower[k] <= 0.0 <= band.upper[k])
     point_misses += point
     joint_misses += joint
     mark = " <- pointwise rejects" if point and not joint else ""
-    print(f"{cell.j:>5} {cell.estimate:>+9.3f} "
-          f"[{cell.ci_low:+.3f}, {cell.ci_high:+.3f}]"
+    print(f"{j:>5} {table.estimates[k]:>+9.3f} [{lo:+.3f}, {hi:+.3f}]"
           f"  [{band.lower[k]:+.3f}, {band.upper[k]:+.3f}]{mark}")
 
 print(f"\nfalse rejections: pointwise {point_misses}, joint {joint_misses}")

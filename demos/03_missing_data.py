@@ -34,10 +34,10 @@ oracle = run_inference(Dataset(y=y, Z=x), NoiseSpec.known(np.zeros(p)),
 
 print(f"{'coord':>5} {'truth':>6} | {'with holes':>10} {'95% CI':>18} "
       f"| {'full data':>9}")
-for cell, ocell in zip(table.cells, oracle.cells):
-    ci = f"[{cell.ci_low:+.3f}, {cell.ci_high:+.3f}]"
-    print(f"{cell.j:>5} {beta[cell.j]:>+6.2f} | {cell.estimate:>+10.3f} "
-          f"{ci:>18} | {ocell.estimate:>+9.3f}")
+for k, j in enumerate(table.targets):
+    ci = f"[{table.ci_low[k]:+.3f}, {table.ci_high[k]:+.3f}]"
+    print(f"{j:>5} {beta[j]:>+6.2f} | {table.estimates[k]:>+10.3f} "
+          f"{ci:>18} | {oracle.estimates[k]:>+9.3f}")
 
 print(f"\nWith {miss:.0%} of cells deleted the intervals widen but stay")
 print("centered; the full-data column shows what is lost to missingness.")

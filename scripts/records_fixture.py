@@ -8,10 +8,10 @@ with a penalty that leaves no coefficient), `infer` (known noise, missing at
 random, a 140-column design, more targets than one bootstrap column block
 or one nodewise stack holds,
 noise sd 1 where some nodewise fits end on their l1 balls,
-one target without a band, and the first dataset as a spreadsheet exports
-it: a byte-order mark, CRLF line ends, quoted and padded cells, which the
-reader parses cell by cell where clean files take its one-pass parse),
-`bands`, `graph` (all sources, two of them, the same two given in
+one target without a band, one with `--bands` (the case `bands`), and the
+first dataset as a spreadsheet exports it: a byte-order mark, CRLF line
+ends, quoted and padded cells, which the reader parses cell by cell where
+clean files take its one-pass parse), `graph` (all sources, two of them, the same two given in
 reverse order, whose node and edge records follow that order,
 enough nodes that the edges span several bootstrap column blocks, 26
 nodes whose 26 pilots, rows of the graph's one corrected Gram, make one
@@ -238,7 +238,7 @@ def _runs(inputs: Path) -> dict[str, list[str]]:
         "infer_ball": ["infer", *ball, *small_boot],
         "infer_max_iter": ["infer", *reg, "--targets", "1,2,3",
                            "--max-iter", "7", *small_boot],
-        "bands": ["bands", *reg, "--targets", "z2", *small_boot],
+        "bands": ["infer", *reg, "--targets", "z2", "--bands", *small_boot],
         "graph": ["graph", *nodes, *small_boot],
         "graph_subset": ["graph", *nodes, "--targets", "z1,z4", *small_boot],
         "graph_subset_reversed": ["graph", *nodes, "--targets", "z4,z1",

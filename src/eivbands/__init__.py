@@ -22,7 +22,7 @@ _EXPORTS = {
     "bootstrap": "BandResult MultiplierDraws band_covers critical_value "
                  "multiplier_maxima simultaneous_bands",
     "dataio": "read_dataset_csv read_noise_csv write_dataset_csv",
-    "debias": "DebiasCell DebiasTable PreparedPilot debias_coordinate "
+    "debias": "DebiasTable PreparedPilot debias_coordinate "
               "prepare_pilot run_inference",
     "errors": "DegeneracyError EivbandsError InputError NumericalError",
     "lasso": "Dataset FitResult NoiseSpec SolverConfig corrected_gram "

@@ -17,8 +17,8 @@ fixed `_CHUNK_DRAWS` draws (`_draw_chunks`).
 `simultaneous_bands`, the one band routine, feeds the score columns of one
 table or a stream of tables to a `MaximaStream`, which takes them in any
 number of feeds, so a target set far wider than n (every edge of `graph`)
-never has to be held at once.  Of each cell it keeps only the target,
-estimate and sd, and its `BandResult` returns them, so a caller needs no
+never has to be held at once.  Of each table it keeps only the targets,
+estimates and sds, and its `BandResult` returns them, so a caller needs no
 copy of its own.  The stream gathers the columns into blocks of the fixed
 `_BLOCK_COLUMNS`; for each block and draw chunk it forms g @ block, takes
 |.| in place and keeps a running maximum per draw, and it divides by
@@ -135,8 +135,8 @@ def _band_edges(estimates: np.ndarray, sds: np.ndarray, c: float,
 
 
 def _band_scores(table: DebiasTable) -> np.ndarray:
-    """The score columns a table's cells contribute to its band."""
-    return (table.score_matrix() if table.mar is None
+    """The (n, m) score columns a table contributes to its band."""
+    return (table.scores.T if table.mar is None
             else adjust_scores_for_estimated_noise(table))
 
 
@@ -306,7 +306,8 @@ def adjust_scores_for_estimated_noise(table: DebiasTable) -> np.ndarray:
     """Score matrix of a missing-at-random table, corrected for its
     estimated noise variances.
 
-    The score column of the cell for target j gets, for each observation i,
+    The score column of target j, row k of the table, gets, for each
+    observation i,
 
         scores[i, col] - (e_j - mu_j)' diag(influence[i, :]) pilot_beta
                          / (sd_j * slope_j)
@@ -318,17 +319,15 @@ def adjust_scores_for_estimated_noise(table: DebiasTable) -> np.ndarray:
     """
     if table.mar is None:
         raise InputError("only a missing-at-random table has estimated noise")
-    scores = table.score_matrix()
+    scores = table.scores.T
     scaled = table.mar.influence * table.pilot.beta[None, :]
     if not scaled.any():
         return scores
-    cells = table.cells
-    # a stack of (p, 1) mu columns: one gemv scaled @ mu per cell, the
+    # a stack of (p, 1) mu columns: one gemv scaled @ mu per target, the
     # product a column-at-a-time loop makes, so the bits are the same
-    M = np.array([c.mu for c in cells])
-    along = np.matmul(scaled, M[:, :, None])[:, :, 0].T
-    correction = scaled[:, [c.j for c in cells]] - along
-    scale = np.array([c.sd * c.slope for c in cells])
+    along = np.matmul(scaled, table.mus[:, :, None])[:, :, 0].T
+    correction = scaled[:, list(table.targets)] - along
+    scale = table.sds * table.slopes
     # C-ordered, whatever the scores' layout, so the column means sum rows
     # in order
     adjusted = np.empty(scores.shape)
@@ -338,16 +337,18 @@ def adjust_scores_for_estimated_noise(table: DebiasTable) -> np.ndarray:
 
 
 def simultaneous_bands(tables, draws: int, seed: int) -> BandResult:
-    """Band estimate -+ c* sd / sqrt(n) over the cells of one `DebiasTable`
-    or of an iterable of tables sharing n and alpha, with c* the critical
-    value over all their score columns.  Tables are pulled one at a time,
-    and only a cell's target, estimate and sd outlive its table: the
-    result returns them as `targets`, `estimates` and `sds`."""
+    """Band estimate -+ c* sd / sqrt(n) over the targets of one
+    `DebiasTable` or of an iterable of tables sharing n and alpha, with c*
+    the critical value over all their score columns.  Tables are pulled one
+    at a time, and only their targets, estimates and sds outlive them: the
+    result returns them, concatenated, as `targets`, `estimates` and
+    `sds`."""
     if isinstance(tables, DebiasTable):
         tables = (tables,)
-    stream, alpha, kept = None, None, []
+    stream, alpha = None, None
+    targets, estimates, sds = [], [], []
     for table in tables:
-        if not table.cells:
+        if not table.targets:
             raise InputError("table has no cells")
         if stream is None:
             stream, alpha = MaximaStream(table.n, draws, seed), table.alpha
@@ -356,22 +357,22 @@ def simultaneous_bands(tables, draws: int, seed: int) -> BandResult:
         elif table.n != stream.n:
             raise InputError(f"tables mix n {stream.n} and {table.n}")
         stream.feed(_band_scores(table))
-        kept += [(c.j, c.estimate, c.sd) for c in table.cells]
+        targets += table.targets
+        estimates.append(table.estimates)
+        sds.append(table.sds)
     if stream is None:
         raise InputError("no tables to band")
-    targets, estimates, sds = zip(*kept)
     c_star = critical_value(stream.maxima(), alpha)
-    est = np.asarray(estimates, dtype=np.float64)
-    sds = np.asarray(sds, dtype=np.float64)
+    est, sds = np.concatenate(estimates), np.concatenate(sds)
     lower, upper = _band_edges(est, sds, c_star, stream.n)
-    return BandResult(targets=targets, estimates=est, sds=sds, lower=lower,
-                      upper=upper, critical_value=c_star, alpha=alpha,
-                      draws=stream.draws, seed=stream.seed)
+    return BandResult(targets=tuple(targets), estimates=est, sds=sds,
+                      lower=lower, upper=upper, critical_value=c_star,
+                      alpha=alpha, draws=stream.draws, seed=stream.seed)
 
 
 def band_covers(table: DebiasTable, values, draws: int, seed: int) -> bool:
     """Whether the band `simultaneous_bands(table, draws, seed)` holds
-    values[k] for every cell k, with no more draws than settle it.
+    values[k] for every target k, with no more draws than settle it.
 
     Draw b's maximum is formed exactly as the band forms it: the same
     chunks of multipliers (`_draw_chunks`), the same column blocks (a
@@ -382,7 +383,7 @@ def band_covers(table: DebiasTable, values, draws: int, seed: int) -> bool:
     With d of the B draws seen and k = `_order_index(alpha, B)`, c* is at
     most the k-th smallest maximum seen (the B - d unseen ones can only
     push the k-th order statistic down) and at least the (k - (B - d))-th
-    (they can all fall below it).  A cell's edges est -+ c sd / sqrt(n)
+    (they can all fall below it).  A target's edges est -+ c sd / sqrt(n)
     are each monotone in c under correct rounding, since sd >= 0, so the
     band at a larger c holds every value the band at a smaller c holds.
     Hence when the band at the upper bound misses a value, the band at c*
@@ -390,22 +391,21 @@ def band_covers(table: DebiasTable, values, draws: int, seed: int) -> bool:
     does the band at c*: either way the answer is the band's, not an
     approximation of it.  With every draw seen the two bounds are c*.
     """
-    if not table.cells:
+    if not table.targets:
         raise InputError("table has no cells")
     stream = MaximaStream(table.n, draws, seed)
     scores = _check_scores(_band_scores(table), table.n)
     values = np.asarray(values, dtype=np.float64)
-    if values.shape != (len(table.cells),):
-        raise InputError(
-            f"need one value per cell ({len(table.cells)}), got {values.shape}")
+    if values.shape != (len(table.targets),):
+        raise InputError(f"need one value per cell ({len(table.targets)}), "
+                         f"got {values.shape}")
     if not np.all(np.isfinite(values)):
         raise InputError("values must be finite")
     k = _order_index(table.alpha, draws)
-    est = np.array([c.estimate for c in table.cells])
-    sds = np.array([c.sd for c in table.cells])
 
     def covers(c: float) -> bool:
-        lower, upper = _band_edges(est, sds, float(c), table.n)
+        lower, upper = _band_edges(table.estimates, table.sds, float(c),
+                                   table.n)
         return not np.any((values < lower) | (values > upper))
 
     # held, never kept ahead: each chunk is drawn only if it is reached

@@ -1,9 +1,9 @@
 """Command-line surface.
 
 Subcommands: fit (pilot corrected lasso only), infer (debiased estimates and
-intervals), bands (infer with the simultaneous band always on), graph
-(conditional-association edges among the columns), simulate (Monte Carlo
-studies).  Exit codes: 0 success, 2 input error, 3 numerical error,
+intervals, and with --bands the simultaneous band even for one target),
+graph (conditional-association edges among the columns), simulate (Monte
+Carlo studies).  Exit codes: 0 success, 2 input error, 3 numerical error,
 4 degeneracy.
 
 Each subcommand declares only the flags it reads.  Reports never include
@@ -339,15 +339,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_inference_flags(infer)
     _add_shared_flags(infer)
     infer.set_defaults(func=cmd_infer)
-
-    bands = subs.add_parser("bands",
-                            help="like infer with the simultaneous band "
-                                 "always on")
-    _add_io_flags(bands)
-    bands.add_argument("--targets", default="all")
-    _add_inference_flags(bands)
-    _add_shared_flags(bands)
-    bands.set_defaults(func=cmd_infer, bands=True)
 
     graph = subs.add_parser("graph",
                             help="conditional-association edges among all "

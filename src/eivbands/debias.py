@@ -23,16 +23,17 @@ at the debiased estimate by default ("debiased" convention; standardized
 scores then have empirical variance exactly 1) or at the pilot estimate
 ("pilot" convention).
 
-A table's m cells are one batch over (m, n) row arrays: the products Z mu
+A table's m targets are one batch over (m, n) row arrays: the products Z mu
 and Z beta are one stacked matmul, a gemv per row and never a gemm; every
 dot is a ddot per row pair; the slopes, roots, scores and variances are row
 operations; and the quantile is one `ndtri` per table.  Rows whose target
 the pilot leaves at 0 share one y - Z beta.  The public `score_slope`,
 `score_values` and `debias_coordinate` are one-row calls of the same batch.
 One rule keeps the bits: every product is formed per row, on the row's own
-operands (the gathered z_j among them), so a cell does not depend on which
-other cells share its table, and each one-row call equals its row of the
-batch.
+operands (the gathered z_j among them), so a row does not depend on which
+other rows share its table, and each one-row call equals its row of the
+batch.  The table keeps the batch's arrays as they are formed: row k of
+each is target k's.
 
 In `graph_tables` the residual z_t - Z beta_t of every pilot t is formed
 once, as one (p, n) array: it is the direction residual of every edge that
@@ -73,35 +74,27 @@ VARIANCE_CONVENTIONS = ("debiased", "pilot")
 
 
 @dataclass(frozen=True)
-class DebiasCell:
-    """Inference output for one target coordinate.
-
-    `scores` holds the standardized per-observation scores
-    -psi_i(estimate) / (sd * slope); they have mean 0 to roundoff, and
-    empirical variance exactly 1 under the "debiased" variance convention.
-    They are a row of the one (m, n) score array of the cell's table.
-    `mu` is the nodewise direction used (full length p, mu[j] = 0).
-    """
-
-    j: int
-    estimate: float
-    slope: float
-    sd: float
-    ci_low: float
-    ci_high: float
-    scores: np.ndarray
-    mu: np.ndarray
-
-
-@dataclass(frozen=True)
 class DebiasTable:
     """Inference results for a target set, plus everything a bootstrap needs.
 
-    `scores` is the read-only (m, n) array whose row k is cells[k].scores.
+    Row k of each per-target array is target `targets[k]`'s: its debiased
+    `estimates`, score `slopes`, `sds` and pointwise interval `ci_low` to
+    `ci_high`, each of shape (m,); `mus`, the (m, p) nodewise directions
+    (row k 0 at targets[k]); and `scores`, the (m, n) standardized
+    per-observation scores -psi_i(estimate) / (sd * slope).  A score row has
+    mean 0 to roundoff, and empirical variance exactly 1 under the
+    "debiased" variance convention.  Every per-target array is read-only,
+    and their counts must agree.
     """
 
-    cells: tuple[DebiasCell, ...]
+    targets: tuple[int, ...]
+    estimates: np.ndarray
+    slopes: np.ndarray
+    sds: np.ndarray
+    ci_low: np.ndarray
+    ci_high: np.ndarray
     scores: np.ndarray
+    mus: np.ndarray
     alpha: float
     n: int
     noise_var: np.ndarray
@@ -109,17 +102,24 @@ class DebiasTable:
     variance_at: str
     mar: mar_mod.MarEstimate | None = None
 
-    @property
-    def targets(self) -> tuple[int, ...]:
-        return tuple(c.j for c in self.cells)
+    def __post_init__(self):
+        m = len(self.targets)
+        shapes = dict.fromkeys(("estimates", "slopes", "sds", "ci_low",
+                                "ci_high"), (m,))
+        shapes.update(scores=(m, self.n), mus=(m, len(self.noise_var)))
+        for name, shape in shapes.items():
+            value = np.asarray(getattr(self, name), dtype=np.float64)
+            if value.shape != shape:
+                raise InputError(f"table {name} has shape {value.shape}, "
+                                 f"expected {shape}")
+            # a read-only view, so that no holder of the table can write it
+            value = value.view()
+            value.flags.writeable = False
+            object.__setattr__(self, name, value)
 
     @property
     def noise_kind(self) -> str:
         return "known" if self.mar is None else "mar"
-
-    def score_matrix(self) -> np.ndarray:
-        """The (n, m) scores, column k cell k's: a read-only view."""
-        return self.scores.T
 
 
 def _residuals(lhs: np.ndarray, Z: np.ndarray,
@@ -274,20 +274,17 @@ def _check_settings(alpha: float, variance_at: str) -> None:
 
 
 def _cells(y, design, noise_var, pilot_beta, directions, q, variance_at,
-           resid_out=None) -> tuple[tuple[DebiasCell, ...], np.ndarray]:
-    """The cells of the directions (j, mu, resid_dir), in one batch, and
-    their (m, n) read-only scores, row k cell k's; a degenerate cell raises
-    in direction order."""
+           resid_out=None) -> dict:
+    """The per-target fields of the `DebiasTable` of the nonempty
+    directions (j, mu, resid_dir), formed in one batch; a degenerate target
+    raises in direction order."""
     n = y.shape[0]
-    if not directions:
-        scores = np.empty((0, n))
-        scores.flags.writeable = False
-        return (), scores
     js, mus, dirs = zip(*directions)
+    M = np.array(mus)
     # a degenerate row divides by 0 here; it raises below, in its turn
     with np.errstate(all="ignore"):
-        score = _Scores(design, noise_var, js, np.array(mus), dirs, y,
-                        pilot_beta, resid_out)
+        score = _Scores(design, noise_var, js, M, dirs, y, pilot_beta,
+                        resid_out)
         slopes = score.slopes
         thetas = score.roots()
         raw = score.values(thetas)
@@ -301,42 +298,36 @@ def _cells(y, design, noise_var, pilot_beta, directions, q, variance_at,
         scores = np.negative(raw, out=raw)
         scores /= (sd * slopes)[:, None]
         half = q * sd / math.sqrt(n)
-    # read-only before its rows are taken, so that the rows are too
-    scores.flags.writeable = False
     for j, slope, v in zip(js, slopes.tolist(), var.tolist()):
         _check_slope(slope, j)
         _check_variance(v, j)
-    cells = tuple(
-        DebiasCell(j=j, estimate=theta, slope=slope, sd=s, ci_low=lo,
-                   ci_high=hi, scores=row, mu=mu)
-        for j, theta, slope, s, lo, hi, row, mu in zip(
-            js, thetas.tolist(), slopes.tolist(), sd.tolist(),
-            (thetas - half).tolist(), (thetas + half).tolist(), scores, mus))
-    return cells, scores
+    return {"targets": js, "estimates": thetas, "slopes": slopes, "sds": sd,
+            "ci_low": thetas - half, "ci_high": thetas + half,
+            "scores": scores, "mus": M}
 
 
 def _table(y, design, noise_var, pilot, directions, alpha, variance_at,
            mar=None, resid_out=None) -> DebiasTable:
-    """One cell per direction (j, mu, resid_dir) of the regression of y on
+    """One row per direction (j, mu, resid_dir) of the regression of y on
     the design, in order, formed in one batch; resid_dir is z_j - Z mu
     where already known, else None, and `resid_out`, if given, is
     y - Z pilot.beta.  The directions are pulled first: an error in
-    pulling one raises after the cells pulled before it are formed, so an
-    earlier degenerate cell raises first."""
+    pulling one raises after the rows pulled before it are formed, so an
+    earlier degenerate row raises first."""
     q = _quantile(alpha)
     pulled = []
     try:
         for direction in directions:
             pulled.append(direction)
     except EivbandsError:
-        _cells(y, design, noise_var, pilot.beta, pulled, q, variance_at,
-               resid_out)
+        if pulled:
+            _cells(y, design, noise_var, pilot.beta, pulled, q, variance_at,
+                   resid_out)
         raise
-    cells, scores = _cells(y, design, noise_var, pilot.beta, pulled, q,
-                           variance_at, resid_out)
-    return DebiasTable(cells=cells, scores=scores, alpha=alpha, n=y.shape[0],
-                       noise_var=noise_var, pilot=pilot,
-                       variance_at=variance_at, mar=mar)
+    return DebiasTable(**_cells(y, design, noise_var, pilot.beta, pulled, q,
+                                variance_at, resid_out),
+                       alpha=alpha, n=y.shape[0], noise_var=noise_var,
+                       pilot=pilot, variance_at=variance_at, mar=mar)
 
 
 def _columns(js, p: int, what: str) -> list[int]:
@@ -356,7 +347,7 @@ def run_inference(data: Dataset, noise: NoiseSpec, targets,
                   alpha: float = 0.05,
                   cfg: SolverConfig = SolverConfig(),
                   variance_at: str = "debiased") -> DebiasTable:
-    """Full pipeline: pilot fit, nodewise directions, debiased cells.
+    """Full pipeline: pilot fit, nodewise directions, debiased targets.
 
     Parameters
     ----------
@@ -468,9 +459,9 @@ def graph_tables(Z: np.ndarray, gamma: np.ndarray, sources,
 
     Source k's table is ``run_inference(Dataset(y=Z[:, k], Z=Z[:, keep]),
     NoiseSpec.known(gamma[keep]), range(p - 1), alpha, cfg, variance_at)``
-    with keep the columns other than k, in the columns of Z: its cells are
+    with keep the columns other than k, in the columns of Z: its rows are
     indexed by partner column t != k, its `noise_var` is `gamma`, and its
-    pilot's `beta` and every cell's `mu` have length p and are 0 at k.
+    pilot's `beta` and every row of its `mus` have length p and are 0 at k.
     Every regression is a row of G = ``corrected_gram(Z, gamma)``, at one
     config resolved for p - 1 columns.  The pilots, jobs t of all p columns,
     are solved first, in one `fit_nodewise_jobs` stream.  Edge (t, k) takes
@@ -479,14 +470,14 @@ def graph_tables(Z: np.ndarray, gamma: np.ndarray, sources,
     one more stream, fed across all sources in source and partner order.  A
     refit edge and a pilot equal the regression solved alone, so they and
     the node rows differ from `run_inference` only by rounding, as the
-    cells' sums run over the p columns of Z; a reused edge is a solution of
+    tables' sums run over the p columns of Z; a reused edge is a solution of
     its problem to the solver tolerance, not the solver's own iterate.  Each
     pilot's residual z_t - Z beta_t is formed once for the whole graph; only
     a refit edge, and a partner inside its source's pilot support, forms a
     residual of its own.
 
     Errors surface in source order: source k's failed pilot raises when
-    its table is due, after every earlier table, and a refit's or a cell's
+    its table is due, after every earlier table, and a refit's or a row's
     in partner order as its table forms.  A failed pilot of a column that
     is only a partner is never raised: its edges are refit.
     """
@@ -516,7 +507,7 @@ def graph_tables(Z: np.ndarray, gamma: np.ndarray, sources,
     refits = fit_nodewise_jobs(G, (
         (t, k) for k in sources for t in partners(k) if not reused[t, k]),
         cfg)
-    # column-major like a source's own design Z[:, keep], so the cells'
+    # column-major like a source's own design Z[:, keep], so the rows'
     # products round closest to that design's
     design = np.asfortranarray(Z)
     # row t is z_t - Z beta_t for pilot t, formed once: the resid_dir of

@@ -133,10 +133,11 @@ def inference_records(table, band, names: list[str], gamma_source: str):
     if band is not None:
         yield {"record": "band", "critical_value": band.critical_value,
                "alpha": band.alpha, "draws": band.draws, "seed": band.seed}
-    for k, cell in enumerate(table.cells):
-        rec = {"record": "target", "index": cell.j + 1, "name": names[cell.j],
-               "estimate": cell.estimate, "sd": cell.sd,
-               "ci_low": cell.ci_low, "ci_high": cell.ci_high}
+    for k, (j, est, sd, lo, hi) in enumerate(zip(
+            table.targets, table.estimates.tolist(), table.sds.tolist(),
+            table.ci_low.tolist(), table.ci_high.tolist())):
+        rec = {"record": "target", "index": j + 1, "name": names[j],
+               "estimate": est, "sd": sd, "ci_low": lo, "ci_high": hi}
         if band is not None:
             rec["band_low"] = float(band.lower[k])
             rec["band_high"] = float(band.upper[k])

@@ -213,18 +213,19 @@ def _replicate(cfg: SimConfig, rep: int) -> dict:
     data, noise = _noise_for(cfg, generate(cfg, rep))
     table = run_inference(data, noise, cfg.targets, cfg.alpha, cfg.solver,
                           cfg.variance_at)
-    cells, nulls = table.cells, cfg.null_values
-    if len(cells) == 1:
-        reject = nulls[0] < cells[0].ci_low or nulls[0] > cells[0].ci_high
+    nulls = cfg.null_values
+    if len(nulls) == 1:
+        reject = nulls[0] < table.ci_low[0] or nulls[0] > table.ci_high[0]
     else:
         reject = not band_covers(table, nulls, cfg.boot_draws,
                                  _bootstrap_seed(cfg, rep))
+    estimates, sds = table.estimates.tolist(), table.sds.tolist()
     return {"rep": int(rep), "reject": bool(reject), "covered": not reject,
-            "stats": [math.sqrt(cfg.n) * (c.estimate - null) / c.sd
-                      for c, null in zip(cells, nulls)],
-            "biases": [c.estimate - float(cfg.beta0[c.j]) for c in cells],
-            "estimates": [c.estimate for c in cells],
-            "sds": [c.sd for c in cells]}
+            "stats": [math.sqrt(cfg.n) * (est - null) / sd
+                      for est, null, sd in zip(estimates, nulls, sds)],
+            "biases": [est - float(cfg.beta0[j])
+                       for j, est in zip(table.targets, estimates)],
+            "estimates": estimates, "sds": sds}
 
 
 def _replicate_guarded(args) -> dict:

@@ -120,8 +120,7 @@ def test_criterion_07_debiased_estimate_zeroes_the_score():
         table = run_inference(Dataset(y=y, Z=Z), NoiseSpec.known(gamma),
                               range(p))
         nuisance = table.pilot.beta
-        for cell in table.cells:
-            j, theta, mu = cell.j, cell.estimate, cell.mu
+        for j, theta, mu in zip(table.targets, table.estimates, table.mus):
             beta_mj = nuisance.copy()
             beta_mj[j] = 0.0
             resid_dir = Z[:, j] - Z @ mu
@@ -183,9 +182,8 @@ def test_criterion_09_mar_with_no_missing_equals_known_zero_noise(tmp_path):
     t_mar = run_inference(with_mask, NoiseSpec.mar(), targets)
     t_known = run_inference(plain, NoiseSpec.known(np.zeros(p)), targets)
     cells_equal = all(
-        a.estimate == b.estimate and a.sd == b.sd and a.ci_low == b.ci_low
-        and a.ci_high == b.ci_high and a.slope == b.slope
-        for a, b in zip(t_mar.cells, t_known.cells))
+        np.array_equal(getattr(t_mar, field), getattr(t_known, field))
+        for field in ("estimates", "sds", "ci_low", "ci_high", "slopes"))
     band_mar = simultaneous_bands(t_mar, 500, seed=1)
     band_known = simultaneous_bands(t_known, 500, seed=1)
     bands_equal = (band_mar.critical_value == band_known.critical_value

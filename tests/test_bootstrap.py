@@ -21,7 +21,7 @@ from eivbands.bootstrap import (
     multiplier_maxima,
     simultaneous_bands,
 )
-from eivbands.debias import DebiasCell, run_inference
+from eivbands.debias import run_inference
 from eivbands.errors import InputError
 from eivbands.lasso import Dataset, NoiseSpec, SolverConfig
 
@@ -316,17 +316,30 @@ class TestCriticalValue:
             critical_value(self.md([1.0]), 0.0)
 
 
+# a table's per-target arrays, row k target k's
+ROW_FIELDS = ("estimates", "slopes", "sds", "ci_low", "ci_high", "scores",
+              "mus")
+
+
+def rows_of(table, index):
+    # the table of the given rows of `table`, in that order
+    index = list(index)
+    return dataclasses.replace(
+        table, targets=tuple(table.targets[k] for k in index),
+        **{name: getattr(table, name)[index] for name in ROW_FIELDS})
+
+
 def correction_table(scores, influence, targets, mus, pilot_beta, slopes,
                      sds):
     # a MAR table that carries exactly these scores, influence, pilot and
-    # cells; the correction reads nothing else
+    # targets; the correction reads nothing else
     template = mar_table()
-    cells = tuple(
-        DebiasCell(j=j, estimate=0.0, slope=slope, sd=sd, ci_low=0.0,
-                   ci_high=0.0, scores=scores[:, k], mu=np.asarray(mu))
-        for k, (j, mu, slope, sd) in enumerate(zip(targets, mus, slopes, sds)))
+    m, p = len(targets), len(pilot_beta)
     return dataclasses.replace(
-        template, cells=cells, scores=scores.T, n=scores.shape[0],
+        template, targets=tuple(targets), estimates=np.zeros(m),
+        slopes=slopes, sds=sds, ci_low=np.zeros(m), ci_high=np.zeros(m),
+        scores=scores.T, mus=np.array(mus), n=scores.shape[0],
+        noise_var=np.zeros(p),
         pilot=dataclasses.replace(template.pilot, beta=pilot_beta),
         mar=dataclasses.replace(template.mar, influence=influence))
 
@@ -334,12 +347,13 @@ def correction_table(scores, influence, targets, mus, pilot_beta, slopes,
 def column_loop(table):
     # the correction one score column at a time, into one C-ordered matrix:
     # the batched product must equal it bit for bit
-    scores = table.score_matrix()
+    scores = table.scores.T
     weighted = table.mar.influence * table.pilot.beta[None, :]
     adjusted = np.empty(scores.shape)
-    for col, c in enumerate(table.cells):
-        correction = weighted[:, c.j] - weighted @ c.mu
-        adjusted[:, col] = scores[:, col] - correction / (c.sd * c.slope)
+    for col, j in enumerate(table.targets):
+        correction = weighted[:, j] - weighted @ table.mus[col]
+        adjusted[:, col] = scores[:, col] - correction / (
+            table.sds[col] * table.slopes[col])
     adjusted -= adjusted.mean(axis=0)
     return adjusted
 
@@ -390,16 +404,14 @@ class TestAdjustScores:
         assert got.tobytes() == column_loop(table).tobytes()
 
     def test_equals_the_column_loop_bit_for_bit(self):
-        # a fitted MAR table, and the same cells repeated and reordered
+        # a fitted MAR table, and the same rows repeated and reordered
         table = mar_table(seed=18)
-        cells = table.cells[::-1] + table.cells * 3
-        wide = dataclasses.replace(
-            table, cells=cells, scores=np.stack([c.scores for c in cells]))
+        wide = rows_of(table, [2, 1, 0] + [0, 1, 2] * 3)
         for t in (table, wide):
             got = adjust_scores_for_estimated_noise(t)
-            assert got.shape == (t.n, len(t.cells))
+            assert got.shape == (t.n, len(t.targets))
             assert got.tobytes() == column_loop(t).tobytes()
-            assert not np.array_equal(got, t.score_matrix())
+            assert not np.array_equal(got, t.scores.T)
 
     def test_known_noise_table_raises(self):
         with pytest.raises(InputError, match="missing-at-random"):
@@ -423,12 +435,11 @@ class TestSimultaneousBands:
     def test_single_target_matches_pointwise_quantile(self):
         table = inference_table(targets=(1,))
         band = simultaneous_bands(table, 200000, seed=21)
-        cell = table.cells[0]
         # scores have unit empirical variance, so c* ~ normal quantile and
         # the band nearly equals the pointwise interval
         assert band.critical_value == pytest.approx(ndtri(0.975), abs=0.02)
         half_band = (band.upper[0] - band.lower[0]) / 2
-        half_ci = (cell.ci_high - cell.ci_low) / 2
+        half_ci = (table.ci_high[0] - table.ci_low[0]) / 2
         assert half_band == pytest.approx(half_ci, rel=0.015)
 
     def test_superset_dominates_subset(self):
@@ -442,10 +453,10 @@ class TestSimultaneousBands:
     def test_band_contains_estimate_and_is_wider_than_ci(self):
         table = inference_table(seed=3)
         band = simultaneous_bands(table, 2000, seed=6)
-        for k, cell in enumerate(table.cells):
-            assert band.lower[k] < cell.estimate < band.upper[k]
+        for k, est in enumerate(table.estimates):
+            assert band.lower[k] < est < band.upper[k]
             assert band.upper[k] - band.lower[k] >= \
-                (cell.ci_high - cell.ci_low) * (1 - 0.05)
+                (table.ci_high[k] - table.ci_low[k]) * (1 - 0.05)
 
     @pytest.mark.parametrize("seed", [-1, 2 ** 70])
     def test_seed_outside_uint64_raises(self, seed):
@@ -461,8 +472,7 @@ class TestSimultaneousBands:
     def test_sds_are_the_cells_sds_bit_for_bit(self):
         table = inference_table(seed=2)
         band = simultaneous_bands(table, 100, seed=3)
-        sds = np.array([c.sd for c in table.cells])
-        assert band.sds.tobytes() == sds.tobytes()
+        assert band.sds.tobytes() == table.sds.tobytes()
 
     def test_deterministic(self):
         table = inference_table(seed=4)
@@ -484,32 +494,33 @@ def mar_table(seed=0, n=60, p=5):
 
 
 def wide_table(template, m, seed, alpha=0.05):
-    # m cells with fresh scores, estimates and sds on the template's n and p
+    # m targets with fresh scores, estimates and sds on the template's n and p
     gen = np.random.default_rng(seed)
     scores = unit_scores(template.n, m, seed)
     p = template.noise_var.shape[0]
-    cells = tuple(
-        DebiasCell(j=k % p, estimate=float(gen.normal()),
-                   slope=1.0, sd=float(gen.uniform(0.5, 2.0)), ci_low=0.0,
-                   ci_high=0.0, scores=scores[:, k], mu=np.zeros(p))
-        for k in range(m))
-    return dataclasses.replace(template, cells=cells, scores=scores.T,
-                               alpha=alpha, mar=None)
+    est, sds = np.array([(gen.normal(), gen.uniform(0.5, 2.0))
+                         for _ in range(m)]).reshape(m, 2).T
+    return dataclasses.replace(
+        template, targets=tuple(k % p for k in range(m)), estimates=est,
+        slopes=np.ones(m), sds=sds, ci_low=np.zeros(m), ci_high=np.zeros(m),
+        scores=scores.T, mus=np.zeros((m, p)), alpha=alpha, mar=None)
 
 
 def reference_band(tables, draws, seed):
     # the band from one feed of every (adjusted) score column
-    columns, cells = [], []
+    columns, targets, estimates, sds = [], [], [], []
     for t in tables:
-        columns.append(t.score_matrix() if t.mar is None
+        columns.append(t.scores.T if t.mar is None
                        else adjust_scores_for_estimated_noise(t))
-        cells += t.cells
+        targets += t.targets
+        estimates += t.estimates.tolist()
+        sds += t.sds.tolist()
     c_star = critical_value(
         multiplier_maxima(np.column_stack(columns), draws, seed),
         tables[0].alpha)
-    est = np.array([c.estimate for c in cells])
-    half = c_star * np.array([c.sd for c in cells]) / math.sqrt(tables[0].n)
-    return [c.j for c in cells], c_star, est, est - half, est + half
+    est = np.array(estimates)
+    half = c_star * np.array(sds) / math.sqrt(tables[0].n)
+    return targets, c_star, est, est - half, est + half
 
 
 class TestBandOverAStream:
@@ -526,14 +537,14 @@ class TestBandOverAStream:
         plain = dataclasses.replace(mar, mar=None)
         assert reference_band([mar], 500, 0)[1] != \
             reference_band([plain], 500, 0)[1]
-        assert sum(len(t.cells) for t in tables) > _BLOCK_COLUMNS
+        assert sum(len(t.targets) for t in tables) > _BLOCK_COLUMNS
         band = simultaneous_bands(iter(tables), 700, seed=19)
         targets, c_star, est, lower, upper = reference_band(tables, 700, 19)
         assert band.targets == tuple(targets)
         assert band.critical_value == c_star
         assert (band.alpha, band.draws, band.seed) == (0.05, 700, 19)
         assert band.estimates.tobytes() == est.tobytes()
-        sds = np.array([c.sd for t in tables for c in t.cells])
+        sds = np.concatenate([t.sds for t in tables])
         assert band.sds.tobytes() == sds.tobytes()
         assert band.lower.tobytes() == lower.tobytes()
         assert band.upper.tobytes() == upper.tobytes()
@@ -565,9 +576,10 @@ class TestBandOverAStream:
                           "table 2", "feed"]
 
     def test_a_table_is_released_before_the_next_but_one(self):
-        # only each cell's target, estimate and sd may outlive its table:
-        # while a table is built, the one before it may still be held, but
-        # none earlier, and none once the band returns
+        # only each table's targets, estimates and sds may outlive it, and
+        # neither its scores nor its mus, nor the arrays behind them: while
+        # a table is built, the one before it may still be held, but none
+        # earlier, and none once the band returns
         refs = []
 
         def dead(groups):
@@ -580,8 +592,10 @@ class TestBandOverAStream:
                 assert dead(refs[:-1])
                 table = (mar_table(seed=6) if k == 1
                          else wide_table(template, 40, seed=k))
-                refs.append([weakref.ref(table)] +
-                            [weakref.ref(c.scores) for c in table.cells])
+                held = (table.scores, table.mus)
+                refs.append([weakref.ref(x) for x in (
+                    table, *held, *(a.base for a in held))])
+                del held
                 yield table
         band = simultaneous_bands(fresh(), 50, seed=1)
         assert len(band.targets) == 83
@@ -606,8 +620,7 @@ class TestBandOverAStream:
 
     def test_empty_table_raises(self):
         table = inference_table()
-        empty = dataclasses.replace(table, cells=(),
-                                    scores=table.scores[:0])
+        empty = rows_of(table, [])
         for tables in (empty, [table, empty]):
             with pytest.raises(InputError, match="no cells"):
                 simultaneous_bands(tables, 50, seed=1)
@@ -666,7 +679,7 @@ class TestBandCovers:
         # 300 columns past 200 draws' limit: a band's stream would keep its
         # multipliers, the decision still takes them a chunk at a time
         table = wide_table(mar_table(seed=3), 300, seed=16, alpha=0.1)
-        assert len(table.cells) > MaximaStream(table.n, 200, 0)._limit
+        assert len(table.targets) > MaximaStream(table.n, 200, 0)._limit
         band = simultaneous_bands(table, 200, seed=17)
         verdicts = set()
         for values in probes(band, seed=18):
@@ -680,7 +693,7 @@ class TestBandCovers:
     def test_a_clear_case_draws_fewer_than_every_multiplier(
             self, monkeypatch, offset, alpha, verdict):
         table = dataclasses.replace(inference_table(seed=9), alpha=alpha)
-        values = [c.estimate + offset * c.sd for c in table.cells]
+        values = table.estimates + offset * table.sds
         counted = []
         original = rng.normals
 
@@ -699,7 +712,7 @@ class TestBandCovers:
         (10, True)])
     def test_bad_draws_or_seed_raise_as_the_band_does(self, draws, seed):
         table = inference_table()
-        values = [c.estimate for c in table.cells]
+        values = table.estimates
         with pytest.raises(InputError) as band:
             simultaneous_bands(table, draws, seed)
         with pytest.raises(InputError) as covers:
@@ -710,10 +723,7 @@ class TestBandCovers:
         table = inference_table()
         scores = table.scores.copy()
         scores[1] = np.nan
-        cell = dataclasses.replace(table.cells[1], scores=scores[1])
-        table = dataclasses.replace(
-            table, cells=(table.cells[0], cell, table.cells[2]),
-            scores=scores)
+        table = dataclasses.replace(table, scores=scores)
         with pytest.raises(InputError) as band:
             simultaneous_bands(table, 50, 1)
         with pytest.raises(InputError) as covers:
@@ -725,7 +735,7 @@ class TestBandCovers:
         # a NaN compares false against both edges, so it would read as
         # covered; every non-finite value is rejected, in any cell
         table = inference_table()
-        estimates = [c.estimate for c in table.cells]
+        estimates = table.estimates.tolist()
         for values in ([bad] * 3, estimates[:2] + [bad]):
             with pytest.raises(InputError, match="values must be finite"):
                 band_covers(table, values, 200, 1)
@@ -735,6 +745,4 @@ class TestBandCovers:
         with pytest.raises(InputError, match="one value per cell"):
             band_covers(table, [0.0, 0.0], 50, 1)
         with pytest.raises(InputError, match="no cells"):
-            band_covers(dataclasses.replace(table, cells=(),
-                                            scores=table.scores[:0]),
-                        [], 50, 1)
+            band_covers(rows_of(table, []), [], 50, 1)

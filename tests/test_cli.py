@@ -117,9 +117,9 @@ def test_infer_matches_library_path(tmp_path, capsys):
     band = simultaneous_bands(table, 200, 11)
     targets = [r for r in records if r["record"] == "target"]
     for k, rec in enumerate(targets):
-        assert rec["estimate"] == table.cells[k].estimate
-        assert rec["sd"] == table.cells[k].sd
-        assert rec["ci_low"] == table.cells[k].ci_low
+        assert rec["estimate"] == table.estimates[k]
+        assert rec["sd"] == table.sds[k]
+        assert rec["ci_low"] == table.ci_low[k]
         assert rec["band_low"] == band.lower[k]
         assert rec["band_high"] == band.upper[k]
     band_rec = next(r for r in records if r["record"] == "band")
@@ -139,8 +139,8 @@ def test_infer_zero_noise_matches_plain_debiased_lasso(tmp_path, capsys):
     rec = next(r for r in parse_records(out) if r["record"] == "target")
     data, _ = dataio.read_dataset_csv(data_path)
     table = run_inference(data, NoiseSpec.known(np.zeros(4)), [1])
-    assert rec["estimate"] == table.cells[0].estimate
-    assert rec["sd"] == table.cells[0].sd
+    assert rec["estimate"] == table.estimates[0]
+    assert rec["sd"] == table.sds[0]
 
 
 def test_infer_multi_target_band_is_automatic(tmp_path, capsys):
@@ -162,22 +162,30 @@ def test_infer_single_target_has_no_band_by_default(tmp_path, capsys):
     assert not any(r["record"] == "band" for r in records)
 
 
-def test_bands_subcommand_forces_band(tmp_path, capsys):
-    data, gamma = write_regression(tmp_path)
-    code, out, _ = run_cli(capsys, "bands", "--input", data, "--gamma", gamma,
-                           "--targets", "z1", "--format", "records")
+def test_infer_bands_flag_forces_band(tmp_path, capsys):
+    # the band of one target is the one-column band of its table
+    data_path, gamma_path = write_regression(tmp_path, seed=4)
+    code, out, _ = run_cli(capsys, "infer", "--input", data_path, "--gamma",
+                           gamma_path, "--targets", "z1", "--bands", "--boot",
+                           "150", "--seed", "3", "--format", "records")
     assert code == 0
-    assert any(r["record"] == "band" for r in parse_records(out))
+    records = parse_records(out)
+    data, _ = dataio.read_dataset_csv(data_path)
+    gamma = dataio.read_noise_csv(gamma_path, 4)
+    band = simultaneous_bands(
+        run_inference(data, NoiseSpec.known(gamma), [0]), 150, 3)
+    assert records[0]["command"] == "infer"
+    assert next(r for r in records if r["record"] == "band")[
+        "critical_value"] == band.critical_value
+    target = next(r for r in records if r["record"] == "target")
+    assert (target["band_low"], target["band_high"]) == \
+        (band.lower[0], band.upper[0])
 
 
-def test_bands_subcommand_equals_infer_with_bands_flag(tmp_path, capsys):
-    data, gamma = write_regression(tmp_path, seed=4)
-    base = ("--input", data, "--gamma", gamma, "--targets", "z1", "--boot",
-            "150", "--seed", "3", "--format", "records")
-    a, b = str(tmp_path / "bands.ndjson"), str(tmp_path / "infer.ndjson")
-    assert run_cli(capsys, "bands", *base, "--out", a)[0] == 0
-    assert run_cli(capsys, "infer", *base, "--bands", "--out", b)[0] == 0
-    assert filecmp.cmp(a, b, shallow=False)
+def test_bands_is_no_subcommand(capsys):
+    code, out, err = run_cli(capsys, "bands", "--input", "x.csv")
+    assert (code, out) == (2, "")
+    assert "invalid choice: 'bands'" in err
 
 
 def test_targets_accept_positions_and_names(tmp_path, capsys):
@@ -301,9 +309,9 @@ def test_degenerate_column_names_coordinate(tmp_path, capsys):
     gamma = str(tmp_path / "g0.txt")
     with open(gamma, "w") as fh:
         fh.write("0.0\n0.0\n0.0\n")
-    for command in ("infer", "bands"):
-        code, _, err = run_cli(capsys, command, "--input", path, "--gamma",
-                               gamma, "--targets", "z1")
+    for bands in ((), ("--bands",)):
+        code, _, err = run_cli(capsys, "infer", "--input", path, "--gamma",
+                               gamma, "--targets", "z1", *bands)
         assert code == 4
         assert err.endswith("is numerically zero for target z1\n")
         assert "column 0" not in err
@@ -382,10 +390,9 @@ def test_gamma_and_mar_conflict_exit_2(tmp_path, capsys):
 @pytest.mark.parametrize("command, flag", [
     pytest.param(command, flag, id=f"{command}{flag[0]}")
     for command, flag in [
-        ("infer", ("--workers", "2")), ("bands", ("--workers", "2")),
-        ("graph", ("--workers", "2")), ("fit", ("--alpha", "0.1")),
-        ("fit", ("--boot", "200")), ("fit", ("--seed", "3")),
-        ("fit", ("--variance-at", "pilot")),
+        ("infer", ("--workers", "2")), ("graph", ("--workers", "2")),
+        ("fit", ("--alpha", "0.1")), ("fit", ("--boot", "200")),
+        ("fit", ("--seed", "3")), ("fit", ("--variance-at", "pilot")),
     ]
 ])
 def test_flag_the_command_does_not_read_exit_2(tmp_path, capsys, command,
@@ -493,8 +500,8 @@ def test_graph_single_source_matches_library_inference(tmp_path, capsys):
     sub = Dataset(y=Z[:, 0], Z=Z[:, 1:])
     table = run_inference(sub, NoiseSpec.known(np.zeros(1)), [0])
     band = simultaneous_bands(table, 400, 9)
-    assert edge["estimate"] == table.cells[0].estimate
-    assert edge["sd"] == table.cells[0].sd
+    assert edge["estimate"] == table.estimates[0]
+    assert edge["sd"] == table.sds[0]
     assert edge["band_low"] == band.lower[0]
     assert edge["band_high"] == band.upper[0]
 
@@ -542,12 +549,11 @@ def check_graph_band_is_the_shared_band(tmp_path, capsys, p):
     records = parse_records(out)
     edges = [r for r in records if r["record"] == "edge"]
     data, _ = dataio.read_dataset_csv(path, require_response=False)
-    cells = [cell for table in graph_tables(data.Z, np.zeros(p), range(p),
-                                            0.1) for cell in table.cells]
+    tables = list(graph_tables(data.Z, np.zeros(p), range(p), 0.1))
     c_star = critical_value(multiplier_maxima(
-        np.column_stack([c.scores for c in cells]), 300, 5), 0.1)
-    est = np.array([c.estimate for c in cells])
-    half = c_star * np.array([c.sd for c in cells]) / math.sqrt(60)
+        np.vstack([t.scores for t in tables]).T, 300, 5), 0.1)
+    est = np.concatenate([t.estimates for t in tables])
+    half = c_star * np.concatenate([t.sds for t in tables]) / math.sqrt(60)
     assert len(edges) == p * (p - 1)
     assert records[0]["critical_value"] == c_star
     assert [e["estimate"] for e in edges] == list(est)
@@ -848,8 +854,8 @@ def test_simulate_dumped_data_reingests_identically(tmp_path, capsys):
     assert code == 0
     rec = next(r for r in parse_records(out) if r["record"] == "target")
     table = run_inference(direct, NoiseSpec.known(np.full(5, 0.25)), [0])
-    assert rec["estimate"] == table.cells[0].estimate
-    assert rec["sd"] == table.cells[0].sd
+    assert rec["estimate"] == table.estimates[0]
+    assert rec["sd"] == table.sds[0]
 
 
 def test_simulate_config_file_overrides(tmp_path, capsys):

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import sys
 import warnings
@@ -22,6 +23,10 @@ from eivbands.errors import DegeneracyError, InputError, NumericalError
 from eivbands.lasso import Dataset, NoiseSpec, SolverConfig
 
 TIGHT = SolverConfig(tol=1e-10, max_iter=50000)
+
+# a table's per-target arrays, row k target k's
+ROW_FIELDS = ("estimates", "slopes", "sds", "ci_low", "ci_high", "scores",
+              "mus")
 
 
 def loop_score(y, Z, noise_var, pilot_beta, mu, j, theta):
@@ -141,11 +146,11 @@ def zero_variance_problem():
         SimpleNamespace(beta=np.array([0.0, 2.0]))
 
 
-def one_cell(y, Z, noise_var, pilot, j, mu, alpha=0.05,
-             variance_at="debiased"):
-    # the cell of one direction, formed as a table's one-row batch
+def one_target(y, Z, noise_var, pilot, j, mu, alpha=0.05,
+               variance_at="debiased"):
+    # the table of one direction, a one-row batch
     return debias._table(y, Z, noise_var, pilot, [(j, mu, None)], alpha,
-                         variance_at).cells[0]
+                         variance_at)
 
 
 class TestPluginVariance:
@@ -167,57 +172,59 @@ class TestPluginVariance:
         assert variance(psi, slope) == pytest.approx(want, rel=1e-13)
 
     def test_zero_variance_degenerate(self):
-        # a cell whose scores are all 0 at its center raises, naming it
+        # a target whose scores are all 0 at its center raises, naming it
         y, Z, noise_var, pilot = zero_variance_problem()
         for variance_at in VARIANCE_CONVENTIONS:
             with pytest.raises(DegeneracyError,
                                match="variance is exactly zero for column 1"
                                ) as exc:
-                one_cell(y, Z, noise_var, pilot, 1, np.zeros(2),
-                         variance_at=variance_at)
+                one_target(y, Z, noise_var, pilot, 1, np.zeros(2),
+                           variance_at=variance_at)
             assert exc.value.coordinate == 1
         with pytest.raises(DegeneracyError, match="for column 3") as exc:
             debias._check_variance(0.0, 3)
         assert exc.value.coordinate == 3
 
 
-def interval_cells(alpha, copies=1):
-    # one cell of a fixed pilot and direction, on the rows of a small
-    # problem repeated `copies` times, which leaves every mean (so the
+def interval_table(alpha, copies=1):
+    # the one-target table of a fixed pilot and direction, on the rows of a
+    # small problem repeated `copies` times, which leaves every mean (so the
     # estimate and sd) the same up to rounding
     y, Z, noise_var, pilot_beta, mu, j = random_problem(23, n=30)
-    return one_cell(np.tile(y, copies), np.tile(Z, (copies, 1)), noise_var,
-                    SimpleNamespace(beta=pilot_beta), j, mu, alpha)
+    return one_target(np.tile(y, copies), np.tile(Z, (copies, 1)),
+                      noise_var, SimpleNamespace(beta=pilot_beta), j, mu,
+                      alpha)
 
 
-def half_width(cell):
-    return (cell.ci_high - cell.ci_low) / 2.0
+def half_width(table):
+    return (table.ci_high[0] - table.ci_low[0]) / 2.0
 
 
 class TestPointwiseCI:
     def test_frozen_quantile(self):
-        cell = interval_cells(0.05)
+        table = interval_table(0.05)
         # half width = 1.959964 * sd / sqrt(n)
-        assert half_width(cell) == pytest.approx(
-            1.959964 * cell.sd / math.sqrt(30), rel=5e-6)
-        assert cell.ci_low < cell.estimate < cell.ci_high
+        assert half_width(table) == pytest.approx(
+            1.959964 * table.sds[0] / math.sqrt(30), rel=5e-6)
+        assert table.ci_low[0] < table.estimates[0] < table.ci_high[0]
 
     def test_quantile_full_precision(self):
-        cell = interval_cells(0.05)
-        half = ndtri(0.975) * cell.sd / math.sqrt(30)
-        assert cell.ci_high - cell.estimate == pytest.approx(half, rel=1e-14)
-        assert cell.estimate - cell.ci_low == pytest.approx(half, rel=1e-14)
+        table = interval_table(0.05)
+        est, lo, hi = table.estimates[0], table.ci_low[0], table.ci_high[0]
+        half = ndtri(0.975) * table.sds[0] / math.sqrt(30)
+        assert hi - est == pytest.approx(half, rel=1e-14)
+        assert est - lo == pytest.approx(half, rel=1e-14)
 
     def test_narrows_with_alpha_and_n(self):
-        w1 = half_width(interval_cells(0.05))
-        w2 = half_width(interval_cells(0.10))
-        w3 = half_width(interval_cells(0.05, copies=4))
+        w1 = half_width(interval_table(0.05))
+        w2 = half_width(interval_table(0.10))
+        w3 = half_width(interval_table(0.05, copies=4))
         assert w2 < w1 and w3 == pytest.approx(w1 / 2, rel=1e-12)
 
     def test_bad_inputs(self):
         for alpha in (1.5, 0.0, 1.0):
             with pytest.raises(InputError, match="alpha"):
-                interval_cells(alpha)
+                interval_table(alpha)
 
 
 def small_instance(seed=0, n=40, p=5, noise_sd=0.4):
@@ -233,29 +240,28 @@ class TestRunInference:
     def test_score_zero_identity_all_cells(self):
         data, noise = small_instance(3)
         table = run_inference(data, noise, [0, 2, 4], cfg=TIGHT)
-        for cell in table.cells:
+        for j, mu, est in zip(table.targets, table.mus, table.estimates):
             raw = score_values(data.y, data.Z, noise.noise_var,
-                               table.pilot.beta, cell.mu, cell.j,
-                               cell.estimate)
+                               table.pilot.beta, mu, j, est)
             scale = np.abs(raw).max() + 1e-12
             assert abs(raw.mean()) <= 1e-10 * scale
 
     def test_standardized_scores_default_convention(self):
         data, noise = small_instance(9)
         table = run_inference(data, noise, [1, 3], cfg=TIGHT)
-        for cell in table.cells:
-            m = cell.scores.mean()
-            assert abs(m) <= 1e-10 * (1 + np.abs(cell.scores).max())
-            assert np.mean(cell.scores ** 2) == pytest.approx(1.0, abs=1e-8)
+        for scores in table.scores:
+            m = scores.mean()
+            assert abs(m) <= 1e-10 * (1 + np.abs(scores).max())
+            assert np.mean(scores ** 2) == pytest.approx(1.0, abs=1e-8)
 
     def test_pilot_convention_differs_but_close(self):
         data, noise = small_instance(11)
         t_deb = run_inference(data, noise, [0], cfg=TIGHT)
         t_pil = run_inference(data, noise, [0], cfg=TIGHT,
                               variance_at="pilot")
-        assert t_deb.cells[0].estimate == t_pil.cells[0].estimate
-        assert t_deb.cells[0].sd != t_pil.cells[0].sd
-        assert t_deb.cells[0].sd == pytest.approx(t_pil.cells[0].sd, rel=0.2)
+        assert t_deb.estimates[0] == t_pil.estimates[0]
+        assert t_deb.sds[0] != t_pil.sds[0]
+        assert t_deb.sds[0] == pytest.approx(t_pil.sds[0], rel=0.2)
 
     def test_classical_debias_reduction_at_zero_noise(self):
         # with noise_var = 0 the estimate equals the classical one-step
@@ -265,14 +271,13 @@ class TestRunInference:
         table = run_inference(data, zero, [0, 1, 2, 3, 4], cfg=TIGHT)
         y, Z = data.y, data.Z
         n = data.n
-        for cell in table.cells:
-            j = cell.j
-            resid_dir = Z[:, j] - Z @ cell.mu
+        for j, mu, est in zip(table.targets, table.mus, table.estimates):
+            resid_dir = Z[:, j] - Z @ mu
             full_resid = y - Z @ table.pilot.beta
             denom = resid_dir @ Z[:, j] / n
             classical = table.pilot.beta[j] + \
                 (resid_dir @ full_resid / n) / denom
-            assert cell.estimate == pytest.approx(classical, abs=1e-10)
+            assert est == pytest.approx(classical, abs=1e-10)
 
     def test_response_scaling_equivariance_debias_step(self):
         # with the direction and pilot fixed, doubling (y, pilot) doubles the
@@ -300,10 +305,9 @@ class TestRunInference:
         t1 = run_inference(data, noise, [0, 2], cfg=cfg)
         t2 = run_inference(Dataset(y=2.0 * data.y, Z=data.Z), noise, [0, 2],
                            cfg=cfg)
-        for c1, c2 in zip(t1.cells, t2.cells):
-            assert c2.estimate == pytest.approx(2 * c1.estimate, rel=1e-9)
-            assert c2.sd == pytest.approx(2 * c1.sd, rel=1e-9)
-            npt.assert_allclose(c2.scores, c1.scores, rtol=0, atol=1e-10)
+        npt.assert_allclose(t2.estimates, 2 * t1.estimates, rtol=1e-9)
+        npt.assert_allclose(t2.sds, 2 * t1.sds, rtol=1e-9)
+        npt.assert_allclose(t2.scores, t1.scores, rtol=0, atol=1e-10)
 
     def test_degenerate_design_raises_with_coordinate(self):
         # orthogonal design whose second moment equals the claimed noise
@@ -360,11 +364,12 @@ class TestRunInference:
         data, noise = small_instance(2)
         table = run_inference(data, noise, [4, 1], cfg=TIGHT)
         assert table.targets == (4, 1)
-        assert table.score_matrix().shape == (data.n, 2)
+        assert table.scores.shape == (2, data.n)
+        assert table.mus.shape == (2, 5)
         assert isinstance(table, DebiasTable)
-        for cell in table.cells:
-            assert cell.ci_low < cell.estimate < cell.ci_high
-            assert cell.mu[cell.j] == 0.0
+        assert np.all(table.ci_low < table.estimates)
+        assert np.all(table.estimates < table.ci_high)
+        assert table.mus[[0, 1], [4, 1]].tolist() == [0.0, 0.0]
 
 
 def record_configs(monkeypatch):
@@ -490,10 +495,9 @@ def test_graph_tables_equal_rows_solved_alone(monkeypatch, budget, rows):
             assert_close(getattr(table.pilot, field),
                          getattr(want.pilot, field))
         assert table.targets == want.targets
-        for got, cell in zip(table.cells, want.cells, strict=True):
-            for field in ("estimate", "sd", "slope", "scores", "mu"):
-                assert_close(getattr(got, field), getattr(cell, field))
-            assert np.array_equal(got.mu != 0.0, cell.mu != 0.0)
+        for field in ("estimates", "sds", "slopes", "scores", "mus"):
+            assert_close(getattr(table, field), getattr(want, field))
+        assert np.array_equal(table.mus != 0.0, want.mus != 0.0)
 
 
 @pytest.mark.parametrize("budget, rows", GRAPH_BUDGETS)
@@ -534,17 +538,18 @@ def test_graph_tables_equal_per_source_inference(monkeypatch, budget, rows):
         npt.assert_array_equal(table.noise_var, gamma)
         assert table.targets == tuple(np.flatnonzero(keep))
         assert want.targets == tuple(range(5))
-        for got, cell in zip(table.cells, want.cells, strict=True):
-            se = cell.sd / np.sqrt(table.n)
-            for field in ("estimate", "sd", "ci_low", "ci_high"):
-                assert abs(getattr(got, field) - getattr(cell, field)) <= \
-                    1e-9 * se, field
-            assert got.mu[j] == 0.0
-            if (got.j, j) in refits:
-                npt.assert_allclose(got.mu[keep], cell.mu, rtol=0, atol=1e-12)
+        se = want.sds / np.sqrt(table.n)
+        for field in ("estimates", "sds", "ci_low", "ci_high"):
+            assert np.all(abs(getattr(table, field) - getattr(want, field))
+                          <= 1e-9 * se), field
+        assert not table.mus[:, j].any()
+        for t, mu, want_mu in zip(table.targets, table.mus, want.mus,
+                                  strict=True):
+            if (t, j) in refits:
+                npt.assert_allclose(mu[keep], want_mu, rtol=0, atol=1e-12)
             else:
-                assert got.mu.tobytes() == pilot[got.j].beta.tobytes()
-                assert edge_kkt_residual(G, 50, got.j, j, got.mu,
+                assert mu.tobytes() == pilot[t].beta.tobytes()
+                assert edge_kkt_residual(G, 50, t, j, mu,
                                          TIGHT) <= TIGHT.tol
 
 
@@ -589,11 +594,12 @@ def test_failed_partner_pilot_refits_its_edges(monkeypatch):
     assert {(2, k) for k in sources} <= refit_edges(stacks)
     for table, before in zip(tables, want, strict=True):
         assert table.pilot.beta.tobytes() == before.pilot.beta.tobytes()
-        for got, cell in zip(table.cells, before.cells, strict=True):
-            se = cell.sd / np.sqrt(table.n)
-            assert abs(got.estimate - cell.estimate) <= 1e-9 * se
-            if got.j != 2:
-                assert got.mu.tobytes() == cell.mu.tobytes()
+        se = before.sds / np.sqrt(table.n)
+        assert np.all(abs(table.estimates - before.estimates) <= 1e-9 * se)
+        for t, mu, was in zip(table.targets, table.mus, before.mus,
+                              strict=True):
+            if t != 2:
+                assert mu.tobytes() == was.tobytes()
 
 
 def test_graph_over_some_sources_gives_their_full_graph_tables():
@@ -608,10 +614,10 @@ def test_graph_over_some_sources_gives_their_full_graph_tables():
         assert table.pilot.beta.tobytes() == want.pilot.beta.tobytes()
         for field in ("objective", "iterations", "kkt_residual", "radius"):
             assert getattr(table.pilot, field) == getattr(want.pilot, field)
-        for got, cell in zip(table.cells, want.cells, strict=True):
-            assert (got.j, got.estimate, got.sd) == (cell.j, cell.estimate,
-                                                     cell.sd)
-            assert got.mu.tobytes() == cell.mu.tobytes()
+        assert table.targets == want.targets
+        for field in ("estimates", "sds", "mus"):
+            assert getattr(table, field).tobytes() == \
+                getattr(want, field).tobytes()
 
 
 def reuse_oracle(G, n, pilots, cfg):
@@ -819,7 +825,7 @@ def test_bench_size_graph_is_one_stack(monkeypatch):
     assert [len(stack) for stack in stacks] == [30, len(stacks[1])]
     assert stacks[0] == [(t,) for t in range(30)]
     assert 0 < len(stacks[1]) < 870 <= nodewise.stack_rows(30)
-    assert sum(len(t.cells) for t in tables) == 870
+    assert sum(len(t.targets) for t in tables) == 870
 
 
 def count_gram_calls(monkeypatch):
@@ -944,21 +950,22 @@ def cell_oracle(y, Z, noise_var, pilot_beta, j, mu, alpha, variance_at):
             "scores": (-raw / (sd * slope)).tobytes()}
 
 
-def assert_cells_match_oracle(table, y, Z, alpha):
-    for cell in table.cells:
-        want = cell_oracle(y, Z, table.noise_var, table.pilot.beta, cell.j,
-                           cell.mu, alpha, table.variance_at)
-        got = {field: getattr(cell, field) for field in want}
-        got["scores"] = cell.scores.tobytes()
-        assert got == want, cell.j
-        for field in ("estimate", "slope", "sd", "ci_low", "ci_high"):
-            assert type(got[field]) is float
+def assert_rows_match_oracle(table, y, Z, alpha):
+    arrays = {"estimate": table.estimates, "slope": table.slopes,
+              "sd": table.sds, "ci_low": table.ci_low,
+              "ci_high": table.ci_high}
+    for k, j in enumerate(table.targets):
+        want = cell_oracle(y, Z, table.noise_var, table.pilot.beta, j,
+                           table.mus[k], alpha, table.variance_at)
+        got = {field: float(a[k]) for field, a in arrays.items()}
+        got["scores"] = table.scores[k].tobytes()
+        assert got == want, j
 
 
 @pytest.mark.parametrize("order", ["C", "F"])
 @pytest.mark.parametrize("variance_at", VARIANCE_CONVENTIONS)
 def test_table_batch_equals_cells_formed_alone(order, variance_at):
-    # a table's cells, formed in one batch, equal the per-cell formulas bit
+    # a table's rows, formed in one batch, equal the per-target formulas bit
     # for bit on either design layout, at targets the pilot leaves at 0,
     # which share one y-residual, and at targets inside its support
     gen = np.random.default_rng(5)
@@ -977,27 +984,48 @@ def test_table_batch_equals_cells_formed_alone(order, variance_at):
                           0.1, variance_at)
     assert table.targets == tuple(targets)
     assert {beta[j] == 0.0 for j in targets} == {True, False}
-    assert_cells_match_oracle(table, y, Z, 0.1)
-    npt.assert_array_equal(table.score_matrix(),
-                           np.column_stack([c.scores for c in table.cells]))
+    assert_rows_match_oracle(table, y, Z, 0.1)
 
 
-def test_score_matrix_is_a_read_only_view_of_the_cells_score_rows():
-    # the table keeps the batch's one (m, n) score array, whose rows are
-    # the cells' scores; the score matrix is its transpose, not a copy,
-    # and none of them can be written through
+def test_every_table_array_is_read_only():
+    # as a frozen table's fields cannot be rebound, its arrays cannot be
+    # written through, however the table was built
     data, noise = small_instance(3, n=60)
     table = run_inference(data, noise, [4, 0, 2, 3], 0.05, TIGHT)
-    whole = table.score_matrix()
-    npt.assert_array_equal(whole,
-                           np.column_stack([c.scores for c in table.cells]))
-    assert whole.base is table.scores
-    for k, c in enumerate(table.cells):
-        assert c.scores.base is table.scores
-        npt.assert_array_equal(c.scores, table.scores[k])
-    for view in (whole, table.scores, table.cells[1].scores):
-        with pytest.raises(ValueError, match="read-only"):
-            view[0] = 0.0
+    rebuilt = dataclasses.replace(table, **{
+        name: getattr(table, name).copy() for name in ROW_FIELDS})
+    for t in (table, rebuilt):
+        for name in ROW_FIELDS:
+            with pytest.raises(ValueError, match="read-only"):
+                getattr(t, name)[0] = 0.0
+
+
+@pytest.mark.parametrize("field", ["targets", *ROW_FIELDS])
+def test_a_table_whose_parts_disagree_raises(field):
+    # one target fewer in any one part than in the others
+    data, noise = small_instance(3, n=60)
+    table = run_inference(data, noise, [4, 0, 2], 0.05, TIGHT)
+    with pytest.raises(InputError, match=r"^table \w+ has shape"):
+        dataclasses.replace(table, **{field: getattr(table, field)[:2]})
+
+
+@pytest.mark.parametrize("field, change", [
+    ("scores", lambda t: t.scores[:, 1:]), ("n", lambda t: t.n + 1),
+    ("mus", lambda t: t.mus[:, 1:]),
+    ("noise_var", lambda t: t.noise_var[1:])])
+def test_scores_need_n_columns_and_mus_one_per_noise_variance(field, change):
+    data, noise = small_instance(3, n=60)
+    table = run_inference(data, noise, [4, 0, 2], 0.05, TIGHT)
+    with pytest.raises(InputError, match=r"^table (scores|mus) has shape"):
+        dataclasses.replace(table, **{field: change(table)})
+
+
+def test_an_empty_table_constructs():
+    data, noise = small_instance(3, n=60)
+    table = run_inference(data, noise, [4, 0, 2], 0.05, TIGHT)
+    empty = dataclasses.replace(table, targets=(), **{
+        name: getattr(table, name)[:0] for name in ROW_FIELDS})
+    assert empty.scores.shape == (0, 60) and empty.mus.shape == (0, 5)
 
 
 @pytest.mark.parametrize("variance_at", VARIANCE_CONVENTIONS)
@@ -1007,9 +1035,9 @@ def test_run_inference_cells_equal_cells_formed_alone(variance_at):
     table = run_inference(data, noise, [4, 0, 2, 3], 0.05, TIGHT,
                           variance_at)
     assert data.Z.flags.c_contiguous
-    assert any(table.pilot.beta[c.j] == 0.0 for c in table.cells)
-    assert any(table.pilot.beta[c.j] != 0.0 for c in table.cells)
-    assert_cells_match_oracle(table, data.y, data.Z, 0.05)
+    at_targets = table.pilot.beta[list(table.targets)]
+    assert {b == 0.0 for b in at_targets} == {True, False}
+    assert_rows_match_oracle(table, data.y, data.Z, 0.05)
 
 
 @pytest.mark.parametrize("variance_at", VARIANCE_CONVENTIONS)
@@ -1029,7 +1057,7 @@ def test_graph_cells_equal_cells_formed_alone(monkeypatch, variance_at):
     assert any(betas[k][t] != 0.0 for t, k in edges)
     design = np.asfortranarray(Z)
     for k, table in enumerate(tables):
-        assert_cells_match_oracle(table, design[:, k], design, 0.05)
+        assert_rows_match_oracle(table, design[:, k], design, 0.05)
 
 
 def degenerate_direction_then(error):
@@ -1079,7 +1107,7 @@ def test_degenerate_cell_raises_without_runtime_warnings(variance_at):
         # a zero variance divides 0 by 0 in the scores before it raises
         y, Z, noise_var, pilot = zero_variance_problem()
         with pytest.raises(DegeneracyError) as exc:
-            one_cell(y, Z, noise_var, pilot, 1, np.zeros(2),
+            one_target(y, Z, noise_var, pilot, 1, np.zeros(2),
                      variance_at=variance_at)
         assert exc.value.coordinate == 1
 
@@ -1094,17 +1122,17 @@ def test_alpha_whose_quantile_is_infinite_is_rejected(alpha):
     with pytest.raises(InputError, match="alpha"):
         next(graph_tables(data.Z, np.full(5, 0.1), [0], alpha=alpha))
     with pytest.raises(InputError, match="alpha"):
-        interval_cells(alpha)
+        interval_table(alpha)
 
 
 def test_tiny_alpha_with_a_finite_quantile_still_gives_finite_cells():
     data, noise = small_instance(1)
     alpha = 1e-15
     table = run_inference(data, noise, [0, 3], alpha=alpha, cfg=TIGHT)
-    for cell in table.cells:
-        assert math.isfinite(cell.ci_low) and math.isfinite(cell.ci_high)
-        assert cell.ci_low < cell.estimate < cell.ci_high
-    assert_cells_match_oracle(table, data.y, data.Z, alpha)
+    assert np.all(np.isfinite(table.ci_low) & np.isfinite(table.ci_high))
+    assert np.all(table.ci_low < table.estimates)
+    assert np.all(table.estimates < table.ci_high)
+    assert_rows_match_oracle(table, data.y, data.Z, alpha)
 
 
 def test_variance_squares_the_slope_exactly():

@@ -407,7 +407,7 @@ def test_inference_resolves_only_the_pilot_radius(monkeypatch, budget):
     calls = count_radius_calls(monkeypatch)
     table = run_inference(Dataset(y=y, Z=Z), NoiseSpec.known(noise_var),
                           range(p))
-    assert len(table.cells) == p
+    assert len(table.targets) == p
     assert calls == [p]  # the pilot's p x p Gram, no nodewise one
 
 

@@ -95,7 +95,7 @@ class Dataset:
             if mask.dtype != np.bool_ or mask.shape != Z.shape:
                 raise InputError("mask must be boolean with the same shape as Z")
             object.__setattr__(self, "mask", mask)
-            if not np.all(np.isfinite(Z[mask])):
+            if not np.all(np.isfinite(Z), where=mask):
                 raise InputError("Z contains non-finite observed entries")
 
     @property
@@ -265,7 +265,9 @@ def corrected_gram(Z: np.ndarray, noise_var: np.ndarray) -> np.ndarray:
     if n < 1:
         raise InputError("Z has no rows")
     G = Z.T @ Z
-    G = (G + G.T) / (2.0 * n)
+    # NumPy copies the overlapping G.T first, so each sum reads the originals
+    G += G.T
+    G /= 2.0 * n
     G[np.diag_indices_from(G)] -= v
     return G
 

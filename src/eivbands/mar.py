@@ -17,7 +17,10 @@ variability of the estimated noise variances:
 
 Columns of `influence` have empirical mean zero by construction.  `estimate`
 is the one function: it squares z_tilde once, and its column means of squares
-serve both noise_var and the influence.
+serve both noise_var and the influence.  It forms two n x p arrays, z_tilde
+and its squares, and turns them into the design and the influence in place.
+A simulated missing-at-random replication's Z is its latent design,
+zero-filled in place where cells are missing (`simstudy.generate`).
 """
 
 from __future__ import annotations
@@ -52,12 +55,15 @@ def estimate(data: Dataset) -> MarEstimate:
     if pi_hat >= 1.0:
         raise InputError("every design cell is missing")
     z_tilde = np.where(data.mask, data.Z, 0.0)
-    sq = z_tilde ** 2
-    second = sq.mean(axis=0)
+    influence = np.square(z_tilde)
+    second = influence.mean(axis=0)
     scale = pi_hat / (1.0 - pi_hat) ** 2
+    influence -= second
+    influence *= scale
+    z_tilde /= 1.0 - pi_hat
     return MarEstimate(
         miss_prob=pi_hat,
-        design=z_tilde / (1.0 - pi_hat),
+        design=z_tilde,
         noise_var=second * scale,
-        influence=(sq - second) * scale,
+        influence=influence,
     )

@@ -7,27 +7,29 @@ are built on numpy's Philox4x64-10 counter-based generator, keyed through
 than split from a shared sequential state, results never depend on execution
 order or on how work is distributed across workers.
 
-Uniforms take the top 53 bits of each raw 64-bit Philox output and map them to
-the open interval (0, 1) via (k + 0.5) * 2**-53.  The top k = 2**53 - 1 would
-round to 1.0, so it is clamped to the largest double below 1; the endpoints 0
-and 1 are unreachable.  Normals apply the inverse standard normal CDF
-(``scipy.special.ndtri``, a rational approximation with absolute error below
-1e-13) to those uniforms.  Observation i of a stream is therefore a pure
-function of (seed, path, i).
+Uniforms take the top 53 bits k of each raw 64-bit Philox output and map them
+to the open interval (0, 1) via (k + 0.5) * 2**-53.  They are formed as
+``Generator.random``'s 53-bit double k * 2**-53 of the same word plus 2**-54,
+which rounds to the same double, in the one float array the draw returns.
+The top k = 2**53 - 1 would round to 1.0, so it is clamped to the largest
+double below 1; the endpoints 0 and 1 are unreachable.  Normals apply the
+inverse standard normal CDF (``scipy.special.ndtri``, a rational
+approximation with absolute error below 1e-13) to those uniforms in place.
+Observation i of a stream is therefore a pure function of (seed, path, i).
 """
 
 from __future__ import annotations
 
 import numpy as np
-from numpy.random import Philox, SeedSequence
+from numpy.random import Generator, Philox, SeedSequence
 from scipy.special import ndtri
 
 # Domain tags keep independent uses of the same user seed on disjoint streams.
 DOMAIN_MULTIPLIER = 1   # multiplier bootstrap draws
 DOMAIN_REPLICATION = 2  # Monte Carlo study replications
 
-_INV_2_53 = 2.0 ** -53
-_BELOW_ONE = 1.0 - _INV_2_53  # the largest double below 1
+_HALF_STEP = 2.0 ** -54  # half the spacing of the 53-bit doubles
+_BELOW_ONE = 1.0 - 2.0 ** -53  # the largest double below 1
 _BLOCK_WORDS = 4  # raw words per Philox4x64 counter block
 
 
@@ -38,12 +40,10 @@ def stream(seed: int, *path: int) -> Philox:
 
 def uniforms(bits: Philox, count: int) -> np.ndarray:
     """Next `count` open-interval (0, 1) uniforms from a keyed stream."""
-    # in place, so at most the raw words and one float array are alive
-    raw = bits.random_raw(count)
-    raw >>= np.uint64(11)
-    u = raw.astype(np.float64)
-    u += 0.5
-    u *= _INV_2_53
+    # k * 2**-53 + 2**-54 is the real number (k + 0.5) * 2**-53, and scaling
+    # by a power of two is exact, so both round to the same double
+    u = Generator(bits).random(count)
+    u += _HALF_STEP
     return np.minimum(u, _BELOW_ONE, out=u)
 
 

@@ -174,7 +174,9 @@ def generate(cfg: SimConfig, rep: int) -> Dataset:
     regardless of mode, so e.g. known-noise and missing-at-random variants of
     the same seed share their latent x, xi, w draws.  A mode draws only what
     it uses: missing-at-random skips w's raw words, and known noise stops
-    before the uniforms.
+    before the uniforms.  Z is formed in place: a missing-at-random
+    replication's Z is its latent x, zero-filled where a cell is missing, and
+    a known-noise one's is the scaled w with x added into it.
     """
     n, p = cfg.n, cfg.p
     bits = rng.stream(cfg.seed, rng.DOMAIN_REPLICATION, rep)
@@ -185,12 +187,15 @@ def generate(cfg: SimConfig, rep: int) -> Dataset:
     y = x @ cfg.beta0 + cfg.model_sd * xi
     if cfg.noise_mode == "mar":
         rng.skip(bits, n * p)
-        mask = rng.uniforms(bits, n * p).reshape(n, p) >= cfg.miss_prob
-        return Dataset(y=y, Z=np.where(mask, x, 0.0), mask=mask)
+        missing = rng.uniforms(bits, n * p).reshape(n, p) < cfg.miss_prob
+        np.copyto(x, 0.0, where=missing)
+        return Dataset(y=y, Z=x, mask=np.logical_not(missing, out=missing))
     if cfg.measurement_sd == 0:
-        return Dataset(y=y, Z=x.copy())
+        return Dataset(y=y, Z=x)
     w = rng.normals(bits, n * p).reshape(n, p)
-    return Dataset(y=y, Z=x + cfg.measurement_sd * w)
+    w *= cfg.measurement_sd
+    w += x
+    return Dataset(y=y, Z=w)
 
 
 def _bootstrap_seed(cfg: SimConfig, rep: int) -> int:

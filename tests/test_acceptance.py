@@ -203,8 +203,11 @@ def test_criterion_09_mar_with_no_missing_equals_known_zero_noise(tmp_path):
     assert main(["infer", "--input", data_path, "--gamma", gamma_path,
                  "--targets", "z1,z4", "--format", "records", "--out",
                  out_known]) == 0
-    strip = lambda path: [line for line in open(path, encoding="utf-8")
-                          if json.loads(line)["record"] != "run"]
+
+    def strip(path):
+        with open(path, encoding="utf-8") as fh:
+            return [line for line in fh if json.loads(line)["record"] != "run"]
+
     cli_equal = strip(out_mar) == strip(out_known)
     ok = cells_equal and bands_equal and cli_equal
     check(9, "zero missing cells: estimated noise path equals known zero", ok,

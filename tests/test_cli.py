@@ -217,7 +217,8 @@ def test_out_flag_writes_file(tmp_path, capsys):
                            out_path)
     assert code == 0
     assert out == ""
-    records = parse_records(open(out_path, encoding="utf-8").read())
+    with open(out_path, encoding="utf-8") as fh:
+        records = parse_records(fh.read())
     assert records[0]["record"] == "run"
 
 

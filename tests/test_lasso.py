@@ -64,9 +64,45 @@ class TestCorrectedGram:
         G = corrected_gram(Z, gen.uniform(0, 1, size=25))
         assert np.array_equal(G, G.T)
 
+    @pytest.mark.parametrize("layout", ["C", "F", "strided"])
+    def test_is_the_plain_expression_bytewise(self, layout):
+        # symmetrized and scaled in place, with the bytes of the plain
+        # expression, whatever the layout BLAS sees
+        gen = np.random.default_rng(11)
+        Z = gen.normal(size=(37, 46))
+        Z = {"C": Z, "F": np.asfortranarray(Z), "strided": Z[:, ::2]}[layout]
+        n, p = Z.shape
+        v = gen.uniform(0, 1, size=p)
+        ZtZ = Z.T @ Z
+        want = (ZtZ + ZtZ.T) / (2.0 * n) - np.diag(v)
+        assert corrected_gram(Z, v).tobytes() == want.tobytes()
+
     def test_dimension_mismatch_rejected(self):
         with pytest.raises(InputError):
             corrected_gram(np.ones((4, 3)), np.ones(2))
+
+
+class TestDatasetObservedCells:
+    def grid(self):
+        Z = np.arange(12.0).reshape(4, 3)
+        mask = np.ones((4, 3), dtype=bool)
+        mask[1, 2] = mask[3, 0] = False
+        return Z, mask
+
+    def test_masked_cells_may_hold_nan_and_inf(self):
+        Z, mask = self.grid()
+        Z[1, 2], Z[3, 0] = np.nan, -np.inf
+        data = Dataset(y=np.zeros(4), Z=Z, mask=mask)
+        assert data.Z is Z and data.mask is mask
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_one_non_finite_observed_cell_raises(self, value):
+        Z, mask = self.grid()
+        Z[1, 2] = np.nan
+        Z[2, 1] = value
+        with pytest.raises(InputError,
+                           match="Z contains non-finite observed entries"):
+            Dataset(y=np.zeros(4), Z=Z, mask=mask)
 
 
 def project(V, radius):

@@ -154,6 +154,31 @@ class TestEstimate:
         npt.assert_array_equal(e1.noise_var, e2.noise_var)
         npt.assert_array_equal(e1.influence, e2.influence)
 
+    @pytest.mark.parametrize("missing", [0, 1, 37, 120])
+    def test_design_and_influence_are_the_plain_expressions_bytewise(
+            self, missing):
+        # design and influence are formed in place; each must hold the bytes
+        # of the plain expression, NaN and inf under the mask included, and
+        # the dataset's Z must be left as it was
+        gen = np.random.default_rng(missing)
+        n, p = 30, 8
+        Z = gen.normal(size=(n, p))
+        mask = np.ones(n * p, dtype=bool)
+        mask[gen.permutation(n * p)[:missing]] = False
+        mask = mask.reshape(n, p)
+        Z[~mask] = np.resize([np.nan, np.inf, -np.inf, 5.0], missing)
+        before = Z.tobytes()
+        est = mar.estimate(Dataset(y=np.zeros(n), Z=Z, mask=mask))
+        pi_hat = est.miss_prob
+        assert pi_hat == pytest.approx(missing / (n * p), rel=1e-12)
+        z_tilde = np.where(mask, Z, 0.0)
+        sq = z_tilde ** 2
+        design = z_tilde / (1.0 - pi_hat)
+        influence = (sq - sq.mean(axis=0)) * (pi_hat / (1.0 - pi_hat) ** 2)
+        assert est.design.tobytes() == design.tobytes()
+        assert est.influence.tobytes() == influence.tobytes()
+        assert Z.tobytes() == before
+
     def test_requires_mask(self):
         with pytest.raises(InputError):
             mar.estimate(Dataset(y=np.zeros(3), Z=np.ones((3, 2))))

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -65,26 +67,63 @@ def test_in_place_transforms_match_the_expression_bytes():
         assert got_g.tobytes() == ndtri(u).tobytes()
 
 
-class _FixedWords:
-    """A bit generator stub whose raw words are given."""
-
-    def __init__(self, words):
-        self.words = np.array(words, dtype=np.uint64)
-
-    def random_raw(self, count):
-        assert count == len(self.words)
-        return self.words.copy()
+def fixed_words(words):
+    """A Philox stream whose next raw words are `words` (at most one
+    counter block): its buffer holds them and none is consumed yet."""
+    bits = Philox(0)
+    state = bits.state
+    buffer = np.zeros(4, dtype=np.uint64)
+    buffer[:len(words)] = words
+    state["buffer"] = buffer
+    state["buffer_pos"] = 0
+    bits.state = state
+    return bits
 
 
 def test_extreme_raw_words_stay_inside_the_open_interval():
     # the top word's (2**53 - 1) + 0.5 rounds to 2**53, so it is clamped to
     # the largest double below 1; the bottom word maps to 2**-54
     words = [0, 2 ** 64 - 1, 2 ** 64 - 2 ** 12]
-    u = rng.uniforms(_FixedWords(words), 3)
+    assert fixed_words(words).random_raw(3).tolist() == words
+    u = rng.uniforms(fixed_words(words), 3)
     assert u.tolist() == [2.0 ** -54, np.nextafter(1.0, 0.0), 1.0 - 2.0 ** -52]
-    g = rng.normals(_FixedWords(words), 3)
+    g = rng.normals(fixed_words(words), 3)
     assert np.all(np.isfinite(g))
     assert g[0] < -8.0 and g[1] > g[2] > 8.0
+
+
+@pytest.mark.parametrize("consumed", [0, 1, 2, 3])
+@pytest.mark.parametrize("count", [1, 3, 5, 13, 24_001])
+def test_a_draw_after_skip_is_the_formula_on_the_next_words(consumed, count):
+    # the order generate uses in missing-at-random mode: normals, a skip
+    # over w's words, then the missingness uniforms, on odd counts that
+    # leave the stream inside a counter block
+    bits = rng.stream(8, 2, 3)
+    rng.normals(bits, consumed)
+    rng.skip(bits, count)
+    got = rng.uniforms(bits, 7)
+    raw = rng.stream(8, 2, 3).random_raw(consumed + count + 7)[-7:]
+    want = np.minimum(((raw >> np.uint64(11)).astype(np.float64) + 0.5)
+                      * 2.0 ** -53, np.nextafter(1.0, 0.0))
+    assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("draw", [rng.uniforms, rng.normals])
+def test_a_draw_peaks_at_one_float_array(draw):
+    # the draw is formed in its returned array: no raw-word array and no
+    # float copy beside it
+    count = 51_200
+    bits = rng.stream(4, 1)
+    draw(bits, 1)  # first-call allocations are not the draw's
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        out = draw(bits, count)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert out.shape == (count,)
+    assert peak <= 8 * count + 4096
 
 
 @pytest.mark.parametrize("consumed", [0, 1, 2, 3])
